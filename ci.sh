@@ -21,6 +21,11 @@ cargo clippy --workspace -- -D warnings
 # The whole workspace is held rustfmt-clean.
 cargo fmt --all --check
 
+# The performance ledger is its own workspace, so nothing above notices
+# when an engine API it calls breaks: build it and run every workload
+# once with output checks on (BENCHMARK.json; non-zero exit fails CI).
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --quick
+
 # Observability: a traced run must export a Chrome trace that
 # trace-check accepts, with engine spans present (DESIGN.md §8).
 cargo run --release -p bench --bin bench -- kmeans \

@@ -124,46 +124,6 @@ fn engine_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// Persistent worker pool vs spawn-per-pass scoped threads, on a
-/// small-split workload where per-pass thread management dominates the
-/// reduce work. The pooled engine is warmed before measurement, so
-/// "pooled" times exclude the one-time spawn cost the way an iterative
-/// job's steady state does.
-fn pool_vs_scoped(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pool_vs_scoped");
-    group.sample_size(20);
-    let data: Vec<f64> = (0..20_000).map(|i| (i % 1000) as f64).collect();
-    let layout = RObjLayout::new(vec![GroupSpec::new("sum", 16, CombineOp::Sum)]);
-    let kernel = |split: &Split<'_>, robj: &mut dyn RObjHandle| {
-        for row in split.iter_rows() {
-            robj.accumulate(0, row[0] as usize % 16, row[0]);
-        }
-    };
-    for threads in [1usize, 2, 4, 8] {
-        for (name, exec) in [
-            ("pooled", ExecMode::Threads),
-            ("scoped", ExecMode::ScopedThreads),
-        ] {
-            let engine = Engine::new(JobConfig {
-                threads,
-                exec,
-                splitter: Splitter::Chunked {
-                    rows_per_chunk: 256,
-                },
-                ..Default::default()
-            });
-            engine.warmup();
-            group.bench_function(BenchmarkId::new(name, threads), |b| {
-                b.iter(|| {
-                    let view = DataView::new(&data, 1).expect("unit 1");
-                    engine.run(view, &layout, &kernel)
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
 /// Recorder overhead: one pass per [`TraceLevel`] on the instrumented
 /// sequential exec mode — the same recorder code path the threaded
 /// modes take (per-split stats, post-pass span synthesis) without
@@ -227,7 +187,6 @@ criterion_group!(
     linearize_alg2,
     mapping_strategies,
     engine_overhead,
-    pool_vs_scoped,
     trace_overhead,
     frontend
 );

@@ -114,8 +114,7 @@ pub struct Harness {
     pub threads: Vec<usize>,
     /// `Sequential` → modeled scaling (single-core hosts);
     /// `Threads` → real wall-clock per thread count on the persistent
-    /// worker pool; `ScopedThreads` → real wall-clock with the legacy
-    /// spawn-per-pass path (for measuring what the pool saves).
+    /// worker pool.
     pub exec: ExecMode,
 }
 
@@ -170,7 +169,7 @@ fn kmeans_figure(h: &Harness, id: &str, mb: usize, k: usize, iters: usize) -> Fi
                 }
             }
         }
-        ExecMode::Threads | ExecMode::ScopedThreads => {
+        ExecMode::Threads => {
             for v in Version::ALL {
                 for &t in &h.threads {
                     let mut params = kmeans::KmeansParams::new(n, d, k, iters).threads(t);
@@ -239,7 +238,7 @@ fn pca_figure(h: &Harness, id: &str, rows_full: usize, cols_full: usize) -> Figu
                 }
             }
         }
-        ExecMode::Threads | ExecMode::ScopedThreads => {
+        ExecMode::Threads => {
             for v in versions {
                 for &t in &h.threads {
                     let mut params = pca::PcaParams::new(rows_n, cols_n).threads(t);

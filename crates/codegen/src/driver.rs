@@ -20,7 +20,7 @@
 //! `core.codegen_cache_hit` (disk or memory hit).
 
 use cfr_core::{CodegenError, Kernel};
-use freeride::{Recorder, TraceLevel};
+use freeride::{fnv1a64, Recorder, TraceLevel};
 use obs::AttrValue;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -58,16 +58,6 @@ pub struct LoadedKernel {
     pub sites: Vec<NestedSite>,
     /// FNV-1a hash of the emitted source (the cache key).
     pub source_hash: u64,
-}
-
-/// FNV-1a, 64-bit — matches the job server's program-cache hash style.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn memory_cache() -> &'static Mutex<HashMap<u64, Arc<LoadedKernel>>> {

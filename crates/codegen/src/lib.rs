@@ -35,7 +35,7 @@ use freeride::{Recorder, SplitKernel};
 use linearize::Value;
 use std::sync::Arc;
 
-pub use driver::{cache_dir, fnv1a64, load_or_compile, rustc_available, LoadedKernel};
+pub use driver::{cache_dir, load_or_compile, rustc_available, LoadedKernel};
 pub use emit::{emit_kernel, EmittedKernel, NestedSite};
 pub use runtime::CompiledKernelRuntime;
 

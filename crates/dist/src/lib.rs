@@ -7,8 +7,8 @@
 //! across N node agents (the `cfr-node` binary, or in-process
 //! [`LoopbackCluster`] threads for deterministic tests); each node runs
 //! its shard through the existing shared-memory engine
-//! (`Engine::run_file_shard`), ships its serialized
-//! [`ReductionObject`](freeride::ReductionObject) back over a
+//! (`Engine::run_pass` over a `PassInput::File` shard), ships its
+//! serialized [`ReductionObject`](freeride::ReductionObject) back over a
 //! length-prefixed versioned TCP protocol ([`proto`]), and the
 //! coordinator performs global combination with the existing
 //! `CombineOp` machinery, applies the task's outer-loop step, and

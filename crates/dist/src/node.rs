@@ -10,7 +10,7 @@
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
-use freeride::{Engine, JobConfig, RObjLayout};
+use freeride::{Engine, JobConfig, PassHooks, PassInput, RObjLayout};
 use obs::{AttrValue, Recorder, TraceLevel};
 
 use crate::error::DistError;
@@ -193,13 +193,14 @@ fn run_round(
             });
         }
         let pass_start = std::time::Instant::now();
-        let outcome = job.engine.run_file_shard(
-            &job.file,
-            first as usize,
-            count as usize,
-            &job.layout,
-            &kernel,
-        )?;
+        let input = PassInput::File {
+            file: &job.file,
+            first_row: first as usize,
+            rows: count as usize,
+        };
+        let outcome = job
+            .engine
+            .run_pass(input, &job.layout, &kernel, PassHooks::default())?;
         job.recorder.push_complete(
             TraceLevel::Phases,
             "node.pass",
@@ -566,13 +567,14 @@ fn run_unit(
         });
     }
     let pass_start = std::time::Instant::now();
-    let outcome = job.engine.run_file_shard(
-        &job.file,
-        first as usize,
-        count as usize,
-        &job.layout,
-        kernel,
-    )?;
+    let input = PassInput::File {
+        file: &job.file,
+        first_row: first as usize,
+        rows: count as usize,
+    };
+    let outcome = job
+        .engine
+        .run_pass(input, &job.layout, kernel, PassHooks::default())?;
     job.recorder.push_complete(
         TraceLevel::Phases,
         "node.pass",

@@ -35,7 +35,9 @@
 
 use std::sync::Arc;
 
-use crate::engine::{CombinationFn, Engine, FinalizeFn, JobConfig, JobOutcome};
+use crate::engine::{
+    CombinationFn, Engine, FinalizeFn, JobConfig, JobOutcome, PassHooks, PassInput,
+};
 use crate::robj::{GroupSpec, RObjLayout, ReductionObject};
 use crate::split::{DataView, Split, Splitter};
 use crate::sync::RObjHandle;
@@ -80,6 +82,13 @@ impl Application {
     pub fn with_finalize(mut self, f: FinalizeFn) -> Application {
         self.finalize = Some(f);
         self
+    }
+
+    fn hooks(&self) -> PassHooks<'_> {
+        PassHooks {
+            combination: self.combination.as_ref(),
+            finalize: self.finalize.as_ref(),
+        }
     }
 }
 
@@ -137,13 +146,8 @@ impl Runtime {
             .expect("reduction object not allocated");
         let view = DataView::new(data, unit)?;
         let kernel = app.reduction.as_ref();
-        Ok(self.engine.run_with(
-            view,
-            layout,
-            &kernel,
-            app.combination.as_ref(),
-            app.finalize.as_ref(),
-        ))
+        self.engine
+            .run_pass(PassInput::Rows(view), layout, &kernel, app.hooks())
     }
 
     /// The outer sequential loop: up to `iters` passes; after each pass
@@ -163,15 +167,16 @@ impl Runtime {
             .expect("reduction object not allocated");
         let view = DataView::new(data, unit)?;
         let kernel = app.reduction.as_ref();
-        Ok(self.engine.run_iterations_with(
-            view,
+        self.engine.run_iterations(
+            PassInput::Rows(view),
             layout,
+            0,
             iters,
             &kernel,
-            app.combination.as_ref(),
-            app.finalize.as_ref(),
+            app.hooks(),
             |it, robj| step(it, robj),
-        ))
+            |_, _| {},
+        )
     }
 }
 

@@ -22,6 +22,12 @@
 //! the optional finalize step. The outer sequential loop is driven by
 //! the caller (see `run` in a loop, or [`Engine::run_iterations`]).
 //!
+//! There is one pass ([`Engine::run_pass`]) whatever the input: rows
+//! borrowed from memory, read split-by-split from a file, or streamed
+//! through the chunk pipeline ([`PassInput`]). Only where a worker's
+//! next split comes from differs; the worker loop, the combination
+//! phase and the instrumentation are shared.
+//!
 //! Like the original FREERIDE middleware's persistent pthreads, worker
 //! threads are created once per [`Engine`] and parked between reduction
 //! passes (see [`crate::pool`]); iterative jobs pay the spawn cost only
@@ -31,15 +37,18 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use freeride_io::{ChunkReader, RowSource};
 use obs::{AttrValue, Recorder, Trace, TraceLevel};
 use parking_lot::Mutex;
 
 use crate::kernel::{KernelBackend, SplitKernel};
 use crate::pool::WorkerPool;
 use crate::robj::{RObjLayout, ReductionObject};
+use crate::source::FileDataset;
 use crate::split::{DataView, Split, Splitter};
 use crate::stats::{IoActivity, PhaseTimes, RunStats, SplitStat};
 use crate::sync::{SharedCells, SharedHandle, SyncScheme};
+use crate::FreerideError;
 
 /// Pairwise reduction-object combination (the paper's `combination_t`).
 /// `None` selects the default combine (cell-wise group ops).
@@ -54,10 +63,6 @@ pub enum ExecMode {
     /// Run on the engine's persistent worker pool (real parallel
     /// execution; workers are spawned once and reused across passes).
     Threads,
-    /// Spawn one scoped OS thread per logical thread *per pass* — the
-    /// pre-pool execution path, kept for measuring what the pool saves
-    /// and as an independent oracle for pool correctness tests.
-    ScopedThreads,
     /// Execute every split on the calling thread, recording per-split
     /// busy times for the modeled-scalability harness (DESIGN.md §5).
     /// Semantics are identical to `Threads`; the pool is bypassed
@@ -219,6 +224,58 @@ pub struct JobOutcome {
     pub stats: RunStats,
 }
 
+/// What one reduction pass reads. File and source inputs name the
+/// `first_row .. first_row + rows` **shard** of a shared dataset, so a
+/// cluster node processes only its part without copying the file.
+/// Splits are cut from the shard and carry absolute `first_row`, so
+/// kernels that use row indices behave identically whether they see a
+/// shard or the whole dataset, and results over a disjoint cover
+/// combine (via [`ReductionObject::merge_from`] or the distributed
+/// coordinator) to the whole-dataset result.
+#[derive(Clone, Copy)]
+pub enum PassInput<'a> {
+    /// Rows borrowed from memory, cut by the configured [`Splitter`].
+    Rows(DataView<'a>),
+    /// A shard of a `.frds` file, read as `config.io` says: under
+    /// [`IoMode::Sync`] each worker reads its own splits into a buffer
+    /// it reuses (per-split timings include the read, so modeled
+    /// scaling accounts for I/O); under [`IoMode::Streaming`] the file
+    /// goes through the chunk pipeline like a `Source`.
+    File {
+        /// The dataset file.
+        file: &'a FileDataset,
+        /// First row of the shard.
+        first_row: usize,
+        /// Rows in the shard.
+        rows: usize,
+    },
+    /// A shard of any [`RowSource`], always through the streaming chunk
+    /// pipeline: reader threads prefetch chunks into a recycled buffer
+    /// pool while the workers reduce, and chunks are handed out in
+    /// completion order, so a slow read cannot straggle the pass. The
+    /// pipeline shape comes from `config.io` (the `freeride-io`
+    /// defaults when that says `Sync`).
+    Source {
+        /// The row source.
+        source: &'a Arc<dyn RowSource>,
+        /// First row of the shard.
+        first_row: usize,
+        /// Rows in the shard.
+        rows: usize,
+    },
+}
+
+/// The optional user functions of a pass (the paper's `combination_t`
+/// and `finalize_t`); the default is the cell-wise group-op combine and
+/// no finalize.
+#[derive(Clone, Copy, Default)]
+pub struct PassHooks<'a> {
+    /// Pairwise combination of reduction-object copies.
+    pub combination: Option<&'a CombinationFn>,
+    /// Post-processing of the merged object.
+    pub finalize: Option<&'a FinalizeFn>,
+}
+
 /// The FREERIDE engine. Holds the configuration plus a lazily grown
 /// persistent [`WorkerPool`] and a span [`Recorder`]; clones share
 /// both, so cloning an engine per pass still spawns each worker exactly
@@ -237,8 +294,6 @@ struct PoolCounters {
     dispatches0: usize,
     parks0: usize,
     wakes0: usize,
-    /// Threads spawned outside the pool (`ExecMode::ScopedThreads`).
-    scoped_spawned: usize,
 }
 
 /// What one run consumed from the pool, for stats and trace counters.
@@ -257,7 +312,6 @@ impl PoolCounters {
             dispatches0: pool.total_dispatches(),
             parks0: pool.total_parks(),
             wakes0: pool.total_wakes(),
-            scoped_spawned: 0,
         }
     }
 
@@ -268,7 +322,7 @@ impl PoolCounters {
         let dispatches = pool.total_dispatches() - self.dispatches0;
         let reuses = dispatches - usize::from(spawned > 0).min(dispatches);
         PoolDelta {
-            spawned: spawned + self.scoped_spawned,
+            spawned,
             reuses,
             dispatches,
             parks: pool.total_parks() - self.parks0,
@@ -349,443 +403,115 @@ impl Engine {
     where
         K: SplitKernel + ?Sized,
     {
-        self.run_with(view, layout, kernel, None, None)
+        self.run_pass(PassInput::Rows(view), layout, kernel, PassHooks::default())
+            .expect("an in-memory pass reads nothing that can fail")
     }
 
-    /// Run one reduction loop with optional custom combination and
-    /// finalize functions (the paper's `combination_t` / `finalize_t`).
-    pub fn run_with<K>(
-        &self,
-        view: DataView<'_>,
-        layout: &Arc<RObjLayout>,
-        kernel: &K,
-        combination: Option<&CombinationFn>,
-        finalize: Option<&FinalizeFn>,
-    ) -> JobOutcome
-    where
-        K: SplitKernel + ?Sized,
-    {
-        let wall_start = Instant::now();
-        let threads = self.config.threads.max(1);
-        let ranges = self.config.splitter.ranges(view.rows(), threads);
-        let mut counters = PoolCounters::start(&self.pool);
-
-        let (copies, mut splits, shared) = match self.config.exec {
-            ExecMode::Sequential => self.run_sequential(view, layout, kernel, &ranges),
-            ExecMode::Threads => self.run_pooled(view, layout, kernel, &ranges),
-            ExecMode::ScopedThreads => {
-                counters.scoped_spawned += threads;
-                self.run_scoped(view, layout, kernel, &ranges)
-            }
-        };
-
-        let (robj, combine_ns, finalize_ns) =
-            self.combine_and_finalize(copies, shared, layout, combination, finalize, &mut counters);
-
-        splits.sort_by_key(|s| s.split);
-        let delta = counters.finish(&self.pool);
-        let wall_ns = wall_start.elapsed().as_nanos() as u64;
-        self.record_pass_trace(wall_start, &splits, &delta, wall_ns, threads);
-        JobOutcome {
-            robj,
-            stats: RunStats {
-                splits,
-                phases: PhaseTimes {
-                    combine_ns,
-                    finalize_ns,
-                    wall_ns,
-                },
-                logical_threads: threads,
-                threads_spawned: delta.spawned,
-                pool_reuses: delta.reuses,
-                io: IoActivity::default(),
-            },
-        }
-    }
-
-    /// Run one reduction loop over a **disk-resident** dataset with the
-    /// default combination — see [`Engine::run_file_with`].
+    /// Run one reduction loop over a whole **disk-resident** dataset
+    /// with the default combination, read as `config.io` says.
     pub fn run_file<K>(
         &self,
-        file: &crate::source::FileDataset,
+        file: &FileDataset,
         layout: &Arc<RObjLayout>,
         kernel: &K,
-    ) -> Result<JobOutcome, crate::FreerideError>
+    ) -> Result<JobOutcome, FreerideError>
     where
         K: SplitKernel + ?Sized,
     {
-        self.run_file_with(file, layout, kernel, None, None)
-    }
-
-    /// Run one reduction loop over a **disk-resident** dataset: each
-    /// worker opens its own handle and reads exactly its splits — "the
-    /// order in which data instances are read from the disks is
-    /// determined by the runtime system". Per-split timings include the
-    /// read, so modeled scaling accounts for I/O.
-    ///
-    /// The combination phase is identical to the in-memory path
-    /// ([`Engine::run_with`]): custom combination, finalize, and the
-    /// parallel tree merge for large objects all apply. On an I/O error
-    /// every worker stops pulling splits (a shared abort flag) and the
-    /// *first* error is returned.
-    pub fn run_file_with<K>(
-        &self,
-        file: &crate::source::FileDataset,
-        layout: &Arc<RObjLayout>,
-        kernel: &K,
-        combination: Option<&CombinationFn>,
-        finalize: Option<&FinalizeFn>,
-    ) -> Result<JobOutcome, crate::FreerideError>
-    where
-        K: SplitKernel + ?Sized,
-    {
-        self.run_file_shard_with(file, 0, file.rows(), layout, kernel, combination, finalize)
-    }
-
-    /// Run one reduction loop over a `first_row .. first_row + row_count`
-    /// **shard** of a disk-resident dataset with the default combination
-    /// — see [`Engine::run_file_shard_with`].
-    pub fn run_file_shard<K>(
-        &self,
-        file: &crate::source::FileDataset,
-        first_row: usize,
-        row_count: usize,
-        layout: &Arc<RObjLayout>,
-        kernel: &K,
-    ) -> Result<JobOutcome, crate::FreerideError>
-    where
-        K: SplitKernel + ?Sized,
-    {
-        self.run_file_shard_with(file, first_row, row_count, layout, kernel, None, None)
-    }
-
-    /// Run one reduction loop over a sub-range of a shared dataset file,
-    /// so a cluster node processes only its shard without copying the
-    /// file. Splits are cut from the shard (not the whole file) and
-    /// their `first_row` is absolute, so kernels that use row indices
-    /// behave identically whether they see the shard or the whole file.
-    /// Shard results from a disjoint cover of the file combine (via
-    /// [`ReductionObject::merge_from`] or the distributed coordinator)
-    /// to the full-file result.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_file_shard_with<K>(
-        &self,
-        file: &crate::source::FileDataset,
-        shard_first: usize,
-        shard_rows: usize,
-        layout: &Arc<RObjLayout>,
-        kernel: &K,
-        combination: Option<&CombinationFn>,
-        finalize: Option<&FinalizeFn>,
-    ) -> Result<JobOutcome, crate::FreerideError>
-    where
-        K: SplitKernel + ?Sized,
-    {
-        if shard_first
-            .checked_add(shard_rows)
-            .is_none_or(|end| end > file.rows())
-        {
-            return Err(crate::FreerideError::BadDataset {
-                reason: format!(
-                    "shard {shard_first}..{} exceeds {} rows",
-                    shard_first.saturating_add(shard_rows),
-                    file.rows()
-                ),
-            });
-        }
-        if self.config.io.stream_config().is_some() {
-            return self.run_source_shard_with(
-                &file.row_source(),
-                shard_first,
-                shard_rows,
-                layout,
-                kernel,
-                combination,
-                finalize,
-            );
-        }
-        let wall_start = Instant::now();
-        let threads = self.config.threads.max(1);
-        let mut ranges = self
-            .config
-            .splitter
-            .ranges_at(shard_first, shard_rows, threads);
-        for r in &mut ranges {
-            r.0 += shard_first;
-        }
-        let unit = file.unit();
-        let mut counters = PoolCounters::start(&self.pool);
-
-        let shared = SharedCells::for_scheme(self.config.scheme, layout);
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let collected: Mutex<Vec<ReductionObject>> = Mutex::new(Vec::with_capacity(threads));
-        let stats: Mutex<Vec<SplitStat>> = Mutex::new(Vec::with_capacity(ranges.len()));
-        let io_error: Mutex<Option<crate::FreerideError>> = Mutex::new(None);
-        let rec = &*self.recorder;
-        let splits_on = rec.enabled(TraceLevel::Splits);
-
-        let scheme = self.config.scheme;
-        let worker_body = |w: usize| {
-            let shared = shared.as_ref();
-            let mut local: Option<ReductionObject> = scheme
-                .worker_private()
-                .then(|| ReductionObject::alloc(layout.clone()));
-            let mut my_stats = Vec::new();
-            // One read buffer per worker, reused across every split it
-            // pulls — no per-split allocation churn.
-            let mut rows_buf: Vec<f64> = Vec::new();
-            loop {
-                // A sibling hit an I/O error: stop pulling splits.
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= ranges.len() {
-                    break;
-                }
-                let (first, count) = ranges[i];
-                let t0 = Instant::now();
-                if let Err(e) = file.read_rows_into(first, count, &mut rows_buf) {
-                    abort.store(true, Ordering::Relaxed);
-                    let mut slot = io_error.lock();
-                    // First error wins; later ones are dropped.
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                    break;
-                }
-                let read_ns = t0.elapsed().as_nanos() as u64;
-                let split = Split {
-                    rows: &rows_buf,
-                    unit,
-                    first_row: first,
-                    row_count: count,
-                };
-                run_split_on(kernel, &split, local.as_mut(), shared, scheme);
-                my_stats.push(SplitStat {
-                    split: i,
-                    first_row: first,
-                    rows: count,
-                    nanos: t0.elapsed().as_nanos() as u64,
-                    read_ns,
-                    start_ns: if splits_on { rec.offset_ns(t0) } else { 0 },
-                    os_worker: w,
-                    logical_thread: w,
-                });
-            }
-            if let Some(robj) = local {
-                collected.lock().push(robj);
-            }
-            stats.lock().extend(my_stats);
+        let input = PassInput::File {
+            file,
+            first_row: 0,
+            rows: file.rows(),
         };
-
-        match self.config.exec {
-            ExecMode::Threads => {
-                self.pool.ensure_workers(threads);
-                self.pool.dispatch(threads, &worker_body);
-            }
-            ExecMode::ScopedThreads => {
-                counters.scoped_spawned += threads;
-                crossbeam::thread::scope(|scope| {
-                    for w in 0..threads {
-                        let body = &worker_body;
-                        scope.spawn(move |_| body(w));
-                    }
-                })
-                .expect("worker thread panicked");
-            }
-            ExecMode::Sequential => {
-                for w in 0..threads {
-                    worker_body(w);
-                }
-            }
-        }
-
-        if let Some(e) = io_error.into_inner() {
-            return Err(e);
-        }
-        let copies = collected.into_inner();
-        let mut splits = stats.into_inner();
-
-        let (robj, combine_ns, finalize_ns) =
-            self.combine_and_finalize(copies, shared, layout, combination, finalize, &mut counters);
-
-        splits.sort_by_key(|s| s.split);
-        let delta = counters.finish(&self.pool);
-        let wall_ns = wall_start.elapsed().as_nanos() as u64;
-        self.record_pass_trace(wall_start, &splits, &delta, wall_ns, threads);
-        Ok(JobOutcome {
-            robj,
-            stats: RunStats {
-                splits,
-                phases: PhaseTimes {
-                    combine_ns,
-                    finalize_ns,
-                    wall_ns,
-                },
-                logical_threads: threads,
-                threads_spawned: delta.spawned,
-                pool_reuses: delta.reuses,
-                io: IoActivity::default(),
-            },
-        })
+        self.run_pass(input, layout, kernel, PassHooks::default())
     }
 
-    /// Run one reduction loop over any [`freeride_io::RowSource`]
-    /// through the streaming chunk pipeline — the out-of-core path
-    /// behind [`IoMode::Streaming`], callable directly for non-`.frds`
-    /// sources. Reader threads prefetch chunks into a recycled buffer
-    /// pool while the workers reduce; chunks are handed to workers
-    /// dynamically in completion order, so a slow read cannot straggle
-    /// the pass. Splits carry absolute `first_row`, matching the sync
-    /// shard path. The pipeline shape comes from `config.io` (or the
-    /// `freeride-io` defaults when the config says `Sync`).
+    /// Run one reduction pass: split `input`, reduce every split into
+    /// the reduction object the configured [`SyncScheme`] calls for,
+    /// combine, finalize. "The order in which data instances are read
+    /// … is determined by the runtime system": workers claim splits
+    /// from one shared feed until it drains.
     ///
-    /// Errors propagate, never hang: the first failed read (or a dead
-    /// reader thread) closes the pipeline, every worker drains and
-    /// stops, and the typed error is returned in bounded time.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_source_shard_with<K>(
+    /// Errors propagate, never hang: a shard outside the dataset is
+    /// rejected up front; on a failed read every worker stops claiming
+    /// splits and the *first* error is returned in bounded time.
+    pub fn run_pass<K>(
         &self,
-        source: &Arc<dyn freeride_io::RowSource>,
-        shard_first: usize,
-        shard_rows: usize,
+        input: PassInput<'_>,
         layout: &Arc<RObjLayout>,
         kernel: &K,
-        combination: Option<&CombinationFn>,
-        finalize: Option<&FinalizeFn>,
-    ) -> Result<JobOutcome, crate::FreerideError>
+        hooks: PassHooks<'_>,
+    ) -> Result<JobOutcome, FreerideError>
     where
         K: SplitKernel + ?Sized,
     {
-        if shard_first
-            .checked_add(shard_rows)
-            .is_none_or(|end| end > source.rows())
-        {
-            return Err(crate::FreerideError::BadDataset {
-                reason: format!(
-                    "shard {shard_first}..{} exceeds {} rows",
-                    shard_first.saturating_add(shard_rows),
-                    source.rows()
-                ),
-            });
-        }
         let wall_start = Instant::now();
         let threads = self.config.threads.max(1);
-        let unit = source.unit();
-        let stream = self.config.io.stream_config().unwrap_or_default();
-        let mut counters = PoolCounters::start(&self.pool);
+        let scheme = self.config.scheme;
         let rec = &*self.recorder;
         let splits_on = rec.enabled(TraceLevel::Splits);
+        let feed = self.open_feed(input, threads, splits_on)?;
+        let counters = PoolCounters::start(&self.pool);
 
-        // Reader tracks sit past the worker tracks in the trace; spans
-        // are only recorded at Splits level, matching `split` spans.
-        let reader = freeride_io::ChunkReader::spawn(
-            source.clone(),
-            shard_first,
-            shard_rows,
-            stream,
-            splits_on.then(|| self.recorder.clone()),
-            threads,
-        );
-
-        let shared = SharedCells::for_scheme(self.config.scheme, layout);
+        let shared = SharedCells::for_scheme(scheme, layout);
         let collected: Mutex<Vec<ReductionObject>> = Mutex::new(Vec::with_capacity(threads));
         let stats: Mutex<Vec<SplitStat>> = Mutex::new(Vec::new());
 
-        let scheme = self.config.scheme;
-        let worker_body = |w: usize| {
-            let shared = shared.as_ref();
-            let mut local: Option<ReductionObject> = scheme
-                .worker_private()
-                .then(|| ReductionObject::alloc(layout.clone()));
+        // A pool worker is one logical thread (`lanes == 1`). Under
+        // `Sequential` the caller plays all of them: split `i` belongs
+        // to logical thread `i % threads`, each with its own private
+        // copy, so the later (timed) merge reflects the real
+        // combination cost at this thread count.
+        let worker = |w: usize, lanes: usize| {
+            // Copies are built per dispatch: a pool worker serves many
+            // passes, so per-pass state cannot be tied to thread birth.
+            let mut locals: Vec<ReductionObject> = if scheme.worker_private() {
+                (0..lanes)
+                    .map(|_| ReductionObject::alloc(layout.clone()))
+                    .collect()
+            } else {
+                Vec::new()
+            };
             let mut my_stats = Vec::new();
-            // `recv` returns None when the shard is exhausted *or* the
-            // pipeline aborted — either way the worker just drains out.
-            while let Some(chunk) = reader.recv() {
-                let t0 = Instant::now();
-                let split = Split {
-                    rows: &chunk.data,
-                    unit,
-                    first_row: chunk.first_row,
-                    row_count: chunk.rows,
-                };
-                run_split_on(kernel, &split, local.as_mut(), shared, scheme);
+            let mut held = Held::default();
+            while let Some(claim) = feed.next(&mut held) {
+                let lane = claim.seq % lanes;
+                let local = locals.get_mut(lane);
+                run_split_on(kernel, &claim.split, local, shared.as_ref(), scheme);
                 my_stats.push(SplitStat {
-                    split: chunk.seq,
-                    first_row: chunk.first_row,
-                    rows: chunk.rows,
-                    nanos: t0.elapsed().as_nanos() as u64,
-                    // The read happened on a reader track (`io.read`
-                    // span); the split span is pure reduce time.
-                    read_ns: 0,
-                    start_ns: if splits_on { rec.offset_ns(t0) } else { 0 },
+                    split: claim.seq,
+                    first_row: claim.split.first_row,
+                    rows: claim.split.row_count,
+                    nanos: claim.started.elapsed().as_nanos() as u64,
+                    read_ns: claim.read_ns,
+                    start_ns: if splits_on {
+                        rec.offset_ns(claim.started)
+                    } else {
+                        0
+                    },
                     os_worker: w,
-                    logical_thread: w,
+                    logical_thread: w + lane,
                 });
-                reader.recycle(chunk);
             }
-            if let Some(robj) = local {
-                collected.lock().push(robj);
-            }
+            collected.lock().extend(locals);
             stats.lock().extend(my_stats);
         };
-
         match self.config.exec {
             ExecMode::Threads => {
                 self.pool.ensure_workers(threads);
-                self.pool.dispatch(threads, &worker_body);
+                self.pool.dispatch(threads, &|w| worker(w, 1));
             }
-            ExecMode::ScopedThreads => {
-                counters.scoped_spawned += threads;
-                crossbeam::thread::scope(|scope| {
-                    for w in 0..threads {
-                        let body = &worker_body;
-                        scope.spawn(move |_| body(w));
-                    }
-                })
-                .expect("worker thread panicked");
-            }
-            // Sequential is still *correct* with the pipeline (a single
-            // consumer drains it), it just overlaps nothing.
-            ExecMode::Sequential => worker_body(0),
+            ExecMode::Sequential => worker(0, threads),
         }
 
-        let io = reader.finish().map_err(crate::FreerideError::from)?;
-        let copies = collected.into_inner();
-        let mut splits = stats.into_inner();
-
+        let io = feed.finish()?;
         let (robj, combine_ns, finalize_ns) =
-            self.combine_and_finalize(copies, shared, layout, combination, finalize, &mut counters);
-
+            self.combine_and_finalize(collected.into_inner(), shared, layout, hooks);
+        let mut splits = stats.into_inner();
         splits.sort_by_key(|s| s.split);
         let delta = counters.finish(&self.pool);
         let wall_ns = wall_start.elapsed().as_nanos() as u64;
-        self.record_pass_trace(wall_start, &splits, &delta, wall_ns, threads);
-        if rec.enabled(TraceLevel::Phases) {
-            rec.add_counter("io.chunks", io.chunks as i64);
-            rec.add_counter("io.bytes_read", io.bytes_read as i64);
-            rec.add_counter("io.read_ns", io.read_ns as i64);
-            rec.add_counter("io.stall_ns", io.stall_ns as i64);
-            rec.add_counter("io.backpressure_ns", io.backpressure_ns as i64);
-            rec.set_gauge("io.pool_bytes", io.pool_bytes as f64);
-        }
-        let hub = rec.hub();
-        if hub.is_enabled() {
-            // Mirrored 1:1 with the trace counters above so the
-            // fleet-aggregated live view bit-matches the post-hoc
-            // reconstruction (the differential telemetry gate).
-            hub.add("io.chunks", io.chunks as i64);
-            hub.add("io.bytes_read", io.bytes_read as i64);
-            hub.observe("io.pass_read_ns", io.read_ns);
-            if wall_ns > 0 {
-                hub.gauge(
-                    "io.bytes_per_sec",
-                    io.bytes_read as f64 / (wall_ns as f64 / 1e9),
-                );
-            }
-        }
+        self.record_pass_trace(wall_start, &splits, &delta, wall_ns, threads, io.as_ref());
         Ok(JobOutcome {
             robj,
             stats: RunStats {
@@ -798,116 +524,138 @@ impl Engine {
                 logical_threads: threads,
                 threads_spawned: delta.spawned,
                 pool_reuses: delta.reuses,
-                io: IoActivity {
+                io: io.map_or_else(IoActivity::default, |io| IoActivity {
                     chunks: io.chunks,
                     bytes_read: io.bytes_read,
                     read_ns: io.read_ns,
                     stall_ns: io.stall_ns,
                     backpressure_ns: io.backpressure_ns,
                     pool_bytes: io.pool_bytes,
-                },
+                }),
             },
         })
     }
 
-    /// The outer sequential loop: run `iters` reduction passes; after
-    /// each pass, `step` inspects the combined object and may mutate
-    /// shared state for the next pass (e.g. new centroids). Returns the
-    /// last outcome with stats accumulated across all passes.
-    pub fn run_iterations<K>(
+    /// Check the input's shard against its dataset and open the feed
+    /// the workers will claim splits from.
+    fn open_feed<'a>(
         &self,
-        view: DataView<'_>,
-        layout: &Arc<RObjLayout>,
-        iters: usize,
-        kernel: &K,
-        step: impl FnMut(usize, &ReductionObject) -> bool,
-    ) -> JobOutcome
-    where
-        K: SplitKernel + ?Sized,
-    {
-        self.run_iterations_with(view, layout, iters, kernel, None, None, step)
+        input: PassInput<'a>,
+        threads: usize,
+        splits_on: bool,
+    ) -> Result<Feed<'a>, FreerideError> {
+        let (first_row, rows, total) = match input {
+            PassInput::Rows(view) => (0, view.rows(), view.rows()),
+            PassInput::File {
+                file,
+                first_row,
+                rows,
+            } => (first_row, rows, file.rows()),
+            PassInput::Source {
+                source,
+                first_row,
+                rows,
+            } => (first_row, rows, source.rows()),
+        };
+        if first_row.checked_add(rows).is_none_or(|end| end > total) {
+            return Err(FreerideError::BadDataset {
+                reason: format!(
+                    "shard {first_row}..{} exceeds {total} rows",
+                    first_row.saturating_add(rows)
+                ),
+            });
+        }
+        // Ranges are cut from the shard (the weighted splitter needs
+        // its position) and made absolute.
+        let queue = || {
+            let mut ranges = self.config.splitter.ranges_at(first_row, rows, threads);
+            for r in &mut ranges {
+                r.0 += first_row;
+            }
+            SplitQueue {
+                ranges,
+                next: AtomicUsize::new(0),
+            }
+        };
+        let stream = |source: Arc<dyn RowSource>, shape: freeride_io::StreamConfig| {
+            let unit = source.unit();
+            // Reader tracks sit past the worker tracks in the trace;
+            // spans are only recorded at Splits level, matching `split`
+            // spans.
+            let recorder = splits_on.then(|| self.recorder.clone());
+            let reader = ChunkReader::spawn(source, first_row, rows, shape, recorder, threads);
+            Feed::Stream { reader, unit }
+        };
+        let shape = self.config.io.stream_config();
+        Ok(match (input, shape) {
+            (PassInput::Rows(view), _) => Feed::View {
+                view,
+                queue: queue(),
+            },
+            (PassInput::File { file, .. }, None) => Feed::File {
+                file,
+                queue: queue(),
+                abort: AtomicBool::new(false),
+                failed: Mutex::new(None),
+            },
+            (PassInput::File { file, .. }, Some(shape)) => stream(file.row_source(), shape),
+            (PassInput::Source { source, .. }, shape) => {
+                stream(source.clone(), shape.unwrap_or_default())
+            }
+        })
     }
 
-    /// [`Engine::run_iterations`] with custom combination / finalize
-    /// functions, applied on **every** pass (each pass routes through
-    /// [`Engine::run_with`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_iterations_with<K>(
-        &self,
-        view: DataView<'_>,
-        layout: &Arc<RObjLayout>,
-        iters: usize,
-        kernel: &K,
-        combination: Option<&CombinationFn>,
-        finalize: Option<&FinalizeFn>,
-        step: impl FnMut(usize, &ReductionObject) -> bool,
-    ) -> JobOutcome
-    where
-        K: SplitKernel + ?Sized,
-    {
-        self.run_iterations_resumable(
-            view,
-            layout,
-            0,
-            iters,
-            kernel,
-            combination,
-            finalize,
-            step,
-            |_, _| {},
-        )
-    }
-
-    /// The resumable form of [`Engine::run_iterations_with`]: the outer
-    /// loop starts at `first_iter` (0 for a fresh run; `c + 1` to resume
-    /// after a checkpoint of completed pass `c`), and after each pass's
-    /// `step` the `checkpoint` hook sees the pass index and combined
-    /// object — the place to persist a
-    /// recovery point (e.g. via `freeride-ft`'s `CheckpointStore`).
+    /// The outer sequential loop: reduction passes `first_pass..iters`
+    /// over `input` (`first_pass` is 0 for a fresh run, `c + 1` to
+    /// resume after a checkpoint of completed pass `c`), `hooks`
+    /// applied on every pass. After each pass `step` inspects the
+    /// combined object and may mutate shared state for the next pass
+    /// (e.g. new centroids), returning `false` to stop early; then
+    /// `checkpoint` sees the same pass index and object — the place to
+    /// persist a recovery point (e.g. via `freeride-ft`'s
+    /// `CheckpointStore`). Returns the last outcome with stats
+    /// accumulated across the passes run.
+    ///
     /// Iteration is deterministic, so a resumed run recomputes exactly
     /// the passes the interrupted run would have — the caller must
-    /// restore its own `step` state (e.g. centroids) from the same
-    /// checkpoint. `first_iter` must be less than `iters.max(1)`.
+    /// restore its own `step` state from the same checkpoint. A
+    /// `first_pass` at or past `iters.max(1)` is
+    /// [`FreerideError::BadResume`].
     #[allow(clippy::too_many_arguments)]
-    pub fn run_iterations_resumable<K>(
+    pub fn run_iterations<K>(
         &self,
-        view: DataView<'_>,
+        input: PassInput<'_>,
         layout: &Arc<RObjLayout>,
-        first_iter: usize,
+        first_pass: usize,
         iters: usize,
         kernel: &K,
-        combination: Option<&CombinationFn>,
-        finalize: Option<&FinalizeFn>,
+        hooks: PassHooks<'_>,
         mut step: impl FnMut(usize, &ReductionObject) -> bool,
         mut checkpoint: impl FnMut(usize, &ReductionObject),
-    ) -> JobOutcome
+    ) -> Result<JobOutcome, FreerideError>
     where
         K: SplitKernel + ?Sized,
     {
         let iters = iters.max(1);
-        assert!(
-            first_iter < iters,
-            "resume pass {first_iter} is past the last pass {}",
-            iters - 1
-        );
+        if first_pass >= iters {
+            return Err(FreerideError::BadResume { first_pass, iters });
+        }
         let mut total = RunStats {
             logical_threads: self.config.threads,
             ..Default::default()
         };
-        let mut last: Option<JobOutcome> = None;
-        for it in first_iter..iters {
-            let outcome = self.run_with(view, layout, kernel, combination, finalize);
+        let mut pass = first_pass;
+        loop {
+            let mut outcome = self.run_pass(input, layout, kernel, hooks)?;
             total.absorb(&outcome.stats);
-            let stop = !step(it, &outcome.robj);
-            checkpoint(it, &outcome.robj);
-            last = Some(outcome);
-            if stop {
-                break;
+            let go_on = step(pass, &outcome.robj);
+            checkpoint(pass, &outcome.robj);
+            pass += 1;
+            if !go_on || pass == iters {
+                outcome.stats = total;
+                return Ok(outcome);
             }
         }
-        let mut out = last.expect("at least one iteration");
-        out.stats = total;
-        out
     }
 
     /// Emit the trace events for one finished pass. The hot loops never
@@ -923,15 +671,30 @@ impl Engine {
         delta: &PoolDelta,
         wall_ns: u64,
         threads: usize,
+        io: Option<&freeride_io::IoStats>,
     ) {
         let rec = &*self.recorder;
         // Live hub mirror: gated independently of the trace level so a
-        // daemon can expose pass latency with span recording off.
+        // daemon can expose pass latency with span recording off. The
+        // `io.*` entries mirror the trace counters below 1:1 so the
+        // fleet-aggregated live view bit-matches the post-hoc
+        // reconstruction (the differential telemetry gate).
         let hub = rec.hub();
         if hub.is_enabled() {
             hub.add("engine.passes", 1);
             hub.add("engine.splits", splits.len() as i64);
             hub.observe("engine.pass_ns", wall_ns);
+            if let Some(io) = io {
+                hub.add("io.chunks", io.chunks as i64);
+                hub.add("io.bytes_read", io.bytes_read as i64);
+                hub.observe("io.pass_read_ns", io.read_ns);
+                if wall_ns > 0 {
+                    hub.gauge(
+                        "io.bytes_per_sec",
+                        io.bytes_read as f64 / (wall_ns as f64 / 1e9),
+                    );
+                }
+            }
         }
         if !rec.enabled(TraceLevel::Phases) {
             return;
@@ -981,7 +744,7 @@ impl Engine {
                 ("threads", AttrValue::Int(threads as i64)),
             ],
         );
-        if delta.spawned > 0 && matches!(self.config.exec, ExecMode::Threads) {
+        if delta.spawned > 0 {
             rec.instant(
                 TraceLevel::Phases,
                 "pool.grow",
@@ -995,18 +758,24 @@ impl Engine {
         rec.add_counter("pool.reuses", delta.reuses as i64);
         rec.add_counter("pool.parks", delta.parks as i64);
         rec.add_counter("pool.wakes", delta.wakes as i64);
+        if let Some(io) = io {
+            rec.add_counter("io.chunks", io.chunks as i64);
+            rec.add_counter("io.bytes_read", io.bytes_read as i64);
+            rec.add_counter("io.read_ns", io.read_ns as i64);
+            rec.add_counter("io.stall_ns", io.stall_ns as i64);
+            rec.add_counter("io.backpressure_ns", io.backpressure_ns as i64);
+            rec.set_gauge("io.pool_bytes", io.pool_bytes as f64);
+        }
     }
 
-    /// Combination + finalize, shared verbatim by the in-memory and
-    /// disk paths so both combine identically.
+    /// Combination + finalize. Returns the object with the two phases'
+    /// durations, ns.
     fn combine_and_finalize(
         &self,
         copies: Vec<ReductionObject>,
         shared: Option<SharedCells>,
         layout: &Arc<RObjLayout>,
-        combination: Option<&CombinationFn>,
-        finalize: Option<&FinalizeFn>,
-        counters: &mut PoolCounters,
+        hooks: PassHooks<'_>,
     ) -> (ReductionObject, u64, u64) {
         let merged_copies = copies.len();
         let combine_start = Instant::now();
@@ -1020,23 +789,18 @@ impl Engine {
         }
         let mut robj = if copies.is_empty() {
             ReductionObject::alloc(layout.clone())
-        } else if layout.total_cells() >= self.config.parallel_merge_threshold && copies.len() > 2 {
-            match self.config.exec {
-                ExecMode::Threads => self.pooled_tree_merge(copies, combination),
-                ExecMode::ScopedThreads => {
-                    let (merged, spawned) = scoped_tree_merge(copies, combination);
-                    counters.scoped_spawned += spawned;
-                    merged
-                }
-                ExecMode::Sequential => sequential_merge(copies, combination),
-            }
+        } else if self.config.exec == ExecMode::Threads
+            && layout.total_cells() >= self.config.parallel_merge_threshold
+            && copies.len() > 2
+        {
+            self.pooled_tree_merge(copies, hooks.combination)
         } else {
-            sequential_merge(copies, combination)
+            sequential_merge(copies, hooks.combination)
         };
         let combine_ns = combine_start.elapsed().as_nanos() as u64;
 
         let finalize_start = Instant::now();
-        if let Some(f) = finalize {
+        if let Some(f) = hooks.finalize {
             f(&mut robj);
         }
         let finalize_ns = finalize_start.elapsed().as_nanos() as u64;
@@ -1068,188 +832,8 @@ impl Engine {
         (robj, combine_ns, finalize_ns)
     }
 
-    fn run_sequential<K>(
-        &self,
-        view: DataView<'_>,
-        layout: &Arc<RObjLayout>,
-        kernel: &K,
-        ranges: &[(usize, usize)],
-    ) -> (Vec<ReductionObject>, Vec<SplitStat>, Option<SharedCells>)
-    where
-        K: SplitKernel + ?Sized,
-    {
-        let threads = self.config.threads.max(1);
-        let shared = SharedCells::for_scheme(self.config.scheme, layout);
-        let mut splits = Vec::with_capacity(ranges.len());
-        let rec = &*self.recorder;
-        let splits_on = rec.enabled(TraceLevel::Splits);
-
-        // Schemes with private copies allocate one per logical thread so
-        // the later (timed) merge reflects the real combination cost at
-        // this thread count.
-        let scheme = self.config.scheme;
-        let mut copies: Vec<ReductionObject> = if scheme.worker_private() {
-            (0..threads)
-                .map(|_| ReductionObject::alloc(layout.clone()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        for (i, &(first, count)) in ranges.iter().enumerate() {
-            let split = view.split(first, count);
-            let worker = i % threads;
-            let t0 = Instant::now();
-            run_split_on(
-                kernel,
-                &split,
-                copies.get_mut(worker),
-                shared.as_ref(),
-                scheme,
-            );
-            splits.push(SplitStat {
-                split: i,
-                first_row: first,
-                rows: count,
-                nanos: t0.elapsed().as_nanos() as u64,
-                read_ns: 0,
-                start_ns: if splits_on { rec.offset_ns(t0) } else { 0 },
-                os_worker: 0,
-                logical_thread: worker,
-            });
-        }
-        (copies, splits, shared)
-    }
-
-    /// One reduction pass on the persistent pool: a single dispatch;
-    /// workers pull splits off the shared queue until it drains.
-    fn run_pooled<K>(
-        &self,
-        view: DataView<'_>,
-        layout: &Arc<RObjLayout>,
-        kernel: &K,
-        ranges: &[(usize, usize)],
-    ) -> (Vec<ReductionObject>, Vec<SplitStat>, Option<SharedCells>)
-    where
-        K: SplitKernel + ?Sized,
-    {
-        let threads = self.config.threads.max(1);
-        self.pool.ensure_workers(threads);
-        let shared = SharedCells::for_scheme(self.config.scheme, layout);
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<ReductionObject>> = Mutex::new(Vec::with_capacity(threads));
-        let stats: Mutex<Vec<SplitStat>> = Mutex::new(Vec::with_capacity(ranges.len()));
-        let rec = &*self.recorder;
-        let splits_on = rec.enabled(TraceLevel::Splits);
-
-        {
-            let shared = shared.as_ref();
-            let scheme = self.config.scheme;
-            self.pool.dispatch(threads, &|w| {
-                // Per-dispatch handle/copy construction: a pool worker
-                // serves many passes over its lifetime, so per-pass
-                // state cannot be tied to thread birth.
-                let mut local: Option<ReductionObject> = scheme
-                    .worker_private()
-                    .then(|| ReductionObject::alloc(layout.clone()));
-                let mut my_stats = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= ranges.len() {
-                        break;
-                    }
-                    let (first, count) = ranges[i];
-                    let split = view.split(first, count);
-                    let t0 = Instant::now();
-                    run_split_on(kernel, &split, local.as_mut(), shared, scheme);
-                    my_stats.push(SplitStat {
-                        split: i,
-                        first_row: first,
-                        rows: count,
-                        nanos: t0.elapsed().as_nanos() as u64,
-                        read_ns: 0,
-                        start_ns: if splits_on { rec.offset_ns(t0) } else { 0 },
-                        os_worker: w,
-                        logical_thread: w,
-                    });
-                }
-                if let Some(robj) = local {
-                    collected.lock().push(robj);
-                }
-                stats.lock().extend(my_stats);
-            });
-        }
-
-        (collected.into_inner(), stats.into_inner(), shared)
-    }
-
-    /// The pre-pool path: spawn scoped threads for this pass only.
-    fn run_scoped<K>(
-        &self,
-        view: DataView<'_>,
-        layout: &Arc<RObjLayout>,
-        kernel: &K,
-        ranges: &[(usize, usize)],
-    ) -> (Vec<ReductionObject>, Vec<SplitStat>, Option<SharedCells>)
-    where
-        K: SplitKernel + ?Sized,
-    {
-        let threads = self.config.threads.max(1);
-        let shared = SharedCells::for_scheme(self.config.scheme, layout);
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<ReductionObject>> = Mutex::new(Vec::with_capacity(threads));
-        let stats: Mutex<Vec<SplitStat>> = Mutex::new(Vec::with_capacity(ranges.len()));
-
-        let rec = &*self.recorder;
-        let splits_on = rec.enabled(TraceLevel::Splits);
-        crossbeam::thread::scope(|scope| {
-            for w in 0..threads {
-                let next = &next;
-                let collected = &collected;
-                let stats = &stats;
-                let shared = shared.as_ref();
-                let layout = layout.clone();
-                let scheme = self.config.scheme;
-                scope.spawn(move |_| {
-                    let mut local: Option<ReductionObject> = scheme
-                        .worker_private()
-                        .then(|| ReductionObject::alloc(layout));
-                    let mut my_stats = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= ranges.len() {
-                            break;
-                        }
-                        let (first, count) = ranges[i];
-                        let split = view.split(first, count);
-                        let t0 = Instant::now();
-                        run_split_on(kernel, &split, local.as_mut(), shared, scheme);
-                        my_stats.push(SplitStat {
-                            split: i,
-                            first_row: first,
-                            rows: count,
-                            nanos: t0.elapsed().as_nanos() as u64,
-                            read_ns: 0,
-                            start_ns: if splits_on { rec.offset_ns(t0) } else { 0 },
-                            os_worker: w,
-                            logical_thread: w,
-                        });
-                    }
-                    if let Some(robj) = local {
-                        collected.lock().push(robj);
-                    }
-                    stats.lock().extend(my_stats);
-                });
-            }
-        })
-        .expect("worker thread panicked");
-
-        (collected.into_inner(), stats.into_inner(), shared)
-    }
-
     /// Parallel tree merge on the persistent pool: each round merges
-    /// pairs concurrently via one pool dispatch (no extra threads, in
-    /// contrast to the scoped variant which used to spawn one thread
-    /// per pair per round).
+    /// pairs concurrently via one pool dispatch (no extra threads).
     fn pooled_tree_merge(
         &self,
         mut copies: Vec<ReductionObject>,
@@ -1290,6 +874,137 @@ impl Engine {
             copies = round;
         }
         copies.pop().expect("non-empty copies")
+    }
+}
+
+/// Where a pass's splits come from. `View` and `File` hand out a queue
+/// of statically cut ranges; `Stream` hands out the chunk pipeline's
+/// chunks as they complete (the chunk size *is* the split size, the
+/// configured [`Splitter`] is bypassed).
+enum Feed<'a> {
+    View {
+        view: DataView<'a>,
+        queue: SplitQueue,
+    },
+    File {
+        file: &'a FileDataset,
+        queue: SplitQueue,
+        /// Raised by the first failed read: no worker claims again.
+        abort: AtomicBool,
+        failed: Mutex<Option<FreerideError>>,
+    },
+    Stream {
+        reader: ChunkReader,
+        unit: usize,
+    },
+}
+
+/// Absolute `(first_row, row_count)` ranges, claimed in order.
+struct SplitQueue {
+    ranges: Vec<(usize, usize)>,
+    next: AtomicUsize,
+}
+
+impl SplitQueue {
+    fn claim(&self) -> Option<(usize, usize, usize)> {
+        let seq = self.next.fetch_add(1, Ordering::Relaxed);
+        let &(first, count) = self.ranges.get(seq)?;
+        Some((seq, first, count))
+    }
+}
+
+/// A worker's hold on the rows of its current split: the read buffer
+/// (one per worker, reused across every split it reads — no per-split
+/// allocation churn) or the chunk to recycle at the next claim.
+#[derive(Default)]
+struct Held {
+    buf: Vec<f64>,
+    chunk: Option<freeride_io::Chunk>,
+}
+
+/// One claimed split, timed from `started` (which precedes a sync read
+/// and follows a streamed one — that read ran on a reader track).
+struct Claim<'s> {
+    seq: usize,
+    split: Split<'s>,
+    started: Instant,
+    read_ns: u64,
+}
+
+impl Feed<'_> {
+    /// Claim the next split for the worker holding `held`; `None` once
+    /// the input is drained or a read has failed.
+    fn next<'s>(&'s self, held: &'s mut Held) -> Option<Claim<'s>> {
+        match self {
+            Feed::View { view, queue } => {
+                let (seq, first, count) = queue.claim()?;
+                Some(Claim {
+                    seq,
+                    split: view.split(first, count),
+                    started: Instant::now(),
+                    read_ns: 0,
+                })
+            }
+            Feed::File {
+                file,
+                queue,
+                abort,
+                failed,
+            } => {
+                if abort.load(Ordering::Relaxed) {
+                    return None;
+                }
+                let (seq, first, count) = queue.claim()?;
+                let started = Instant::now();
+                if let Err(e) = file.read_rows_into(first, count, &mut held.buf) {
+                    abort.store(true, Ordering::Relaxed);
+                    // First error wins; later ones are dropped.
+                    failed.lock().get_or_insert(e);
+                    return None;
+                }
+                Some(Claim {
+                    seq,
+                    split: Split {
+                        rows: &held.buf,
+                        unit: file.unit(),
+                        first_row: first,
+                        row_count: count,
+                    },
+                    started,
+                    read_ns: started.elapsed().as_nanos() as u64,
+                })
+            }
+            Feed::Stream { reader, unit } => {
+                if let Some(done) = held.chunk.take() {
+                    reader.recycle(done);
+                }
+                // `recv` returns None when the shard is exhausted *or*
+                // the pipeline aborted — either way the worker drains out.
+                let chunk = held.chunk.insert(reader.recv()?);
+                Some(Claim {
+                    seq: chunk.seq,
+                    split: Split {
+                        rows: &chunk.data,
+                        unit: *unit,
+                        first_row: chunk.first_row,
+                        row_count: chunk.rows,
+                    },
+                    started: Instant::now(),
+                    read_ns: 0,
+                })
+            }
+        }
+    }
+
+    /// Close the drained feed: the first read error, or the pipeline's
+    /// measurements when the pass streamed (this joins the readers, and
+    /// returns in bounded time even when one of them died).
+    fn finish(self) -> Result<Option<freeride_io::IoStats>, FreerideError> {
+        match self {
+            Feed::View { .. } => Ok(None),
+            Feed::File { failed, .. } => failed.into_inner().map_or(Ok(None), Err),
+            Feed::Stream { reader, .. } => Ok(Some(reader.finish()?)),
+        }
     }
 }
 
@@ -1335,51 +1050,6 @@ fn sequential_merge(
     acc
 }
 
-/// Parallel tree merge with scoped threads (one per pair per round) —
-/// the pre-pool implementation, used by [`ExecMode::ScopedThreads`].
-/// Returns the merged object and how many threads were spawned.
-fn scoped_tree_merge(
-    mut copies: Vec<ReductionObject>,
-    combination: Option<&CombinationFn>,
-) -> (ReductionObject, usize) {
-    let mut spawned = 0usize;
-    while copies.len() > 1 {
-        let mut next_round: Vec<ReductionObject> = Vec::with_capacity(copies.len().div_ceil(2));
-        let odd = if copies.len() % 2 == 1 {
-            copies.pop()
-        } else {
-            None
-        };
-        let pairs: Vec<(ReductionObject, ReductionObject)> = {
-            let mut it = copies.into_iter();
-            let mut v = Vec::new();
-            while let (Some(a), Some(b)) = (it.next(), it.next()) {
-                v.push((a, b));
-            }
-            v
-        };
-        spawned += pairs.len();
-        let merged: Mutex<Vec<ReductionObject>> = Mutex::new(Vec::with_capacity(pairs.len()));
-        crossbeam::thread::scope(|scope| {
-            for (mut a, b) in pairs {
-                let merged = &merged;
-                scope.spawn(move |_| {
-                    match combination {
-                        Some(f) => f(&mut a, &b),
-                        None => a.merge_from(&b),
-                    }
-                    merged.lock().push(a);
-                });
-            }
-        })
-        .expect("merge thread panicked");
-        next_round.extend(merged.into_inner());
-        next_round.extend(odd);
-        copies = next_round;
-    }
-    (copies.pop().expect("non-empty copies"), spawned)
-}
-
 #[cfg(test)]
 mod engine_tests {
     use super::*;
@@ -1402,6 +1072,37 @@ mod engine_tests {
         (0..n).map(|i| i as f64).collect()
     }
 
+    fn shard(file: &FileDataset, first_row: usize, rows: usize) -> PassInput<'_> {
+        PassInput::File {
+            file,
+            first_row,
+            rows,
+        }
+    }
+
+    /// `iters` passes from pass 0 with the default hooks and no
+    /// checkpointing.
+    fn iterate(
+        engine: &Engine,
+        view: DataView<'_>,
+        iters: usize,
+        step: impl FnMut(usize, &ReductionObject) -> bool,
+    ) -> JobOutcome {
+        let hooks = PassHooks::default();
+        engine
+            .run_iterations(
+                PassInput::Rows(view),
+                &sum_layout(),
+                0,
+                iters,
+                &sum_kernel,
+                hooks,
+                step,
+                |_, _| {},
+            )
+            .unwrap()
+    }
+
     #[test]
     fn sums_match_sequential_all_schemes_and_modes() {
         let raw = data(1000);
@@ -1413,11 +1114,7 @@ mod engine_tests {
             SyncScheme::BucketLocking { stripes: 4 },
             SyncScheme::Atomic,
         ] {
-            for exec in [
-                ExecMode::Threads,
-                ExecMode::ScopedThreads,
-                ExecMode::Sequential,
-            ] {
+            for exec in [ExecMode::Threads, ExecMode::Sequential] {
                 for threads in [1usize, 3, 8] {
                     let engine = Engine::new(JobConfig {
                         threads,
@@ -1437,52 +1134,99 @@ mod engine_tests {
         }
     }
 
-    /// Pool correctness sweep: the pooled engine must agree with the
-    /// scoped-thread oracle for every scheme × splitter × thread count.
+    /// The pass against an engine-independent oracle — the kernel folded
+    /// over the shard into one `ReductionObject`, no engine — for every
+    /// input kind × exec mode × scheme × thread count × splitter, over
+    /// whole, empty and ragged shards. Values are small integers, so
+    /// every summation order gives the same bits; the histogram is keyed
+    /// by *absolute* row index, so a shard-relative `first_row` fails.
     #[test]
-    fn pooled_matches_scoped_oracle_sweep() {
+    fn pass_matches_plain_fold_oracle_sweep() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("freeride-oracle-sweep-{}.frds", std::process::id()));
         let raw = data(1200);
+        crate::source::write_dataset(&path, 4, &raw).unwrap();
+        let file = FileDataset::open(&path).unwrap();
         let view = DataView::new(&raw, 4).unwrap();
+        let source: Arc<dyn RowSource> =
+            Arc::new(freeride_io::MemSource::new(raw.clone(), 4).unwrap());
         let layout = RObjLayout::new(vec![
             GroupSpec::new("sum", 1, CombineOp::Sum),
             GroupSpec::new("hist", 8, CombineOp::Sum),
         ]);
         let kernel = |split: &Split<'_>, robj: &mut dyn RObjHandle| {
-            for row in split.iter_rows() {
+            for (r, row) in split.iter_rows().enumerate() {
                 robj.accumulate(0, 0, row.iter().sum());
-                robj.accumulate(1, (row[0] as usize) % 8, 1.0);
+                robj.accumulate(1, (split.first_row + r) % 8, 1.0);
             }
         };
+        let oracle = |first_row: usize, rows: usize| {
+            let mut robj = ReductionObject::alloc(layout.clone());
+            kernel(&view.split(first_row, rows), &mut robj);
+            robj
+        };
+        let streaming = IoMode::Streaming {
+            chunk_rows: 17,
+            buffers: 3,
+            readers: 2,
+        };
+        // (first_row, rows): whole, empty at both ends, ragged (fewer
+        // rows than threads), interior.
+        let shards = [(0usize, 300usize), (0, 0), (300, 0), (1, 2), (100, 117)];
         for scheme in [
             SyncScheme::FullReplication,
             SyncScheme::FullLocking,
             SyncScheme::BucketLocking { stripes: 4 },
             SyncScheme::Atomic,
+            SyncScheme::Hybrid {
+                region_cells: 3,
+                replicated: 0b101,
+                stripes: 4,
+            },
         ] {
-            for splitter in [Splitter::Default, Splitter::Chunked { rows_per_chunk: 17 }] {
-                for threads in [1usize, 3, 8] {
-                    let config = JobConfig {
-                        threads,
-                        scheme,
-                        splitter: splitter.clone(),
-                        ..Default::default()
-                    };
-                    let pooled = Engine::new(config.clone());
-                    let scoped = Engine::new(JobConfig {
-                        exec: ExecMode::ScopedThreads,
-                        ..config
-                    });
-                    let a = pooled.run(view, &layout, &kernel);
-                    let b = scoped.run(view, &layout, &kernel);
-                    assert_eq!(
-                        a.robj.cells(),
-                        b.robj.cells(),
-                        "{scheme:?} {splitter:?} t={threads}"
-                    );
-                    assert_eq!(a.stats.splits.len(), b.stats.splits.len());
+            for exec in [ExecMode::Threads, ExecMode::Sequential] {
+                for splitter in [Splitter::Default, Splitter::Chunked { rows_per_chunk: 17 }] {
+                    for threads in [1usize, 2, 3, 4] {
+                        for io in [IoMode::Sync, streaming] {
+                            let engine = Engine::new(JobConfig {
+                                threads,
+                                scheme,
+                                exec,
+                                splitter: splitter.clone(),
+                                io,
+                                ..Default::default()
+                            });
+                            let what = format!("{scheme:?} {exec:?} {splitter:?} t={threads}");
+                            let check = |kind: &str, input, first_row, rows| {
+                                let out = engine
+                                    .run_pass(input, &layout, &kernel, PassHooks::default())
+                                    .unwrap_or_else(|e| panic!("{kind} {what} {io:?}: {e}"));
+                                assert_eq!(
+                                    out.robj.cells(),
+                                    oracle(first_row, rows).cells(),
+                                    "{kind} {first_row}+{rows} {what} {io:?}"
+                                );
+                                let covered: usize = out.stats.splits.iter().map(|s| s.rows).sum();
+                                assert_eq!(covered, rows, "{kind} {first_row}+{rows} {what}");
+                            };
+                            for (first_row, rows) in shards {
+                                check("file", shard(&file, first_row, rows), first_row, rows);
+                                let input = PassInput::Source {
+                                    source: &source,
+                                    first_row,
+                                    rows,
+                                };
+                                check("source", input, first_row, rows);
+                            }
+                            if io == IoMode::Sync {
+                                check("rows", PassInput::Rows(view), 0, 300);
+                            }
+                        }
+                    }
                 }
             }
         }
+        std::fs::remove_file(&path).ok();
     }
 
     /// The hybrid (selective-replication) scheme must agree exactly
@@ -1557,13 +1301,23 @@ mod engine_tests {
             // Zero-row shard at both ends of the file.
             for first in [0usize, 3] {
                 let out = engine
-                    .run_file_shard(&file, first, 0, &sum_layout(), &sum_kernel)
+                    .run_pass(
+                        shard(&file, first, 0),
+                        &sum_layout(),
+                        &sum_kernel,
+                        PassHooks::default(),
+                    )
                     .unwrap_or_else(|e| panic!("empty shard at {first} under {scheme:?}: {e}"));
                 assert_eq!(out.robj.get(0, 0), 0.0, "{scheme:?}");
             }
             // Ragged shard: fewer rows than threads still covers all rows.
             let out = engine
-                .run_file_shard(&file, 1, 2, &sum_layout(), &sum_kernel)
+                .run_pass(
+                    shard(&file, 1, 2),
+                    &sum_layout(),
+                    &sum_kernel,
+                    PassHooks::default(),
+                )
                 .unwrap();
             let expect: f64 = raw[4..12].iter().sum();
             assert_eq!(out.robj.get(0, 0), expect, "{scheme:?}");
@@ -1602,7 +1356,7 @@ mod engine_tests {
         let raw = data(400);
         let view = DataView::new(&raw, 4).unwrap();
         let engine = Engine::new(JobConfig::with_threads(3));
-        let out = engine.run_iterations(view, &sum_layout(), 10, &sum_kernel, |_, _| true);
+        let out = iterate(&engine, view, 10, |_, _| true);
         // 10 passes spawn config.threads threads in total...
         assert_eq!(out.stats.threads_spawned, 3);
         // ...and the 9 warm passes are all pool reuses.
@@ -1615,26 +1369,10 @@ mod engine_tests {
         let view = DataView::new(&raw, 4).unwrap();
         let engine = Engine::new(JobConfig::with_threads(8));
         engine.warmup();
-        let out = engine.run_iterations(view, &sum_layout(), 50, &sum_kernel, |_, _| true);
+        let out = iterate(&engine, view, 50, |_, _| true);
         assert_eq!(out.stats.threads_spawned, 0, "warm pool must not respawn");
         assert_eq!(out.stats.pool_reuses, 50);
         assert_eq!(engine.pool().total_spawned(), 8);
-    }
-
-    #[test]
-    fn scoped_mode_respawns_every_run() {
-        let raw = data(400);
-        let view = DataView::new(&raw, 4).unwrap();
-        let engine = Engine::new(JobConfig {
-            threads: 3,
-            exec: ExecMode::ScopedThreads,
-            ..Default::default()
-        });
-        let first = engine.run(view, &sum_layout(), &sum_kernel);
-        let second = engine.run(view, &sum_layout(), &sum_kernel);
-        assert_eq!(first.stats.threads_spawned, 3);
-        assert_eq!(second.stats.threads_spawned, 3);
-        assert_eq!(second.stats.pool_reuses, 0);
     }
 
     #[test]
@@ -1700,7 +1438,13 @@ mod engine_tests {
             a.set(1, 0, m + 1.0);
         });
         let engine = Engine::new(JobConfig::with_threads(4));
-        let out = engine.run_with(view, &layout, &sum_kernel, Some(&comb), None);
+        let hooks = PassHooks {
+            combination: Some(&comb),
+            finalize: None,
+        };
+        let out = engine
+            .run_pass(PassInput::Rows(view), &layout, &sum_kernel, hooks)
+            .unwrap();
         assert_eq!(out.robj.get(0, 0), raw.iter().sum::<f64>());
         assert_eq!(out.robj.get(1, 0), 3.0); // 4 copies -> 3 pairwise merges
     }
@@ -1727,18 +1471,25 @@ mod engine_tests {
         });
         let engine = Engine::new(JobConfig::with_threads(4));
         let mut marker_seen = Vec::new();
-        let out = engine.run_iterations_with(
-            view,
-            &layout,
-            5,
-            &sum_kernel,
-            Some(&comb),
-            Some(&fin),
-            |_, robj| {
-                marker_seen.push(robj.get(1, 0));
-                true
-            },
-        );
+        let hooks = PassHooks {
+            combination: Some(&comb),
+            finalize: Some(&fin),
+        };
+        let out = engine
+            .run_iterations(
+                PassInput::Rows(view),
+                &layout,
+                0,
+                5,
+                &sum_kernel,
+                hooks,
+                |_, robj| {
+                    marker_seen.push(robj.get(1, 0));
+                    true
+                },
+                |_, _| {},
+            )
+            .unwrap();
         // Every pass merged 4 copies -> 3 merges, and finalize doubled
         // the sum on every pass.
         assert_eq!(marker_seen, vec![3.0; 5]);
@@ -1755,7 +1506,13 @@ mod engine_tests {
             r.set(0, 0, s / 25.0); // average per row
         });
         let engine = Engine::new(JobConfig::with_threads(2));
-        let out = engine.run_with(view, &sum_layout(), &sum_kernel, None, Some(&fin));
+        let hooks = PassHooks {
+            combination: None,
+            finalize: Some(&fin),
+        };
+        let out = engine
+            .run_pass(PassInput::Rows(view), &sum_layout(), &sum_kernel, hooks)
+            .unwrap();
         assert_eq!(out.robj.get(0, 0), raw.iter().sum::<f64>() / 25.0);
         assert!(out.stats.phases.wall_ns > 0);
     }
@@ -1772,7 +1529,7 @@ mod engine_tests {
                 robj.accumulate(0, (row[0] as usize) % cells, 1.0);
             }
         };
-        for exec in [ExecMode::Threads, ExecMode::ScopedThreads] {
+        for exec in [ExecMode::Threads, ExecMode::Sequential] {
             let engine = Engine::new(JobConfig {
                 threads: 4,
                 parallel_merge_threshold: 1 << 16,
@@ -1871,7 +1628,12 @@ mod engine_tests {
                 let first = n * file.rows() / nodes;
                 let count = (n + 1) * file.rows() / nodes - first;
                 let out = engine
-                    .run_file_shard(&file, first, count, &sum_layout(), &sum_kernel)
+                    .run_pass(
+                        shard(&file, first, count),
+                        &sum_layout(),
+                        &sum_kernel,
+                        PassHooks::default(),
+                    )
                     .unwrap();
                 merged.merge_from(&out.robj);
                 covered += count;
@@ -1895,10 +1657,20 @@ mod engine_tests {
         };
         let full = engine.run_file(&file, &sum_layout(), &idx_kernel).unwrap();
         let a = engine
-            .run_file_shard(&file, 0, 100, &sum_layout(), &idx_kernel)
+            .run_pass(
+                shard(&file, 0, 100),
+                &sum_layout(),
+                &idx_kernel,
+                PassHooks::default(),
+            )
             .unwrap();
         let b = engine
-            .run_file_shard(&file, 100, 200, &sum_layout(), &idx_kernel)
+            .run_pass(
+                shard(&file, 100, 200),
+                &sum_layout(),
+                &idx_kernel,
+                PassHooks::default(),
+            )
             .unwrap();
         let mut merged = a.robj;
         merged.merge_from(&b.robj);
@@ -1906,7 +1678,12 @@ mod engine_tests {
 
         // Out-of-range shards are a typed error, not a panic.
         assert!(matches!(
-            engine.run_file_shard(&file, 200, 200, &sum_layout(), &sum_kernel),
+            engine.run_pass(
+                shard(&file, 200, 200),
+                &sum_layout(),
+                &sum_kernel,
+                PassHooks::default()
+            ),
             Err(crate::FreerideError::BadDataset { .. })
         ));
         std::fs::remove_file(&path).ok();
@@ -1936,8 +1713,12 @@ mod engine_tests {
             r.set(0, 0, v + 0.5);
         });
         let engine = Engine::new(JobConfig::with_threads(4));
+        let hooks = PassHooks {
+            combination: Some(&comb),
+            finalize: Some(&fin),
+        };
         let out = engine
-            .run_file_with(&file, &layout, &sum_kernel, Some(&comb), Some(&fin))
+            .run_pass(shard(&file, 0, file.rows()), &layout, &sum_kernel, hooks)
             .unwrap();
         assert_eq!(out.robj.get(0, 0), raw.iter().sum::<f64>() + 0.5);
         assert_eq!(out.robj.get(1, 0), 3.0); // 4 copies -> 3 merges
@@ -1980,7 +1761,7 @@ mod engine_tests {
         let raw = data(100);
         let view = DataView::new(&raw, 4).unwrap();
         let engine = Engine::new(JobConfig::with_threads(2));
-        let out = engine.run_iterations(view, &sum_layout(), 5, &sum_kernel, |_, _| true);
+        let out = iterate(&engine, view, 5, |_, _| true);
         // 5 iterations × 2 splits each.
         assert_eq!(out.stats.splits.len(), 10);
     }
@@ -1990,11 +1771,11 @@ mod engine_tests {
         let raw = data(100);
         let view = DataView::new(&raw, 4).unwrap();
         let engine = Engine::new(JobConfig::with_threads(2));
-        let out = engine.run_iterations(view, &sum_layout(), 10, &sum_kernel, |it, _| it < 2);
+        let out = iterate(&engine, view, 10, |it, _| it < 2);
         assert_eq!(out.stats.splits.len(), 6); // iterations 0, 1, 2
     }
 
-    /// Satellite: a traced `run_iterations_with` must emit exactly
+    /// Satellite: a traced `run_iterations` must emit exactly
     /// `iters × splits` split spans and one combine + one finalize span
     /// per pass, at every `ExecMode`.
     #[test]
@@ -2002,11 +1783,7 @@ mod engine_tests {
         let raw = data(1200);
         let view = DataView::new(&raw, 4).unwrap();
         let (threads, iters) = (3usize, 4usize);
-        for exec in [
-            ExecMode::Threads,
-            ExecMode::ScopedThreads,
-            ExecMode::Sequential,
-        ] {
+        for exec in [ExecMode::Threads, ExecMode::Sequential] {
             let engine = Engine::new(
                 JobConfig {
                     threads,
@@ -2015,7 +1792,7 @@ mod engine_tests {
                 }
                 .traced(TraceLevel::Splits),
             );
-            let out = engine.run_iterations(view, &sum_layout(), iters, &sum_kernel, |_, _| true);
+            let out = iterate(&engine, view, iters, |_, _| true);
             assert_eq!(out.robj.get(0, 0), raw.iter().sum::<f64>(), "{exec:?}");
             let trace = engine.drain_trace();
             assert_eq!(trace.count("split"), iters * threads, "{exec:?}");
@@ -2033,7 +1810,7 @@ mod engine_tests {
         let raw = data(400);
         let view = DataView::new(&raw, 4).unwrap();
         let engine = Engine::new(JobConfig::with_threads(2)); // trace: Off
-        engine.run_iterations(view, &sum_layout(), 5, &sum_kernel, |_, _| true);
+        iterate(&engine, view, 5, |_, _| true);
         assert_eq!(engine.recorder().event_count(), 0);
         let trace = engine.drain_trace();
         assert!(trace.spans.is_empty());
@@ -2135,6 +1912,114 @@ mod engine_tests {
         assert_eq!(trace.count("combine"), 1);
         // Splits were not traced, so their start stamps stay zero.
         assert_eq!(trace.counters.get("pool.dispatches"), Some(&1));
+    }
+
+    /// Modeled scaling on file inputs: under `Sequential` a `.frds` file,
+    /// read synchronously or streamed, gets the in-memory assignment —
+    /// split `i` on logical thread `i % threads`, one private copy per
+    /// logical thread — so `assigned_makespan_ns` divides the work
+    /// instead of equalling total busy time.
+    #[test]
+    fn sequential_file_inputs_get_the_in_memory_assignment() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("freeride-engine-lanes-{}.frds", std::process::id()));
+        let raw = data(4000);
+        crate::source::write_dataset(&path, 4, &raw).unwrap();
+        let file = FileDataset::open(&path).unwrap();
+        let view = DataView::new(&raw, 4).unwrap();
+
+        // (split -> rows, logical thread) map and merged-copy count.
+        let observe = |engine: &Engine, out: JobOutcome| {
+            assert_eq!(out.robj.get(0, 0), raw.iter().sum::<f64>());
+            let map: Vec<_> = out
+                .stats
+                .splits
+                .iter()
+                .map(|s| (s.split, s.first_row, s.rows, s.os_worker, s.logical_thread))
+                .collect();
+            let trace = engine.drain_trace();
+            let combine = trace.spans.iter().find(|s| s.name == "combine").unwrap();
+            (
+                map,
+                combine.attr_i64("copies"),
+                out.stats.assigned_makespan_ns(),
+            )
+        };
+        let engine_with = |io| {
+            Engine::new(
+                JobConfig {
+                    splitter: Splitter::Chunked {
+                        rows_per_chunk: 100,
+                    },
+                    io,
+                    ..JobConfig::modeled(4)
+                }
+                .traced(TraceLevel::Phases),
+            )
+        };
+        let engine = engine_with(IoMode::Sync);
+        let (mem_map, mem_copies, _) =
+            observe(&engine, engine.run(view, &sum_layout(), &sum_kernel));
+        assert_eq!(mem_map.len(), 10);
+        assert!(mem_map
+            .iter()
+            .all(|&(i, _, _, w, lt)| w == 0 && lt == i % 4));
+        assert_eq!(mem_copies, Some(4));
+
+        let streaming = IoMode::Streaming {
+            chunk_rows: 100,
+            buffers: 3,
+            readers: 2,
+        };
+        for io in [IoMode::Sync, streaming] {
+            let engine = engine_with(io);
+            let out = engine.run_file(&file, &sum_layout(), &sum_kernel).unwrap();
+            let busy = out.stats.total_reduce_ns();
+            let (map, copies, makespan) = observe(&engine, out);
+            assert_eq!(map, mem_map, "{io:?}");
+            assert_eq!(copies, mem_copies, "{io:?}");
+            assert!(makespan < busy, "{io:?}: modeled scaling is flat");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A resume index past the job's last pass (e.g. taken from a
+    /// checkpoint of a longer job) is a typed error, not a panic, and
+    /// runs nothing.
+    #[test]
+    fn resume_past_the_last_pass_is_a_typed_error() {
+        let raw = data(100);
+        let view = DataView::new(&raw, 4).unwrap();
+        let engine = Engine::new(JobConfig::with_threads(2));
+        let resume = |first_pass: usize, iters: usize| {
+            let mut passes = Vec::new();
+            let out = engine.run_iterations(
+                PassInput::Rows(view),
+                &sum_layout(),
+                first_pass,
+                iters,
+                &sum_kernel,
+                PassHooks::default(),
+                |_, _| true,
+                |pass, _| passes.push(pass),
+            );
+            (out.map(|o| o.stats.splits.len()), passes)
+        };
+        for (first_pass, iters) in [(3, 3), (7, 3), (1, 0)] {
+            let (out, passes) = resume(first_pass, iters);
+            assert!(
+                matches!(
+                    out,
+                    Err(FreerideError::BadResume { first_pass: f, .. }) if f == first_pass
+                ),
+                "resume {first_pass} of {iters}: {out:?}"
+            );
+            assert!(passes.is_empty());
+        }
+        // The last valid index runs exactly the last pass.
+        let (out, passes) = resume(2, 3);
+        assert_eq!(out.unwrap(), 2);
+        assert_eq!(passes, vec![2]);
     }
 
     #[test]

@@ -31,6 +31,14 @@ pub enum FreerideError {
         /// Description of the problem.
         reason: String,
     },
+    /// An iterative job was asked to resume at a pass it does not have
+    /// (the index came from a checkpoint of a longer job).
+    BadResume {
+        /// Pass the caller asked to start at.
+        first_pass: usize,
+        /// Passes the job has.
+        iters: usize,
+    },
 }
 
 impl fmt::Display for FreerideError {
@@ -46,6 +54,12 @@ impl fmt::Display for FreerideError {
             FreerideError::BadDataset { reason } => write!(f, "bad dataset: {reason}"),
             FreerideError::Codec { reason } => write!(f, "bad reduction-object frame: {reason}"),
             FreerideError::Stream { reason } => write!(f, "streaming I/O failed: {reason}"),
+            FreerideError::BadResume { first_pass, iters } => {
+                write!(
+                    f,
+                    "resume pass {first_pass} is past the job's {iters} passes"
+                )
+            }
         }
     }
 }

@@ -47,11 +47,14 @@ mod stats;
 mod sync;
 
 pub use api::{Application, ReductionFn, Runtime};
-pub use engine::{CombinationFn, Engine, ExecMode, FinalizeFn, IoMode, JobConfig, JobOutcome};
+pub use engine::{
+    CombinationFn, Engine, ExecMode, FinalizeFn, IoMode, JobConfig, JobOutcome, PassHooks,
+    PassInput,
+};
 pub use error::FreerideError;
 pub use kernel::{KernelBackend, SplitKernel};
 pub use pool::WorkerPool;
-pub use robj::{CombineOp, GroupSpec, RObjLayout, ReductionObject};
+pub use robj::{fnv1a64, CombineOp, GroupSpec, RObjLayout, ReductionObject};
 pub use split::{DataView, Split, Splitter, SplitterFn};
 pub use stats::{IoActivity, PhaseTimes, RunStats, SplitStat};
 // Re-export the streaming-I/O substrate likewise: `IoMode::Streaming`

@@ -24,16 +24,14 @@
 //! Each worker parks until it observes a fresh epoch. Workers with
 //! index `>= active` skip the epoch and park again — a pool that has
 //! grown to 8 workers can serve a 3-thread job with exactly 3
-//! participants, which keeps per-thread reduction-object replication
-//! counts identical to the scoped-thread path. Because `dispatch` does
-//! not return until `remaining == 0`, the job closure may safely borrow
+//! participants, so a job's reduction-object replication count is its
+//! thread count, never the pool's size. Because `dispatch` does not
+//! return until `remaining == 0`, the job closure may safely borrow
 //! the caller's stack (the `'static` transmute below is the classic
 //! scoped-pool argument: the borrow cannot outlive the blocked caller).
 //!
 //! A worker panic is caught, recorded, and surfaced by `dispatch` as a
-//! panic on the calling thread after the pass drains — the same
-//! behaviour callers of the scoped path got from
-//! `crossbeam::thread::scope(...).expect(...)`.
+//! panic on the calling thread after the pass drains.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -174,7 +172,7 @@ impl WorkerPool {
 
     /// Run `job(worker_index)` on workers `0..active` and block until
     /// all of them return. Panics if a worker panicked (after the pass
-    /// drains), mirroring the scoped-thread path.
+    /// drains).
     ///
     /// Callers must have grown the pool to at least `active` workers.
     pub fn dispatch(&self, active: usize, job: &(dyn Fn(usize) + Sync)) {

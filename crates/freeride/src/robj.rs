@@ -284,14 +284,9 @@ impl ReductionObject {
     /// objects hash equal iff their cells are bit-identical (layout
     /// names/ops are not included; those are checked structurally).
     pub fn content_checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for v in &self.cells {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        h
+        self.cells
+            .iter()
+            .fold(FNV_OFFSET, |h, v| fnv1a64_extend(h, &v.to_le_bytes()))
     }
 
     /// Reset every cell to its group identity (between outer-loop
@@ -305,6 +300,21 @@ impl ReductionObject {
             }
         }
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a, 64-bit: the workspace's one content hash (reduction-object
+/// and checkpoint checksums, program- and kernel-cache keys).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a hash at state `h` over `bytes`.
+fn fnv1a64_extend(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
 // ---------------------------------------------------------------------
@@ -597,6 +607,17 @@ mod robj_tests {
             GroupSpec::new("sums", 4, CombineOp::Sum),
             GroupSpec::new("mins", 2, CombineOp::Min),
         ])
+    }
+
+    #[test]
+    fn fnv1a64_known_answers() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        // The streamed cell hash equals the hash of the cells' bytes.
+        let mut r = ReductionObject::alloc(layout2());
+        r.accumulate(0, 1, 2.5);
+        let bytes: Vec<u8> = r.cells().iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(r.content_checksum(), fnv1a64(&bytes));
     }
 
     #[test]

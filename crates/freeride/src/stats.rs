@@ -103,9 +103,8 @@ pub struct RunStats {
     /// Logical thread count the job was configured with.
     pub logical_threads: usize,
     /// OS threads created during this run: new pool workers in
-    /// `ExecMode::Threads` (0 once the pool is warm), every scoped
-    /// thread (incl. tree-merge helpers) in `ExecMode::ScopedThreads`,
-    /// always 0 in `ExecMode::Sequential`.
+    /// `ExecMode::Threads` (0 once the pool is warm), always 0 in
+    /// `ExecMode::Sequential`.
     pub threads_spawned: usize,
     /// Reduction/merge passes served by already-running pool workers
     /// (dispatches that required no new OS threads).

@@ -12,8 +12,8 @@ use std::time::Duration;
 use freeride::source::{write_dataset, FileDataset};
 use freeride::{CombineOp, GroupSpec};
 use freeride::{
-    Engine, ExecMode, FreerideError, IoMode, JobConfig, MemoryBudget, RObjHandle, RObjLayout,
-    Split, StreamConfig, SyncScheme, TraceLevel,
+    Engine, ExecMode, FreerideError, IoMode, JobConfig, MemoryBudget, PassHooks, PassInput,
+    RObjHandle, RObjLayout, Split, StreamConfig, SyncScheme, TraceLevel,
 };
 
 fn tmp(name: &str) -> PathBuf {
@@ -104,13 +104,18 @@ fn streaming_matches_sync_for_every_scheme_and_shard() {
         SyncScheme::BucketLocking { stripes: 4 },
         SyncScheme::Atomic,
     ] {
-        for (first, count) in [(0usize, rows), (512, 2048), (4000, 96)] {
+        for (first_row, rows) in [(0usize, rows), (512, 2048), (4000, 96)] {
+            let input = PassInput::File {
+                file: &ds,
+                first_row,
+                rows,
+            };
             let sync = Engine::new(JobConfig {
                 threads: 4,
                 scheme,
                 ..Default::default()
             })
-            .run_file_shard(&ds, first, count, &layout(), &kernel)
+            .run_pass(input, &layout(), &kernel, PassHooks::default())
             .unwrap();
             let stream = Engine::new(JobConfig {
                 threads: 4,
@@ -122,12 +127,12 @@ fn streaming_matches_sync_for_every_scheme_and_shard() {
                 },
                 ..Default::default()
             })
-            .run_file_shard(&ds, first, count, &layout(), &kernel)
+            .run_pass(input, &layout(), &kernel, PassHooks::default())
             .unwrap();
             assert_eq!(
                 stream.robj.cells(),
                 sync.robj.cells(),
-                "{scheme:?} shard {first}+{count}"
+                "{scheme:?} shard {first_row}+{rows}"
             );
         }
     }
@@ -322,7 +327,16 @@ fn dead_reader_thread_surfaces_stream_error() {
             },
             ..Default::default()
         })
-        .run_source_shard_with(&source, 0, 100_000, &layout(), &kernel, None, None)
+        .run_pass(
+            PassInput::Source {
+                source: &source,
+                first_row: 0,
+                rows: 100_000,
+            },
+            &layout(),
+            &kernel,
+            PassHooks::default(),
+        )
         .unwrap_err()
     });
     assert!(
@@ -332,7 +346,7 @@ fn dead_reader_thread_surfaces_stream_error() {
 }
 
 #[test]
-fn sequential_and_scoped_exec_modes_stream_correctly() {
+fn both_exec_modes_stream_correctly() {
     let path = tmp("modes.frds");
     let rows = 777;
     write_dataset(&path, 2, &int_data(rows, 2)).unwrap();
@@ -340,11 +354,7 @@ fn sequential_and_scoped_exec_modes_stream_correctly() {
     let expect = Engine::new(JobConfig::with_threads(1))
         .run_file(&ds, &layout(), &kernel)
         .unwrap();
-    for exec in [
-        ExecMode::Sequential,
-        ExecMode::ScopedThreads,
-        ExecMode::Threads,
-    ] {
+    for exec in [ExecMode::Sequential, ExecMode::Threads] {
         let out = Engine::new(JobConfig {
             threads: 3,
             exec,

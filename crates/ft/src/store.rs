@@ -59,16 +59,9 @@ const MAX_VEC_LEN: u32 = 1 << 24;
 const MAX_SNAPSHOT_LEN: u32 = 64 << 20;
 
 /// FNV-1a 64-bit — the checksum used for both the frame trailer and the
-/// reduction-object content hash (same algorithm as
-/// [`ReductionObject::content_checksum`]).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+/// reduction-object content hash
+/// ([`ReductionObject::content_checksum`]).
+pub use freeride::fnv1a64;
 
 /// One recoverable point-in-time of a job: the state after round
 /// `round` completed.

@@ -1,15 +1,15 @@
 //! Single-process resume parity: a long iterative run interrupted
-//! after a checkpointed pass and resumed via
-//! `Engine::run_iterations_resumable` must reproduce the uninterrupted
-//! run bit for bit. The engine's iteration is deterministic, so
+//! after a checkpointed pass and resumed via `Engine::run_iterations`
+//! at the next pass index must reproduce the uninterrupted run bit for
+//! bit. The engine's iteration is deterministic, so
 //! resuming from pass `c + 1` with the checkpointed state recomputes
 //! exactly the passes the interrupted run would have run.
 
 use std::sync::Arc;
 
 use freeride::{
-    CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout, ReductionObject,
-    Split,
+    CombineOp, DataView, Engine, GroupSpec, JobConfig, PassHooks, PassInput, RObjHandle,
+    RObjLayout, ReductionObject, Split,
 };
 use freeride_ft::{Checkpoint, CheckpointStore};
 
@@ -95,14 +95,13 @@ fn run(
     while it < ITERS {
         cent = cent_cell.borrow().clone();
         let k = kernel(cent.clone());
-        let out = engine.run_iterations_resumable(
-            view,
+        let out = engine.run_iterations(
+            PassInput::Rows(view),
             &layout,
             it,
             it + 1,
             &k,
-            None,
-            None,
+            PassHooks::default(),
             |_, r| {
                 let mut c = cent_cell.borrow_mut();
                 step_centroids(&mut c, r);
@@ -124,7 +123,7 @@ fn run(
                 }
             },
         );
-        robj = Some(out.robj);
+        robj = Some(out.unwrap().robj);
         it += 1;
     }
     (cent_cell.into_inner(), robj.unwrap())
@@ -148,17 +147,18 @@ fn resume_matches_uninterrupted_run_bit_for_bit() {
         let mut cent = init_centroids(&data);
         for it in 0..3 {
             let k = kernel(cent.clone());
-            let out = engine.run_iterations_resumable(
-                view,
-                &layout,
-                it,
-                it + 1,
-                &k,
-                None,
-                None,
-                |_, _| true,
-                |_, _| {},
-            );
+            let out = engine
+                .run_iterations(
+                    PassInput::Rows(view),
+                    &layout,
+                    it,
+                    it + 1,
+                    &k,
+                    PassHooks::default(),
+                    |_, _| true,
+                    |_, _| {},
+                )
+                .unwrap();
             step_centroids(&mut cent, &out.robj);
             store
                 .save(&Checkpoint {

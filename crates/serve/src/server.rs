@@ -920,7 +920,7 @@ fn run_chapel_job(
         .traced(Arc::clone(&recorder))
         .backend(backend);
 
-    let key = (fnv1a64(source.as_bytes()), opt, backend.to_wire());
+    let key = (freeride::fnv1a64(source.as_bytes()), opt, backend.to_wire());
     let cached = {
         let mut inner = shared.inner.lock().expect("serve lock");
         let hit = inner.program_cache.get(&key).cloned();
@@ -991,14 +991,4 @@ fn flatten_global(name: &str, value: &RtValue) -> Result<Vec<f64>, String> {
             .as_f64()
             .map_err(|e| format!("global `{name}` is not numeric: {e}"))?]),
     }
-}
-
-/// FNV-1a over the program source — the compiled-program cache key.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
