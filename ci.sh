@@ -81,13 +81,15 @@ cargo run --release -p bench --bin bench -- kmeans \
   --trace-out target/ci-cluster-trace.json
 wait "$NODE1" "$NODE2"
 cargo run --release -p obs --bin trace-check -- target/ci-cluster-trace.json \
-  --min-pids 3 --expect node.pass --expect cluster.round --expect cluster.combine
+  --min-pids 3 --expect node.pass --expect cluster.round --expect cluster.combine \
+  --expect-attr cluster.round:units --expect-attr cluster.round:steal
 
 # Fault tolerance: a real 2-process cluster where one cfr-node kills
-# itself mid-round must recover by shard reassignment, checkpoint every
-# round, and finish with ft.recover/ft.checkpoint in the trace
-# (DESIGN.md §11). The chaos node aborts by design; its exit status is
-# expected to be nonzero.
+# itself mid-round (on its first work unit after one completed round)
+# must recover by shard reassignment, checkpoint every round, and
+# finish with ft.recover/ft.checkpoint in the trace (DESIGN.md §11).
+# The chaos node aborts by design; its exit status is expected to be
+# nonzero.
 rm -rf target/ci-ft-ckpt target/ci-chaos.addr target/ci-surv.addr
 target/release/cfr-node --listen 127.0.0.1:0 --port-file target/ci-chaos.addr \
   --chaos-kill-after-rounds 1 &
@@ -115,7 +117,8 @@ cargo run --release -p obs --bin trace-check -- target/ci-ft-trace.json \
   --expect ft.recover --expect ft.checkpoint --expect cluster.round --expect node.pass
 rm -rf target/ci-ft-ckpt
 
-# Elastic scheduling (DESIGN.md §16): a 2-node cluster where the first
+# Elastic scheduling (DESIGN.md §16) — the same round protocol as the
+# two smokes above, with stealing on: a 2-node cluster where the first
 # node is a forced straggler (--slow-ms per work unit) must see its units
 # stolen by the fast peer, and a third cfr-node joining the membership
 # hub mid-job must be absorbed at a round barrier — sched.steal and
@@ -160,7 +163,8 @@ wait "$EBENCH"
 wait "$EJOINER"
 wait "$ENODE1" "$ENODE2"
 cargo run --release -p obs --bin trace-check -- target/ci-elastic-trace.json \
-  --expect sched.join --expect sched.steal --expect cluster.round --expect node.pass
+  --expect sched.join --expect sched.steal --expect cluster.round --expect node.pass \
+  --expect-attr cluster.round:units --expect-attr cluster.round:steal
 cargo run --release -p obs --bin trace-check -- target/ci-elastic-metrics.json \
   --expect-counter sched.steals=1 --expect-counter sched.joins=1
 rm -f target/ci-elastic-trace.json target/ci-elastic-metrics.json

@@ -511,7 +511,7 @@ pub fn spawn_multi_session_loopback(
         );
         handles.push(std::thread::spawn(move || {
             for _ in 0..sessions {
-                if freeride_dist::node::serve(&listener).is_err() {
+                if freeride_dist::node::serve_with(&listener, Default::default()).is_err() {
                     break;
                 }
             }

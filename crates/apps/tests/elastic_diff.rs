@@ -19,7 +19,7 @@ use cfr_apps::cluster::{
 use cfr_apps::kmeans::KmeansParams;
 use cfr_apps::pca::PcaParams;
 use cfr_apps::sparse_kmeans::SparseKmeansParams;
-use freeride_dist::node;
+use freeride_dist::node::{self, Behaviour};
 
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
@@ -55,7 +55,7 @@ fn spawn_joiner(hub: &str) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
-            match node::join(&addr, 0, None) {
+            match node::join(&addr, Behaviour::default()) {
                 Ok(()) => return,
                 Err(e) => {
                     assert!(Instant::now() < deadline, "joiner never connected: {e}");
@@ -93,14 +93,13 @@ fn elastic_agents(
             .map(|&(_, s, r)| (s, r));
         handles.push(std::thread::spawn(move || {
             for session in 0..sessions {
-                let res = match plan {
+                let behaviour = match plan {
                     Some((leave_in, rounds)) if leave_in == session => {
-                        node::serve_leaving(&listener, rounds)
+                        Behaviour::leaves_after(rounds)
                     }
-                    _ if slow_ms > 0 => node::serve_slow(&listener, slow_ms),
-                    _ => node::serve(&listener),
+                    _ => Behaviour::slow(slow_ms),
                 };
-                if res.is_err() {
+                if node::serve_with(&listener, behaviour).is_err() {
                     break;
                 }
             }

@@ -15,6 +15,7 @@ use cfr_apps::cluster::{
 use cfr_apps::kmeans::{self, KmeansParams};
 use cfr_apps::pca::{self, PcaParams};
 use cfr_apps::{data, Version};
+use freeride_dist::node::{serve_with, Behaviour};
 
 fn close(a: &[f64], b: &[f64], tol: f64, what: &str) {
     assert_eq!(a.len(), b.len(), "{what} length");
@@ -38,13 +39,13 @@ fn ckpt_dir(tag: &str) -> PathBuf {
 }
 
 /// Spawn `n` external-style node agents where the listed nodes die
-/// mid-round after answering `die_after` rounds **within the given
+/// mid-round after completing `die_after` rounds **within the given
 /// session** (earlier sessions are served healthy). Healthy nodes serve
 /// `sessions` sequential jobs.
 fn chaos_agents(
     n: usize,
     sessions: usize,
-    chaos: &[(usize, usize, usize)], // (node, kill_in_session, rounds_before_death)
+    chaos: &[(usize, usize, u32)], // (node, kill_in_session, rounds_before_death)
 ) -> (Vec<SocketAddr>, Vec<std::thread::JoinHandle<()>>) {
     let mut addrs = Vec::with_capacity(n);
     let mut handles = Vec::with_capacity(n);
@@ -57,15 +58,11 @@ fn chaos_agents(
             .map(|&(_, s, r)| (s, r));
         handles.push(std::thread::spawn(move || {
             for session in 0..sessions {
-                let res = match plan {
-                    Some((kill_in, rounds)) if kill_in == session => {
-                        let r = freeride_dist::node::serve_dropping(&listener, rounds);
-                        r.ok();
-                        return; // the process is "dead" from here on
-                    }
-                    _ => freeride_dist::node::serve(&listener),
-                };
-                if res.is_err() {
+                let dies = plan.filter(|&(kill_in, _)| kill_in == session);
+                let behaviour =
+                    dies.map_or_else(Behaviour::default, |(_, r)| Behaviour::dies_after(r));
+                // A node that died is "dead" from here on.
+                if serve_with(&listener, behaviour).is_err() || dies.is_some() {
                     break;
                 }
             }

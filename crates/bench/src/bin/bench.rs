@@ -94,7 +94,7 @@ struct Opts {
     slow_ms: u64,
     /// `elastic` app / cluster mode: rows per work unit.
     grain: u64,
-    /// Cluster mode: drive rounds through the work-stealing executor.
+    /// Cluster mode: cut shards into work units that idle nodes steal.
     steal: bool,
     /// Cluster mode: accept mid-job joiners (`cfr-node --join`) on this
     /// address.
@@ -162,9 +162,9 @@ const USAGE: &str =
                    per agent, pca needs 2: cfr-node --sessions 2)
   --checkpoint-dir P   cluster: persist round checkpoints under P
   --checkpoint-every N cluster: checkpoint every N rounds (default 1)
-  --steal          cluster: elastic rounds — shards split into work
-                   units (--grain rows each, 0 = automatic) that idle
-                   nodes steal from stragglers
+  --steal          cluster: split shards into work units (--grain
+                   rows each, 0 = automatic) that idle nodes steal
+                   from stragglers
   --join-listen A  cluster: accept mid-job joiners (cfr-node --join A)
                    at round barriers on address A
   --resume         cluster: resume from the newest checkpoint in
@@ -711,8 +711,8 @@ fn run_sparse(opts: &Opts) -> Result<(), String> {
 }
 
 /// The elastic work-stealing sweep: k-means with node 0 straggling
-/// `--slow-ms` ms per grain-sized work unit, classic rounds (steal
-/// off) vs elastic rounds (steal on), per `--nodes` entry. The sweep
+/// `--slow-ms` ms per grain-sized work unit, whole-shard units (steal
+/// off) vs grain-sized units (steal on), per `--nodes` entry. The sweep
 /// enforces that the steal-on run is bit-identical across repetitions;
 /// the table and `BENCH_elastic.json` carry the makespan pair and the
 /// observed steal count.

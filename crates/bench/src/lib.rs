@@ -735,12 +735,12 @@ pub struct FtSweep {
 }
 
 /// External-style node agents for fault injection: node `kill_node`
-/// answers `kill_after` rounds then severs its connection mid-round;
+/// completes `kill_after` rounds then severs its connection mid-round;
 /// the rest serve one session.
 fn chaos_cluster(
     n: usize,
     kill_node: usize,
-    kill_after: usize,
+    kill_after: u32,
 ) -> (Vec<std::net::SocketAddr>, Vec<std::thread::JoinHandle<()>>) {
     let mut addrs = Vec::with_capacity(n);
     let mut handles = Vec::with_capacity(n);
@@ -748,11 +748,13 @@ fn chaos_cluster(
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         addrs.push(listener.local_addr().expect("local addr"));
         handles.push(std::thread::spawn(move || {
-            if id == kill_node {
-                freeride_dist::node::serve_dropping(&listener, kill_after).ok();
+            use freeride_dist::node::Behaviour;
+            let behaviour = if id == kill_node {
+                Behaviour::dies_after(kill_after)
             } else {
-                freeride_dist::node::serve(&listener).ok();
-            }
+                Behaviour::default()
+            };
+            freeride_dist::node::serve_with(&listener, behaviour).ok();
         }));
     }
     (addrs, handles)
@@ -1710,7 +1712,7 @@ pub struct ElasticPoint {
     pub grain: u64,
     /// Work units the straggler owns per round (its shard ÷ grain).
     pub units: u64,
-    /// Makespan with stealing off (classic rounds), seconds.
+    /// Makespan with stealing off (one unit per shard), seconds.
     pub off_s: f64,
     /// Makespan with stealing on (elastic rounds), seconds.
     pub on_s: f64,
@@ -1773,6 +1775,7 @@ pub struct ElasticJob {
 /// jitter in who steals what may never reach the merged result.
 pub fn elastic_makespan(job: &ElasticJob, node_counts: &[usize]) -> Result<ElasticSweep, String> {
     use cfr_apps::cluster::{kmeans_cluster_ft, ElasticPolicy, FtOptions, Nodes};
+    use freeride_dist::node::Behaviour;
     use freeride_dist::LoopbackCluster;
 
     let &ElasticJob {
@@ -1803,10 +1806,11 @@ pub fn elastic_makespan(job: &ElasticJob, node_counts: &[usize]) -> Result<Elast
         let mut steals = 0usize;
         let mut on_bits: Option<Vec<u64>> = None;
         for _ in 0..repeats {
-            // Steal off: classic rounds, one shard message per node.
-            // The straggler pays for its whole shard before answering.
-            let fleet = LoopbackCluster::spawn_elastic(nodes, &[(0, slow_ms * units)], &[])
-                .map_err(|e| e.to_string())?;
+            // Steal off: one unit per shard. The straggler pays for its
+            // whole shard before answering.
+            let fleet =
+                LoopbackCluster::spawn_with(nodes, &[(0, Behaviour::slow(slow_ms * units))])
+                    .map_err(|e| e.to_string())?;
             let t0 = std::time::Instant::now();
             let r = kmeans_cluster_ft(
                 &params,
@@ -1824,7 +1828,7 @@ pub fn elastic_makespan(job: &ElasticJob, node_counts: &[usize]) -> Result<Elast
                 steal_grain: grain,
                 ..ElasticPolicy::default()
             };
-            let fleet = LoopbackCluster::spawn_elastic(nodes, &[(0, slow_ms)], &[])
+            let fleet = LoopbackCluster::spawn_with(nodes, &[(0, Behaviour::slow(slow_ms))])
                 .map_err(|e| e.to_string())?;
             let t0 = std::time::Instant::now();
             let r = kmeans_cluster_ft(

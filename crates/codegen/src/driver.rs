@@ -11,8 +11,10 @@
 //! * **On disk** — `$CFR_CODEGEN_DIR` (default
 //!   `$TMPDIR/cfr-codegen-<uid>`), artifact `k<hash16>.so` next to its
 //!   `k<hash16>.rs` source. A pre-existing artifact skips `rustc`
-//!   entirely; compilation writes to a temp name and `rename`s into
-//!   place so concurrent processes race benignly.
+//!   entirely; compilation writes to a per-process temp name and
+//!   `rename`s into place so concurrent processes race benignly.
+//!   Threads of one process share that temp name, so first compiles
+//!   are serialized in-process.
 //!
 //! Observability: spans `codegen.emit`, `codegen.compile`,
 //! `codegen.load` on the pipeline track; counters
@@ -145,6 +147,12 @@ pub fn load_or_compile(
     std::fs::create_dir_all(&dir)
         .map_err(|e| CodegenError::Io(format!("create {}: {e}", dir.display())))?;
     let artifact = dir.join(format!("k{hash:016x}.so"));
+    // Two threads compiling the same fresh kernel (two loopback nodes
+    // on a cold cache) would both write the pid-named temp artifact
+    // and one would load garbage or fail; the loser of this lock finds
+    // the winner's artifact on disk instead.
+    static FIRST_COMPILE: Mutex<()> = Mutex::new(());
+    let compiling = FIRST_COMPILE.lock().unwrap_or_else(|e| e.into_inner());
     if artifact.exists() {
         if let Some(r) = recorder {
             r.add_counter("core.codegen_cache_hit", 1);
@@ -194,6 +202,7 @@ pub fn load_or_compile(
             r.add_counter("core.codegen_compile", 1);
         }
     }
+    drop(compiling);
 
     // ---- Load + resolve. ----
     let load_start = Instant::now();

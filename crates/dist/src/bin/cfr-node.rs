@@ -1,9 +1,9 @@
 //! cfr-node — a FREERIDE cluster node agent.
 //!
-//! Listens for a coordinator, then runs local reductions over its
-//! assigned shard of a shared dataset file via the shared-memory
-//! engine. One process serves one coordinator session by default;
-//! `--sessions N` serves N in sequence (0 = forever).
+//! Listens for a coordinator, then reduces the row ranges it is handed
+//! of a shared dataset file via the shared-memory engine. One process
+//! serves one coordinator session by default; `--sessions N` serves N
+//! in sequence (0 = forever).
 //!
 //! Every failure exits nonzero with a single `cfr-node: error: ...`
 //! line carrying the typed error, so scripts and supervisors can grep
@@ -23,13 +23,13 @@
 //!                     when a cfr-serve daemon multiplexes jobs onto
 //!                     this node
 //!   --chaos-kill-after-rounds N
-//!                     fault-injection: answer N rounds, then abort the
-//!                     whole process mid-round (deterministic stand-in
-//!                     for SIGKILL in recovery smoke tests)
-//!   --slow-ms N       fault-injection: sleep N ms before every round
-//!                     (or, in elastic rounds, every work unit), turning
-//!                     this node into a deterministic straggler for the
-//!                     coordinator's latency detection and the steal path
+//!                     fault-injection: complete N rounds, then abort the
+//!                     whole process on the next work unit (deterministic
+//!                     stand-in for SIGKILL in recovery smoke tests)
+//!   --slow-ms N       fault-injection: sleep N ms on every work unit,
+//!                     turning this node into a deterministic straggler
+//!                     for the coordinator's latency detection and for
+//!                     stealing
 //!   --join ADDR       instead of listening, dial a running coordinator's
 //!                     membership hub (ClusterConfig::elastic.join_listen)
 //!                     and serve that one job as a mid-job joiner; exits 0
@@ -60,10 +60,8 @@ fn main() -> ExitCode {
     let mut port_file: Option<String> = None;
     let mut sessions: usize = 1;
     let mut concurrent = false;
-    let mut chaos_rounds: Option<usize> = None;
-    let mut slow_ms: u64 = 0;
+    let mut behaviour = node::Behaviour::default();
     let mut join: Option<String> = None;
-    let mut leave_after: Option<u32> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -82,11 +80,11 @@ fn main() -> ExitCode {
             },
             "--concurrent" => concurrent = true,
             "--chaos-kill-after-rounds" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => chaos_rounds = Some(n),
+                Some(n) => behaviour.die_after = Some(n),
                 None => return usage_error("--chaos-kill-after-rounds requires a count"),
             },
             "--slow-ms" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => slow_ms = n,
+                Some(n) => behaviour.slow_ms = n,
                 None => return usage_error("--slow-ms requires a count"),
             },
             "--join" => match args.next() {
@@ -94,7 +92,7 @@ fn main() -> ExitCode {
                 None => return usage_error("--join requires a coordinator hub address"),
             },
             "--leave-after-rounds" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => leave_after = Some(n),
+                Some(n) => behaviour.leave_after = Some(n),
                 None => return usage_error("--leave-after-rounds requires a count"),
             },
             "--help" | "-h" => {
@@ -113,7 +111,7 @@ fn main() -> ExitCode {
             Err(e) => return usage_error(&format!("--join: bad address `{hub}`: {e}")),
         };
         eprintln!("cfr-node: joining coordinator hub at {addr}");
-        return match node::join(&addr, slow_ms, leave_after) {
+        return match node::join(&addr, behaviour) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => fail(&e.to_string()),
         };
@@ -138,11 +136,11 @@ fn main() -> ExitCode {
     }
     eprintln!("cfr-node: listening on {bound}");
 
-    if let Some(rounds) = chaos_rounds {
-        // Fault injection: answer `rounds` rounds of the first session,
-        // then die abruptly — abort() takes the whole process down with
-        // the socket mid-round, exactly like a SIGKILL.
-        match node::serve_dropping(&listener, rounds) {
+    if let Some(rounds) = behaviour.die_after {
+        // Fault injection: complete `rounds` rounds of the first
+        // session, then die abruptly — abort() takes the whole process
+        // down mid-round, exactly like a SIGKILL.
+        match node::serve_with(&listener, behaviour) {
             Ok(()) => {
                 eprintln!("cfr-node: chaos kill after {rounds} rounds");
                 std::process::abort();
@@ -152,7 +150,7 @@ fn main() -> ExitCode {
     }
 
     if concurrent {
-        return match node::serve_concurrent_slow(&listener, sessions, slow_ms) {
+        return match node::serve_concurrent(&listener, sessions, behaviour) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => fail(&e.to_string()),
         };
@@ -160,14 +158,7 @@ fn main() -> ExitCode {
 
     let mut served = 0usize;
     loop {
-        let result = if let Some(rounds) = leave_after {
-            node::serve_leaving(&listener, rounds)
-        } else if slow_ms > 0 {
-            node::serve_slow(&listener, slow_ms)
-        } else {
-            node::serve(&listener)
-        };
-        if let Err(e) = result {
+        if let Err(e) = node::serve_with(&listener, behaviour) {
             return fail(&e.to_string());
         }
         served += 1;

@@ -27,10 +27,10 @@
 //!   nodes, backs off exponentially, and re-runs the round under a
 //!   higher `attempt` (stale results from the aborted attempt are
 //!   drained by the `(round, attempt)` echo). Nodes ship one cells
-//!   frame **per shard** and the coordinator merges all shards in
+//!   frame **per work unit** and the coordinator merges all units in
 //!   ascending `first_row` order, so the global combination performs
 //!   the identical floating-point fold no matter which node computed
-//!   which shard — a recovered run is bit-identical to an undisturbed
+//!   which unit — a recovered run is bit-identical to an undisturbed
 //!   run of the same cluster shape.
 //! * **Coordinator failure**: with [`ClusterConfig::checkpoint_dir`]
 //!   set, the merged object and post-`step` state are persisted after
@@ -94,7 +94,7 @@ impl Default for FtPolicy {
 #[derive(Debug, Clone)]
 pub struct TelemetryPolicy {
     /// Every `stats_every` rounds each node pushes a
-    /// [`MetricsSnapshot`] frame ahead of its `RoundResult`, so the
+    /// [`MetricsSnapshot`] frame at the end of the round, so the
     /// coordinator's live view (and, through it, `cfr-serve`'s
     /// `/metrics` endpoint) includes node-side counters even while the
     /// job is still running — and retains them for nodes that later
@@ -191,7 +191,7 @@ pub struct ClusterConfig {
     pub sparse_split: bool,
     /// Elastic scheduling policy: mid-job membership (join listener),
     /// shard work-stealing, and declarative placement. The default is
-    /// fully static — classic whole-shard rounds, no membership hub.
+    /// fully static — one work unit per shard, no membership hub.
     pub elastic: cfr_elastic::ElasticPolicy,
 }
 
@@ -255,13 +255,12 @@ pub struct ClusterStats {
     /// the fleet median).
     pub stragglers: usize,
     /// Work units executed by a node other than the one the planner
-    /// seeded them to (elastic rounds only).
+    /// seeded them to (only with [`ElasticPolicy::steal`] on).
     pub steals: usize,
     /// Nodes absorbed mid-job through the membership hub.
     pub joins: usize,
-    /// Nodes that left the fleet voluntarily mid-job (elastic rounds
-    /// only; distinct from [`ClusterStats::recoveries`], which counts
-    /// hard failures).
+    /// Nodes that left the fleet voluntarily mid-job (distinct from
+    /// [`ClusterStats::recoveries`], which counts hard failures).
     pub leaves: usize,
 }
 
@@ -382,9 +381,34 @@ pub struct LoopbackCluster {
 }
 
 impl LoopbackCluster {
-    /// Spawn `n` loopback node agents, each serving one session.
+    /// Spawn `n` healthy loopback node agents, each serving one
+    /// session.
     pub fn spawn(n: usize) -> Result<LoopbackCluster, DistError> {
-        LoopbackCluster::spawn_with_chaos(n, &[])
+        LoopbackCluster::spawn_with(n, &[])
+    }
+
+    /// Spawn `n` loopback agents, each serving one session, where a
+    /// `(i, behaviour)` entry makes node `i` misbehave on schedule
+    /// ([`node::Behaviour`]: a straggler, a voluntary leaver, or a
+    /// node that dies mid-round); the rest are healthy.
+    pub fn spawn_with(
+        n: usize,
+        behaviours: &[(usize, node::Behaviour)],
+    ) -> Result<LoopbackCluster, DistError> {
+        let mut addrs = Vec::with_capacity(n);
+        let mut handles = Vec::with_capacity(n);
+        for id in 0..n {
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            addrs.push(listener.local_addr()?);
+            let behaviour = behaviours
+                .iter()
+                .find(|&&(node, _)| node == id)
+                .map_or_else(node::Behaviour::default, |&(_, b)| b);
+            handles.push(std::thread::spawn(move || {
+                node::serve_with(&listener, behaviour)
+            }));
+        }
+        Ok(LoopbackCluster { addrs, handles })
     }
 
     /// Spawn `n` loopback agents that each serve `sessions` coordinator
@@ -398,84 +422,7 @@ impl LoopbackCluster {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             addrs.push(listener.local_addr()?);
             handles.push(std::thread::spawn(move || {
-                node::serve_concurrent(&listener, sessions)
-            }));
-        }
-        Ok(LoopbackCluster { addrs, handles })
-    }
-
-    /// Spawn `n` loopback agents where `slow[i]` (if present) makes
-    /// node `i` sleep that many milliseconds before every round
-    /// ([`node::serve_slow`]) — a deterministic straggler for
-    /// exercising the coordinator's latency-based detection.
-    pub fn spawn_with_slow(n: usize, slow: &[(usize, u64)]) -> Result<LoopbackCluster, DistError> {
-        let mut addrs = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for id in 0..n {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            addrs.push(listener.local_addr()?);
-            let slow_ms = slow
-                .iter()
-                .find(|&&(node, _)| node == id)
-                .map(|&(_, ms)| ms);
-            handles.push(std::thread::spawn(move || match slow_ms {
-                Some(ms) => node::serve_slow(&listener, ms),
-                None => node::serve(&listener),
-            }));
-        }
-        Ok(LoopbackCluster { addrs, handles })
-    }
-
-    /// Spawn `n` loopback agents for elastic-round tests: `slow[i]`
-    /// (if present) makes node `i` sleep that many milliseconds before
-    /// every *unit* (a deterministic straggler, so some of its planned
-    /// units get stolen), and `leave[i]` makes node `i` announce a
-    /// voluntary [`Message::Leave`](crate::proto::Message) at its
-    /// `leave[i]`-th `RoundStart` ([`node::serve_leaving`]).
-    pub fn spawn_elastic(
-        n: usize,
-        slow: &[(usize, u64)],
-        leave: &[(usize, u32)],
-    ) -> Result<LoopbackCluster, DistError> {
-        let mut addrs = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for id in 0..n {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            addrs.push(listener.local_addr()?);
-            let slow_ms = slow
-                .iter()
-                .find(|&&(node, _)| node == id)
-                .map_or(0, |&(_, ms)| ms);
-            let leave_after = leave.iter().find(|&&(node, _)| node == id).map(|&(_, r)| r);
-            handles.push(std::thread::spawn(move || match leave_after {
-                Some(rounds) => node::serve_leaving(&listener, rounds),
-                None if slow_ms > 0 => node::serve_slow(&listener, slow_ms),
-                None => node::serve(&listener),
-            }));
-        }
-        Ok(LoopbackCluster { addrs, handles })
-    }
-
-    /// Spawn `n` loopback agents where `die_after[i]` (if present)
-    /// makes node `i` a chaos agent that severs its connection
-    /// mid-round after answering that many rounds
-    /// ([`node::serve_dropping`]).
-    pub fn spawn_with_chaos(
-        n: usize,
-        die_after: &[(usize, usize)],
-    ) -> Result<LoopbackCluster, DistError> {
-        let mut addrs = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for id in 0..n {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            addrs.push(listener.local_addr()?);
-            let chaos = die_after
-                .iter()
-                .find(|&&(node, _)| node == id)
-                .map(|&(_, r)| r);
-            handles.push(std::thread::spawn(move || match chaos {
-                Some(rounds) => node::serve_dropping(&listener, rounds),
-                None => node::serve(&listener),
+                node::serve_concurrent(&listener, sessions, node::Behaviour::default())
             }));
         }
         Ok(LoopbackCluster { addrs, handles })

@@ -126,7 +126,7 @@ mod error_tests {
     fn display() {
         let e = DistError::Timeout {
             node: 2,
-            waiting_for: "RoundResult".into(),
+            waiting_for: "UnitResult".into(),
         };
         assert!(e.to_string().contains("node 2 timed out"));
         assert!(e.is_timeout());

@@ -1,14 +1,18 @@
-//! The node side of the cluster: accept one coordinator session and run
-//! local reductions over the assigned shard.
+//! The node side of the cluster: accept one coordinator session and
+//! reduce the work units it hands out.
 //!
 //! A node is deliberately thin: all parallelism inside the node is the
 //! existing shared-memory [`freeride::Engine`] (persistent pool,
-//! `run_file` shard streaming); the agent only speaks the wire protocol
-//! around it. One agent serves one coordinator session ([`serve`]) —
-//! the `cfr-node` binary can loop over sessions with `--sessions`.
+//! `run_pass` over a file row range); the agent only speaks the wire
+//! protocol around it. One agent serves one coordinator session
+//! ([`serve_with`]) — the `cfr-node` binary can loop over sessions
+//! with `--sessions`. Every session, listening or dialed out
+//! ([`join`]), runs the same frame loop; fault injection is a
+//! [`Behaviour`] of that loop, not a second loop.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use freeride::{Engine, JobConfig, PassHooks, PassInput, RObjLayout};
 use obs::{AttrValue, Recorder, TraceLevel};
@@ -17,6 +21,51 @@ use crate::error::DistError;
 use crate::proto::{read_message, write_message, Message};
 use crate::tasks;
 
+/// Fault injection for one session. The default is a healthy node;
+/// each field turns on one deterministic misbehaviour so recovery,
+/// straggler detection, stealing and voluntary leaves can be tested
+/// without relying on machine-dependent timing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Behaviour {
+    /// Sleep this many milliseconds inside every unit's timed window:
+    /// a deliberate straggler whose units read as slow.
+    pub slow_ms: u64,
+    /// Answer the first `RoundStart` after this many completed rounds
+    /// with a graceful `Leave` instead of working the round.
+    pub leave_after: Option<u32>,
+    /// Sever the connection on receipt of the first `Unit` after this
+    /// many completed rounds, with no reply and no goodbye — what a
+    /// node killed by the OS looks like from the coordinator's side.
+    /// The session then returns `Ok(())`: it died on schedule.
+    pub die_after: Option<u32>,
+}
+
+impl Behaviour {
+    /// A straggler sleeping `ms` per unit.
+    pub fn slow(ms: u64) -> Behaviour {
+        Behaviour {
+            slow_ms: ms,
+            ..Behaviour::default()
+        }
+    }
+
+    /// A node that leaves gracefully after `rounds` completed rounds.
+    pub fn leaves_after(rounds: u32) -> Behaviour {
+        Behaviour {
+            leave_after: Some(rounds),
+            ..Behaviour::default()
+        }
+    }
+
+    /// A node that dies mid-round after `rounds` completed rounds.
+    pub fn dies_after(rounds: u32) -> Behaviour {
+        Behaviour {
+            die_after: Some(rounds),
+            ..Behaviour::default()
+        }
+    }
+}
+
 /// Per-job context built from a [`Message::Job`].
 struct JobContext {
     task: String,
@@ -24,15 +73,25 @@ struct JobContext {
     backend: freeride::KernelBackend,
     layout: Arc<RObjLayout>,
     file: freeride::source::FileDataset,
-    shard_first: usize,
-    shard_rows: usize,
     engine: Engine,
     recorder: Arc<Recorder>,
-    /// Push a `Stats` frame ahead of every Nth `RoundResult` (0 = off).
+    /// Push a `Stats` frame on every Nth `RoundEnd` (0 = off).
     stats_every: u32,
-    /// Rounds answered so far (drives the periodic `Stats` cadence;
-    /// sessions are single-threaded, hence the plain `Cell`).
-    rounds_handled: std::cell::Cell<u32>,
+    /// Rounds completed so far: drives the periodic `Stats` cadence
+    /// and the `leave_after`/`die_after` schedules.
+    rounds_handled: u32,
+}
+
+/// The round in progress: the kernel is built once per `RoundStart`
+/// from the broadcast state and reused for every `Unit` until
+/// `RoundEnd`.
+struct OpenRound {
+    round: u32,
+    attempt: u32,
+    kernel: tasks::TaskKernel,
+    /// Sum of this round's unit times — what the coordinator sums too,
+    /// so both ends see the same straggler signal.
+    busy_ns: u64,
 }
 
 fn trace_level_from_ordinal(b: u8) -> TraceLevel {
@@ -60,8 +119,6 @@ fn build_job(msg: Message) -> Result<JobContext, DistError> {
         params,
         layout,
         dataset,
-        shard_first,
-        shard_rows,
         threads,
         trace_level,
         io_mode,
@@ -97,14 +154,6 @@ fn build_job(msg: Message) -> Result<JobContext, DistError> {
     }
     let file = freeride::source::FileDataset::open(std::path::Path::new(&dataset))?;
     let rows = file.rows() as u64;
-    if shard_first
-        .checked_add(shard_rows)
-        .is_none_or(|end| end > rows)
-    {
-        return Err(DistError::BadTask {
-            reason: format!("shard {shard_first}+{shard_rows} exceeds {rows} dataset rows"),
-        });
-    }
     let mut config = JobConfig::with_threads(threads.max(1) as usize);
     config.trace = trace_level_from_ordinal(trace_level);
     config.io = crate::proto::io_mode_from_wire(io_mode, chunk_rows, buffers, readers);
@@ -151,106 +200,81 @@ fn build_job(msg: Message) -> Result<JobContext, DistError> {
         backend,
         layout: local,
         file,
-        shard_first: shard_first as usize,
-        shard_rows: shard_rows as usize,
         engine,
         recorder,
         stats_every,
-        rounds_handled: std::cell::Cell::new(0),
+        rounds_handled: 0,
     })
 }
 
-/// Run one round over the given shard list (empty = the Job-time
-/// shard), returning one `(first_row, cells)` result per shard. Shards
-/// are reduced independently so the coordinator can merge all results
-/// in global row order regardless of which node computed which shard.
-fn run_round(
+/// Run one work unit of the current round, returning the unit's
+/// reduction cells. Units are reduced independently so the coordinator
+/// can merge all results in global row order regardless of which node
+/// computed which unit.
+fn run_unit(
     job: &JobContext,
-    round: u32,
-    attempt: u32,
-    state: &[f64],
-    shards: &[(u64, u64)],
-) -> Result<Vec<(u64, Vec<u8>)>, DistError> {
-    let kernel = tasks::kernel(
-        &job.task,
-        &job.params,
-        state,
-        job.backend,
-        Some(&job.recorder),
-    )?;
-    let job_shard = [(job.shard_first as u64, job.shard_rows as u64)];
-    let shards: &[(u64, u64)] = if shards.is_empty() {
-        &job_shard
-    } else {
-        shards
-    };
+    open: &OpenRound,
+    first: u64,
+    count: u64,
+) -> Result<Vec<u8>, DistError> {
     let rows = job.file.rows() as u64;
-    let mut results = Vec::with_capacity(shards.len());
-    for &(first, count) in shards {
-        if first.checked_add(count).is_none_or(|end| end > rows) {
-            return Err(DistError::BadTask {
-                reason: format!("shard {first}+{count} exceeds {rows} dataset rows"),
-            });
-        }
-        let pass_start = std::time::Instant::now();
-        let input = PassInput::File {
-            file: &job.file,
-            first_row: first as usize,
-            rows: count as usize,
-        };
-        let outcome = job
-            .engine
-            .run_pass(input, &job.layout, &kernel, PassHooks::default())?;
-        job.recorder.push_complete(
-            TraceLevel::Phases,
-            "node.pass",
-            "dist",
-            0,
-            job.recorder.offset_ns(pass_start),
-            pass_start.elapsed().as_nanos() as u64,
-            vec![
-                ("round", AttrValue::Int(round as i64)),
-                ("attempt", AttrValue::Int(attempt as i64)),
-                ("shard_first", AttrValue::Int(first as i64)),
-                ("shard_rows", AttrValue::Int(count as i64)),
-            ],
-        );
-        let hub = job.recorder.hub();
-        if hub.is_enabled() {
-            hub.add("node.shards", 1);
-            hub.observe("node.shard_ns", pass_start.elapsed().as_nanos() as u64);
-        }
-        results.push((first, outcome.robj.encode_cells()));
+    if first.checked_add(count).is_none_or(|end| end > rows) {
+        return Err(DistError::BadTask {
+            reason: format!("unit {first}+{count} exceeds {rows} dataset rows"),
+        });
     }
-    Ok(results)
+    let pass_start = Instant::now();
+    let input = PassInput::File {
+        file: &job.file,
+        first_row: first as usize,
+        rows: count as usize,
+    };
+    let outcome = job
+        .engine
+        .run_pass(input, &job.layout, &open.kernel, PassHooks::default())?;
+    job.recorder.push_complete(
+        TraceLevel::Phases,
+        "node.pass",
+        "dist",
+        0,
+        job.recorder.offset_ns(pass_start),
+        pass_start.elapsed().as_nanos() as u64,
+        vec![
+            ("round", AttrValue::Int(open.round as i64)),
+            ("attempt", AttrValue::Int(open.attempt as i64)),
+            ("shard_first", AttrValue::Int(first as i64)),
+            ("shard_rows", AttrValue::Int(count as i64)),
+        ],
+    );
+    Ok(outcome.robj.encode_cells())
 }
 
-/// Handle one coordinator session on an accepted stream. Returns when
-/// the coordinator sends [`Message::Shutdown`] or the connection drops.
-pub fn handle_session(stream: TcpStream) -> Result<(), DistError> {
-    session_loop(stream, std::time::Duration::ZERO)
+/// Tell the coordinator why this session is ending, then end it.
+fn reject(stream: &mut TcpStream, e: DistError) -> Result<(), DistError> {
+    write_message(
+        stream,
+        &Message::Error {
+            message: e.to_string(),
+        },
+    )?;
+    Err(e)
 }
 
-/// Chaos-testing variant of [`handle_session`]: sleeps `slow_ms` before
-/// every round, turning this node into a deliberate straggler so the
-/// coordinator's latency-based straggler detection can be exercised
-/// without relying on machine-dependent scheduling jitter.
-pub fn handle_session_slow(stream: TcpStream, slow_ms: u64) -> Result<(), DistError> {
-    session_loop(stream, std::time::Duration::from_millis(slow_ms))
+/// The peer closed (or reset) the connection rather than the socket
+/// failing some other way.
+fn is_hangup(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::UnexpectedEof
+            | std::io::ErrorKind::ConnectionReset
+            | std::io::ErrorKind::ConnectionAborted
+    )
 }
 
-fn session_loop(stream: TcpStream, slow: std::time::Duration) -> Result<(), DistError> {
-    session_loop_opts(stream, slow, None)
-}
-
-fn session_loop_opts(
-    stream: TcpStream,
-    slow: std::time::Duration,
-    leave_after: Option<u32>,
-) -> Result<(), DistError> {
-    let mut stream = stream;
+/// Serve one coordinator session on an accepted stream: the `Hello`
+/// handshake, then the frame loop until `Shutdown`.
+fn handle_session(mut stream: TcpStream, behaviour: Behaviour) -> Result<(), DistError> {
     stream.set_nodelay(true).ok();
-
     let (hello, _) = read_message(&mut stream)?;
     let Message::Hello { node_id } = hello else {
         return Err(DistError::Protocol {
@@ -258,77 +282,149 @@ fn session_loop_opts(
         });
     };
     write_message(&mut stream, &Message::HelloAck { node_id })?;
-    serve_frames(stream, node_id, slow, leave_after)
+    serve_frames(stream, node_id, behaviour)
 }
 
-/// The post-handshake frame loop, shared by listening sessions
-/// ([`serve`] and friends) and dial-out joiners ([`join`]). With
-/// `leave_after` set, the node answers the first `RoundStart` after
-/// that many completed rounds with a graceful `Leave` and exits.
+/// The post-handshake frame loop of every session, listening
+/// ([`serve_with`], [`serve_concurrent`]) or dialed out ([`join`]).
 fn serve_frames(
     mut stream: TcpStream,
     node_id: u32,
-    slow: std::time::Duration,
-    leave_after: Option<u32>,
+    behaviour: Behaviour,
 ) -> Result<(), DistError> {
     let mut job: Option<JobContext> = None;
-    // The elastic round in progress: the kernel is built once per
-    // `RoundStart` from the broadcast state and reused for every
-    // `Unit` until `RoundEnd`.
-    let mut current: Option<(u32, u32, tasks::TaskKernel)> = None;
+    let mut open: Option<OpenRound> = None;
     loop {
         let (msg, _) = read_message(&mut stream)?;
         match msg {
             Message::Job { .. } => match build_job(msg) {
                 Ok(ctx) => job = Some(ctx),
-                Err(e) => {
-                    write_message(
-                        &mut stream,
-                        &Message::Error {
-                            message: e.to_string(),
-                        },
-                    )?;
-                    return Err(e);
-                }
+                Err(e) => return reject(&mut stream, e),
             },
-            Message::Round {
+            Message::RoundStart {
                 round,
                 attempt,
                 state,
-                shards,
             } => {
                 let Some(ctx) = job.as_ref() else {
                     let e = DistError::Protocol {
-                        reason: "Round before Job".into(),
+                        reason: "RoundStart before Job".into(),
                     };
-                    write_message(
-                        &mut stream,
-                        &Message::Error {
-                            message: e.to_string(),
-                        },
-                    )?;
-                    return Err(e);
+                    return reject(&mut stream, e);
                 };
-                let round_start = std::time::Instant::now();
-                if !slow.is_zero() {
-                    std::thread::sleep(slow);
-                }
-                match run_round(ctx, round, attempt, &state, &shards) {
-                    Ok(results) => {
-                        ctx.recorder.add_counter("dist.rounds", 1);
-                        // elapsed_ns is measured here, on the node, so
-                        // the coordinator's straggler detection sees
-                        // compute time rather than its own (serialised,
-                        // blocking) receive order.
-                        let elapsed_ns = round_start.elapsed().as_nanos() as u64;
-                        let hub = ctx.recorder.hub();
-                        if hub.is_enabled() {
-                            hub.add("node.rounds", 1);
-                            hub.observe("node.round_ns", elapsed_ns);
+                if behaviour
+                    .leave_after
+                    .is_some_and(|n| ctx.rounds_handled >= n)
+                {
+                    // Graceful exit: tell the coordinator instead of
+                    // answering, so our rows are reseeded onto the
+                    // survivors without burning a retry. Then *linger*,
+                    // draining (and ignoring) frames until the
+                    // coordinator drops the connection: closing right
+                    // away would RST an in-flight Unit send and could
+                    // discard the buffered Leave on the coordinator's
+                    // side, turning the graceful path into a failure.
+                    write_message(&mut stream, &Message::Leave { node_id })?;
+                    loop {
+                        match read_message(&mut stream) {
+                            Ok((Message::Shutdown, _)) => return Ok(()),
+                            Ok(_) => continue,
+                            Err(DistError::Io(e)) if is_hangup(&e) => return Ok(()),
+                            Err(e) => return Err(e),
                         }
-                        let n = ctx.rounds_handled.get().wrapping_add(1);
-                        ctx.rounds_handled.set(n);
-                        if ctx.stats_every > 0 && n % ctx.stats_every == 0 && hub.is_enabled() {
+                    }
+                }
+                let kernel = tasks::kernel(
+                    &ctx.task,
+                    &ctx.params,
+                    &state,
+                    ctx.backend,
+                    Some(&ctx.recorder),
+                );
+                match kernel {
+                    Ok(kernel) => {
+                        open = Some(OpenRound {
+                            round,
+                            attempt,
+                            kernel,
+                            busy_ns: 0,
+                        })
+                    }
+                    Err(e) => return reject(&mut stream, e),
+                }
+            }
+            Message::Unit {
+                round,
+                attempt,
+                first_row,
+                rows,
+            } => {
+                let (Some(ctx), Some(cur)) = (job.as_ref(), open.as_mut()) else {
+                    let e = DistError::Protocol {
+                        reason: "Unit before RoundStart".into(),
+                    };
+                    return reject(&mut stream, e);
+                };
+                if (cur.round, cur.attempt) != (round, attempt) {
+                    let e = DistError::Protocol {
+                        reason: format!(
+                            "Unit for round {round}/{attempt}, current round is {}/{}",
+                            cur.round, cur.attempt
+                        ),
+                    };
+                    return reject(&mut stream, e);
+                }
+                if behaviour.die_after.is_some_and(|n| ctx.rounds_handled >= n) {
+                    // Die mid-round: the Unit was received, no
+                    // UnitResult will ever come. Dropping the stream
+                    // closes the connection under the coordinator.
+                    return Ok(());
+                }
+                // elapsed_ns is measured here, on the node, so the
+                // coordinator's straggler detection sees this node's
+                // own time rather than the order results arrived in.
+                // The artificial straggler delay sits inside the timed
+                // window, so a slow node's units read as slow and fast
+                // peers get the chance to steal.
+                let unit_start = Instant::now();
+                if behaviour.slow_ms > 0 {
+                    std::thread::sleep(Duration::from_millis(behaviour.slow_ms));
+                }
+                let cells = match run_unit(ctx, cur, first_row, rows) {
+                    Ok(cells) => cells,
+                    Err(e) => return reject(&mut stream, e),
+                };
+                let elapsed_ns = unit_start.elapsed().as_nanos() as u64;
+                cur.busy_ns += elapsed_ns;
+                let hub = ctx.recorder.hub();
+                if hub.is_enabled() {
+                    hub.add("node.units", 1);
+                    hub.observe("node.unit_ns", elapsed_ns);
+                }
+                write_message(
+                    &mut stream,
+                    &Message::UnitResult {
+                        round,
+                        attempt,
+                        first_row,
+                        elapsed_ns,
+                        cells,
+                    },
+                )?;
+            }
+            Message::RoundEnd { round, .. } => {
+                let busy_ns = open.take().map_or(0, |cur| cur.busy_ns);
+                if let Some(ctx) = job.as_mut() {
+                    ctx.recorder.add_counter("dist.rounds", 1);
+                    ctx.rounds_handled = ctx.rounds_handled.wrapping_add(1);
+                    let hub = ctx.recorder.hub();
+                    if hub.is_enabled() {
+                        hub.add("node.rounds", 1);
+                        hub.observe("node.round_ns", busy_ns);
+                        // The periodic push: for a node that later dies
+                        // it is all the telemetry the coordinator gets
+                        // to keep.
+                        if ctx.stats_every > 0 && ctx.rounds_handled % ctx.stats_every == 0 {
                             write_message(
                                 &mut stream,
                                 &Message::Stats {
@@ -337,24 +433,6 @@ fn serve_frames(
                                 },
                             )?;
                         }
-                        write_message(
-                            &mut stream,
-                            &Message::RoundResult {
-                                round,
-                                attempt,
-                                elapsed_ns,
-                                shards: results,
-                            },
-                        )?;
-                    }
-                    Err(e) => {
-                        write_message(
-                            &mut stream,
-                            &Message::Error {
-                                message: e.to_string(),
-                            },
-                        )?;
-                        return Err(e);
                     }
                 }
             }
@@ -379,154 +457,6 @@ fn serve_frames(
                 job = None;
                 write_message(&mut stream, &Message::JobDone { trace, metrics })?;
             }
-            Message::RoundStart {
-                round,
-                attempt,
-                state,
-            } => {
-                let Some(ctx) = job.as_ref() else {
-                    let e = DistError::Protocol {
-                        reason: "RoundStart before Job".into(),
-                    };
-                    write_message(
-                        &mut stream,
-                        &Message::Error {
-                            message: e.to_string(),
-                        },
-                    )?;
-                    return Err(e);
-                };
-                if leave_after.is_some_and(|n| ctx.rounds_handled.get() >= n) {
-                    // Graceful exit: tell the coordinator instead of
-                    // answering, so our rows are reseeded onto the
-                    // survivors without burning a retry. Then *linger*,
-                    // draining (and ignoring) frames until the
-                    // coordinator drops the connection: closing right
-                    // away would RST an in-flight Unit send and could
-                    // discard the buffered Leave on the coordinator's
-                    // side, turning the graceful path into a failure.
-                    write_message(&mut stream, &Message::Leave { node_id })?;
-                    loop {
-                        match read_message(&mut stream) {
-                            Ok((Message::Shutdown, _)) => return Ok(()),
-                            Ok(_) => continue,
-                            Err(DistError::Io(e))
-                                if matches!(
-                                    e.kind(),
-                                    std::io::ErrorKind::UnexpectedEof
-                                        | std::io::ErrorKind::ConnectionReset
-                                        | std::io::ErrorKind::ConnectionAborted
-                                ) =>
-                            {
-                                return Ok(())
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                match tasks::kernel(
-                    &ctx.task,
-                    &ctx.params,
-                    &state,
-                    ctx.backend,
-                    Some(&ctx.recorder),
-                ) {
-                    Ok(kernel) => current = Some((round, attempt, kernel)),
-                    Err(e) => {
-                        write_message(
-                            &mut stream,
-                            &Message::Error {
-                                message: e.to_string(),
-                            },
-                        )?;
-                        return Err(e);
-                    }
-                }
-            }
-            Message::Unit {
-                round,
-                attempt,
-                first_row,
-                rows,
-            } => {
-                let (Some(ctx), Some((r, a, kernel))) = (job.as_ref(), current.as_ref()) else {
-                    let e = DistError::Protocol {
-                        reason: "Unit before RoundStart".into(),
-                    };
-                    write_message(
-                        &mut stream,
-                        &Message::Error {
-                            message: e.to_string(),
-                        },
-                    )?;
-                    return Err(e);
-                };
-                if (*r, *a) != (round, attempt) {
-                    let e = DistError::Protocol {
-                        reason: format!(
-                            "Unit for round {round}/{attempt}, current round is {r}/{a}"
-                        ),
-                    };
-                    write_message(
-                        &mut stream,
-                        &Message::Error {
-                            message: e.to_string(),
-                        },
-                    )?;
-                    return Err(e);
-                }
-                // The artificial straggler delay applies per unit (and
-                // inside the timed window), so a slow node's units read
-                // as slow and fast peers get the chance to steal.
-                let unit_start = std::time::Instant::now();
-                if !slow.is_zero() {
-                    std::thread::sleep(slow);
-                }
-                match run_unit(ctx, kernel, round, attempt, first_row, rows) {
-                    Ok(cells) => {
-                        write_message(
-                            &mut stream,
-                            &Message::UnitResult {
-                                round,
-                                attempt,
-                                first_row,
-                                elapsed_ns: unit_start.elapsed().as_nanos() as u64,
-                                cells,
-                            },
-                        )?;
-                    }
-                    Err(e) => {
-                        write_message(
-                            &mut stream,
-                            &Message::Error {
-                                message: e.to_string(),
-                            },
-                        )?;
-                        return Err(e);
-                    }
-                }
-            }
-            Message::RoundEnd { round, .. } => {
-                if let Some(ctx) = job.as_ref() {
-                    ctx.recorder.add_counter("dist.rounds", 1);
-                    let n = ctx.rounds_handled.get().wrapping_add(1);
-                    ctx.rounds_handled.set(n);
-                    let hub = ctx.recorder.hub();
-                    if hub.is_enabled() {
-                        hub.add("node.rounds", 1);
-                    }
-                    if ctx.stats_every > 0 && n % ctx.stats_every == 0 && hub.is_enabled() {
-                        write_message(
-                            &mut stream,
-                            &Message::Stats {
-                                round,
-                                metrics: hub.snapshot().encode_bin(),
-                            },
-                        )?;
-                    }
-                }
-                current = None;
-            }
             Message::Shutdown => return Ok(()),
             Message::Error { message } => {
                 return Err(DistError::Node {
@@ -538,63 +468,10 @@ fn serve_frames(
                 let e = DistError::Protocol {
                     reason: format!("unexpected {} from coordinator", other.kind_name()),
                 };
-                write_message(
-                    &mut stream,
-                    &Message::Error {
-                        message: e.to_string(),
-                    },
-                )?;
-                return Err(e);
+                return reject(&mut stream, e);
             }
         }
     }
-}
-
-/// Run one work unit of the current elastic round, returning the
-/// unit's reduction cells.
-fn run_unit(
-    job: &JobContext,
-    kernel: &tasks::TaskKernel,
-    round: u32,
-    attempt: u32,
-    first: u64,
-    count: u64,
-) -> Result<Vec<u8>, DistError> {
-    let rows = job.file.rows() as u64;
-    if first.checked_add(count).is_none_or(|end| end > rows) {
-        return Err(DistError::BadTask {
-            reason: format!("unit {first}+{count} exceeds {rows} dataset rows"),
-        });
-    }
-    let pass_start = std::time::Instant::now();
-    let input = PassInput::File {
-        file: &job.file,
-        first_row: first as usize,
-        rows: count as usize,
-    };
-    let outcome = job
-        .engine
-        .run_pass(input, &job.layout, kernel, PassHooks::default())?;
-    job.recorder.push_complete(
-        TraceLevel::Phases,
-        "node.pass",
-        "dist",
-        0,
-        job.recorder.offset_ns(pass_start),
-        pass_start.elapsed().as_nanos() as u64,
-        vec![
-            ("round", AttrValue::Int(round as i64)),
-            ("attempt", AttrValue::Int(attempt as i64)),
-            ("shard_first", AttrValue::Int(first as i64)),
-            ("shard_rows", AttrValue::Int(count as i64)),
-        ],
-    );
-    let hub = job.recorder.hub();
-    if hub.is_enabled() {
-        hub.add("node.units", 1);
-        hub.observe("node.unit_ns", pass_start.elapsed().as_nanos() as u64);
-    }
-    Ok(outcome.robj.encode_cells())
 }
 
 /// Dial a coordinator's membership hub and serve the session the
@@ -603,7 +480,7 @@ fn run_unit(
 /// dial by a full round. A `Shutdown` first — or the hub closing the
 /// connection — means the fleet wound down before this node was
 /// admitted: a clean no-op, not an error.
-pub fn join(addr: &SocketAddr, slow_ms: u64, leave_after: Option<u32>) -> Result<(), DistError> {
+pub fn join(addr: &SocketAddr, behaviour: Behaviour) -> Result<(), DistError> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
     write_message(
@@ -614,28 +491,14 @@ pub fn join(addr: &SocketAddr, slow_ms: u64, leave_after: Option<u32>) -> Result
     )?;
     let hello = match read_message(&mut stream) {
         Ok((msg, _)) => msg,
-        Err(DistError::Io(e))
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::UnexpectedEof
-                    | std::io::ErrorKind::ConnectionReset
-                    | std::io::ErrorKind::ConnectionAborted
-            ) =>
-        {
-            return Ok(())
-        }
+        Err(DistError::Io(e)) if is_hangup(&e) => return Ok(()),
         Err(e) => return Err(e),
     };
     match hello {
         Message::Shutdown => Ok(()),
         Message::Hello { node_id } => {
             write_message(&mut stream, &Message::HelloAck { node_id })?;
-            serve_frames(
-                stream,
-                node_id,
-                std::time::Duration::from_millis(slow_ms),
-                leave_after,
-            )
+            serve_frames(stream, node_id, behaviour)
         }
         other => Err(DistError::Protocol {
             reason: format!(
@@ -646,47 +509,33 @@ pub fn join(addr: &SocketAddr, slow_ms: u64, leave_after: Option<u32>) -> Result
     }
 }
 
-/// Loopback agent that serves one session but exits gracefully: once
-/// it has completed `after_rounds` rounds it answers the next
-/// `RoundStart` with `Leave` instead of working the round.
-pub fn serve_leaving(listener: &TcpListener, after_rounds: u32) -> Result<(), DistError> {
-    let (stream, _peer) = listener.accept()?;
-    session_loop_opts(stream, std::time::Duration::ZERO, Some(after_rounds))
-}
-
 /// Accept one coordinator connection on `listener` and serve the
-/// session to completion.
-pub fn serve(listener: &TcpListener) -> Result<(), DistError> {
+/// session to completion under `behaviour`
+/// (`Behaviour::default()` for a healthy node).
+pub fn serve_with(listener: &TcpListener, behaviour: Behaviour) -> Result<(), DistError> {
     let (stream, _peer) = listener.accept()?;
-    handle_session(stream)
+    handle_session(stream, behaviour)
 }
 
 /// Accept `sessions` coordinator connections (0 = forever), serving
 /// each on its own thread so multiple coordinators — e.g. the
 /// `cfr-serve` daemon multiplexing concurrent jobs onto a shared fleet
-/// — can hold sessions simultaneously. A session that fails is
-/// reported on stderr but does not take down the acceptor or other
-/// sessions; only an `accept` failure is fatal. Returns once
-/// `sessions` connections have been accepted and all of them have
-/// completed.
-pub fn serve_concurrent(listener: &TcpListener, sessions: usize) -> Result<(), DistError> {
-    serve_concurrent_slow(listener, sessions, 0)
-}
-
-/// [`serve_concurrent`] with an artificial per-round delay on every
-/// session (see [`handle_session_slow`]) — a shared-fleet node that is
-/// a deliberate straggler for every coordinator it serves.
-pub fn serve_concurrent_slow(
+/// — can hold sessions simultaneously, every session under
+/// `behaviour`. A session that fails is reported on stderr but does
+/// not take down the acceptor or other sessions; only an `accept`
+/// failure is fatal. Returns once `sessions` connections have been
+/// accepted and all of them have completed.
+pub fn serve_concurrent(
     listener: &TcpListener,
     sessions: usize,
-    slow_ms: u64,
+    behaviour: Behaviour,
 ) -> Result<(), DistError> {
     let mut handles = Vec::new();
     let mut accepted = 0usize;
     loop {
         let (stream, _peer) = listener.accept()?;
         handles.push(std::thread::spawn(move || {
-            if let Err(e) = handle_session_slow(stream, slow_ms) {
+            if let Err(e) = handle_session(stream, behaviour) {
                 eprintln!("cfr-node: session error: {e}");
             }
         }));
@@ -705,92 +554,6 @@ pub fn serve_concurrent_slow(
     Ok(())
 }
 
-/// Accept one coordinator connection and serve it with an artificial
-/// per-round delay (see [`handle_session_slow`]).
-pub fn serve_slow(listener: &TcpListener, slow_ms: u64) -> Result<(), DistError> {
-    let (stream, _peer) = listener.accept()?;
-    handle_session_slow(stream, slow_ms)
-}
-
-/// Chaos-testing agent: behaves like [`serve`], but severs the
-/// connection without a protocol goodbye after answering
-/// `rounds_before_death` Round messages — on the next Round it simply
-/// drops the socket mid-round, exactly what a node killed by the OS
-/// looks like from the coordinator's side. Returns `Ok(())` when it
-/// died on schedule.
-pub fn serve_dropping(listener: &TcpListener, rounds_before_death: usize) -> Result<(), DistError> {
-    let (mut stream, _peer) = listener.accept()?;
-    stream.set_nodelay(true).ok();
-    let (hello, _) = read_message(&mut stream)?;
-    let Message::Hello { node_id } = hello else {
-        return Err(DistError::Protocol {
-            reason: format!("expected Hello, got {}", hello.kind_name()),
-        });
-    };
-    write_message(&mut stream, &Message::HelloAck { node_id })?;
-    let mut job: Option<JobContext> = None;
-    let mut answered = 0usize;
-    loop {
-        let (msg, _) = read_message(&mut stream)?;
-        match msg {
-            Message::Job { .. } => job = Some(build_job(msg)?),
-            Message::Round {
-                round,
-                attempt,
-                state,
-                shards,
-            } => {
-                if answered == rounds_before_death {
-                    // Die mid-round: the Round was received, no
-                    // RoundResult will ever come. Dropping the stream
-                    // resets the connection.
-                    return Ok(());
-                }
-                let ctx = job.as_ref().ok_or_else(|| DistError::Protocol {
-                    reason: "Round before Job".into(),
-                })?;
-                let round_start = std::time::Instant::now();
-                let results = run_round(ctx, round, attempt, &state, &shards)?;
-                // Same periodic stats cadence as a healthy node: the
-                // push preceding this node's death is all the telemetry
-                // the coordinator gets to keep from it.
-                let n = ctx.rounds_handled.get().wrapping_add(1);
-                ctx.rounds_handled.set(n);
-                let hub = ctx.recorder.hub();
-                if hub.is_enabled() {
-                    hub.add("node.rounds", 1);
-                    hub.observe("node.round_ns", round_start.elapsed().as_nanos() as u64);
-                }
-                if ctx.stats_every > 0 && n % ctx.stats_every == 0 && hub.is_enabled() {
-                    write_message(
-                        &mut stream,
-                        &Message::Stats {
-                            round,
-                            metrics: hub.snapshot().encode_bin(),
-                        },
-                    )?;
-                }
-                write_message(
-                    &mut stream,
-                    &Message::RoundResult {
-                        round,
-                        attempt,
-                        elapsed_ns: round_start.elapsed().as_nanos() as u64,
-                        shards: results,
-                    },
-                )?;
-                answered += 1;
-            }
-            Message::Shutdown => return Ok(()),
-            other => {
-                return Err(DistError::Protocol {
-                    reason: format!("unexpected {} from coordinator", other.kind_name()),
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod node_tests {
     use super::*;
@@ -807,35 +570,54 @@ mod node_tests {
         }
     }
 
-    #[test]
-    fn session_rejects_round_before_job() {
+    /// Open a session against a healthy agent, send `frames` after the
+    /// handshake, and return the agent's reply plus its exit status.
+    fn reply_to(frames: &[Message]) -> (Message, Result<(), DistError>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || serve(&listener));
+        let server = std::thread::spawn(move || serve_with(&listener, Behaviour::default()));
         let mut stream = TcpStream::connect(addr).unwrap();
         write_message(&mut stream, &Message::Hello { node_id: 0 }).unwrap();
         let (ack, _) = read_message(&mut stream).unwrap();
         assert_eq!(ack, Message::HelloAck { node_id: 0 });
-        write_message(
-            &mut stream,
-            &Message::Round {
-                round: 0,
-                attempt: 0,
-                state: vec![],
-                shards: vec![],
-            },
-        )
-        .unwrap();
+        for f in frames {
+            write_message(&mut stream, f).unwrap();
+        }
         let (reply, _) = read_message(&mut stream).unwrap();
+        (reply, server.join().unwrap())
+    }
+
+    #[test]
+    fn session_rejects_round_start_before_job() {
+        let (reply, exit) = reply_to(&[Message::RoundStart {
+            round: 0,
+            attempt: 0,
+            state: vec![],
+        }]);
         assert!(matches!(reply, Message::Error { .. }), "{reply:?}");
-        assert!(server.join().unwrap().is_err());
+        assert!(exit.is_err());
+    }
+
+    #[test]
+    fn session_rejects_unit_before_round_start() {
+        let (reply, exit) = reply_to(&[Message::Unit {
+            round: 0,
+            attempt: 0,
+            first_row: 0,
+            rows: 1,
+        }]);
+        let Message::Error { message } = reply else {
+            panic!("{reply:?}");
+        };
+        assert!(message.contains("Unit before RoundStart"), "{message}");
+        assert!(exit.is_err());
     }
 
     #[test]
     fn session_rejects_non_hello_opening() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || serve(&listener));
+        let server = std::thread::spawn(move || serve_with(&listener, Behaviour::default()));
         let mut stream = TcpStream::connect(addr).unwrap();
         write_message(&mut stream, &Message::EndJob).unwrap();
         let err = server.join().unwrap().unwrap_err();

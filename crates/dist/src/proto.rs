@@ -26,7 +26,7 @@ pub const WIRE_MAGIC: &[u8; 4] = b"FRDM";
 /// Protocol version; both sides must match exactly. Version 2 added
 /// round `attempt` counters and explicit per-round shard lists for
 /// fault-tolerant shard reassignment. Version 3 added live telemetry:
-/// node-measured `elapsed_ns` on `RoundResult` (the straggler signal),
+/// node-measured `elapsed_ns` on round results (the straggler signal),
 /// periodic `Stats` metrics frames, a `stats_every` job knob, and the
 /// node's final metrics snapshot on `JobDone`. Version 4 added the
 /// kernel `backend` byte on `Job`, so a coordinator can ask the fleet
@@ -41,7 +41,11 @@ pub const WIRE_MAGIC: &[u8; 4] = b"FRDM";
 /// hub mid-job) and the work-unit round shape
 /// (`RoundStart`/`Unit`/`UnitResult`/`RoundEnd`) that lets fast nodes
 /// steal a straggler's remaining rows one sub-range at a time.
-pub const WIRE_VERSION: u8 = 6;
+/// Version 7 made that work-unit shape the only round dialogue: the
+/// monolithic one-request-one-result round pair (type bytes 4 and 5,
+/// never reused) and the `Job`-time shard fallback it read are gone —
+/// a steal-off round is the same dialogue with one unit per shard.
+pub const WIRE_VERSION: u8 = 7;
 /// Upper bound on a frame payload (64 MiB): a corrupt length field
 /// fails fast instead of triggering a giant allocation.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
@@ -49,8 +53,8 @@ pub const MAX_FRAME_LEN: u32 = 64 << 20;
 const TYPE_HELLO: u8 = 1;
 const TYPE_HELLO_ACK: u8 = 2;
 const TYPE_JOB: u8 = 3;
-const TYPE_ROUND: u8 = 4;
-const TYPE_ROUND_RESULT: u8 = 5;
+// 4 and 5 were the monolithic round pair retired in v7; they decode to
+// the unknown-type error and are never reassigned.
 const TYPE_END_JOB: u8 = 6;
 const TYPE_JOB_DONE: u8 = 7;
 const TYPE_SHUTDOWN: u8 = 8;
@@ -89,10 +93,6 @@ pub enum Message {
         /// Path of the shared dataset file (`.frds`), readable by the
         /// node.
         dataset: String,
-        /// First row of this node's shard.
-        shard_first: u64,
-        /// Row count of this node's shard.
-        shard_rows: u64,
         /// Worker threads for the node's local engine.
         threads: u32,
         /// `obs::TraceLevel` ordinal for the node's recorder.
@@ -106,9 +106,9 @@ pub enum Message {
         buffers: u32,
         /// Prefetching reader threads (ignored when sync).
         readers: u32,
-        /// Push a `Stats` metrics frame ahead of every Nth
-        /// `RoundResult` (0 disables periodic pushes; the final
-        /// snapshot still arrives on `JobDone`).
+        /// Push a `Stats` metrics frame after every Nth `RoundEnd`
+        /// (0 disables periodic pushes; the final snapshot still
+        /// arrives on `JobDone`).
         stats_every: u32,
         /// Kernel backend for kernel-IR tasks
         /// ([`freeride::KernelBackend::to_wire`] byte; closure tasks
@@ -129,46 +129,6 @@ pub enum Message {
         /// nnz-weighted from the dataset's `.frsp` sidecar.
         splitter: u8,
     },
-    /// Coordinator → node: run one local reduction pass over the
-    /// node's shards with this round's broadcast state (e.g. current
-    /// centroids).
-    Round {
-        /// Round number, starting at 0.
-        round: u32,
-        /// Monotonic delivery attempt. After a node failure the
-        /// coordinator re-runs the round under a higher attempt;
-        /// results from an aborted attempt are drained and discarded
-        /// by the `(round, attempt)` echo.
-        attempt: u32,
-        /// Per-round state vector.
-        state: Vec<f64>,
-        /// Absolute `(first_row, rows)` shard ranges to reduce this
-        /// round. Empty means "the single shard assigned at Job time";
-        /// non-empty lists carry reassigned shards of dead nodes.
-        shards: Vec<(u64, u64)>,
-    },
-    /// Node → coordinator: the local reduction results, one cells
-    /// frame per shard the node ran. Shipping shards separately lets
-    /// the coordinator always merge in ascending `first_row` order —
-    /// the global combination sequence (and hence every floating-point
-    /// rounding) is identical no matter which node computed which
-    /// shard, which is what makes failure recovery bit-identical to an
-    /// undisturbed run.
-    RoundResult {
-        /// Echo of the round number.
-        round: u32,
-        /// Echo of the delivery attempt.
-        attempt: u32,
-        /// Per-shard results: `(first_row, cells frame)` in the order
-        /// the shards were assigned.
-        shards: Vec<(u64, Vec<u8>)>,
-        /// Node-measured wall time of the local reduction work for
-        /// this round, nanoseconds. Placement-independent (unlike a
-        /// coordinator-side receive timestamp, which is skewed by the
-        /// sequential recv order), so it is the straggler-detection
-        /// signal.
-        elapsed_ns: u64,
-    },
     /// Coordinator → node: no more rounds; ship the trace.
     EndJob,
     /// Node → coordinator: job teardown, carrying the node's drained
@@ -180,9 +140,8 @@ pub enum Message {
         /// of the node's live hub, possibly empty.
         metrics: Vec<u8>,
     },
-    /// Node → coordinator: periodic live-telemetry push, sent
-    /// immediately before the `RoundResult` of every `stats_every`th
-    /// round. The coordinator folds it into the fleet view; it never
+    /// Node → coordinator: periodic live-telemetry push, sent on the
+    /// `RoundEnd` of every `stats_every`th round. The coordinator folds it into the fleet view; it never
     /// affects scheduling correctness.
     Stats {
         /// Round the snapshot was taken after.
@@ -217,23 +176,28 @@ pub enum Message {
         /// Echo of the node's assigned index.
         node_id: u32,
     },
-    /// Coordinator → node: open one work-stealing round. The node
-    /// builds the round's kernel from `state` and then answers each
-    /// `Unit` until `RoundEnd`.
+    /// Coordinator → node: open one round. The node builds the round's
+    /// kernel from `state` and then answers each `Unit` until
+    /// `RoundEnd`. Unacknowledged.
     RoundStart {
         /// Round number, starting at 0.
         round: u32,
-        /// Monotonic delivery attempt (same semantics as `Round`).
+        /// Monotonic delivery attempt. After a node failure the
+        /// coordinator re-runs the round under a higher attempt;
+        /// results from an aborted attempt are drained and discarded
+        /// by the `(round, attempt)` echo.
         attempt: u32,
         /// Per-round broadcast state vector.
         state: Vec<f64>,
     },
-    /// Coordinator → node: reduce one work unit of the current round.
-    /// Units carry the **absolute** first row, so the coordinator can
-    /// merge all results in ascending `first_row` order and keep the
-    /// global combine fold — and hence every floating-point rounding —
-    /// a pure function of the covered row set, not of which node ran
-    /// what (the elastic extension of the v2 bit-identity argument).
+    /// Coordinator → node: reduce one work unit of the current round —
+    /// a whole shard, or a grain-sized sub-range of one when stealing
+    /// is on. Units carry the **absolute** first row, so the
+    /// coordinator can merge all results in ascending `first_row`
+    /// order and keep the global combine fold — and hence every
+    /// floating-point rounding — a pure function of the unit set, not
+    /// of which node ran what. That is what makes recovered, stolen
+    /// and churned runs bit-identical to undisturbed ones.
     Unit {
         /// Echo of the round number.
         round: u32,
@@ -261,7 +225,7 @@ pub enum Message {
     },
     /// Coordinator → node: the current round is drained; flush
     /// periodic `Stats` if due and await the next `RoundStart` (or
-    /// `EndJob`).
+    /// `EndJob`). Unacknowledged.
     RoundEnd {
         /// Echo of the round number.
         round: u32,
@@ -299,14 +263,6 @@ fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
     out.extend_from_slice(&(xs.len() as u32).to_le_bytes());
     for x in xs {
         out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn put_u64_pairs(out: &mut Vec<u8>, xs: &[(u64, u64)]) {
-    out.extend_from_slice(&(xs.len() as u32).to_le_bytes());
-    for (a, b) in xs {
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
     }
 }
 
@@ -395,18 +351,6 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    fn u64_pairs(&mut self, what: &str) -> Result<Vec<(u64, u64)>, DistError> {
-        let n = self.len(what)?;
-        if self.buf.len() - self.pos < n * 16 {
-            return perr(format!("truncated payload: {what}"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push((self.u64(what)?, self.u64(what)?));
-        }
-        Ok(out)
-    }
-
     fn finish(self, what: &str) -> Result<(), DistError> {
         if self.pos != self.buf.len() {
             return perr(format!(
@@ -424,8 +368,6 @@ impl Message {
             Message::Hello { .. } => TYPE_HELLO,
             Message::HelloAck { .. } => TYPE_HELLO_ACK,
             Message::Job { .. } => TYPE_JOB,
-            Message::Round { .. } => TYPE_ROUND,
-            Message::RoundResult { .. } => TYPE_ROUND_RESULT,
             Message::EndJob => TYPE_END_JOB,
             Message::JobDone { .. } => TYPE_JOB_DONE,
             Message::Shutdown => TYPE_SHUTDOWN,
@@ -446,8 +388,6 @@ impl Message {
             Message::Hello { .. } => "Hello",
             Message::HelloAck { .. } => "HelloAck",
             Message::Job { .. } => "Job",
-            Message::Round { .. } => "Round",
-            Message::RoundResult { .. } => "RoundResult",
             Message::EndJob => "EndJob",
             Message::JobDone { .. } => "JobDone",
             Message::Shutdown => "Shutdown",
@@ -473,8 +413,6 @@ impl Message {
                 params,
                 layout,
                 dataset,
-                shard_first,
-                shard_rows,
                 threads,
                 trace_level,
                 io_mode,
@@ -493,8 +431,6 @@ impl Message {
                 put_i64s(&mut out, params);
                 put_bytes(&mut out, layout);
                 put_str(&mut out, dataset);
-                out.extend_from_slice(&shard_first.to_le_bytes());
-                out.extend_from_slice(&shard_rows.to_le_bytes());
                 out.extend_from_slice(&threads.to_le_bytes());
                 out.push(*trace_level);
                 out.push(*io_mode);
@@ -508,32 +444,6 @@ impl Message {
                 out.extend_from_slice(&scheme_cells.to_le_bytes());
                 out.extend_from_slice(&scheme_mask.to_le_bytes());
                 out.push(*splitter);
-            }
-            Message::Round {
-                round,
-                attempt,
-                state,
-                shards,
-            } => {
-                out.extend_from_slice(&round.to_le_bytes());
-                out.extend_from_slice(&attempt.to_le_bytes());
-                put_f64s(&mut out, state);
-                put_u64_pairs(&mut out, shards);
-            }
-            Message::RoundResult {
-                round,
-                attempt,
-                shards,
-                elapsed_ns,
-            } => {
-                out.extend_from_slice(&round.to_le_bytes());
-                out.extend_from_slice(&attempt.to_le_bytes());
-                out.extend_from_slice(&elapsed_ns.to_le_bytes());
-                out.extend_from_slice(&(shards.len() as u32).to_le_bytes());
-                for (first, cells) in shards {
-                    out.extend_from_slice(&first.to_le_bytes());
-                    put_bytes(&mut out, cells);
-                }
             }
             Message::EndJob | Message::Shutdown => {}
             Message::JobDone { trace, metrics } => {
@@ -620,8 +530,6 @@ impl Message {
                 params: r.i64s("params")?,
                 layout: r.bytes("layout")?,
                 dataset: r.string("dataset")?,
-                shard_first: r.u64("shard_first")?,
-                shard_rows: r.u64("shard_rows")?,
                 threads: r.u32("threads")?,
                 trace_level: r.u8("trace_level")?,
                 io_mode: r.u8("io_mode")?,
@@ -636,30 +544,6 @@ impl Message {
                 scheme_mask: r.u64("scheme_mask")?,
                 splitter: r.u8("splitter")?,
             },
-            TYPE_ROUND => Message::Round {
-                round: r.u32("round")?,
-                attempt: r.u32("attempt")?,
-                state: r.f64s("state")?,
-                shards: r.u64_pairs("shards")?,
-            },
-            TYPE_ROUND_RESULT => {
-                let round = r.u32("round")?;
-                let attempt = r.u32("attempt")?;
-                let elapsed_ns = r.u64("elapsed_ns")?;
-                let n = r.len("shard results")?;
-                let mut shards = Vec::with_capacity(n.min(1 << 12));
-                for _ in 0..n {
-                    let first = r.u64("shard first_row")?;
-                    let cells = r.bytes("shard cells")?;
-                    shards.push((first, cells));
-                }
-                Message::RoundResult {
-                    round,
-                    attempt,
-                    shards,
-                    elapsed_ns,
-                }
-            }
             TYPE_END_JOB => Message::EndJob,
             TYPE_JOB_DONE => Message::JobDone {
                 trace: r.bytes("trace")?,
@@ -825,8 +709,6 @@ mod proto_tests {
                 params: vec![4, 2],
                 layout: vec![1, 2, 3],
                 dataset: "/tmp/points.frds".into(),
-                shard_first: 100,
-                shard_rows: 50,
                 threads: 2,
                 trace_level: 1,
                 io_mode: 1,
@@ -840,18 +722,6 @@ mod proto_tests {
                 scheme_cells: 128,
                 scheme_mask: 0b1011,
                 splitter: 1,
-            },
-            Message::Round {
-                round: 7,
-                attempt: 2,
-                state: vec![1.5, -2.0],
-                shards: vec![(0, 100), (300, 50)],
-            },
-            Message::RoundResult {
-                round: 7,
-                attempt: 2,
-                shards: vec![(0, vec![9, 8, 7]), (300, vec![1])],
-                elapsed_ns: 123_456_789,
             },
             Message::EndJob,
             Message::JobDone {
@@ -955,14 +825,18 @@ mod proto_tests {
         assert!(err.to_string().contains("version"), "{err}");
     }
 
+    /// 4 and 5 are the type bytes of the round pair retired in v7.
     #[test]
-    fn unknown_type_rejected() {
-        let mut frame = Message::EndJob.encode();
-        frame[5] = 200;
-        assert!(matches!(
-            read_message(&mut &frame[..]),
-            Err(DistError::Protocol { .. })
-        ));
+    fn unknown_and_retired_types_rejected() {
+        for type_byte in [4u8, 5, 200] {
+            let mut frame = Message::EndJob.encode();
+            frame[5] = type_byte;
+            let err = read_message(&mut &frame[..]).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown message type"),
+                "type {type_byte}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1002,11 +876,10 @@ mod proto_tests {
 
     #[test]
     fn corrupt_inner_array_length_rejected() {
-        let msg = Message::Round {
+        let msg = Message::RoundStart {
             round: 1,
             attempt: 0,
             state: vec![1.0, 2.0],
-            shards: vec![],
         };
         let mut frame = msg.encode();
         // The state length field sits right after header(10) + round(4)

@@ -32,11 +32,7 @@ use crate::node;
 use crate::proto::{read_message, write_message, Message};
 use crate::tasks;
 
-/// One node's round answer: its `(first_row, cells)` shard payloads
-/// plus the node-measured round time in nanoseconds.
-type RoundShards = (Vec<(u64, Vec<u8>)>, u64);
-
-/// One elastic worker thread's round outcome, folded into the global
+/// One round worker thread's outcome, folded into the global
 /// stats/telemetry by the coordinator thread after the scope ends —
 /// workers themselves are telemetry-free so trace emission stays
 /// single-threaded and deterministic.
@@ -46,8 +42,8 @@ struct WorkerOut {
     /// `ClusterStats` because `NodeConn::send`/`recv` count into one).
     stats: ClusterStats,
     /// Sum of node-measured per-unit times — the busy-time signal for
-    /// straggler detection (with workers running concurrently, the
-    /// coordinator's own clock says nothing about any one node).
+    /// straggler detection (the coordinator's own clock would charge a
+    /// node for waiting on its peers).
     busy_ns: u64,
     /// `(first_row, cells)` per completed unit.
     results: Vec<(u64, Vec<u8>)>,
@@ -63,7 +59,7 @@ impl WorkerOut {
     fn panicked() -> WorkerOut {
         WorkerOut {
             err: Some(DistError::Protocol {
-                reason: "elastic round worker panicked".into(),
+                reason: "round worker panicked".into(),
             }),
             ..WorkerOut::default()
         }
@@ -206,10 +202,7 @@ impl Fleet {
                     (first, (id + 1) * rows / addrs.len() - first)
                 }
             };
-            conn.send(
-                &job_message(cfg, layout_frame, first as u64, count as u64),
-                stats,
-            )?;
+            conn.send(&job_message(cfg, layout_frame), stats)?;
             fleet.nodes.push(LiveNode {
                 conn,
                 shards: vec![(first as u64, count as u64)],
@@ -221,8 +214,8 @@ impl Fleet {
 
     /// Absorb pending joiner connections from the membership hub:
     /// Join → Hello/HelloAck → Job, then add the node live with **no
-    /// shards** — work reaches it through unit stealing (elastic
-    /// rounds) or FT reassignment (classic rounds). A broken joiner
+    /// shards** — work reaches it through unit stealing or through
+    /// the shards of a node that leaves or dies. A broken joiner
     /// (handshake failure, timeout, garbage) is dropped without
     /// failing the job; returns the ids actually admitted.
     pub(crate) fn absorb_joiners(
@@ -264,7 +257,7 @@ impl Fleet {
                         })
                     }
                 }
-                conn.send(&job_message(cfg, layout_frame, 0, 0), stats)?;
+                conn.send(&job_message(cfg, layout_frame), stats)?;
                 conn.stream.set_read_timeout(Some(cfg.read_timeout))?;
                 Ok(LiveNode {
                     conn,
@@ -310,11 +303,26 @@ impl Fleet {
         map
     }
 
-    /// Remove a failed node, returning it so the caller can reassign
-    /// its shards. Its connection closes on drop; no goodbye is owed to
-    /// a node already diagnosed dead.
+    /// Remove a dead or departed node, returning it so the caller can
+    /// [`adopt`](Fleet::adopt) its shards. Its connection closes on
+    /// drop; no goodbye is owed to a node already gone.
     pub(crate) fn remove(&mut self, idx: usize) -> LiveNode {
         self.nodes.remove(idx)
+    }
+
+    /// Hand orphaned shards to the least-loaded survivors. The shard
+    /// map's range *set* — and therefore every round's unit set and
+    /// merge fold — is unchanged, so balance is the only concern.
+    pub(crate) fn adopt(&mut self, shards: Vec<(u64, u64)>) {
+        for sh in shards {
+            let tgt = self
+                .nodes
+                .iter_mut()
+                .min_by_key(|n| n.shards.len())
+                .expect("at least one survivor");
+            tgt.shards.push(sh);
+            tgt.shards.sort_unstable();
+        }
     }
 
     /// Happy-path teardown: per node, EndJob → collect the shipped
@@ -333,9 +341,8 @@ impl Fleet {
             n.conn.send(&Message::EndJob, stats)?;
             let msg = loop {
                 let msg = n.conn.recv("JobDone", stats)?;
-                // A periodic stats push from the last elastic round can
-                // land just ahead of JobDone; absorb it like a round
-                // recv would.
+                // The last round's periodic stats push lands just ahead
+                // of JobDone; absorb it like a round recv would.
                 if let Message::Stats { metrics, .. } = &msg {
                     n.last_stats = Some(MetricsSnapshot::decode_bin(metrics)?);
                     continue;
@@ -383,10 +390,8 @@ impl Drop for Fleet {
 }
 
 /// The `Job` setup frame for `cfg`, shared between the initial
-/// connect handshake and mid-job joiner absorption (joiners get the
-/// empty `0/0` shard: their work arrives as stolen units or FT
-/// reassignments, never a Job-time shard).
-fn job_message(cfg: &ClusterConfig, layout_frame: &[u8], first: u64, rows: u64) -> Message {
+/// connect handshake and mid-job joiner absorption.
+fn job_message(cfg: &ClusterConfig, layout_frame: &[u8]) -> Message {
     let (io_mode, chunk_rows, buffers, readers) = crate::proto::io_mode_to_wire(&cfg.io);
     let (scheme, scheme_stripes, scheme_cells, scheme_mask) =
         crate::proto::scheme_to_wire(cfg.scheme);
@@ -395,8 +400,6 @@ fn job_message(cfg: &ClusterConfig, layout_frame: &[u8], first: u64, rows: u64) 
         params: cfg.params.clone(),
         layout: layout_frame.to_vec(),
         dataset: cfg.dataset.to_string_lossy().into_owned(),
-        shard_first: first,
-        shard_rows: rows,
         threads: cfg.threads_per_node.max(1) as u32,
         trace_level: node::trace_level_ordinal(cfg.trace),
         io_mode,
@@ -599,6 +602,7 @@ impl<'a> JobDriver<'a> {
         // the whole run: work units must be a pure function of the
         // shard map and grain — never of live membership — so that
         // joins, leaves and steals cannot change the merge fold.
+        // (Read only when stealing is on.)
         let grain = if cfg.elastic.steal_grain > 0 {
             cfg.elastic.steal_grain
         } else {
@@ -640,29 +644,17 @@ impl<'a> JobDriver<'a> {
                 }
             }
             loop {
-                let outcome = if cfg.elastic.steal {
-                    self.try_round_elastic(
-                        &mut fleet,
-                        &layout,
-                        round,
-                        attempt,
-                        &state,
-                        &mut merged,
-                        &mut stats,
-                        grain,
-                        &mut dead_stats,
-                    )
-                } else {
-                    self.try_round(
-                        &mut fleet,
-                        &layout,
-                        round,
-                        attempt,
-                        &state,
-                        &mut merged,
-                        &mut stats,
-                    )
-                };
+                let outcome = self.round_attempt(
+                    &mut fleet,
+                    &layout,
+                    round,
+                    attempt,
+                    &state,
+                    &mut merged,
+                    &mut stats,
+                    grain,
+                    &mut dead_stats,
+                );
                 match outcome {
                     Ok(()) => break,
                     Err((idx, err)) => {
@@ -705,19 +697,7 @@ impl<'a> JobDriver<'a> {
                         rspan.attr_int("round", round as i64);
                         rspan.attr_int("attempt", attempt as i64);
                         rspan.attr_int("shards_reassigned", moved as i64);
-                        // Reassign orphaned shards to the least-loaded
-                        // survivors. Per-shard results keep the global
-                        // combination order independent of placement,
-                        // so balance is the only concern here.
-                        for sh in dead.shards {
-                            let tgt = (0..fleet.nodes.len())
-                                .min_by_key(|&i| fleet.nodes[i].shards.len())
-                                .expect("at least one survivor");
-                            fleet.nodes[tgt].shards.push(sh);
-                        }
-                        for n in fleet.nodes.iter_mut() {
-                            n.shards.sort_unstable();
-                        }
+                        fleet.adopt(dead.shards);
                         rec.add_counter("ft.recoveries", 1);
                         rec.add_counter("ft.shards_reassigned", moved as i64);
                         rec.add_counter("ft.retries", 1);
@@ -833,111 +813,34 @@ impl<'a> JobDriver<'a> {
         })
     }
 
-    /// One delivery attempt of one round: broadcast `Round` to every
-    /// live node, gather per-shard results, and merge them **in
-    /// ascending `first_row` order** into `merged`. On failure returns
-    /// the index (into the fleet) of the node that failed, for the
-    /// recovery loop to remove and reassign.
-    #[allow(clippy::too_many_arguments)]
-    fn try_round(
-        &self,
-        fleet: &mut Fleet,
-        layout: &Arc<RObjLayout>,
-        round: usize,
-        attempt: u32,
-        state: &[f64],
-        merged: &mut ReductionObject,
-        stats: &mut ClusterStats,
-    ) -> Result<(), (usize, DistError)> {
-        let rec = self.recorder;
-        let mut span = rec.span(TraceLevel::Phases, "cluster.round", "dist", 0);
-        span.attr_int("round", round as i64);
-        span.attr_int("attempt", attempt as i64);
-        for (i, n) in fleet.nodes.iter_mut().enumerate() {
-            // A mid-job joiner holds no shards until an FT reassignment
-            // gives it some; classic rounds leave it idle rather than
-            // folding in an empty shard result.
-            if n.shards.is_empty() {
-                continue;
-            }
-            n.conn
-                .send(
-                    &Message::Round {
-                        round: round as u32,
-                        attempt,
-                        state: state.to_vec(),
-                        shards: n.shards.clone(),
-                    },
-                    stats,
-                )
-                .map_err(|e| (i, e))?;
-        }
-        merged.reset();
-        let mut cspan = rec.span(TraceLevel::Phases, "cluster.combine", "dist", 0);
-        cspan.attr_int("round", round as i64);
-        let mut all: Vec<(u64, Vec<u8>, usize)> = Vec::new();
-        // Node-measured round times, for straggler detection: the
-        // coordinator's own receive order is serialised (blocking
-        // recvs node by node), so only the `elapsed_ns` each node
-        // reports is a placement-independent latency signal.
-        let mut elapsed: Vec<(usize, u64)> = Vec::with_capacity(fleet.nodes.len());
-        let hub = rec.hub();
-        for (i, n) in fleet.nodes.iter_mut().enumerate() {
-            if n.shards.is_empty() {
-                continue;
-            }
-            let recv_before = stats.bytes_recv;
-            let (results, elapsed_ns) =
-                Self::recv_round_result(n, round as u32, attempt, stats).map_err(|e| (i, e))?;
-            elapsed.push((n.conn.id, elapsed_ns));
-            if hub.is_enabled() {
-                let id = n.conn.id;
-                hub.add(metric_name(&format!("node{id}.rounds")), 1);
-                hub.observe(metric_name(&format!("node{id}.round_ns")), elapsed_ns);
-                hub.add(
-                    metric_name(&format!("node{id}.bytes")),
-                    (stats.bytes_recv - recv_before) as i64,
-                );
-            }
-            for (first, cells) in results {
-                all.push((first, cells, i));
-            }
-        }
-        self.flag_stragglers(&elapsed, round, attempt, stats);
-        // Global combination in ascending row order: the fold sequence
-        // over shards is a pure function of the shard set, not of the
-        // shard → node placement, which makes recovered runs
-        // bit-identical to undisturbed ones.
-        all.sort_by_key(|&(first, _, _)| first);
-        for (_, cells, from) in &all {
-            let shard =
-                ReductionObject::decode_cells(layout, cells).map_err(|e| (*from, e.into()))?;
-            merged.merge_from(&shard);
-        }
-        Ok(())
-    }
-
-    /// One delivery attempt of one elastic round: shards are split into
-    /// grain-sized work units, planned onto the live nodes by the
-    /// placement policy, and drained concurrently through a
-    /// [`StealQueue`] — one coordinator worker thread per node, so an
-    /// idle node steals from the back of a straggler's queue instead of
-    /// waiting at the barrier.
+    /// One delivery attempt of one round: the round's work units are
+    /// seeded onto the live nodes and drained concurrently through a
+    /// [`StealQueue`], one coordinator worker thread per node, then
+    /// merged **in ascending `first_row` order** into `merged`.
+    ///
+    /// [`ElasticPolicy::steal`](cfr_elastic::ElasticPolicy) picks the
+    /// two inputs. Off: the units are the shards themselves, each on
+    /// the node that owns it, and the queue hands a unit to another
+    /// node only when its owner left or died. On: shards are cut into
+    /// grain-sized units, planned onto the nodes by the placement
+    /// policy, and an idle node steals from the back of a straggler's
+    /// queue instead of waiting at the barrier.
     ///
     /// Bit-identity survives all of this because the unit set is a pure
     /// function of the shard map and the (run-fixed) grain — never of
-    /// live membership — and the global combination below folds the
-    /// unit results in ascending `first_row` order exactly like the
-    /// classic path folds shards. Who computed a unit, and in what
-    /// order results arrived, cannot reach the FP fold.
+    /// live membership or placement — and the global combination folds
+    /// the unit results in ascending `first_row` order. Who computed a
+    /// unit, and in what order results arrived, cannot reach the FP
+    /// fold, so recovered, stolen and churned runs match undisturbed
+    /// ones to the bit.
     ///
     /// Nodes that announce [`Message::Leave`] mid-round hand their
     /// units back to the queue, are merged normally, and are removed
     /// from the fleet *after* the merge — a voluntary leave burns no
-    /// retry. Hard failures return `Err((slot, err))` into the same
-    /// recovery loop as classic rounds.
+    /// retry. A hard failure returns the fleet index of the node that
+    /// failed, for the recovery loop to remove and reassign.
     #[allow(clippy::too_many_arguments)]
-    fn try_round_elastic(
+    fn round_attempt(
         &self,
         fleet: &mut Fleet,
         layout: &Arc<RObjLayout>,
@@ -953,12 +856,20 @@ impl<'a> JobDriver<'a> {
         let mut span = rec.span(TraceLevel::Phases, "cluster.round", "dist", 0);
         span.attr_int("round", round as i64);
         span.attr_int("attempt", attempt as i64);
-        span.attr_int("elastic", 1);
-        let units = split_units(&fleet.shard_map(), grain);
-        span.attr_int("units", units.len() as i64);
         let node_ids: Vec<usize> = fleet.nodes.iter().map(|n| n.conn.id).collect();
-        let live_ids: Vec<u32> = node_ids.iter().map(|&id| id as u32).collect();
-        let queue = StealQueue::new(plan(&units, &live_ids, &self.config.elastic.placement));
+        let steal = self.config.elastic.steal;
+        let seeds = if steal {
+            let units = split_units(&fleet.shard_map(), grain);
+            let live_ids: Vec<u32> = node_ids.iter().map(|&id| id as u32).collect();
+            plan(&units, &live_ids, &self.config.elastic.placement)
+        } else {
+            let own = |n: &LiveNode| split_units(&n.shards, 0);
+            fleet.nodes.iter().map(own).collect()
+        };
+        let units: usize = seeds.iter().map(Vec::len).sum();
+        span.attr_int("units", units as i64);
+        span.attr_int("steal", steal as i64);
+        let queue = StealQueue::new(seeds, steal);
 
         // One worker per node, each owning a disjoint `&mut LiveNode`.
         // Workers are telemetry-free (the per-node byte counts travel in
@@ -972,7 +883,7 @@ impl<'a> JobDriver<'a> {
                 .iter_mut()
                 .enumerate()
                 .map(|(i, n)| {
-                    s.spawn(move || Self::elastic_worker(i, n, queue, round as u32, attempt, state))
+                    s.spawn(move || Self::round_worker(i, n, queue, round as u32, attempt, state))
                 })
                 .collect();
             handles
@@ -1000,8 +911,8 @@ impl<'a> JobDriver<'a> {
             }
         }
         // First hard failure (lowest fleet slot) wins and feeds the
-        // classic recovery loop; stale UnitResults from this aborted
-        // attempt are drained by the (round, attempt) echo on retry.
+        // recovery loop; stale UnitResults from this aborted attempt
+        // are drained by the (round, attempt) echo on retry.
         if let Some(slot) = outs.iter().position(|o| o.err.is_some()) {
             let err = outs
                 .into_iter()
@@ -1011,14 +922,11 @@ impl<'a> JobDriver<'a> {
             return Err((slot, err));
         }
         let total: usize = outs.iter().map(|o| o.results.len()).sum();
-        if total != units.len() {
+        if total != units {
             return Err((
                 0,
                 DistError::Protocol {
-                    reason: format!(
-                        "elastic round {round} lost units: merged {total} of {}",
-                        units.len()
-                    ),
+                    reason: format!("round {round} lost units: merged {total} of {units}"),
                 },
             ));
         }
@@ -1047,10 +955,12 @@ impl<'a> JobDriver<'a> {
             }
         }
 
+        // A node that ran nothing (a joiner holding no shards with
+        // stealing off) is not a latency sample.
         let elapsed: Vec<(usize, u64)> = outs
             .iter()
             .zip(&node_ids)
-            .filter(|(o, _)| !o.left)
+            .filter(|(o, _)| !o.left && !o.results.is_empty())
             .map(|(o, &id)| (id, o.busy_ns))
             .collect();
         self.flag_stragglers(&elapsed, round, attempt, stats);
@@ -1080,10 +990,7 @@ impl<'a> JobDriver<'a> {
         }
 
         // Leavers last, in descending slot order so earlier slots stay
-        // valid while later ones are removed. Their shards go to the
-        // least-loaded survivors (same balance rule as FT recovery),
-        // keeping the shard map's range *set* — and therefore the unit
-        // set — unchanged.
+        // valid while later ones are removed.
         let leavers: Vec<usize> = outs
             .iter()
             .enumerate()
@@ -1123,26 +1030,18 @@ impl<'a> JobDriver<'a> {
                     },
                 ));
             }
-            for sh in gone.shards {
-                let tgt = (0..fleet.nodes.len())
-                    .min_by_key(|&i| fleet.nodes[i].shards.len())
-                    .expect("at least one survivor");
-                fleet.nodes[tgt].shards.push(sh);
-            }
-            for n in fleet.nodes.iter_mut() {
-                n.shards.sort_unstable();
-            }
+            fleet.adopt(gone.shards);
         }
         Ok(())
     }
 
-    /// The per-node driver thread of one elastic round attempt:
-    /// RoundStart, then pop/send/await units until the queue drains,
-    /// then RoundEnd. Any hard failure closes the queue so sibling
+    /// The per-node driver thread of one round attempt: RoundStart,
+    /// then pop/send/await units until the queue drains, then
+    /// RoundEnd. Any hard failure closes the queue so sibling
     /// workers unblock instead of waiting on in-flight work that will
     /// never complete; a Leave answer hands work back and exits
     /// cleanly.
-    fn elastic_worker(
+    fn round_worker(
         slot: usize,
         node: &mut LiveNode,
         queue: &StealQueue,
@@ -1212,9 +1111,9 @@ impl<'a> JobDriver<'a> {
                             queue.done();
                             break;
                         }
-                        // A leftover from an attempt a failure aborted;
-                        // discard and keep reading, like the classic
-                        // (round, attempt) echo drain.
+                        // A leftover from an attempt a failure aborted —
+                        // the node had already computed it when the
+                        // coordinator moved on. Discard and keep reading.
                         let stale = r < round || (r == round && a < attempt);
                         if !stale {
                             fail(
@@ -1320,60 +1219,6 @@ impl<'a> JobDriver<'a> {
                     ns as f64 / 1e6,
                     median as f64 / 1e6
                 );
-            }
-        }
-    }
-
-    /// Receive the `(round, attempt)` result from one node, absorbing
-    /// in-band periodic stats pushes and draining stale results of
-    /// aborted earlier attempts. Returns the per-shard cells and the
-    /// node-measured round time.
-    fn recv_round_result(
-        node: &mut LiveNode,
-        round: u32,
-        attempt: u32,
-        stats: &mut ClusterStats,
-    ) -> Result<RoundShards, DistError> {
-        let conn = &mut node.conn;
-        loop {
-            let msg = conn.recv("RoundResult", stats)?;
-            if let Message::Stats { metrics, .. } = &msg {
-                // Periodic node push: remember the latest snapshot and
-                // keep waiting for the round result proper.
-                node.last_stats = Some(MetricsSnapshot::decode_bin(metrics)?);
-                continue;
-            }
-            let Message::RoundResult {
-                round: got_round,
-                attempt: got_attempt,
-                elapsed_ns,
-                shards,
-            } = msg
-            else {
-                return Err(DistError::Protocol {
-                    reason: format!(
-                        "node {}: expected RoundResult, got {}",
-                        conn.id,
-                        msg.kind_name()
-                    ),
-                });
-            };
-            if (got_round, got_attempt) == (round, attempt) {
-                return Ok((shards, elapsed_ns));
-            }
-            // A result for the same round under a lower attempt (or an
-            // already-completed round) is a leftover from an attempt a
-            // failure aborted — the node had already computed it when
-            // the coordinator moved on. Discard and keep reading.
-            let stale = got_round < round || (got_round == round && got_attempt < attempt);
-            if !stale {
-                return Err(DistError::Protocol {
-                    reason: format!(
-                        "node {}: RoundResult for round {got_round} attempt {got_attempt}, \
-                         expected {round}/{attempt}",
-                        conn.id
-                    ),
-                });
             }
         }
     }

@@ -5,6 +5,7 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
+use freeride_dist::node::Behaviour;
 use freeride_dist::proto::{read_message, write_message, Message};
 use freeride_dist::{
     resume_loopback, run_loopback, ClusterConfig, Coordinator, DistError, LoopbackCluster,
@@ -101,7 +102,7 @@ fn node_dropping_mid_round_surfaces_clean_error_not_hang() {
         };
         write_message(&mut stream, &Message::HelloAck { node_id }).unwrap();
         let _job = read_message(&mut stream).unwrap();
-        let _round = read_message(&mut stream).unwrap();
+        let _round_start = read_message(&mut stream).unwrap();
         // Drop the stream without answering the round.
         drop(stream);
     });
@@ -160,7 +161,9 @@ fn silent_node_trips_read_timeout() {
 fn version_mismatched_frame_rejected_over_socket() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let server = std::thread::spawn(move || freeride_dist::node::serve(&listener));
+    let server = std::thread::spawn(move || {
+        freeride_dist::node::serve_with(&listener, Behaviour::default())
+    });
     let mut stream = TcpStream::connect(addr).unwrap();
     let mut frame = Message::Hello { node_id: 0 }.encode();
     frame[4] = 99; // wire version byte
@@ -256,7 +259,7 @@ fn streaming_io_matches_sync_over_loopback() {
 /// time) fails a streaming round with a typed [`DistError::Node`] at
 /// the coordinator — never a hang. A frame-aware proxy sits between the
 /// coordinator and a real node agent and truncates the file in the gap
-/// between forwarding `Job` and `Round`.
+/// between forwarding `Job` and `RoundStart`.
 #[test]
 fn streaming_truncation_mid_run_surfaces_as_node_error() {
     let data: Vec<f64> = (0..40_000).map(|i| i as f64).collect();
@@ -286,7 +289,7 @@ fn streaming_truncation_mid_run_surfaces_as_node_error() {
             }
             if was_job {
                 // Give the node time to validate the intact file, then
-                // cut the payload in half before the Round goes out.
+                // cut the payload in half before the round goes out.
                 std::thread::sleep(Duration::from_millis(300));
                 let f = std::fs::OpenOptions::new()
                     .write(true)
@@ -374,7 +377,7 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 
 /// The tentpole acceptance gate: kill a real node agent mid-round and
 /// the recovered run is **bit-identical** to an undisturbed run of the
-/// same cluster shape — per-shard results merged in global row order
+/// same cluster shape — per-unit results merged in global row order
 /// make the combination fold independent of shard placement.
 #[test]
 fn killed_node_recovery_is_bit_identical_for_kmeans() {
@@ -383,9 +386,9 @@ fn killed_node_recovery_is_bit_identical_for_kmeans() {
         let path = dataset(&format!("ft-kmeans-{nodes}"), 2, &data);
         let baseline = run_loopback(kmeans_cfg(&path, 3), nodes).unwrap();
 
-        // Node 1 answers one round, then severs its connection
+        // Node 1 completes one round, then severs its connection
         // mid-round — what a SIGKILLed process looks like on the wire.
-        let cluster = LoopbackCluster::spawn_with_chaos(nodes, &[(1, 1)]).unwrap();
+        let cluster = LoopbackCluster::spawn_with(nodes, &[(1, Behaviour::dies_after(1))]).unwrap();
         let mut cfg = kmeans_cfg(&path, 3);
         cfg.trace = TraceLevel::Phases;
         let out = Coordinator::new(cfg).run(cluster.addrs()).unwrap();
@@ -419,7 +422,7 @@ fn killed_node_recovery_is_bit_identical_for_sum() {
     let path = dataset("ft-sum", 4, &data);
     let baseline = run_loopback(ClusterConfig::new("sum", &path), 4).unwrap();
 
-    let cluster = LoopbackCluster::spawn_with_chaos(4, &[(2, 0)]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(4, &[(2, Behaviour::dies_after(0))]).unwrap();
     let mut cfg = ClusterConfig::new("sum", &path);
     cfg.read_timeout = Duration::from_secs(5);
     let out = Coordinator::new(cfg).run(cluster.addrs()).unwrap();
@@ -435,7 +438,7 @@ fn killed_node_recovery_is_bit_identical_for_sum() {
 fn killed_node_with_no_survivors_is_typed_error() {
     let data = vec![1.0; 64];
     let path = dataset("ft-lonely", 2, &data);
-    let cluster = LoopbackCluster::spawn_with_chaos(1, &[(0, 0)]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(1, &[(0, Behaviour::dies_after(0))]).unwrap();
     let mut cfg = ClusterConfig::new("sum", &path);
     cfg.read_timeout = Duration::from_millis(500);
     let start = std::time::Instant::now();
@@ -457,7 +460,11 @@ fn retry_budget_exhaustion_is_typed() {
     let path = dataset("ft-budget", 2, &data);
     // Two of three nodes die on their first round; budget allows one
     // recovery.
-    let cluster = LoopbackCluster::spawn_with_chaos(3, &[(1, 0), (2, 0)]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(
+        3,
+        &[(1, Behaviour::dies_after(0)), (2, Behaviour::dies_after(0))],
+    )
+    .unwrap();
     let mut cfg = ClusterConfig::new("sum", &path);
     cfg.read_timeout = Duration::from_millis(500);
     cfg.ft.max_retries = 1;
@@ -482,7 +489,7 @@ fn retry_budget_exhaustion_is_typed() {
 fn reassign_false_fails_fast() {
     let data = vec![1.0; 120];
     let path = dataset("ft-failfast", 2, &data);
-    let cluster = LoopbackCluster::spawn_with_chaos(2, &[(0, 0)]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(2, &[(0, Behaviour::dies_after(0))]).unwrap();
     let mut cfg = ClusterConfig::new("sum", &path);
     cfg.read_timeout = Duration::from_millis(500);
     cfg.ft.reassign = false;
@@ -544,7 +551,7 @@ fn resume_after_coordinator_crash_is_bit_identical() {
 
     // The "crashing" run: recovery disabled so the node kill after two
     // answered rounds aborts the job, leaving checkpoints 0 and 1.
-    let cluster = LoopbackCluster::spawn_with_chaos(2, &[(0, 2)]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(2, &[(0, Behaviour::dies_after(2))]).unwrap();
     let mut cfg = kmeans_cfg(&path, 5);
     cfg.checkpoint_dir = Some(dir.clone());
     cfg.ft.reassign = false;
@@ -761,9 +768,9 @@ fn live_counters_bit_match_trace_reconstruction() {
     let trace_chunks: usize = out.stats.node_stats.iter().map(|s| s.io.chunks).sum();
     assert_eq!(telemetry.counter("io.bytes_read"), trace_bytes as i64);
     assert_eq!(telemetry.counter("io.chunks"), trace_chunks as i64);
-    // One node.pass span per shard pass; the live counter agrees.
+    // One node.pass span per work unit; the live counter agrees.
     assert_eq!(
-        telemetry.counter("node.shards"),
+        telemetry.counter("node.units"),
         trace.count("node.pass") as i64
     );
 
@@ -771,8 +778,8 @@ fn live_counters_bit_match_trace_reconstruction() {
     let decoded = obs::MetricsSnapshot::decode_bin(&telemetry.encode_bin()).unwrap();
     assert_eq!(&decoded, telemetry);
 
-    // Round latency histograms: one sample per node per round, both
-    // node-measured and coordinator-observed.
+    // Round latency histograms: one node-measured sample per node per
+    // round.
     let hist = telemetry
         .histograms
         .get("node.round_ns")
@@ -792,7 +799,7 @@ fn slow_node_is_flagged_as_straggler() {
     let path = dataset("straggler", 4, &data);
     let baseline = run_loopback(ClusterConfig::new("sum", &path), 2).unwrap();
 
-    let cluster = LoopbackCluster::spawn_with_slow(2, &[(1, 60)]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(2, &[(1, Behaviour::slow(60))]).unwrap();
     let mut cfg = ClusterConfig::new("sum", &path);
     cfg.rounds = 3;
     cfg.trace = TraceLevel::Phases;
@@ -848,7 +855,7 @@ fn dead_node_last_stats_push_survives_into_aggregate() {
 
     // Node 1 pushes stats every round and dies mid-round after
     // answering one round.
-    let cluster = LoopbackCluster::spawn_with_chaos(2, &[(1, 1)]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(2, &[(1, Behaviour::dies_after(1))]).unwrap();
     let mut cfg = kmeans_cfg(&path, 3);
     cfg.trace = TraceLevel::Phases;
     cfg.telemetry.stats_every = 1;
@@ -859,9 +866,9 @@ fn dead_node_last_stats_push_survives_into_aggregate() {
     let telemetry = out.telemetry.as_ref().expect("hub was enabled");
     assert_eq!(telemetry.counter("health.node_failures"), 1);
     assert_eq!(telemetry.counter("fleet.rounds"), 3);
-    // The survivor answers every round (4 passes including the retried
-    // attempt); the dead node's single answered round is visible only
-    // through its retained stats push.
+    // The survivor sees four rounds end (the aborted attempt included);
+    // the dead node's single completed round is visible only through
+    // its retained stats push.
     assert!(
         telemetry.counter("node.rounds") > 4,
         "dead node's push missing: node.rounds = {}",

@@ -1,17 +1,18 @@
-//! Elastic scheduling end-to-end tests: work-stealing rounds, mid-job
-//! membership (join/leave), and the bit-identity invariant that holds
-//! through all of it — the unit set is a pure function of the shard
-//! map and the run-fixed grain, and the coordinator folds unit results
-//! in ascending `first_row` order, so *who* computed a unit can never
-//! reach the floating-point fold.
+//! Elastic scheduling end-to-end tests: work stealing, mid-job
+//! membership (join/leave), hard death under stealing, and the
+//! bit-identity invariant that holds through all of it — the unit set
+//! is a pure function of the shard map and the run-fixed grain, and
+//! the coordinator folds unit results in ascending `first_row` order,
+//! so *who* computed a unit can never reach the floating-point fold.
 
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+use freeride_dist::node::{self, Behaviour};
 use freeride_dist::{
-    node, run_loopback, ClusterConfig, Coordinator, JobDriver, LoopbackCluster, MembershipHub,
+    run_loopback, ClusterConfig, Coordinator, JobDriver, LoopbackCluster, MembershipHub,
 };
 use obs::{Recorder, TraceLevel};
 
@@ -56,22 +57,22 @@ fn elastic(mut cfg: ClusterConfig, grain: u64) -> ClusterConfig {
     cfg
 }
 
-/// Elastic rounds over integer-valued data are bit-identical to the
-/// classic whole-shard rounds at every grain and fleet size: integer
+/// Grain-split rounds over integer-valued data are bit-identical to
+/// one-unit-per-shard rounds at every grain and fleet size: integer
 /// sums are exact in f64, so any difference would be a coverage bug
 /// (a row lost or double-counted by the unit split), not FP jitter.
 #[test]
-fn elastic_rounds_match_classic_for_integer_data() {
+fn grain_split_rounds_match_whole_shard_rounds_for_integer_data() {
     let data: Vec<f64> = (0..1000).map(|i| ((i * 13 + 5) % 91) as f64).collect();
     let path = dataset("int-sum", 4, &data);
-    let classic = run_loopback(ClusterConfig::new("sum", &path), 2).unwrap();
+    let whole = run_loopback(ClusterConfig::new("sum", &path), 2).unwrap();
     for grain in [0u64, 1, 7, 25, 1000] {
         for nodes in [1usize, 2, 3] {
             let out = run_loopback(elastic(ClusterConfig::new("sum", &path), grain), nodes)
                 .unwrap_or_else(|e| panic!("grain {grain}, {nodes} nodes: {e}"));
             assert_eq!(
                 bits(out.robj.cells()),
-                bits(classic.robj.cells()),
+                bits(whole.robj.cells()),
                 "grain {grain}, {nodes} nodes"
             );
         }
@@ -95,7 +96,7 @@ fn steal_under_slow_node_is_bit_identical() {
     // steal count.)
     let baseline = run_loopback(elastic(kmeans_cfg(&path, 3), 10), 2).unwrap();
 
-    let cluster = LoopbackCluster::spawn_elastic(2, &[(1, 20)], &[]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(2, &[(1, Behaviour::slow(20))]).unwrap();
     let mut cfg = elastic(kmeans_cfg(&path, 3), 10);
     cfg.trace = TraceLevel::Phases;
     let out = Coordinator::new(cfg).run(cluster.addrs()).unwrap();
@@ -132,7 +133,7 @@ fn mid_job_join_is_bit_identical_and_counted() {
 
     let hub = MembershipHub::bind("127.0.0.1:0").unwrap();
     let hub_addr = hub.addr();
-    let joiner = std::thread::spawn(move || node::join(&hub_addr, 0, None));
+    let joiner = std::thread::spawn(move || node::join(&hub_addr, Behaviour::default()));
     for _ in 0..400 {
         if hub.pending_count() == 1 {
             break;
@@ -181,7 +182,7 @@ fn voluntary_leave_is_bit_identical_and_burns_no_retry() {
 
     // Node 2 answers round 0, then replies to round 1's RoundStart
     // with Leave.
-    let cluster = LoopbackCluster::spawn_elastic(3, &[], &[(2, 1)]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(3, &[(2, Behaviour::leaves_after(1))]).unwrap();
     let mut cfg = elastic(kmeans_cfg(&path, 4), 10);
     cfg.trace = TraceLevel::Phases;
     let out = Coordinator::new(cfg).run(cluster.addrs()).unwrap();
@@ -199,6 +200,86 @@ fn voluntary_leave_is_bit_identical_and_burns_no_retry() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Voluntary leave with stealing off: the leaver's whole-shard unit
+/// reaches a survivor through the queue's overflow pool — never a
+/// steal — its shard moves, no retry is burned, and the run is
+/// bit-identical to the undisturbed steal-off run.
+#[test]
+fn leave_with_steal_off_is_bit_identical_and_burns_no_retry() {
+    let data = kmeans_data();
+    let path = dataset("leave-static", 2, &data);
+    let baseline = run_loopback(kmeans_cfg(&path, 4), 3).unwrap();
+
+    let cluster = LoopbackCluster::spawn_with(3, &[(2, Behaviour::leaves_after(1))]).unwrap();
+    let out = Coordinator::new(kmeans_cfg(&path, 4))
+        .run(cluster.addrs())
+        .unwrap();
+    cluster.join().unwrap();
+
+    assert_eq!(bits(&out.state), bits(&baseline.state));
+    assert_eq!(bits(out.robj.cells()), bits(baseline.robj.cells()));
+    assert_eq!(out.stats.leaves, 1);
+    assert_eq!(out.stats.steals, 0, "stealing is off");
+    assert_eq!(out.stats.retries, 0, "a voluntary leave burns no retry");
+    assert_eq!(out.stats.recoveries, 0);
+    std::fs::remove_file(&path).ok();
+}
+
+/// Hard death under stealing: node 1 completes a round, then severs
+/// its connection on its next unit. The attempt is aborted, the dead
+/// node's shard moves to a survivor, the round re-runs over the *same*
+/// 30 units — the in-flight one included — and the result is
+/// bit-identical to the undisturbed steal-on run at the same grain.
+#[test]
+fn kill_under_steal_is_bit_identical() {
+    let data = kmeans_data();
+    let path = dataset("kill-steal", 2, &data);
+    let baseline = run_loopback(elastic(kmeans_cfg(&path, 3), 10), 3).unwrap();
+
+    let cluster = LoopbackCluster::spawn_with(3, &[(1, Behaviour::dies_after(1))]).unwrap();
+    let mut cfg = elastic(kmeans_cfg(&path, 3), 10);
+    cfg.trace = TraceLevel::Phases;
+    let out = Coordinator::new(cfg).run(cluster.addrs()).unwrap();
+    cluster.join().unwrap();
+
+    assert_eq!(bits(&out.state), bits(&baseline.state));
+    assert_eq!(bits(out.robj.cells()), bits(baseline.robj.cells()));
+    assert_eq!(out.stats.retries, 1);
+    assert_eq!(out.stats.recoveries, 1);
+    assert_eq!(out.stats.shards_reassigned, 1);
+    assert_eq!(out.stats.leaves, 0);
+
+    // 300 rows at grain 10: every attempt is planned over all 30
+    // units, and the re-run executes all 30 on the two survivors.
+    let trace = out.trace.as_ref().expect("tracing was on");
+    let rounds: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "cluster.round")
+        .collect();
+    assert_eq!(rounds.len(), 4, "three rounds plus one re-run");
+    for r in &rounds {
+        assert_eq!(r.attr_i64("units"), Some(30));
+        assert_eq!(r.attr_i64("steal"), Some(1));
+    }
+    let rerun = rounds
+        .iter()
+        .find(|r| r.attr_i64("attempt") == Some(1))
+        .and_then(|r| r.attr_i64("round"))
+        .expect("one round ran under attempt 1");
+    let rerun_passes = trace
+        .spans
+        .iter()
+        .filter(|s| {
+            s.name == "node.pass"
+                && s.attr_i64("round") == Some(rerun)
+                && s.attr_i64("attempt") == Some(1)
+        })
+        .count();
+    assert_eq!(rerun_passes, 30, "a unit of the re-run round was lost");
+    std::fs::remove_file(&path).ok();
+}
+
 /// Churn composition: a joiner arrives at round 1's barrier while
 /// another node leaves at round 2 — the run still matches the
 /// undisturbed elastic baseline to the bit.
@@ -210,7 +291,7 @@ fn join_then_leave_composes_bit_identically() {
 
     let hub = MembershipHub::bind("127.0.0.1:0").unwrap();
     let hub_addr = hub.addr();
-    let joiner = std::thread::spawn(move || node::join(&hub_addr, 0, None));
+    let joiner = std::thread::spawn(move || node::join(&hub_addr, Behaviour::default()));
     for _ in 0..400 {
         if hub.pending_count() == 1 {
             break;
@@ -218,7 +299,7 @@ fn join_then_leave_composes_bit_identically() {
         std::thread::sleep(Duration::from_millis(5));
     }
     // Node 1 leaves after handling 2 rounds.
-    let cluster = LoopbackCluster::spawn_elastic(2, &[], &[(1, 2)]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(2, &[(1, Behaviour::leaves_after(2))]).unwrap();
     let cfg = elastic(kmeans_cfg(&path, 4), 10);
     let rec = Arc::new(Recorder::new(cfg.trace));
     let out = JobDriver::new(&cfg, &rec)

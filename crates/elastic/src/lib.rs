@@ -31,21 +31,16 @@ pub use units::{auto_grain, split_units, WorkUnit};
 /// Elastic scheduling knobs, carried on the cluster config.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ElasticPolicy {
-    /// Drive rounds through the work-stealing unit executor instead of
-    /// one monolithic shard message per node.
+    /// Cut each shard into grain-sized work units and let an idle node
+    /// take units from the back of a busy peer's queue. Off, a round's
+    /// units are the shards themselves and each stays on its owner.
     pub steal: bool,
-    /// Rows per work unit; 0 lets the driver pick [`auto_grain`].
+    /// Rows per work unit when `steal` is on; 0 lets the driver pick
+    /// [`auto_grain`].
     pub steal_grain: u64,
     /// Listen address for mid-job joiners (`cfr-node --join`); `None`
     /// keeps membership fixed at job start.
     pub join_listen: Option<String>,
-    /// Declarative placement of units onto nodes.
+    /// Declarative placement of grain-split units onto nodes.
     pub placement: PlacementPolicy,
-}
-
-impl ElasticPolicy {
-    /// True when the policy changes nothing about a classic run.
-    pub fn is_static(&self) -> bool {
-        !self.steal && self.join_listen.is_none()
-    }
 }

@@ -3,16 +3,19 @@
 //! One pending deque per live node (seeded by the planner) plus a
 //! shared overflow pool for units handed back by leavers. `pop_for(i)`
 //! prefers node *i*'s own queue (front, preserving row order and
-//! locality), then the overflow pool, and only then **steals from the
-//! back** of the most-loaded peer — the rows the victim would have
-//! reached last, which is exactly what a straggler won't get to.
+//! locality), then the overflow pool, and only then — when the queue
+//! was built with stealing on — **steals from the back** of the
+//! most-loaded peer: the rows the victim would have reached last,
+//! which is exactly what a straggler won't get to. With stealing off a
+//! unit leaves its seeded lane only through the overflow pool, i.e.
+//! when its node left or died.
 //!
 //! Like the chunk channel in `freeride-io`, the queue is the error
 //! path too: mutex poisoning is ignored, and `close()` wakes every
 //! blocked popper so an aborting round never strands a driver thread.
-//! A popper blocks (rather than returning "drained") while units are
-//! still in flight, because an in-flight unit may be `requeue`d by a
-//! leaver and must then be picked up by a survivor.
+//! A popper blocks (rather than returning "drained") while any unit
+//! is still pending or in flight, because it may yet be `requeue`d or
+//! `abandon`ed by a leaver and must then be picked up by a survivor.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -22,6 +25,8 @@ use crate::units::WorkUnit;
 pub struct StealQueue {
     state: Mutex<State>,
     ready: Condvar,
+    /// Whether a popper may take from another node's lane.
+    steal: bool,
 }
 
 struct State {
@@ -44,9 +49,11 @@ fn lock(m: &Mutex<State>) -> MutexGuard<'_, State> {
 }
 
 impl StealQueue {
-    /// Build the queue from the planner's per-node seed queues.
-    pub fn new(seeded: Vec<Vec<WorkUnit>>) -> StealQueue {
+    /// Build the queue from per-node seed queues; `steal` lets an
+    /// idle node take from a peer's lane.
+    pub fn new(seeded: Vec<Vec<WorkUnit>>, steal: bool) -> StealQueue {
         StealQueue {
+            steal,
             state: Mutex::new(State {
                 pending: seeded.into_iter().map(VecDeque::from).collect(),
                 overflow: VecDeque::new(),
@@ -57,9 +64,10 @@ impl StealQueue {
         }
     }
 
-    /// Pop the next unit for node slot `i`, blocking while everything
-    /// is empty but work is still in flight (it may be requeued).
-    /// Returns `None` once the round is drained or the queue closed.
+    /// Pop the next unit for node slot `i`, blocking while there is
+    /// nothing for it to take but work is still pending elsewhere or
+    /// in flight (it may be requeued). Returns `None` once the round
+    /// is drained or the queue closed.
     pub fn pop_for(&self, i: usize) -> Option<Popped> {
         let mut s = lock(&self.state);
         loop {
@@ -91,7 +99,7 @@ impl StealQueue {
                     victim = Some(j);
                 }
             }
-            if let Some(v) = victim {
+            if let Some(v) = victim.filter(|_| self.steal) {
                 let unit = s.pending[v].pop_back().expect("victim queue is non-empty");
                 s.in_flight += 1;
                 return Some(Popped {
@@ -99,7 +107,7 @@ impl StealQueue {
                     stolen_from: Some(v),
                 });
             }
-            if s.in_flight == 0 {
+            if s.in_flight == 0 && victim.is_none() {
                 return None;
             }
             s = self.ready.wait(s).unwrap_or_else(|e| e.into_inner());
@@ -164,7 +172,7 @@ mod tests {
 
     #[test]
     fn own_queue_first_in_row_order() {
-        let q = StealQueue::new(seeded(&[&[(0, 2), (2, 2)], &[(4, 2)]]));
+        let q = StealQueue::new(seeded(&[&[(0, 2), (2, 2)], &[(4, 2)]]), true);
         let p = q.pop_for(0).unwrap();
         assert_eq!(p.unit.first_row, 0);
         assert_eq!(p.stolen_from, None);
@@ -176,7 +184,10 @@ mod tests {
 
     #[test]
     fn steals_from_back_of_most_loaded_peer() {
-        let q = StealQueue::new(seeded(&[&[], &[(0, 1), (1, 1)], &[(2, 1), (3, 1), (4, 1)]]));
+        let q = StealQueue::new(
+            seeded(&[&[], &[(0, 1), (1, 1)], &[(2, 1), (3, 1), (4, 1)]]),
+            true,
+        );
         let p = q.pop_for(0).unwrap();
         assert_eq!(p.stolen_from, Some(2), "slot 2 holds the most units");
         assert_eq!(p.unit.first_row, 4, "steal takes the victim's last unit");
@@ -185,7 +196,7 @@ mod tests {
 
     #[test]
     fn drains_then_returns_none() {
-        let q = StealQueue::new(seeded(&[&[(0, 1)], &[(1, 1)]]));
+        let q = StealQueue::new(seeded(&[&[(0, 1)], &[(1, 1)]]), true);
         let a = q.pop_for(0).unwrap();
         let b = q.pop_for(0).unwrap();
         assert_eq!(
@@ -199,9 +210,38 @@ mod tests {
         assert_eq!(q.pop_for(1), None);
     }
 
+    /// Stealing off: an idle slot never takes from a peer's lane, but
+    /// neither does it call the round drained while that lane still
+    /// holds units — they reach it through the overflow pool if the
+    /// peer leaves.
+    #[test]
+    fn steal_off_waits_for_peer_lane_and_takes_only_overflow() {
+        let q = Arc::new(StealQueue::new(seeded(&[&[], &[(0, 1), (1, 1)]]), false));
+        let q2 = q.clone();
+        let idle = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            while let Some(p) = q2.pop_for(0) {
+                assert_eq!(p.stolen_from, None);
+                got.push(p.unit.first_row);
+                q2.done();
+            }
+            got
+        });
+        let first = q.pop_for(1).unwrap();
+        assert_eq!(first.unit.first_row, 0);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(q.remaining(), 1, "slot 0 must not steal row 1");
+        // Slot 1 leaves mid-unit: both its units go to the pool.
+        q.requeue(first.unit);
+        q.abandon(1);
+        let mut got = idle.join().unwrap();
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1]);
+    }
+
     #[test]
     fn blocks_on_in_flight_until_requeue() {
-        let q = Arc::new(StealQueue::new(seeded(&[&[(0, 4)], &[]])));
+        let q = Arc::new(StealQueue::new(seeded(&[&[(0, 4)], &[]]), true));
         let popped = q.pop_for(0).unwrap();
         // Slot 1 has nothing to do but must NOT see "drained": the
         // in-flight unit might come back.
@@ -221,7 +261,7 @@ mod tests {
 
     #[test]
     fn abandon_moves_seed_queue_to_overflow() {
-        let q = StealQueue::new(seeded(&[&[(0, 1)], &[(1, 1), (2, 1)]]));
+        let q = StealQueue::new(seeded(&[&[(0, 1)], &[(1, 1), (2, 1)]]), false);
         q.abandon(1);
         let mut rows = Vec::new();
         while let Some(p) = q.pop_for(0) {
@@ -235,7 +275,7 @@ mod tests {
 
     #[test]
     fn close_wakes_blocked_poppers() {
-        let q = Arc::new(StealQueue::new(seeded(&[&[(0, 1)], &[]])));
+        let q = Arc::new(StealQueue::new(seeded(&[&[(0, 1)], &[]]), true));
         let _held = q.pop_for(0).unwrap(); // keep one unit in flight
         let q2 = q.clone();
         let waiter = std::thread::spawn(move || q2.pop_for(1));
@@ -248,7 +288,7 @@ mod tests {
     fn concurrent_drain_covers_every_unit_exactly_once() {
         let units = split_units(&[(0, 100)], 1);
         let seedq = crate::policy::plan(&units, &[0, 1, 2, 3], &Default::default());
-        let q = Arc::new(StealQueue::new(seedq));
+        let q = Arc::new(StealQueue::new(seedq, true));
         let handles: Vec<_> = (0..4)
             .map(|i| {
                 let q = q.clone();

@@ -28,9 +28,10 @@
 //!                          --trace off)
 //!   --metrics-port-file PATH
 //!                          write the bound metrics address to PATH
-//!   --steal                drive every task job's rounds through the
-//!                          elastic work-stealing executor
-//!   --steal-grain N        rows per work unit (default 0 = automatic)
+//!   --steal                cut every task job's shards into work units
+//!                          that idle nodes steal from busy ones
+//!   --steal-grain N        rows per work unit with --steal (default
+//!                          0 = automatic)
 //!   --node-weight ID=W     relative placement weight of fleet node ID
 //!                          (e.g. 1=2.0 seeds node 1 with double work;
 //!                          repeat per node, unlisted nodes weigh 1.0)

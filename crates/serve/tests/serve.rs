@@ -380,7 +380,7 @@ fn top_and_metrics_expose_fleet_telemetry() {
     cfg.trace = TraceLevel::Phases;
     cfg.max_concurrent = 2;
     cfg.metrics_listen = Some("127.0.0.1:0".into());
-    // Run the jobs through the elastic executor with a skewed placement,
+    // Run the jobs with stealing on and a skewed placement,
     // so the report's weight rows have something to say.
     cfg.elastic.steal = true;
     cfg.elastic.steal_grain = 8;

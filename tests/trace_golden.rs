@@ -124,12 +124,14 @@ fn cluster_chrome_export_has_multi_node_shape() {
 /// The fixed fault-tolerance configuration the ft golden file was
 /// recorded against: the same 2-node 2-round k-means cluster as
 /// [`golden_cluster_run`], but checkpointing every round and with node 1
-/// severing its connection mid-round after one answered round. The
+/// severing its connection mid-round after one completed round. The
 /// surviving node re-runs the failed round with both shards (its trace
 /// shows 4 `node.pass`; the dead node's trace dies with it), and the
-/// coordinator adds one `ft.recover`, one retried `cluster.round`, and
-/// two `ft.checkpoint` spans.
+/// coordinator adds one `ft.recover`, one retried `cluster.round` (the
+/// aborted attempt never reaches `cluster.combine`), and two
+/// `ft.checkpoint` spans.
 fn golden_ft_cluster_run() -> Trace {
+    use freeride_dist::node::Behaviour;
     use freeride_dist::{ClusterConfig, Coordinator, LoopbackCluster};
     let mut path = std::env::temp_dir();
     path.push(format!("cfr-golden-ft-{}.frds", std::process::id()));
@@ -139,7 +141,8 @@ fn golden_ft_cluster_run() -> Trace {
     freeride::source::write_dataset(&path, 4, &cfr_apps::data::kmeans_points_flat(200, 4))
         .expect("write dataset");
 
-    let cluster = LoopbackCluster::spawn_with_chaos(2, &[(1, 1)]).expect("spawn chaos cluster");
+    let cluster = LoopbackCluster::spawn_with(2, &[(1, Behaviour::dies_after(1))])
+        .expect("spawn chaos cluster");
     let mut cfg = ClusterConfig::new("kmeans", &path);
     cfg.params = vec![3, 4];
     cfg.init_state = cfr_apps::data::kmeans_centroids_flat(3, 4);
