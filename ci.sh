@@ -14,9 +14,12 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
+# default-members makes both commands cover every crate; the vendored
+# stand-ins under third_party/ are outside it, so their own tests run
+# on the line after.
 cargo build --release
 cargo test -q
-cargo test --workspace -q
+cargo test -q -p rand -p proptest
 cargo clippy --workspace -- -D warnings
 # The whole workspace is held rustfmt-clean.
 cargo fmt --all --check
@@ -27,39 +30,17 @@ cargo fmt --all --check
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --quick
 
 # Observability: a traced run must export a Chrome trace that
-# trace-check accepts, with engine spans present (DESIGN.md §8).
+# trace-check accepts, with engine spans present (DESIGN.md §8). The
+# streaming (io.read) and sparse-inspector (sparse.inspect/region)
+# exports are validated by `cargo test` above.
 cargo run --release -p bench --bin bench -- kmeans \
   --n 2000 --d 4 --k 4 --iters 2 --trace-out target/ci-trace.json
 cargo run --release -p obs --bin trace-check -- target/ci-trace.json \
   --expect split --expect combine --expect finalize --expect pass
 
-# Out-of-core streaming I/O: a cfr-datagen dataset larger than the
-# streaming memory budget must run k-means through the bounded chunk
-# pipeline, with reader-track io.read spans in the exported trace
-# (DESIGN.md §10).
-cargo run --release -p bench --bin bench -- io \
-  --size-mb 8 --budget-mib 2 --threads-list 1,2 --iters 1 \
-  --trace-out target/ci-io-trace.json
-cargo run --release -p obs --bin trace-check -- target/ci-io-trace.json \
-  --expect io.read --expect split --expect pass
-
-# Sparse tier: the MTTKRP skew sweep must run the inspector-planned
-# scheme against every forced scheme bit-identically, and the exported
-# trace must carry the sparse.inspect span with its scheme/reason
-# evidence attributes plus the per-region decisions (DESIGN.md §15).
-cargo run --release -p bench --bin bench -- sparse \
-  --n 2048 --nnz 6000 --skew 16,0 --threads-list 1,2 --repeats 1 \
-  --json-out target/ci-bench-sparse.json \
-  --trace-out target/ci-sparse-trace.json
-cargo run --release -p obs --bin trace-check -- target/ci-sparse-trace.json \
-  --expect sparse.inspect --expect sparse.region \
-  --expect-attr sparse.inspect:scheme --expect-attr sparse.inspect:reason
-rm -f target/ci-bench-sparse.json
-
 # Distributed engine: a real 2-process cfr-node cluster must run
 # k-means end to end and ship a trace with one process track per node
 # plus the coordinator (DESIGN.md §9).
-cargo build --release -p freeride-dist
 rm -f target/ci-node1.addr target/ci-node2.addr
 target/release/cfr-node --listen 127.0.0.1:0 --port-file target/ci-node1.addr &
 NODE1=$!
@@ -175,7 +156,6 @@ rm -f target/ci-elastic-trace.json target/ci-elastic-metrics.json
 # and serve a repeated Chapel submission from the compiled-program cache
 # — the repeat's job trace must carry no frontend or compile spans at
 # all (DESIGN.md §12).
-cargo build --release -p cfr-serve -p cfr-datagen
 rm -f target/ci-snode1.addr target/ci-snode2.addr target/ci-serve.addr
 target/release/cfr-datagen --out target/ci-serve-data.frds --rows 2000 --dims 4
 target/release/cfr-node --listen 127.0.0.1:0 --port-file target/ci-snode1.addr \

@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's evaluation figures.
 //!
 //! ```text
-//! repro [--fig 9|10|11|12|13|all] [--ablation sync|mapreduce|strength|splitter|linearize|all]
+//! repro [--fig 9|10|11|12|13|all] [--ablation sync|mapreduce|strength|splitter|linearize|apps|all]
 //!       [--scale 0.01] [--threads 1,2,4,8] [--real-threads] [--csv PATH]
 //! ```
 //!
@@ -10,6 +10,7 @@
 //! pass `--real-threads` on a multi-core machine for wall-clock numbers
 //! and `--scale 1.0` for the full-size datasets.
 
+use std::fs::File;
 use std::io::Write;
 
 use cfr_bench::{
@@ -18,16 +19,30 @@ use cfr_bench::{
 };
 use freeride::ExecMode;
 
+/// The paper's result figures.
+const FIGURES: [u32; 5] = [9, 10, 11, 12, 13];
+
+/// Every ablation `--ablation` accepts.
+const ABLATIONS: [&str; 6] = [
+    "sync",
+    "mapreduce",
+    "strength",
+    "splitter",
+    "linearize",
+    "apps",
+];
+
 struct Options {
     figs: Vec<u32>,
-    ablations: Vec<String>,
+    ablations: Vec<&'static str>,
     harness: Harness,
-    csv: Option<String>,
+    /// `--csv` target, opened before any figure runs.
+    csv: Option<(String, File)>,
 }
 
 fn parse_args() -> Result<Options, String> {
     let mut figs: Vec<u32> = Vec::new();
-    let mut ablations: Vec<String> = Vec::new();
+    let mut ablations: Vec<&'static str> = Vec::new();
     let mut harness = Harness::default();
     let mut csv = None;
     let mut args = std::env::args().skip(1);
@@ -36,27 +51,28 @@ fn parse_args() -> Result<Options, String> {
             "--fig" => {
                 let v = args.next().ok_or("--fig needs a value")?;
                 if v == "all" {
-                    figs = vec![9, 10, 11, 12, 13];
+                    figs = FIGURES.to_vec();
                 } else {
-                    figs.push(v.parse().map_err(|_| format!("bad figure `{v}`"))?);
+                    match v.parse() {
+                        Ok(f) if FIGURES.contains(&f) => figs.push(f),
+                        _ => {
+                            return Err(format!(
+                                "no figure `{v}` in the paper's evaluation (9..13)"
+                            ))
+                        }
+                    }
                 }
             }
             "--ablation" => {
                 let v = args.next().ok_or("--ablation needs a value")?;
                 if v == "all" {
-                    ablations = [
-                        "sync",
-                        "mapreduce",
-                        "strength",
-                        "splitter",
-                        "linearize",
-                        "apps",
-                    ]
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect();
+                    ablations = ABLATIONS.to_vec();
                 } else {
-                    ablations.push(v);
+                    let name = ABLATIONS
+                        .iter()
+                        .find(|a| **a == v)
+                        .ok_or_else(|| format!("unknown ablation `{v}`"))?;
+                    ablations.push(name);
                 }
             }
             "--scale" => {
@@ -89,8 +105,16 @@ fn parse_args() -> Result<Options, String> {
         }
     }
     if figs.is_empty() && ablations.is_empty() {
-        figs = vec![9, 10, 11, 12, 13];
+        figs = FIGURES.to_vec();
     }
+    // Open the CSV now, so a bad path fails before any figure runs.
+    let csv = match csv {
+        Some(path) => {
+            let file = File::create(&path).map_err(|e| format!("create {path}: {e}"))?;
+            Some((path, file))
+        }
+        None => None,
+    };
     Ok(Options {
         figs,
         ablations,
@@ -116,28 +140,20 @@ fn main() {
             10 => fig10(&opts.harness),
             11 => fig11(&opts.harness),
             12 => fig12(&opts.harness),
-            13 => fig13(&opts.harness),
-            other => {
-                eprintln!("error: no figure {other} in the paper's evaluation");
-                std::process::exit(2);
-            }
+            _ => fig13(&opts.harness),
         };
         figures.push(fig);
     }
     let t = opts.harness.threads.iter().copied().max().unwrap_or(2);
     for a in &opts.ablations {
         eprintln!("running ablation {a} ...");
-        let fig = match a.as_str() {
+        let fig = match *a {
             "sync" => ablation_sync(20_000, 16, t),
             "mapreduce" => ablation_mapreduce(2_000_000, 64, t),
             "strength" => ablation_strength(5_000, 50),
             "splitter" => ablation_splitter(200_000, t),
             "linearize" => ablation_par_linearize(500_000, t),
-            "apps" => extension_apps(50_000, t),
-            other => {
-                eprintln!("error: unknown ablation `{other}`");
-                std::process::exit(2);
-            }
+            _ => extension_apps(50_000, t),
         };
         figures.push(fig);
     }
@@ -146,13 +162,12 @@ fn main() {
         println!("{}", fig.render());
     }
 
-    if let Some(path) = &opts.csv {
-        let mut out = String::new();
-        for fig in &figures {
-            out.push_str(&fig.to_csv());
+    if let Some((path, mut file)) = opts.csv {
+        let out: String = figures.iter().map(Figure::to_csv).collect();
+        if let Err(e) = file.write_all(out.as_bytes()) {
+            eprintln!("error: write {path}: {e}");
+            std::process::exit(1);
         }
-        let mut f = std::fs::File::create(path).expect("create csv");
-        f.write_all(out.as_bytes()).expect("write csv");
         eprintln!("wrote {path}");
     }
 }

@@ -536,6 +536,19 @@ fn checkpointing_does_not_perturb_and_prunes() {
     assert_eq!(rebuilt.checkpoint_bytes, out.stats.checkpoint_bytes);
     assert_eq!(rebuilt.recoveries, 0);
     std::fs::remove_dir_all(&dir).ok();
+
+    // A sparser cadence checkpoints every other round (the final round
+    // is always among them) and still does not perturb the results.
+    let dir = ckpt_dir("every-2");
+    let mut cfg = kmeans_cfg(&path, 6);
+    cfg.checkpoint_dir = Some(dir.clone());
+    cfg.ft.checkpoint_every = 2;
+    let out = run_loopback(cfg, 2).unwrap();
+    assert_eq!(bits(&out.state), bits(&plain.state));
+    assert_eq!(out.stats.checkpoints_written, 3);
+    let store = freeride_ft::CheckpointStore::open(&dir).unwrap();
+    assert_eq!(store.rounds().unwrap(), vec![1, 3, 5]);
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_file(&path).ok();
 }
 

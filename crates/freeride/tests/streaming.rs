@@ -153,23 +153,25 @@ fn streaming_respects_the_memory_budget_out_of_core() {
     let expect = Engine::new(JobConfig::with_threads(1))
         .run_file(&ds, &layout(), &kernel)
         .unwrap();
-    let out = Engine::new(JobConfig {
-        threads: 4,
-        io: IoMode::streaming_within(budget, unit, 2),
-        ..Default::default()
-    })
-    .run_file(&ds, &layout(), &kernel)
-    .unwrap();
+    for threads in [1usize, 2, 4] {
+        let out = Engine::new(JobConfig {
+            threads,
+            io: IoMode::streaming_within(budget, unit, 2),
+            ..Default::default()
+        })
+        .run_file(&ds, &layout(), &kernel)
+        .unwrap();
 
-    assert_eq!(out.robj.cells(), expect.robj.cells());
-    assert!(out.stats.io.pool_bytes > 0);
-    assert!(
-        out.stats.io.pool_bytes <= budget.get(),
-        "pool {} exceeds budget {}",
-        out.stats.io.pool_bytes,
-        budget.get()
-    );
-    assert_eq!(out.stats.io.bytes_read as usize, rows * unit * 8);
+        assert_eq!(out.robj.cells(), expect.robj.cells(), "t={threads}");
+        assert!(out.stats.io.pool_bytes > 0, "t={threads}");
+        assert!(
+            out.stats.io.pool_bytes <= budget.get(),
+            "t={threads}: pool {} exceeds budget {}",
+            out.stats.io.pool_bytes,
+            budget.get()
+        );
+        assert_eq!(out.stats.io.bytes_read as usize, rows * unit * 8);
+    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -220,6 +222,13 @@ fn streaming_emits_io_read_spans_and_counters() {
         io_tracks.iter().all(|&t| t >= 2),
         "reader tracks overlap workers: {io_tracks:?}"
     );
+
+    // The exported Chrome trace keeps the reader spans next to the
+    // engine's.
+    let summary = obs::validate_chrome_trace(&trace.chrome_json()).unwrap();
+    for name in ["io.read", "split", "pass"] {
+        assert!(summary.names.iter().any(|n| n == name), "missing {name}");
+    }
     std::fs::remove_file(&path).ok();
 }
 

@@ -544,5 +544,15 @@ mod tests {
         assert_eq!(inspect.attr_i64("nnz"), Some(1));
         assert!(trace.spans.iter().any(|s| s.name == "sparse.region"));
         assert_eq!(trace.counters.get("sparse.inspect.passes"), Some(&1));
+        // The exported Chrome trace carries the decision and its evidence.
+        let summary = obs::validate_chrome_trace(&trace.chrome_json()).unwrap();
+        assert!(summary.names.iter().any(|n| n == "sparse.region"));
+        for key in ["scheme", "reason"] {
+            let attr = ("sparse.inspect".to_string(), key.to_string());
+            assert!(
+                summary.attrs.contains(&attr),
+                "missing sparse.inspect:{key}"
+            );
+        }
     }
 }
