@@ -38,6 +38,24 @@ cargo run --release -p bench --bin bench -- kmeans \
 cargo run --release -p obs --bin trace-check -- target/ci-trace.json \
   --expect split --expect combine --expect finalize --expect pass
 
+# Integer kernels (DESIGN.md §14): inside a compiled opt-2 kernel,
+# `int / int` truncates and `%` keeps the dividend's sign, exactly as in
+# the interpreter oracle. The compiled leg skips without rustc on PATH,
+# like the serve smoke below.
+target/release/cfr examples/int_kernel.chpl --interp --print total \
+  > target/ci-int-interp.out
+if command -v rustc >/dev/null 2>&1; then
+  rm -rf target/ci-int-codegen
+  CFR_CODEGEN_DIR=$PWD/target/ci-int-codegen target/release/cfr \
+    examples/int_kernel.chpl --opt 2 --backend compiled --print total \
+    > target/ci-int-compiled.out
+  diff target/ci-int-interp.out target/ci-int-compiled.out
+  rm -rf target/ci-int-codegen
+else
+  echo "ci: skipping compiled int-kernel diff (no rustc on PATH)"
+fi
+rm -f target/ci-int-interp.out target/ci-int-compiled.out
+
 # Distributed engine: a real 2-process cfr-node cluster must run
 # k-means end to end and ship a trace with one process track per node
 # plus the coordinator (DESIGN.md §9).

@@ -59,11 +59,11 @@ fn compiled_backend_is_selected() {
     if !have_rustc() {
         return;
     }
-    use cfr_core::{Instr, Kernel, OptLevel};
+    use cfr_core::{Instr, Kernel, OptLevel, RegClass};
     let kernel = Kernel {
         code: vec![Instr::Halt],
         entry: 0,
-        regs: 2,
+        regs: vec![RegClass::I64; 2],
         paths: vec![],
         state_names: vec![],
         out_names: vec![],

@@ -16,8 +16,9 @@
 //!   Threads of one process share that temp name, so first compiles
 //!   are serialized in-process.
 //!
-//! Observability: spans `codegen.emit`, `codegen.compile`,
-//! `codegen.load` on the pipeline track; counters
+//! Observability: spans `codegen.emit` (with the kernel's `int_regs`
+//! and `real_regs` counts), `codegen.compile`, `codegen.load` on the
+//! pipeline track; counters
 //! `core.codegen_compile` (rustc actually ran) and
 //! `core.codegen_cache_hit` (disk or memory hit).
 
@@ -34,7 +35,7 @@ use crate::dylib::Dylib;
 use crate::emit::{emit_kernel, NestedSite, KERNEL_SYMBOL};
 
 /// The raw kernel entry point resolved from a compiled cdylib
-/// (ABI v1 — see the emitted source header).
+/// (ABI v2 — see the emitted source header).
 pub type KernelFn = unsafe extern "C-unwind" fn(
     rows: *const f64,
     rows_len: usize,
@@ -45,7 +46,7 @@ pub type KernelFn = unsafe extern "C-unwind" fn(
     n_flat: usize,
     ctx: *mut u8,
     accumulate: extern "C-unwind" fn(*mut u8, usize, usize, f64),
-    nested_load: extern "C-unwind" fn(*mut u8, usize, *const f64, usize) -> f64,
+    nested_load: extern "C-unwind" fn(*mut u8, usize, *const i64, usize) -> f64,
 );
 
 /// A compiled, loaded, ready-to-bind kernel. Immutable and shared:
@@ -124,12 +125,15 @@ pub fn load_or_compile(
     let emit_start = Instant::now();
     let emitted = emit_kernel(kernel)?;
     let hash = fnv1a64(emitted.source.as_bytes());
+    let (int_regs, real_regs) = kernel.class_counts();
     span(
         recorder,
         "codegen.emit",
         emit_start,
         vec![
             ("instrs", AttrValue::Int(kernel.code.len() as i64)),
+            ("int_regs", AttrValue::Int(int_regs as i64)),
+            ("real_regs", AttrValue::Int(real_regs as i64)),
             ("source_bytes", AttrValue::Int(emitted.source.len() as i64)),
         ],
     );

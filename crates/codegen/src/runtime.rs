@@ -50,10 +50,10 @@ extern "C-unwind" fn accumulate_cb(ctx: *mut u8, group: usize, cell: usize, val:
 /// chain as the interpreter — preserving the generated/opt-1 "complex
 /// Chapel structure" cost profile (and its exact semantics, including
 /// the `as usize` index casts) under the compiled backend.
-extern "C-unwind" fn nested_load_cb(ctx: *mut u8, site: usize, idx: *const f64, n: usize) -> f64 {
-    // SAFETY: as above; `idx` points at `n` f64s in the callee's frame.
+extern "C-unwind" fn nested_load_cb(ctx: *mut u8, site: usize, idx: *const i64, n: usize) -> f64 {
+    // SAFETY: as above; `idx` points at `n` i64s in the callee's frame.
     let ctx = unsafe { &*(ctx as *const CallCtx<'_>) };
-    let idxs: &[f64] = if n == 0 {
+    let idxs: &[i64] = if n == 0 {
         &[]
     } else {
         unsafe { std::slice::from_raw_parts(idx, n) }
@@ -75,12 +75,25 @@ extern "C-unwind" fn nested_load_cb(ctx: *mut u8, site: usize, idx: *const f64, 
     chpl_read_scalar(cur)
 }
 
+/// The ABI views of a runtime's flat state, built once per job.
+struct FlatViews(Box<[FlatView]>);
+
+// SAFETY: each view points into a `Vec<f64>` owned by the same
+// `CompiledKernelRuntime` (moving the runtime does not move the heap
+// buffers) and never written after construction, so sharing the
+// pointers across worker threads is sharing read-only data.
+unsafe impl Send for FlatViews {}
+unsafe impl Sync for FlatViews {}
+
 /// A compiled kernel bound to one job's state — the compiled-backend
 /// counterpart of `cfr_core::KernelRuntime`.
 pub struct CompiledKernelRuntime {
     loaded: Arc<LoadedKernel>,
     nested_state: Vec<Value>,
+    /// Owns the buffers `views` points into; never mutated.
+    #[allow(dead_code)]
     flat_state: Vec<Vec<f64>>,
+    views: FlatViews,
     row_lo: i64,
 }
 
@@ -92,10 +105,18 @@ impl CompiledKernelRuntime {
         flat_state: Vec<Vec<f64>>,
         row_lo: i64,
     ) -> CompiledKernelRuntime {
+        let views = flat_state
+            .iter()
+            .map(|v| FlatView {
+                ptr: v.as_ptr(),
+                len: v.len(),
+            })
+            .collect();
         CompiledKernelRuntime {
             loaded,
             nested_state,
             flat_state,
+            views: FlatViews(views),
             row_lo,
         }
     }
@@ -109,14 +130,7 @@ impl CompiledKernelRuntime {
 
 impl SplitKernel for CompiledKernelRuntime {
     fn run_split(&self, split: &Split<'_>, robj: &mut dyn RObjHandle) {
-        let views: Vec<FlatView> = self
-            .flat_state
-            .iter()
-            .map(|v| FlatView {
-                ptr: v.as_ptr(),
-                len: v.len(),
-            })
-            .collect();
+        let views = &self.views.0;
         let mut ctx = CallCtx {
             robj,
             nested: &self.nested_state,
@@ -141,3 +155,9 @@ impl SplitKernel for CompiledKernelRuntime {
         }
     }
 }
+
+// The engine shares one runtime across its worker threads.
+const _: fn() = || {
+    fn assert_sync<T: Send + Sync>() {}
+    assert_sync::<CompiledKernelRuntime>();
+};

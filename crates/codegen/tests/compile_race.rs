@@ -10,7 +10,7 @@
 use std::sync::Barrier;
 
 use cfr_codegen::{load_or_compile, rustc_available};
-use cfr_core::{Instr, Kernel};
+use cfr_core::{Instr, Kernel, RegClass};
 use linearize::PathMeta;
 use obs::{Recorder, TraceLevel};
 
@@ -29,7 +29,7 @@ fn concurrent_first_compiles_of_one_kernel_compile_once() {
     // apart from every other test's kernels.
     let kernel = Kernel {
         code: vec![
-            Instr::Const { dst: 3, val: 0.0 },
+            Instr::IConst { dst: 3, val: 0 },
             Instr::Const {
                 dst: 4,
                 val: 0.4821,
@@ -48,7 +48,13 @@ fn concurrent_first_compiles_of_one_kernel_compile_once() {
             Instr::Halt,
         ],
         entry: 2,
-        regs: 5,
+        regs: vec![
+            RegClass::I64,
+            RegClass::I64,
+            RegClass::F64,
+            RegClass::I64,
+            RegClass::F64,
+        ],
         paths: vec![PathMeta {
             levels: 1,
             unit_size: vec![1],
@@ -79,7 +85,20 @@ fn concurrent_first_compiles_of_one_kernel_compile_once() {
             .collect()
     });
     assert!(hashes.iter().all(|&h| h == hashes[0]), "{hashes:x?}");
-    let counters = recorder.drain().counters;
+    let trace = recorder.drain();
+    // Every emit span reports the register classes (r0, r1 and the cell
+    // index are integers; the loaded value and the constant are reals).
+    let emits: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "codegen.emit")
+        .collect();
+    assert_eq!(emits.len(), THREADS);
+    for span in emits {
+        assert_eq!(span.attr_i64("int_regs"), Some(3), "{span:?}");
+        assert_eq!(span.attr_i64("real_regs"), Some(2), "{span:?}");
+    }
+    let counters = trace.counters;
     assert_eq!(
         counters.get("core.codegen_compile"),
         Some(&1),

@@ -150,7 +150,7 @@ mod backend_tests {
         Kernel {
             code: vec![Instr::Halt],
             entry: 0,
-            regs: 2,
+            regs: vec![crate::RegClass::I64; 2],
             paths: Vec::new(),
             state_names: Vec::new(),
             out_names: Vec::new(),

@@ -121,11 +121,6 @@ pub struct CompiledLoop {
     pub opt: OptLevel,
 }
 
-/// Register 0 always holds the local (0-based) row index.
-const REG_LOCAL_ROW: Reg = 0;
-/// Register 1 always holds the Chapel loop-variable value.
-const REG_CHAPEL_ROW: Reg = 1;
-
 /// Compile a detected reduction loop at the given optimization level.
 pub fn compile_loop(
     program: &Program,
@@ -208,7 +203,7 @@ pub fn compile_loop(
         outputs: &outputs,
         code: Vec::new(),
         preamble: Vec::new(),
-        next_reg: 2,
+        regs: vec![RegClass::I64, RegClass::I64],
         scopes: vec![HashMap::new()],
         paths: Vec::new(),
         path_keys: HashMap::new(),
@@ -224,7 +219,7 @@ pub fn compile_loop(
     let kernel = Kernel {
         code,
         entry,
-        regs: c.next_reg as usize,
+        regs: c.regs,
         paths: c.paths,
         state_names: states.iter().map(|s| s.name.clone()).collect(),
         out_names: outputs.iter().map(|o| o.name.clone()).collect(),
@@ -293,7 +288,7 @@ pub fn compile_reduce_expr(
         outputs: &outputs,
         code: Vec::new(),
         preamble: Vec::new(),
-        next_reg: 2,
+        regs: vec![RegClass::I64, RegClass::I64],
         scopes: vec![HashMap::new()],
         paths: Vec::new(),
         path_keys: HashMap::new(),
@@ -304,7 +299,8 @@ pub fn compile_reduce_expr(
     // Evaluate the operand with every leaf ident meaning "this row's
     // element of that leaf".
     let val = c.reduce_operand(&red.operand)?;
-    let cell = c.const_reg(0.0);
+    let val = c.real_of(val);
+    let cell = c.int_const(0);
     c.code.push(Instr::Accumulate {
         group: 0,
         cell,
@@ -315,7 +311,7 @@ pub fn compile_reduce_expr(
     let kernel = Kernel {
         code,
         entry,
-        regs: c.next_reg as usize,
+        regs: c.regs,
         paths: c.paths,
         state_names: Vec::new(),
         out_names: vec![red.target.clone()],
@@ -403,7 +399,7 @@ pub fn compile_user_reduce(
         outputs: &outputs,
         code: Vec::new(),
         preamble: Vec::new(),
-        next_reg: 2,
+        regs: vec![RegClass::I64, RegClass::I64],
         scopes: vec![HashMap::new()],
         paths: Vec::new(),
         path_keys: HashMap::new(),
@@ -427,7 +423,7 @@ pub fn compile_user_reduce(
     let kernel = Kernel {
         code,
         entry,
-        regs: c.next_reg as usize,
+        regs: c.regs,
         paths: c.paths,
         state_names: Vec::new(),
         out_names: outputs.iter().map(|o| o.name.clone()).collect(),
@@ -463,6 +459,14 @@ struct AccessParts<'e> {
     lo_adjust: Vec<i64>,
     /// Level 0 is the dataset row (use `REG_LOCAL_ROW`).
     row_first: bool,
+    /// The accessed element is a Chapel `int`/`bool` (its load converts
+    /// the buffer's f64 payload to `I64`).
+    int_leaf: bool,
+}
+
+/// Chapel types held in `I64` registers.
+fn is_int_ty(ty: &Ty) -> bool {
+    matches!(ty, Ty::Int | Ty::Bool)
 }
 
 struct HoistEntry {
@@ -489,11 +493,13 @@ struct Compiler<'a> {
     outputs: &'a [OutSpec],
     code: Vec<Instr>,
     preamble: Vec<Instr>,
-    next_reg: u16,
+    /// Class of every allocated register (the kernel's register file).
+    regs: Vec<RegClass>,
     scopes: Vec<HashMap<String, Reg>>,
     paths: Vec<PathMeta>,
     path_keys: HashMap<String, PathId>,
-    const_regs: HashMap<u64, Reg>,
+    /// Preamble constants, keyed by class and bit pattern.
+    const_regs: HashMap<(RegClass, u64), Reg>,
     hoists: Vec<HoistFrame>,
     /// Reduction-object fields of a user-defined ReduceScanOp kernel
     /// (accumulate-body compilation): field name → group.
@@ -501,25 +507,154 @@ struct Compiler<'a> {
 }
 
 impl<'a> Compiler<'a> {
-    fn alloc(&mut self) -> Reg {
-        let r = self.next_reg;
-        self.next_reg = self
-            .next_reg
-            .checked_add(1)
-            .expect("kernel register file overflow");
+    fn alloc(&mut self, class: RegClass) -> Reg {
+        let r = Reg::try_from(self.regs.len()).expect("kernel register file overflow");
+        self.regs.push(class);
         r
+    }
+
+    fn class(&self, r: Reg) -> RegClass {
+        self.regs[r as usize]
     }
 
     /// Constants live in the preamble, executed once per split — both
     /// faster and safe against first use inside a skipped branch.
     fn const_reg(&mut self, val: f64) -> Reg {
-        if let Some(&r) = self.const_regs.get(&val.to_bits()) {
+        let key = (RegClass::F64, val.to_bits());
+        if let Some(&r) = self.const_regs.get(&key) {
             return r;
         }
-        let r = self.alloc();
+        let r = self.alloc(RegClass::F64);
         self.preamble.push(Instr::Const { dst: r, val });
-        self.const_regs.insert(val.to_bits(), r);
+        self.const_regs.insert(key, r);
         r
+    }
+
+    /// The `I64` counterpart of [`Compiler::const_reg`].
+    fn int_const(&mut self, val: i64) -> Reg {
+        let key = (RegClass::I64, val as u64);
+        if let Some(&r) = self.const_regs.get(&key) {
+            return r;
+        }
+        let r = self.alloc(RegClass::I64);
+        self.preamble.push(Instr::IConst { dst: r, val });
+        self.const_regs.insert(key, r);
+        r
+    }
+
+    /// The value of `r` if it is an `I64` preamble constant.
+    fn int_const_value(&self, r: Reg) -> Option<i64> {
+        self.preamble.iter().find_map(|ins| match ins {
+            Instr::IConst { dst, val } if *dst == r => Some(*val),
+            _ => None,
+        })
+    }
+
+    /// `r` as a real: `IntToReal` for an `I64` (folded for constants,
+    /// like the interpreter's `as_f64` widening).
+    fn real_of(&mut self, r: Reg) -> Reg {
+        if self.class(r) == RegClass::F64 {
+            return r;
+        }
+        if let Some(v) = self.int_const_value(r) {
+            return self.const_reg(v as f64);
+        }
+        let dst = self.alloc(RegClass::F64);
+        self.code.push(Instr::IntToReal { dst, src: r });
+        dst
+    }
+
+    /// `r` as an int: `RealToInt` for an `F64`. Only integer-valued
+    /// reals reach it (int-typed loads from the linearized buffers,
+    /// whole-number stores into `int` locals), for which it is exact.
+    fn int_of(&mut self, r: Reg) -> Reg {
+        if self.class(r) == RegClass::I64 {
+            return r;
+        }
+        let dst = self.alloc(RegClass::I64);
+        self.code.push(Instr::RealToInt { dst, src: r });
+        dst
+    }
+
+    /// A condition: Chapel conditions are `bool`, held in `I64`.
+    fn cond(&mut self, e: &Expr) -> Result<Reg, CoreError> {
+        let r = self.expr(e)?;
+        if self.class(r) != RegClass::I64 {
+            return Err(CoreError::translate(format!(
+                "condition `{}` is not a bool",
+                print_expr(e)
+            )));
+        }
+        Ok(r)
+    }
+
+    /// `dst = src`, converting to `dst`'s class (the interpreter keeps a
+    /// variable's kind on assignment).
+    fn assign_reg(&mut self, dst: Reg, src: Reg) {
+        let ins = match (self.class(dst), self.class(src)) {
+            (RegClass::F64, RegClass::F64) => Instr::Mov { dst, src },
+            (RegClass::I64, RegClass::I64) => Instr::IMov { dst, src },
+            (RegClass::F64, RegClass::I64) => match self.int_const_value(src) {
+                Some(v) => Instr::Mov {
+                    dst,
+                    src: self.const_reg(v as f64),
+                },
+                None => Instr::IntToReal { dst, src },
+            },
+            (RegClass::I64, RegClass::F64) => Instr::RealToInt { dst, src },
+        };
+        self.code.push(ins);
+    }
+
+    /// `a op b` with the interpreter's promotion: `int op int` stays
+    /// `I64`, anything else widens to `F64`. Writes into `into` when it
+    /// has the result's class, else into a fresh register.
+    fn binop(&mut self, op: ArithOp, a: Reg, b: Reg, into: Option<Reg>) -> Result<Reg, CoreError> {
+        let int = self.class(a) == RegClass::I64 && self.class(b) == RegClass::I64;
+        if int && op == ArithOp::Pow {
+            // `int ** int` is an int or a real depending on the sign of
+            // the exponent at run time; kernels have static classes.
+            return Err(CoreError::translate("integer `**` in a kernel"));
+        }
+        let (a, b, class) = if int {
+            (a, b, RegClass::I64)
+        } else {
+            (self.real_of(a), self.real_of(b), RegClass::F64)
+        };
+        let dst = match into {
+            Some(r) if self.class(r) == class => r,
+            _ => self.alloc(class),
+        };
+        self.code.push(if int {
+            Instr::IBin { op, dst, a, b }
+        } else {
+            Instr::Bin { op, dst, a, b }
+        });
+        Ok(dst)
+    }
+
+    /// `a cmp b`: integer operands compare as `I64`, anything else as
+    /// `F64`. The result is an `I64` 0/1.
+    fn compare(&mut self, op: CmpOp, a: Reg, b: Reg) -> Reg {
+        let dst = self.alloc(RegClass::I64);
+        if self.class(a) == RegClass::I64 && self.class(b) == RegClass::I64 {
+            self.code.push(Instr::ICmp { op, dst, a, b });
+        } else {
+            let (a, b) = (self.real_of(a), self.real_of(b));
+            self.code.push(Instr::Cmp { op, dst, a, b });
+        }
+        dst
+    }
+
+    /// `-src` in `src`'s class (`0 - src` for an int, wrapping).
+    fn negate(&mut self, src: Reg) -> Result<Reg, CoreError> {
+        if self.class(src) == RegClass::I64 {
+            let zero = self.int_const(0);
+            return self.binop(ArithOp::Sub, zero, src, None);
+        }
+        let dst = self.alloc(RegClass::F64);
+        self.code.push(Instr::Neg { dst, src });
+        Ok(dst)
     }
 
     /// Concatenate preamble and body, shifting body jump targets.
@@ -590,18 +725,6 @@ impl<'a> Compiler<'a> {
     fn stmt(&mut self, s: &Stmt) -> Result<(), CoreError> {
         match s {
             Stmt::Var(v) => {
-                let reg = self.alloc();
-                match &v.init {
-                    Some(init) => {
-                        let src = self.expr(init)?;
-                        self.code.push(Instr::Mov { dst: reg, src });
-                    }
-                    None => {
-                        // Default-initialise; mirror the interpreter's
-                        // zero defaults for scalars.
-                        self.code.push(Instr::Const { dst: reg, val: 0.0 });
-                    }
-                }
                 if v.ty
                     .as_ref()
                     .is_some_and(|t| matches!(t, TypeExpr::Array { .. } | TypeExpr::Named(_)))
@@ -611,6 +734,36 @@ impl<'a> Compiler<'a> {
                         v.name
                     )));
                 }
+                // The register class follows the interpreter: a `real`
+                // declaration widens an `int` initializer, otherwise the
+                // initializer's kind sticks (`var best = 1` is an int).
+                let reg = match &v.init {
+                    Some(init) => {
+                        let src = self.expr(init)?;
+                        let class = match v.ty {
+                            Some(TypeExpr::Real) => RegClass::F64,
+                            _ => self.class(src),
+                        };
+                        let reg = self.alloc(class);
+                        self.assign_reg(reg, src);
+                        reg
+                    }
+                    None => {
+                        // Default-initialise; mirror the interpreter's
+                        // zero defaults for scalars.
+                        let class = match v.ty {
+                            Some(TypeExpr::Int | TypeExpr::Bool) => RegClass::I64,
+                            _ => RegClass::F64,
+                        };
+                        let reg = self.alloc(class);
+                        let zero = match self.class(reg) {
+                            RegClass::F64 => Instr::Const { dst: reg, val: 0.0 },
+                            RegClass::I64 => Instr::IConst { dst: reg, val: 0 },
+                        };
+                        self.code.push(zero);
+                        reg
+                    }
+                };
                 self.scopes
                     .last_mut()
                     .expect("scope")
@@ -626,7 +779,7 @@ impl<'a> Compiler<'a> {
             } => self.for_loop(index, iter, body),
             Stmt::While { cond, body, .. } => {
                 let start = self.code.len();
-                let c = self.expr(cond)?;
+                let c = self.cond(cond)?;
                 let jz = self.code.len();
                 self.code.push(Instr::JumpIfZero {
                     cond: c,
@@ -645,7 +798,7 @@ impl<'a> Compiler<'a> {
             Stmt::If {
                 cond, then, els, ..
             } => {
-                let c = self.expr(cond)?;
+                let c = self.cond(cond)?;
                 let jz = self.code.len();
                 self.code.push(Instr::JumpIfZero {
                     cond: c,
@@ -698,49 +851,45 @@ impl<'a> Compiler<'a> {
         // Local scalar?
         if let Some(name) = lhs.as_ident() {
             if let Some(reg) = self.lookup_local(name) {
-                // Peephole: `x += a * b` fuses to a multiply-accumulate,
-                // as any C compiler would emit.
-                if op == AssignOp::Add {
-                    if let Expr::Binary {
-                        op: BinOp::Mul,
-                        l,
-                        r,
-                        ..
-                    } = rhs
-                    {
+                let val = match (op, rhs) {
+                    // Peephole: `x += a * b` on a real fuses to a
+                    // multiply-accumulate, as any C compiler would emit.
+                    // An `int * int` product stays an integer multiply.
+                    (
+                        AssignOp::Add,
+                        Expr::Binary {
+                            op: BinOp::Mul,
+                            l,
+                            r,
+                            ..
+                        },
+                    ) => {
                         let a = self.expr(l)?;
                         let b = self.expr(r)?;
-                        self.code.push(Instr::Fma { dst: reg, a, b });
+                        let int_product =
+                            self.class(a) == RegClass::I64 && self.class(b) == RegClass::I64;
+                        if self.class(reg) == RegClass::F64 && !int_product {
+                            let (a, b) = (self.real_of(a), self.real_of(b));
+                            self.code.push(Instr::Fma { dst: reg, a, b });
+                            return Ok(());
+                        }
+                        self.binop(ArithOp::Mul, a, b, None)?
+                    }
+                    _ => self.expr(rhs)?,
+                };
+                let op = match op {
+                    AssignOp::Set => {
+                        self.assign_reg(reg, val);
                         return Ok(());
                     }
-                }
-                let val = self.expr(rhs)?;
-                match op {
-                    AssignOp::Set => self.code.push(Instr::Mov { dst: reg, src: val }),
-                    AssignOp::Add => self.code.push(Instr::Bin {
-                        op: ArithOp::Add,
-                        dst: reg,
-                        a: reg,
-                        b: val,
-                    }),
-                    AssignOp::Sub => self.code.push(Instr::Bin {
-                        op: ArithOp::Sub,
-                        dst: reg,
-                        a: reg,
-                        b: val,
-                    }),
-                    AssignOp::Mul => self.code.push(Instr::Bin {
-                        op: ArithOp::Mul,
-                        dst: reg,
-                        a: reg,
-                        b: val,
-                    }),
-                    AssignOp::Div => self.code.push(Instr::Bin {
-                        op: ArithOp::Div,
-                        dst: reg,
-                        a: reg,
-                        b: val,
-                    }),
+                    AssignOp::Add => ArithOp::Add,
+                    AssignOp::Sub => ArithOp::Sub,
+                    AssignOp::Mul => ArithOp::Mul,
+                    AssignOp::Div => ArithOp::Div,
+                };
+                let res = self.binop(op, reg, val, Some(reg))?;
+                if res != reg {
+                    self.assign_reg(reg, res);
                 }
                 return Ok(());
             }
@@ -778,7 +927,8 @@ impl<'a> Compiler<'a> {
                     }
                 };
                 let val = self.expr(contribution)?;
-                let cell = self.const_reg(0.0);
+                let val = self.real_of(val);
+                let cell = self.int_const(0);
                 self.code.push(Instr::Accumulate { group, cell, val });
                 return Ok(());
             }
@@ -794,6 +944,7 @@ impl<'a> Compiler<'a> {
                 )));
             }
             let val = self.expr(rhs)?;
+            let val = self.real_of(val);
             let (group, cell) = self.out_cell(lhs)?;
             self.code.push(Instr::Accumulate { group, cell, val });
             return Ok(());
@@ -813,7 +964,7 @@ impl<'a> Compiler<'a> {
         };
         if parts.idx_exprs.is_empty() {
             // Scalar output: cell 0.
-            let cell = self.const_reg(0.0);
+            let cell = self.int_const(0);
             return Ok((group, cell));
         }
         // Hoisted?
@@ -823,7 +974,7 @@ impl<'a> Compiler<'a> {
             return Ok((group, cell));
         }
         let idx = self.compile_access_indices(&parts, parts.idx_exprs.len())?;
-        let dst = self.alloc();
+        let dst = self.alloc(RegClass::I64);
         self.code.push(Instr::OutIndex {
             dst,
             path: parts.path,
@@ -843,16 +994,10 @@ impl<'a> Compiler<'a> {
         // change the trip count mid-flight.
         let lo_src = self.expr(&range.lo)?;
         let hi_src = self.expr(&range.hi)?;
-        let hi = self.alloc();
-        self.code.push(Instr::Mov {
-            dst: hi,
-            src: hi_src,
-        });
-        let var = self.alloc();
-        self.code.push(Instr::Mov {
-            dst: var,
-            src: lo_src,
-        });
+        let hi = self.alloc(RegClass::I64);
+        self.assign_reg(hi, hi_src);
+        let var = self.alloc(RegClass::I64);
+        self.assign_reg(var, lo_src);
         self.scopes.push(HashMap::from([(index.to_string(), var)]));
 
         // Strength reduction: pre-compute bases of eligible accesses.
@@ -868,8 +1013,8 @@ impl<'a> Compiler<'a> {
         self.hoists.push(frame);
 
         // Pre-test once; the back edge is a fused inc-compare-jump.
-        let cond = self.alloc();
-        self.code.push(Instr::Cmp {
+        let cond = self.alloc(RegClass::I64);
+        self.code.push(Instr::ICmp {
             op: CmpOp::Le,
             dst: cond,
             a: var,
@@ -885,13 +1030,13 @@ impl<'a> Compiler<'a> {
         // access of this loop (k = var - lo).
         for &(lo_val, k_reg) in &k_regs {
             if lo_val == 0 {
-                self.code.push(Instr::Mov {
+                self.code.push(Instr::IMov {
                     dst: k_reg,
                     src: var,
                 });
             } else {
-                let lo_reg = self.const_reg(lo_val as f64);
-                self.code.push(Instr::Bin {
+                let lo_reg = self.int_const(lo_val);
+                self.code.push(Instr::IBin {
                     op: ArithOp::Sub,
                     dst: k_reg,
                     a: var,
@@ -1016,7 +1161,7 @@ impl<'a> Compiler<'a> {
             let outer_regs = self.compile_access_indices(&parts, n - 1)?;
             let meta = &self.paths[parts.path as usize];
             let stride = meta.innermost_stride();
-            let base = self.alloc();
+            let base = self.alloc(RegClass::I64);
             match &parts.space {
                 Space::Data => {
                     self.code.push(Instr::DataBase {
@@ -1036,7 +1181,7 @@ impl<'a> Compiler<'a> {
                 Space::Out(_) => {
                     // Base cell index of the output run: computeIndex
                     // with innermost index 0.
-                    let zero = self.const_reg(0.0);
+                    let zero = self.int_const(0);
                     let mut idx = outer_regs;
                     idx.push(zero);
                     self.code.push(Instr::OutIndex {
@@ -1050,7 +1195,7 @@ impl<'a> Compiler<'a> {
             let k_reg = match k_regs.iter().find(|(lo, _)| *lo == k_lo) {
                 Some(&(_, r)) => r,
                 None => {
-                    let r = self.alloc();
+                    let r = self.alloc(RegClass::I64);
                     k_regs.push((k_lo, r));
                     r
                 }
@@ -1081,8 +1226,8 @@ impl<'a> Compiler<'a> {
 
     fn emit_base_plus_k(&mut self, base: Reg, k: Reg, stride: usize) -> Reg {
         if stride == 1 {
-            let dst = self.alloc();
-            self.code.push(Instr::Bin {
+            let dst = self.alloc(RegClass::I64);
+            self.code.push(Instr::IBin {
                 op: ArithOp::Add,
                 dst,
                 a: base,
@@ -1090,16 +1235,16 @@ impl<'a> Compiler<'a> {
             });
             return dst;
         }
-        let s = self.const_reg(stride as f64);
-        let t = self.alloc();
-        self.code.push(Instr::Bin {
+        let s = self.int_const(stride as i64);
+        let t = self.alloc(RegClass::I64);
+        self.code.push(Instr::IBin {
             op: ArithOp::Mul,
             dst: t,
             a: k,
             b: s,
         });
-        let dst = self.alloc();
-        self.code.push(Instr::Bin {
+        let dst = self.alloc(RegClass::I64);
+        self.code.push(Instr::IBin {
             op: ArithOp::Add,
             dst,
             a: base,
@@ -1149,7 +1294,7 @@ impl<'a> Compiler<'a> {
                 Some(Ty::Array { elem, .. }) => (**elem).clone(),
                 _ => return Err(CoreError::translate("dataset type vanished")),
             };
-            let (chains, idx_exprs, lo_adjust, key_suffix) =
+            let (chains, idx_exprs, lo_adjust, key_suffix, leaf) =
                 self.chain_tail(&elems[1..], &elem_ty, false)?;
             let mut full_chains = vec![Vec::new(); chains.len() + 1];
             full_chains[0].push(vpos);
@@ -1177,6 +1322,7 @@ impl<'a> Compiler<'a> {
                 idx_exprs: all_idx,
                 lo_adjust: all_lo,
                 row_first: true,
+                int_leaf: is_int_ty(&leaf),
             }));
         }
 
@@ -1202,7 +1348,9 @@ impl<'a> Compiler<'a> {
             .decls
             .shape_of(&ty)
             .ok_or_else(|| CoreError::translate(format!("`{root}` has no layout")))?;
-        let (chains, idx_exprs, lo_adjust, key_suffix) = self.chain_tail(&elems, &ty, true)?;
+        let (chains, idx_exprs, lo_adjust, key_suffix, leaf) =
+            self.chain_tail(&elems, &ty, true)?;
+        let int_leaf = is_int_ty(&leaf);
         let prefix = match space {
             Space::State(_) => "state",
             Space::Out(_) => "out",
@@ -1226,6 +1374,7 @@ impl<'a> Compiler<'a> {
                 idx_exprs,
                 lo_adjust,
                 row_first: false,
+                int_leaf,
             }));
         }
         let meta = LinearMeta::new(&shape)
@@ -1238,19 +1387,20 @@ impl<'a> Compiler<'a> {
             idx_exprs,
             lo_adjust,
             row_first: false,
+            int_leaf,
         }))
     }
 
     /// Convert syntactic chain elements into per-level field chains plus
     /// the index expressions and their lower-bound adjustments, tracking
-    /// the semantic type as we descend.
+    /// the semantic type as we descend (returned last: the leaf type).
     #[allow(clippy::type_complexity)]
     fn chain_tail<'e>(
         &self,
         elems: &[&'e Expr],
         root_ty: &Ty,
         reject_pre_index_fields: bool,
-    ) -> Result<(Vec<Vec<usize>>, Vec<&'e Expr>, Vec<i64>, String), CoreError> {
+    ) -> Result<(Vec<Vec<usize>>, Vec<&'e Expr>, Vec<i64>, String, Ty), CoreError> {
         let mut chains: Vec<Vec<usize>> = Vec::new();
         let mut idx_exprs: Vec<&'e Expr> = Vec::new();
         let mut lo_adjust: Vec<i64> = Vec::new();
@@ -1324,7 +1474,7 @@ impl<'a> Compiler<'a> {
         if !cur_chain.is_empty() {
             chains.push(cur_chain);
         }
-        Ok((chains, idx_exprs, lo_adjust, key))
+        Ok((chains, idx_exprs, lo_adjust, key, ty))
     }
 
     /// Compile the first `count` index registers of an access, mapping a
@@ -1356,12 +1506,13 @@ impl<'a> Compiler<'a> {
         let mut regs = Vec::with_capacity(exprs.len());
         for (e, &lo) in exprs.iter().zip(lo_adjust) {
             let raw = self.expr(e)?;
+            let raw = self.int_of(raw);
             if lo == 0 {
                 regs.push(raw);
             } else {
-                let lo_reg = self.const_reg(lo as f64);
-                let dst = self.alloc();
-                self.code.push(Instr::Bin {
+                let lo_reg = self.int_const(lo);
+                let dst = self.alloc(RegClass::I64);
+                self.code.push(Instr::IBin {
                     op: ArithOp::Sub,
                     dst,
                     a: raw,
@@ -1373,75 +1524,87 @@ impl<'a> Compiler<'a> {
         Ok(regs)
     }
 
-    /// Emit the load for a resolved access.
+    /// Emit the load for a resolved access. Loads read the f64 buffers;
+    /// an `int`/`bool` element converts to `I64` right after.
     fn emit_load(&mut self, e: &Expr) -> Result<Option<Reg>, CoreError> {
         let key = print_expr(e);
         let Some(parts) = self.access_parts(e)? else {
             return Ok(None);
         };
-        match parts.space {
-            Space::Data => {
-                if let Some((base, stride, k)) = self.hoisted(&key)? {
-                    let dst = self.alloc();
-                    self.code.push(Instr::LoadDataAt {
-                        dst,
-                        base,
-                        k,
-                        stride,
-                    });
-                    return Ok(Some(dst));
-                }
-                let idx = self.compile_access_indices(&parts, parts.idx_exprs.len())?;
-                let dst = self.alloc();
-                self.code.push(Instr::LoadData {
-                    dst,
+        let ins = match parts.space {
+            Space::Data => match self.hoisted(&key)? {
+                Some((base, stride, k)) => Instr::LoadDataAt {
+                    dst: 0,
+                    base,
+                    k,
+                    stride,
+                },
+                None => Instr::LoadData {
+                    dst: 0,
                     path: parts.path,
-                    idx,
-                });
-                Ok(Some(dst))
-            }
-            Space::State(state) => {
-                if self.opt == OptLevel::Opt2 {
-                    if let Some((base, stride, k)) = self.hoisted(&key)? {
-                        let dst = self.alloc();
-                        self.code.push(Instr::LoadStateAt {
-                            dst,
-                            state,
-                            base,
-                            k,
-                            stride,
-                        });
-                        return Ok(Some(dst));
-                    }
+                    idx: self.compile_access_indices(&parts, parts.idx_exprs.len())?,
+                },
+            },
+            Space::State(state) if self.opt == OptLevel::Opt2 => match self.hoisted(&key)? {
+                Some((base, stride, k)) => Instr::LoadStateAt {
+                    dst: 0,
+                    state,
+                    base,
+                    k,
+                    stride,
+                },
+                None => {
                     let idx = self.compile_access_indices(&parts, parts.idx_exprs.len())?;
-                    let dst = self.alloc();
                     if idx.is_empty() {
                         // Scalar state: nested walk with no steps is a
                         // direct read either way.
-                        self.code.push(Instr::LoadStateNested {
-                            dst,
+                        Instr::LoadStateNested {
+                            dst: 0,
                             state,
                             steps: Vec::new(),
-                        });
+                        }
                     } else {
-                        self.code.push(Instr::LoadStateFlat {
-                            dst,
+                        Instr::LoadStateFlat {
+                            dst: 0,
                             state,
                             path: parts.path,
                             idx,
-                        });
+                        }
                     }
-                    return Ok(Some(dst));
                 }
-                // generated / opt-1: nested walk, one step per selector.
-                let steps = self.nested_steps(e)?;
-                let dst = self.alloc();
-                self.code.push(Instr::LoadStateNested { dst, state, steps });
-                Ok(Some(dst))
+            },
+            // generated / opt-1: nested walk, one step per selector.
+            Space::State(state) => Instr::LoadStateNested {
+                dst: 0,
+                state,
+                steps: self.nested_steps(e)?,
+            },
+            Space::Out(_) => {
+                return Err(CoreError::translate(
+                    "outputs cannot be read inside a kernel",
+                ))
             }
-            Space::Out(_) => Err(CoreError::translate(
-                "outputs cannot be read inside a kernel",
-            )),
+        };
+        Ok(Some(self.push_load(ins, parts.int_leaf)))
+    }
+
+    /// Push a load instruction (built with a placeholder `dst`) into a
+    /// fresh `F64` register; convert an `int` element to `I64`.
+    fn push_load(&mut self, mut ins: Instr, int_leaf: bool) -> Reg {
+        let dst = self.alloc(RegClass::F64);
+        match &mut ins {
+            Instr::LoadData { dst: d, .. }
+            | Instr::LoadDataAt { dst: d, .. }
+            | Instr::LoadStateNested { dst: d, .. }
+            | Instr::LoadStateFlat { dst: d, .. }
+            | Instr::LoadStateAt { dst: d, .. } => *d = dst,
+            other => unreachable!("not a load: {other:?}"),
+        }
+        self.code.push(ins);
+        if int_leaf {
+            self.int_of(dst)
+        } else {
+            dst
         }
     }
 
@@ -1512,23 +1675,23 @@ impl<'a> Compiler<'a> {
     fn reduce_operand(&mut self, e: &Expr) -> Result<Reg, CoreError> {
         match e {
             Expr::Ident(name, _) => {
-                let (vpos, _) = self
+                let (vpos, var) = self
                     .dataset_var(name)
                     .ok_or_else(|| CoreError::translate(format!("`{name}` is not a leaf")))?;
+                let int_leaf = matches!(var.elem_shape, Shape::Int);
                 let key = format!("leaf:{name}");
                 let meta = LinearMeta::new(&self.dataset.zip_shape)
                     .for_path(&AccessPath::new(vec![vec![vpos]]))
                     .map_err(|e| CoreError::translate(format!("leaf path: {e}")))?;
                 let path = self.intern_path(key, meta);
-                let dst = self.alloc();
-                self.code.push(Instr::LoadData {
-                    dst,
+                let load = Instr::LoadData {
+                    dst: 0,
                     path,
                     idx: vec![REG_LOCAL_ROW],
-                });
-                Ok(dst)
+                };
+                Ok(self.push_load(load, int_leaf))
             }
-            Expr::Int(v, _) => Ok(self.const_reg(*v as f64)),
+            Expr::Int(v, _) => Ok(self.int_const(*v)),
             Expr::Real(v, _) => Ok(self.const_reg(*v)),
             Expr::Binary { op, l, r, .. } => {
                 let a = self.reduce_operand(l)?;
@@ -1544,17 +1707,13 @@ impl<'a> Compiler<'a> {
                         )));
                     }
                 };
-                let dst = self.alloc();
-                self.code.push(Instr::Bin { op: aop, dst, a, b });
-                Ok(dst)
+                self.binop(aop, a, b, None)
             }
             Expr::Unary {
                 op: UnOp::Neg, e, ..
             } => {
                 let src = self.reduce_operand(e)?;
-                let dst = self.alloc();
-                self.code.push(Instr::Neg { dst, src });
-                Ok(dst)
+                self.negate(src)
             }
             other => Err(CoreError::translate(format!(
                 "unsupported reduce operand {other:?}"
@@ -1564,9 +1723,9 @@ impl<'a> Compiler<'a> {
 
     fn expr(&mut self, e: &Expr) -> Result<Reg, CoreError> {
         match e {
-            Expr::Int(v, _) => Ok(self.const_reg(*v as f64)),
+            Expr::Int(v, _) => Ok(self.int_const(*v)),
             Expr::Real(v, _) => Ok(self.const_reg(*v)),
-            Expr::Bool(b, _) => Ok(self.const_reg(if *b { 1.0 } else { 0.0 })),
+            Expr::Bool(b, _) => Ok(self.int_const(*b as i64)),
             Expr::Ident(name, _) => {
                 if let Some(r) = self.lookup_local(name) {
                     return Ok(r);
@@ -1581,17 +1740,17 @@ impl<'a> Compiler<'a> {
                     return Ok(REG_CHAPEL_ROW);
                 }
                 if let Some(v) = self.analysis.decls.consts.get(name) {
-                    return Ok(self.const_reg(*v as f64));
+                    return Ok(self.int_const(*v));
                 }
                 // Scalar state global.
                 if let Some(state) = self.state_id(name) {
-                    let dst = self.alloc();
-                    self.code.push(Instr::LoadStateNested {
-                        dst,
+                    let int_leaf = self.analysis.decls.globals.get(name).is_some_and(is_int_ty);
+                    let load = Instr::LoadStateNested {
+                        dst: 0,
                         state,
                         steps: Vec::new(),
-                    });
-                    return Ok(dst);
+                    };
+                    return Ok(self.push_load(load, int_leaf));
                 }
                 Err(CoreError::translate(format!(
                     "unknown name `{name}` in kernel"
@@ -1600,142 +1759,73 @@ impl<'a> Compiler<'a> {
             Expr::Index { .. } | Expr::Field { .. } => self
                 .emit_load(e)?
                 .ok_or_else(|| CoreError::translate("unsupported access in kernel")),
-            Expr::Unary { op, e: inner, .. } => {
+            Expr::Unary {
+                op: UnOp::Neg,
+                e: inner,
+                ..
+            } => {
                 let src = self.expr(inner)?;
-                let dst = self.alloc();
-                match op {
-                    UnOp::Neg => self.code.push(Instr::Neg { dst, src }),
-                    UnOp::Not => self.code.push(Instr::Not { dst, src }),
-                }
+                self.negate(src)
+            }
+            Expr::Unary {
+                op: UnOp::Not,
+                e: inner,
+                ..
+            } => {
+                let src = self.cond(inner)?;
+                let dst = self.alloc(RegClass::I64);
+                self.code.push(Instr::Not { dst, src });
+                Ok(dst)
+            }
+            Expr::Binary {
+                op: op @ (BinOp::And | BinOp::Or),
+                l,
+                r,
+                ..
+            } => {
+                // Short-circuit && / || compile to branches (the kernel
+                // must not index out of bounds on the skipped side).
+                let dst = self.alloc(RegClass::I64);
+                let a = self.cond(l)?;
+                self.code.push(Instr::IMov { dst, src: a });
+                let skip_if_zero = if matches!(op, BinOp::And) {
+                    a
+                } else {
+                    // Skip rhs when lhs is true: test the inverse.
+                    let inv = self.alloc(RegClass::I64);
+                    self.code.push(Instr::Not { dst: inv, src: a });
+                    inv
+                };
+                let jz = self.code.len();
+                self.code.push(Instr::JumpIfZero {
+                    cond: skip_if_zero,
+                    target: usize::MAX,
+                });
+                let b = self.cond(r)?;
+                self.code.push(Instr::IMov { dst, src: b });
+                let end = self.code.len();
+                self.patch(jz, end);
                 Ok(dst)
             }
             Expr::Binary { op, l, r, .. } => {
-                // Short-circuit && / || compile to branches (the kernel
-                // must not index out of bounds on the skipped side).
-                match op {
-                    BinOp::And | BinOp::Or => {
-                        let dst = self.alloc();
-                        let a = self.expr(l)?;
-                        self.code.push(Instr::Mov { dst, src: a });
-                        let jump_at = self.code.len();
-                        if matches!(op, BinOp::And) {
-                            self.code.push(Instr::JumpIfZero {
-                                cond: a,
-                                target: usize::MAX,
-                            });
-                        } else {
-                            // Skip rhs when lhs is true: jump if !lhs==0,
-                            // i.e. invert then test.
-                            let inv = self.alloc();
-                            self.code.push(Instr::Not { dst: inv, src: a });
-                            self.code.push(Instr::JumpIfZero {
-                                cond: inv,
-                                target: usize::MAX,
-                            });
-                        }
-                        let b = self.expr(r)?;
-                        let nz = self.alloc();
-                        let zero = self.const_reg(0.0);
-                        self.code.push(Instr::Cmp {
-                            op: CmpOp::Ne,
-                            dst: nz,
-                            a: b,
-                            b: zero,
-                        });
-                        self.code.push(Instr::Mov { dst, src: nz });
-                        let end = self.code.len();
-                        // Patch the conditional jump (for Or it is the
-                        // instruction after the Not).
-                        let at = if matches!(op, BinOp::And) {
-                            jump_at
-                        } else {
-                            jump_at + 1
-                        };
-                        self.patch(at, end);
-                        return Ok(dst);
-                    }
-                    _ => {}
-                }
                 let a = self.expr(l)?;
                 let b = self.expr(r)?;
-                let dst = self.alloc();
-                let ins = match op {
-                    BinOp::Add => Instr::Bin {
-                        op: ArithOp::Add,
-                        dst,
-                        a,
-                        b,
-                    },
-                    BinOp::Sub => Instr::Bin {
-                        op: ArithOp::Sub,
-                        dst,
-                        a,
-                        b,
-                    },
-                    BinOp::Mul => Instr::Bin {
-                        op: ArithOp::Mul,
-                        dst,
-                        a,
-                        b,
-                    },
-                    BinOp::Div => Instr::Bin {
-                        op: ArithOp::Div,
-                        dst,
-                        a,
-                        b,
-                    },
-                    BinOp::Mod => Instr::Bin {
-                        op: ArithOp::Mod,
-                        dst,
-                        a,
-                        b,
-                    },
-                    BinOp::Pow => Instr::Bin {
-                        op: ArithOp::Pow,
-                        dst,
-                        a,
-                        b,
-                    },
-                    BinOp::Eq => Instr::Cmp {
-                        op: CmpOp::Eq,
-                        dst,
-                        a,
-                        b,
-                    },
-                    BinOp::Ne => Instr::Cmp {
-                        op: CmpOp::Ne,
-                        dst,
-                        a,
-                        b,
-                    },
-                    BinOp::Lt => Instr::Cmp {
-                        op: CmpOp::Lt,
-                        dst,
-                        a,
-                        b,
-                    },
-                    BinOp::Le => Instr::Cmp {
-                        op: CmpOp::Le,
-                        dst,
-                        a,
-                        b,
-                    },
-                    BinOp::Gt => Instr::Cmp {
-                        op: CmpOp::Gt,
-                        dst,
-                        a,
-                        b,
-                    },
-                    BinOp::Ge => Instr::Cmp {
-                        op: CmpOp::Ge,
-                        dst,
-                        a,
-                        b,
-                    },
-                    BinOp::And | BinOp::Or => unreachable!("handled above"),
+                let op = match op {
+                    BinOp::Add => ArithOp::Add,
+                    BinOp::Sub => ArithOp::Sub,
+                    BinOp::Mul => ArithOp::Mul,
+                    BinOp::Div => ArithOp::Div,
+                    BinOp::Mod => ArithOp::Mod,
+                    BinOp::Pow => ArithOp::Pow,
+                    BinOp::Eq => return Ok(self.compare(CmpOp::Eq, a, b)),
+                    BinOp::Ne => return Ok(self.compare(CmpOp::Ne, a, b)),
+                    BinOp::Lt => return Ok(self.compare(CmpOp::Lt, a, b)),
+                    BinOp::Le => return Ok(self.compare(CmpOp::Le, a, b)),
+                    BinOp::Gt => return Ok(self.compare(CmpOp::Gt, a, b)),
+                    BinOp::Ge => return Ok(self.compare(CmpOp::Ge, a, b)),
+                    BinOp::And | BinOp::Or => unreachable!("short-circuit operators handled above"),
                 };
-                self.code.push(ins);
-                Ok(dst)
+                self.binop(op, a, b, None)
             }
             Expr::Call { callee, args, .. } => {
                 let Some(name) = callee.as_ident() else {
@@ -1744,41 +1834,43 @@ impl<'a> Compiler<'a> {
                 match (name, args.len()) {
                     ("int" | "floor", 1) => {
                         let src = self.expr(&args[0])?;
-                        let dst = self.alloc();
-                        self.code.push(Instr::Floor { dst, src });
-                        Ok(dst)
+                        Ok(self.int_of(src))
                     }
-                    ("real", 1) => self.expr(&args[0]),
+                    ("real", 1) => {
+                        let src = self.expr(&args[0])?;
+                        Ok(self.real_of(src))
+                    }
                     ("sqrt", 1) => {
                         let src = self.expr(&args[0])?;
-                        let dst = self.alloc();
+                        let src = self.real_of(src);
+                        let dst = self.alloc(RegClass::F64);
                         self.code.push(Instr::Sqrt { dst, src });
                         Ok(dst)
                     }
                     ("abs", 1) => {
                         let src = self.expr(&args[0])?;
-                        let dst = self.alloc();
+                        if self.class(src) == RegClass::I64 {
+                            // max(x, 0 - x): wrapping, like `i64::abs`
+                            // in a release build.
+                            let neg = self.negate(src)?;
+                            return self.binop(ArithOp::Max, src, neg, None);
+                        }
+                        let dst = self.alloc(RegClass::F64);
                         self.code.push(Instr::Abs { dst, src });
                         Ok(dst)
                     }
                     ("min", 2) | ("max", 2) => {
                         let a = self.expr(&args[0])?;
                         let b = self.expr(&args[1])?;
-                        let dst = self.alloc();
                         let op = if name == "min" {
                             ArithOp::Min
                         } else {
                             ArithOp::Max
                         };
-                        self.code.push(Instr::Bin { op, dst, a, b });
-                        Ok(dst)
+                        self.binop(op, a, b, None)
                     }
-                    ("max", 1) if args[0].as_ident() == Some("int") => {
-                        Ok(self.const_reg(i64::MAX as f64))
-                    }
-                    ("min", 1) if args[0].as_ident() == Some("int") => {
-                        Ok(self.const_reg(i64::MIN as f64))
-                    }
+                    ("max", 1) if args[0].as_ident() == Some("int") => Ok(self.int_const(i64::MAX)),
+                    ("min", 1) if args[0].as_ident() == Some("int") => Ok(self.int_const(i64::MIN)),
                     ("max", 1) if args[0].as_ident() == Some("real") => {
                         Ok(self.const_reg(f64::INFINITY))
                     }

@@ -14,7 +14,7 @@ use crate::chapel_abi::{
 };
 use crate::compile::OptLevel;
 use crate::error::CoreError;
-use crate::kernel_ir::{ArithOp, CmpOp, Instr, Kernel, NavStep};
+use crate::kernel_ir::{ArithOp, CmpOp, Instr, Kernel, NavStep, REG_CHAPEL_ROW, REG_LOCAL_ROW};
 
 /// Everything the kernel needs at run time besides the split itself.
 ///
@@ -77,41 +77,60 @@ impl KernelRuntime {
     /// This is the `reduction_t` FREERIDE calls through its function
     /// pointer.
     pub fn run_split(&self, split: &Split<'_>, robj: &mut dyn RObjHandle) {
-        let mut regs = vec![0.0f64; self.kernel.regs];
+        // One file per class, both indexed by register number (a
+        // register lives in the file its class names). The row
+        // registers exist even in a kernel that declares none.
+        let n = self.kernel.regs.len().max(2);
+        let mut regs = Regs {
+            f: vec![0.0f64; n],
+            i: vec![0i64; n],
+        };
         // Constant preamble, once per split.
         for ins in &self.kernel.code[..self.kernel.entry] {
             match ins {
-                Instr::Const { dst, val } => regs[*dst as usize] = *val,
+                Instr::Const { dst, val } => regs.f[*dst as usize] = *val,
+                Instr::IConst { dst, val } => regs.i[*dst as usize] = *val,
                 other => unreachable!("non-constant in preamble: {other:?}"),
             }
         }
         for local in 0..split.row_count {
-            regs[0] = local as f64;
-            regs[1] = (self.row_lo + (split.first_row + local) as i64) as f64;
+            regs.i[REG_LOCAL_ROW as usize] = local as i64;
+            regs.i[REG_CHAPEL_ROW as usize] = self.row_lo + (split.first_row + local) as i64;
             self.run_row(split, &mut regs, robj);
         }
     }
 
     #[inline]
-    fn run_row(&self, split: &Split<'_>, regs: &mut [f64], robj: &mut dyn RObjHandle) {
+    fn run_row(&self, split: &Split<'_>, regs: &mut Regs, robj: &mut dyn RObjHandle) {
         let code = &self.kernel.code;
         let paths = &self.kernel.paths;
         let data = split.rows;
+        let (fr, ir) = (&mut regs.f[..], &mut regs.i[..]);
+        // SAFETY (every unchecked access below): the kernel passed
+        // `Kernel::validate` in `new`, so each operand is inside the
+        // register file (both files have at least `regs.len()` slots)
+        // and names the file of its class.
+        macro_rules! f {
+            ($r:expr) => {
+                *unsafe { fr.get_unchecked_mut($r as usize) }
+            };
+        }
+        macro_rules! i {
+            ($r:expr) => {
+                *unsafe { ir.get_unchecked_mut($r as usize) }
+            };
+        }
         let mut idx_buf: Vec<usize> = Vec::with_capacity(8);
         let mut pc = self.kernel.entry;
         loop {
             match &code[pc] {
-                Instr::Const { dst, val } => {
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) = *val
-                }
-                Instr::Mov { dst, src } => {
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) =
-                        unsafe { *regs.get_unchecked(*src as usize) }
-                }
+                Instr::Const { dst, val } => f!(*dst) = *val,
+                Instr::IConst { dst, val } => i!(*dst) = *val,
+                Instr::Mov { dst, src } => f!(*dst) = f!(*src),
+                Instr::IMov { dst, src } => i!(*dst) = i!(*src),
                 Instr::Bin { op, dst, a, b } => {
-                    let x = unsafe { *regs.get_unchecked(*a as usize) };
-                    let y = unsafe { *regs.get_unchecked(*b as usize) };
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) = match op {
+                    let (x, y) = (f!(*a), f!(*b));
+                    f!(*dst) = match op {
                         ArithOp::Add => x + y,
                         ArithOp::Sub => x - y,
                         ArithOp::Mul => x * y,
@@ -122,92 +141,63 @@ impl KernelRuntime {
                         ArithOp::Max => x.max(y),
                     };
                 }
-                Instr::Cmp { op, dst, a, b } => {
-                    let x = unsafe { *regs.get_unchecked(*a as usize) };
-                    let y = unsafe { *regs.get_unchecked(*b as usize) };
-                    let v = match op {
-                        CmpOp::Eq => x == y,
-                        CmpOp::Ne => x != y,
-                        CmpOp::Lt => x < y,
-                        CmpOp::Le => x <= y,
-                        CmpOp::Gt => x > y,
-                        CmpOp::Ge => x >= y,
+                Instr::IBin { op, dst, a, b } => {
+                    let (x, y) = (i!(*a), i!(*b));
+                    i!(*dst) = match op {
+                        ArithOp::Add => x.wrapping_add(y),
+                        ArithOp::Sub => x.wrapping_sub(y),
+                        ArithOp::Mul => x.wrapping_mul(y),
+                        ArithOp::Div => x.wrapping_div(nonzero(y)),
+                        ArithOp::Mod => x.wrapping_rem(nonzero(y)),
+                        ArithOp::Min => x.min(y),
+                        ArithOp::Max => x.max(y),
+                        ArithOp::Pow => unreachable!("validated: no I64 Pow"),
                     };
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) = if v { 1.0 } else { 0.0 };
                 }
-                Instr::Not { dst, src } => {
-                    let v = if unsafe { *regs.get_unchecked(*src as usize) } == 0.0 {
-                        1.0
-                    } else {
-                        0.0
-                    };
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) = v;
-                }
-                Instr::Neg { dst, src } => {
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) =
-                        -unsafe { *regs.get_unchecked(*src as usize) }
-                }
-                Instr::Floor { dst, src } => {
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) =
-                        unsafe { *regs.get_unchecked(*src as usize) }.floor()
-                }
-                Instr::Sqrt { dst, src } => {
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) =
-                        unsafe { *regs.get_unchecked(*src as usize) }.sqrt()
-                }
-                Instr::Abs { dst, src } => {
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) =
-                        unsafe { *regs.get_unchecked(*src as usize) }.abs()
-                }
+                Instr::Cmp { op, dst, a, b } => i!(*dst) = compare(*op, f!(*a), f!(*b)) as i64,
+                Instr::ICmp { op, dst, a, b } => i!(*dst) = compare(*op, i!(*a), i!(*b)) as i64,
+                Instr::Not { dst, src } => i!(*dst) = (i!(*src) == 0) as i64,
+                Instr::Neg { dst, src } => f!(*dst) = -f!(*src),
+                Instr::Sqrt { dst, src } => f!(*dst) = f!(*src).sqrt(),
+                Instr::Abs { dst, src } => f!(*dst) = f!(*src).abs(),
+                Instr::IntToReal { dst, src } => f!(*dst) = i!(*src) as f64,
+                Instr::RealToInt { dst, src } => i!(*dst) = f!(*src).floor() as i64,
                 Instr::Jump { target } => {
                     pc = *target;
                     continue;
                 }
                 Instr::JumpIfZero { cond, target } => {
-                    if unsafe { *regs.get_unchecked(*cond as usize) } == 0.0 {
+                    if i!(*cond) == 0 {
                         pc = *target;
                         continue;
                     }
                 }
-                Instr::LoadRow { dst } => {
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) = regs[1]
-                }
+                Instr::LoadRow { dst } => i!(*dst) = i!(REG_CHAPEL_ROW),
                 Instr::IncRangeJump { var, hi, target } => {
-                    let v = (*unsafe { regs.get_unchecked_mut(*var as usize) }) + 1.0;
-                    (*unsafe { regs.get_unchecked_mut(*var as usize) }) = v;
-                    if v <= unsafe { *regs.get_unchecked(*hi as usize) } {
+                    let v = i!(*var);
+                    if v < i!(*hi) {
+                        i!(*var) = v + 1;
                         pc = *target;
                         continue;
                     }
                 }
-                Instr::Fma { dst, a, b } => {
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) +=
-                        (*unsafe { regs.get_unchecked_mut(*a as usize) })
-                            * (*unsafe { regs.get_unchecked_mut(*b as usize) });
-                }
+                Instr::Fma { dst, a, b } => f!(*dst) += f!(*a) * f!(*b),
                 Instr::LoadData { dst, path, idx } => {
                     // The full Algorithm-3 mapping, executed as a real
                     // (non-inlined, recursive) call per access — the
                     // *generated* version's cost.
                     idx_buf.clear();
-                    idx_buf.extend(
-                        idx.iter()
-                            .map(|r| (*unsafe { regs.get_unchecked_mut(*r as usize) }) as usize),
-                    );
+                    idx_buf.extend(idx.iter().map(|r| i!(*r) as usize));
                     let off = compute_index_call(&paths[*path as usize], &idx_buf);
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) = data[off];
+                    f!(*dst) = data[off];
                 }
                 Instr::DataBase { dst, path, outer } => {
                     // opt-1: the one remaining computeIndex call per loop.
                     idx_buf.clear();
-                    idx_buf.extend(
-                        outer
-                            .iter()
-                            .map(|r| (*unsafe { regs.get_unchecked_mut(*r as usize) }) as usize),
-                    );
+                    idx_buf.extend(outer.iter().map(|r| i!(*r) as usize));
                     idx_buf.push(0);
                     let off = compute_index_call(&paths[*path as usize], &idx_buf);
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) = off as f64;
+                    i!(*dst) = off as i64;
                 }
                 Instr::LoadDataAt {
                     dst,
@@ -215,9 +205,8 @@ impl KernelRuntime {
                     k,
                     stride,
                 } => {
-                    let off = (*unsafe { regs.get_unchecked_mut(*base as usize) }) as usize
-                        + (*unsafe { regs.get_unchecked_mut(*k as usize) }) as usize * stride;
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) = data[off];
+                    let off = i!(*base) as usize + i!(*k) as usize * stride;
+                    f!(*dst) = data[off];
                 }
                 Instr::LoadStateNested { dst, state, steps } => {
                     // The nested-structure walk through the emulated
@@ -229,13 +218,10 @@ impl KernelRuntime {
                     for step in steps {
                         cur = match step {
                             NavStep::Field(pos) => chpl_record_field(cur, *pos),
-                            NavStep::Index(r) => chpl_array_index(
-                                cur,
-                                (*unsafe { regs.get_unchecked_mut(*r as usize) }) as usize,
-                            ),
+                            NavStep::Index(r) => chpl_array_index(cur, i!(*r) as usize),
                         };
                     }
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) = chpl_read_scalar(cur);
+                    f!(*dst) = chpl_read_scalar(cur);
                 }
                 Instr::LoadStateFlat {
                     dst,
@@ -244,13 +230,9 @@ impl KernelRuntime {
                     idx,
                 } => {
                     idx_buf.clear();
-                    idx_buf.extend(
-                        idx.iter()
-                            .map(|r| (*unsafe { regs.get_unchecked_mut(*r as usize) }) as usize),
-                    );
+                    idx_buf.extend(idx.iter().map(|r| i!(*r) as usize));
                     let off = compute_index_call(&paths[*path as usize], &idx_buf);
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) =
-                        self.flat_state[*state as usize][off];
+                    f!(*dst) = self.flat_state[*state as usize][off];
                 }
                 Instr::StateBase {
                     dst,
@@ -259,14 +241,10 @@ impl KernelRuntime {
                     outer,
                 } => {
                     idx_buf.clear();
-                    idx_buf.extend(
-                        outer
-                            .iter()
-                            .map(|r| (*unsafe { regs.get_unchecked_mut(*r as usize) }) as usize),
-                    );
+                    idx_buf.extend(outer.iter().map(|r| i!(*r) as usize));
                     idx_buf.push(0);
                     let off = compute_index_call(&paths[*path as usize], &idx_buf);
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) = off as f64;
+                    i!(*dst) = off as i64;
                 }
                 Instr::LoadStateAt {
                     dst,
@@ -275,31 +253,50 @@ impl KernelRuntime {
                     k,
                     stride,
                 } => {
-                    let off = (*unsafe { regs.get_unchecked_mut(*base as usize) }) as usize
-                        + (*unsafe { regs.get_unchecked_mut(*k as usize) }) as usize * stride;
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) =
-                        self.flat_state[*state as usize][off];
+                    let off = i!(*base) as usize + i!(*k) as usize * stride;
+                    f!(*dst) = self.flat_state[*state as usize][off];
                 }
                 Instr::OutIndex { dst, path, idx } => {
                     idx_buf.clear();
-                    idx_buf.extend(
-                        idx.iter()
-                            .map(|r| (*unsafe { regs.get_unchecked_mut(*r as usize) }) as usize),
-                    );
+                    idx_buf.extend(idx.iter().map(|r| i!(*r) as usize));
                     let off = compute_index_call(&paths[*path as usize], &idx_buf);
-                    (*unsafe { regs.get_unchecked_mut(*dst as usize) }) = off as f64;
+                    i!(*dst) = off as i64;
                 }
                 Instr::Accumulate { group, cell, val } => {
-                    robj.accumulate(
-                        *group as usize,
-                        (*unsafe { regs.get_unchecked_mut(*cell as usize) }) as usize,
-                        unsafe { *regs.get_unchecked(*val as usize) },
-                    );
+                    robj.accumulate(*group as usize, i!(*cell) as usize, f!(*val));
                 }
                 Instr::Halt => return,
             }
             pc += 1;
         }
+    }
+}
+
+/// The two register files of one split's execution.
+struct Regs {
+    f: Vec<f64>,
+    i: Vec<i64>,
+}
+
+/// `y`, or a panic for a zero integer divisor (never undefined
+/// behaviour; the same failure mode as an out-of-bounds load).
+#[inline]
+fn nonzero(y: i64) -> i64 {
+    if y == 0 {
+        panic!("kernel: integer division by zero");
+    }
+    y
+}
+
+#[inline]
+fn compare<T: PartialOrd>(op: CmpOp, x: T, y: T) -> bool {
+    match op {
+        CmpOp::Eq => x == y,
+        CmpOp::Ne => x != y,
+        CmpOp::Lt => x < y,
+        CmpOp::Le => x <= y,
+        CmpOp::Gt => x > y,
+        CmpOp::Ge => x >= y,
     }
 }
 

@@ -16,8 +16,16 @@
 //! * **opt-2** — state is linearized too, so [`Instr::LoadStateNested`]
 //!   disappears in favour of flat loads (plus the opt-1 shapes).
 //!
-//! All arithmetic runs on f64 registers (ints ride in the payload, as in
-//! the linearized buffers).
+//! Every register has a [`RegClass`], carrying Chapel's `int`/`real`
+//! distinction: `int` locals, loop counters and bounds, booleans and
+//! everything an index or `computeIndex` consumes are [`RegClass::I64`];
+//! data loads, state loads and accumulated values are [`RegClass::F64`].
+//! Each instruction fixes the class of each operand, and conversions are
+//! explicit ([`Instr::IntToReal`], [`Instr::RealToInt`]).
+//! [`Kernel::validate`] rejects any mismatch. `I64` arithmetic follows
+//! the `chapel-interp` oracle: wrapping `+ - *`, truncating `/` and `%`,
+//! and a zero divisor panics (like an out-of-bounds load) instead of
+//! being undefined.
 
 use linearize::PathMeta;
 
@@ -33,7 +41,24 @@ pub type StateId = u16;
 /// Index of a reduction-object group (one per output variable).
 pub type GroupId = u16;
 
-/// Arithmetic operations on f64 registers.
+/// Register 0 always holds the local (0-based) row index (`I64`).
+pub const REG_LOCAL_ROW: Reg = 0;
+/// Register 1 always holds the Chapel loop-variable value (`I64`).
+pub const REG_CHAPEL_ROW: Reg = 1;
+
+/// What a register holds: Chapel `int`/`bool` values or `real` values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RegClass {
+    /// A 64-bit signed integer (Chapel `int`; booleans are 0/1).
+    I64,
+    /// A 64-bit float (Chapel `real`).
+    F64,
+}
+
+/// Binary arithmetic operations. On `F64` registers ([`Instr::Bin`])
+/// they are the IEEE operations; on `I64` registers ([`Instr::IBin`])
+/// `Add`/`Sub`/`Mul` wrap, `Div`/`Mod` truncate and panic on a zero
+/// divisor, and `Pow` is not available.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithOp {
     /// `a + b`
@@ -44,9 +69,9 @@ pub enum ArithOp {
     Mul,
     /// `a / b`
     Div,
-    /// `a % b` (f64 remainder; exact for integer payloads)
+    /// `a % b`
     Mod,
-    /// `a.powf(b)`
+    /// `a.powf(b)` (`F64` only)
     Pow,
     /// `a.min(b)`
     Min,
@@ -54,7 +79,7 @@ pub enum ArithOp {
     Max,
 }
 
-/// Comparisons producing 0.0 / 1.0.
+/// Comparisons producing an `I64` 0 / 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// `a == b`
@@ -77,29 +102,43 @@ pub enum CmpOp {
 pub enum NavStep {
     /// Select a record field by position.
     Field(usize),
-    /// Index an array level; the register holds the already-0-based
+    /// Index an array level; the `I64` register holds the already-0-based
     /// index.
     Index(Reg),
 }
 
-/// Kernel instructions.
+/// Kernel instructions. Operand classes are given as `F64`/`I64`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
-    /// `dst = val`
+    /// `dst = val` (`F64`)
     Const {
         /// Destination register.
         dst: Reg,
         /// Immediate.
         val: f64,
     },
-    /// `dst = src`
+    /// `dst = val` (`I64`)
+    IConst {
+        /// Destination register.
+        dst: Reg,
+        /// Immediate.
+        val: i64,
+    },
+    /// `dst = src` (`F64`)
     Mov {
         /// Destination register.
         dst: Reg,
         /// Source register.
         src: Reg,
     },
-    /// `dst = a op b`
+    /// `dst = src` (`I64`)
+    IMov {
+        /// Destination register.
+        dst: Reg,
+        /// Source register.
+        src: Reg,
+    },
+    /// `dst = a op b` (`F64`)
     Bin {
         /// Operation.
         op: ArithOp,
@@ -110,7 +149,18 @@ pub enum Instr {
         /// Right operand.
         b: Reg,
     },
-    /// `dst = (a cmp b) ? 1.0 : 0.0`
+    /// `dst = a op b` (`I64`: wrapping, truncating, no `Pow`)
+    IBin {
+        /// Operation.
+        op: ArithOp,
+        /// Destination.
+        dst: Reg,
+        /// Left operand.
+        a: Reg,
+        /// Right operand.
+        b: Reg,
+    },
+    /// `dst = (a cmp b) as i64` over `F64` operands; `dst` is `I64`.
     Cmp {
         /// Comparison.
         op: CmpOp,
@@ -121,39 +171,58 @@ pub enum Instr {
         /// Right operand.
         b: Reg,
     },
-    /// `dst = (src == 0.0) ? 1.0 : 0.0`
+    /// `dst = (a cmp b) as i64` over `I64` operands.
+    ICmp {
+        /// Comparison.
+        op: CmpOp,
+        /// Destination.
+        dst: Reg,
+        /// Left operand.
+        a: Reg,
+        /// Right operand.
+        b: Reg,
+    },
+    /// `dst = (src == 0) as i64` (`I64`)
     Not {
         /// Destination.
         dst: Reg,
         /// Source.
         src: Reg,
     },
-    /// `dst = -src`
+    /// `dst = -src` (`F64`)
     Neg {
         /// Destination.
         dst: Reg,
         /// Source.
         src: Reg,
     },
-    /// `dst = floor(src)` (the `int()` cast)
-    Floor {
-        /// Destination.
-        dst: Reg,
-        /// Source.
-        src: Reg,
-    },
-    /// `dst = sqrt(src)`
+    /// `dst = sqrt(src)` (`F64`)
     Sqrt {
         /// Destination.
         dst: Reg,
         /// Source.
         src: Reg,
     },
-    /// `dst = abs(src)`
+    /// `dst = abs(src)` (`F64`)
     Abs {
         /// Destination.
         dst: Reg,
         /// Source.
+        src: Reg,
+    },
+    /// `dst = src as f64` (`I64` → `F64`)
+    IntToReal {
+        /// Destination (`F64`).
+        dst: Reg,
+        /// Source (`I64`).
+        src: Reg,
+    },
+    /// `dst = src.floor() as i64` (`F64` → `I64`, saturating): the
+    /// `int()`/`floor()` cast and the store of a real into an `int`.
+    RealToInt {
+        /// Destination (`I64`).
+        dst: Reg,
+        /// Source (`F64`).
         src: Reg,
     },
     /// Unconditional jump to an instruction index.
@@ -161,7 +230,7 @@ pub enum Instr {
         /// Target pc.
         target: usize,
     },
-    /// Jump when the register is 0.0.
+    /// Jump when the `I64` register is 0.
     JumpIfZero {
         /// Condition register.
         cond: Reg,
@@ -169,14 +238,14 @@ pub enum Instr {
         target: usize,
     },
     /// `dst = <current global row index>` (the Chapel loop variable's
-    /// value, 1-based by the loop's lower bound).
+    /// value, 1-based by the loop's lower bound; `I64`).
     LoadRow {
         /// Destination.
         dst: Reg,
     },
     /// **generated**: full `computeIndex` per access. `idx[0]` is the
     /// *local row register* implicitly (level 0); deeper indices come
-    /// from registers (already 0-based).
+    /// from registers (already 0-based). Indices `I64`, `dst` `F64`.
     LoadData {
         /// Destination.
         dst: Reg,
@@ -186,7 +255,7 @@ pub enum Instr {
         idx: Vec<Reg>,
     },
     /// **opt-1**: compute the flat base address of the innermost run:
-    /// `dst = computeIndex(path, outer..., 0)`.
+    /// `dst = computeIndex(path, outer..., 0)` (all `I64`).
     DataBase {
         /// Destination (holds a flat slot address).
         dst: Reg,
@@ -195,7 +264,7 @@ pub enum Instr {
         /// 0-based index registers of all levels but the innermost.
         outer: Vec<Reg>,
     },
-    /// **opt-1**: `dst = buffer[base + k * stride]`.
+    /// **opt-1**: `dst = buffer[base + k * stride]` (`base`, `k` `I64`).
     LoadDataAt {
         /// Destination.
         dst: Reg,
@@ -252,7 +321,7 @@ pub enum Instr {
         stride: usize,
     },
     /// Compute a reduction-object cell index: `dst = computeIndex(path,
-    /// idx...)` over the *output* variable's layout.
+    /// idx...)` over the *output* variable's layout (all `I64`).
     OutIndex {
         /// Destination (cell index).
         dst: Reg,
@@ -261,9 +330,10 @@ pub enum Instr {
         /// 0-based index registers, one per level (empty for scalars).
         idx: Vec<Reg>,
     },
-    /// Fused loop back-edge: `var += 1; if var <= hi { goto target }` —
-    /// the loop bookkeeping a C compiler folds into one compare-and-
-    /// branch.
+    /// Loop back-edge: `if var < hi { var += 1; goto target }` (both
+    /// `I64`) — the loop bookkeeping a C compiler folds into one
+    /// compare-and-branch. The counter never steps past `hi`, so it
+    /// cannot overflow.
     IncRangeJump {
         /// Loop variable register.
         var: Reg,
@@ -272,7 +342,7 @@ pub enum Instr {
         /// Body start pc.
         target: usize,
     },
-    /// `dst += a * b` — fused multiply-accumulate.
+    /// `dst += a * b` — multiply-accumulate, unfused (`F64`).
     Fma {
         /// Accumulator register.
         dst: Reg,
@@ -281,7 +351,8 @@ pub enum Instr {
         /// Right factor.
         b: Reg,
     },
-    /// `accumulate(group, cell, val)` — the FREERIDE update.
+    /// `accumulate(group, cell, val)` — the FREERIDE update (`cell`
+    /// `I64`, `val` `F64`).
     Accumulate {
         /// Reduction-object group (one per output variable).
         group: GroupId,
@@ -302,8 +373,9 @@ pub struct Kernel {
     pub code: Vec<Instr>,
     /// First pc of the per-element body.
     pub entry: usize,
-    /// Register file size.
-    pub regs: usize,
+    /// The register file: one class per register. Registers
+    /// [`REG_LOCAL_ROW`] and [`REG_CHAPEL_ROW`] are `I64`.
+    pub regs: Vec<RegClass>,
     /// Resolved access paths (dataset paths use the *zipped* dataset
     /// unit at level 0; state/out paths are variable-local).
     pub paths: Vec<PathMeta>,
@@ -318,9 +390,9 @@ pub struct Kernel {
 ///
 /// Both the interpreter ([`crate::KernelRuntime`], whose dispatch loop
 /// performs unchecked register reads) and the codegen backend (which
-/// emits unchecked state-slice loads) require a kernel to have passed
-/// [`Kernel::validate`] first; this error is their shared precondition
-/// report.
+/// declares each register with its class) require a kernel to have
+/// passed [`Kernel::validate`] first; this error is their shared
+/// precondition report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelValidateError {
     /// Offending instruction index, when instruction-local (`None` for
@@ -343,22 +415,26 @@ impl std::error::Error for KernelValidateError {}
 
 impl Kernel {
     /// Validate structural invariants: every register operand addresses
-    /// the register file, every path id addresses the path table, every
-    /// jump target lands inside the code. The VM relies on this to use
-    /// unchecked register access in its dispatch loop.
+    /// the register file and has the class its instruction requires,
+    /// every path id addresses the path table, every jump target lands
+    /// inside the code. The VM relies on this to use unchecked register
+    /// access in its dispatch loop.
     pub fn validate(&self, states: usize, groups: usize) -> Result<(), KernelValidateError> {
-        // Each checker reports the *first* out-of-range operand by name,
-        // so the Display names the actual violated constraint instead of
+        use RegClass::{F64, I64};
+        // Each checker reports the *first* bad operand by name, so the
+        // Display names the actual violated constraint instead of
         // listing every possible one.
-        let reg = |r: &Reg| {
-            ((*r as usize) >= self.regs).then(|| {
-                format!(
-                    "register r{r} outside the register file (size {})",
-                    self.regs
-                )
-            })
+        let reg = |r: &Reg, want: RegClass| match self.regs.get(*r as usize) {
+            None => Some(format!(
+                "register r{r} outside the register file (size {})",
+                self.regs.len()
+            )),
+            Some(&got) if got != want => {
+                Some(format!("register r{r} is {got:?}, used as {want:?}"))
+            }
+            Some(_) => None,
         };
-        let regs_all = |rs: &[Reg]| rs.iter().find_map(reg);
+        let ints = |rs: &[Reg]| rs.iter().find_map(|r| reg(r, I64));
         let path = |p: &PathId| {
             ((*p as usize) >= self.paths.len()).then(|| {
                 format!(
@@ -378,39 +454,46 @@ impl Kernel {
                 )
             })
         };
+        let sig = |dst: &Reg, dc: RegClass, srcs: &[(&Reg, RegClass)]| {
+            reg(dst, dc).or_else(|| srcs.iter().find_map(|(r, c)| reg(r, *c)))
+        };
         for (pc, ins) in self.code.iter().enumerate() {
             let fail: Option<String> = match ins {
-                Instr::Const { dst, .. } | Instr::LoadRow { dst } => reg(dst),
+                Instr::Const { dst, .. } => reg(dst, F64),
+                Instr::IConst { dst, .. } | Instr::LoadRow { dst } => reg(dst, I64),
                 Instr::Mov { dst, src }
-                | Instr::Not { dst, src }
                 | Instr::Neg { dst, src }
-                | Instr::Floor { dst, src }
                 | Instr::Sqrt { dst, src }
-                | Instr::Abs { dst, src } => reg(dst).or_else(|| reg(src)),
-                Instr::Bin { dst, a, b, .. } | Instr::Cmp { dst, a, b, .. } => {
-                    reg(dst).or_else(|| reg(a)).or_else(|| reg(b))
+                | Instr::Abs { dst, src } => sig(dst, F64, &[(src, F64)]),
+                Instr::IMov { dst, src } | Instr::Not { dst, src } => sig(dst, I64, &[(src, I64)]),
+                Instr::IntToReal { dst, src } => sig(dst, F64, &[(src, I64)]),
+                Instr::RealToInt { dst, src } => sig(dst, I64, &[(src, F64)]),
+                Instr::Bin { dst, a, b, .. } | Instr::Fma { dst, a, b } => {
+                    sig(dst, F64, &[(a, F64), (b, F64)])
                 }
-                Instr::Fma { dst, a, b } => reg(dst).or_else(|| reg(a)).or_else(|| reg(b)),
+                Instr::IBin { op, dst, a, b } => (*op == ArithOp::Pow)
+                    .then(|| "Pow has no I64 form".to_string())
+                    .or_else(|| sig(dst, I64, &[(a, I64), (b, I64)])),
+                Instr::Cmp { dst, a, b, .. } => sig(dst, I64, &[(a, F64), (b, F64)]),
+                Instr::ICmp { dst, a, b, .. } => sig(dst, I64, &[(a, I64), (b, I64)]),
                 Instr::Jump { target } => target_ck(target),
-                Instr::JumpIfZero { cond, target } => reg(cond).or_else(|| target_ck(target)),
-                Instr::IncRangeJump { var, hi, target } => {
-                    reg(var).or_else(|| reg(hi)).or_else(|| target_ck(target))
-                }
+                Instr::JumpIfZero { cond, target } => reg(cond, I64).or_else(|| target_ck(target)),
+                Instr::IncRangeJump { var, hi, target } => reg(var, I64)
+                    .or_else(|| reg(hi, I64))
+                    .or_else(|| target_ck(target)),
                 Instr::LoadData { dst, path: p, idx } => {
-                    reg(dst).or_else(|| path(p)).or_else(|| regs_all(idx))
+                    reg(dst, F64).or_else(|| path(p)).or_else(|| ints(idx))
                 }
                 Instr::DataBase {
                     dst,
                     path: p,
                     outer,
-                } => reg(dst).or_else(|| path(p)).or_else(|| regs_all(outer)),
-                Instr::LoadDataAt { dst, base, k, .. } => {
-                    reg(dst).or_else(|| reg(base)).or_else(|| reg(k))
-                }
+                } => reg(dst, I64).or_else(|| path(p)).or_else(|| ints(outer)),
+                Instr::LoadDataAt { dst, base, k, .. } => sig(dst, F64, &[(base, I64), (k, I64)]),
                 Instr::LoadStateNested { dst, state, steps } => {
-                    reg(dst).or_else(|| state_ck(state)).or_else(|| {
+                    reg(dst, F64).or_else(|| state_ck(state)).or_else(|| {
                         steps.iter().find_map(|s| match s {
-                            NavStep::Index(r) => reg(r),
+                            NavStep::Index(r) => reg(r, I64),
                             NavStep::Field(_) => None,
                         })
                     })
@@ -420,36 +503,33 @@ impl Kernel {
                     state,
                     path: p,
                     idx,
-                } => reg(dst)
+                } => reg(dst, F64)
                     .or_else(|| state_ck(state))
                     .or_else(|| path(p))
-                    .or_else(|| regs_all(idx)),
+                    .or_else(|| ints(idx)),
                 Instr::StateBase {
                     dst,
                     state,
                     path: p,
                     outer,
-                } => reg(dst)
+                } => reg(dst, I64)
                     .or_else(|| state_ck(state))
                     .or_else(|| path(p))
-                    .or_else(|| regs_all(outer)),
+                    .or_else(|| ints(outer)),
                 Instr::LoadStateAt {
                     dst,
                     state,
                     base,
                     k,
                     ..
-                } => reg(dst)
-                    .or_else(|| state_ck(state))
-                    .or_else(|| reg(base))
-                    .or_else(|| reg(k)),
+                } => state_ck(state).or_else(|| sig(dst, F64, &[(base, I64), (k, I64)])),
                 Instr::OutIndex { dst, path: p, idx } => {
-                    reg(dst).or_else(|| path(p)).or_else(|| regs_all(idx))
+                    reg(dst, I64).or_else(|| path(p)).or_else(|| ints(idx))
                 }
                 Instr::Accumulate { group, cell, val } => ((*group as usize) >= groups)
                     .then(|| format!("group #{group} outside {groups} reduction groups"))
-                    .or_else(|| reg(cell))
-                    .or_else(|| reg(val)),
+                    .or_else(|| reg(cell, I64))
+                    .or_else(|| reg(val, F64)),
                 Instr::Halt => None,
             };
             if let Some(what) = fail {
@@ -459,23 +539,30 @@ impl Kernel {
                 });
             }
         }
+        let whole = |reason: String| Err(KernelValidateError { pc: None, reason });
+        if let Some(r) = [REG_LOCAL_ROW, REG_CHAPEL_ROW]
+            .into_iter()
+            .find(|&r| self.regs.get(r as usize).is_some_and(|&c| c != I64))
+        {
+            return whole(format!("row register r{r} must be I64"));
+        }
         if self.entry > self.code.len() {
-            return Err(KernelValidateError {
-                pc: None,
-                reason: format!(
-                    "entry {} beyond code length {}",
-                    self.entry,
-                    self.code.len()
-                ),
-            });
+            return whole(format!(
+                "entry {} beyond code length {}",
+                self.entry,
+                self.code.len()
+            ));
         }
         match self.code.last() {
             Some(Instr::Halt) => Ok(()),
-            _ => Err(KernelValidateError {
-                pc: None,
-                reason: "kernel does not end in Halt".into(),
-            }),
+            _ => whole("kernel does not end in Halt".into()),
         }
+    }
+
+    /// Number of registers of each class: `(int, real)`.
+    pub fn class_counts(&self) -> (usize, usize) {
+        let ints = self.regs.iter().filter(|&&c| c == RegClass::I64).count();
+        (ints, self.regs.len() - ints)
     }
 
     /// Render the kernel as pseudo-assembly (diagnostics and golden

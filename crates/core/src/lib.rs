@@ -49,7 +49,7 @@ pub use compile::{
 pub use detect::{detect, Detected, Detection, ExprReduction, LoopReduction, Rejection};
 pub use error::{CodegenError, CoreError};
 pub use exec_kernel::KernelRuntime;
-pub use kernel_ir::{ArithOp, CmpOp, Instr, Kernel, KernelValidateError, NavStep};
+pub use kernel_ir::{ArithOp, CmpOp, Instr, Kernel, KernelValidateError, NavStep, RegClass};
 pub use translate::{zip_linearize, CompiledProgram, JobReport, TranslatedRun, Translator};
 
 #[cfg(test)]

@@ -358,3 +358,45 @@ fn two_sequential_reductions_share_state_correctly() {
     ";
     differential(src, &["total", "varsum"], 2);
 }
+
+#[test]
+fn integer_division_truncates_like_the_interpreter() {
+    // `int / int` truncates in Chapel. The translated kernel must not
+    // divide in f64: the oracle's `total` is [63, 20], not [70, 20].
+    let src = "
+        var data: [1..20] int;
+        for i in 1..20 { data[i] = i; }
+        var total: [1..2] int;
+        for i in 1..20 {
+            total[1] += data[i] / 3;
+            total[2] += 1;
+        }
+    ";
+    differential(src, &["total"], 1);
+    let run = Translator::new(OptLevel::Opt2, 2).run_program(src).unwrap();
+    let RtValue::Array { items, .. } = run.global("total").unwrap() else {
+        panic!("total is an array");
+    };
+    assert_eq!(items[0].as_f64().unwrap(), 63.0);
+}
+
+#[test]
+fn integer_locals_divide_and_take_remainders_like_the_interpreter() {
+    // An int local under `/=`, and `%` on int operands, including
+    // negative ones (truncation toward zero, remainder takes the sign
+    // of the dividend).
+    let src = "
+        var data: [1..30] int;
+        for i in 1..30 { data[i] = i * 7; }
+        var acc: [1..3] int;
+        for i in 1..30 {
+            var q: int = data[i];
+            q /= 4;
+            var m: int = data[i] % 5;
+            acc[1] += q;
+            acc[2] += m;
+            acc[3] += (q - 27) / 4 + (q - 27) % 4;
+        }
+    ";
+    differential(src, &["acc"], 1);
+}

@@ -1,16 +1,20 @@
 //! Property tests: `Kernel::validate` is total — on *arbitrary*
-//! instruction streams it returns a typed [`KernelValidateError`]
-//! (naming the offending pc) or `Ok`, and never panics.
+//! instruction streams and register classes it returns a typed
+//! [`KernelValidateError`] (naming the offending pc) or `Ok`, and never
+//! panics.
 //!
 //! This matters because both execution backends treat a validated
-//! kernel as a license for unchecked access: the interpreter's dispatch
-//! loop reads registers without bounds checks, and the codegen backend
-//! emits unchecked state-slice loads. `validate` is the single
-//! gatekeeper, so it must hold up against any bytecode a buggy
-//! translation strategy could emit — not just shapes the current
+//! kernel as a license: the interpreter's dispatch loop reads registers
+//! without bounds checks from the file their class names, and the
+//! codegen backend declares each register with its class. `validate` is
+//! the single gatekeeper, so it must hold up against any bytecode a
+//! buggy translation strategy could emit — not just shapes the current
 //! compiler produces.
 
-use cfr_core::{ArithOp, CmpOp, Instr, Kernel, KernelRuntime, NavStep, OptLevel};
+use cfr_core::{
+    compile_loop, detect, ArithOp, CmpOp, Detected, Instr, Kernel, KernelRuntime, NavStep,
+    OptLevel, RegClass,
+};
 use linearize::PathMeta;
 use proptest::prelude::*;
 
@@ -55,12 +59,17 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
     let rs = || proptest::collection::vec(0..OPERAND_BOUND, 0..3);
     prop_oneof![
         (r(), -4.0..4.0f64).prop_map(|(dst, val)| Instr::Const { dst, val }),
+        (r(), -4i64..4).prop_map(|(dst, val)| Instr::IConst { dst, val }),
         (r(), r()).prop_map(|(dst, src)| Instr::Mov { dst, src }),
+        (r(), r()).prop_map(|(dst, src)| Instr::IMov { dst, src }),
         (arb_arith(), r(), r(), r()).prop_map(|(op, dst, a, b)| Instr::Bin { op, dst, a, b }),
+        (arb_arith(), r(), r(), r()).prop_map(|(op, dst, a, b)| Instr::IBin { op, dst, a, b }),
         (arb_cmp(), r(), r(), r()).prop_map(|(op, dst, a, b)| Instr::Cmp { op, dst, a, b }),
+        (arb_cmp(), r(), r(), r()).prop_map(|(op, dst, a, b)| Instr::ICmp { op, dst, a, b }),
         (r(), r()).prop_map(|(dst, src)| Instr::Not { dst, src }),
         (r(), r()).prop_map(|(dst, src)| Instr::Neg { dst, src }),
-        (r(), r()).prop_map(|(dst, src)| Instr::Floor { dst, src }),
+        (r(), r()).prop_map(|(dst, src)| Instr::IntToReal { dst, src }),
+        (r(), r()).prop_map(|(dst, src)| Instr::RealToInt { dst, src }),
         (r(), r()).prop_map(|(dst, src)| Instr::Sqrt { dst, src }),
         (r(), r()).prop_map(|(dst, src)| Instr::Abs { dst, src }),
         (0usize..48).prop_map(|target| Instr::Jump { target }),
@@ -146,11 +155,15 @@ fn scalar_path() -> PathMeta {
     }
 }
 
+fn arb_class() -> impl Strategy<Value = RegClass> {
+    prop_oneof![Just(RegClass::I64), Just(RegClass::F64)]
+}
+
 fn arb_kernel() -> impl Strategy<Value = Kernel> {
     (
         proptest::collection::vec(arb_instr(), 0..24),
         0usize..28,
-        0usize..12,
+        proptest::collection::vec(arb_class(), 0..12),
         0usize..3,
     )
         .prop_map(|(code, entry, regs, npaths)| Kernel {
@@ -168,12 +181,12 @@ fn arb_kernel() -> impl Strategy<Value = Kernel> {
 fn trivial_kernel(regs: usize, npaths: usize) -> Kernel {
     Kernel {
         code: vec![
-            Instr::Const { dst: 0, val: 0.0 },
+            Instr::IConst { dst: 0, val: 0 },
             Instr::LoadRow { dst: 1 },
             Instr::Halt,
         ],
         entry: 1,
-        regs,
+        regs: vec![RegClass::I64; regs],
         paths: vec![scalar_path(); npaths],
         state_names: Vec::new(),
         out_names: Vec::new(),
@@ -209,9 +222,10 @@ proptest! {
     }
 
     /// When `validate` accepts, the acceptance is meaningful: every
-    /// register operand really is inside the register file, every jump
-    /// target inside the code, and the stream ends in `Halt` — checked
-    /// here against an independent re-walk of the instruction stream.
+    /// register operand really is inside the register file and of the
+    /// class its instruction needs, every jump target inside the code,
+    /// and the stream ends in `Halt` — checked here against an
+    /// independent re-walk of the instruction stream.
     #[test]
     fn validate_ok_implies_every_operand_in_bounds(
         kernel in arb_kernel(),
@@ -221,18 +235,34 @@ proptest! {
         if kernel.validate(states, groups).is_err() {
             return Ok(());
         }
-        prop_assert!(matches!(kernel.code.last(), Some(Instr::Halt)));
-        prop_assert!(kernel.entry <= kernel.code.len());
-        for ins in &kernel.code {
-            for reg in operand_regs(ins) {
-                prop_assert!((reg as usize) < kernel.regs, "{ins:?} escapes the register file");
+        assert_sound(&kernel);
+    }
+
+    /// Flipping one register's class in a kernel the compiler produced
+    /// never panics `validate`; an `Ok` still means every operand is in
+    /// bounds and of its class, and flipping a register an instruction
+    /// uses (or a row register) is always rejected.
+    #[test]
+    fn flipping_a_register_class_never_panics(
+        which in 0usize..6,
+        pick in 0usize..1024,
+    ) {
+        let mut kernel = compiled_kernels()[which].clone();
+        prop_assert!(kernel.validate(kernel.state_names.len(), kernel.out_names.len()).is_ok());
+        let r = pick % kernel.regs.len();
+        kernel.regs[r] = match kernel.regs[r] {
+            RegClass::I64 => RegClass::F64,
+            RegClass::F64 => RegClass::I64,
+        };
+        let used = r < 2 || kernel.code.iter().any(|ins| {
+            operand_regs(ins).iter().any(|&(reg, _)| reg as usize == r)
+        });
+        match kernel.validate(kernel.state_names.len(), kernel.out_names.len()) {
+            Ok(()) => {
+                prop_assert!(!used, "flipped r{r} is used, yet the kernel validated");
+                assert_sound(&kernel);
             }
-            for path in operand_paths(ins) {
-                prop_assert!((path as usize) < kernel.paths.len(), "{ins:?} escapes the path table");
-            }
-            if let Some(target) = jump_target(ins) {
-                prop_assert!(target < kernel.code.len(), "{ins:?} jumps outside the code");
-            }
+            Err(_) => prop_assert!(used, "flipping unused r{r} was rejected"),
         }
     }
 
@@ -251,10 +281,10 @@ proptest! {
         let mut kernel = trivial_kernel(regs, 2);
         let bad_reg = regs as u16 + overshoot;
         let bad = match kind {
-            0 => Instr::Mov { dst: bad_reg, src: 0 },
-            1 => Instr::LoadData { dst: 0, path: 2 + overshoot, idx: vec![0] },
-            2 => Instr::LoadStateFlat { dst: 0, state: states as u16 + overshoot, path: 0, idx: vec![] },
-            3 => Instr::Accumulate { group: groups as u16 + overshoot, cell: 0, val: 0 },
+            0 => Instr::IMov { dst: bad_reg, src: 0 },
+            1 => Instr::DataBase { dst: 0, path: 2 + overshoot, outer: vec![0] },
+            2 => Instr::StateBase { dst: 0, state: states as u16 + overshoot, path: 0, outer: vec![] },
+            3 => Instr::Accumulate { group: groups as u16 + overshoot, cell: 0, val: 1 },
             _ => Instr::Jump { target: 64 + overshoot as usize },
         };
         // Splice before the Halt so the stream still terminates.
@@ -264,9 +294,29 @@ proptest! {
         prop_assert_eq!(err.pc, Some(pc), "error must name the mutated pc: {}", err);
     }
 
-    /// Whole-kernel failures (no terminal `Halt`, entry past the end)
-    /// are rejected with `pc: None` rather than pinned on an innocent
-    /// instruction.
+    /// A class mismatch is caught at its pc, with a reason naming the
+    /// register: a real used as an index or loop counter, an int
+    /// accumulated without conversion.
+    #[test]
+    fn class_mismatch_is_rejected_at_its_pc(kind in 0usize..4) {
+        let mut kernel = trivial_kernel(4, 2);
+        kernel.regs.push(RegClass::F64); // r4
+        let bad = match kind {
+            0 => Instr::LoadData { dst: 4, path: 0, idx: vec![4] },
+            1 => Instr::IncRangeJump { var: 4, hi: 2, target: 1 },
+            2 => Instr::Accumulate { group: 0, cell: 2, val: 3 },
+            _ => Instr::JumpIfZero { cond: 4, target: 1 },
+        };
+        let pc = kernel.code.len() - 1;
+        kernel.code.insert(pc, bad);
+        let err = kernel.validate(2, 2).expect_err("class mismatch must be rejected");
+        prop_assert_eq!(err.pc, Some(pc), "error must name the pc: {}", err);
+        prop_assert!(err.reason.contains("used as"), "names the class: {}", err);
+    }
+
+    /// Whole-kernel failures (no terminal `Halt`, entry past the end, a
+    /// real row register) are rejected with `pc: None` rather than
+    /// pinned on an innocent instruction.
     #[test]
     fn truncated_kernels_are_rejected_without_a_pc(extra_entry in 1usize..8) {
         let mut kernel = trivial_kernel(4, 1);
@@ -278,58 +328,128 @@ proptest! {
         kernel.entry = kernel.code.len() + extra_entry;
         let err = kernel.validate(0, 0).expect_err("entry past the end must be rejected");
         prop_assert_eq!(err.pc, None);
+
+        let mut kernel = trivial_kernel(4, 1);
+        kernel.code = vec![Instr::Halt];
+        kernel.regs[extra_entry % 2] = RegClass::F64;
+        let err = kernel.validate(0, 0).expect_err("a real row register must be rejected");
+        prop_assert_eq!(err.pc, None);
     }
 }
 
-/// Independent enumeration of an instruction's register operands (the
-/// re-walk `validate_ok_implies_every_operand_in_bounds` checks
-/// against). Kept deliberately separate from `validate`'s own match.
-fn operand_regs(ins: &Instr) -> Vec<u16> {
+/// Every accepted kernel is sound: each operand inside the register
+/// file and of the class the independent enumeration below gives it,
+/// every path and jump target inside its table, a terminal `Halt`.
+fn assert_sound(kernel: &Kernel) {
+    prop_assert!(matches!(kernel.code.last(), Some(Instr::Halt)));
+    prop_assert!(kernel.entry <= kernel.code.len());
+    for ins in &kernel.code {
+        for (reg, class) in operand_regs(ins) {
+            prop_assert_eq!(
+                kernel.regs.get(reg as usize),
+                Some(&class),
+                "{:?}: r{} escapes the register file or its class",
+                ins,
+                reg
+            );
+        }
+        for path in operand_paths(ins) {
+            prop_assert!(
+                (path as usize) < kernel.paths.len(),
+                "{ins:?} escapes the path table"
+            );
+        }
+        if let Some(target) = jump_target(ins) {
+            prop_assert!(target < kernel.code.len(), "{ins:?} jumps outside the code");
+        }
+    }
+}
+
+/// The opt-2 and generated kernels of k-means, PCA's covariance pass and
+/// the histogram: real compiler output, with both register classes.
+fn compiled_kernels() -> &'static [Kernel] {
+    static KERNELS: std::sync::OnceLock<Vec<Kernel>> = std::sync::OnceLock::new();
+    KERNELS.get_or_init(compile_kernels)
+}
+
+fn compile_kernels() -> Vec<Kernel> {
+    use chapel_frontend::programs;
+    let mut out = Vec::new();
+    for src in [
+        programs::kmeans(20, 3, 2),
+        programs::pca(3, 8),
+        programs::histogram(20, 4),
+    ] {
+        let program = chapel_frontend::parse(&src).unwrap();
+        let analysis = chapel_sema::analyze(&program).unwrap();
+        let red = detect(&program, &analysis)
+            .detected
+            .values()
+            .filter_map(|d| match d {
+                Detected::Loop(l) => Some(l.clone()),
+                _ => None,
+            })
+            .next_back()
+            .expect("a reduction loop");
+        for opt in [OptLevel::Opt2, OptLevel::Generated] {
+            out.push(compile_loop(&program, &analysis, &red, opt).unwrap().kernel);
+        }
+    }
+    out
+}
+
+/// Independent enumeration of an instruction's register operands and
+/// the class each must have (the re-walk the soundness checks use).
+/// Kept deliberately separate from `validate`'s own match.
+fn operand_regs(ins: &Instr) -> Vec<(u16, RegClass)> {
+    use RegClass::{F64 as F, I64 as I};
+    let ints = |rs: &[u16]| rs.iter().map(|&r| (r, I)).collect::<Vec<_>>();
     match ins {
-        Instr::Const { dst, .. } | Instr::LoadRow { dst } => vec![*dst],
+        Instr::Const { dst, .. } => vec![(*dst, F)],
+        Instr::IConst { dst, .. } | Instr::LoadRow { dst } => vec![(*dst, I)],
         Instr::Mov { dst, src }
-        | Instr::Not { dst, src }
         | Instr::Neg { dst, src }
-        | Instr::Floor { dst, src }
         | Instr::Sqrt { dst, src }
-        | Instr::Abs { dst, src } => vec![*dst, *src],
-        Instr::Bin { dst, a, b, .. } | Instr::Cmp { dst, a, b, .. } | Instr::Fma { dst, a, b } => {
-            vec![*dst, *a, *b]
+        | Instr::Abs { dst, src } => vec![(*dst, F), (*src, F)],
+        Instr::IMov { dst, src } | Instr::Not { dst, src } => vec![(*dst, I), (*src, I)],
+        Instr::IntToReal { dst, src } => vec![(*dst, F), (*src, I)],
+        Instr::RealToInt { dst, src } => vec![(*dst, I), (*src, F)],
+        Instr::Bin { dst, a, b, .. } | Instr::Fma { dst, a, b } => {
+            vec![(*dst, F), (*a, F), (*b, F)]
         }
+        Instr::IBin { dst, a, b, .. } | Instr::ICmp { dst, a, b, .. } => {
+            vec![(*dst, I), (*a, I), (*b, I)]
+        }
+        Instr::Cmp { dst, a, b, .. } => vec![(*dst, I), (*a, F), (*b, F)],
         Instr::Jump { .. } | Instr::Halt => Vec::new(),
-        Instr::JumpIfZero { cond, .. } => vec![*cond],
-        Instr::IncRangeJump { var, hi, .. } => vec![*var, *hi],
-        Instr::LoadData { dst, idx, .. } | Instr::OutIndex { dst, idx, .. } => {
-            let mut v = vec![*dst];
-            v.extend_from_slice(idx);
+        Instr::JumpIfZero { cond, .. } => vec![(*cond, I)],
+        Instr::IncRangeJump { var, hi, .. } => vec![(*var, I), (*hi, I)],
+        Instr::LoadData { dst, idx, .. } | Instr::LoadStateFlat { dst, idx, .. } => {
+            let mut v = vec![(*dst, F)];
+            v.extend(ints(idx));
             v
         }
-        Instr::DataBase { dst, outer, .. } => {
-            let mut v = vec![*dst];
-            v.extend_from_slice(outer);
+        Instr::OutIndex {
+            dst, idx: outer, ..
+        }
+        | Instr::DataBase { dst, outer, .. }
+        | Instr::StateBase { dst, outer, .. } => {
+            let mut v = vec![(*dst, I)];
+            v.extend(ints(outer));
             v
         }
-        Instr::LoadDataAt { dst, base, k, .. } => vec![*dst, *base, *k],
+        Instr::LoadDataAt { dst, base, k, .. } | Instr::LoadStateAt { dst, base, k, .. } => {
+            vec![(*dst, F), (*base, I), (*k, I)]
+        }
         Instr::LoadStateNested { dst, steps, .. } => {
-            let mut v = vec![*dst];
+            let mut v = vec![(*dst, F)];
             v.extend(steps.iter().filter_map(|s| match s {
-                NavStep::Index(r) => Some(*r),
+                NavStep::Index(r) => Some((*r, I)),
                 NavStep::Field(_) => None,
             }));
             v
         }
-        Instr::LoadStateFlat { dst, idx, .. } => {
-            let mut v = vec![*dst];
-            v.extend_from_slice(idx);
-            v
-        }
-        Instr::StateBase { dst, outer, .. } => {
-            let mut v = vec![*dst];
-            v.extend_from_slice(outer);
-            v
-        }
-        Instr::LoadStateAt { dst, base, k, .. } => vec![*dst, *base, *k],
-        Instr::Accumulate { cell, val, .. } => vec![*cell, *val],
+        Instr::Accumulate { cell, val, .. } => vec![(*cell, I), (*val, F)],
     }
 }
 
