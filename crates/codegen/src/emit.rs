@@ -345,8 +345,8 @@ impl Emitter<'_> {
                     ArithOp::Add => format!("{d} = {x}.wrapping_add({y});"),
                     ArithOp::Sub => format!("{d} = {x}.wrapping_sub({y});"),
                     ArithOp::Mul => format!("{d} = {x}.wrapping_mul({y});"),
-                    ArithOp::Div => format!("{d} = {x}.wrapping_div(nonzero({y}));"),
-                    ArithOp::Mod => format!("{d} = {x}.wrapping_rem(nonzero({y}));"),
+                    ArithOp::Div => format!("{d} = {x} / nonzero({y});"),
+                    ArithOp::Mod => format!("{d} = {x} % nonzero({y});"),
                     ArithOp::Min => format!("{d} = {x}.min({y});"),
                     ArithOp::Max => format!("{d} = {x}.max({y});"),
                     ArithOp::Pow => {
@@ -551,7 +551,7 @@ pub struct FlatView {{
 }}
 
 /// A zero integer divisor panics (never undefined behaviour), like an
-/// out-of-bounds load.
+/// out-of-bounds load; `/` and `%` themselves panic on `i64::MIN / -1`.
 #[inline(always)]
 fn nonzero(y: i64) -> i64 {{
     if y == 0 {{

@@ -1740,7 +1740,14 @@ impl<'a> Compiler<'a> {
                     return Ok(REG_CHAPEL_ROW);
                 }
                 if let Some(v) = self.analysis.decls.consts.get(name) {
-                    return Ok(self.int_const(*v));
+                    // Sema folds any integer initializer, so a `real`
+                    // constant like `const s: real = 3;` lands here too.
+                    let real = matches!(self.analysis.decls.globals.get(name), Some(Ty::Real));
+                    return Ok(if real {
+                        self.const_reg(*v as f64)
+                    } else {
+                        self.int_const(*v)
+                    });
                 }
                 // Scalar state global.
                 if let Some(state) = self.state_id(name) {

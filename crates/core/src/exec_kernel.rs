@@ -147,8 +147,8 @@ impl KernelRuntime {
                         ArithOp::Add => x.wrapping_add(y),
                         ArithOp::Sub => x.wrapping_sub(y),
                         ArithOp::Mul => x.wrapping_mul(y),
-                        ArithOp::Div => x.wrapping_div(nonzero(y)),
-                        ArithOp::Mod => x.wrapping_rem(nonzero(y)),
+                        ArithOp::Div => x / nonzero(y),
+                        ArithOp::Mod => x % nonzero(y),
                         ArithOp::Min => x.min(y),
                         ArithOp::Max => x.max(y),
                         ArithOp::Pow => unreachable!("validated: no I64 Pow"),
@@ -279,7 +279,8 @@ struct Regs {
 }
 
 /// `y`, or a panic for a zero integer divisor (never undefined
-/// behaviour; the same failure mode as an out-of-bounds load).
+/// behaviour; the same failure mode as an out-of-bounds load). The
+/// `/` and `%` it feeds panic on `i64::MIN / -1`, as the oracle's do.
 #[inline]
 fn nonzero(y: i64) -> i64 {
     if y == 0 {
@@ -316,3 +317,68 @@ const _: fn() = || {
     fn assert_sync<T: Sync>() {}
     assert_sync::<KernelRuntime>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernel_ir::RegClass;
+    use freeride::{CombineOp, GroupSpec, RObjLayout, ReductionObject};
+
+    /// Run `out[0] += a / b` (an `I64` divide) over one row.
+    fn divide(a: i64, b: i64) -> f64 {
+        use RegClass::*;
+        let kernel = Kernel {
+            code: vec![
+                Instr::IConst { dst: 2, val: a },
+                Instr::IConst { dst: 3, val: b },
+                Instr::IConst { dst: 6, val: 0 },
+                Instr::IBin {
+                    op: ArithOp::Div,
+                    dst: 4,
+                    a: 2,
+                    b: 3,
+                },
+                Instr::IntToReal { dst: 5, src: 4 },
+                Instr::Accumulate {
+                    group: 0,
+                    cell: 6,
+                    val: 5,
+                },
+                Instr::Halt,
+            ],
+            entry: 3,
+            regs: vec![I64, I64, I64, I64, I64, F64, I64],
+            paths: vec![],
+            state_names: vec![],
+            out_names: vec!["out".into()],
+        };
+        let rt = KernelRuntime::new(kernel, vec![], vec![], 1, OptLevel::Opt2).unwrap();
+        let layout = RObjLayout::new(vec![GroupSpec::new("out", 1, CombineOp::Sum)]);
+        let mut robj = ReductionObject::alloc(layout);
+        let split = Split {
+            rows: &[0.0],
+            unit: 1,
+            first_row: 0,
+            row_count: 1,
+        };
+        rt.run_split(&split, &mut robj);
+        robj.group_slice(0)[0]
+    }
+
+    #[test]
+    fn integer_division_truncates_toward_zero() {
+        assert_eq!(divide(-7, 2), -3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "division by zero")]
+    fn zero_divisor_panics() {
+        divide(1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn min_over_minus_one_panics_like_the_oracle() {
+        divide(i64::MIN, -1);
+    }
+}

@@ -24,8 +24,8 @@
 //! explicit ([`Instr::IntToReal`], [`Instr::RealToInt`]).
 //! [`Kernel::validate`] rejects any mismatch. `I64` arithmetic follows
 //! the `chapel-interp` oracle: wrapping `+ - *`, truncating `/` and `%`,
-//! and a zero divisor panics (like an out-of-bounds load) instead of
-//! being undefined.
+//! and a zero divisor or `i64::MIN / -1` panics (like an out-of-bounds
+//! load) instead of being undefined.
 
 use linearize::PathMeta;
 
@@ -58,7 +58,7 @@ pub enum RegClass {
 /// Binary arithmetic operations. On `F64` registers ([`Instr::Bin`])
 /// they are the IEEE operations; on `I64` registers ([`Instr::IBin`])
 /// `Add`/`Sub`/`Mul` wrap, `Div`/`Mod` truncate and panic on a zero
-/// divisor, and `Pow` is not available.
+/// divisor or on overflow (`i64::MIN / -1`), and `Pow` is not available.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithOp {
     /// `a + b`

@@ -400,3 +400,25 @@ fn integer_locals_divide_and_take_remainders_like_the_interpreter() {
     ";
     differential(src, &["acc"], 1);
 }
+
+#[test]
+fn real_constant_with_integer_initializer_divides_in_real() {
+    // `scale` is declared `real`, so `data[i] / scale` is a real divide
+    // even though its initializer is an integer literal.
+    let src = "
+        const scale: real = 3;
+        var data: [1..20] int;
+        for i in 1..20 { data[i] = i; }
+        var total: [1..2] real;
+        for i in 1..20 {
+            total[1] += data[i] / scale;
+            total[2] += 1;
+        }
+    ";
+    differential(src, &["total"], 1);
+    let run = Translator::new(OptLevel::Opt2, 2).run_program(src).unwrap();
+    let RtValue::Array { items, .. } = run.global("total").unwrap() else {
+        panic!("total is an array");
+    };
+    assert!((items[0].as_f64().unwrap() - 70.0).abs() < 1e-9);
+}
