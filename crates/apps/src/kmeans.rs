@@ -154,7 +154,10 @@ fn run_translated(params: &KmeansParams, opt: OptLevel) -> Result<KmeansResult, 
         0,
         rec.offset_ns(compile_start),
         compile_start.elapsed().as_nanos() as u64,
-        vec![("instrs", AttrValue::Int(compiled.kernel.code.len() as i64))],
+        vec![(
+            "instrs",
+            AttrValue::Int(compiled.kernel.count_matching(|_| true) as i64),
+        )],
     );
 
     // The Chapel data structures, then linearization (timed, once).

@@ -127,7 +127,10 @@ fn run_translated(params: &PcaParams, opt: OptLevel) -> Result<PcaResult, AppErr
         compile_start.elapsed().as_nanos() as u64,
         vec![(
             "instrs",
-            AttrValue::Int((mean_loop.kernel.code.len() + cov_loop.kernel.code.len()) as i64),
+            AttrValue::Int(
+                (mean_loop.kernel.count_matching(|_| true)
+                    + cov_loop.kernel.count_matching(|_| true)) as i64,
+            ),
         )],
     );
 

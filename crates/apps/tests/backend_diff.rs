@@ -59,9 +59,9 @@ fn compiled_backend_is_selected() {
     if !have_rustc() {
         return;
     }
-    use cfr_core::{Instr, Kernel, OptLevel, RegClass};
+    use cfr_core::{Kernel, OptLevel, RegClass};
     let kernel = Kernel {
-        code: vec![Instr::Halt],
+        code: Vec::new(),
         entry: 0,
         regs: vec![RegClass::I64; 2],
         paths: vec![],

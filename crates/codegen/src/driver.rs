@@ -131,7 +131,10 @@ pub fn load_or_compile(
         "codegen.emit",
         emit_start,
         vec![
-            ("instrs", AttrValue::Int(kernel.code.len() as i64)),
+            (
+                "instrs",
+                AttrValue::Int(kernel.count_matching(|_| true) as i64),
+            ),
             ("int_regs", AttrValue::Int(int_regs as i64)),
             ("real_regs", AttrValue::Int(real_regs as i64)),
             ("source_bytes", AttrValue::Int(emitted.source.len() as i64)),

@@ -1,26 +1,22 @@
-//! Lowering kernel-IR bytecode to Rust source.
+//! Printing the kernel IR as Rust source.
 //!
 //! The emitted translation unit contains one exported function,
 //! `cfr_kernel_split`, that processes a whole FREERIDE split: the
 //! constant preamble runs once, then a row loop executes the
-//! per-element body. The body is rebuilt as **structured Rust**: every
-//! register is a local of its class (`I64` → `i64`, `F64` → `f64`), and
-//! the control-flow shapes the kernel compiler produces become nested
-//! Rust loops and branches, so `rustc` sees code close to the Chapel
-//! source (Treebeard's "thin layer"):
+//! per-element body. The IR is already a loop nest, so the emitter
+//! prints it node for node as **structured Rust**, and `rustc` sees
+//! code close to the Chapel source (Treebeard's "thin layer"):
 //!
-//! * a range loop — `ICmp Le c, v, h` / `JumpIfZero c → end` / body /
-//!   `IncRangeJump v, h → body` — becomes `for __iN in rV..=rH`, or,
-//!   when the body writes `v` or `h`, a `loop` that steps `v` itself;
-//! * a `while` — a header reached again by a backward `Jump` — becomes
-//!   a labeled `loop`, and its exit `JumpIfZero` a `break`;
-//! * `JumpIfZero` over a region, optionally ending in a forward `Jump`
-//!   over a second region, becomes `if`/`else` (short-circuit `&&`/`||`
-//!   compile to the same shape).
+//! * every register is a local of its class (`I64` → `i64`, `F64` →
+//!   `f64`);
+//! * `For` becomes `for __iN in rLo..=rHi { rV = __iN; … }` (a body
+//!   write to `rV` lasts one iteration, exactly the `For` semantics);
+//! * `If` becomes `if`/`else`, and `While` becomes
+//!   `loop { head; if rC == 0 { break; } body }`.
 //!
-//! Bytecode outside those shapes (a jump into the middle of a loop, a
-//! second back-edge) is [`CodegenError::Unsupported`], and the job runs
-//! on the interpreter instead.
+//! [`emit_kernel`] validates the kernel first; a kernel that fails
+//! [`Kernel::validate`] is [`CodegenError::Unsupported`], and the job
+//! runs on the interpreter instead. A valid kernel always prints.
 //!
 //! Bit-identity with the interpreter is by construction:
 //!
@@ -73,17 +69,10 @@ fn reg(r: u16) -> String {
 }
 
 /// The interpreter's `compute_index_call` formula, constant-folded
-/// against one `PathMeta`:
+/// against one `PathMeta` (validation guarantees one index per level):
 /// `Σ_{i<levels-1} (unit_size[i]*idx[i] + level_offset[i])
 ///  + unit_size[last]*idx[last] + terminal_offset`.
-fn index_expr(meta: &PathMeta, idx: &[String]) -> Result<String, CodegenError> {
-    if idx.len() != meta.levels || meta.levels == 0 {
-        return Err(CodegenError::Unsupported(format!(
-            "access path arity mismatch: {} index registers for {} levels",
-            idx.len(),
-            meta.levels
-        )));
-    }
+fn index_expr(meta: &PathMeta, idx: &[String]) -> String {
     let mut terms: Vec<String> = Vec::new();
     for (i, idx_i) in idx.iter().enumerate() {
         terms.push(format!("{}usize * {}", meta.unit_size[i], idx_i));
@@ -93,7 +82,7 @@ fn index_expr(meta: &PathMeta, idx: &[String]) -> Result<String, CodegenError> {
             terms.push(format!("{}usize", meta.terminal_offset));
         }
     }
-    Ok(terms.join(" + "))
+    terms.join(" + ")
 }
 
 fn reg_idx(regs: &[u16]) -> Vec<String> {
@@ -108,57 +97,13 @@ fn int_literal(v: i64) -> String {
     }
 }
 
-/// The register an instruction writes, if any.
-fn written(ins: &Instr) -> Option<u16> {
-    match ins {
-        Instr::Const { dst, .. }
-        | Instr::IConst { dst, .. }
-        | Instr::Mov { dst, .. }
-        | Instr::IMov { dst, .. }
-        | Instr::Bin { dst, .. }
-        | Instr::IBin { dst, .. }
-        | Instr::Cmp { dst, .. }
-        | Instr::ICmp { dst, .. }
-        | Instr::Not { dst, .. }
-        | Instr::Neg { dst, .. }
-        | Instr::Sqrt { dst, .. }
-        | Instr::Abs { dst, .. }
-        | Instr::IntToReal { dst, .. }
-        | Instr::RealToInt { dst, .. }
-        | Instr::LoadRow { dst }
-        | Instr::LoadData { dst, .. }
-        | Instr::DataBase { dst, .. }
-        | Instr::LoadDataAt { dst, .. }
-        | Instr::LoadStateNested { dst, .. }
-        | Instr::LoadStateFlat { dst, .. }
-        | Instr::StateBase { dst, .. }
-        | Instr::LoadStateAt { dst, .. }
-        | Instr::OutIndex { dst, .. }
-        | Instr::Fma { dst, .. } => Some(*dst),
-        Instr::IncRangeJump { var, .. } => Some(*var),
-        Instr::Jump { .. } | Instr::JumpIfZero { .. } | Instr::Accumulate { .. } | Instr::Halt => {
-            None
-        }
-    }
-}
-
-/// An enclosing `while` loop during emission.
-struct OpenLoop {
-    /// First pc of the loop (its header).
-    header: usize,
-    /// The pc right after its back-edge: a jump here is a `break`.
-    exit: usize,
-    /// Rust label `'wN`.
-    label: usize,
-}
-
-/// The structured emitter: walks the body region by region.
+/// The tree printer.
 struct Emitter<'k> {
     kernel: &'k Kernel,
     out: String,
     sites: Vec<NestedSite>,
-    loops: Vec<OpenLoop>,
-    labels: usize,
+    /// `For` loops printed so far (names their `__iN` counters).
+    loops: usize,
 }
 
 impl Emitter<'_> {
@@ -166,157 +111,44 @@ impl Emitter<'_> {
         let _ = writeln!(self.out, "{:width$}{text}", "", width = 4 * depth);
     }
 
-    /// Emit `code[lo..hi]`, a sequence of straight-line instructions and
-    /// whole structured constructs.
-    fn region(&mut self, lo: usize, hi: usize, depth: usize) -> Result<(), CodegenError> {
-        let mut pc = lo;
-        while pc < hi {
-            pc = self.construct(pc, hi, depth)?;
-        }
-        Ok(())
-    }
-
-    /// Emit the construct starting at `pc` inside a region ending at
-    /// `hi`; return the pc after it.
-    fn construct(&mut self, pc: usize, hi: usize, depth: usize) -> Result<usize, CodegenError> {
-        let code = &self.kernel.code;
-        // A `while`: some later `Jump` in this region comes back here.
-        let open_here = self.loops.last().is_some_and(|l| l.header == pc);
-        if !open_here {
-            if let Some(back) = (pc..hi)
-                .rev()
-                .find(|&b| matches!(code[b], Instr::Jump { target } if target == pc))
-            {
-                let label = self.labels;
-                self.labels += 1;
-                self.line(depth, &format!("'w{label}: loop {{"));
-                self.loops.push(OpenLoop {
-                    header: pc,
-                    exit: back + 1,
-                    label,
-                });
-                self.region(pc, back, depth + 1)?;
-                self.loops.pop();
-                self.line(depth, "}");
-                return Ok(back + 1);
-            }
-        }
-        match &code[pc] {
-            Instr::ICmp {
-                op: CmpOp::Le,
-                dst,
-                a,
-                b,
-            } => match self.range_loop(pc, hi, *dst, *a, *b) {
-                Some(end) => {
-                    self.emit_range_loop(pc, end, depth)?;
-                    Ok(end)
-                }
-                None => {
-                    self.straight(pc, depth)?;
-                    Ok(pc + 1)
-                }
-            },
-            Instr::JumpIfZero { cond, target } => {
-                let (c, t) = (reg(*cond), *target);
-                if pc < t && t <= hi {
-                    // `if`, or `if`/`else` when the then-region ends by
-                    // jumping forward over an else-region.
-                    if let Some(Instr::Jump { target: join }) = code.get(t - 1) {
-                        if t - 1 > pc && t <= *join && *join <= hi {
-                            let join = *join;
-                            self.line(depth, &format!("if {c} != 0 {{"));
-                            self.region(pc + 1, t - 1, depth + 1)?;
-                            self.line(depth, "} else {");
-                            self.region(t, join, depth + 1)?;
-                            self.line(depth, "}");
-                            return Ok(join);
-                        }
-                    }
-                    self.line(depth, &format!("if {c} != 0 {{"));
-                    self.region(pc + 1, t, depth + 1)?;
-                    self.line(depth, "}");
-                    return Ok(t);
-                }
-                // A `while` exit.
-                match self.loops.iter().rev().find(|l| l.exit == t) {
-                    Some(l) => {
-                        let label = l.label;
-                        self.line(depth, &format!("if {c} == 0 {{ break 'w{label}; }}"));
-                        Ok(pc + 1)
-                    }
-                    None => Err(CodegenError::Unsupported(format!(
-                        "conditional jump at pc {pc} to {t} leaves its structured region"
-                    ))),
-                }
-            }
-            Instr::Jump { target } => Err(CodegenError::Unsupported(format!(
-                "jump at pc {pc} to {target} is neither a loop back-edge nor an else branch"
-            ))),
-            Instr::IncRangeJump { target, .. } => Err(CodegenError::Unsupported(format!(
-                "range back-edge at pc {pc} to {target} does not close a range loop"
-            ))),
-            _ => {
-                self.straight(pc, depth)?;
-                Ok(pc + 1)
-            }
+    /// Print a block, one instruction (or nested construct) at a time.
+    fn block(&mut self, code: &[Instr], depth: usize) {
+        for ins in code {
+            self.instr(ins, depth);
         }
     }
 
-    /// Does a range loop start at `pc` (the pre-test `ICmp Le c, v, h`)?
-    /// Returns the pc after its back-edge.
-    fn range_loop(&self, pc: usize, hi: usize, c: u16, v: u16, h: u16) -> Option<usize> {
-        let code = &self.kernel.code;
-        let Some(Instr::JumpIfZero { cond, target: end }) = code.get(pc + 1) else {
-            return None;
-        };
-        let end = *end;
-        let closes = end > pc + 2
-            && end <= hi
-            && *cond == c
-            && matches!(code[end - 1], Instr::IncRangeJump { var, hi: bound, target }
-                if var == v && bound == h && target == pc + 2);
-        closes.then_some(end)
-    }
-
-    fn emit_range_loop(&mut self, pc: usize, end: usize, depth: usize) -> Result<(), CodegenError> {
-        let Instr::ICmp { dst, a, b, .. } = self.kernel.code[pc] else {
-            unreachable!("range loops start at their pre-test");
-        };
-        let (c, v, h) = (reg(dst), reg(a), reg(b));
-        self.line(depth, &format!("{c} = ({v} <= {h}) as i64;"));
-        let body = pc + 2..end - 1;
-        let steps_itself = self.kernel.code[body.clone()]
-            .iter()
-            .any(|ins| written(ins).is_some_and(|w| w == a || w == b));
-        if steps_itself {
-            // The body writes the counter or the bound: keep the
-            // bytecode's explicit `if v < h { v += 1 }` back-edge.
-            self.line(depth, &format!("if {c} != 0 {{"));
-            self.line(depth + 1, "loop {");
-            self.region(body.start, body.end, depth + 2)?;
-            self.line(
-                depth + 2,
-                &format!("if {v} < {h} {{ {v} += 1; }} else {{ break; }}"),
-            );
-            self.line(depth + 1, "}");
-            self.line(depth, "}");
-        } else {
-            let label = self.labels;
-            self.labels += 1;
-            self.line(depth, &format!("for __i{label} in {v}..={h} {{"));
-            self.line(depth + 1, &format!("{v} = __i{label};"));
-            self.region(body.start, body.end, depth + 1)?;
-            self.line(depth, "}");
-        }
-        Ok(())
-    }
-
-    /// Emit one straight-line instruction.
-    fn straight(&mut self, pc: usize, depth: usize) -> Result<(), CodegenError> {
+    fn instr(&mut self, ins: &Instr, depth: usize) {
         let kernel = self.kernel;
         let path = |p: u16| &kernel.paths[p as usize];
-        let line = match &kernel.code[pc] {
+        let line = match ins {
+            Instr::For { var, lo, hi, body } => {
+                let n = self.loops;
+                self.loops += 1;
+                self.line(depth, &format!("for __i{n} in r{lo}..=r{hi} {{"));
+                self.line(depth + 1, &format!("r{var} = __i{n};"));
+                self.block(body, depth + 1);
+                self.line(depth, "}");
+                return;
+            }
+            Instr::If { cond, then, els } => {
+                self.line(depth, &format!("if r{cond} != 0 {{"));
+                self.block(then, depth + 1);
+                if !els.is_empty() {
+                    self.line(depth, "} else {");
+                    self.block(els, depth + 1);
+                }
+                self.line(depth, "}");
+                return;
+            }
+            Instr::While { head, cond, body } => {
+                self.line(depth, "loop {");
+                self.block(head, depth + 1);
+                self.line(depth + 1, &format!("if r{cond} == 0 {{ break; }}"));
+                self.block(body, depth + 1);
+                self.line(depth, "}");
+                return;
+            }
             Instr::Const { dst, val } => format!(
                 "{} = f64::from_bits(0x{:016x}u64);",
                 reg(*dst),
@@ -349,9 +181,7 @@ impl Emitter<'_> {
                     ArithOp::Mod => format!("{d} = {x} % nonzero({y});"),
                     ArithOp::Min => format!("{d} = {x}.min({y});"),
                     ArithOp::Max => format!("{d} = {x}.max({y});"),
-                    ArithOp::Pow => {
-                        return Err(CodegenError::Unsupported(format!("I64 Pow at pc {pc}")));
-                    }
+                    ArithOp::Pow => unreachable!("validated: no I64 Pow"),
                 }
             }
             Instr::Cmp { op, dst, a, b } | Instr::ICmp { op, dst, a, b } => {
@@ -378,7 +208,7 @@ impl Emitter<'_> {
 
             // ---- Data accesses (computeIndex baked in). ----
             Instr::LoadData { dst, path: p, idx } => {
-                let e = index_expr(path(*p), &reg_idx(idx))?;
+                let e = index_expr(path(*p), &reg_idx(idx));
                 format!("{} = data[{e}];", reg(*dst))
             }
             Instr::DataBase {
@@ -395,7 +225,7 @@ impl Emitter<'_> {
             } => {
                 let mut ix = reg_idx(outer);
                 ix.push("0usize".to_string());
-                let e = index_expr(path(*p), &ix)?;
+                let e = index_expr(path(*p), &ix);
                 format!("{} = ({e}) as i64;", reg(*dst))
             }
             Instr::LoadDataAt {
@@ -437,7 +267,7 @@ impl Emitter<'_> {
                 path: p,
                 idx,
             } => {
-                let e = index_expr(path(*p), &reg_idx(idx))?;
+                let e = index_expr(path(*p), &reg_idx(idx));
                 format!("{} = s{state}[{e}];", reg(*dst))
             }
             Instr::LoadStateAt {
@@ -453,7 +283,7 @@ impl Emitter<'_> {
                 reg(*k)
             ),
             Instr::OutIndex { dst, path: p, idx } => {
-                let e = index_expr(path(*p), &reg_idx(idx))?;
+                let e = index_expr(path(*p), &reg_idx(idx));
                 format!("{} = ({e}) as i64;", reg(*dst))
             }
             Instr::Accumulate { group, cell, val } => format!(
@@ -461,61 +291,32 @@ impl Emitter<'_> {
                 reg(*cell),
                 reg(*val)
             ),
-            Instr::Halt => "continue 'rows;".to_string(),
-            Instr::Jump { .. } | Instr::JumpIfZero { .. } | Instr::IncRangeJump { .. } => {
-                unreachable!("control flow is handled by `construct`")
-            }
         };
         self.line(depth, &line);
-        Ok(())
     }
 }
 
 /// Lower `kernel` to Rust source plus its nested-site table.
 ///
-/// Errors are [`CodegenError::Unsupported`] naming the construct; the
-/// caller falls back to the interpreter.
+/// A kernel that fails [`Kernel::validate`] is
+/// [`CodegenError::Unsupported`] naming the failure; the caller falls
+/// back to the interpreter.
 pub fn emit_kernel(kernel: &Kernel) -> Result<EmittedKernel, CodegenError> {
-    let code = &kernel.code;
-    if kernel.entry > code.len() {
-        return Err(CodegenError::Unsupported(format!(
-            "entry {} beyond code length {}",
-            kernel.entry,
-            code.len()
-        )));
-    }
-    for (pc, ins) in code.iter().enumerate().skip(kernel.entry) {
-        if let Instr::Jump { target }
-        | Instr::JumpIfZero { target, .. }
-        | Instr::IncRangeJump { target, .. } = ins
-        {
-            if *target < kernel.entry || *target >= code.len() {
-                return Err(CodegenError::Unsupported(format!(
-                    "jump at pc {pc} targets {target}, outside the body"
-                )));
-            }
-        }
-    }
-
+    kernel
+        .validate(kernel.state_names.len(), kernel.out_names.len())
+        .map_err(|e| CodegenError::Unsupported(format!("invalid kernel: {e}")))?;
     let mut em = Emitter {
         kernel,
         out: String::new(),
         sites: Vec::new(),
-        loops: Vec::new(),
-        labels: 0,
+        loops: 0,
     };
+    let (preamble, body) = kernel.code.split_at(kernel.entry);
     // ---- Preamble: constants only, once per split. ----
-    for (pc, ins) in code[..kernel.entry].iter().enumerate() {
-        if !matches!(ins, Instr::Const { .. } | Instr::IConst { .. }) {
-            return Err(CodegenError::Unsupported(format!(
-                "non-constant instruction {ins:?} in preamble at pc {pc}"
-            )));
-        }
-        em.straight(pc, 1)?;
-    }
+    em.block(preamble, 1);
     let preamble = std::mem::take(&mut em.out);
-    // ---- The per-row body, structured, inside the row loop. ----
-    em.region(kernel.entry, code.len(), 2)?;
+    // ---- The per-row body, inside the row loop. ----
+    em.block(body, 2);
     let body = em.out;
 
     // ---- Registers (one Rust local per register, of its class; the
@@ -541,7 +342,7 @@ pub fn emit_kernel(kernel: &Kernel) -> Result<EmittedKernel, CodegenError> {
 
     let source = format!(
         r#"//! Generated by cfr-codegen from kernel bytecode — do not edit.
-#![allow(unused_variables, unused_mut, unused_assignments, unused_parens, unused_labels, dead_code, unreachable_code)]
+#![allow(unused_variables, unused_mut, unused_assignments, unused_parens, dead_code)]
 
 /// A borrowed flat-state buffer (opt-2 linearized state), ABI-stable.
 #[repr(C)]
@@ -578,7 +379,7 @@ pub unsafe extern "C-unwind" fn {KERNEL_SYMBOL}(
     nested_load: extern "C-unwind" fn(*mut u8, usize, *const i64, usize) -> f64,
 ) {{
     let data: &[f64] = core::slice::from_raw_parts(rows, rows_len);
-{states}{decls}{preamble}    'rows: for __local in 0..row_count {{
+{states}{decls}{preamble}    for __local in 0..row_count {{
         r0 = __local as i64;
         r1 = row_lo + (first_row + __local) as i64;
 {body}    }}

@@ -45,7 +45,6 @@ fn concurrent_first_compiles_of_one_kernel_compile_once() {
                 cell: 3,
                 val: 2,
             },
-            Instr::Halt,
         ],
         entry: 2,
         regs: vec![

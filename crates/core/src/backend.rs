@@ -144,11 +144,10 @@ pub fn make_runner(
 #[cfg(test)]
 mod backend_tests {
     use super::*;
-    use crate::kernel_ir::Instr;
 
     fn trivial_kernel() -> Kernel {
         Kernel {
-            code: vec![Instr::Halt],
+            code: Vec::new(),
             entry: 0,
             regs: vec![crate::RegClass::I64; 2],
             paths: Vec::new(),
@@ -160,7 +159,8 @@ mod backend_tests {
     #[test]
     fn compiled_without_backend_falls_back() {
         // No compiler installed in unit tests: requesting the compiled
-        // backend must degrade, never fail.
+        // backend must degrade, never fail, and the fallback is recorded.
+        let recorder = Recorder::new(TraceLevel::Phases);
         let choice = make_runner(
             KernelBackend::Compiled,
             &trivial_kernel(),
@@ -168,7 +168,7 @@ mod backend_tests {
             Vec::new(),
             0,
             OptLevel::Generated,
-            None,
+            Some(&recorder),
         )
         .unwrap();
         assert_eq!(choice.backend, KernelBackend::Interpreted);
@@ -176,6 +176,10 @@ mod backend_tests {
             choice.fallback,
             Some(CodegenError::NotInstalled) | Some(CodegenError::RustcUnavailable(_))
         ));
+        let trace = recorder.drain();
+        assert_eq!(trace.count("codegen.fallback"), 1);
+        assert_eq!(trace.counters.get("core.codegen_fallback"), Some(&1));
+        assert_eq!(trace.counters.get("core.interp_jobs"), Some(&1));
     }
 
     #[test]

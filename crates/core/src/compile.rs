@@ -12,6 +12,10 @@
 //!   indices are loop-invariant; the innermost level walks by stride.
 //! * [`OptLevel::Opt2`] — additionally, state variables are linearized
 //!   and accessed through the mapping (no nested walks remain).
+//!
+//! Control flow keeps its Chapel shape: each `for`, `while` and `if`
+//! (and each `&&`/`||` right-hand side) compiles into a block of its own
+//! inside a [`Instr::For`], [`Instr::While`] or [`Instr::If`] node.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -131,107 +135,41 @@ pub fn compile_loop(
     let Item::Stmt(Stmt::For { index, body, .. }) = &program.items[red.stmt_index] else {
         return Err(CoreError::translate("detected statement is not a loop"));
     };
-
-    // Build the zipped dataset layout.
-    let mut vars = Vec::new();
-    let mut unit = 0usize;
-    let mut zip_fields = Vec::new();
-    for name in &red.dataset {
-        let Some(Ty::Array { dims, elem }) = analysis.decls.globals.get(name) else {
-            return Err(CoreError::translate(format!(
-                "dataset `{name}` is not an array"
-            )));
-        };
-        let elem_shape = analysis
-            .decls
-            .shape_of(elem)
-            .ok_or_else(|| CoreError::translate(format!("dataset `{name}` has no layout")))?;
-        vars.push(DatasetVar {
-            name: name.clone(),
-            elem_shape: elem_shape.clone(),
-            lo: dims[0].0,
-            base: unit,
-        });
-        unit += elem_shape.slot_count();
-        zip_fields.push((name.clone(), elem_shape));
-    }
     let rows = (red.hi - red.lo + 1) as usize;
-    let zip_shape = Shape::array(Shape::Record { fields: zip_fields }, rows);
-    let dataset = DatasetSpec {
-        vars,
-        unit,
-        rows,
-        zip_shape,
+    let dataset = zip_dataset(analysis, &red.dataset, rows)?;
+    let shape_of = |name: &String, what: &str| {
+        analysis
+            .decls
+            .shape_of_global(name)
+            .ok_or_else(|| CoreError::translate(format!("{what} `{name}` has no layout")))
     };
-
     let states: Vec<StateSpec> = red
         .state
         .iter()
         .map(|name| {
-            let shape = analysis
-                .decls
-                .shape_of_global(name)
-                .ok_or_else(|| CoreError::translate(format!("state `{name}` has no layout")))?;
             Ok(StateSpec {
                 name: name.clone(),
-                shape,
+                shape: shape_of(name, "state")?,
             })
         })
         .collect::<Result<_, CoreError>>()?;
-    let outputs: Vec<OutSpec> =
-        red.outputs
-            .iter()
-            .map(|name| {
-                let shape = analysis.decls.shape_of_global(name).ok_or_else(|| {
-                    CoreError::translate(format!("output `{name}` has no layout"))
-                })?;
-                let cells = shape.slot_count();
-                Ok(OutSpec {
-                    name: name.clone(),
-                    shape,
-                    cells,
-                })
+    let outputs: Vec<OutSpec> = red
+        .outputs
+        .iter()
+        .map(|name| {
+            let shape = shape_of(name, "output")?;
+            let cells = shape.slot_count();
+            Ok(OutSpec {
+                name: name.clone(),
+                shape,
+                cells,
             })
-            .collect::<Result<_, CoreError>>()?;
-
-    let mut c = Compiler {
-        analysis,
-        opt,
-        loop_var: index.clone(),
-        dataset: &dataset,
-        states: &states,
-        outputs: &outputs,
-        code: Vec::new(),
-        preamble: Vec::new(),
-        regs: vec![RegClass::I64, RegClass::I64],
-        scopes: vec![HashMap::new()],
-        paths: Vec::new(),
-        path_keys: HashMap::new(),
-        const_regs: HashMap::new(),
-        hoists: Vec::new(),
-        user_fields: HashMap::new(),
-    };
-    for s in &body.stmts {
-        c.stmt(s)?;
-    }
-    c.code.push(Instr::Halt);
-    let (code, entry) = c.link();
-    let kernel = Kernel {
-        code,
-        entry,
-        regs: c.regs,
-        paths: c.paths,
-        state_names: states.iter().map(|s| s.name.clone()).collect(),
-        out_names: outputs.iter().map(|o| o.name.clone()).collect(),
-    };
-    Ok(CompiledLoop {
-        kernel,
-        dataset,
-        states,
-        outputs,
-        lo: red.lo,
-        hi: red.hi,
-        opt,
+        })
+        .collect::<Result<_, CoreError>>()?;
+    let bounds = (red.lo, red.hi);
+    compile_kernel(analysis, opt, dataset, states, outputs, bounds, |c| {
+        c.loop_var = index.clone();
+        c.stmts(&body.stmts)
     })
 }
 
@@ -242,89 +180,35 @@ pub fn compile_reduce_expr(
     red: &ExprReduction,
 ) -> Result<CompiledLoop, CoreError> {
     // The leaves zip into the dataset; the operand is evaluated per row.
-    let mut vars = Vec::new();
-    let mut unit = 0usize;
-    let mut zip_fields = Vec::new();
-    let mut lo = 1i64;
-    let mut hi = red.rows as i64;
-    for name in &red.leaves {
-        let Some(Ty::Array { dims, elem }) = analysis.decls.globals.get(name) else {
-            return Err(CoreError::translate(format!("`{name}` is not an array")));
-        };
-        let elem_shape = analysis
-            .decls
-            .shape_of(elem)
-            .ok_or_else(|| CoreError::translate(format!("`{name}` has no layout")))?;
-        lo = dims[0].0;
-        hi = dims[0].1;
-        vars.push(DatasetVar {
-            name: name.clone(),
-            elem_shape: elem_shape.clone(),
-            lo: dims[0].0,
-            base: unit,
-        });
-        unit += elem_shape.slot_count();
-        zip_fields.push((name.clone(), elem_shape));
-    }
-    let zip_shape = Shape::array(Shape::Record { fields: zip_fields }, red.rows);
-    let dataset = DatasetSpec {
-        vars,
-        unit,
-        rows: red.rows,
-        zip_shape,
-    };
+    let dataset = zip_dataset(analysis, &red.leaves, red.rows)?;
     let outputs = vec![OutSpec {
         name: red.target.clone(),
         shape: Shape::Real,
         cells: 1,
     }];
-
-    let mut c = Compiler {
+    let bounds = leaf_bounds(&dataset);
+    let body = |c: &mut Compiler<'_>| {
+        // Evaluate the operand with every leaf ident meaning "this row's
+        // element of that leaf".
+        let val = c.reduce_operand(&red.operand)?;
+        let val = c.real_of(val);
+        let cell = c.int_const(0);
+        c.code.push(Instr::Accumulate {
+            group: 0,
+            cell,
+            val,
+        });
+        Ok(())
+    };
+    compile_kernel(
         analysis,
-        opt: OptLevel::Generated,
-        loop_var: String::new(),
-        dataset: &dataset,
-        states: &[],
-        outputs: &outputs,
-        code: Vec::new(),
-        preamble: Vec::new(),
-        regs: vec![RegClass::I64, RegClass::I64],
-        scopes: vec![HashMap::new()],
-        paths: Vec::new(),
-        path_keys: HashMap::new(),
-        const_regs: HashMap::new(),
-        hoists: Vec::new(),
-        user_fields: HashMap::new(),
-    };
-    // Evaluate the operand with every leaf ident meaning "this row's
-    // element of that leaf".
-    let val = c.reduce_operand(&red.operand)?;
-    let val = c.real_of(val);
-    let cell = c.int_const(0);
-    c.code.push(Instr::Accumulate {
-        group: 0,
-        cell,
-        val,
-    });
-    c.code.push(Instr::Halt);
-    let (code, entry) = c.link();
-    let kernel = Kernel {
-        code,
-        entry,
-        regs: c.regs,
-        paths: c.paths,
-        state_names: Vec::new(),
-        out_names: vec![red.target.clone()],
-    };
-    Ok(CompiledLoop {
-        kernel,
+        OptLevel::Generated,
         dataset,
-        states: Vec::new(),
+        vec![],
         outputs,
-        lo,
-        hi,
-        opt: OptLevel::Generated,
-    })
+        bounds,
+        body,
+    )
 }
 
 /// Compile a user-defined `ReduceScanOp` reduction (`MyOp reduce A`):
@@ -339,38 +223,7 @@ pub fn compile_user_reduce(
     class: &chapel_frontend::ast::ClassDecl,
 ) -> Result<CompiledLoop, CoreError> {
     // Dataset: identical to a built-in reduce expression.
-    let mut vars = Vec::new();
-    let mut unit = 0usize;
-    let mut zip_fields = Vec::new();
-    let mut lo = 1i64;
-    let mut hi = red.rows as i64;
-    for name in &red.leaves {
-        let Some(Ty::Array { dims, elem }) = analysis.decls.globals.get(name) else {
-            return Err(CoreError::translate(format!("`{name}` is not an array")));
-        };
-        let elem_shape = analysis
-            .decls
-            .shape_of(elem)
-            .ok_or_else(|| CoreError::translate(format!("`{name}` has no layout")))?;
-        lo = dims[0].0;
-        hi = dims[0].1;
-        vars.push(DatasetVar {
-            name: name.clone(),
-            elem_shape: elem_shape.clone(),
-            lo: dims[0].0,
-            base: unit,
-        });
-        unit += elem_shape.slot_count();
-        zip_fields.push((name.clone(), elem_shape));
-    }
-    let zip_shape = Shape::array(Shape::Record { fields: zip_fields }, red.rows);
-    let dataset = DatasetSpec {
-        vars,
-        unit,
-        rows: red.rows,
-        zip_shape,
-    };
-
+    let dataset = zip_dataset(analysis, &red.leaves, red.rows)?;
     // One one-cell Sum group per class field.
     let outputs: Vec<OutSpec> = class
         .fields
@@ -389,13 +242,91 @@ pub fn compile_user_reduce(
         .first()
         .map(|p| p.name.clone())
         .ok_or_else(|| CoreError::translate("accumulate takes no argument"))?;
+    let bounds = leaf_bounds(&dataset);
+    let body = |c: &mut Compiler<'_>| {
+        c.user_fields = (0..)
+            .zip(&class.fields)
+            .map(|(i, f)| (f.name.clone(), i))
+            .collect();
+        // Bind the accumulate parameter to this row's element value.
+        let x = c.reduce_operand(&red.operand)?;
+        c.scopes.last_mut().expect("scope").insert(param, x);
+        accumulate.body.stmts.iter().try_for_each(|s| c.stmt(s))
+    };
+    compile_kernel(
+        analysis,
+        OptLevel::Generated,
+        dataset,
+        vec![],
+        outputs,
+        bounds,
+        body,
+    )
+}
 
+/// The zipped dataset over the arrays `names` (one record field each,
+/// in order), `rows` rows long.
+fn zip_dataset(
+    analysis: &Analysis,
+    names: &[String],
+    rows: usize,
+) -> Result<DatasetSpec, CoreError> {
+    let mut vars = Vec::new();
+    let mut unit = 0usize;
+    let mut zip_fields = Vec::new();
+    for name in names {
+        let Some(Ty::Array { dims, elem }) = analysis.decls.globals.get(name) else {
+            return Err(CoreError::translate(format!(
+                "dataset `{name}` is not an array"
+            )));
+        };
+        let elem_shape = analysis
+            .decls
+            .shape_of(elem)
+            .ok_or_else(|| CoreError::translate(format!("dataset `{name}` has no layout")))?;
+        vars.push(DatasetVar {
+            name: name.clone(),
+            elem_shape: elem_shape.clone(),
+            lo: dims[0].0,
+            base: unit,
+        });
+        unit += elem_shape.slot_count();
+        zip_fields.push((name.clone(), elem_shape));
+    }
+    let zip_shape = Shape::array(Shape::Record { fields: zip_fields }, rows);
+    Ok(DatasetSpec {
+        vars,
+        unit,
+        rows,
+        zip_shape,
+    })
+}
+
+/// The Chapel bounds of a reduce expression's rows: its leaves share
+/// one extent, so the last leaf's lower bound plus the row count.
+fn leaf_bounds(dataset: &DatasetSpec) -> (i64, i64) {
+    let lo = dataset.vars.last().map_or(1, |v| v.lo);
+    (lo, lo + dataset.rows as i64 - 1)
+}
+
+/// Compile one kernel over `dataset`, `states` and `outputs`: `body`
+/// emits the per-element code through a fresh [`Compiler`], whose
+/// constant preamble then heads the kernel's top-level block.
+fn compile_kernel(
+    analysis: &Analysis,
+    opt: OptLevel,
+    dataset: DatasetSpec,
+    states: Vec<StateSpec>,
+    outputs: Vec<OutSpec>,
+    (lo, hi): (i64, i64),
+    body: impl FnOnce(&mut Compiler<'_>) -> Result<(), CoreError>,
+) -> Result<CompiledLoop, CoreError> {
     let mut c = Compiler {
         analysis,
-        opt: OptLevel::Generated,
+        opt,
         loop_var: String::new(),
         dataset: &dataset,
-        states: &[],
+        states: &states,
         outputs: &outputs,
         code: Vec::new(),
         preamble: Vec::new(),
@@ -405,37 +336,28 @@ pub fn compile_user_reduce(
         path_keys: HashMap::new(),
         const_regs: HashMap::new(),
         hoists: Vec::new(),
-        user_fields: class
-            .fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.clone(), i as GroupId))
-            .collect(),
+        user_fields: HashMap::new(),
     };
-    // Bind the accumulate parameter to this row's element value.
-    let x = c.reduce_operand(&red.operand)?;
-    c.scopes.last_mut().expect("scope").insert(param, x);
-    for s in &accumulate.body.stmts {
-        c.stmt(s)?;
-    }
-    c.code.push(Instr::Halt);
-    let (code, entry) = c.link();
+    body(&mut c)?;
+    let entry = c.preamble.len();
+    let mut code = c.preamble;
+    code.append(&mut c.code);
     let kernel = Kernel {
         code,
         entry,
         regs: c.regs,
         paths: c.paths,
-        state_names: Vec::new(),
+        state_names: states.iter().map(|s| s.name.clone()).collect(),
         out_names: outputs.iter().map(|o| o.name.clone()).collect(),
     };
     Ok(CompiledLoop {
         kernel,
         dataset,
-        states: Vec::new(),
+        states,
         outputs,
         lo,
         hi,
-        opt: OptLevel::Generated,
+        opt,
     })
 }
 
@@ -657,28 +579,6 @@ impl<'a> Compiler<'a> {
         Ok(dst)
     }
 
-    /// Concatenate preamble and body, shifting body jump targets.
-    fn link(&mut self) -> (Vec<Instr>, usize) {
-        let entry = self.preamble.len();
-        let mut code = std::mem::take(&mut self.preamble);
-        code.extend(self.code.drain(..).map(|ins| match ins {
-            Instr::Jump { target } => Instr::Jump {
-                target: target + entry,
-            },
-            Instr::JumpIfZero { cond, target } => Instr::JumpIfZero {
-                cond,
-                target: target + entry,
-            },
-            Instr::IncRangeJump { var, hi, target } => Instr::IncRangeJump {
-                var,
-                hi,
-                target: target + entry,
-            },
-            other => other,
-        }));
-        (code, entry)
-    }
-
     fn lookup_local(&self, name: &str) -> Option<Reg> {
         for scope in self.scopes.iter().rev() {
             if let Some(&r) = scope.get(name) {
@@ -778,73 +678,55 @@ impl<'a> Compiler<'a> {
                 index, iter, body, ..
             } => self.for_loop(index, iter, body),
             Stmt::While { cond, body, .. } => {
-                let start = self.code.len();
-                let c = self.cond(cond)?;
-                let jz = self.code.len();
-                self.code.push(Instr::JumpIfZero {
+                let mut c = 0;
+                let head = self.block(|k| {
+                    c = k.cond(cond)?;
+                    Ok(())
+                })?;
+                let body = self.block(|k| k.stmts(&body.stmts))?;
+                self.code.push(Instr::While {
+                    head,
                     cond: c,
-                    target: usize::MAX,
+                    body,
                 });
-                self.scopes.push(HashMap::new());
-                for st in &body.stmts {
-                    self.stmt(st)?;
-                }
-                self.scopes.pop();
-                self.code.push(Instr::Jump { target: start });
-                let end = self.code.len();
-                self.patch(jz, end);
                 Ok(())
             }
             Stmt::If {
                 cond, then, els, ..
             } => {
-                let c = self.cond(cond)?;
-                let jz = self.code.len();
-                self.code.push(Instr::JumpIfZero {
-                    cond: c,
-                    target: usize::MAX,
-                });
-                self.scopes.push(HashMap::new());
-                for st in &then.stmts {
-                    self.stmt(st)?;
-                }
-                self.scopes.pop();
-                if let Some(e) = els {
-                    let jend = self.code.len();
-                    self.code.push(Instr::Jump { target: usize::MAX });
-                    let else_start = self.code.len();
-                    self.patch(jz, else_start);
-                    self.scopes.push(HashMap::new());
-                    for st in &e.stmts {
-                        self.stmt(st)?;
-                    }
-                    self.scopes.pop();
-                    let end = self.code.len();
-                    self.patch(jend, end);
-                } else {
-                    let end = self.code.len();
-                    self.patch(jz, end);
-                }
+                let cond = self.cond(cond)?;
+                let then = self.block(|k| k.stmts(&then.stmts))?;
+                let els = match els {
+                    Some(e) => self.block(|k| k.stmts(&e.stmts))?,
+                    None => Vec::new(),
+                };
+                self.code.push(Instr::If { cond, then, els });
                 Ok(())
             }
             Stmt::Return { .. } => Err(CoreError::translate("`return` inside a kernel")),
             Stmt::Writeln { .. } => Err(CoreError::translate("`writeln` inside a kernel")),
-            Stmt::Block(b) => {
-                self.scopes.push(HashMap::new());
-                for st in &b.stmts {
-                    self.stmt(st)?;
-                }
-                self.scopes.pop();
-                Ok(())
-            }
+            Stmt::Block(b) => self.stmts(&b.stmts),
         }
     }
 
-    fn patch(&mut self, at: usize, target: usize) {
-        match &mut self.code[at] {
-            Instr::Jump { target: t } | Instr::JumpIfZero { target: t, .. } => *t = target,
-            other => unreachable!("patching non-jump {other:?}"),
-        }
+    /// Compile statements in a scope of their own.
+    fn stmts(&mut self, stmts: &[Stmt]) -> Result<(), CoreError> {
+        self.scopes.push(HashMap::new());
+        let done = stmts.iter().try_for_each(|s| self.stmt(s));
+        self.scopes.pop();
+        done
+    }
+
+    /// Compile `f`'s code into a fresh block and return it; the
+    /// enclosing block continues after it.
+    fn block(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<(), CoreError>,
+    ) -> Result<Vec<Instr>, CoreError> {
+        let outer = std::mem::take(&mut self.code);
+        let done = f(self);
+        let inner = std::mem::replace(&mut self.code, outer);
+        done.map(|()| inner)
     }
 
     fn assign(&mut self, lhs: &Expr, op: AssignOp, rhs: &Expr) -> Result<(), CoreError> {
@@ -989,20 +871,18 @@ impl<'a> Compiler<'a> {
                 "kernel loops must iterate over ranges",
             ));
         };
-        // The range is evaluated once; copy the bounds into fresh
-        // registers so body writes to their source variables cannot
-        // change the trip count mid-flight.
-        let lo_src = self.expr(&range.lo)?;
-        let hi_src = self.expr(&range.hi)?;
-        let hi = self.alloc(RegClass::I64);
-        self.assign_reg(hi, hi_src);
+        // `For` reads its bounds once, so body writes to their source
+        // variables cannot change the trip count mid-flight.
+        let lo = self.expr(&range.lo)?;
+        let lo = self.int_of(lo);
+        let hi = self.expr(&range.hi)?;
+        let hi = self.int_of(hi);
         let var = self.alloc(RegClass::I64);
-        self.assign_reg(var, lo_src);
         self.scopes.push(HashMap::from([(index.to_string(), var)]));
 
         // Strength reduction: pre-compute bases of eligible accesses.
         let frame = if self.opt != OptLevel::Generated {
-            self.build_hoist_frame(index, var, body)?
+            self.build_hoist_frame(index, body)?
         } else {
             HoistFrame {
                 entries: HashMap::new(),
@@ -1011,69 +891,45 @@ impl<'a> Compiler<'a> {
         };
         let k_regs = frame.k_regs.clone();
         self.hoists.push(frame);
-
-        // Pre-test once; the back edge is a fused inc-compare-jump.
-        let cond = self.alloc(RegClass::I64);
-        self.code.push(Instr::ICmp {
-            op: CmpOp::Le,
-            dst: cond,
-            a: var,
-            b: hi,
-        });
-        let jz = self.code.len();
-        self.code.push(Instr::JumpIfZero {
-            cond,
-            target: usize::MAX,
-        });
-        let body_start = self.code.len();
-        // Per-iteration 0-based index registers shared by every hoisted
-        // access of this loop (k = var - lo).
-        for &(lo_val, k_reg) in &k_regs {
-            if lo_val == 0 {
-                self.code.push(Instr::IMov {
-                    dst: k_reg,
-                    src: var,
-                });
-            } else {
-                let lo_reg = self.int_const(lo_val);
-                self.code.push(Instr::IBin {
-                    op: ArithOp::Sub,
-                    dst: k_reg,
-                    a: var,
-                    b: lo_reg,
-                });
+        let body = self.block(|c| {
+            // Per-iteration 0-based index registers shared by every
+            // hoisted access of this loop (k = var - lo).
+            for &(lo_val, k_reg) in &k_regs {
+                let ins = if lo_val == 0 {
+                    Instr::IMov {
+                        dst: k_reg,
+                        src: var,
+                    }
+                } else {
+                    Instr::IBin {
+                        op: ArithOp::Sub,
+                        dst: k_reg,
+                        a: var,
+                        b: c.int_const(lo_val),
+                    }
+                };
+                c.code.push(ins);
             }
-        }
-        for st in &body.stmts {
-            self.stmt(st)?;
-        }
-        self.code.push(Instr::IncRangeJump {
-            var,
-            hi,
-            target: body_start,
-        });
-        let end = self.code.len();
-        self.patch(jz, end);
-
+            c.stmts(&body.stmts)
+        })?;
         self.hoists.pop();
         self.scopes.pop();
+        self.code.push(Instr::For { var, lo, hi, body });
         Ok(())
     }
 
     /// Scan a loop body for accesses whose innermost index is exactly the
     /// loop variable and whose outer indices are loop-invariant; emit
     /// their base computations (the single remaining `computeIndex` call
-    /// of opt-1) before the loop.
-    fn build_hoist_frame(
-        &mut self,
-        loop_var: &str,
-        _var_reg: Reg,
-        body: &Block,
-    ) -> Result<HoistFrame, CoreError> {
+    /// of opt-1) before the loop. A body that writes or rebinds the loop
+    /// variable hoists nothing: its accesses must see the write, not
+    /// the `k` register refreshed at the body head.
+    fn build_hoist_frame(&mut self, loop_var: &str, body: &Block) -> Result<HoistFrame, CoreError> {
+        let mut entries = HashMap::new();
+        let mut k_regs: Vec<(i64, Reg)> = Vec::new();
         // Names assigned or declared inside the body (these invalidate
         // outer-index invariance).
         let mut tainted: BTreeSet<String> = BTreeSet::new();
-        tainted.insert(loop_var.to_string());
         for s in &body.stmts {
             walk_stmt(
                 s,
@@ -1093,6 +949,9 @@ impl<'a> Compiler<'a> {
                 },
                 &mut |_| {},
             );
+        }
+        if !tainted.insert(loop_var.to_string()) {
+            return Ok(HoistFrame { entries, k_regs });
         }
 
         // Collect candidate access expressions.
@@ -1117,8 +976,6 @@ impl<'a> Compiler<'a> {
             );
         }
 
-        let mut entries = HashMap::new();
-        let mut k_regs: Vec<(i64, Reg)> = Vec::new();
         for cand in candidates {
             let key = print_expr(&cand);
             if entries.contains_key(&key) {
@@ -1790,28 +1647,22 @@ impl<'a> Compiler<'a> {
                 r,
                 ..
             } => {
-                // Short-circuit && / || compile to branches (the kernel
-                // must not index out of bounds on the skipped side).
+                // Short-circuit && / || compile to an `If` around the
+                // rhs (the kernel must not index out of bounds on the
+                // skipped side).
                 let dst = self.alloc(RegClass::I64);
                 let a = self.cond(l)?;
                 self.code.push(Instr::IMov { dst, src: a });
-                let skip_if_zero = if matches!(op, BinOp::And) {
-                    a
-                } else {
-                    // Skip rhs when lhs is true: test the inverse.
-                    let inv = self.alloc(RegClass::I64);
-                    self.code.push(Instr::Not { dst: inv, src: a });
-                    inv
+                let rhs = self.block(|c| {
+                    let b = c.cond(r)?;
+                    c.code.push(Instr::IMov { dst, src: b });
+                    Ok(())
+                })?;
+                let (then, els) = match op {
+                    BinOp::And => (rhs, Vec::new()),
+                    _ => (Vec::new(), rhs),
                 };
-                let jz = self.code.len();
-                self.code.push(Instr::JumpIfZero {
-                    cond: skip_if_zero,
-                    target: usize::MAX,
-                });
-                let b = self.cond(r)?;
-                self.code.push(Instr::IMov { dst, src: b });
-                let end = self.code.len();
-                self.patch(jz, end);
+                self.code.push(Instr::If { cond: a, then, els });
                 Ok(dst)
             }
             Expr::Binary { op, l, r, .. } => {

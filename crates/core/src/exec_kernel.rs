@@ -2,9 +2,10 @@
 //!
 //! One `KernelRuntime` is built per translated job; it is `Sync`, so the
 //! FREERIDE engine can run it from many worker threads. Per-row
-//! execution walks the instruction stream; the cost profile of each
-//! access instruction mirrors the paper's generated C code (see
-//! `kernel_ir.rs`).
+//! execution walks the loop nest recursively, one block at a time: a
+//! `For` runs as a native Rust `for`, `If` and `While` as their Rust
+//! counterparts. The cost profile of each access instruction mirrors
+//! the paper's generated C code (see `kernel_ir.rs`).
 
 use freeride::{RObjHandle, Split, SplitKernel};
 use linearize::Value;
@@ -81,31 +82,59 @@ impl KernelRuntime {
         // register lives in the file its class names). The row
         // registers exist even in a kernel that declares none.
         let n = self.kernel.regs.len().max(2);
-        let mut regs = Regs {
-            f: vec![0.0f64; n],
-            i: vec![0i64; n],
+        let (mut fr, mut ir) = (vec![0.0f64; n], vec![0i64; n]);
+        let mut cx = Cx {
+            data: split.rows,
+            idx_buf: Vec::with_capacity(8),
+            robj,
         };
+        let (preamble, body) = self.kernel.code.split_at(self.kernel.entry);
         // Constant preamble, once per split.
-        for ins in &self.kernel.code[..self.kernel.entry] {
-            match ins {
-                Instr::Const { dst, val } => regs.f[*dst as usize] = *val,
-                Instr::IConst { dst, val } => regs.i[*dst as usize] = *val,
-                other => unreachable!("non-constant in preamble: {other:?}"),
-            }
-        }
+        self.block(preamble, &mut fr, &mut ir, &mut cx);
         for local in 0..split.row_count {
-            regs.i[REG_LOCAL_ROW as usize] = local as i64;
-            regs.i[REG_CHAPEL_ROW as usize] = self.row_lo + (split.first_row + local) as i64;
-            self.run_row(split, &mut regs, robj);
+            ir[REG_LOCAL_ROW as usize] = local as i64;
+            ir[REG_CHAPEL_ROW as usize] = self.row_lo + (split.first_row + local) as i64;
+            self.block(body, &mut fr, &mut ir, &mut cx);
         }
     }
 
-    #[inline]
-    fn run_row(&self, split: &Split<'_>, regs: &mut Regs, robj: &mut dyn RObjHandle) {
-        let code = &self.kernel.code;
+    /// Execute one block over the register files `fr` (`F64`) and `ir`
+    /// (`I64`). A `For` runs as a native Rust `for` whose body steps in
+    /// this frame, so an innermost loop makes no call per iteration;
+    /// deeper blocks recurse.
+    fn block(&self, code: &[Instr], fr: &mut [f64], ir: &mut [i64], cx: &mut Cx<'_>) {
+        for ins in code {
+            if let Instr::For { var, lo, hi, body } = ins {
+                // SAFETY: as in `step`.
+                macro_rules! i {
+                    ($r:expr) => {
+                        *unsafe { ir.get_unchecked_mut($r as usize) }
+                    };
+                }
+                // `lo..=hi` stepped by hand: `RangeInclusive`'s
+                // exhaustion flag costs measurably per trip here.
+                let (mut v, hi) = (i!(*lo), i!(*hi));
+                while v <= hi {
+                    i!(*var) = v;
+                    for ins in body {
+                        self.step(ins, fr, ir, cx);
+                    }
+                    if v == hi {
+                        break;
+                    }
+                    v += 1;
+                }
+            } else {
+                self.step(ins, fr, ir, cx);
+            }
+        }
+    }
+
+    /// Execute one instruction; a block-carrying one recurses through
+    /// [`KernelRuntime::block`].
+    #[inline(always)]
+    fn step(&self, ins: &Instr, fr: &mut [f64], ir: &mut [i64], cx: &mut Cx<'_>) {
         let paths = &self.kernel.paths;
-        let data = split.rows;
-        let (fr, ir) = (&mut regs.f[..], &mut regs.i[..]);
         // SAFETY (every unchecked access below): the kernel passed
         // `Kernel::validate` in `new`, so each operand is inside the
         // register file (both files have at least `regs.len()` slots)
@@ -120,162 +149,154 @@ impl KernelRuntime {
                 *unsafe { ir.get_unchecked_mut($r as usize) }
             };
         }
-        let mut idx_buf: Vec<usize> = Vec::with_capacity(8);
-        let mut pc = self.kernel.entry;
-        loop {
-            match &code[pc] {
-                Instr::Const { dst, val } => f!(*dst) = *val,
-                Instr::IConst { dst, val } => i!(*dst) = *val,
-                Instr::Mov { dst, src } => f!(*dst) = f!(*src),
-                Instr::IMov { dst, src } => i!(*dst) = i!(*src),
-                Instr::Bin { op, dst, a, b } => {
-                    let (x, y) = (f!(*a), f!(*b));
-                    f!(*dst) = match op {
-                        ArithOp::Add => x + y,
-                        ArithOp::Sub => x - y,
-                        ArithOp::Mul => x * y,
-                        ArithOp::Div => x / y,
-                        ArithOp::Mod => x % y,
-                        ArithOp::Pow => x.powf(y),
-                        ArithOp::Min => x.min(y),
-                        ArithOp::Max => x.max(y),
-                    };
-                }
-                Instr::IBin { op, dst, a, b } => {
-                    let (x, y) = (i!(*a), i!(*b));
-                    i!(*dst) = match op {
-                        ArithOp::Add => x.wrapping_add(y),
-                        ArithOp::Sub => x.wrapping_sub(y),
-                        ArithOp::Mul => x.wrapping_mul(y),
-                        ArithOp::Div => x / nonzero(y),
-                        ArithOp::Mod => x % nonzero(y),
-                        ArithOp::Min => x.min(y),
-                        ArithOp::Max => x.max(y),
-                        ArithOp::Pow => unreachable!("validated: no I64 Pow"),
-                    };
-                }
-                Instr::Cmp { op, dst, a, b } => i!(*dst) = compare(*op, f!(*a), f!(*b)) as i64,
-                Instr::ICmp { op, dst, a, b } => i!(*dst) = compare(*op, i!(*a), i!(*b)) as i64,
-                Instr::Not { dst, src } => i!(*dst) = (i!(*src) == 0) as i64,
-                Instr::Neg { dst, src } => f!(*dst) = -f!(*src),
-                Instr::Sqrt { dst, src } => f!(*dst) = f!(*src).sqrt(),
-                Instr::Abs { dst, src } => f!(*dst) = f!(*src).abs(),
-                Instr::IntToReal { dst, src } => f!(*dst) = i!(*src) as f64,
-                Instr::RealToInt { dst, src } => i!(*dst) = f!(*src).floor() as i64,
-                Instr::Jump { target } => {
-                    pc = *target;
-                    continue;
-                }
-                Instr::JumpIfZero { cond, target } => {
-                    if i!(*cond) == 0 {
-                        pc = *target;
-                        continue;
-                    }
-                }
-                Instr::LoadRow { dst } => i!(*dst) = i!(REG_CHAPEL_ROW),
-                Instr::IncRangeJump { var, hi, target } => {
-                    let v = i!(*var);
-                    if v < i!(*hi) {
-                        i!(*var) = v + 1;
-                        pc = *target;
-                        continue;
-                    }
-                }
-                Instr::Fma { dst, a, b } => f!(*dst) += f!(*a) * f!(*b),
-                Instr::LoadData { dst, path, idx } => {
-                    // The full Algorithm-3 mapping, executed as a real
-                    // (non-inlined, recursive) call per access — the
-                    // *generated* version's cost.
-                    idx_buf.clear();
-                    idx_buf.extend(idx.iter().map(|r| i!(*r) as usize));
-                    let off = compute_index_call(&paths[*path as usize], &idx_buf);
-                    f!(*dst) = data[off];
-                }
-                Instr::DataBase { dst, path, outer } => {
-                    // opt-1: the one remaining computeIndex call per loop.
-                    idx_buf.clear();
-                    idx_buf.extend(outer.iter().map(|r| i!(*r) as usize));
-                    idx_buf.push(0);
-                    let off = compute_index_call(&paths[*path as usize], &idx_buf);
-                    i!(*dst) = off as i64;
-                }
-                Instr::LoadDataAt {
-                    dst,
-                    base,
-                    k,
-                    stride,
-                } => {
-                    let off = i!(*base) as usize + i!(*k) as usize * stride;
-                    f!(*dst) = data[off];
-                }
-                Instr::LoadStateNested { dst, state, steps } => {
-                    // The nested-structure walk through the emulated
-                    // Chapel runtime calls (wide-reference test, dope
-                    // vector, bounds check per level) — the "accesses to
-                    // complex Chapel structures" cost that opt-2
-                    // eliminates.
-                    let mut cur = &self.nested_state[*state as usize];
-                    for step in steps {
-                        cur = match step {
-                            NavStep::Field(pos) => chpl_record_field(cur, *pos),
-                            NavStep::Index(r) => chpl_array_index(cur, i!(*r) as usize),
-                        };
-                    }
-                    f!(*dst) = chpl_read_scalar(cur);
-                }
-                Instr::LoadStateFlat {
-                    dst,
-                    state,
-                    path,
-                    idx,
-                } => {
-                    idx_buf.clear();
-                    idx_buf.extend(idx.iter().map(|r| i!(*r) as usize));
-                    let off = compute_index_call(&paths[*path as usize], &idx_buf);
-                    f!(*dst) = self.flat_state[*state as usize][off];
-                }
-                Instr::StateBase {
-                    dst,
-                    state: _,
-                    path,
-                    outer,
-                } => {
-                    idx_buf.clear();
-                    idx_buf.extend(outer.iter().map(|r| i!(*r) as usize));
-                    idx_buf.push(0);
-                    let off = compute_index_call(&paths[*path as usize], &idx_buf);
-                    i!(*dst) = off as i64;
-                }
-                Instr::LoadStateAt {
-                    dst,
-                    state,
-                    base,
-                    k,
-                    stride,
-                } => {
-                    let off = i!(*base) as usize + i!(*k) as usize * stride;
-                    f!(*dst) = self.flat_state[*state as usize][off];
-                }
-                Instr::OutIndex { dst, path, idx } => {
-                    idx_buf.clear();
-                    idx_buf.extend(idx.iter().map(|r| i!(*r) as usize));
-                    let off = compute_index_call(&paths[*path as usize], &idx_buf);
-                    i!(*dst) = off as i64;
-                }
-                Instr::Accumulate { group, cell, val } => {
-                    robj.accumulate(*group as usize, i!(*cell) as usize, f!(*val));
-                }
-                Instr::Halt => return,
+        match ins {
+            Instr::Const { dst, val } => f!(*dst) = *val,
+            Instr::IConst { dst, val } => i!(*dst) = *val,
+            Instr::Mov { dst, src } => f!(*dst) = f!(*src),
+            Instr::IMov { dst, src } => i!(*dst) = i!(*src),
+            Instr::Bin { op, dst, a, b } => {
+                let (x, y) = (f!(*a), f!(*b));
+                f!(*dst) = match op {
+                    ArithOp::Add => x + y,
+                    ArithOp::Sub => x - y,
+                    ArithOp::Mul => x * y,
+                    ArithOp::Div => x / y,
+                    ArithOp::Mod => x % y,
+                    ArithOp::Pow => x.powf(y),
+                    ArithOp::Min => x.min(y),
+                    ArithOp::Max => x.max(y),
+                };
             }
-            pc += 1;
+            Instr::IBin { op, dst, a, b } => {
+                let (x, y) = (i!(*a), i!(*b));
+                i!(*dst) = match op {
+                    ArithOp::Add => x.wrapping_add(y),
+                    ArithOp::Sub => x.wrapping_sub(y),
+                    ArithOp::Mul => x.wrapping_mul(y),
+                    ArithOp::Div => x / nonzero(y),
+                    ArithOp::Mod => x % nonzero(y),
+                    ArithOp::Min => x.min(y),
+                    ArithOp::Max => x.max(y),
+                    ArithOp::Pow => unreachable!("validated: no I64 Pow"),
+                };
+            }
+            Instr::Cmp { op, dst, a, b } => i!(*dst) = compare(*op, f!(*a), f!(*b)) as i64,
+            Instr::ICmp { op, dst, a, b } => i!(*dst) = compare(*op, i!(*a), i!(*b)) as i64,
+            Instr::Not { dst, src } => i!(*dst) = (i!(*src) == 0) as i64,
+            Instr::Neg { dst, src } => f!(*dst) = -f!(*src),
+            Instr::Sqrt { dst, src } => f!(*dst) = f!(*src).sqrt(),
+            Instr::Abs { dst, src } => f!(*dst) = f!(*src).abs(),
+            Instr::IntToReal { dst, src } => f!(*dst) = i!(*src) as f64,
+            Instr::RealToInt { dst, src } => i!(*dst) = f!(*src).floor() as i64,
+            Instr::For { .. } => self.block(std::slice::from_ref(ins), fr, ir, cx),
+            Instr::If { cond, then, els } => {
+                let taken = if i!(*cond) != 0 { then } else { els };
+                self.block(taken, fr, ir, cx);
+            }
+            Instr::While { head, cond, body } => loop {
+                self.block(head, fr, ir, cx);
+                if i!(*cond) == 0 {
+                    break;
+                }
+                self.block(body, fr, ir, cx);
+            },
+            Instr::LoadRow { dst } => i!(*dst) = i!(REG_CHAPEL_ROW),
+            Instr::Fma { dst, a, b } => f!(*dst) += f!(*a) * f!(*b),
+            Instr::LoadData { dst, path, idx } => {
+                // The full Algorithm-3 mapping, executed as a real
+                // (non-inlined, recursive) call per access — the
+                // *generated* version's cost.
+                cx.idx_buf.clear();
+                cx.idx_buf.extend(idx.iter().map(|r| i!(*r) as usize));
+                let off = compute_index_call(&paths[*path as usize], &cx.idx_buf);
+                f!(*dst) = cx.data[off];
+            }
+            Instr::DataBase { dst, path, outer } => {
+                // opt-1: the one remaining computeIndex call per loop.
+                cx.idx_buf.clear();
+                cx.idx_buf.extend(outer.iter().map(|r| i!(*r) as usize));
+                cx.idx_buf.push(0);
+                let off = compute_index_call(&paths[*path as usize], &cx.idx_buf);
+                i!(*dst) = off as i64;
+            }
+            Instr::LoadDataAt {
+                dst,
+                base,
+                k,
+                stride,
+            } => {
+                let off = i!(*base) as usize + i!(*k) as usize * stride;
+                f!(*dst) = cx.data[off];
+            }
+            Instr::LoadStateNested { dst, state, steps } => {
+                // The nested-structure walk through the emulated
+                // Chapel runtime calls (wide-reference test, dope
+                // vector, bounds check per level) — the "accesses to
+                // complex Chapel structures" cost that opt-2
+                // eliminates.
+                let mut cur = &self.nested_state[*state as usize];
+                for step in steps {
+                    cur = match step {
+                        NavStep::Field(pos) => chpl_record_field(cur, *pos),
+                        NavStep::Index(r) => chpl_array_index(cur, i!(*r) as usize),
+                    };
+                }
+                f!(*dst) = chpl_read_scalar(cur);
+            }
+            Instr::LoadStateFlat {
+                dst,
+                state,
+                path,
+                idx,
+            } => {
+                cx.idx_buf.clear();
+                cx.idx_buf.extend(idx.iter().map(|r| i!(*r) as usize));
+                let off = compute_index_call(&paths[*path as usize], &cx.idx_buf);
+                f!(*dst) = self.flat_state[*state as usize][off];
+            }
+            Instr::StateBase {
+                dst,
+                state: _,
+                path,
+                outer,
+            } => {
+                cx.idx_buf.clear();
+                cx.idx_buf.extend(outer.iter().map(|r| i!(*r) as usize));
+                cx.idx_buf.push(0);
+                let off = compute_index_call(&paths[*path as usize], &cx.idx_buf);
+                i!(*dst) = off as i64;
+            }
+            Instr::LoadStateAt {
+                dst,
+                state,
+                base,
+                k,
+                stride,
+            } => {
+                let off = i!(*base) as usize + i!(*k) as usize * stride;
+                f!(*dst) = self.flat_state[*state as usize][off];
+            }
+            Instr::OutIndex { dst, path, idx } => {
+                cx.idx_buf.clear();
+                cx.idx_buf.extend(idx.iter().map(|r| i!(*r) as usize));
+                let off = compute_index_call(&paths[*path as usize], &cx.idx_buf);
+                i!(*dst) = off as i64;
+            }
+            Instr::Accumulate { group, cell, val } => {
+                cx.robj
+                    .accumulate(*group as usize, i!(*cell) as usize, f!(*val));
+            }
         }
     }
 }
 
-/// The two register files of one split's execution.
-struct Regs {
-    f: Vec<f64>,
-    i: Vec<i64>,
+/// The rest of one split's execution state: its rows and the
+/// reduction object.
+struct Cx<'a> {
+    data: &'a [f64],
+    /// Scratch index vector for the `computeIndex` calls.
+    idx_buf: Vec<usize>,
+    robj: &'a mut dyn RObjHandle,
 }
 
 /// `y`, or a panic for a zero integer divisor (never undefined
@@ -344,7 +365,6 @@ mod tests {
                     cell: 6,
                     val: 5,
                 },
-                Instr::Halt,
             ],
             entry: 3,
             regs: vec![I64, I64, I64, I64, I64, F64, I64],

@@ -1,8 +1,11 @@
 //! The kernel IR — the "generated C code" of the reproduction.
 //!
 //! The paper's modified Chapel compiler emits C code that FREERIDE calls
-//! through function pointers. We emit a small register bytecode instead;
-//! the three code-generation strategies differ only in which *access
+//! through function pointers. We emit a small register IR instead: a
+//! loop nest that keeps the Chapel control structure ([`Instr::For`],
+//! [`Instr::If`], [`Instr::While`] carry their blocks; there are no
+//! jumps), over straight-line register instructions. The three
+//! code-generation strategies differ only in which *access
 //! instructions* they use:
 //!
 //! * **generated** — every dataset/state access executes the full
@@ -225,18 +228,6 @@ pub enum Instr {
         /// Source (`F64`).
         src: Reg,
     },
-    /// Unconditional jump to an instruction index.
-    Jump {
-        /// Target pc.
-        target: usize,
-    },
-    /// Jump when the `I64` register is 0.
-    JumpIfZero {
-        /// Condition register.
-        cond: Reg,
-        /// Target pc.
-        target: usize,
-    },
     /// `dst = <current global row index>` (the Chapel loop variable's
     /// value, 1-based by the loop's lower bound; `I64`).
     LoadRow {
@@ -330,18 +321,6 @@ pub enum Instr {
         /// 0-based index registers, one per level (empty for scalars).
         idx: Vec<Reg>,
     },
-    /// Loop back-edge: `if var < hi { var += 1; goto target }` (both
-    /// `I64`) — the loop bookkeeping a C compiler folds into one
-    /// compare-and-branch. The counter never steps past `hi`, so it
-    /// cannot overflow.
-    IncRangeJump {
-        /// Loop variable register.
-        var: Reg,
-        /// Register holding the (inclusive) upper bound.
-        hi: Reg,
-        /// Body start pc.
-        target: usize,
-    },
     /// `dst += a * b` — multiply-accumulate, unfused (`F64`).
     Fma {
         /// Accumulator register.
@@ -361,17 +340,74 @@ pub enum Instr {
         /// Register holding the value.
         val: Reg,
     },
-    /// End of the per-element kernel.
-    Halt,
+    /// `for var in lo..=hi { body }` (all `I64`). The bounds are read
+    /// once; `var` takes each value at the start of an iteration, and a
+    /// body write to `var` lasts only until the end of that iteration
+    /// (a fresh binding per iteration, as in the interpreter).
+    For {
+        /// Loop variable register.
+        var: Reg,
+        /// Register holding the (inclusive) lower bound.
+        lo: Reg,
+        /// Register holding the (inclusive) upper bound.
+        hi: Reg,
+        /// The loop body.
+        body: Vec<Instr>,
+    },
+    /// `if cond != 0 { then } else { els }` (`cond` `I64`).
+    If {
+        /// Condition register.
+        cond: Reg,
+        /// Taken when `cond` is nonzero.
+        then: Vec<Instr>,
+        /// Taken when `cond` is 0.
+        els: Vec<Instr>,
+    },
+    /// `loop { head; if cond == 0 { break } body }` (`cond` `I64`).
+    While {
+        /// Computes the condition, once per trip and once more on exit.
+        head: Vec<Instr>,
+        /// Condition register, written by `head`.
+        cond: Reg,
+        /// The loop body.
+        body: Vec<Instr>,
+    },
+}
+
+impl Instr {
+    /// The nested blocks of a block-carrying instruction, in execution
+    /// order (`For`: body; `If`: then, else; `While`: head, body); empty
+    /// for every other instruction.
+    pub fn blocks(&self) -> [&[Instr]; 2] {
+        match self {
+            Instr::For { body, .. } => [body, &[]],
+            Instr::If { then, els, .. } => [then, els],
+            Instr::While { head, body, .. } => [head, body],
+            _ => [&[], &[]],
+        }
+    }
+}
+
+/// Every instruction of `code`, nested blocks included, in pre-order
+/// (a block-carrying instruction before its blocks) with its nesting
+/// depth. The position in this list is an instruction's *pc*.
+fn preorder<'k>(code: &'k [Instr], depth: usize, out: &mut Vec<(usize, &'k Instr)>) {
+    for ins in code {
+        out.push((depth, ins));
+        for block in ins.blocks() {
+            preorder(block, depth + 1, out);
+        }
+    }
 }
 
 /// A compiled kernel: code plus its tables.
 #[derive(Debug, Clone, Default)]
 pub struct Kernel {
-    /// The instruction stream: `code[..entry]` is the constant preamble
-    /// (executed once per split), `code[entry..]` the per-element body.
+    /// The top-level block: `code[..entry]` is the constant preamble
+    /// (executed once per split), `code[entry..]` the per-element body,
+    /// whose loops and branches nest their own blocks.
     pub code: Vec<Instr>,
-    /// First pc of the per-element body.
+    /// First top-level index of the per-element body.
     pub entry: usize,
     /// The register file: one class per register. Registers
     /// [`REG_LOCAL_ROW`] and [`REG_CHAPEL_ROW`] are `I64`.
@@ -395,8 +431,9 @@ pub struct Kernel {
 /// precondition report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelValidateError {
-    /// Offending instruction index, when instruction-local (`None` for
-    /// whole-kernel failures like a missing terminal `Halt`).
+    /// Offending instruction's pc (its pre-order position, nested
+    /// blocks included), when instruction-local (`None` for whole-kernel
+    /// failures like an entry past the end).
     pub pc: Option<usize>,
     /// What was malformed.
     pub reason: String,
@@ -414,13 +451,39 @@ impl std::fmt::Display for KernelValidateError {
 impl std::error::Error for KernelValidateError {}
 
 impl Kernel {
-    /// Validate structural invariants: every register operand addresses
-    /// the register file and has the class its instruction requires,
-    /// every path id addresses the path table, every jump target lands
-    /// inside the code. The VM relies on this to use unchecked register
-    /// access in its dispatch loop.
+    /// Validate structural invariants: the preamble holds only
+    /// constants, every register operand addresses the register file
+    /// and has the class its instruction requires, every path id
+    /// addresses the path table with one index per path level, in every
+    /// nested block. The VM relies on this to use unchecked register
+    /// access, and the code generator to print the tree without checks.
     pub fn validate(&self, states: usize, groups: usize) -> Result<(), KernelValidateError> {
         use RegClass::{F64, I64};
+        let whole = |reason: String| Err(KernelValidateError { pc: None, reason });
+        if let Some(r) = [REG_LOCAL_ROW, REG_CHAPEL_ROW]
+            .into_iter()
+            .find(|&r| self.regs.get(r as usize).is_some_and(|&c| c != I64))
+        {
+            return whole(format!("row register r{r} must be I64"));
+        }
+        if self.entry > self.code.len() {
+            return whole(format!(
+                "entry {} beyond code length {}",
+                self.entry,
+                self.code.len()
+            ));
+        }
+        // Every instruction before the first non-constant is a leaf, so
+        // its top-level position is its pc.
+        if let Some(pc) = self.code[..self.entry]
+            .iter()
+            .position(|ins| !matches!(ins, Instr::Const { .. } | Instr::IConst { .. }))
+        {
+            return Err(KernelValidateError {
+                pc: Some(pc),
+                reason: format!("non-constant {:?} in the preamble", self.code[pc]),
+            });
+        }
         // Each checker reports the *first* bad operand by name, so the
         // Display names the actual violated constraint instead of
         // listing every possible one.
@@ -435,29 +498,27 @@ impl Kernel {
             Some(_) => None,
         };
         let ints = |rs: &[Reg]| rs.iter().find_map(|r| reg(r, I64));
-        let path = |p: &PathId| {
-            ((*p as usize) >= self.paths.len()).then(|| {
-                format!(
-                    "path #{p} outside the path table (size {})",
-                    self.paths.len()
-                )
-            })
+        // A path id inside the table, indexed by `n` registers, one per
+        // level (`Base` instructions add the implicit innermost 0).
+        let path = |p: &PathId, n: usize| match self.paths.get(*p as usize) {
+            None => Some(format!(
+                "path #{p} outside the path table (size {})",
+                self.paths.len()
+            )),
+            Some(m) if n != m.levels || n == 0 => {
+                Some(format!("{n} indices for path #{p} of {} levels", m.levels))
+            }
+            Some(_) => None,
         };
         let state_ck = |s: &StateId| {
             ((*s as usize) >= states).then(|| format!("state #{s} outside {states} state slots"))
         };
-        let target_ck = |t: &usize| {
-            (*t >= self.code.len()).then(|| {
-                format!(
-                    "jump target {t} outside the code (length {})",
-                    self.code.len()
-                )
-            })
-        };
         let sig = |dst: &Reg, dc: RegClass, srcs: &[(&Reg, RegClass)]| {
             reg(dst, dc).or_else(|| srcs.iter().find_map(|(r, c)| reg(r, *c)))
         };
-        for (pc, ins) in self.code.iter().enumerate() {
+        let mut all = Vec::new();
+        preorder(&self.code, 0, &mut all);
+        for (pc, (_, ins)) in all.into_iter().enumerate() {
             let fail: Option<String> = match ins {
                 Instr::Const { dst, .. } => reg(dst, F64),
                 Instr::IConst { dst, .. } | Instr::LoadRow { dst } => reg(dst, I64),
@@ -476,19 +537,18 @@ impl Kernel {
                     .or_else(|| sig(dst, I64, &[(a, I64), (b, I64)])),
                 Instr::Cmp { dst, a, b, .. } => sig(dst, I64, &[(a, F64), (b, F64)]),
                 Instr::ICmp { dst, a, b, .. } => sig(dst, I64, &[(a, I64), (b, I64)]),
-                Instr::Jump { target } => target_ck(target),
-                Instr::JumpIfZero { cond, target } => reg(cond, I64).or_else(|| target_ck(target)),
-                Instr::IncRangeJump { var, hi, target } => reg(var, I64)
-                    .or_else(|| reg(hi, I64))
-                    .or_else(|| target_ck(target)),
-                Instr::LoadData { dst, path: p, idx } => {
-                    reg(dst, F64).or_else(|| path(p)).or_else(|| ints(idx))
-                }
+                Instr::For { var, lo, hi, .. } => ints(&[*var, *lo, *hi]),
+                Instr::If { cond, .. } | Instr::While { cond, .. } => reg(cond, I64),
+                Instr::LoadData { dst, path: p, idx } => reg(dst, F64)
+                    .or_else(|| path(p, idx.len()))
+                    .or_else(|| ints(idx)),
                 Instr::DataBase {
                     dst,
                     path: p,
                     outer,
-                } => reg(dst, I64).or_else(|| path(p)).or_else(|| ints(outer)),
+                } => reg(dst, I64)
+                    .or_else(|| path(p, outer.len() + 1))
+                    .or_else(|| ints(outer)),
                 Instr::LoadDataAt { dst, base, k, .. } => sig(dst, F64, &[(base, I64), (k, I64)]),
                 Instr::LoadStateNested { dst, state, steps } => {
                     reg(dst, F64).or_else(|| state_ck(state)).or_else(|| {
@@ -505,7 +565,7 @@ impl Kernel {
                     idx,
                 } => reg(dst, F64)
                     .or_else(|| state_ck(state))
-                    .or_else(|| path(p))
+                    .or_else(|| path(p, idx.len()))
                     .or_else(|| ints(idx)),
                 Instr::StateBase {
                     dst,
@@ -514,7 +574,7 @@ impl Kernel {
                     outer,
                 } => reg(dst, I64)
                     .or_else(|| state_ck(state))
-                    .or_else(|| path(p))
+                    .or_else(|| path(p, outer.len() + 1))
                     .or_else(|| ints(outer)),
                 Instr::LoadStateAt {
                     dst,
@@ -523,40 +583,22 @@ impl Kernel {
                     k,
                     ..
                 } => state_ck(state).or_else(|| sig(dst, F64, &[(base, I64), (k, I64)])),
-                Instr::OutIndex { dst, path: p, idx } => {
-                    reg(dst, I64).or_else(|| path(p)).or_else(|| ints(idx))
-                }
+                Instr::OutIndex { dst, path: p, idx } => reg(dst, I64)
+                    .or_else(|| path(p, idx.len()))
+                    .or_else(|| ints(idx)),
                 Instr::Accumulate { group, cell, val } => ((*group as usize) >= groups)
                     .then(|| format!("group #{group} outside {groups} reduction groups"))
                     .or_else(|| reg(cell, I64))
                     .or_else(|| reg(val, F64)),
-                Instr::Halt => None,
             };
             if let Some(what) = fail {
                 return Err(KernelValidateError {
                     pc: Some(pc),
-                    reason: format!("{what} in {ins:?}"),
+                    reason: format!("{what} in {}", headline(ins)),
                 });
             }
         }
-        let whole = |reason: String| Err(KernelValidateError { pc: None, reason });
-        if let Some(r) = [REG_LOCAL_ROW, REG_CHAPEL_ROW]
-            .into_iter()
-            .find(|&r| self.regs.get(r as usize).is_some_and(|&c| c != I64))
-        {
-            return whole(format!("row register r{r} must be I64"));
-        }
-        if self.entry > self.code.len() {
-            return whole(format!(
-                "entry {} beyond code length {}",
-                self.entry,
-                self.code.len()
-            ));
-        }
-        match self.code.last() {
-            Some(Instr::Halt) => Ok(()),
-            _ => whole("kernel does not end in Halt".into()),
-        }
+        Ok(())
     }
 
     /// Number of registers of each class: `(int, real)`.
@@ -565,20 +607,43 @@ impl Kernel {
         (ints, self.regs.len() - ints)
     }
 
-    /// Render the kernel as pseudo-assembly (diagnostics and golden
+    /// Render the kernel as pseudo-assembly, one instruction per line
+    /// numbered by pc and indented by nesting (diagnostics and golden
     /// tests of the code generator).
     pub fn disassemble(&self) -> String {
         use std::fmt::Write;
+        let mut all = Vec::new();
+        preorder(&self.code, 0, &mut all);
         let mut out = String::new();
-        for (pc, ins) in self.code.iter().enumerate() {
-            let _ = writeln!(out, "{pc:4}: {ins:?}");
+        for (pc, (depth, ins)) in all.into_iter().enumerate() {
+            let _ = writeln!(out, "{pc:4}: {:w$}{}", "", headline(ins), w = 2 * depth);
         }
         out
     }
 
-    /// Count instructions of a particular shape (used by tests to prove
-    /// opt-1 really removed per-access `computeIndex` calls).
+    /// Count instructions of a particular shape, nested blocks included
+    /// (used by tests to prove opt-1 really removed per-access
+    /// `computeIndex` calls).
     pub fn count_matching(&self, f: impl Fn(&Instr) -> bool) -> usize {
-        self.code.iter().filter(|i| f(i)).count()
+        let mut all = Vec::new();
+        preorder(&self.code, 0, &mut all);
+        all.into_iter().filter(|(_, ins)| f(ins)).count()
+    }
+}
+
+/// One line for `ins`: its `Debug` form, with a block-carrying
+/// instruction's blocks summarised by their lengths.
+fn headline(ins: &Instr) -> String {
+    match ins {
+        Instr::For { var, lo, hi, body } => {
+            format!("For r{var} in r{lo}..=r{hi} ({} body)", body.len())
+        }
+        Instr::If { cond, then, els } => {
+            format!("If r{cond} ({} then, {} else)", then.len(), els.len())
+        }
+        Instr::While { head, cond, body } => {
+            format!("While r{cond} ({} head, {} body)", head.len(), body.len())
+        }
+        other => format!("{other:?}"),
     }
 }

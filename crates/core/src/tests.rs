@@ -422,3 +422,42 @@ fn real_constant_with_integer_initializer_divides_in_real() {
     };
     assert!((items[0].as_f64().unwrap() - 70.0).abs() < 1e-9);
 }
+
+#[test]
+fn writing_a_for_index_lasts_one_iteration() {
+    // The oracle binds `j` afresh each iteration: the body's write
+    // changes neither the trip count nor the next iteration's `j`, so
+    // `total` is [330, 330].
+    let src = "
+        var data: [1..10] int;
+        for i in 1..10 { data[i] = i; }
+        var total: [1..2] int;
+        for i in 1..10 {
+            for j in 1..6 {
+                total[1] += data[i];
+                j = j + 2;
+                total[2] += j;
+            }
+        }
+    ";
+    differential(src, &["total"], 1);
+}
+
+#[test]
+fn accesses_after_a_for_index_write_see_the_new_index() {
+    // `total[j]` after `j = j + 2` indexes with the written `j`, so the
+    // inner loop cannot strength-reduce it to the `k` register computed
+    // at the body head: [0, 0, 55, 55, 55, 55, 0, 0].
+    let src = "
+        var data: [1..10] int;
+        for i in 1..10 { data[i] = i; }
+        var total: [1..8] int;
+        for i in 1..10 {
+            for j in 1..4 {
+                j = j + 2;
+                total[j] += data[i];
+            }
+        }
+    ";
+    differential(src, &["total"], 1);
+}

@@ -170,7 +170,9 @@ impl Translator {
                 None => None,
             };
             if let (Some(r), Some(_)) = (rec, detection.detected.get(&i)) {
-                let instrs = compiled.as_ref().map_or(0, |(c, _, _)| c.kernel.code.len());
+                let instrs = compiled
+                    .as_ref()
+                    .map_or(0, |(c, _, _)| c.kernel.count_matching(|_| true));
                 r.push_complete(
                     TraceLevel::Phases,
                     "core.compile",

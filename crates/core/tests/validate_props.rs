@@ -1,16 +1,17 @@
-//! Property tests: `Kernel::validate` is total — on *arbitrary*
-//! instruction streams and register classes it returns a typed
+//! Property tests: `Kernel::validate` is total — on *arbitrary* loop
+//! nests and register classes it returns a typed
 //! [`KernelValidateError`] (naming the offending pc) or `Ok`, and never
 //! panics.
 //!
 //! This matters because both execution backends treat a validated
-//! kernel as a license: the interpreter's dispatch loop reads registers
+//! kernel as a license: the interpreter's block executor reads registers
 //! without bounds checks from the file their class names, and the
-//! codegen backend declares each register with its class. `validate` is
-//! the single gatekeeper, so it must hold up against any bytecode a
-//! buggy translation strategy could emit — not just shapes the current
-//! compiler produces.
+//! codegen backend prints the tree without checks of its own.
+//! `validate` is the single gatekeeper, so it must hold up against any
+//! kernel a buggy translation strategy could emit — not just shapes the
+//! current compiler produces.
 
+use cfr_codegen::emit_kernel;
 use cfr_core::{
     compile_loop, detect, ArithOp, CmpOp, Detected, Instr, Kernel, KernelRuntime, NavStep,
     OptLevel, RegClass,
@@ -54,7 +55,8 @@ fn arb_step() -> impl Strategy<Value = NavStep> {
     ]
 }
 
-fn arb_instr() -> impl Strategy<Value = Instr> {
+/// A straight-line instruction.
+fn arb_leaf() -> impl Strategy<Value = Instr> {
     let r = || 0..OPERAND_BOUND;
     let rs = || proptest::collection::vec(0..OPERAND_BOUND, 0..3);
     prop_oneof![
@@ -72,8 +74,6 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
         (r(), r()).prop_map(|(dst, src)| Instr::RealToInt { dst, src }),
         (r(), r()).prop_map(|(dst, src)| Instr::Sqrt { dst, src }),
         (r(), r()).prop_map(|(dst, src)| Instr::Abs { dst, src }),
-        (0usize..48).prop_map(|target| Instr::Jump { target }),
-        (r(), 0usize..48).prop_map(|(cond, target)| Instr::JumpIfZero { cond, target }),
         r().prop_map(|dst| Instr::LoadRow { dst }),
         (r(), 0..OPERAND_BOUND, rs()).prop_map(|(dst, path, idx)| Instr::LoadData {
             dst,
@@ -127,18 +127,28 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
             path,
             idx
         }),
-        (r(), r(), 0usize..48).prop_map(|(var, hi, target)| Instr::IncRangeJump {
-            var,
-            hi,
-            target
-        }),
         (r(), r(), r()).prop_map(|(dst, a, b)| Instr::Fma { dst, a, b }),
         (0..OPERAND_BOUND, r(), r()).prop_map(|(group, cell, val)| Instr::Accumulate {
             group,
             cell,
             val
         }),
-        Just(Instr::Halt),
+    ]
+}
+
+/// A straight-line instruction or a block-carrying one holding a few.
+fn arb_instr() -> impl Strategy<Value = Instr> {
+    let r = || 0..OPERAND_BOUND;
+    let block = || proptest::collection::vec(arb_leaf(), 0..4);
+    prop_oneof![
+        arb_leaf(),
+        arb_leaf(),
+        arb_leaf(),
+        arb_leaf(),
+        arb_leaf(),
+        (r(), r(), r(), block()).prop_map(|(var, lo, hi, body)| Instr::For { var, lo, hi, body }),
+        (r(), block(), block()).prop_map(|(cond, then, els)| Instr::If { cond, then, els }),
+        (block(), r(), block()).prop_map(|(head, cond, body)| Instr::While { head, cond, body }),
     ]
 }
 
@@ -165,14 +175,15 @@ fn arb_kernel() -> impl Strategy<Value = Kernel> {
         0usize..28,
         proptest::collection::vec(arb_class(), 0..12),
         0usize..3,
+        (0usize..3, 0usize..3),
     )
-        .prop_map(|(code, entry, regs, npaths)| Kernel {
+        .prop_map(|(code, entry, regs, npaths, (states, groups))| Kernel {
             code,
             entry,
             regs,
             paths: vec![scalar_path(); npaths],
-            state_names: Vec::new(),
-            out_names: Vec::new(),
+            state_names: vec!["s".into(); states],
+            out_names: vec!["o".into(); groups],
         })
 }
 
@@ -180,11 +191,7 @@ fn arb_kernel() -> impl Strategy<Value = Kernel> {
 /// baseline that single-instruction mutations are injected into.
 fn trivial_kernel(regs: usize, npaths: usize) -> Kernel {
     Kernel {
-        code: vec![
-            Instr::IConst { dst: 0, val: 0 },
-            Instr::LoadRow { dst: 1 },
-            Instr::Halt,
-        ],
+        code: vec![Instr::IConst { dst: 0, val: 0 }, Instr::LoadRow { dst: 1 }],
         entry: 1,
         regs: vec![RegClass::I64; regs],
         paths: vec![scalar_path(); npaths],
@@ -221,11 +228,12 @@ proptest! {
         }
     }
 
-    /// When `validate` accepts, the acceptance is meaningful: every
-    /// register operand really is inside the register file and of the
-    /// class its instruction needs, every jump target inside the code,
-    /// and the stream ends in `Halt` — checked here against an
-    /// independent re-walk of the instruction stream.
+    /// When `validate` accepts, the acceptance is meaningful: the
+    /// preamble holds only constants, and every register operand really
+    /// is inside the register file and of the class its instruction
+    /// needs, every path inside the table with one index per level — in
+    /// every nested block, checked here against an independent re-walk
+    /// of the tree.
     #[test]
     fn validate_ok_implies_every_operand_in_bounds(
         kernel in arb_kernel(),
@@ -236,6 +244,17 @@ proptest! {
             return Ok(());
         }
         assert_sound(&kernel);
+    }
+
+    /// `validate` is the codegen backend's one precondition: a kernel
+    /// prints exactly when it validates against its own state and group
+    /// tables.
+    #[test]
+    fn emit_succeeds_exactly_on_valid_kernels(kernel in arb_kernel()) {
+        let valid = kernel
+            .validate(kernel.state_names.len(), kernel.out_names.len())
+            .is_ok();
+        prop_assert_eq!(valid, emit_kernel(&kernel).is_ok(), "{}", kernel.disassemble());
     }
 
     /// Flipping one register's class in a kernel the compiler produced
@@ -254,9 +273,9 @@ proptest! {
             RegClass::I64 => RegClass::F64,
             RegClass::F64 => RegClass::I64,
         };
-        let used = r < 2 || kernel.code.iter().any(|ins| {
+        let used = r < 2 || kernel.count_matching(|ins| {
             operand_regs(ins).iter().any(|&(reg, _)| reg as usize == r)
-        });
+        }) > 0;
         match kernel.validate(kernel.state_names.len(), kernel.out_names.len()) {
             Ok(()) => {
                 prop_assert!(!used, "flipped r{r} is used, yet the kernel validated");
@@ -266,13 +285,14 @@ proptest! {
         }
     }
 
-    /// Injecting a single out-of-range operand into an otherwise valid
+    /// Injecting a single bad instruction into an otherwise valid
     /// kernel is always caught, and the error names the exact pc of the
-    /// mutation. This is the property the satellite asks for: malformed
-    /// bytecode is *rejected*, not executed or panicked on.
+    /// mutation (pre-order, so one nested in a `For` body counts the
+    /// `For` first): malformed kernels are *rejected*, not executed or
+    /// panicked on.
     #[test]
     fn single_bad_operand_is_rejected_at_its_pc(
-        kind in 0usize..5,
+        kind in 0usize..8,
         overshoot in 0u16..8,
     ) {
         let regs = 4usize;
@@ -280,70 +300,83 @@ proptest! {
         let groups = 2usize;
         let mut kernel = trivial_kernel(regs, 2);
         let bad_reg = regs as u16 + overshoot;
-        let bad = match kind {
-            0 => Instr::IMov { dst: bad_reg, src: 0 },
-            1 => Instr::DataBase { dst: 0, path: 2 + overshoot, outer: vec![0] },
-            2 => Instr::StateBase { dst: 0, state: states as u16 + overshoot, path: 0, outer: vec![] },
-            3 => Instr::Accumulate { group: groups as u16 + overshoot, cell: 0, val: 1 },
-            _ => Instr::Jump { target: 64 + overshoot as usize },
+        let end = kernel.code.len();
+        let (pc, at, bad) = match kind {
+            0 => (end, end, Instr::IMov { dst: bad_reg, src: 0 }),
+            1 => (end, end, Instr::DataBase { dst: 0, path: 2 + overshoot, outer: vec![] }),
+            2 => (end, end, Instr::StateBase { dst: 0, state: states as u16 + overshoot, path: 0, outer: vec![] }),
+            3 => (end, end, Instr::Accumulate { group: groups as u16 + overshoot, cell: 0, val: 1 }),
+            // One index too many for the one-level path.
+            4 => (end, end, Instr::OutIndex { dst: 0, path: 0, idx: vec![0; 2 + overshoot as usize] }),
+            5 => (end, end, Instr::DataBase { dst: 0, path: 1, outer: vec![0; 1 + overshoot as usize] }),
+            // A non-constant at the head of the preamble.
+            6 => (0, 0, Instr::LoadRow { dst: 0 }),
+            _ => (end + 1, end, Instr::For {
+                var: 2,
+                lo: 0,
+                hi: 1,
+                body: vec![Instr::IMov { dst: bad_reg, src: 0 }],
+            }),
         };
-        // Splice before the Halt so the stream still terminates.
-        let pc = kernel.code.len() - 1;
-        kernel.code.insert(pc, bad);
+        kernel.code.insert(at, bad);
         let err = kernel.validate(states, groups).expect_err("mutation must be rejected");
         prop_assert_eq!(err.pc, Some(pc), "error must name the mutated pc: {}", err);
     }
 
     /// A class mismatch is caught at its pc, with a reason naming the
-    /// register: a real used as an index or loop counter, an int
-    /// accumulated without conversion.
+    /// register: a real used as an index, loop variable or condition,
+    /// an int accumulated without conversion.
     #[test]
-    fn class_mismatch_is_rejected_at_its_pc(kind in 0usize..4) {
+    fn class_mismatch_is_rejected_at_its_pc(kind in 0usize..5) {
         let mut kernel = trivial_kernel(4, 2);
         kernel.regs.push(RegClass::F64); // r4
         let bad = match kind {
             0 => Instr::LoadData { dst: 4, path: 0, idx: vec![4] },
-            1 => Instr::IncRangeJump { var: 4, hi: 2, target: 1 },
+            1 => Instr::For { var: 4, lo: 2, hi: 2, body: vec![] },
             2 => Instr::Accumulate { group: 0, cell: 2, val: 3 },
-            _ => Instr::JumpIfZero { cond: 4, target: 1 },
+            3 => Instr::If { cond: 4, then: vec![], els: vec![] },
+            _ => Instr::While { head: vec![], cond: 4, body: vec![] },
         };
-        let pc = kernel.code.len() - 1;
-        kernel.code.insert(pc, bad);
+        let pc = kernel.code.len();
+        kernel.code.push(bad);
         let err = kernel.validate(2, 2).expect_err("class mismatch must be rejected");
         prop_assert_eq!(err.pc, Some(pc), "error must name the pc: {}", err);
         prop_assert!(err.reason.contains("used as"), "names the class: {}", err);
     }
 
-    /// Whole-kernel failures (no terminal `Halt`, entry past the end, a
-    /// real row register) are rejected with `pc: None` rather than
-    /// pinned on an innocent instruction.
+    /// Whole-kernel failures (entry past the end, a real row register)
+    /// are rejected with `pc: None` rather than pinned on an innocent
+    /// instruction.
     #[test]
     fn truncated_kernels_are_rejected_without_a_pc(extra_entry in 1usize..8) {
-        let mut kernel = trivial_kernel(4, 1);
-        kernel.code.pop(); // drop the Halt
-        let err = kernel.validate(0, 0).expect_err("missing Halt must be rejected");
-        prop_assert_eq!(err.pc, None);
-
         let mut kernel = trivial_kernel(4, 1);
         kernel.entry = kernel.code.len() + extra_entry;
         let err = kernel.validate(0, 0).expect_err("entry past the end must be rejected");
         prop_assert_eq!(err.pc, None);
 
         let mut kernel = trivial_kernel(4, 1);
-        kernel.code = vec![Instr::Halt];
+        kernel.code.clear();
+        kernel.entry = 0;
         kernel.regs[extra_entry % 2] = RegClass::F64;
         let err = kernel.validate(0, 0).expect_err("a real row register must be rejected");
         prop_assert_eq!(err.pc, None);
     }
 }
 
-/// Every accepted kernel is sound: each operand inside the register
-/// file and of the class the independent enumeration below gives it,
-/// every path and jump target inside its table, a terminal `Halt`.
+/// Every accepted kernel is sound: a constant preamble, each operand
+/// inside the register file and of the class the independent
+/// enumeration below gives it, every path inside its table with one
+/// index per level, in every nested block.
 fn assert_sound(kernel: &Kernel) {
-    prop_assert!(matches!(kernel.code.last(), Some(Instr::Halt)));
     prop_assert!(kernel.entry <= kernel.code.len());
-    for ins in &kernel.code {
+    prop_assert!(kernel.code[..kernel.entry]
+        .iter()
+        .all(|ins| matches!(ins, Instr::Const { .. } | Instr::IConst { .. })));
+    assert_block_sound(kernel, &kernel.code);
+}
+
+fn assert_block_sound(kernel: &Kernel, code: &[Instr]) {
+    for ins in code {
         for (reg, class) in operand_regs(ins) {
             prop_assert_eq!(
                 kernel.regs.get(reg as usize),
@@ -353,18 +386,20 @@ fn assert_sound(kernel: &Kernel) {
                 reg
             );
         }
-        for path in operand_paths(ins) {
+        for (path, indices) in operand_paths(ins) {
             prop_assert!(
-                (path as usize) < kernel.paths.len(),
-                "{ins:?} escapes the path table"
+                kernel
+                    .paths
+                    .get(path as usize)
+                    .is_some_and(|m| m.levels == indices && indices > 0),
+                "{ins:?} escapes the path table or its arity"
             );
         }
-        if let Some(target) = jump_target(ins) {
-            prop_assert!(target < kernel.code.len(), "{ins:?} jumps outside the code");
+        for block in ins.blocks() {
+            assert_block_sound(kernel, block);
         }
     }
 }
-
 /// The opt-2 and generated kernels of k-means, PCA's covariance pass and
 /// the histogram: real compiler output, with both register classes.
 fn compiled_kernels() -> &'static [Kernel] {
@@ -421,9 +456,8 @@ fn operand_regs(ins: &Instr) -> Vec<(u16, RegClass)> {
             vec![(*dst, I), (*a, I), (*b, I)]
         }
         Instr::Cmp { dst, a, b, .. } => vec![(*dst, I), (*a, F), (*b, F)],
-        Instr::Jump { .. } | Instr::Halt => Vec::new(),
-        Instr::JumpIfZero { cond, .. } => vec![(*cond, I)],
-        Instr::IncRangeJump { var, hi, .. } => vec![(*var, I), (*hi, I)],
+        Instr::For { var, lo, hi, .. } => vec![(*var, I), (*lo, I), (*hi, I)],
+        Instr::If { cond, .. } | Instr::While { cond, .. } => vec![(*cond, I)],
         Instr::LoadData { dst, idx, .. } | Instr::LoadStateFlat { dst, idx, .. } => {
             let mut v = vec![(*dst, F)];
             v.extend(ints(idx));
@@ -453,22 +487,16 @@ fn operand_regs(ins: &Instr) -> Vec<(u16, RegClass)> {
     }
 }
 
-fn operand_paths(ins: &Instr) -> Vec<u16> {
+/// Each path an instruction reads, with the number of indices it
+/// passes (`Base` instructions add the implicit innermost 0).
+fn operand_paths(ins: &Instr) -> Vec<(u16, usize)> {
     match ins {
-        Instr::LoadData { path, .. }
-        | Instr::DataBase { path, .. }
-        | Instr::LoadStateFlat { path, .. }
-        | Instr::StateBase { path, .. }
-        | Instr::OutIndex { path, .. } => vec![*path],
+        Instr::LoadData { path, idx, .. }
+        | Instr::LoadStateFlat { path, idx, .. }
+        | Instr::OutIndex { path, idx, .. } => vec![(*path, idx.len())],
+        Instr::DataBase { path, outer, .. } | Instr::StateBase { path, outer, .. } => {
+            vec![(*path, outer.len() + 1)]
+        }
         _ => Vec::new(),
-    }
-}
-
-fn jump_target(ins: &Instr) -> Option<usize> {
-    match ins {
-        Instr::Jump { target }
-        | Instr::JumpIfZero { target, .. }
-        | Instr::IncRangeJump { target, .. } => Some(*target),
-        _ => None,
     }
 }

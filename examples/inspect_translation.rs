@@ -1,12 +1,13 @@
 //! Look inside the translator: detection, variable classification, the
 //! linearization metadata of Figure 6, and the generated kernels at each
-//! optimization level (disassembled), for the paper's k-means program.
+//! optimization level (disassembled as loop nests), for the paper's
+//! k-means program.
 //!
 //! ```sh
 //! cargo run --release --example inspect_translation
 //! ```
 
-use chapel_freeride::cfr_core::{compile_loop, OptLevel};
+use chapel_freeride::cfr_core::{compile_loop, Instr, OptLevel};
 use chapel_freeride::{detect, parse, programs, Detected};
 use chapel_sema::analyze;
 use linearize::{AccessPath, LinearMeta};
@@ -59,18 +60,19 @@ fn main() {
     for opt in [OptLevel::Generated, OptLevel::Opt1, OptLevel::Opt2] {
         let compiled = compile_loop(&program, &analysis, &red, opt).expect("compile");
         let k = &compiled.kernel;
-        let count = |f: &dyn Fn(&chapel_freeride::cfr_core::Instr) -> bool| {
-            k.code.iter().filter(|i| f(i)).count()
-        };
-        use chapel_freeride::cfr_core::Instr;
-        println!("\n=== {opt:?} kernel: {} instructions ===", k.code.len());
+        // Counts walk the whole loop nest, not just the top-level block.
+        println!(
+            "\n=== {opt:?} kernel: {} instructions in {} loops ===",
+            k.count_matching(|_| true),
+            k.count_matching(|i| matches!(i, Instr::For { .. }))
+        );
         println!(
             "  per-access computeIndex calls (LoadData/LoadStateFlat): {}",
-            count(&|i| matches!(i, Instr::LoadData { .. } | Instr::LoadStateFlat { .. }))
+            k.count_matching(|i| matches!(i, Instr::LoadData { .. } | Instr::LoadStateFlat { .. }))
         );
         println!(
             "  hoisted bases + strided loads: {}",
-            count(&|i| matches!(
+            k.count_matching(|i| matches!(
                 i,
                 Instr::DataBase { .. }
                     | Instr::StateBase { .. }
@@ -80,7 +82,9 @@ fn main() {
         );
         println!(
             "  nested Chapel-structure walks: {}",
-            count(&|i| matches!(i, Instr::LoadStateNested { steps, .. } if !steps.is_empty()))
+            k.count_matching(
+                |i| matches!(i, Instr::LoadStateNested { steps, .. } if !steps.is_empty())
+            )
         );
         if opt == OptLevel::Opt2 {
             println!("\n--- opt-2 disassembly ---\n{}", k.disassemble());
