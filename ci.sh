@@ -56,6 +56,27 @@ else
 fi
 rm -f target/ci-int-interp.out target/ci-int-compiled.out
 
+# A panic inside a compiled kernel (here an out-of-range load) fails
+# the job exactly as the interpreted kernel does: the same exit status,
+# never an abort on a foreign exception. Skips without rustc likewise.
+oob_status() {
+  set +e
+  "$@" > /dev/null 2>&1
+  echo $?
+  set -e
+}
+OOB_INTERP=$(oob_status target/release/cfr examples/oob_kernel.chpl --opt 2 --print acc)
+[ "$OOB_INTERP" -ne 0 ]
+if command -v rustc >/dev/null 2>&1; then
+  rm -rf target/ci-oob-codegen
+  OOB_COMPILED=$(oob_status env CFR_CODEGEN_DIR="$PWD/target/ci-oob-codegen" \
+    target/release/cfr examples/oob_kernel.chpl --opt 2 --backend compiled --print acc)
+  [ "$OOB_INTERP" -eq "$OOB_COMPILED" ]
+  rm -rf target/ci-oob-codegen
+else
+  echo "ci: skipping compiled out-of-range exit-status check (no rustc on PATH)"
+fi
+
 # Distributed engine: a real 2-process cfr-node cluster must run
 # k-means end to end and ship a trace with one process track per node
 # plus the coordinator (DESIGN.md §9).

@@ -21,7 +21,8 @@ use std::time::Instant;
 use cfr_core::{compile_loop, detect, zip_linearize, Detected, OptLevel};
 use chapel_frontend::programs;
 use freeride::{
-    CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout, RunStats, Split,
+    Accumulator, CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout,
+    RunStats, Split,
 };
 use linearize::{Linearizer, Value};
 use obs::{AttrValue, Recorder, TraceLevel};
@@ -280,6 +281,7 @@ pub fn run_manual_on_file(
     for _ in 0..params.iters.max(1) {
         let cents = &centroids;
         let kernel = move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
+            let mut acc = Accumulator::new(robj);
             for row in split.iter_rows() {
                 let mut best = 0usize;
                 let mut best_dist = f64::INFINITY;
@@ -296,9 +298,9 @@ pub fn run_manual_on_file(
                     }
                 }
                 for (j, &x) in row.iter().enumerate().take(d) {
-                    robj.accumulate(0, best * (d + 1) + j, x);
+                    acc.accumulate(0, best * (d + 1) + j, x);
                 }
-                robj.accumulate(0, best * (d + 1) + d, 1.0);
+                acc.accumulate(0, best * (d + 1) + d, 1.0);
             }
         };
         let outcome = engine.run_file(&file, &layout, &kernel)?;
@@ -355,6 +357,7 @@ fn run_manual(params: &KmeansParams) -> KmeansResult {
     for _ in 0..params.iters.max(1) {
         let cents = &centroids;
         let kernel = move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
+            let mut acc = Accumulator::new(robj);
             for row in split.iter_rows() {
                 let mut best = 0usize;
                 let mut best_dist = f64::INFINITY;
@@ -371,9 +374,9 @@ fn run_manual(params: &KmeansParams) -> KmeansResult {
                     }
                 }
                 for (j, &x) in row.iter().enumerate().take(d) {
-                    robj.accumulate(0, best * (d + 1) + j, x);
+                    acc.accumulate(0, best * (d + 1) + j, x);
                 }
-                robj.accumulate(0, best * (d + 1) + d, 1.0);
+                acc.accumulate(0, best * (d + 1) + d, 1.0);
             }
         };
         let outcome = engine.run(view, &layout, &kernel);

@@ -67,6 +67,7 @@ fn compiled_backend_is_selected() {
         paths: vec![],
         state_names: vec![],
         out_names: vec![],
+        combine: freeride::CombineOp::Sum,
     };
     let choice = cfr_core::make_runner(
         KernelBackend::Compiled,

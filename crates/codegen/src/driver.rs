@@ -14,18 +14,21 @@
 //!   entirely; compilation writes to a per-process temp name and
 //!   `rename`s into place so concurrent processes race benignly.
 //!   Threads of one process share that temp name, so first compiles
-//!   are serialized in-process.
+//!   of one kernel are serialized in-process (different kernels compile
+//!   concurrently).
 //!
 //! Observability: spans `codegen.emit` (with the kernel's `int_regs`
-//! and `real_regs` counts), `codegen.compile`, `codegen.load` on the
+//! and `real_regs` counts, and how many slice loads the range analysis
+//! proved, `loads_proven`, or left checked, `loads_checked`),
+//! `codegen.compile`, `codegen.load` on the
 //! pipeline track; counters
 //! `core.codegen_compile` (rustc actually ran) and
 //! `core.codegen_cache_hit` (disk or memory hit).
 
 use cfr_core::{CodegenError, Kernel};
-use freeride::{fnv1a64, Recorder, TraceLevel};
+use freeride::{fnv1a64, CombineOp, Recorder, TraceLevel};
 use obs::AttrValue;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -35,19 +38,8 @@ use crate::dylib::Dylib;
 use crate::emit::{emit_kernel, NestedSite, KERNEL_SYMBOL};
 
 /// The raw kernel entry point resolved from a compiled cdylib
-/// (ABI v2 — see the emitted source header).
-pub type KernelFn = unsafe extern "C-unwind" fn(
-    rows: *const f64,
-    rows_len: usize,
-    row_count: usize,
-    first_row: usize,
-    row_lo: i64,
-    flat: *const crate::runtime::FlatView,
-    n_flat: usize,
-    ctx: *mut u8,
-    accumulate: extern "C-unwind" fn(*mut u8, usize, usize, f64),
-    nested_load: extern "C-unwind" fn(*mut u8, usize, *const i64, usize) -> f64,
-);
+/// (ABI v3 — see the emitted source header).
+pub type KernelFn = unsafe extern "C" fn(args: *const crate::abi::SplitArgs) -> crate::abi::Status;
 
 /// A compiled, loaded, ready-to-bind kernel. Immutable and shared:
 /// per-job state lives in `CompiledKernelRuntime`, not here.
@@ -59,6 +51,14 @@ pub struct LoadedKernel {
     pub func: KernelFn,
     /// Host-side table for the `nested_load` callback.
     pub sites: Vec<NestedSite>,
+    /// Slots each flat-state buffer must hold (see
+    /// [`EmittedKernel::state_len`](crate::EmittedKernel)).
+    pub state_len: Vec<usize>,
+    /// Output groups, and the op their in-place update bakes in: the
+    /// runtime lends cells only to a layout that matches both.
+    pub groups: usize,
+    /// See `groups`.
+    pub combine: CombineOp,
     /// FNV-1a hash of the emitted source (the cache key).
     pub source_hash: u64,
 }
@@ -138,6 +138,11 @@ pub fn load_or_compile(
             ("int_regs", AttrValue::Int(int_regs as i64)),
             ("real_regs", AttrValue::Int(real_regs as i64)),
             ("source_bytes", AttrValue::Int(emitted.source.len() as i64)),
+            ("loads_proven", AttrValue::Int(emitted.loads_proven as i64)),
+            (
+                "loads_checked",
+                AttrValue::Int(emitted.loads_checked as i64),
+            ),
         ],
     );
 
@@ -156,10 +161,15 @@ pub fn load_or_compile(
     let artifact = dir.join(format!("k{hash:016x}.so"));
     // Two threads compiling the same fresh kernel (two loopback nodes
     // on a cold cache) would both write the pid-named temp artifact
-    // and one would load garbage or fail; the loser of this lock finds
-    // the winner's artifact on disk instead.
-    static FIRST_COMPILE: Mutex<()> = Mutex::new(());
-    let compiling = FIRST_COMPILE.lock().unwrap_or_else(|e| e.into_inner());
+    // and one would load garbage or fail; the loser of this kernel's
+    // lock finds the winner's artifact on disk instead. Different
+    // kernels compile concurrently.
+    static COMPILING: Mutex<BTreeMap<u64, Arc<Mutex<()>>>> = Mutex::new(BTreeMap::new());
+    let kernel_lock = (COMPILING.lock().unwrap_or_else(|e| e.into_inner()))
+        .entry(hash)
+        .or_default()
+        .clone();
+    let compiling = kernel_lock.lock().unwrap_or_else(|e| e.into_inner());
     if artifact.exists() {
         if let Some(r) = recorder {
             r.add_counter("core.codegen_cache_hit", 1);
@@ -224,6 +234,9 @@ pub fn load_or_compile(
         lib,
         func,
         sites: emitted.sites,
+        state_len: emitted.state_len,
+        groups: kernel.out_names.len(),
+        combine: kernel.combine.clone(),
         source_hash: hash,
     });
     memory_cache().lock().unwrap().insert(hash, loaded.clone());

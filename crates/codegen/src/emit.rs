@@ -22,23 +22,29 @@
 //!
 //! * every instruction lowers to the *same operation* the interpreter
 //!   performs — no reassociation, `Fma` stays an unfused
-//!   `dst += a * b`, `I64` arithmetic wraps and divides through the
-//!   same zero-divisor panic;
+//!   `dst += a * b`, `I64` arithmetic wraps, and a zero divisor or
+//!   `i64::MIN / -1` ends the split with the failure the interpreter
+//!   panics with;
 //! * float immediates are emitted as `f64::from_bits(0x…)`, an exact
 //!   round-trip;
 //! * `computeIndex` is baked in from the kernel's [`PathMeta`] table
 //!   with the interpreter's exact formula, `I64` index registers cast
 //!   `as usize` exactly as the interpreter casts them;
-//! * data and flat-state loads are *checked* slice indexes, so a
-//!   malformed offset panics just as the interpreter would;
-//! * nested-state walks and reduction-object updates call back into the
-//!   host (so the generated/opt-1 "complex Chapel structure" cost
-//!   profile — the thing opt-2 removes — is preserved even under the
-//!   compiled backend).
+//! * a data or flat-state load is unchecked only where [`crate::range`]
+//!   proves it in bounds; every other load is checked and fails the
+//!   split where the interpreter's load panics;
+//! * an update folds with the kernel's combine op, the operation
+//!   `CombineOp::apply` performs.
+//!
+//! The body is printed once, generic over its update, and
+//! instantiated for both update paths of the ABI (see [`crate::abi`]).
 
 use cfr_core::{ArithOp, CmpOp, CodegenError, Instr, Kernel, NavStep, RegClass};
+use freeride::CombineOp;
 use linearize::PathMeta;
 use std::fmt::Write as _;
+
+use crate::range::{prove, RangeProof};
 
 /// One `LoadStateNested` call site in the emitted code: the compiled
 /// function passes the site id and the index-register values back to
@@ -59,6 +65,13 @@ pub struct EmittedKernel {
     /// Host-side table for the `nested_load` callback, indexed by the
     /// site id the emitted code passes.
     pub sites: Vec<NestedSite>,
+    /// Slots each flat-state buffer must hold: the bound the proven
+    /// state loads assume, checked once when the kernel is bound.
+    pub state_len: Vec<usize>,
+    /// Slice loads printed unchecked (proven in range).
+    pub loads_proven: usize,
+    /// Slice loads that keep their bounds check.
+    pub loads_checked: usize,
 }
 
 /// The exported symbol every emitted cdylib defines.
@@ -85,6 +98,11 @@ fn index_expr(meta: &PathMeta, idx: &[String]) -> String {
     terms.join(" + ")
 }
 
+/// `base + k * stride`, each register cast `as usize`.
+fn strided(base: u16, k: u16, stride: usize) -> String {
+    format!("(r{base} as usize) + (r{k} as usize) * {stride}usize")
+}
+
 fn reg_idx(regs: &[u16]) -> Vec<String> {
     regs.iter().map(|r| format!("(r{r} as usize)")).collect()
 }
@@ -100,6 +118,7 @@ fn int_literal(v: i64) -> String {
 /// The tree printer.
 struct Emitter<'k> {
     kernel: &'k Kernel,
+    proof: &'k RangeProof,
     out: String,
     sites: Vec<NestedSite>,
     /// `For` loops printed so far (names their `__iN` counters).
@@ -121,6 +140,11 @@ impl Emitter<'_> {
     fn instr(&mut self, ins: &Instr, depth: usize) {
         let kernel = self.kernel;
         let path = |p: u16| &kernel.paths[p as usize];
+        // A proven load reads unchecked (see `crate::range`).
+        let load = |slice: &str, e: String| match self.proof.is_proven(ins) {
+            true => format!("at({slice}, {e})"),
+            false => format!("ld({slice}, {e})?"),
+        };
         let line = match ins {
             Instr::For { var, lo, hi, body } => {
                 let n = self.loops;
@@ -177,8 +201,8 @@ impl Emitter<'_> {
                     ArithOp::Add => format!("{d} = {x}.wrapping_add({y});"),
                     ArithOp::Sub => format!("{d} = {x}.wrapping_sub({y});"),
                     ArithOp::Mul => format!("{d} = {x}.wrapping_mul({y});"),
-                    ArithOp::Div => format!("{d} = {x} / nonzero({y});"),
-                    ArithOp::Mod => format!("{d} = {x} % nonzero({y});"),
+                    ArithOp::Div => format!("{d} = div({x}, {y})?;"),
+                    ArithOp::Mod => format!("{d} = rem({x}, {y})?;"),
                     ArithOp::Min => format!("{d} = {x}.min({y});"),
                     ArithOp::Max => format!("{d} = {x}.max({y});"),
                     ArithOp::Pow => unreachable!("validated: no I64 Pow"),
@@ -209,7 +233,7 @@ impl Emitter<'_> {
             // ---- Data accesses (computeIndex baked in). ----
             Instr::LoadData { dst, path: p, idx } => {
                 let e = index_expr(path(*p), &reg_idx(idx));
-                format!("{} = data[{e}];", reg(*dst))
+                format!("{} = {};", reg(*dst), load("data", e))
             }
             Instr::DataBase {
                 dst,
@@ -234,10 +258,9 @@ impl Emitter<'_> {
                 k,
                 stride,
             } => format!(
-                "{} = data[({} as usize) + ({} as usize) * {stride}usize];",
+                "{} = {};",
                 reg(*dst),
-                reg(*base),
-                reg(*k)
+                load("data", strided(*base, *k, *stride))
             ),
 
             // ---- State accesses. ----
@@ -255,7 +278,9 @@ impl Emitter<'_> {
                     })
                     .collect();
                 format!(
-                    "{{ let __i: [i64; {n}] = [{list}]; {d} = nested_load(ctx, {site}usize, __i.as_ptr(), {n}usize); }}",
+                    "{{ let __i: [i64; {n}] = [{list}]; \
+                     if !(a.nested_load)(a.ctx, {site}usize, __i.as_ptr(), {n}usize, &mut {d}) \
+                     {{ return Err(Status::HostFailed); }} }}",
                     n = idx_regs.len(),
                     list = idx_regs.join(", "),
                     d = reg(*dst)
@@ -268,7 +293,7 @@ impl Emitter<'_> {
                 idx,
             } => {
                 let e = index_expr(path(*p), &reg_idx(idx));
-                format!("{} = s{state}[{e}];", reg(*dst))
+                format!("{} = {};", reg(*dst), load(&format!("s{state}"), e))
             }
             Instr::LoadStateAt {
                 dst,
@@ -277,22 +302,34 @@ impl Emitter<'_> {
                 k,
                 stride,
             } => format!(
-                "{} = s{state}[({} as usize) + ({} as usize) * {stride}usize];",
+                "{} = {};",
                 reg(*dst),
-                reg(*base),
-                reg(*k)
+                load(&format!("s{state}"), strided(*base, *k, *stride))
             ),
             Instr::OutIndex { dst, path: p, idx } => {
                 let e = index_expr(path(*p), &reg_idx(idx));
                 format!("{} = ({e}) as i64;", reg(*dst))
             }
             Instr::Accumulate { group, cell, val } => format!(
-                "accumulate(ctx, {group}usize, {} as usize, {});",
+                "u.update({group}usize, {} as usize, {})?;",
                 reg(*cell),
                 reg(*val)
             ),
         };
         self.line(depth, &line);
+    }
+}
+
+/// The `InPlace` op code of `op` (see `abi.rs`).
+fn op_code(op: &CombineOp) -> Result<u8, CodegenError> {
+    match op {
+        CombineOp::Sum => Ok(0),
+        CombineOp::Product => Ok(1),
+        CombineOp::Min => Ok(2),
+        CombineOp::Max => Ok(3),
+        CombineOp::Custom(_) => Err(CodegenError::Unsupported(
+            "a custom combine op cannot be compiled".to_string(),
+        )),
     }
 }
 
@@ -305,8 +342,11 @@ pub fn emit_kernel(kernel: &Kernel) -> Result<EmittedKernel, CodegenError> {
     kernel
         .validate(kernel.state_names.len(), kernel.out_names.len())
         .map_err(|e| CodegenError::Unsupported(format!("invalid kernel: {e}")))?;
+    let op = op_code(&kernel.combine)?;
+    let proof = prove(kernel);
     let mut em = Emitter {
         kernel,
+        proof: &proof,
         out: String::new(),
         sites: Vec::new(),
         loops: 0,
@@ -330,65 +370,56 @@ pub fn emit_kernel(kernel: &Kernel) -> Result<EmittedKernel, CodegenError> {
         };
         let _ = writeln!(decls, "    let mut r{r}: {decl};");
     }
-    let mut states = String::new();
     for s in 0..kernel.state_names.len() {
         let _ = writeln!(
-            states,
-            "    let s{s}: &[f64] = if {s}usize < n_flat {{ \
-             core::slice::from_raw_parts((*flat.add({s})).ptr, (*flat.add({s})).len) }} \
+            decls,
+            "    let s{s}: &[f64] = if {s}usize < a.n_flat {{ \
+             core::slice::from_raw_parts((*a.flat.add({s})).ptr, (*a.flat.add({s})).len) }} \
              else {{ &[] }};"
         );
     }
+    let unit = proof.data_unit;
+    let groups = kernel.out_names.len();
+    let sites = em.sites;
 
     let source = format!(
         r#"//! Generated by cfr-codegen from kernel bytecode — do not edit.
 #![allow(unused_variables, unused_mut, unused_assignments, unused_parens, dead_code)]
-
-/// A borrowed flat-state buffer (opt-2 linearized state), ABI-stable.
-#[repr(C)]
-pub struct FlatView {{
-    pub ptr: *const f64,
-    pub len: usize,
-}}
-
-/// A zero integer divisor panics (never undefined behaviour), like an
-/// out-of-bounds load; `/` and `%` themselves panic on `i64::MIN / -1`.
+{abi}
+/// The kernel body, printed once for both update paths.
 #[inline(always)]
-fn nonzero(y: i64) -> i64 {{
-    if y == 0 {{
-        panic!("kernel: integer division by zero");
+unsafe fn split_body(a: &SplitArgs, mut u: impl Update) -> Result<(), Status> {{
+    let data: &[f64] = core::slice::from_raw_parts(a.rows, a.rows_len);
+    if a.row_count.checked_mul({unit}usize).is_none_or(|n| n > a.rows_len) {{
+        return Err(Status::ShortSplit);
     }}
-    y
+{decls}{preamble}    for __local in 0..a.row_count {{
+        r0 = __local as i64;
+        r1 = a.row_lo + (a.first_row + __local) as i64;
+{body}    }}
+    Ok(())
 }}
 
-/// cfr kernel ABI v2: process one split. `ctx` is an opaque host
-/// pointer threaded back through the `accumulate` (reduction-object
-/// update) and `nested_load` (nested Chapel-state walk, integer
-/// indices) callbacks.
+/// Process one split, in place into the lent cells when the host lends
+/// them, through `accumulate` otherwise.
 #[no_mangle]
-pub unsafe extern "C-unwind" fn {KERNEL_SYMBOL}(
-    rows: *const f64,
-    rows_len: usize,
-    row_count: usize,
-    first_row: usize,
-    row_lo: i64,
-    flat: *const FlatView,
-    n_flat: usize,
-    ctx: *mut u8,
-    accumulate: extern "C-unwind" fn(*mut u8, usize, usize, f64),
-    nested_load: extern "C-unwind" fn(*mut u8, usize, *const i64, usize) -> f64,
-) {{
-    let data: &[f64] = core::slice::from_raw_parts(rows, rows_len);
-{states}{decls}{preamble}    for __local in 0..row_count {{
-        r0 = __local as i64;
-        r1 = row_lo + (first_row + __local) as i64;
-{body}    }}
+pub unsafe extern "C" fn {KERNEL_SYMBOL}(a: *const SplitArgs) -> Status {{
+    let a = &*a;
+    let run = match a.cells.is_null() {{
+        true => split_body(a, Callback(a)),
+        false => split_body(a, InPlace::<{groups}, {op}>::new(a)),
+    }};
+    run.err().unwrap_or(Status::Done)
 }}
-"#
+"#,
+        abi = include_str!("abi.rs"),
     );
 
     Ok(EmittedKernel {
         source,
-        sites: em.sites,
+        sites,
+        state_len: proof.state_len,
+        loads_proven: proof.loads_proven,
+        loads_checked: proof.loads_checked,
     })
 }

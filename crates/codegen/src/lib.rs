@@ -7,13 +7,15 @@
 //! optimization that must match it bit-for-bit):
 //!
 //! 1. [`emit`] lowers a validated `Kernel` (any strategy: generated /
-//!    opt-1 / opt-2) to a single-function Rust translation unit;
+//!    opt-1 / opt-2) to a Rust translation unit, printing the loads
+//!    [`range`] proves in bounds as unchecked reads;
 //! 2. [`driver`] compiles it **once per process** by shelling out to
 //!    `rustc --crate-type cdylib -C opt-level=3` into a content-hashed
 //!    artifact cache, then `dlopen`s the result ([`dylib`]);
 //! 3. [`runtime`] binds the loaded function to one job's state behind
-//!    `freeride::SplitKernel`, with reduction-object updates and
-//!    nested-state walks calling back into the host.
+//!    `freeride::SplitKernel`: reduction-object updates go in place
+//!    into a worker's lent cells (or call back under the shared sync
+//!    schemes), nested-state walks call back into the host.
 //!
 //! Wiring: `cfr-core` cannot depend on this crate (it would cycle
 //! through the kernel IR), so binaries opt in by calling [`install`]
@@ -25,9 +27,11 @@
 
 #![warn(missing_docs)]
 
+pub mod abi;
 pub mod driver;
 pub mod dylib;
 pub mod emit;
+pub mod range;
 pub mod runtime;
 
 use cfr_core::{CodegenError, Kernel, KernelCompiler};
@@ -59,7 +63,11 @@ impl KernelCompiler for NativeCompiler {
             nested_state,
             flat_state,
             row_lo,
-        )))
+        )?))
+    }
+
+    fn precompile(&self, kernel: &Kernel, recorder: Option<&Recorder>) {
+        let _ = load_or_compile(kernel, recorder);
     }
 }
 

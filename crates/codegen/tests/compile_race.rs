@@ -64,6 +64,7 @@ fn concurrent_first_compiles_of_one_kernel_compile_once() {
         }],
         state_names: vec![],
         out_names: vec!["out".into()],
+        combine: freeride::CombineOp::Sum,
     };
 
     const THREADS: usize = 4;

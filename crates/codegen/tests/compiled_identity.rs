@@ -65,6 +65,7 @@ fn kernel(code: Vec<Instr>, entry: usize, regs: Vec<RegClass>, paths: Vec<PathMe
         paths,
         state_names: vec![],
         out_names: vec!["out".into()],
+        combine: CombineOp::Sum,
     }
 }
 
@@ -101,7 +102,7 @@ fn run_both(
     SplitKernel::run_split(&interp, &split, &mut robj_i as &mut dyn RObjHandle);
 
     let loaded = load_or_compile(kernel, None).expect("codegen");
-    let compiled = CompiledKernelRuntime::new(loaded, nested, flat, row_lo);
+    let compiled = CompiledKernelRuntime::new(loaded, nested, flat, row_lo).expect("bind");
     let mut robj_c = ReductionObject::alloc(layout);
     compiled.run_split(&split, &mut robj_c as &mut dyn RObjHandle);
 
@@ -612,4 +613,228 @@ fn opt2_kmeans_and_pca_emit_structured_loops() {
         }
         assert!(loops > 0);
     }
+}
+
+/// The range analysis proves every slice load of the paper's opt-2
+/// k-means kernel in bounds, so the 16×8 distance nest reads without a
+/// bounds check; losing the proof fails here instead of silently
+/// costing the kernel its speed.
+#[test]
+fn opt2_kmeans_loads_are_all_proven() {
+    let src = chapel_frontend::programs::kmeans(1000, 16, 8);
+    let program = chapel_frontend::parse(&src).unwrap();
+    let analysis = chapel_sema::analyze(&program).unwrap();
+    let detection = detect(&program, &analysis);
+    let red = detection
+        .detected
+        .values()
+        .find_map(|d| match d {
+            Detected::Loop(red) => Some(red),
+            _ => None,
+        })
+        .expect("the k-means loop");
+    let compiled = compile_loop(&program, &analysis, red, OptLevel::Opt2).unwrap();
+    let emitted = emit_kernel(&compiled.kernel).unwrap();
+    assert!(emitted.loads_proven >= 3, "{}", emitted.source);
+    assert_eq!(emitted.loads_checked, 0, "{}", emitted.source);
+    assert!(!emitted.source.contains("ld(data"), "{}", emitted.source);
+    assert!(!emitted.source.contains("ld(s0"), "{}", emitted.source);
+    // One centroid record is 8 coordinates and a count.
+    assert_eq!(emitted.state_len, vec![16 * 9 - 1]);
+}
+
+/// Run the compiled `kernel` on one split of `rows` (unit 1) into a
+/// one-group layout of `cells` cells through `robj`.
+fn run_compiled(kernel: &Kernel, rows: &[f64], robj: &mut dyn RObjHandle) {
+    let split = Split {
+        rows,
+        unit: 1,
+        first_row: 0,
+        row_count: rows.len(),
+    };
+    let loaded = load_or_compile(kernel, None).expect("codegen");
+    let compiled = CompiledKernelRuntime::new(loaded, vec![], vec![], 1).expect("bind");
+    compiled.run_split(&split, robj);
+}
+
+/// The panic message a `catch_unwind` caught.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p
+            .downcast_ref::<&str>()
+            .map_or_else(String::new, |s| s.to_string()),
+    }
+}
+
+/// A compiled kernel that fails (an out-of-range load, a zero integer
+/// divisor) raises the interpreter's panic in the host, where
+/// `catch_unwind` catches it — it never aborts the process as a
+/// foreign exception.
+#[test]
+fn kernel_panics_resume_in_the_host() {
+    skip_without_rustc!();
+    // `data[r0 + 5]`: out of range on the split's last five rows.
+    let oob = kernel(
+        vec![
+            Instr::IConst { dst: 2, val: 5 },
+            Instr::IConst { dst: 5, val: 0 },
+            ibin(ArithOp::Add, 3, 0, 2),
+            Instr::LoadData {
+                dst: 4,
+                path: 0,
+                idx: vec![3],
+            },
+            Instr::Accumulate {
+                group: 0,
+                cell: 5,
+                val: 4,
+            },
+        ],
+        2,
+        classes(6, &[2, 3, 5]),
+        vec![row_path()],
+    );
+    // `7 / 0` on every row.
+    let div = kernel(
+        vec![
+            Instr::IConst { dst: 2, val: 7 },
+            Instr::IConst { dst: 3, val: 0 },
+            ibin(ArithOp::Div, 4, 2, 3),
+            Instr::IntToReal { dst: 5, src: 4 },
+            Instr::Accumulate {
+                group: 0,
+                cell: 3,
+                val: 5,
+            },
+        ],
+        2,
+        classes(6, &[2, 3, 4]),
+        vec![],
+    );
+    let rows = [1.0; 8];
+    for (k, want) in [
+        (oob, "index out of bounds"),
+        (div, "integer division by zero"),
+    ] {
+        let mut robj = ReductionObject::alloc(scalar_layout(1));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_compiled(&k, &rows, &mut robj)
+        }));
+        let msg = panic_message(caught.expect_err("the kernel must panic"));
+        assert!(msg.contains(want), "{msg}");
+    }
+}
+
+/// A handle that lends its cells but must never be called through.
+struct LendOnly(ReductionObject);
+
+impl RObjHandle for LendOnly {
+    fn accumulate(&mut self, _group: usize, _index: usize, _value: f64) {
+        panic!("the in-place path called accumulate");
+    }
+    fn get(&self, group: usize, index: usize) -> f64 {
+        self.0.get(group, index)
+    }
+    fn lend(&mut self) -> Option<freeride::LentCells<'_>> {
+        self.0.lend()
+    }
+}
+
+/// A handle that lends nothing and fails its first update.
+struct Failing;
+
+impl RObjHandle for Failing {
+    fn accumulate(&mut self, _group: usize, _index: usize, _value: f64) {
+        panic!("host update failed");
+    }
+    fn get(&self, _group: usize, _index: usize) -> f64 {
+        0.0
+    }
+}
+
+/// With a handle that lends its cells, the compiled kernel updates them
+/// in place (the handle's `accumulate` panics if called) and matches
+/// the interpreter bit for bit; with one that lends nothing, it calls
+/// back, and a panic in the callback resumes in the host unchanged.
+#[test]
+fn lent_cells_are_updated_in_place() {
+    skip_without_rustc!();
+    // out[r0 % 3] += data[r0] * 0.1
+    let k = kernel(
+        vec![
+            Instr::IConst { dst: 2, val: 3 },
+            Instr::Const { dst: 3, val: 0.1 },
+            ibin(ArithOp::Mod, 4, 0, 2),
+            Instr::LoadData {
+                dst: 5,
+                path: 0,
+                idx: vec![0],
+            },
+            bin(ArithOp::Mul, 6, 5, 3),
+            Instr::Accumulate {
+                group: 0,
+                cell: 4,
+                val: 6,
+            },
+        ],
+        2,
+        classes(7, &[2, 4]),
+        vec![row_path()],
+    );
+    let rows: Vec<f64> = (0..50).map(|i| (i as f64).sqrt()).collect();
+    let (interp, _) = run_both(&k, &rows, 1, 0, 1, vec![], vec![], 3);
+    let mut lend_only = LendOnly(ReductionObject::alloc(scalar_layout(3)));
+    run_compiled(&k, &rows, &mut lend_only);
+    assert_bit_identical(&interp, lend_only.0.group_slice(0));
+
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_compiled(&k, &rows, &mut Failing)
+    }));
+    let msg = panic_message(caught.expect_err("the callback must fail"));
+    assert_eq!(msg, "host update failed");
+}
+
+/// `min`, `max` and `*` reductions bake their own op into the in-place
+/// update: compiled and interpreted runs agree bit for bit under full
+/// replication, and the trace shows every split took the lent path.
+#[test]
+fn min_max_product_reductions_are_bit_identical() {
+    skip_without_rustc!();
+    cfr_codegen::install();
+    // Workers claim splits dynamically, so only exact products are
+    // independent of the claim order: every partial product of B is
+    // 5^a·2^b with a ≤ 20, which an f64 holds exactly.
+    let src = "
+        var A: [1..500] real;
+        for i in 1..500 { A[i] = ((i * 37) % 101) * 0.25 - 7.5; }
+        var B: [1..60] real;
+        for i in 1..60 { B[i] = 0.5 + (i % 3) * 0.75; }
+        var lo: real = min reduce A;
+        var hi: real = max reduce A;
+        var prod: real = * reduce B;
+    ";
+    let run = |backend| {
+        let rec = std::sync::Arc::new(freeride::Recorder::new(freeride::TraceLevel::Phases));
+        let out = cfr_core::Translator::new(OptLevel::Opt2, 4)
+            .backend(backend)
+            .traced(rec.clone())
+            .run_program(src)
+            .unwrap();
+        assert_eq!(out.jobs.len(), 3);
+        let vals: Vec<u64> = ["lo", "hi", "prod"]
+            .iter()
+            .map(|g| out.global(g).unwrap().as_f64().unwrap().to_bits())
+            .collect();
+        (vals, rec.drain())
+    };
+    let (interp, _) = run(freeride::KernelBackend::Interpreted);
+    let (compiled, trace) = run(freeride::KernelBackend::Compiled);
+    assert_eq!(interp, compiled);
+    assert_eq!(trace.counters.get("core.codegen_jobs"), Some(&3));
+    assert!(trace
+        .counters
+        .get("codegen.lent_splits")
+        .is_some_and(|&n| n > 0));
+    assert_eq!(trace.counters.get("codegen.callback_splits"), Some(&0));
 }

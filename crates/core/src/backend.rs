@@ -42,6 +42,11 @@ pub trait KernelCompiler: Send + Sync {
         row_lo: i64,
         recorder: Option<&Recorder>,
     ) -> Result<Arc<dyn SplitKernel>, CodegenError>;
+
+    /// Compile the kernel into the process-wide cache without binding
+    /// state, so a later `instantiate` only binds. A failure is left
+    /// for `instantiate` to report.
+    fn precompile(&self, _kernel: &Kernel, _recorder: Option<&Recorder>) {}
 }
 
 static COMPILER: OnceLock<&'static dyn KernelCompiler> = OnceLock::new();
@@ -56,6 +61,17 @@ pub fn install_compiler(c: &'static dyn KernelCompiler) -> bool {
 /// Is a native-codegen backend installed in this process?
 pub fn compiler_installed() -> bool {
     COMPILER.get().is_some()
+}
+
+/// Compile `kernels` into the installed backend's cache, one thread
+/// each, so a program's cold compiles overlap instead of queueing.
+pub fn precompile(kernels: &[&Kernel], recorder: Option<&Recorder>) {
+    let Some(c) = COMPILER.get() else { return };
+    std::thread::scope(|s| {
+        for &k in kernels {
+            s.spawn(move || c.precompile(k, recorder));
+        }
+    });
 }
 
 /// The kernel that will actually run a job, after backend dispatch.
@@ -153,6 +169,7 @@ mod backend_tests {
             paths: Vec::new(),
             state_names: Vec::new(),
             out_names: Vec::new(),
+            combine: freeride::CombineOp::Sum,
         }
     }
 

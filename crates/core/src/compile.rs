@@ -22,6 +22,7 @@ use std::collections::{BTreeSet, HashMap};
 use chapel_frontend::ast::*;
 use chapel_frontend::pretty::print_expr;
 use chapel_sema::{Analysis, Ty};
+use freeride::CombineOp;
 use linearize::{AccessPath, LinearMeta, PathMeta, Shape};
 
 use crate::detect::{ExprReduction, LoopReduction};
@@ -186,6 +187,17 @@ pub fn compile_reduce_expr(
         shape: Shape::Real,
         cells: 1,
     }];
+    let combine = match &red.op {
+        ReduceOp::Sum => CombineOp::Sum,
+        ReduceOp::Product => CombineOp::Product,
+        ReduceOp::Min => CombineOp::Min,
+        ReduceOp::Max => CombineOp::Max,
+        other => {
+            return Err(CoreError::translate(format!(
+                "unsupported reduce op {other:?}"
+            )))
+        }
+    };
     let bounds = leaf_bounds(&dataset);
     let body = |c: &mut Compiler<'_>| {
         // Evaluate the operand with every leaf ident meaning "this row's
@@ -200,7 +212,7 @@ pub fn compile_reduce_expr(
         });
         Ok(())
     };
-    compile_kernel(
+    let mut compiled = compile_kernel(
         analysis,
         OptLevel::Generated,
         dataset,
@@ -208,7 +220,9 @@ pub fn compile_reduce_expr(
         outputs,
         bounds,
         body,
-    )
+    )?;
+    compiled.kernel.combine = combine;
+    Ok(compiled)
 }
 
 /// Compile a user-defined `ReduceScanOp` reduction (`MyOp reduce A`):
@@ -349,6 +363,7 @@ fn compile_kernel(
         paths: c.paths,
         state_names: states.iter().map(|s| s.name.clone()).collect(),
         out_names: outputs.iter().map(|o| o.name.clone()).collect(),
+        combine: CombineOp::Sum,
     };
     Ok(CompiledLoop {
         kernel,

@@ -371,6 +371,7 @@ mod tests {
             paths: vec![],
             state_names: vec![],
             out_names: vec!["out".into()],
+            combine: freeride::CombineOp::Sum,
         };
         let rt = KernelRuntime::new(kernel, vec![], vec![], 1, OptLevel::Opt2).unwrap();
         let layout = RObjLayout::new(vec![GroupSpec::new("out", 1, CombineOp::Sum)]);

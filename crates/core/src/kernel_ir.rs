@@ -30,6 +30,7 @@
 //! and a zero divisor or `i64::MIN / -1` panics (like an out-of-bounds
 //! load) instead of being undefined.
 
+use freeride::CombineOp;
 use linearize::PathMeta;
 
 /// A register index.
@@ -401,7 +402,7 @@ fn preorder<'k>(code: &'k [Instr], depth: usize, out: &mut Vec<(usize, &'k Instr
 }
 
 /// A compiled kernel: code plus its tables.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Kernel {
     /// The top-level block: `code[..entry]` is the constant preamble
     /// (executed once per split), `code[entry..]` the per-element body,
@@ -419,6 +420,10 @@ pub struct Kernel {
     pub state_names: Vec<String>,
     /// Human-readable names of output variables/groups (diagnostics).
     pub out_names: Vec<String>,
+    /// The combine op of every output group: what `Accumulate` folds
+    /// with (`Sum` for loops and user-defined reductions, the reduce's
+    /// own op for a built-in reduce expression).
+    pub combine: CombineOp,
 }
 
 /// A structural-validation failure of a [`Kernel`], naming the

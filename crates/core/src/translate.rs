@@ -14,7 +14,7 @@ use std::time::Instant;
 use chapel_frontend::ast::{Item, ReduceOp};
 use chapel_interp::{Interpreter, RtValue};
 use chapel_sema::analyze;
-use freeride::{CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjLayout, RunStats};
+use freeride::{DataView, Engine, GroupSpec, JobConfig, KernelBackend, RObjLayout, RunStats};
 use linearize::{delinearize, Linearizer, Value};
 use obs::{AttrValue, Recorder, TraceLevel};
 
@@ -196,6 +196,17 @@ impl Translator {
             });
         }
 
+        if self.config.backend == KernelBackend::Compiled {
+            let kernels: Vec<&crate::Kernel> = plans
+                .iter()
+                .filter_map(|p| match p {
+                    StmtPlan::Offload { compiled, .. } => Some(&compiled.kernel),
+                    _ => None,
+                })
+                .collect();
+            crate::backend::precompile(&kernels, rec);
+        }
+
         Ok(CompiledProgram {
             program,
             plans,
@@ -307,28 +318,12 @@ impl Translator {
             );
         }
 
-        // ---- Reduction object + engine run. ----
-        let combine = match &expr_target {
-            Some((_, op)) => match op {
-                ReduceOp::Sum => CombineOp::Sum,
-                ReduceOp::Product => CombineOp::Product,
-                ReduceOp::Min => CombineOp::Min,
-                ReduceOp::Max => CombineOp::Max,
-                // User classes passed validation: their combine is the
-                // pairwise field sum, which the Sum merge implements.
-                ReduceOp::UserDefined(_) => CombineOp::Sum,
-                other => {
-                    return Err(CoreError::translate(format!(
-                        "unsupported reduce op {other:?}"
-                    )));
-                }
-            },
-            None => CombineOp::Sum,
-        };
+        // ---- Reduction object + engine run: every group folds with the
+        // op the kernel was compiled for. ----
         let groups: Vec<GroupSpec> = c
             .outputs
             .iter()
-            .map(|o| GroupSpec::new(&o.name, o.cells, combine.clone()))
+            .map(|o| GroupSpec::new(&o.name, o.cells, c.kernel.combine.clone()))
             .collect();
         let layout = RObjLayout::new(groups);
 

@@ -184,6 +184,7 @@ fn arb_kernel() -> impl Strategy<Value = Kernel> {
             paths: vec![scalar_path(); npaths],
             state_names: vec!["s".into(); states],
             out_names: vec!["o".into(); groups],
+            combine: freeride::CombineOp::Sum,
         })
 }
 
@@ -197,6 +198,7 @@ fn trivial_kernel(regs: usize, npaths: usize) -> Kernel {
         paths: vec![scalar_path(); npaths],
         state_names: Vec::new(),
         out_names: Vec::new(),
+        combine: freeride::CombineOp::Sum,
     }
 }
 

@@ -23,7 +23,8 @@
 use std::sync::Arc;
 
 use freeride::{
-    CombineOp, GroupSpec, KernelBackend, RObjHandle, RObjLayout, ReductionObject, Split,
+    Accumulator, CombineOp, GroupSpec, KernelBackend, RObjHandle, RObjLayout, ReductionObject,
+    Split,
 };
 use linearize::{Linearizer, Shape, Value};
 use obs::Recorder;
@@ -170,6 +171,7 @@ pub fn kernel(
             let cents = state.to_vec();
             Ok(Box::new(
                 move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
+                    let mut acc = Accumulator::new(robj);
                     for row in split.iter_rows() {
                         let mut best = 0usize;
                         let mut best_dist = f64::INFINITY;
@@ -186,9 +188,9 @@ pub fn kernel(
                             }
                         }
                         for (j, &x) in row.iter().enumerate().take(d) {
-                            robj.accumulate(0, best * (d + 1) + j, x);
+                            acc.accumulate(0, best * (d + 1) + j, x);
                         }
-                        robj.accumulate(0, best * (d + 1) + d, 1.0);
+                        acc.accumulate(0, best * (d + 1) + d, 1.0);
                     }
                 },
             ))

@@ -512,6 +512,9 @@ impl Engine {
         let delta = counters.finish(&self.pool);
         let wall_ns = wall_start.elapsed().as_nanos() as u64;
         self.record_pass_trace(wall_start, &splits, &delta, wall_ns, threads, io.as_ref());
+        if self.recorder.enabled(TraceLevel::Phases) {
+            kernel.record_pass(&self.recorder);
+        }
         Ok(JobOutcome {
             robj,
             stats: RunStats {

@@ -11,6 +11,7 @@
 
 use crate::split::Split;
 use crate::sync::RObjHandle;
+use obs::Recorder;
 
 /// A local-reduction kernel: processes every row of one split,
 /// accumulating into the reduction object — the paper's `reduction_t`
@@ -22,6 +23,11 @@ use crate::sync::RObjHandle;
 pub trait SplitKernel: Send + Sync {
     /// Process one split, folding each row into `robj`.
     fn run_split(&self, split: &Split<'_>, robj: &mut dyn RObjHandle);
+
+    /// Record, after a traced pass, the evidence for any choice this
+    /// kernel made while running its splits (a compiled kernel records
+    /// which reduction-object update path it took). Nothing by default.
+    fn record_pass(&self, _recorder: &Recorder) {}
 }
 
 impl<F> SplitKernel for F

@@ -64,6 +64,6 @@ pub use freeride_io::{IoStats, MemoryBudget, RowReader, RowSource, StreamConfig}
 // levels and drain traces without naming the `obs` crate directly.
 pub use obs::{Recorder, Trace, TraceLevel};
 pub use sync::{
-    AtomicCells, HybridHandle, LockedCells, RObjHandle, SharedCells, SharedHandle, StripedCells,
-    SyncScheme,
+    Accumulator, AtomicCells, HybridHandle, LentCells, LockedCells, RObjHandle, SharedCells,
+    SharedHandle, StripedCells, SyncScheme,
 };

@@ -50,6 +50,17 @@ impl std::fmt::Debug for CombineOp {
     }
 }
 
+/// Built-in ops are equal by variant; a `Custom` op only to itself
+/// (the same closure).
+impl PartialEq for CombineOp {
+    fn eq(&self, other: &CombineOp) -> bool {
+        match (self, other) {
+            (CombineOp::Custom(a), CombineOp::Custom(b)) => Arc::ptr_eq(a, b),
+            (a, b) => std::mem::discriminant(a) == std::mem::discriminant(b),
+        }
+    }
+}
+
 impl CombineOp {
     /// Apply the operation.
     #[inline]
@@ -139,6 +150,11 @@ impl RObjLayout {
     /// Total number of cells across all groups.
     pub fn total_cells(&self) -> usize {
         self.total
+    }
+
+    /// First flat cell id of each group.
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
     }
 
     /// Number of groups.
@@ -261,6 +277,11 @@ impl ReductionObject {
     /// materialise their state into a `ReductionObject`).
     pub(crate) fn cells_mut(&mut self) -> &mut [f64] {
         &mut self.cells
+    }
+
+    /// The layout and the cells, the latter mutable (for lending).
+    pub(crate) fn parts_mut(&mut self) -> (&RObjLayout, &mut [f64]) {
+        (&self.layout, &mut self.cells)
     }
 
     /// Combine another copy into this one, cell-wise, using each group's

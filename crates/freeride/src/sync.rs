@@ -89,6 +89,13 @@ pub trait RObjHandle {
     /// Read cell `(group, index)`. Under shared schemes this is a racy
     /// snapshot (each cell read is individually atomic/locked).
     fn get(&self, group: usize, index: usize) -> f64;
+    /// Lend this worker's private cells for in-place updates, or `None`
+    /// when the cells are shared with other workers (every locking and
+    /// atomic scheme, and [`SyncScheme::Hybrid`]), where `accumulate`
+    /// stays the only way in.
+    fn lend(&mut self) -> Option<LentCells<'_>> {
+        None
+    }
 }
 
 impl RObjHandle for ReductionObject {
@@ -99,6 +106,60 @@ impl RObjHandle for ReductionObject {
     #[inline]
     fn get(&self, group: usize, index: usize) -> f64 {
         ReductionObject::get(self, group, index)
+    }
+    fn lend(&mut self) -> Option<LentCells<'_>> {
+        let (layout, cells) = self.parts_mut();
+        Some(LentCells { cells, layout })
+    }
+}
+
+/// A worker's private reduction-object cells, lent for one split: the
+/// flat cells plus the layout that gives each group's offset and op.
+/// [`LentCells::accumulate`] is exactly `ReductionObject::accumulate`,
+/// with no call through a handle.
+pub struct LentCells<'a> {
+    /// The flat cells; group `g` starts at `layout.offsets()[g]`.
+    pub cells: &'a mut [f64],
+    /// Group offsets and combine ops.
+    pub layout: &'a RObjLayout,
+}
+
+impl LentCells<'_> {
+    /// Fold `value` into cell `(group, index)` with the group's op.
+    #[inline]
+    pub fn accumulate(&mut self, group: usize, index: usize, value: f64) {
+        let id = self.layout.cell_id(group, index);
+        self.cells[id] = self.layout.group(group).op.apply(self.cells[id], value);
+    }
+}
+
+/// A hand-written kernel's update path for one split: the lent cells
+/// when the handle lends them, `accumulate` through the handle
+/// otherwise. Built once per split, so the choice is made per split,
+/// never per update, and the kernel itself keeps one code path.
+pub enum Accumulator<'a> {
+    /// In place, into a worker's private cells.
+    Lent(LentCells<'a>),
+    /// Through the handle (shared cells).
+    Handle(&'a mut dyn RObjHandle),
+}
+
+impl<'a> Accumulator<'a> {
+    /// Take `robj`'s cells if it lends them.
+    pub fn new(robj: &'a mut dyn RObjHandle) -> Accumulator<'a> {
+        if robj.lend().is_none() {
+            return Accumulator::Handle(robj);
+        }
+        Accumulator::Lent(robj.lend().expect("the handle lent its cells just above"))
+    }
+
+    /// Fold `value` into cell `(group, index)` with the group's op.
+    #[inline]
+    pub fn accumulate(&mut self, group: usize, index: usize, value: f64) {
+        match self {
+            Accumulator::Lent(cells) => cells.accumulate(group, index, value),
+            Accumulator::Handle(robj) => robj.accumulate(group, index, value),
+        }
     }
 }
 
@@ -522,6 +583,47 @@ mod sync_tests {
         let mut h = SharedHandle::new(&b);
         h.accumulate(0, 0, 2.5);
         assert_eq!(h.get(0, 0), 2.5);
+    }
+
+    #[test]
+    fn only_a_private_copy_lends_its_cells() {
+        let mut private = ReductionObject::alloc(layout());
+        let lent = private.lend().expect("a private copy lends");
+        assert_eq!(lent.cells.len(), 16);
+        assert_eq!(lent.layout.offsets(), &[0, 8]);
+        let shared = SharedCells::for_scheme(SyncScheme::Atomic, &layout()).unwrap();
+        assert!(SharedHandle::new(&shared).lend().is_none());
+        let scheme = SyncScheme::Hybrid {
+            region_cells: 4,
+            replicated: 0b01,
+            stripes: 2,
+        };
+        let striped = SharedCells::for_scheme(scheme, &layout()).unwrap();
+        let mut hybrid_private = ReductionObject::alloc(layout());
+        assert!(HybridHandle::new(&mut hybrid_private, &striped, scheme)
+            .lend()
+            .is_none());
+    }
+
+    #[test]
+    fn accumulator_lent_and_handle_paths_agree() {
+        let updates = |acc: &mut Accumulator<'_>| {
+            for i in 0..40usize {
+                acc.accumulate(0, i % 8, i as f64 * 0.5);
+                acc.accumulate(1, (i * 3) % 8, 100.0 - i as f64);
+            }
+        };
+        let mut lent = ReductionObject::alloc(layout());
+        let mut acc = Accumulator::new(&mut lent);
+        assert!(matches!(acc, Accumulator::Lent(_)));
+        updates(&mut acc);
+
+        let shared = SharedCells::for_scheme(SyncScheme::FullLocking, &layout()).unwrap();
+        let mut handle = SharedHandle::new(&shared);
+        let mut acc = Accumulator::new(&mut handle);
+        assert!(matches!(acc, Accumulator::Handle(_)));
+        updates(&mut acc);
+        assert_eq!(lent.cells(), shared.snapshot().cells());
     }
 
     #[test]
