@@ -56,6 +56,16 @@ else
 fi
 rm -f target/ci-int-interp.out target/ci-int-compiled.out
 
+# The oracle at the ledger's size (DESIGN.md, mini-Chapel): the
+# interpreter reads arrays in place, so it runs the whole 16 x 110,000
+# PCA program in seconds, and the translated run must print the same
+# mean bit for bit (sums of small integers are exact in any order).
+timeout 60 target/release/cfr examples/pca.chpl --interp --print mean \
+  > target/ci-pca-interp.out
+target/release/cfr examples/pca.chpl --opt 2 --print mean > target/ci-pca-opt2.out
+diff target/ci-pca-interp.out target/ci-pca-opt2.out
+rm -f target/ci-pca-interp.out target/ci-pca-opt2.out
+
 # A panic inside a compiled kernel (here an out-of-range load) fails
 # the job exactly as the interpreted kernel does: the same exit status,
 # never an abort on a foreign exception. Skips without rustc likewise.

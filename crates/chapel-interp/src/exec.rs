@@ -7,27 +7,26 @@
 //! class instances, 1-based (declared-bound) array indexing,
 //! short-circuit logical operators, and both built-in and user-defined
 //! (`ReduceScanOp`) reductions.
+//!
+//! It evaluates the slot-resolved tree of [`crate::resolve`]: names are
+//! frame or global slots, and an index/field chain is a place whose
+//! indices are evaluated first and whose path is then walked by
+//! reference, cloning only the value at its end (or, for an update,
+//! changing it in place).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use chapel_frontend::ast::*;
+use chapel_frontend::ast::{AssignOp, BinOp, Program, ReduceOp, UnOp};
 use chapel_frontend::token::Span;
 
 use crate::error::InterpError;
+use crate::resolve::{
+    Builtin, Call, Code, Expr, Field, FieldInit, Func, Globals, Init, Place, Root, Step, Stmt,
+    Type, Var,
+};
 use crate::value::{ObjectData, RtValue};
-
-/// Declaration tables snapshot shared across evaluation.
-#[derive(Debug, Default)]
-pub struct ProgramDecls {
-    /// Records by name.
-    pub records: HashMap<String, RecordDecl>,
-    /// Classes by name.
-    pub classes: HashMap<String, ClassDecl>,
-    /// Functions by name.
-    pub funcs: HashMap<String, FuncDecl>,
-}
 
 /// Control flow result of statement execution.
 enum Flow {
@@ -35,20 +34,20 @@ enum Flow {
     Return(RtValue),
 }
 
-/// One lvalue path step (indices are already evaluated).
-enum Step {
-    Index(Vec<i64>),
-    Field(String),
-}
-
 /// The interpreter. Create one, [`Interpreter::run`] a program, then
 /// inspect [`Interpreter::global`] values and [`Interpreter::output`].
 #[derive(Debug)]
 pub struct Interpreter {
-    decls: Rc<ProgramDecls>,
-    /// Call frames; each frame is a stack of lexical scopes. Frame 0,
-    /// scope 0 holds the globals.
-    frames: Vec<Vec<HashMap<String, RtValue>>>,
+    /// Resolved declarations of the prepared program.
+    code: Rc<Code>,
+    globals: Globals,
+    /// Slots of every active frame; the current one starts at `base`.
+    /// The top-level statement's frame starts at 0.
+    stack: Vec<RtValue>,
+    base: usize,
+    /// Evaluated indices of the access paths being walked, innermost
+    /// path last.
+    idx: Vec<i64>,
     /// `self` objects of active method calls.
     self_stack: Vec<Rc<RefCell<ObjectData>>>,
     output: Vec<String>,
@@ -68,8 +67,11 @@ impl Interpreter {
     /// runaway loops fail loudly).
     pub fn new() -> Interpreter {
         Interpreter {
-            decls: Rc::new(ProgramDecls::default()),
-            frames: vec![vec![HashMap::new()]],
+            code: Rc::default(),
+            globals: Globals::default(),
+            stack: Vec::new(),
+            base: 0,
+            idx: Vec::new(),
             self_stack: Vec::new(),
             output: Vec::new(),
             steps: 0,
@@ -96,8 +98,8 @@ impl Interpreter {
     pub fn run(&mut self, program: &Program) -> Result<(), InterpError> {
         self.prepare(program);
         for item in &program.items {
-            if let Item::Stmt(s) = item {
-                if let Flow::Return(_) = self.exec_stmt(s)? {
+            if let chapel_frontend::ast::Item::Stmt(s) = item {
+                if let Flow::Return(_) = self.exec_program_stmt(s)? {
                     break;
                 }
             }
@@ -109,43 +111,42 @@ impl Interpreter {
     /// without executing its statements. Used by drivers that interleave
     /// interpretation with translated execution.
     pub fn prepare(&mut self, program: &Program) {
-        let mut decls = ProgramDecls::default();
-        for item in &program.items {
-            match item {
-                Item::Record(r) => {
-                    decls.records.insert(r.name.clone(), r.clone());
-                }
-                Item::Class(c) => {
-                    decls.classes.insert(c.name.clone(), c.clone());
-                }
-                Item::Func(f) => {
-                    decls.funcs.insert(f.name.clone(), f.clone());
-                }
-                Item::Stmt(_) => {}
-            }
-        }
-        self.decls = Rc::new(decls);
+        self.code = Rc::new(Code::new(program, &mut self.globals));
     }
 
     /// Execute one top-level statement (after [`Interpreter::prepare`]).
-    pub fn exec_top(&mut self, s: &Stmt) -> Result<(), InterpError> {
-        self.exec_stmt(s).map(|_| ())
+    pub fn exec_top(&mut self, s: &chapel_frontend::ast::Stmt) -> Result<(), InterpError> {
+        self.exec_program_stmt(s).map(|_| ())
+    }
+
+    fn exec_program_stmt(&mut self, s: &chapel_frontend::ast::Stmt) -> Result<Flow, InterpError> {
+        let (stmt, slots) = self.code.top_stmt(s, &mut self.globals);
+        self.stack.clear();
+        self.stack.resize(slots, RtValue::Nil);
+        self.base = 0;
+        self.exec_stmt(&stmt)
     }
 
     /// Look up a global variable after a run.
     pub fn global(&self, name: &str) -> Option<&RtValue> {
-        self.frames[0][0].get(name)
+        self.globals.get(name)
     }
 
     /// Overwrite (or create) a global variable — used by the translator
     /// to write FREERIDE results back into the Chapel world.
     pub fn set_global(&mut self, name: &str, value: RtValue) {
-        self.frames[0][0].insert(name.to_string(), value);
+        let g = self.globals.slot(name);
+        self.globals.values[g] = Some(value);
     }
 
     /// Lines printed by `writeln`.
     pub fn output(&self) -> &[String] {
         &self.output
+    }
+
+    /// Evaluation steps taken so far (the unit of the step limit).
+    pub fn steps(&self) -> u64 {
+        self.steps
     }
 
     /// Simulate FREERIDE-style parallel execution of a user-defined
@@ -183,119 +184,104 @@ impl Interpreter {
 
     // ---------- statements ----------
 
+    #[inline]
     fn tick(&mut self, span: Span) -> Result<(), InterpError> {
-        self.steps += 1;
+        self.tick_n(1, span)
+    }
+
+    #[inline]
+    fn tick_n(&mut self, n: u64, span: Span) -> Result<(), InterpError> {
+        self.steps += n;
         if self.steps > self.step_limit {
-            return Err(InterpError::new(span, "evaluation step limit exceeded"));
+            return Err(step_limit_exceeded(span));
         }
         Ok(())
     }
 
-    fn scope_mut(&mut self) -> &mut HashMap<String, RtValue> {
-        self.frames
-            .last_mut()
-            .expect("frame")
-            .last_mut()
-            .expect("scope")
-    }
-
-    fn exec_block(&mut self, b: &Block) -> Result<Flow, InterpError> {
-        self.frames.last_mut().expect("frame").push(HashMap::new());
-        let mut flow = Flow::Normal;
-        for s in &b.stmts {
-            flow = self.exec_stmt(s)?;
-            if matches!(flow, Flow::Return(_)) {
-                break;
+    fn exec_block(&mut self, stmts: &[Stmt]) -> Result<Flow, InterpError> {
+        for s in stmts {
+            if let Flow::Return(v) = self.exec_stmt(s)? {
+                return Ok(Flow::Return(v));
             }
         }
-        self.frames.last_mut().expect("frame").pop();
-        Ok(flow)
+        Ok(Flow::Normal)
     }
 
     fn exec_stmt(&mut self, s: &Stmt) -> Result<Flow, InterpError> {
         match s {
-            Stmt::Var(v) => {
-                self.tick(v.span)?;
-                let value = match (&v.init, &v.ty) {
-                    (Some(init), _) => {
-                        let val = self.eval(init)?;
+            Stmt::Var { var, init, span } => {
+                self.tick(*span)?;
+                let value = match init {
+                    Init::Expr { e, real } => match self.eval(e)? {
                         // Respect a declared numeric type: `var x: real = 1`
                         // stores 1.0.
-                        match (&v.ty, &val) {
-                            (Some(TypeExpr::Real), RtValue::Int(i)) => RtValue::Real(*i as f64),
-                            _ => val,
-                        }
-                    }
-                    (None, Some(ty)) => self.default_value(ty, v.span)?,
-                    (None, None) => {
+                        RtValue::Int(i) if *real => RtValue::Real(i as f64),
+                        v => v,
+                    },
+                    Init::Default(ty) => self.default_value(ty, *span)?,
+                    Init::Missing(name) => {
                         return Err(InterpError::new(
-                            v.span,
-                            format!("`{}` has neither type nor initializer", v.name),
+                            *span,
+                            format!("`{name}` has neither type nor initializer"),
                         ));
                     }
                 };
-                self.scope_mut().insert(v.name.clone(), value);
+                match var {
+                    Var::Local(slot) => self.stack[self.base + slot] = value,
+                    Var::Global(g) | Var::Outer(g) => self.globals.values[*g] = Some(value),
+                }
                 Ok(Flow::Normal)
             }
             Stmt::Assign { lhs, op, rhs, span } => {
                 self.tick(*span)?;
-                let rval = self.eval(rhs)?;
-                let newval = match op {
-                    AssignOp::Set => rval,
-                    _ => {
-                        let cur = self.eval(lhs)?;
-                        let bop = match op {
-                            AssignOp::Add => BinOp::Add,
-                            AssignOp::Sub => BinOp::Sub,
-                            AssignOp::Mul => BinOp::Mul,
-                            AssignOp::Div => BinOp::Div,
-                            AssignOp::Set => unreachable!(),
-                        };
-                        binary_op(bop, &cur, &rval, *span)?
-                    }
+                let value = self.eval(rhs)?;
+                let start = self.idx.len();
+                let done = match op {
+                    AssignOp::Set => self.store(lhs, value),
+                    _ => self.update(lhs, *op, value, *span),
                 };
-                self.store(lhs, newval)?;
-                Ok(Flow::Normal)
+                self.idx.truncate(start);
+                done.map(|()| Flow::Normal)
             }
             Stmt::Expr(e) => {
                 self.eval(e)?;
                 Ok(Flow::Normal)
             }
             Stmt::For {
-                index,
+                slot,
                 iter,
                 body,
                 span,
-                ..
             } => {
                 self.tick(*span)?;
-                let iterable = self.eval(iter)?;
-                let items: Vec<RtValue> = match iterable {
-                    RtValue::Range(lo, hi) => (lo..=hi).map(RtValue::Int).collect(),
-                    RtValue::Array { items, .. } => items,
+                let slot = self.base + slot;
+                match self.eval(iter)? {
+                    RtValue::Range(lo, hi) => {
+                        for i in lo..=hi {
+                            self.tick(*span)?;
+                            match &mut self.stack[slot] {
+                                RtValue::Int(cell) => *cell = i,
+                                other => *other = RtValue::Int(i),
+                            }
+                            if let Flow::Return(v) = self.exec_block(body)? {
+                                return Ok(Flow::Return(v));
+                            }
+                        }
+                    }
+                    RtValue::Array { items, .. } => {
+                        for item in items {
+                            self.tick(*span)?;
+                            self.stack[slot] = item;
+                            if let Flow::Return(v) = self.exec_block(body)? {
+                                return Ok(Flow::Return(v));
+                            }
+                        }
+                    }
                     other => {
                         return Err(InterpError::new(
                             *span,
                             format!("cannot iterate over {}", other.kind()),
                         ));
-                    }
-                };
-                for item in items {
-                    self.tick(*span)?;
-                    self.frames
-                        .last_mut()
-                        .expect("frame")
-                        .push(HashMap::from([(index.clone(), item)]));
-                    let mut flow = Flow::Normal;
-                    for st in &body.stmts {
-                        flow = self.exec_stmt(st)?;
-                        if matches!(flow, Flow::Return(_)) {
-                            break;
-                        }
-                    }
-                    self.frames.last_mut().expect("frame").pop();
-                    if let Flow::Return(v) = flow {
-                        return Ok(Flow::Return(v));
                     }
                 }
                 Ok(Flow::Normal)
@@ -327,7 +313,7 @@ impl Interpreter {
                     Ok(Flow::Normal)
                 }
             }
-            Stmt::Return { value, span } => {
+            Stmt::Return(value, span) => {
                 self.tick(*span)?;
                 let v = match value {
                     Some(e) => self.eval(e)?,
@@ -335,7 +321,7 @@ impl Interpreter {
                 };
                 Ok(Flow::Return(v))
             }
-            Stmt::Writeln { args, span } => {
+            Stmt::Writeln(args, span) => {
                 self.tick(*span)?;
                 let mut line = String::new();
                 for a in args {
@@ -350,26 +336,19 @@ impl Interpreter {
 
     // ---------- values and defaults ----------
 
-    /// Default-construct a value of a syntactic type, evaluating array
+    /// Default-construct a value of a resolved type, evaluating array
     /// bounds in the current environment (they may be runtime values).
-    fn default_value(&mut self, ty: &TypeExpr, span: Span) -> Result<RtValue, InterpError> {
+    fn default_value(&mut self, ty: &Type, span: Span) -> Result<RtValue, InterpError> {
         match ty {
-            TypeExpr::Int => Ok(RtValue::Int(0)),
-            TypeExpr::Real => Ok(RtValue::Real(0.0)),
-            TypeExpr::Bool => Ok(RtValue::Bool(false)),
-            TypeExpr::String => Ok(RtValue::Str(String::new())),
-            TypeExpr::Named(name) => {
-                if self.decls.records.contains_key(name) {
-                    self.default_record(name, span)
-                } else if self.decls.classes.contains_key(name) {
-                    // Class variables default to an uninitialised object.
-                    let obj = self.instantiate(name, span)?;
-                    Ok(RtValue::Object(obj))
-                } else {
-                    Err(InterpError::new(span, format!("unknown type `{name}`")))
-                }
-            }
-            TypeExpr::Array { dims, elem } => {
+            Type::Int => Ok(RtValue::Int(0)),
+            Type::Real => Ok(RtValue::Real(0.0)),
+            Type::Bool => Ok(RtValue::Bool(false)),
+            Type::Str => Ok(RtValue::Str(String::new())),
+            Type::Record(r) => self.default_record(*r),
+            // Class variables default to an uninitialised object.
+            Type::Class(name) => Ok(RtValue::Object(self.instantiate(name, span)?)),
+            Type::Unknown(name) => Err(InterpError::new(span, format!("unknown type `{name}`"))),
+            Type::Array(dims, elem) => {
                 // Evaluate all dimension bounds, then build nested
                 // arrays, first dimension outermost.
                 let mut bounds = Vec::with_capacity(dims.len());
@@ -400,24 +379,20 @@ impl Interpreter {
         }
     }
 
-    fn default_record(&mut self, name: &str, span: Span) -> Result<RtValue, InterpError> {
-        let decl = self
-            .decls
-            .records
-            .get(name)
-            .cloned()
-            .ok_or_else(|| InterpError::new(span, format!("unknown record `{name}`")))?;
+    fn default_record(&mut self, r: usize) -> Result<RtValue, InterpError> {
+        let code = Rc::clone(&self.code);
+        let decl = &code.records[r];
         let mut fields = Vec::with_capacity(decl.fields.len());
         for f in &decl.fields {
-            let v = match (&f.init, &f.ty) {
-                (Some(init), _) => self.eval(init)?,
-                (None, Some(ty)) => self.default_value(ty, f.span)?,
-                (None, None) => RtValue::Nil,
+            let v = match &f.init {
+                FieldInit::Expr(init) => self.eval(init)?,
+                FieldInit::Type(ty) => self.default_value(ty, f.span)?,
+                FieldInit::None => RtValue::Nil,
             };
             fields.push(v);
         }
         Ok(RtValue::Record {
-            name: name.to_string(),
+            name: decl.name.clone(),
             fields,
         })
     }
@@ -430,28 +405,21 @@ impl Interpreter {
         class: &str,
         span: Span,
     ) -> Result<Rc<RefCell<ObjectData>>, InterpError> {
-        let decl = self
-            .decls
-            .classes
-            .get(class)
-            .cloned()
+        let code = Rc::clone(&self.code);
+        let decl = code
+            .class(class)
             .ok_or_else(|| InterpError::new(span, format!("unknown class `{class}`")))?;
         let mut fields = HashMap::new();
         for f in &decl.fields {
-            let v = match (&f.init, &f.ty) {
-                (Some(init), _) => self.eval(init)?,
-                (None, Some(ty)) => match self.default_value(ty, f.span) {
+            let v = match &f.init {
+                FieldInit::Expr(init) => self.eval(init)?,
+                FieldInit::Type(ty) => match self.default_value(ty, f.span) {
                     Ok(v) => v,
                     // Fields of a generic `type` parameter default to 0.0.
-                    Err(_)
-                        if matches!(&f.ty, Some(TypeExpr::Named(n))
-                        if decl.type_params.contains(n)) =>
-                    {
-                        RtValue::Real(0.0)
-                    }
+                    Err(_) if f.generic => RtValue::Real(0.0),
                     Err(e) => return Err(e),
                 },
-                (None, None) => RtValue::Real(0.0),
+                FieldInit::None => RtValue::Real(0.0),
             };
             fields.insert(f.name.clone(), v);
         }
@@ -461,125 +429,308 @@ impl Interpreter {
         })))
     }
 
-    // ---------- name resolution ----------
+    // ---------- names and places ----------
 
-    fn lookup(&self, name: &str) -> Option<RtValue> {
-        let frame = self.frames.last().expect("frame");
-        for scope in frame.iter().rev() {
-            if let Some(v) = scope.get(name) {
-                return Some(v.clone());
-            }
-        }
-        if let Some(obj) = self.self_stack.last() {
-            if let Some(v) = obj.borrow().fields.get(name) {
-                return Some(v.clone());
-            }
-        }
-        // Globals (frame 0 scope 0), unless we *are* the global frame
-        // (already searched).
-        if self.frames.len() > 1 {
-            if let Some(v) = self.frames[0][0].get(name) {
-                return Some(v.clone());
-            }
-        }
-        None
+    fn unknown(&self, g: usize, span: Span) -> InterpError {
+        InterpError::new(
+            span,
+            format!("unknown identifier `{}`", self.globals.names[g]),
+        )
     }
 
-    // ---------- assignment ----------
-
-    /// Store `value` at the location denoted by `lhs`.
-    fn store(&mut self, lhs: &Expr, value: RtValue) -> Result<(), InterpError> {
-        // Flatten the access path, evaluating indices eagerly.
-        let mut steps: Vec<Step> = Vec::new();
-        let mut cur = lhs;
-        let root = loop {
-            match cur {
-                Expr::Ident(name, _) => break name.clone(),
-                Expr::Index {
-                    base,
-                    indices,
-                    span,
-                } => {
-                    let mut idx = Vec::with_capacity(indices.len());
-                    for i in indices {
-                        idx.push(self.eval(i)?.as_i64().map_err(|e| e.with_span(*span))?);
+    /// Apply `f` to the value `var` names, by reference.
+    fn with_var<R>(
+        &self,
+        var: &Var,
+        span: Span,
+        f: impl FnOnce(&RtValue) -> Result<R, InterpError>,
+    ) -> Result<R, InterpError> {
+        let g = match var {
+            Var::Local(slot) => return f(&self.stack[self.base + slot]),
+            Var::Global(g) => *g,
+            Var::Outer(g) => {
+                if let Some(obj) = self.self_stack.last() {
+                    if let Some(v) = obj.borrow().fields.get(&self.globals.names[*g]) {
+                        return f(v);
                     }
-                    steps.push(Step::Index(idx));
-                    cur = base;
                 }
-                Expr::Field { base, field, .. } => {
-                    steps.push(Step::Field(field.clone()));
-                    cur = base;
-                }
-                other => {
-                    return Err(InterpError::new(
-                        other.span(),
-                        "left side of assignment is not assignable",
-                    ));
-                }
+                *g
             }
         };
-        steps.reverse();
-        let span = lhs.span();
-        let decls = self.decls.clone();
+        match &self.globals.values[g] {
+            Some(v) => f(v),
+            None => Err(self.unknown(g, span)),
+        }
+    }
 
-        // Locate the root slot: current frame scopes, then self fields,
-        // then globals.
-        let frame_idx = self.frames.len() - 1;
-        let scope_idx = self.frames[frame_idx]
-            .iter()
-            .rposition(|s| s.contains_key(&root));
-        if let Some(si) = scope_idx {
-            let slot = self.frames[frame_idx][si].get_mut(&root).expect("checked");
-            let target = navigate(slot, &steps, &decls, span)?;
-            assign_preserving_kind(target, value, span)?;
-            return Ok(());
+    /// Walk `steps` from `var` by mutable reference (indices from
+    /// `self.idx[start..]`) and apply `f` to the slot at the end. Path
+    /// errors carry `span`.
+    fn with_slot<R>(
+        &mut self,
+        var: &Var,
+        steps: &[Step],
+        start: usize,
+        span: Span,
+        f: impl FnOnce(&mut RtValue) -> R,
+    ) -> Result<R, InterpError> {
+        let Interpreter {
+            code,
+            globals,
+            stack,
+            base,
+            idx,
+            self_stack,
+            ..
+        } = self;
+        let idx = &idx[start..];
+        let g = match var {
+            Var::Local(slot) => {
+                return navigate(&mut stack[*base + slot], steps, idx, code, span).map(f)
+            }
+            Var::Global(g) => *g,
+            Var::Outer(g) => {
+                if let Some(obj) = self_stack.last() {
+                    if let Some(v) = obj.borrow_mut().fields.get_mut(&globals.names[*g]) {
+                        return navigate(v, steps, idx, code, span).map(f);
+                    }
+                }
+                *g
+            }
+        };
+        match &mut globals.values[g] {
+            Some(v) => navigate(v, steps, idx, code, span).map(f),
+            None => Err(InterpError::new(
+                span,
+                format!("unknown identifier `{}`", globals.names[g]),
+            )),
         }
-        if let Some(obj) = self.self_stack.last().cloned() {
-            let mut data = obj.borrow_mut();
-            if let Some(slot) = data.fields.get_mut(&root) {
-                let target = navigate(slot, &steps, &decls, span)?;
-                assign_preserving_kind(target, value, span)?;
-                return Ok(());
+    }
+
+    /// Walk `steps` from `root` by reference (indices from
+    /// `self.idx[start..]`) and apply `leaf` to the value at the end.
+    fn walk_from<R>(
+        &self,
+        root: RootRef<'_>,
+        steps: &[Step],
+        start: usize,
+        leaf: impl Fn(&RtValue) -> R + Copy,
+    ) -> Result<R, InterpError> {
+        let idx = &self.idx[start..];
+        match root {
+            RootRef::Var(var, span) => {
+                self.with_var(var, span, |v| walk(v, steps, idx, &self.code, leaf))
+            }
+            RootRef::Value(v) => walk(v, steps, idx, &self.code, leaf),
+        }
+    }
+
+    /// Evaluate the indices of `p`'s steps onto `self.idx`, the step
+    /// nearest the root first. When one fails, a step before it that
+    /// cannot be walked reports first, as when each step is walked before
+    /// the next one's indices are evaluated.
+    fn eval_indices(&mut self, p: &Place, root: RootRef<'_>) -> Result<(), InterpError> {
+        let start = self.idx.len();
+        for (k, step) in p.steps.iter().enumerate() {
+            let Step::Index(indices, span) = step else {
+                continue;
+            };
+            for i in indices {
+                match self
+                    .operand(i)
+                    .and_then(|v| v.as_i64().map_err(|e| e.with_span(*span)))
+                {
+                    Ok(x) => self.idx.push(x),
+                    Err(e) => {
+                        let earlier = self.walk_from(root, &p.steps[..k], start, |_| ());
+                        return Err(earlier.err().unwrap_or(e));
+                    }
+                }
             }
         }
-        if self.frames.len() > 1 {
-            if let Some(slot) = self.frames[0][0].get_mut(&root) {
-                let target = navigate(slot, &steps, &decls, span)?;
-                assign_preserving_kind(target, value, span)?;
-                return Ok(());
+        Ok(())
+    }
+
+    /// Read a place: walk it by reference and clone the value at its end.
+    fn read(&mut self, p: &Place) -> Result<RtValue, InterpError> {
+        self.tick_n(p.steps.len() as u64, p.span)?;
+        let start = self.idx.len();
+        let value = self.read_indexed(p, start);
+        self.idx.truncate(start);
+        value
+    }
+
+    fn read_indexed(&mut self, p: &Place, start: usize) -> Result<RtValue, InterpError> {
+        match &p.root {
+            Root::Var(var, span) => {
+                self.tick(*span)?;
+                self.with_var(var, *span, |_| Ok(()))?;
+                let root = RootRef::Var(var, *span);
+                self.eval_indices(p, root)?;
+                self.walk_from(root, &p.steps, start, copy)
+            }
+            Root::Value(e) => {
+                let value = self.eval(e)?;
+                let root = RootRef::Value(&value);
+                self.eval_indices(p, root)?;
+                self.walk_from(root, &p.steps, start, copy)
             }
         }
-        Err(InterpError::new(
-            span,
-            format!("unknown identifier `{root}`"),
-        ))
+    }
+
+    /// `lhs = value`: indices are evaluated outermost step first, then
+    /// the path is walked in place.
+    fn store(&mut self, lhs: &Place, value: RtValue) -> Result<(), InterpError> {
+        let start = self.idx.len();
+        for step in lhs.steps.iter().rev() {
+            if let Step::Index(indices, span) = step {
+                for i in indices {
+                    let x = self.operand(i)?.as_i64().map_err(|e| e.with_span(*span))?;
+                    self.idx.push(x);
+                }
+            }
+        }
+        // Put the steps back in walk order, each step's indices in theirs.
+        self.idx[start..].reverse();
+        let mut at = start;
+        for step in &lhs.steps {
+            if let Step::Index(indices, _) = step {
+                self.idx[at..at + indices.len()].reverse();
+                at += indices.len();
+            }
+        }
+        let Root::Var(var, _) = &lhs.root else {
+            let Root::Value(e) = &lhs.root else {
+                unreachable!()
+            };
+            return Err(not_assignable(e));
+        };
+        let span = lhs.span;
+        self.with_slot(var, &lhs.steps, start, span, |slot| {
+            assign_preserving_kind(slot, value, span)
+        })?
+    }
+
+    /// `lhs op= rhs`: the path is evaluated once, in read order, and its
+    /// slot updated in place.
+    fn update(
+        &mut self,
+        lhs: &Place,
+        op: AssignOp,
+        rhs: RtValue,
+        span: Span,
+    ) -> Result<(), InterpError> {
+        let bop = match op {
+            AssignOp::Add => BinOp::Add,
+            AssignOp::Sub => BinOp::Sub,
+            AssignOp::Mul => BinOp::Mul,
+            AssignOp::Div => BinOp::Div,
+            AssignOp::Set => unreachable!("plain stores go through `store`"),
+        };
+        let (var, vspan) = match &lhs.root {
+            Root::Var(var, vspan) => (var, *vspan),
+            Root::Value(e) => {
+                // Not assignable: the read and the operator still report
+                // their own errors first.
+                let cur = self.read(lhs)?;
+                binary_op(bop, &cur, &rhs, span)?;
+                return Err(not_assignable(e));
+            }
+        };
+        self.tick_n(lhs.steps.len() as u64 + 1, lhs.span)?;
+        self.with_var(var, vspan, |_| Ok(()))?;
+        let start = self.idx.len();
+        let root = RootRef::Var(var, vspan);
+        self.eval_indices(lhs, root)?;
+        let updated = self.with_slot(var, &lhs.steps, start, lhs.span, |slot| {
+            let new = binary_op(bop, slot, &rhs, span)?;
+            assign_preserving_kind(slot, new, span)
+        });
+        match updated {
+            Ok(done) => done,
+            Err(store_err) => {
+                // The path reads but does not store (it crosses an
+                // object): the read and the operator report first.
+                let cur = self.walk_from(root, &lhs.steps, start, copy)?;
+                binary_op(bop, &cur, &rhs, span)?;
+                Err(store_err)
+            }
+        }
     }
 
     // ---------- expressions ----------
 
+    /// Evaluate an expression. The arms here are the hot ones; the rest
+    /// live in [`Interpreter::eval_other`] so this frame stays small.
     fn eval(&mut self, e: &Expr) -> Result<RtValue, InterpError> {
-        self.tick(e.span())?;
         match e {
-            Expr::Int(v, _) => Ok(RtValue::Int(*v)),
-            Expr::Real(v, _) => Ok(RtValue::Real(*v)),
-            Expr::Bool(v, _) => Ok(RtValue::Bool(*v)),
-            Expr::Str(s, _) => Ok(RtValue::Str(s.clone())),
-            Expr::Ident(name, span) => self
-                .lookup(name)
-                .ok_or_else(|| InterpError::new(*span, format!("unknown identifier `{name}`"))),
-            Expr::Range(r) => {
-                let lo = self
-                    .eval(&r.lo)?
-                    .as_i64()
-                    .map_err(|e| e.with_span(r.span))?;
-                let hi = self
-                    .eval(&r.hi)?
-                    .as_i64()
-                    .map_err(|e| e.with_span(r.span))?;
+            Expr::Const(v, span) => {
+                self.tick(*span)?;
+                Ok(copy(v))
+            }
+            Expr::Var(Var::Local(slot), span) => {
+                self.tick(*span)?;
+                Ok(copy(&self.stack[self.base + slot]))
+            }
+            Expr::Binary(op, l, r, span) if !matches!(op, BinOp::And | BinOp::Or) => {
+                self.tick(*span)?;
+                let lv = self.operand(l)?;
+                let rv = self.operand(r)?;
+                binary_op(*op, &lv, &rv, *span)
+            }
+            Expr::Arith(tree, nodes) => self.arith_tree(tree, *nodes),
+            Expr::Place(p) => self.read(p),
+            _ => self.eval_other(e),
+        }
+    }
+
+    /// [`Interpreter::eval`] with the leaves inline (no call for a
+    /// literal or a local).
+    #[inline(always)]
+    fn operand(&mut self, e: &Expr) -> Result<RtValue, InterpError> {
+        match e {
+            Expr::Const(v, span) => {
+                self.tick(*span)?;
+                Ok(copy(v))
+            }
+            Expr::Var(Var::Local(slot), span) => {
+                self.tick(*span)?;
+                Ok(copy(&self.stack[self.base + slot]))
+            }
+            _ => self.eval(e),
+        }
+    }
+
+    /// Evaluate an [`Expr::Arith`] tree of `nodes` nodes: in one pass
+    /// when every operand is an `int` or a `real` and no step fails,
+    /// node by node otherwise (which reports any error where it arises).
+    fn arith_tree(&mut self, e: &Expr, nodes: u64) -> Result<RtValue, InterpError> {
+        if self.steps + nodes <= self.step_limit {
+            if let Some(n) = num(&self.stack[self.base..], e) {
+                self.steps += nodes;
+                return Ok(n.value());
+            }
+        }
+        self.eval(e)
+    }
+
+    #[inline(never)]
+    fn eval_other(&mut self, e: &Expr) -> Result<RtValue, InterpError> {
+        match e {
+            Expr::Const(..) | Expr::Arith(..) | Expr::Place(_) => self.eval(e),
+            Expr::Binary(op, ..) if !matches!(op, BinOp::And | BinOp::Or) => self.eval(e),
+            Expr::Var(var, span) => {
+                self.tick(*span)?;
+                self.with_var(var, *span, |v| Ok(v.clone()))
+            }
+            Expr::Range(lo, hi, span) => {
+                self.tick(*span)?;
+                let lo = self.eval(lo)?.as_i64().map_err(|e| e.with_span(*span))?;
+                let hi = self.eval(hi)?.as_i64().map_err(|e| e.with_span(*span))?;
                 Ok(RtValue::Range(lo, hi))
             }
-            Expr::Unary { op, e: inner, span } => {
+            Expr::Unary(op, inner, span) => {
+                self.tick(*span)?;
                 let v = self.eval(inner)?;
                 match op {
                     UnOp::Neg => match v {
@@ -593,165 +744,150 @@ impl Interpreter {
                     UnOp::Not => Ok(RtValue::Bool(!v.as_bool().map_err(|e| e.with_span(*span))?)),
                 }
             }
-            Expr::Binary { op, l, r, span } => {
+            Expr::Binary(op, l, r, span) => {
+                self.tick(*span)?;
                 // Short-circuit logical operators.
-                match op {
-                    BinOp::And => {
-                        let lv = self.eval(l)?.as_bool().map_err(|e| e.with_span(*span))?;
-                        if !lv {
-                            return Ok(RtValue::Bool(false));
-                        }
-                        let rv = self.eval(r)?.as_bool().map_err(|e| e.with_span(*span))?;
-                        return Ok(RtValue::Bool(rv));
-                    }
-                    BinOp::Or => {
-                        let lv = self.eval(l)?.as_bool().map_err(|e| e.with_span(*span))?;
-                        if lv {
-                            return Ok(RtValue::Bool(true));
-                        }
-                        let rv = self.eval(r)?.as_bool().map_err(|e| e.with_span(*span))?;
-                        return Ok(RtValue::Bool(rv));
-                    }
-                    _ => {}
+                let lv = self.eval(l)?.as_bool().map_err(|e| e.with_span(*span))?;
+                if lv == matches!(op, BinOp::Or) {
+                    return Ok(RtValue::Bool(lv));
                 }
-                let lv = self.eval(l)?;
-                let rv = self.eval(r)?;
-                binary_op(*op, &lv, &rv, *span)
+                let rv = self.eval(r)?.as_bool().map_err(|e| e.with_span(*span))?;
+                Ok(RtValue::Bool(rv))
             }
-            Expr::Index {
-                base,
-                indices,
-                span,
-            } => {
-                let b = self.eval(base)?;
-                let mut idx = Vec::with_capacity(indices.len());
-                for i in indices {
-                    idx.push(self.eval(i)?.as_i64().map_err(|e| e.with_span(*span))?);
-                }
-                index_value(&b, &idx, *span)
+            Expr::Call(c) => {
+                self.tick(c.span())?;
+                self.eval_call(c)
             }
-            Expr::Field { base, field, span } => {
-                let b = self.eval(base)?;
-                field_value(&b, field, &self.decls, *span)
+            Expr::Reduce(op, expr, span) => {
+                self.tick(*span)?;
+                self.eval_reduce(op, expr, *span)
             }
-            Expr::Call { callee, args, span } => self.eval_call(callee, args, *span),
-            Expr::Reduce { op, expr, span } => self.eval_reduce(op, expr, *span),
-            Expr::Scan { op, expr, span } => self.eval_scan(op, expr, *span),
-            Expr::New { class, args, span } => {
-                // Type-parameter arguments (e.g. `new Op(real)`) are
-                // accepted; runtime values are ignored by the subset's
-                // default constructor.
-                let _ = args;
+            Expr::Scan(op, expr, span) => {
+                self.tick(*span)?;
+                self.eval_scan(op, expr, *span)
+            }
+            Expr::New(class, span) => {
+                self.tick(*span)?;
                 let obj = self.instantiate(class, *span)?;
                 Ok(RtValue::Object(obj))
             }
         }
     }
 
-    fn eval_call(
-        &mut self,
-        callee: &Expr,
-        args: &[Expr],
-        span: Span,
-    ) -> Result<RtValue, InterpError> {
-        // Method call?
-        if let Expr::Field { base, field, .. } = callee {
-            let obj = self.eval(base)?;
-            let RtValue::Object(obj) = obj else {
-                return Err(InterpError::new(
-                    span,
-                    format!("cannot call method `{field}` on {}", obj.kind()),
-                ));
-            };
-            let mut argv = Vec::with_capacity(args.len());
-            for a in args {
-                argv.push(self.eval(a)?);
-            }
-            return self.call_method(&obj, field, argv, span);
+    fn eval_args(&mut self, args: &[Expr]) -> Result<Vec<RtValue>, InterpError> {
+        let mut argv = Vec::with_capacity(args.len());
+        for a in args {
+            argv.push(self.eval(a)?);
         }
-
-        let Some(name) = callee.as_ident() else {
-            return Err(InterpError::new(span, "only named functions can be called"));
-        };
-        let name = name.to_string();
-
-        // Builtins (casts and math).
-        if let Some(v) = self.try_builtin(&name, args, span)? {
-            return Ok(v);
-        }
-
-        // User functions.
-        if let Some(f) = self.decls.funcs.get(&name).cloned() {
-            let mut argv = Vec::with_capacity(args.len());
-            for a in args {
-                argv.push(self.eval(a)?);
-            }
-            if argv.len() != f.params.len() {
-                return Err(InterpError::new(
-                    span,
-                    format!(
-                        "`{name}` takes {} arguments, got {}",
-                        f.params.len(),
-                        argv.len()
-                    ),
-                ));
-            }
-            let mut scope = HashMap::new();
-            for (p, v) in f.params.iter().zip(argv) {
-                scope.insert(p.name.clone(), v);
-            }
-            self.frames.push(vec![scope]);
-            let mut result = RtValue::Nil;
-            for s in &f.body.stmts {
-                if let Flow::Return(v) = self.exec_stmt(s)? {
-                    result = v;
-                    break;
-                }
-            }
-            self.frames.pop();
-            return Ok(result);
-        }
-
-        // Call-style array indexing: `A(i, j)`.
-        if let Some(v) = self.lookup(&name) {
-            if matches!(v, RtValue::Array { .. }) {
-                let mut idx = Vec::with_capacity(args.len());
-                for a in args {
-                    idx.push(self.eval(a)?.as_i64().map_err(|e| e.with_span(span))?);
-                }
-                return index_value(&v, &idx, span);
-            }
-        }
-
-        Err(InterpError::new(span, format!("unknown function `{name}`")))
+        Ok(argv)
     }
 
-    fn try_builtin(
-        &mut self,
-        name: &str,
-        args: &[Expr],
-        span: Span,
-    ) -> Result<Option<RtValue>, InterpError> {
-        let unary_f64 = |interp: &mut Interpreter, args: &[Expr]| -> Result<f64, InterpError> {
+    fn eval_call(&mut self, c: &Call) -> Result<RtValue, InterpError> {
+        match c {
+            Call::Method {
+                base,
+                name,
+                args,
+                span,
+            } => {
+                let obj = self.eval(base)?;
+                let RtValue::Object(obj) = obj else {
+                    return Err(InterpError::new(
+                        *span,
+                        format!("cannot call method `{name}` on {}", obj.kind()),
+                    ));
+                };
+                let argv = self.eval_args(args)?;
+                self.call_method(&obj, name, argv, *span)
+            }
+            Call::Builtin { f, args, span } => self.builtin(*f, args, *span),
+            Call::Extreme { value, name, span } => value.clone().ok_or_else(|| {
+                InterpError::new(
+                    *span,
+                    format!("`{name}` with one argument expects a type name"),
+                )
+            }),
+            Call::Func { func, args, span } => {
+                let f = Rc::clone(&self.code.funcs[*func]);
+                let argv = self.eval_args(args)?;
+                if argv.len() != f.params {
+                    return Err(InterpError::new(
+                        *span,
+                        format!(
+                            "`{}` takes {} arguments, got {}",
+                            f.name,
+                            f.params,
+                            argv.len()
+                        ),
+                    ));
+                }
+                self.invoke(&f, argv)
+            }
+            Call::Index {
+                var,
+                name,
+                args,
+                span,
+            } => {
+                // Call-style array indexing: `A(i, j)`.
+                let is_array = self
+                    .with_var(var, *span, |v| Ok(matches!(v, RtValue::Array { .. })))
+                    .unwrap_or(false);
+                if !is_array {
+                    return Err(InterpError::new(
+                        *span,
+                        format!("unknown function `{name}`"),
+                    ));
+                }
+                let mut idx = Vec::with_capacity(args.len());
+                for a in args {
+                    idx.push(self.eval(a)?.as_i64().map_err(|e| e.with_span(*span))?);
+                }
+                self.with_var(var, *span, |v| {
+                    let mut cur = v;
+                    for &i in &idx {
+                        cur = element(cur, i, *span)?;
+                    }
+                    Ok(cur.clone())
+                })
+            }
+            Call::Unnamed(span) => Err(InterpError::new(
+                *span,
+                "only named functions can be called",
+            )),
+        }
+    }
+
+    /// Run `f` in a new frame holding `args` in its parameter slots.
+    fn invoke(&mut self, f: &Func, args: Vec<RtValue>) -> Result<RtValue, InterpError> {
+        let base = self.stack.len();
+        self.stack.extend(args);
+        self.stack.resize(base + f.slots, RtValue::Nil);
+        let caller = std::mem::replace(&mut self.base, base);
+        let flow = self.exec_block(&f.body);
+        self.base = caller;
+        self.stack.truncate(base);
+        Ok(match flow? {
+            Flow::Return(v) => v,
+            Flow::Normal => RtValue::Nil,
+        })
+    }
+
+    fn builtin(&mut self, f: Builtin, args: &[Expr], span: Span) -> Result<RtValue, InterpError> {
+        let name = f.name();
+        let mut unary_f64 = || -> Result<f64, InterpError> {
             if args.len() != 1 {
                 return Err(InterpError::new(span, format!("`{name}` takes 1 argument")));
             }
-            interp
-                .eval(&args[0])?
-                .as_f64()
-                .map_err(|e| e.with_span(span))
+            self.eval(&args[0])?.as_f64().map_err(|e| e.with_span(span))
         };
-        let v = match name {
-            "int" | "floor" => RtValue::Int(unary_f64(self, args)?.floor() as i64),
-            "ceil" => RtValue::Int(unary_f64(self, args)?.ceil() as i64),
-            "round" => RtValue::Int(unary_f64(self, args)?.round() as i64),
-            "real" => RtValue::Real(unary_f64(self, args)?),
-            "sqrt" => RtValue::Real(unary_f64(self, args)?.sqrt()),
-            "sin" => RtValue::Real(unary_f64(self, args)?.sin()),
-            "cos" => RtValue::Real(unary_f64(self, args)?.cos()),
-            "exp" => RtValue::Real(unary_f64(self, args)?.exp()),
-            "log" => RtValue::Real(unary_f64(self, args)?.ln()),
-            "abs" => {
+        Ok(match f {
+            Builtin::Floor(_) => RtValue::Int(unary_f64()?.floor() as i64),
+            Builtin::Ceil => RtValue::Int(unary_f64()?.ceil() as i64),
+            Builtin::Round => RtValue::Int(unary_f64()?.round() as i64),
+            Builtin::Real => RtValue::Real(unary_f64()?),
+            Builtin::Math(_, op) => RtValue::Real(op(unary_f64()?)),
+            Builtin::Abs => {
                 if args.len() != 1 {
                     return Err(InterpError::new(span, "`abs` takes 1 argument"));
                 }
@@ -766,46 +902,28 @@ impl Interpreter {
                     }
                 }
             }
-            "min" | "max" => {
-                if args.len() == 1 {
-                    // `max(int)` / `min(real)` — the type's extreme.
-                    let v = match (name, args[0].as_ident()) {
-                        ("max", Some("int")) => RtValue::Int(i64::MAX),
-                        ("min", Some("int")) => RtValue::Int(i64::MIN),
-                        ("max", Some("real")) => RtValue::Real(f64::INFINITY),
-                        ("min", Some("real")) => RtValue::Real(f64::NEG_INFINITY),
-                        _ => {
-                            return Err(InterpError::new(
-                                span,
-                                format!("`{name}` with one argument expects a type name"),
-                            ));
-                        }
-                    };
-                    return Ok(Some(v));
-                }
+            Builtin::Min | Builtin::Max => {
                 if args.len() != 2 {
                     return Err(InterpError::new(
                         span,
                         format!("`{name}` takes 2 arguments"),
                     ));
                 }
+                let is_min = matches!(f, Builtin::Min);
                 let a = self.eval(&args[0])?;
                 let b = self.eval(&args[1])?;
                 match (&a, &b) {
                     (RtValue::Int(x), RtValue::Int(y)) => {
-                        let v = if name == "min" { *x.min(y) } else { *x.max(y) };
-                        RtValue::Int(v)
+                        RtValue::Int(if is_min { *x.min(y) } else { *x.max(y) })
                     }
                     _ => {
                         let x = a.as_f64().map_err(|e| e.with_span(span))?;
                         let y = b.as_f64().map_err(|e| e.with_span(span))?;
-                        RtValue::Real(if name == "min" { x.min(y) } else { x.max(y) })
+                        RtValue::Real(if is_min { x.min(y) } else { x.max(y) })
                     }
                 }
             }
-            _ => return Ok(None),
-        };
-        Ok(Some(v))
+        })
     }
 
     /// Instantiate a class with default-valued fields (public for the
@@ -825,54 +943,36 @@ impl Interpreter {
         args: Vec<RtValue>,
         span: Span,
     ) -> Result<RtValue, InterpError> {
-        let class = obj.borrow().class.clone();
-        let decl = self
-            .decls
-            .classes
-            .get(&class)
-            .cloned()
-            .ok_or_else(|| InterpError::new(span, format!("unknown class `{class}`")))?;
-        let m = decl
-            .method(method)
-            .cloned()
-            .ok_or_else(|| InterpError::new(span, format!("`{class}` has no method `{method}`")))?;
-        if args.len() != m.params.len() {
-            return Err(InterpError::new(
-                span,
-                format!(
-                    "`{class}.{method}` takes {} arguments, got {}",
-                    m.params.len(),
-                    args.len()
-                ),
-            ));
-        }
-        let mut scope = HashMap::new();
-        for (p, v) in m.params.iter().zip(args) {
-            scope.insert(p.name.clone(), v);
-        }
-        self.frames.push(vec![scope]);
-        self.self_stack.push(obj.clone());
-        let mut result = RtValue::Nil;
-        let mut err = None;
-        for s in &m.body.stmts {
-            match self.exec_stmt(s) {
-                Ok(Flow::Return(v)) => {
-                    result = v;
-                    break;
-                }
-                Ok(Flow::Normal) => {}
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
+        let m = {
+            let data = obj.borrow();
+            let class = &data.class;
+            let decl = self
+                .code
+                .class(class)
+                .ok_or_else(|| InterpError::new(span, format!("unknown class `{class}`")))?;
+            let m = decl
+                .methods
+                .iter()
+                .find(|m| m.name == method)
+                .ok_or_else(|| {
+                    InterpError::new(span, format!("`{class}` has no method `{method}`"))
+                })?;
+            if args.len() != m.params {
+                return Err(InterpError::new(
+                    span,
+                    format!(
+                        "`{class}.{method}` takes {} arguments, got {}",
+                        m.params,
+                        args.len()
+                    ),
+                ));
             }
-        }
+            Rc::clone(m)
+        };
+        self.self_stack.push(obj.clone());
+        let result = self.invoke(&m, args);
         self.self_stack.pop();
-        self.frames.pop();
-        match err {
-            Some(e) => Err(e),
-            None => Ok(result),
-        }
+        result
     }
 
     // ---------- reductions ----------
@@ -999,7 +1099,36 @@ impl Interpreter {
     }
 }
 
+/// The root of a path being walked.
+#[derive(Clone, Copy)]
+enum RootRef<'a> {
+    Var(&'a Var, Span),
+    Value(&'a RtValue),
+}
+
 // ---------- free helpers ----------
+
+#[cold]
+fn step_limit_exceeded(span: Span) -> InterpError {
+    InterpError::new(span, "evaluation step limit exceeded")
+}
+
+fn not_assignable(e: &Expr) -> InterpError {
+    let span = match e {
+        Expr::Const(_, s)
+        | Expr::Var(_, s)
+        | Expr::Range(.., s)
+        | Expr::Unary(.., s)
+        | Expr::Binary(.., s)
+        | Expr::Reduce(.., s)
+        | Expr::Scan(.., s)
+        | Expr::New(_, s) => *s,
+        Expr::Arith(tree, _) => return not_assignable(tree),
+        Expr::Place(p) => p.span,
+        Expr::Call(c) => c.span(),
+    };
+    InterpError::new(span, "left side of assignment is not assignable")
+}
 
 fn fold_binop(op: BinOp, items: Vec<RtValue>, span: Span) -> Result<RtValue, InterpError> {
     let mut it = items.into_iter();
@@ -1037,6 +1166,81 @@ fn fold_minmax(items: Vec<RtValue>, is_min: bool, span: Span) -> Result<RtValue,
         }
     }
     Ok(acc)
+}
+
+/// A clone that copies scalars without a call.
+#[inline]
+fn copy(v: &RtValue) -> RtValue {
+    match v {
+        RtValue::Int(x) => RtValue::Int(*x),
+        RtValue::Real(x) => RtValue::Real(*x),
+        other => other.clone(),
+    }
+}
+
+/// A scalar on the [`Expr::Arith`] fast path (returned in registers).
+#[derive(Clone, Copy)]
+enum Num {
+    Int(i64),
+    Real(f64),
+}
+
+impl Num {
+    /// An `int` or a `real`.
+    fn of(v: &RtValue) -> Option<Num> {
+        match v {
+            RtValue::Int(x) => Some(Num::Int(*x)),
+            RtValue::Real(x) => Some(Num::Real(*x)),
+            _ => None,
+        }
+    }
+
+    fn value(self) -> RtValue {
+        match self {
+            Num::Int(x) => RtValue::Int(x),
+            Num::Real(x) => RtValue::Real(x),
+        }
+    }
+
+    fn real(self) -> f64 {
+        match self {
+            Num::Int(x) => x as f64,
+            Num::Real(x) => x,
+        }
+    }
+
+    /// `a op b` for `+ - * / %`, exactly as [`binary_op`] computes it,
+    /// or `None` where that could fail: an integer `/` or `%` by zero or
+    /// overflowing.
+    fn apply(op: BinOp, a: Num, b: Num) -> Option<Num> {
+        use BinOp::*;
+        Some(match (op, a, b) {
+            (Add, Num::Int(a), Num::Int(b)) => Num::Int(a.wrapping_add(b)),
+            (Sub, Num::Int(a), Num::Int(b)) => Num::Int(a.wrapping_sub(b)),
+            (Mul, Num::Int(a), Num::Int(b)) => Num::Int(a.wrapping_mul(b)),
+            (Div, Num::Int(a), Num::Int(b)) => Num::Int(a.checked_div(b)?),
+            (Mod, Num::Int(a), Num::Int(b)) => Num::Int(a.checked_rem(b)?),
+            (Add, a, b) => Num::Real(a.real() + b.real()),
+            (Sub, a, b) => Num::Real(a.real() - b.real()),
+            (Mul, a, b) => Num::Real(a.real() * b.real()),
+            (Div, a, b) => Num::Real(a.real() / b.real()),
+            (Mod, a, b) => Num::Real(a.real() % b.real()),
+            _ => return None,
+        })
+    }
+}
+
+/// An arithmetic tree's value, or `None` where [`binary_op`] might
+/// compute it differently or fail: an operand that is not an `int` or a
+/// `real`, or a failing [`Num::apply`]. `frame` is the current frame's
+/// slots.
+fn num(frame: &[RtValue], e: &Expr) -> Option<Num> {
+    match e {
+        Expr::Const(v, _) => Num::of(v),
+        Expr::Var(Var::Local(slot), _) => Num::of(&frame[*slot]),
+        Expr::Binary(op, l, r, _) => Num::apply(*op, num(frame, l)?, num(frame, r)?),
+        _ => None,
+    }
 }
 
 /// Apply a binary operator. Int×Int stays Int (Chapel truncating `/`);
@@ -1160,122 +1364,127 @@ fn binary_op(op: BinOp, l: &RtValue, r: &RtValue, span: Span) -> Result<RtValue,
     }
 }
 
-/// Index into an array value, applying one index per nesting level.
-fn index_value(base: &RtValue, idx: &[i64], span: Span) -> Result<RtValue, InterpError> {
-    let mut cur = base;
-    for &i in idx {
-        match cur {
-            RtValue::Array { lo, items } => {
-                let off = i - lo;
-                if off < 0 || off as usize >= items.len() {
-                    return Err(InterpError::new(
-                        span,
-                        format!(
-                            "index {i} out of bounds {}..{}",
-                            lo,
-                            *lo + items.len() as i64 - 1
-                        ),
-                    ));
-                }
-                cur = &items[off as usize];
-            }
-            other => {
-                return Err(InterpError::new(
-                    span,
-                    format!("cannot index {}", other.kind()),
-                ));
-            }
-        }
-    }
-    Ok(cur.clone())
+fn out_of_bounds(i: i64, lo: i64, len: usize, span: Span) -> InterpError {
+    InterpError::new(
+        span,
+        format!("index {i} out of bounds {}..{}", lo, lo + len as i64 - 1),
+    )
 }
 
-/// Read a field of a record or object.
-fn field_value(
-    base: &RtValue,
-    field: &str,
-    decls: &ProgramDecls,
-    span: Span,
-) -> Result<RtValue, InterpError> {
-    match base {
-        RtValue::Record { name, fields } => {
-            let decl = decls
-                .records
-                .get(name)
-                .ok_or_else(|| InterpError::new(span, format!("unknown record `{name}`")))?;
-            let pos = decl
-                .fields
-                .iter()
-                .position(|f| f.name == field)
-                .ok_or_else(|| {
-                    InterpError::new(span, format!("`{name}` has no field `{field}`"))
-                })?;
-            Ok(fields[pos].clone())
+/// Element `i` of an array value (declared-bound indexing).
+fn element(v: &RtValue, i: i64, span: Span) -> Result<&RtValue, InterpError> {
+    match v {
+        RtValue::Array { lo, items } => {
+            let off = i.wrapping_sub(*lo);
+            usize::try_from(off)
+                .ok()
+                .and_then(|off| items.get(off))
+                .ok_or_else(|| out_of_bounds(i, *lo, items.len(), span))
         }
-        RtValue::Object(obj) => obj
-            .borrow()
-            .fields
-            .get(field)
-            .cloned()
-            .ok_or_else(|| InterpError::new(span, format!("object has no field `{field}`"))),
         other => Err(InterpError::new(
             span,
-            format!("{} has no fields", other.kind()),
+            format!("cannot index {}", other.kind()),
         )),
     }
 }
 
-/// Navigate an lvalue path to the target slot.
+/// [`element`], mutably.
+fn element_mut(v: &mut RtValue, i: i64, span: Span) -> Result<&mut RtValue, InterpError> {
+    match v {
+        RtValue::Array { lo, items } => {
+            let (lo, len) = (*lo, items.len());
+            let off = i.wrapping_sub(lo);
+            usize::try_from(off)
+                .ok()
+                .and_then(|off| items.get_mut(off))
+                .ok_or_else(|| out_of_bounds(i, lo, len, span))
+        }
+        other => Err(InterpError::new(
+            span,
+            format!("cannot index {}", other.kind()),
+        )),
+    }
+}
+
+impl Field {
+    /// This field's position in a record named `record`.
+    fn position(&self, record: &str, code: &Code, span: Span) -> Result<usize, InterpError> {
+        match self.at.iter().find(|(r, _)| r == record) {
+            Some(&(_, pos)) => Ok(pos),
+            None => Err(match code.record(record) {
+                None => InterpError::new(span, format!("unknown record `{record}`")),
+                Some(_) => {
+                    InterpError::new(span, format!("`{record}` has no field `{}`", self.name))
+                }
+            }),
+        }
+    }
+}
+
+/// Walk a read path by reference (indices `idx`, in step order) and
+/// apply `leaf` to the value at its end. Object fields are read through
+/// a borrow held while the rest of the path is walked.
+fn walk<R>(
+    mut v: &RtValue,
+    steps: &[Step],
+    mut idx: &[i64],
+    code: &Code,
+    leaf: impl Fn(&RtValue) -> R + Copy,
+) -> Result<R, InterpError> {
+    for (k, step) in steps.iter().enumerate() {
+        match step {
+            Step::Index(indices, span) => {
+                let (now, rest) = idx.split_at(indices.len());
+                for &i in now {
+                    v = element(v, i, *span)?;
+                }
+                idx = rest;
+            }
+            Step::Field(field, span) => match v {
+                RtValue::Record { name, fields } => {
+                    v = &fields[field.position(name, code, *span)?];
+                }
+                RtValue::Object(obj) => {
+                    let data = obj.borrow();
+                    let inner = data.fields.get(&field.name).ok_or_else(|| {
+                        InterpError::new(*span, format!("object has no field `{}`", field.name))
+                    })?;
+                    return walk(inner, &steps[k + 1..], idx, code, leaf);
+                }
+                other => {
+                    return Err(InterpError::new(
+                        *span,
+                        format!("{} has no fields", other.kind()),
+                    ));
+                }
+            },
+        }
+    }
+    Ok(leaf(v))
+}
+
+/// Walk a store path to its slot. Every error carries `span`, the whole
+/// target's; objects are never entered (their fields are assigned by
+/// name inside their methods).
 fn navigate<'a>(
     mut slot: &'a mut RtValue,
     steps: &[Step],
-    decls: &ProgramDecls,
+    mut idx: &[i64],
+    code: &Code,
     span: Span,
 ) -> Result<&'a mut RtValue, InterpError> {
     for step in steps {
         match step {
-            Step::Index(idx) => {
-                for &i in idx {
-                    match slot {
-                        RtValue::Array { lo, items } => {
-                            let off = i - *lo;
-                            if off < 0 || off as usize >= items.len() {
-                                return Err(InterpError::new(
-                                    span,
-                                    format!(
-                                        "index {i} out of bounds {}..{}",
-                                        lo,
-                                        *lo + items.len() as i64 - 1
-                                    ),
-                                ));
-                            }
-                            slot = &mut items[off as usize];
-                        }
-                        other => {
-                            return Err(InterpError::new(
-                                span,
-                                format!("cannot index {}", other.kind()),
-                            ));
-                        }
-                    }
+            Step::Index(indices, _) => {
+                let (now, rest) = idx.split_at(indices.len());
+                for &i in now {
+                    slot = element_mut(slot, i, span)?;
                 }
+                idx = rest;
             }
-            Step::Field(name) => match slot {
-                RtValue::Record {
-                    name: rname,
-                    fields,
-                } => {
-                    let decl = decls.records.get(rname).ok_or_else(|| {
-                        InterpError::new(span, format!("unknown record `{rname}`"))
-                    })?;
-                    let pos = decl
-                        .fields
-                        .iter()
-                        .position(|f| f.name == *name)
-                        .ok_or_else(|| {
-                            InterpError::new(span, format!("`{rname}` has no field `{name}`"))
-                        })?;
-                    slot = &mut fields[pos];
+            Step::Field(field, _) => match slot {
+                RtValue::Record { name, fields } => {
+                    slot = &mut fields[field.position(name, code, span)?];
                 }
                 other => {
                     return Err(InterpError::new(
@@ -1292,12 +1501,22 @@ fn navigate<'a>(
 /// Assign into a slot, preserving an `int` slot's kind when the value is
 /// a whole-number real (mirrors Chapel's typed variables under our
 /// dynamically-typed execution).
+#[inline]
 fn assign_preserving_kind(
     slot: &mut RtValue,
     value: RtValue,
     span: Span,
 ) -> Result<(), InterpError> {
-    match (&*slot, &value) {
+    match (&mut *slot, &value) {
+        // Same-kind scalars: overwrite the payload, no drop.
+        (RtValue::Real(cell), RtValue::Real(x)) => {
+            *cell = *x;
+            Ok(())
+        }
+        (RtValue::Int(cell), RtValue::Int(x)) => {
+            *cell = *x;
+            Ok(())
+        }
         (RtValue::Int(_), RtValue::Real(x)) => {
             if x.fract() == 0.0 {
                 *slot = RtValue::Int(*x as i64);

@@ -22,10 +22,11 @@
 
 mod error;
 mod exec;
+mod resolve;
 mod value;
 
 pub use error::InterpError;
-pub use exec::{Interpreter, ProgramDecls};
+pub use exec::Interpreter;
 pub use value::{ObjectData, RtValue};
 
 #[cfg(test)]

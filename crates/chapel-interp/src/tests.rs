@@ -334,3 +334,175 @@ fn method_calls_mutate_object_state() {
     let i = run(src);
     assert_eq!(real(&i, "n"), 2.0);
 }
+
+// ---------- name resolution ----------
+
+fn int(i: &Interpreter, name: &str) -> i64 {
+    i.global(name)
+        .unwrap_or_else(|| panic!("no global {name}"))
+        .as_i64()
+        .unwrap()
+}
+
+#[test]
+fn block_var_shadows_global_until_the_block_ends() {
+    let i = run("var x = 1; var inner = 0; \
+         { var x = 2; x += 10; inner = x; } \
+         var after = x;");
+    assert_eq!(int(&i, "inner"), 12);
+    assert_eq!(int(&i, "after"), 1);
+    assert_eq!(int(&i, "x"), 1);
+}
+
+#[test]
+fn loop_index_is_invisible_to_called_functions() {
+    // A top-level loop's index shadows the global `i` only in the loop
+    // body; the function still reads the global.
+    let i = run("def f(): int { return i; } \
+         var i = 100; var r = 0; \
+         for i in 1..3 { r = f() + i; }");
+    assert_eq!(int(&i, "r"), 103);
+    assert_eq!(int(&i, "i"), 100);
+}
+
+#[test]
+fn functions_and_methods_read_and_write_globals() {
+    // `bump` and `peek` name globals declared after them; `accumulate`
+    // writes its own field and a global.
+    let i = run("def bump(d: int) { total += d; seen = seen + 1; } \
+         def peek(): int { return later * 2; } \
+         class Acc: ReduceScanOp { \
+             var n: int; \
+             def accumulate(x) { n += 1; total += x; } \
+             def generate() { return total + n; } \
+         } \
+         var total = 0; var seen = 0; \
+         bump(5); bump(7); \
+         var later = 21; var p = peek(); \
+         var a = new Acc(); a.accumulate(100); var g = a.generate();");
+    assert_eq!(int(&i, "total"), 112);
+    assert_eq!(int(&i, "seen"), 2);
+    assert_eq!(int(&i, "p"), 42);
+    assert_eq!(int(&i, "g"), 113);
+}
+
+#[test]
+fn a_function_called_from_a_method_sees_the_methods_fields() {
+    // Non-local names resolve among the active `self` object's fields
+    // before the globals, also in a plain function the method calls.
+    let i = run("def helper(): int { return value; } \
+         class C: ReduceScanOp { \
+             var value: int = 40; \
+             def accumulate(x) { value += helper() + x; } \
+             def generate() { return value; } \
+         } \
+         var value = 1000; \
+         var o = new C(); o.accumulate(2); \
+         var g = o.generate(); var h = helper();");
+    assert_eq!(int(&i, "g"), 82);
+    assert_eq!(int(&i, "h"), 1000);
+}
+
+#[test]
+fn recursion_keeps_each_frames_locals() {
+    let i = run("def sumto(n: int): int { \
+             if n == 0 { return 0; } \
+             var here = n; var rest = sumto(n - 1); \
+             return here + rest; \
+         } \
+         var s = sumto(50);");
+    assert_eq!(int(&i, "s"), 1275);
+}
+
+#[test]
+fn a_body_write_to_the_for_index_lasts_one_iteration() {
+    let i = run(
+        "var seen = 0; for i in 1..5 { seen += i; i = 100; seen += i; } \
+         var A: [1..4] int; for i in 1..4 { A[i] = i * i; } \
+         var s = 0; for v in A { s += v; v = 0; } var kept = A[4];",
+    );
+    assert_eq!(int(&i, "seen"), 15 + 5 * 100);
+    assert_eq!(int(&i, "s"), 30);
+    assert_eq!(int(&i, "kept"), 16);
+}
+
+#[test]
+fn a_body_var_is_reinitialised_every_iteration() {
+    let i = run(
+        "var total = 0; for i in 1..4 { var acc = 0; acc += i; total += acc; } \
+         var k = 0; var w = 0; \
+         while k < 3 { var t: int; t += 1; w += t; k += 1; }",
+    );
+    assert_eq!(int(&i, "total"), 10);
+    assert_eq!(int(&i, "w"), 3);
+}
+
+#[test]
+fn path_updates_keep_the_cell_kind() {
+    let i = run("record R { val: [1..3] int; r: [1..3] real; } \
+         var data: [1..2] R; \
+         data[2].val[1] += 7; data[2].val[1] /= 2; \
+         data[2].val[2] += 4.0; data[2].val[2] /= 4; \
+         data[1].r[3] += 5; data[1].r[3] /= 2; \
+         var a = data[2].val[1]; var b = data[2].val[2]; var c = data[1].r[3];");
+    // int cell: `int / int` truncates, a whole real stores as an int.
+    assert!(i.global("a").unwrap().deep_eq(&RtValue::Int(3)));
+    assert!(i.global("b").unwrap().deep_eq(&RtValue::Int(1)));
+    // real cell: an int widens.
+    assert!(i.global("c").unwrap().deep_eq(&RtValue::Real(2.5)));
+
+    for src in [
+        "record R { val: [1..3] int; } var data: [1..2] R; data[2].val[3] += 2.5;",
+        "record R { val: [1..3] int; } var data: [1..2] R; \
+         data[2].val[3] = 10; data[2].val[3] /= 4.0;",
+    ] {
+        let e = Interpreter::run_source(src).unwrap_err();
+        assert_eq!(
+            e.message, "cannot store non-integer 2.5 into an int variable",
+            "{src}"
+        );
+    }
+}
+
+#[test]
+fn out_of_bounds_at_each_path_level() {
+    let decls = "record R { val: [1..3] real; }\nvar data: [1..2] R;\nvar M: [1..2, 1..3] real;\n";
+    for (stmt, message, col) in [
+        ("data[3].val[1] = 1.0;", "index 3 out of bounds 1..2", 1),
+        ("data[1].val[4] = 1.0;", "index 4 out of bounds 1..3", 1),
+        ("var x = data[0].val[1];", "index 0 out of bounds 1..2", 9),
+        ("var y = data[1].val[9];", "index 9 out of bounds 1..3", 9),
+        ("data[1].val[5] += 1.0;", "index 5 out of bounds 1..3", 1),
+        ("data[0].val[5] += 1.0;", "index 0 out of bounds 1..2", 1),
+        ("M[3, 1] = 1;", "index 3 out of bounds 1..2", 1),
+        ("M[2, 4] = 1;", "index 4 out of bounds 1..3", 1),
+        ("var z = M[1, 0];", "index 0 out of bounds 1..3", 9),
+        // An earlier level fails before a later index is evaluated.
+        (
+            "var q = data[5].val[nothere];",
+            "index 5 out of bounds 1..2",
+            9,
+        ),
+        (
+            "var q = data[1].val[nothere];",
+            "unknown identifier `nothere`",
+            21,
+        ),
+    ] {
+        let e = Interpreter::run_source(&format!("{decls}{stmt}")).unwrap_err();
+        assert_eq!(e.message, message, "{stmt}");
+        assert_eq!((e.span.line, e.span.col), (4, col), "{stmt}");
+    }
+}
+
+#[test]
+fn compound_assignment_evaluates_its_target_once() {
+    let i = run("def inc(): int { counter += 1; return counter; } \
+         var counter = 0; var A: [1..4] int; \
+         A[inc()] += 7;");
+    assert_eq!(int(&i, "counter"), 1);
+    let RtValue::Array { items, .. } = i.global("A").unwrap() else {
+        panic!("A not an array");
+    };
+    assert!(items[0].deep_eq(&RtValue::Int(7)));
+}

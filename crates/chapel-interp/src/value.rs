@@ -5,6 +5,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
+use linearize::{PrimType, Shape, Slots};
+
 use crate::error::InterpError;
 
 /// A runtime value.
@@ -195,6 +197,48 @@ impl RtValue {
     }
 }
 
+/// The interpreter's values linearize in place: arrays and records
+/// (record names and array bounds carry no slot), `real`, `int` and
+/// `bool` leaves. Ranges, strings, objects and `nil` have no dense
+/// layout.
+impl Slots for RtValue {
+    fn elements(&self) -> Option<&[RtValue]> {
+        match self {
+            RtValue::Array { items, .. } => Some(items),
+            _ => None,
+        }
+    }
+
+    fn matches(&self, shape: &Shape) -> bool {
+        match (self, shape) {
+            (RtValue::Real(_), Shape::Prim(PrimType::Real))
+            | (RtValue::Int(_), Shape::Prim(PrimType::Int))
+            | (RtValue::Bool(_), Shape::Prim(PrimType::Bool)) => true,
+            (RtValue::Array { items, .. }, Shape::Array { elem, len }) => {
+                items.len() == *len && items.iter().all(|v| v.matches(elem))
+            }
+            (RtValue::Record { fields, .. }, Shape::Record { fields: shapes }) => {
+                fields.len() == shapes.len()
+                    && fields.iter().zip(shapes).all(|(v, (_, s))| v.matches(s))
+            }
+            _ => false,
+        }
+    }
+
+    fn visit_slots(&self, f: &mut impl FnMut(f64)) -> bool {
+        match self {
+            RtValue::Real(x) => f(*x),
+            RtValue::Int(x) => f(*x as f64),
+            RtValue::Bool(b) => f(if *b { 1.0 } else { 0.0 }),
+            RtValue::Array { items: vals, .. } | RtValue::Record { fields: vals, .. } => {
+                return vals.iter().all(|v| v.visit_slots(f));
+            }
+            _ => return false,
+        }
+        true
+    }
+}
+
 impl fmt::Display for RtValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -264,6 +308,38 @@ mod value_tests {
     #[test]
     fn ranges_do_not_linearize() {
         assert!(RtValue::Range(1, 5).to_linear().is_none());
+        assert!(!RtValue::Range(1, 5).visit_slots(&mut |_| {}));
+    }
+
+    #[test]
+    fn slots_read_in_place_as_through_to_linear() {
+        let record = |x: f64, n: RtValue| RtValue::Record {
+            name: "P".into(),
+            fields: vec![RtValue::Real(x), n],
+        };
+        let shape = Shape::array(
+            Shape::record(vec![("x", Shape::Real), ("n", Shape::Int)]),
+            2,
+        );
+        let lin = linearize::Linearizer::new(&shape);
+        let v = RtValue::Array {
+            lo: 1,
+            items: vec![record(1.5, RtValue::Int(2)), record(-1.0, RtValue::Int(7))],
+        };
+        assert_eq!(
+            lin.linearize(&v).unwrap(),
+            lin.linearize(&v.to_linear().unwrap()).unwrap()
+        );
+        assert_eq!(v.elements().map(<[RtValue]>::len), Some(2));
+        // A `bool` where the shape has an `int` does not match.
+        let w = RtValue::Array {
+            lo: 1,
+            items: vec![
+                record(1.5, RtValue::Int(2)),
+                record(-1.0, RtValue::Bool(true)),
+            ],
+        };
+        assert!(lin.linearize(&w).is_err());
     }
 
     #[test]

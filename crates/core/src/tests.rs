@@ -461,3 +461,43 @@ fn accesses_after_a_for_index_write_see_the_new_index() {
     ";
     differential(src, &["total"], 1);
 }
+
+#[test]
+fn traced_run_has_one_interp_span_per_interpreted_statement() {
+    let (rows, cols) = (4usize, 30usize);
+    let src = programs::pca(rows, cols);
+    let rec = std::sync::Arc::new(obs::Recorder::new(obs::TraceLevel::Phases));
+    let run = Translator::new(OptLevel::Opt2, 2)
+        .traced(rec.clone())
+        .run_program(&src)
+        .unwrap();
+    let trace = rec.drain();
+    let program = chapel_frontend::parse(&src).unwrap();
+    let interpreted: Vec<usize> = program
+        .items
+        .iter()
+        .enumerate()
+        .filter(|(i, item)| {
+            matches!(item, chapel_frontend::ast::Item::Stmt(_))
+                && run.jobs.iter().all(|j| j.stmt_index != *i)
+        })
+        .map(|(i, _)| i)
+        .collect();
+    let spans: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "interp.exec")
+        .collect();
+    let stmts: Vec<usize> = spans
+        .iter()
+        .map(|s| s.attr_i64("stmt").unwrap() as usize)
+        .collect();
+    assert_eq!(stmts, interpreted);
+    // The init loop evaluates one store per matrix cell.
+    let steps: Vec<i64> = spans.iter().map(|s| s.attr_i64("steps").unwrap()).collect();
+    assert!(steps.iter().all(|&n| n > 0), "{steps:?}");
+    assert!(
+        steps.iter().any(|&n| n >= (rows * cols) as i64),
+        "{steps:?}"
+    );
+}

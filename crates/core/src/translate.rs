@@ -15,7 +15,7 @@ use chapel_frontend::ast::{Item, ReduceOp};
 use chapel_interp::{Interpreter, RtValue};
 use chapel_sema::analyze;
 use freeride::{DataView, Engine, GroupSpec, JobConfig, KernelBackend, RObjLayout, RunStats};
-use linearize::{delinearize, Linearizer, Value};
+use linearize::{delinearize, Linearizer, Slots, Value};
 use obs::{AttrValue, Recorder, TraceLevel};
 
 use crate::compile::{compile_loop, compile_reduce_expr, CompiledLoop, OptLevel};
@@ -239,7 +239,25 @@ impl Translator {
                         ..report
                     });
                 }
-                StmtPlan::Interp => interp.exec_top(stmt)?,
+                StmtPlan::Interp => {
+                    let start = Instant::now();
+                    let steps = interp.steps();
+                    interp.exec_top(stmt)?;
+                    if let Some(r) = self.recorder.as_deref() {
+                        r.push_complete(
+                            TraceLevel::Phases,
+                            "interp.exec",
+                            "pipeline",
+                            0,
+                            r.offset_ns(start),
+                            start.elapsed().as_nanos() as u64,
+                            vec![
+                                ("stmt", AttrValue::Int(i as i64)),
+                                ("steps", AttrValue::Int((interp.steps() - steps) as i64)),
+                            ],
+                        );
+                    }
+                }
                 StmtPlan::Decl => unreachable!("Decl plan recorded for a Stmt item"),
             }
         }
@@ -261,25 +279,28 @@ impl Translator {
         let wall_start = Instant::now();
 
         // ---- Linearization (the paper's first overhead; sequential by
-        // default, parallel as the future-work ablation). ----
+        // default, parallel as the future-work ablation), straight from
+        // the interpreter's values. ----
         let lin_start = Instant::now();
-        let mut elem_values: Vec<Value> = Vec::with_capacity(c.dataset.vars.len());
+        let mut dataset: Vec<&RtValue> = Vec::with_capacity(c.dataset.vars.len());
         for var in &c.dataset.vars {
-            let rt = interp.global(&var.name).ok_or_else(|| {
+            dataset.push(interp.global(&var.name).ok_or_else(|| {
                 CoreError::translate(format!("`{}` missing at run time", var.name))
-            })?;
-            let v = rt
-                .to_linear()
-                .ok_or_else(|| CoreError::translate(format!("`{}` not linearizable", var.name)))?;
-            elem_values.push(v);
+            })?);
         }
-        let buffer = zip_linearize(
-            &elem_values,
-            c.dataset.rows,
-            c.dataset.unit,
-            self.parallel_linearize,
-            self.config.threads,
-        )?;
+        let (rows, unit) = (c.dataset.rows, c.dataset.unit);
+        let buffer = if self.parallel_linearize {
+            // Interpreter values cannot cross threads: the parallel
+            // ablation copies them into `Value` trees first.
+            let values = dataset
+                .iter()
+                .map(|v| v.to_linear())
+                .collect::<Option<Vec<_>>>()
+                .ok_or_else(not_linearizable)?;
+            zip_linearize(&values, rows, unit, true, self.config.threads)?
+        } else {
+            zip_rows(&dataset, rows, unit)?
+        };
 
         // State: nested values (generated/opt-1) or linearized (opt-2).
         let mut nested_state = Vec::new();
@@ -288,17 +309,20 @@ impl Translator {
             let rt = interp
                 .global(&s.name)
                 .ok_or_else(|| CoreError::translate(format!("state `{}` missing", s.name)))?;
-            let v = rt.to_linear().ok_or_else(|| {
-                CoreError::translate(format!("state `{}` not linearizable", s.name))
-            })?;
+            let not_linear =
+                || CoreError::translate(format!("state `{}` not linearizable", s.name));
             if self.opt == OptLevel::Opt2 {
-                let lin = Linearizer::new(&s.shape).linearize(&v)?;
-                flat_state.push(lin.buffer);
-                // Scalar state reads still go through the nested slot
-                // (a direct read either way), so keep the value too.
-                nested_state.push(v);
+                flat_state.push(Linearizer::new(&s.shape).linearize(rt)?.buffer);
+                // Opt-2 reads scalar state through the nested slot (a
+                // direct read either way) and aggregate state only
+                // through its flat buffer.
+                nested_state.push(if s.shape.is_prim() {
+                    rt.to_linear().ok_or_else(not_linear)?
+                } else {
+                    Value::Array(Vec::new())
+                });
             } else {
-                nested_state.push(v);
+                nested_state.push(rt.to_linear().ok_or_else(not_linear)?);
                 flat_state.push(Vec::new());
             }
         }
@@ -420,64 +444,84 @@ impl Translator {
 /// Public so application drivers (which run FREERIDE's outer sequential
 /// loop themselves) can linearize once and reuse the buffer across
 /// iterations.
-pub fn zip_linearize(
-    elem_values: &[Value],
+pub fn zip_linearize<V: Slots + Sync>(
+    elem_values: &[V],
     rows: usize,
     unit: usize,
     parallel: bool,
     threads: usize,
 ) -> Result<Vec<f64>, CoreError> {
-    // Per-variable element lists.
-    let mut items: Vec<&[Value]> = Vec::with_capacity(elem_values.len());
-    for v in elem_values {
-        match v {
-            Value::Array(xs) => {
-                if xs.len() < rows {
-                    return Err(CoreError::translate("dataset shorter than loop range"));
-                }
-                items.push(xs);
-            }
-            _ => return Err(CoreError::translate("dataset variable is not an array")),
-        }
+    let vars: Vec<&V> = elem_values.iter().collect();
+    if !(parallel && threads > 1 && rows > 1) {
+        return zip_rows(&vars, rows, unit);
     }
-
+    let items = row_items(&vars, rows)?;
     let mut buffer = vec![0.0f64; rows * unit];
-    let fill_rows = |chunk: &mut [f64], first_row: usize| {
-        let mut pos = 0usize;
-        let n = chunk.len() / unit;
-        for r in first_row..first_row + n {
-            for var_items in &items {
-                var_items[r].for_each_slot(&mut |x| {
-                    chunk[pos] = x;
-                    pos += 1;
-                });
-            }
-        }
-    };
-
-    if parallel && threads > 1 && rows > 1 {
-        let chunk_rows = rows.div_ceil(threads);
-        crossbeam_scope_fill(&mut buffer, unit, chunk_rows, &fill_rows);
-    } else {
-        fill_rows(&mut buffer, 0);
+    let chunk_rows = rows.div_ceil(threads);
+    let chunk_slots = chunk_rows * unit;
+    let filled = crossbeam::thread::scope(|scope| {
+        let workers: Vec<_> = buffer
+            .chunks_mut(chunk_slots)
+            .enumerate()
+            .map(|(i, chunk)| {
+                let items = &items;
+                scope.spawn(move |_| fill_rows(items, chunk, i * chunk_rows, unit))
+            })
+            .collect();
+        // The scope joins any worker this stops short of.
+        workers
+            .into_iter()
+            .all(|w| w.join().expect("linearization worker panicked"))
+    })
+    .expect("linearization worker panicked");
+    if !filled {
+        return Err(not_linearizable());
     }
     Ok(buffer)
 }
 
-/// Split the buffer into row-aligned chunks and fill them concurrently.
-fn crossbeam_scope_fill(
-    buffer: &mut [f64],
-    unit: usize,
-    chunk_rows: usize,
-    fill: &(dyn Fn(&mut [f64], usize) + Sync),
-) {
-    let chunk_slots = chunk_rows * unit;
-    crossbeam::thread::scope(|scope| {
-        for (i, chunk) in buffer.chunks_mut(chunk_slots).enumerate() {
-            scope.spawn(move |_| fill(chunk, i * chunk_rows));
+/// The sequential [`zip_linearize`], for values that cannot be shared
+/// across threads (the interpreter's own).
+fn zip_rows<V: Slots>(vars: &[&V], rows: usize, unit: usize) -> Result<Vec<f64>, CoreError> {
+    let items = row_items(vars, rows)?;
+    let mut buffer = vec![0.0f64; rows * unit];
+    if !fill_rows(&items, &mut buffer, 0, unit) {
+        return Err(not_linearizable());
+    }
+    Ok(buffer)
+}
+
+/// Each dataset variable's elements, checked to cover `rows`.
+fn row_items<'a, V: Slots>(vars: &[&'a V], rows: usize) -> Result<Vec<&'a [V]>, CoreError> {
+    vars.iter()
+        .map(|v| match v.elements() {
+            Some(xs) if xs.len() >= rows => Ok(xs),
+            Some(_) => Err(CoreError::translate("dataset shorter than loop range")),
+            None => Err(CoreError::translate("dataset variable is not an array")),
+        })
+        .collect()
+}
+
+/// Fill `chunk` with the zipped rows starting at `first_row`; `false`
+/// when a slot has no numeric value.
+fn fill_rows<V: Slots>(items: &[&[V]], chunk: &mut [f64], first_row: usize, unit: usize) -> bool {
+    let mut pos = 0usize;
+    for r in first_row..first_row + chunk.len() / unit {
+        for var_items in items {
+            let ok = var_items[r].visit_slots(&mut |x| {
+                chunk[pos] = x;
+                pos += 1;
+            });
+            if !ok {
+                return false;
+            }
         }
-    })
-    .expect("linearization worker panicked");
+    }
+    true
+}
+
+fn not_linearizable() -> CoreError {
+    CoreError::translate("dataset variable is not linearizable")
 }
 
 /// Timing and provenance of one offloaded job.

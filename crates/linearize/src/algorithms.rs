@@ -9,7 +9,7 @@
 
 use crate::meta::{LinearMeta, PathMeta};
 use crate::shape::Shape;
-use crate::value::Value;
+use crate::value::{Slots, Value};
 use crate::LinearizeError;
 
 /// Algorithm 1: recursively compute the linearized size of a value, in
@@ -89,14 +89,15 @@ impl Linearizer {
     }
 
     /// Linearize `value`, checking it structurally matches the shape.
-    pub fn linearize(&self, value: &Value) -> Result<Linearized, LinearizeError> {
+    pub fn linearize<V: Slots>(&self, value: &V) -> Result<Linearized, LinearizeError> {
         if !value.matches(&self.shape) {
             return Err(LinearizeError::ShapeMismatch {
                 shape: self.shape.describe(),
             });
         }
         let mut buffer = Vec::with_capacity(self.shape.slot_count());
-        value.for_each_slot(&mut |x| buffer.push(x));
+        // A value that matches a shape has a slot at every leaf.
+        value.visit_slots(&mut |x| buffer.push(x));
         Ok(Linearized {
             buffer,
             meta: LinearMeta::new(&self.shape),

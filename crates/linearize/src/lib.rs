@@ -65,7 +65,7 @@ pub use cursor::{FlatAccessor, MappedAccessor, StridedCursor};
 pub use error::LinearizeError;
 pub use meta::{AccessPath, LinearMeta, PathMeta};
 pub use shape::{PrimType, Shape};
-pub use value::Value;
+pub use value::{Slots, Value};
 pub use writeback::delinearize;
 
 #[cfg(test)]

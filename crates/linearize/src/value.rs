@@ -196,6 +196,40 @@ impl Value {
     }
 }
 
+/// A nested value the linearizer can read slot by slot: an array, a
+/// record, or a primitive. [`Value`] is one; a host language's own
+/// runtime values can be another, so that their slots are copied into
+/// the dense buffer directly instead of through a [`Value`] tree first.
+pub trait Slots: Sized {
+    /// The elements, if this value is an array.
+    fn elements(&self) -> Option<&[Self]>;
+
+    /// Does this value structurally match `shape`?
+    fn matches(&self, shape: &Shape) -> bool;
+
+    /// Visit every primitive slot depth-first, in linearization order.
+    /// Stops and returns `false` at a leaf that has no slot.
+    fn visit_slots(&self, f: &mut impl FnMut(f64)) -> bool;
+}
+
+impl Slots for Value {
+    fn elements(&self) -> Option<&[Value]> {
+        match self {
+            Value::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    fn matches(&self, shape: &Shape) -> bool {
+        Value::matches(self, shape)
+    }
+
+    fn visit_slots(&self, f: &mut impl FnMut(f64)) -> bool {
+        self.for_each_slot(f);
+        true
+    }
+}
+
 #[cfg(test)]
 mod value_tests {
     use super::*;

@@ -106,6 +106,30 @@ fn pca_versions_match_at_multiple_sizes() {
 }
 
 #[test]
+fn pca_program_matches_the_oracle_at_2000_samples() {
+    // The oracle reads arrays in place, so it checks the translated
+    // program at a size well past the engine's split granularity.
+    let (rows, cols) = (16usize, 2000usize);
+    let src = programs::pca(rows, cols);
+    let oracle = Interpreter::run_source(&src).expect("interp");
+    let run = Translator::new(OptLevel::Opt2, 2)
+        .run_program(&src)
+        .expect("translate");
+    assert_eq!(run.jobs.len(), 2);
+    // The means are sums of small integers, exact in any order.
+    let mean = |g: &Interpreter| g.global("mean").unwrap().to_linear().unwrap();
+    assert_eq!(mean(&oracle), mean(&run.interp));
+    let cov = |g: &Interpreter| {
+        chapel_freeride::linearize::linearize_it(&g.global("cov").unwrap().to_linear().unwrap())
+    };
+    let (want, got) = (cov(&oracle), cov(&run.interp));
+    assert_eq!(want.len(), rows * rows);
+    for (a, b) in want.iter().zip(&got) {
+        assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
+    }
+}
+
+#[test]
 fn table1_api_surface_end_to_end() {
     // Table I, exercised as a complete manual application: splitter
     // (default), reduction, custom combination, finalize,

@@ -17,7 +17,7 @@ struct GenProgram {
 
 fn arb_program() -> impl Strategy<Value = GenProgram> {
     let flavours = 0..4u8;
-    (2usize..20, 1usize..6, 1usize..5, flavours).prop_map(|(n, d, k, flavour)| {
+    (2usize..2000, 1usize..6, 1usize..5, flavours).prop_map(|(n, d, k, flavour)| {
         let src = match flavour {
             // Nested record sum (Figure 8 style).
             0 => format!(
