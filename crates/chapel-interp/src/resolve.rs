@@ -11,7 +11,7 @@
 //! reference. The evaluator then indexes `Vec`s: it never hashes or
 //! clones a name on the hot path.
 //!
-//! Resolution follows the scoping the evaluator always had: a block, a
+//! Resolution keeps the evaluator's scoping rules: a block, a
 //! loop body (per iteration) and a call each open a scope; a name
 //! refers to the innermost declaration that precedes it; and a name that
 //! is not a local of function or method code is looked up at run time

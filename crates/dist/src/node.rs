@@ -531,9 +531,14 @@ pub fn serve_concurrent(
     behaviour: Behaviour,
 ) -> Result<(), DistError> {
     let mut handles = Vec::new();
+    let mut panicked = false;
     let mut accepted = 0usize;
     loop {
         let (stream, _peer) = listener.accept()?;
+        // Join the sessions that have ended, so a node serving forever
+        // holds one thread (and stack) per live session, not per
+        // session it ever served.
+        panicked |= reap_finished(&mut handles);
         handles.push(std::thread::spawn(move || {
             if let Err(e) = handle_session(stream, behaviour) {
                 eprintln!("cfr-node: session error: {e}");
@@ -545,18 +550,58 @@ pub fn serve_concurrent(
         }
     }
     for h in handles {
-        if h.join().is_err() {
-            return Err(DistError::Protocol {
-                reason: "node session thread panicked".into(),
-            });
-        }
+        panicked |= h.join().is_err();
+    }
+    if panicked {
+        return Err(DistError::Protocol {
+            reason: "node session thread panicked".into(),
+        });
     }
     Ok(())
+}
+
+/// Join and drop every finished thread in `handles`; whether any of
+/// them panicked.
+fn reap_finished(handles: &mut Vec<std::thread::JoinHandle<()>>) -> bool {
+    let mut panicked = false;
+    let mut live = Vec::with_capacity(handles.len());
+    for h in handles.drain(..) {
+        if h.is_finished() {
+            panicked |= h.join().is_err();
+        } else {
+            live.push(h);
+        }
+    }
+    *handles = live;
+    panicked
 }
 
 #[cfg(test)]
 mod node_tests {
     use super::*;
+
+    #[test]
+    fn finished_session_threads_are_reaped() {
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let mut handles = vec![
+            std::thread::spawn(|| {}),
+            std::thread::spawn(|| panic!("session panicked")),
+            std::thread::spawn(move || gate.recv().unwrap_or(())),
+        ];
+        while !(handles[0].is_finished() && handles[1].is_finished()) {
+            std::thread::yield_now();
+        }
+        // The two ended threads are joined (one panicked); the live one
+        // stays.
+        assert!(reap_finished(&mut handles));
+        assert_eq!(handles.len(), 1);
+        release.send(()).unwrap();
+        while !handles[0].is_finished() {
+            std::thread::yield_now();
+        }
+        assert!(!reap_finished(&mut handles));
+        assert!(handles.is_empty());
+    }
 
     #[test]
     fn trace_level_ordinals_round_trip() {
