@@ -20,6 +20,9 @@ trap cleanup EXIT INT TERM
 cargo build --release
 cargo test -q
 cargo test -q -p rand -p proptest
+# The decoder totality harness again in release, where integer overflow
+# wraps silently instead of panicking (DESIGN.md, Binary formats).
+cargo test -q --release --test decoders_total
 cargo clippy --workspace -- -D warnings
 # The whole workspace is held rustfmt-clean.
 cargo fmt --all --check

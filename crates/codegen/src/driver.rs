@@ -26,7 +26,8 @@
 //! `core.codegen_cache_hit` (disk or memory hit).
 
 use cfr_core::{CodegenError, Kernel};
-use freeride::{fnv1a64, CombineOp, Recorder, TraceLevel};
+use freeride::{CombineOp, Recorder, TraceLevel};
+use obs::codec::fnv1a64;
 use obs::AttrValue;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;

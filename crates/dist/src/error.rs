@@ -102,6 +102,14 @@ impl From<freeride_ft::FtError> for DistError {
     }
 }
 
+impl From<obs::codec::DecodeError> for DistError {
+    fn from(e: obs::codec::DecodeError) -> DistError {
+        DistError::Protocol {
+            reason: e.to_string(),
+        }
+    }
+}
+
 impl From<obs::TraceDecodeError> for DistError {
     fn from(e: obs::TraceDecodeError) -> DistError {
         DistError::Protocol {

@@ -19,6 +19,8 @@
 
 use std::io::{Read, Write};
 
+use obs::codec::{put_bytes, put_f64s, put_i64s, put_str, Cursor, Framing, FRAME_HEADER_LEN};
+
 use crate::error::DistError;
 
 /// Frame magic.
@@ -49,6 +51,12 @@ pub const WIRE_VERSION: u8 = 7;
 /// Upper bound on a frame payload (64 MiB): a corrupt length field
 /// fails fast instead of triggering a giant allocation.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
+
+const FRAMING: Framing = Framing {
+    magic: WIRE_MAGIC,
+    version: WIRE_VERSION,
+    max_len: MAX_FRAME_LEN,
+};
 
 const TYPE_HELLO: u8 = 1;
 const TYPE_HELLO_ACK: u8 = 2;
@@ -234,134 +242,6 @@ pub enum Message {
     },
 }
 
-fn perr<T>(reason: impl Into<String>) -> Result<T, DistError> {
-    Err(DistError::Protocol {
-        reason: reason.into(),
-    })
-}
-
-// ---- payload writers -------------------------------------------------
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-fn put_i64s(out: &mut Vec<u8>, xs: &[i64]) {
-    out.extend_from_slice(&(xs.len() as u32).to_le_bytes());
-    for x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
-    out.extend_from_slice(&(xs.len() as u32).to_le_bytes());
-    for x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-// ---- payload reader --------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], DistError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(())
-            .or_else(|_| perr(format!("truncated payload: {what}")))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, DistError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, DistError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, DistError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn len(&mut self, what: &str) -> Result<usize, DistError> {
-        let n = self.u32(what)?;
-        if n > MAX_FRAME_LEN {
-            return perr(format!("implausible {what} {n}"));
-        }
-        Ok(n as usize)
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, DistError> {
-        let n = self.len(what)?;
-        match std::str::from_utf8(self.take(n, what)?) {
-            Ok(s) => Ok(s.to_string()),
-            Err(_) => perr(format!("{what} is not UTF-8")),
-        }
-    }
-
-    fn bytes(&mut self, what: &str) -> Result<Vec<u8>, DistError> {
-        let n = self.len(what)?;
-        Ok(self.take(n, what)?.to_vec())
-    }
-
-    fn i64s(&mut self, what: &str) -> Result<Vec<i64>, DistError> {
-        let n = self.len(what)?;
-        if self.buf.len() - self.pos < n * 8 {
-            return perr(format!("truncated payload: {what}"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(i64::from_le_bytes(
-                self.take(8, what)?.try_into().expect("8 bytes"),
-            ));
-        }
-        Ok(out)
-    }
-
-    fn f64s(&mut self, what: &str) -> Result<Vec<f64>, DistError> {
-        let n = self.len(what)?;
-        if self.buf.len() - self.pos < n * 8 {
-            return perr(format!("truncated payload: {what}"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(f64::from_le_bytes(
-                self.take(8, what)?.try_into().expect("8 bytes"),
-            ));
-        }
-        Ok(out)
-    }
-
-    fn finish(self, what: &str) -> Result<(), DistError> {
-        if self.pos != self.buf.len() {
-            return perr(format!(
-                "{} trailing bytes in {what}",
-                self.buf.len() - self.pos
-            ));
-        }
-        Ok(())
-    }
-}
-
 impl Message {
     fn type_byte(&self) -> u8 {
         match self {
@@ -402,8 +282,7 @@ impl Message {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn put_payload(&self, out: &mut Vec<u8>) {
         match self {
             Message::Hello { node_id } | Message::HelloAck { node_id } => {
                 out.extend_from_slice(&node_id.to_le_bytes());
@@ -427,10 +306,10 @@ impl Message {
                 scheme_mask,
                 splitter,
             } => {
-                put_str(&mut out, task);
-                put_i64s(&mut out, params);
-                put_bytes(&mut out, layout);
-                put_str(&mut out, dataset);
+                put_str(out, task);
+                put_i64s(out, params);
+                put_bytes(out, layout);
+                put_str(out, dataset);
                 out.extend_from_slice(&threads.to_le_bytes());
                 out.push(*trace_level);
                 out.push(*io_mode);
@@ -447,15 +326,15 @@ impl Message {
             }
             Message::EndJob | Message::Shutdown => {}
             Message::JobDone { trace, metrics } => {
-                put_bytes(&mut out, trace);
-                put_bytes(&mut out, metrics);
+                put_bytes(out, trace);
+                put_bytes(out, metrics);
             }
             Message::Stats { round, metrics } => {
                 out.extend_from_slice(&round.to_le_bytes());
-                put_bytes(&mut out, metrics);
+                put_bytes(out, metrics);
             }
-            Message::Error { message } => put_str(&mut out, message),
-            Message::Join { token } => put_str(&mut out, token),
+            Message::Error { message } => put_str(out, message),
+            Message::Join { token } => put_str(out, token),
             Message::Leave { node_id } => {
                 out.extend_from_slice(&node_id.to_le_bytes());
             }
@@ -466,7 +345,7 @@ impl Message {
             } => {
                 out.extend_from_slice(&round.to_le_bytes());
                 out.extend_from_slice(&attempt.to_le_bytes());
-                put_f64s(&mut out, state);
+                put_f64s(out, state);
             }
             Message::Unit {
                 round,
@@ -490,34 +369,23 @@ impl Message {
                 out.extend_from_slice(&attempt.to_le_bytes());
                 out.extend_from_slice(&first_row.to_le_bytes());
                 out.extend_from_slice(&elapsed_ns.to_le_bytes());
-                put_bytes(&mut out, cells);
+                put_bytes(out, cells);
             }
             Message::RoundEnd { round, attempt } => {
                 out.extend_from_slice(&round.to_le_bytes());
                 out.extend_from_slice(&attempt.to_le_bytes());
             }
         }
-        out
     }
 
     /// Serialize the full frame (header + payload).
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.payload();
-        let mut out = Vec::with_capacity(10 + payload.len());
-        out.extend_from_slice(WIRE_MAGIC);
-        out.push(WIRE_VERSION);
-        out.push(self.type_byte());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        FRAMING.encode(self.type_byte(), |out| self.put_payload(out))
     }
 
     /// Decode a payload of the given frame type.
     fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Message, DistError> {
-        let mut r = Reader {
-            buf: payload,
-            pos: 0,
-        };
+        let mut r = Cursor::new(payload);
         let msg = match type_byte {
             TYPE_HELLO => Message::Hello {
                 node_id: r.u32("node_id")?,
@@ -526,10 +394,10 @@ impl Message {
                 node_id: r.u32("node_id")?,
             },
             TYPE_JOB => Message::Job {
-                task: r.string("task")?,
-                params: r.i64s("params")?,
-                layout: r.bytes("layout")?,
-                dataset: r.string("dataset")?,
+                task: r.str(MAX_FRAME_LEN, "task")?.into(),
+                params: r.i64s(MAX_FRAME_LEN, "params")?,
+                layout: r.bytes(MAX_FRAME_LEN, "layout")?.to_vec(),
+                dataset: r.str(MAX_FRAME_LEN, "dataset")?.into(),
                 threads: r.u32("threads")?,
                 trace_level: r.u8("trace_level")?,
                 io_mode: r.u8("io_mode")?,
@@ -546,19 +414,19 @@ impl Message {
             },
             TYPE_END_JOB => Message::EndJob,
             TYPE_JOB_DONE => Message::JobDone {
-                trace: r.bytes("trace")?,
-                metrics: r.bytes("metrics")?,
+                trace: r.bytes(MAX_FRAME_LEN, "trace")?.to_vec(),
+                metrics: r.bytes(MAX_FRAME_LEN, "metrics")?.to_vec(),
             },
             TYPE_SHUTDOWN => Message::Shutdown,
             TYPE_ERROR => Message::Error {
-                message: r.string("message")?,
+                message: r.str(MAX_FRAME_LEN, "message")?.into(),
             },
             TYPE_STATS => Message::Stats {
                 round: r.u32("round")?,
-                metrics: r.bytes("metrics")?,
+                metrics: r.bytes(MAX_FRAME_LEN, "metrics")?.to_vec(),
             },
             TYPE_JOIN => Message::Join {
-                token: r.string("token")?,
+                token: r.str(MAX_FRAME_LEN, "token")?.into(),
             },
             TYPE_LEAVE => Message::Leave {
                 node_id: r.u32("node_id")?,
@@ -566,7 +434,7 @@ impl Message {
             TYPE_ROUND_START => Message::RoundStart {
                 round: r.u32("round")?,
                 attempt: r.u32("attempt")?,
-                state: r.f64s("state")?,
+                state: r.f64s(MAX_FRAME_LEN, "state")?,
             },
             TYPE_UNIT => Message::Unit {
                 round: r.u32("round")?,
@@ -579,15 +447,19 @@ impl Message {
                 attempt: r.u32("attempt")?,
                 first_row: r.u64("first_row")?,
                 elapsed_ns: r.u64("elapsed_ns")?,
-                cells: r.bytes("cells")?,
+                cells: r.bytes(MAX_FRAME_LEN, "cells")?.to_vec(),
             },
             TYPE_ROUND_END => Message::RoundEnd {
                 round: r.u32("round")?,
                 attempt: r.u32("attempt")?,
             },
-            other => return perr(format!("unknown message type {other}")),
+            other => {
+                return Err(DistError::Protocol {
+                    reason: format!("unknown message type {other}"),
+                })
+            }
         };
-        r.finish(msg.kind_name())?;
+        r.finish()?;
         Ok(msg)
     }
 }
@@ -674,26 +546,9 @@ pub fn scheme_from_wire(scheme: u8, stripes: u64, cells: u64, mask: u64) -> free
 /// [`DistError::Protocol`]; socket failures (including read timeouts,
 /// as `WouldBlock`/`TimedOut`) are [`DistError::Io`].
 pub fn read_message(r: &mut impl Read) -> Result<(Message, usize), DistError> {
-    let mut header = [0u8; 10];
-    r.read_exact(&mut header)?;
-    if &header[0..4] != WIRE_MAGIC {
-        return perr("bad frame magic");
-    }
-    if header[4] != WIRE_VERSION {
-        return perr(format!(
-            "unsupported wire version {} (expected {WIRE_VERSION})",
-            header[4]
-        ));
-    }
-    let type_byte = header[5];
-    let len = u32::from_le_bytes(header[6..10].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_LEN {
-        return perr(format!("frame length {len} exceeds limit {MAX_FRAME_LEN}"));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let (type_byte, payload) = FRAMING.read::<DistError>(r)?;
     let msg = Message::decode_payload(type_byte, &payload)?;
-    Ok((msg, 10 + len as usize))
+    Ok((msg, FRAME_HEADER_LEN + payload.len()))
 }
 
 #[cfg(test)]

@@ -73,6 +73,14 @@ impl std::error::Error for FreerideError {
     }
 }
 
+impl From<obs::codec::DecodeError> for FreerideError {
+    fn from(e: obs::codec::DecodeError) -> FreerideError {
+        FreerideError::Codec {
+            reason: e.to_string(),
+        }
+    }
+}
+
 impl From<std::io::Error> for FreerideError {
     fn from(e: std::io::Error) -> Self {
         FreerideError::Io(e)

@@ -54,7 +54,7 @@ pub use engine::{
 pub use error::FreerideError;
 pub use kernel::{KernelBackend, SplitKernel};
 pub use pool::WorkerPool;
-pub use robj::{fnv1a64, CombineOp, GroupSpec, RObjLayout, ReductionObject};
+pub use robj::{CombineOp, GroupSpec, RObjLayout, ReductionObject};
 pub use split::{DataView, Split, Splitter, SplitterFn};
 pub use stats::{IoActivity, PhaseTimes, RunStats, SplitStat};
 // Re-export the streaming-I/O substrate likewise: `IoMode::Streaming`

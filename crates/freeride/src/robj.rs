@@ -17,6 +17,11 @@
 
 use std::sync::Arc;
 
+use obs::codec::{
+    expect_version, fnv1a64_extend, put_f64, put_f64_array, put_str, put_u16, put_u32, put_u64,
+    Cursor, FNV1A64_OFFSET,
+};
+
 use crate::FreerideError;
 
 /// An associative + commutative combine operation for one group of cells.
@@ -307,7 +312,7 @@ impl ReductionObject {
     pub fn content_checksum(&self) -> u64 {
         self.cells
             .iter()
-            .fold(FNV_OFFSET, |h, v| fnv1a64_extend(h, &v.to_le_bytes()))
+            .fold(FNV1A64_OFFSET, |h, v| fnv1a64_extend(h, &v.to_le_bytes()))
     }
 
     /// Reset every cell to its group identity (between outer-loop
@@ -321,21 +326,6 @@ impl ReductionObject {
             }
         }
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a, 64-bit: the workspace's one content hash (reduction-object
-/// and checkpoint checksums, program- and kernel-cache keys).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_extend(FNV_OFFSET, bytes)
-}
-
-/// Continue an FNV-1a hash at state `h` over `bytes`.
-fn fnv1a64_extend(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
 // ---------------------------------------------------------------------
@@ -361,89 +351,16 @@ fn codec_err(reason: impl Into<String>) -> FreerideError {
     }
 }
 
-/// Checked little-endian reader over an untrusted frame.
-struct FrameReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> FrameReader<'a> {
-    fn new(buf: &'a [u8]) -> FrameReader<'a> {
-        FrameReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], FreerideError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| codec_err(format!("truncated frame: {what}")))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, FreerideError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, FreerideError> {
-        Ok(u16::from_le_bytes(
-            self.take(2, what)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, FreerideError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, FreerideError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, FreerideError> {
-        Ok(f64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn finish(self) -> Result<(), FreerideError> {
-        if self.pos != self.buf.len() {
-            return Err(codec_err(format!(
-                "{} trailing bytes after frame",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Validate magic + version and return the frame kind.
-    fn header(&mut self) -> Result<u8, FreerideError> {
-        let magic = self.take(4, "magic")?;
-        if magic != CODEC_MAGIC {
-            return Err(codec_err("bad magic"));
-        }
-        let version = self.u16("version")?;
-        if version != CODEC_VERSION {
-            return Err(codec_err(format!(
-                "unsupported codec version {version} (expected {CODEC_VERSION})"
-            )));
-        }
-        self.u8("kind")
-    }
+/// Validate magic + version and return the frame kind.
+fn read_header(r: &mut Cursor<'_>) -> Result<u8, FreerideError> {
+    r.magic(CODEC_MAGIC)?;
+    expect_version("codec", r.u16("version")?.into(), CODEC_VERSION.into())?;
+    Ok(r.u8("kind")?)
 }
 
 fn put_header(out: &mut Vec<u8>, kind: u8) {
     out.extend_from_slice(CODEC_MAGIC);
-    out.extend_from_slice(&CODEC_VERSION.to_le_bytes());
+    put_u16(out, CODEC_VERSION);
     out.push(kind);
 }
 
@@ -474,44 +391,40 @@ impl CombineOp {
 
 impl RObjLayout {
     fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), FreerideError> {
-        out.extend_from_slice(&(self.groups.len() as u32).to_le_bytes());
+        put_u32(out, self.groups.len() as u32);
         for g in &self.groups {
-            let name = g.name.as_bytes();
-            if name.len() > MAX_NAME_LEN as usize {
+            if g.name.len() > MAX_NAME_LEN as usize {
                 return Err(codec_err(format!(
                     "group name of {} bytes too long",
-                    name.len()
+                    g.name.len()
                 )));
             }
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name);
-            out.extend_from_slice(&(g.len as u64).to_le_bytes());
+            put_str(out, &g.name);
+            put_u64(out, g.len as u64);
             out.push(g.op.tag()?);
-            out.extend_from_slice(&g.init.to_le_bytes());
+            put_f64(out, g.init);
         }
         Ok(())
     }
 
-    fn decode_body(r: &mut FrameReader<'_>) -> Result<Arc<RObjLayout>, FreerideError> {
-        let count = r.u32("group count")?;
-        if count > MAX_GROUPS {
-            return Err(codec_err(format!("implausible group count {count}")));
-        }
-        let mut groups = Vec::with_capacity(count as usize);
+    fn decode_body(r: &mut Cursor<'_>) -> Result<Arc<RObjLayout>, FreerideError> {
+        // A group is at least an empty name, a length, a tag and an init.
+        let count = r.count(MAX_GROUPS, 21, "group count")?;
+        let mut groups = Vec::with_capacity(count);
+        let mut total = 0usize;
         for _ in 0..count {
-            let name_len = r.u32("group name length")?;
-            if name_len > MAX_NAME_LEN {
-                return Err(codec_err(format!("implausible name length {name_len}")));
-            }
-            let name = std::str::from_utf8(r.take(name_len as usize, "group name")?)
-                .map_err(|_| codec_err("group name is not UTF-8"))?
-                .to_string();
+            let name = r.str(MAX_NAME_LEN, "group name")?.into();
             let len = r.u64("group length")?;
             let op = CombineOp::from_tag(r.u8("combine-op tag")?)?;
             let init = r.f64("group init")?;
+            let len = usize::try_from(len)
+                .ok()
+                .filter(|&len| total.checked_add(len).is_some())
+                .ok_or_else(|| codec_err(format!("group length {len} overflows the layout")))?;
+            total += len;
             groups.push(GroupSpec {
                 name,
-                len: len as usize,
+                len,
                 op,
                 init,
             });
@@ -531,8 +444,8 @@ impl RObjLayout {
     /// Decode a layout frame produced by [`RObjLayout::encode`]. Never
     /// panics on malformed input.
     pub fn decode(bytes: &[u8]) -> Result<Arc<RObjLayout>, FreerideError> {
-        let mut r = FrameReader::new(bytes);
-        if r.header()? != KIND_LAYOUT {
+        let mut r = Cursor::new(bytes);
+        if read_header(&mut r)? != KIND_LAYOUT {
             return Err(codec_err("frame is not a layout frame"));
         }
         let layout = RObjLayout::decode_body(&mut r)?;
@@ -542,27 +455,18 @@ impl RObjLayout {
 }
 
 fn encode_cells_body(out: &mut Vec<u8>, cells: &[f64]) {
-    out.extend_from_slice(&(cells.len() as u64).to_le_bytes());
-    for x in cells {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
+    put_u64(out, cells.len() as u64);
+    put_f64_array(out, cells);
 }
 
-fn decode_cells_body(r: &mut FrameReader<'_>, expected: usize) -> Result<Vec<f64>, FreerideError> {
+fn decode_cells_body(r: &mut Cursor<'_>, expected: usize) -> Result<Vec<f64>, FreerideError> {
     let count = r.u64("cell count")?;
     if count != expected as u64 {
         return Err(codec_err(format!(
             "cell count {count} does not match layout's {expected} cells"
         )));
     }
-    if r.remaining() < expected * 8 {
-        return Err(codec_err("truncated frame: cell payload"));
-    }
-    let mut cells = Vec::with_capacity(expected);
-    for _ in 0..expected {
-        cells.push(r.f64("cell")?);
-    }
-    Ok(cells)
+    Ok(r.f64_array(expected, "cell payload")?)
 }
 
 impl ReductionObject {
@@ -583,8 +487,8 @@ impl ReductionObject {
         layout: &Arc<RObjLayout>,
         bytes: &[u8],
     ) -> Result<ReductionObject, FreerideError> {
-        let mut r = FrameReader::new(bytes);
-        if r.header()? != KIND_CELLS {
+        let mut r = Cursor::new(bytes);
+        if read_header(&mut r)? != KIND_CELLS {
             return Err(codec_err("frame is not a cells frame"));
         }
         let cells = decode_cells_body(&mut r, layout.total_cells())?;
@@ -608,8 +512,8 @@ impl ReductionObject {
     /// Decode a self-contained snapshot frame produced by
     /// [`ReductionObject::encode_snapshot`].
     pub fn decode_snapshot(bytes: &[u8]) -> Result<ReductionObject, FreerideError> {
-        let mut r = FrameReader::new(bytes);
-        if r.header()? != KIND_SNAPSHOT {
+        let mut r = Cursor::new(bytes);
+        if read_header(&mut r)? != KIND_SNAPSHOT {
             return Err(codec_err("frame is not a snapshot frame"));
         }
         let layout = RObjLayout::decode_body(&mut r)?;
@@ -622,6 +526,7 @@ impl ReductionObject {
 #[cfg(test)]
 mod robj_tests {
     use super::*;
+    use obs::codec::fnv1a64;
 
     fn layout2() -> Arc<RObjLayout> {
         RObjLayout::new(vec![

@@ -21,7 +21,7 @@ use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bytes::{Buf, BytesMut};
+use obs::codec::{expect_version, Cursor, DecodeError};
 
 use crate::FreerideError;
 
@@ -50,6 +50,14 @@ pub fn write_dataset(path: &Path, unit: usize, data: &[f64]) -> Result<(), Freer
     Ok(())
 }
 
+/// Parse a dataset header into `(rows, unit)`.
+fn parse_header(header: &[u8]) -> Result<(u64, u32), DecodeError> {
+    let mut r = Cursor::new(header);
+    r.magic(MAGIC)?;
+    expect_version("dataset", r.u32("version")?.into(), VERSION.into())?;
+    Ok((r.u64("rows")?, r.u32("unit")?))
+}
+
 /// A disk-resident dataset serving row ranges on demand.
 ///
 /// Holds one persistent handle opened at validation time; row reads are
@@ -67,39 +75,28 @@ pub struct FileDataset {
 impl FileDataset {
     /// Open and validate a dataset file.
     pub fn open(path: &Path) -> Result<FileDataset, FreerideError> {
+        let bad = |reason: String| FreerideError::BadDataset { reason };
         let mut f = File::open(path)?;
         let mut header = [0u8; HEADER_LEN as usize];
         f.read_exact(&mut header)
-            .map_err(|_| FreerideError::BadDataset {
-                reason: "file shorter than header".into(),
-            })?;
-        let mut buf = BytesMut::from(&header[..]);
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(FreerideError::BadDataset {
-                reason: "bad magic".into(),
-            });
-        }
-        let version = buf.get_u32_le();
-        if version != VERSION {
-            return Err(FreerideError::BadDataset {
-                reason: format!("unsupported version {version}"),
-            });
-        }
-        let rows = buf.get_u64_le();
-        let unit = buf.get_u32_le();
+            .map_err(|_| bad("file shorter than header".into()))?;
+        let (rows, unit) = parse_header(&header).map_err(|e| bad(e.to_string()))?;
         if unit == 0 {
-            return Err(FreerideError::BadDataset {
-                reason: "zero unit".into(),
-            });
+            return Err(bad("zero unit".into()));
         }
-        let expected = HEADER_LEN + rows * unit as u64 * 8;
+        let expected = rows
+            .checked_mul(u64::from(unit) * 8)
+            .and_then(|payload| payload.checked_add(HEADER_LEN))
+            .ok_or_else(|| {
+                bad(format!(
+                    "{rows} rows of {unit} slots overflow a file length"
+                ))
+            })?;
         let actual = f.metadata()?.len();
         if actual < expected {
-            return Err(FreerideError::BadDataset {
-                reason: format!("payload truncated: {actual} < {expected} bytes"),
-            });
+            return Err(bad(format!(
+                "payload truncated: {actual} < {expected} bytes"
+            )));
         }
         Ok(FileDataset {
             path: path.to_path_buf(),
@@ -297,6 +294,18 @@ mod source_tests {
         bytes.extend_from_slice(&4u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(FileDataset::open(&path).is_err());
+        // A header whose rows x unit overflows the file length is a
+        // typed error, not an overflow panic or a giant dataset.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(1u64 << 61).to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            FileDataset::open(&path),
+            Err(FreerideError::BadDataset { .. })
+        ));
         std::fs::remove_file(&path).ok();
     }
 

@@ -84,6 +84,19 @@ impl From<std::io::Error> for FtError {
     }
 }
 
+impl From<obs::codec::DecodeError> for FtError {
+    fn from(e: obs::codec::DecodeError) -> FtError {
+        match e {
+            obs::codec::DecodeError::Checksum { .. } => FtError::Corrupt {
+                reason: format!("frame {e}"),
+            },
+            e => FtError::Codec {
+                reason: e.to_string(),
+            },
+        }
+    }
+}
+
 impl From<freeride::FreerideError> for FtError {
     fn from(e: freeride::FreerideError) -> FtError {
         FtError::Codec {

@@ -41,6 +41,9 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use freeride::ReductionObject;
+use obs::codec::{
+    expect_version, put_bytes, put_f64s, put_i64s, put_str, put_u16, put_u32, put_u64, seal, Cursor,
+};
 
 use crate::error::FtError;
 
@@ -57,11 +60,6 @@ const KIND_CHECKPOINT: u8 = 1;
 const MAX_NAME_LEN: u32 = 1 << 16;
 const MAX_VEC_LEN: u32 = 1 << 24;
 const MAX_SNAPSHOT_LEN: u32 = 64 << 20;
-
-/// FNV-1a 64-bit — the checksum used for both the frame trailer and the
-/// reduction-object content hash
-/// ([`ReductionObject::content_checksum`]).
-pub use freeride::fnv1a64;
 
 /// One recoverable point-in-time of a job: the state after round
 /// `round` completed.
@@ -127,32 +125,22 @@ impl Checkpoint {
         let snapshot = self.robj.encode_snapshot()?;
         let mut out = Vec::with_capacity(64 + snapshot.len() + self.state.len() * 8);
         out.extend_from_slice(CKPT_MAGIC);
-        out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
+        put_u16(&mut out, CKPT_VERSION);
         out.push(KIND_CHECKPOINT);
-        out.extend_from_slice(&(self.task.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.task.as_bytes());
-        out.extend_from_slice(&(self.job.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.job.as_bytes());
-        out.extend_from_slice(&(self.params.len() as u32).to_le_bytes());
-        for p in &self.params {
-            out.extend_from_slice(&p.to_le_bytes());
-        }
-        out.extend_from_slice(&self.round.to_le_bytes());
-        out.extend_from_slice(&self.rounds_total.to_le_bytes());
-        out.extend_from_slice(&(self.state.len() as u32).to_le_bytes());
-        for s in &self.state {
-            out.extend_from_slice(&s.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
+        put_str(&mut out, &self.task);
+        put_str(&mut out, &self.job);
+        put_i64s(&mut out, &self.params);
+        put_u32(&mut out, self.round);
+        put_u32(&mut out, self.rounds_total);
+        put_f64s(&mut out, &self.state);
+        put_u32(&mut out, self.shards.len() as u32);
         for &(first, rows) in &self.shards {
-            out.extend_from_slice(&first.to_le_bytes());
-            out.extend_from_slice(&rows.to_le_bytes());
+            put_u64(&mut out, first);
+            put_u64(&mut out, rows);
         }
-        out.extend_from_slice(&self.robj.content_checksum().to_le_bytes());
-        out.extend_from_slice(&(snapshot.len() as u32).to_le_bytes());
-        out.extend_from_slice(&snapshot);
-        let sum = fnv1a64(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
+        put_u64(&mut out, self.robj.content_checksum());
+        put_bytes(&mut out, &snapshot);
+        seal(&mut out);
         Ok(out)
     }
 
@@ -162,54 +150,29 @@ impl Checkpoint {
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, FtError> {
         // Structural header checks first, so version skew reports as a
         // version error, not as a checksum failure.
-        if bytes.len() < 7 {
-            return Err(codec("truncated frame: header"));
-        }
-        if &bytes[0..4] != CKPT_MAGIC {
-            return Err(codec("bad checkpoint magic"));
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version != CKPT_VERSION {
-            return Err(codec(format!(
-                "unsupported checkpoint version {version} (expected {CKPT_VERSION})"
-            )));
-        }
-        if bytes[6] != KIND_CHECKPOINT {
-            return Err(codec(format!("unknown frame kind {}", bytes[6])));
-        }
-        if bytes.len() < 7 + 8 {
-            return Err(codec("truncated frame: checksum trailer"));
-        }
-        let body_end = bytes.len() - 8;
-        let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-        let actual = fnv1a64(&bytes[..body_end]);
-        if stored != actual {
-            return Err(FtError::Corrupt {
-                reason: format!(
-                    "frame checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
-                ),
+        let mut r = Cursor::new(bytes);
+        r.magic(CKPT_MAGIC)?;
+        expect_version("checkpoint", r.u16("version")?.into(), CKPT_VERSION.into())?;
+        let kind = r.u8("kind")?;
+        if kind != KIND_CHECKPOINT {
+            return Err(FtError::Codec {
+                reason: format!("unknown frame kind {kind}"),
             });
         }
-        let mut r = FrameReader {
-            buf: &bytes[..body_end],
-            pos: 7,
-        };
-        let task = r.string("task", MAX_NAME_LEN)?;
-        let job = r.string("job", MAX_NAME_LEN)?;
-        let params = r.i64s("params", MAX_VEC_LEN)?;
+        let mut r = r.unseal()?;
+        let task = r.str(MAX_NAME_LEN, "task")?.into();
+        let job = r.str(MAX_NAME_LEN, "job")?.into();
+        let params = r.i64s(MAX_VEC_LEN, "params")?;
         let round = r.u32("round")?;
         let rounds_total = r.u32("rounds_total")?;
-        let state = r.f64s("state", MAX_VEC_LEN)?;
-        let n_shards = r.bounded_len("shards", MAX_VEC_LEN)?;
-        let mut shards = Vec::with_capacity(n_shards.min(1 << 12));
+        let state = r.f64s(MAX_VEC_LEN, "state")?;
+        let n_shards = r.count(MAX_VEC_LEN, 16, "shards")?;
+        let mut shards = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
-            let first = r.u64("shard first_row")?;
-            let rows = r.u64("shard rows")?;
-            shards.push((first, rows));
+            shards.push((r.u64("shard first_row")?, r.u64("shard rows")?));
         }
         let robj_sum = r.u64("robj checksum")?;
-        let snap_len = r.bounded_len("snapshot", MAX_SNAPSHOT_LEN)?;
-        let snapshot = r.take(snap_len, "snapshot")?;
+        let snapshot = r.bytes(MAX_SNAPSHOT_LEN, "snapshot")?;
         r.finish()?;
         let robj = ReductionObject::decode_snapshot(snapshot)?;
         if robj.content_checksum() != robj_sum {
@@ -227,97 +190,6 @@ impl Checkpoint {
             shards,
             robj,
         })
-    }
-}
-
-fn codec(reason: impl Into<String>) -> FtError {
-    FtError::Codec {
-        reason: reason.into(),
-    }
-}
-
-/// Checked little-endian reader over an untrusted frame body.
-struct FrameReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> FrameReader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], FtError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| codec(format!("truncated frame: {what}")))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, FtError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, FtError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn bounded_len(&mut self, what: &str, max: u32) -> Result<usize, FtError> {
-        let n = self.u32(what)?;
-        if n > max {
-            return Err(codec(format!("implausible {what} length {n}")));
-        }
-        Ok(n as usize)
-    }
-
-    fn string(&mut self, what: &str, max: u32) -> Result<String, FtError> {
-        let n = self.bounded_len(what, max)?;
-        match std::str::from_utf8(self.take(n, what)?) {
-            Ok(s) => Ok(s.to_string()),
-            Err(_) => Err(codec(format!("{what} is not UTF-8"))),
-        }
-    }
-
-    fn i64s(&mut self, what: &str, max: u32) -> Result<Vec<i64>, FtError> {
-        let n = self.bounded_len(what, max)?;
-        if self.buf.len() - self.pos < n * 8 {
-            return Err(codec(format!("truncated frame: {what}")));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(i64::from_le_bytes(
-                self.take(8, what)?.try_into().expect("8 bytes"),
-            ));
-        }
-        Ok(out)
-    }
-
-    fn f64s(&mut self, what: &str, max: u32) -> Result<Vec<f64>, FtError> {
-        let n = self.bounded_len(what, max)?;
-        if self.buf.len() - self.pos < n * 8 {
-            return Err(codec(format!("truncated frame: {what}")));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(f64::from_le_bytes(
-                self.take(8, what)?.try_into().expect("8 bytes"),
-            ));
-        }
-        Ok(out)
-    }
-
-    fn finish(self) -> Result<(), FtError> {
-        if self.pos != self.buf.len() {
-            return Err(codec(format!(
-                "{} trailing bytes in frame body",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
     }
 }
 

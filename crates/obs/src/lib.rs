@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 mod chrome;
+pub mod codec;
 mod expose;
 mod flight;
 mod json;

@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
+use crate::codec::{expect_version, fnv1a64, put_f64, put_i64, put_str, put_u32, put_u64, Cursor};
 use crate::wire::{intern, TraceDecodeError};
 
 const MAGIC: &[u8; 4] = b"FRMT";
@@ -165,7 +166,7 @@ impl Histogram {
                     reason: format!("histogram bucket index {i} out of range"),
                 });
             }
-            h.buckets[i as usize] += c;
+            h.buckets[i as usize] = h.buckets[i as usize].saturating_add(c);
             h.count = h.count.saturating_add(c);
         }
         h.sum = sum;
@@ -186,12 +187,7 @@ struct HubShard {
 
 /// FNV-1a over the metric name, used to pick the hub shard.
 fn shard_of(name: &str) -> usize {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    (h as usize) % HUB_SHARDS
+    (fnv1a64(name.as_bytes()) as usize) % HUB_SHARDS
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -344,25 +340,25 @@ impl MetricsSnapshot {
         let mut out = Vec::with_capacity(64);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.counters.len() as u32).to_le_bytes());
+        put_u32(&mut out, self.counters.len() as u32);
         for (k, v) in &self.counters {
             put_str(&mut out, k);
-            out.extend_from_slice(&v.to_le_bytes());
+            put_i64(&mut out, *v);
         }
-        out.extend_from_slice(&(self.gauges.len() as u32).to_le_bytes());
+        put_u32(&mut out, self.gauges.len() as u32);
         for (k, v) in &self.gauges {
             put_str(&mut out, k);
-            out.extend_from_slice(&v.to_le_bytes());
+            put_f64(&mut out, *v);
         }
-        out.extend_from_slice(&(self.histograms.len() as u32).to_le_bytes());
+        put_u32(&mut out, self.histograms.len() as u32);
         for (k, h) in &self.histograms {
             put_str(&mut out, k);
-            out.extend_from_slice(&h.sum.to_le_bytes());
+            put_u64(&mut out, h.sum);
             let sparse = h.sparse();
-            out.extend_from_slice(&(sparse.len() as u32).to_le_bytes());
+            put_u32(&mut out, sparse.len() as u32);
             for (i, c) in sparse {
-                out.extend_from_slice(&i.to_le_bytes());
-                out.extend_from_slice(&c.to_le_bytes());
+                put_u32(&mut out, i);
+                put_u64(&mut out, c);
             }
         }
         out
@@ -374,58 +370,40 @@ impl MetricsSnapshot {
     /// oversized frames all return a typed [`TraceDecodeError`].
     pub fn decode_bin(bytes: &[u8]) -> Result<MetricsSnapshot, TraceDecodeError> {
         if bytes.len() > MAX_FRAME_LEN {
-            return err(format!(
-                "metrics frame of {} bytes exceeds the {} byte cap",
-                bytes.len(),
-                MAX_FRAME_LEN
-            ));
+            return Err(TraceDecodeError {
+                reason: format!(
+                    "metrics frame of {} bytes exceeds the {MAX_FRAME_LEN} byte cap",
+                    bytes.len()
+                ),
+            });
         }
-        let mut r = Reader { buf: bytes, pos: 0 };
-        if r.take(4, "magic")? != MAGIC {
-            return err("bad metrics magic");
-        }
-        let version = r.u16("version")?;
-        if version != VERSION {
-            return err(format!(
-                "unsupported metrics codec version {version} (expected {VERSION})"
-            ));
-        }
+        let mut r = Cursor::new(bytes);
+        r.magic(MAGIC)?;
+        expect_version("metrics codec", r.u16("version")?.into(), VERSION.into())?;
         let mut snap = MetricsSnapshot::default();
-        let counters = r.count("counter count")?;
+        let counters = r.count(MAX_ITEMS, 12, "counter count")?;
         for _ in 0..counters {
-            let k = r.string("counter name")?;
-            let v = r.i64("counter value")?;
-            snap.counters.insert(k, v);
+            let k = r.str(MAX_STR_LEN, "counter name")?.into();
+            snap.counters.insert(k, r.i64("counter value")?);
         }
-        let gauges = r.count("gauge count")?;
+        let gauges = r.count(MAX_ITEMS, 12, "gauge count")?;
         for _ in 0..gauges {
-            let k = r.string("gauge name")?;
-            let v = r.f64("gauge value")?;
-            snap.gauges.insert(k, v);
+            let k = r.str(MAX_STR_LEN, "gauge name")?.into();
+            snap.gauges.insert(k, r.f64("gauge value")?);
         }
-        let hists = r.count("histogram count")?;
+        let hists = r.count(MAX_ITEMS, 16, "histogram count")?;
         for _ in 0..hists {
-            let k = r.string("histogram name")?;
+            let k = r.str(MAX_STR_LEN, "histogram name")?.into();
             let sum = r.u64("histogram sum")?;
-            let pairs = r.count("bucket count")?;
-            if pairs as usize > HIST_BUCKETS {
-                return err(format!("implausible bucket count {pairs}"));
-            }
-            let mut sparse = Vec::with_capacity(pairs as usize);
+            let pairs = r.count(HIST_BUCKETS as u32, 12, "bucket count")?;
+            let mut sparse = Vec::with_capacity(pairs);
             for _ in 0..pairs {
-                let i = r.u32("bucket index")?;
-                let c = r.u64("bucket value")?;
-                sparse.push((i, c));
+                sparse.push((r.u32("bucket index")?, r.u64("bucket value")?));
             }
             snap.histograms
                 .insert(k, Histogram::from_sparse(sum, &sparse)?);
         }
-        if r.pos != r.buf.len() {
-            return err(format!(
-                "{} trailing bytes after metrics frame",
-                r.buf.len() - r.pos
-            ));
-        }
+        r.finish()?;
         Ok(snap)
     }
 
@@ -458,85 +436,6 @@ impl MetricsSnapshot {
         }
         rows.sort_by_key(|r| r.0);
         rows
-    }
-}
-
-fn err<T>(reason: impl Into<String>) -> Result<T, TraceDecodeError> {
-    Err(TraceDecodeError {
-        reason: reason.into(),
-    })
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], TraceDecodeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(())
-            .or_else(|_| err(format!("truncated: {what}")))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, TraceDecodeError> {
-        Ok(u16::from_le_bytes(
-            self.take(2, what)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, TraceDecodeError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, TraceDecodeError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn i64(&mut self, what: &str) -> Result<i64, TraceDecodeError> {
-        Ok(i64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, TraceDecodeError> {
-        Ok(f64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, TraceDecodeError> {
-        let len = self.u32(what)?;
-        if len > MAX_STR_LEN {
-            return err(format!("implausible string length {len} in {what}"));
-        }
-        match std::str::from_utf8(self.take(len as usize, what)?) {
-            Ok(s) => Ok(s.to_string()),
-            Err(_) => err(format!("{what} is not UTF-8")),
-        }
-    }
-
-    fn count(&mut self, what: &str) -> Result<u32, TraceDecodeError> {
-        let n = self.u32(what)?;
-        if n > MAX_ITEMS {
-            return err(format!("implausible {what} {n}"));
-        }
-        Ok(n)
     }
 }
 

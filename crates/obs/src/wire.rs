@@ -13,6 +13,9 @@
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
+use crate::codec::{
+    expect_version, put_f64, put_i64, put_str, put_u32, put_u64, Cursor, DecodeError,
+};
 use crate::{AttrValue, SpanRecord, Trace};
 
 const MAGIC: &[u8; 4] = b"FRTR";
@@ -37,10 +40,12 @@ impl std::fmt::Display for TraceDecodeError {
 
 impl std::error::Error for TraceDecodeError {}
 
-fn err<T>(reason: impl Into<String>) -> Result<T, TraceDecodeError> {
-    Err(TraceDecodeError {
-        reason: reason.into(),
-    })
+impl From<DecodeError> for TraceDecodeError {
+    fn from(e: DecodeError) -> TraceDecodeError {
+        TraceDecodeError {
+            reason: e.to_string(),
+        }
+    }
 }
 
 /// Intern a string, returning a `&'static str` that is pointer-stable
@@ -57,83 +62,6 @@ pub fn intern(s: &str) -> &'static str {
     leaked
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], TraceDecodeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(())
-            .or_else(|_| err(format!("truncated: {what}")))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, TraceDecodeError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, TraceDecodeError> {
-        Ok(u16::from_le_bytes(
-            self.take(2, what)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, TraceDecodeError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, TraceDecodeError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn i64(&mut self, what: &str) -> Result<i64, TraceDecodeError> {
-        Ok(i64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, TraceDecodeError> {
-        Ok(f64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, TraceDecodeError> {
-        let len = self.u32(what)?;
-        if len > MAX_STR_LEN {
-            return err(format!("implausible string length {len} in {what}"));
-        }
-        match std::str::from_utf8(self.take(len as usize, what)?) {
-            Ok(s) => Ok(s.to_string()),
-            Err(_) => err(format!("{what} is not UTF-8")),
-        }
-    }
-
-    fn count(&mut self, what: &str) -> Result<u32, TraceDecodeError> {
-        let n = self.u32(what)?;
-        if n > MAX_ITEMS {
-            return err(format!("implausible {what} {n}"));
-        }
-        Ok(n)
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
 impl Trace {
     /// Serialize the full trace (spans, counters, gauges) as a
     /// versioned binary frame for shipping across a process boundary.
@@ -141,25 +69,25 @@ impl Trace {
         let mut out = Vec::with_capacity(64 + self.spans.len() * 48);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.spans.len() as u32).to_le_bytes());
+        put_u32(&mut out, self.spans.len() as u32);
         for s in &self.spans {
             put_str(&mut out, s.name);
             put_str(&mut out, s.cat);
-            out.extend_from_slice(&(s.pid as u32).to_le_bytes());
-            out.extend_from_slice(&(s.tid as u32).to_le_bytes());
-            out.extend_from_slice(&s.start_ns.to_le_bytes());
-            out.extend_from_slice(&s.dur_ns.to_le_bytes());
-            out.extend_from_slice(&(s.attrs.len() as u32).to_le_bytes());
+            put_u32(&mut out, s.pid as u32);
+            put_u32(&mut out, s.tid as u32);
+            put_u64(&mut out, s.start_ns);
+            put_u64(&mut out, s.dur_ns);
+            put_u32(&mut out, s.attrs.len() as u32);
             for (k, v) in &s.attrs {
                 put_str(&mut out, k);
                 match v {
                     AttrValue::Int(x) => {
                         out.push(0);
-                        out.extend_from_slice(&x.to_le_bytes());
+                        put_i64(&mut out, *x);
                     }
                     AttrValue::Float(x) => {
                         out.push(1);
-                        out.extend_from_slice(&x.to_le_bytes());
+                        put_f64(&mut out, *x);
                     }
                     AttrValue::Str(x) => {
                         out.push(2);
@@ -168,15 +96,15 @@ impl Trace {
                 }
             }
         }
-        out.extend_from_slice(&(self.counters.len() as u32).to_le_bytes());
+        put_u32(&mut out, self.counters.len() as u32);
         for (k, v) in &self.counters {
             put_str(&mut out, k);
-            out.extend_from_slice(&v.to_le_bytes());
+            put_i64(&mut out, *v);
         }
-        out.extend_from_slice(&(self.gauges.len() as u32).to_le_bytes());
+        put_u32(&mut out, self.gauges.len() as u32);
         for (k, v) in &self.gauges {
             put_str(&mut out, k);
-            out.extend_from_slice(&v.to_le_bytes());
+            put_f64(&mut out, *v);
         }
         out
     }
@@ -184,35 +112,35 @@ impl Trace {
     /// Decode a frame produced by [`Trace::encode_bin`]. Never panics
     /// on malformed input; span names/cats/attr keys are interned.
     pub fn decode_bin(bytes: &[u8]) -> Result<Trace, TraceDecodeError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        if r.take(4, "magic")? != MAGIC {
-            return err("bad magic");
-        }
-        let version = r.u16("version")?;
-        if version != VERSION {
-            return err(format!(
-                "unsupported trace codec version {version} (expected {VERSION})"
-            ));
-        }
-        let span_count = r.count("span count")?;
+        let mut r = Cursor::new(bytes);
+        r.magic(MAGIC)?;
+        expect_version("trace codec", r.u16("version")?.into(), VERSION.into())?;
+        // A span is at least two empty strings, pid, tid, start, dur
+        // and an attr count.
+        let span_count = r.count(MAX_ITEMS, 36, "span count")?;
         let mut trace = Trace::default();
-        trace.spans.reserve(span_count.min(4096) as usize);
+        trace.spans.reserve(span_count);
         for _ in 0..span_count {
-            let name = intern(&r.string("span name")?);
-            let cat = intern(&r.string("span cat")?);
+            let name = intern(r.str(MAX_STR_LEN, "span name")?);
+            let cat = intern(r.str(MAX_STR_LEN, "span cat")?);
             let pid = r.u32("span pid")? as usize;
             let tid = r.u32("span tid")? as usize;
             let start_ns = r.u64("span start")?;
             let dur_ns = r.u64("span dur")?;
-            let attr_count = r.count("attr count")?;
-            let mut attrs = Vec::with_capacity(attr_count.min(64) as usize);
+            // An attr is at least an empty key, a tag and a 4-byte value.
+            let attr_count = r.count(MAX_ITEMS, 9, "attr count")?;
+            let mut attrs = Vec::with_capacity(attr_count);
             for _ in 0..attr_count {
-                let key = intern(&r.string("attr key")?);
+                let key = intern(r.str(MAX_STR_LEN, "attr key")?);
                 let value = match r.u8("attr tag")? {
                     0 => AttrValue::Int(r.i64("attr int")?),
                     1 => AttrValue::Float(r.f64("attr float")?),
-                    2 => AttrValue::Str(r.string("attr str")?),
-                    t => return err(format!("unknown attr tag {t}")),
+                    2 => AttrValue::Str(r.str(MAX_STR_LEN, "attr str")?.into()),
+                    t => {
+                        return Err(TraceDecodeError {
+                            reason: format!("unknown attr tag {t}"),
+                        })
+                    }
                 };
                 attrs.push((key, value));
             }
@@ -226,24 +154,17 @@ impl Trace {
                 attrs,
             });
         }
-        let counter_count = r.count("counter count")?;
+        let counter_count = r.count(MAX_ITEMS, 12, "counter count")?;
         for _ in 0..counter_count {
-            let k = r.string("counter name")?;
-            let v = r.i64("counter value")?;
-            trace.counters.insert(k, v);
+            let k = r.str(MAX_STR_LEN, "counter name")?.into();
+            trace.counters.insert(k, r.i64("counter value")?);
         }
-        let gauge_count = r.count("gauge count")?;
+        let gauge_count = r.count(MAX_ITEMS, 12, "gauge count")?;
         for _ in 0..gauge_count {
-            let k = r.string("gauge name")?;
-            let v = r.f64("gauge value")?;
-            trace.gauges.insert(k, v);
+            let k = r.str(MAX_STR_LEN, "gauge name")?.into();
+            trace.gauges.insert(k, r.f64("gauge value")?);
         }
-        if r.pos != r.buf.len() {
-            return err(format!(
-                "{} trailing bytes after frame",
-                r.buf.len() - r.pos
-            ));
-        }
+        r.finish()?;
         Ok(trace)
     }
 }

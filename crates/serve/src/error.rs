@@ -56,6 +56,14 @@ impl std::error::Error for ServeError {
     }
 }
 
+impl From<obs::codec::DecodeError> for ServeError {
+    fn from(e: obs::codec::DecodeError) -> ServeError {
+        ServeError::Protocol {
+            reason: e.to_string(),
+        }
+    }
+}
+
 impl From<std::io::Error> for ServeError {
     fn from(e: std::io::Error) -> ServeError {
         ServeError::Io(e)

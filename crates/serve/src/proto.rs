@@ -21,6 +21,8 @@
 
 use std::io::{Read, Write};
 
+use obs::codec::{put_bytes, put_f64s, put_i64s, put_str, Cursor, Framing};
+
 use crate::error::ServeError;
 
 /// Frame magic.
@@ -38,6 +40,12 @@ pub const WIRE_VERSION: u8 = 4;
 /// Upper bound on a frame payload (64 MiB): a corrupt length field
 /// fails fast instead of triggering a giant allocation.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
+
+const FRAMING: Framing = Framing {
+    magic: WIRE_MAGIC,
+    version: WIRE_VERSION,
+    max_len: MAX_FRAME_LEN,
+};
 
 const TYPE_CLIENT_HELLO: u8 = 1;
 const TYPE_WELCOME: u8 = 2;
@@ -285,37 +293,11 @@ pub enum Message {
     },
 }
 
-fn perr<T>(reason: impl Into<String>) -> Result<T, ServeError> {
-    Err(ServeError::Protocol {
-        reason: reason.into(),
-    })
+fn perr<T>(reason: String) -> Result<T, ServeError> {
+    Err(ServeError::Protocol { reason })
 }
 
 // ---- payload writers -------------------------------------------------
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-fn put_i64s(out: &mut Vec<u8>, xs: &[i64]) {
-    out.extend_from_slice(&(xs.len() as u32).to_le_bytes());
-    for x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
-    out.extend_from_slice(&(xs.len() as u32).to_le_bytes());
-    for x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
 
 fn put_status(out: &mut Vec<u8>, status: &ServerStatus) {
     for v in [
@@ -382,164 +364,65 @@ fn put_spec(out: &mut Vec<u8>, spec: &JobSpec) {
     }
 }
 
-// ---- payload reader --------------------------------------------------
+// ---- payload readers -------------------------------------------------
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn read_spec(r: &mut Cursor<'_>) -> Result<JobSpec, ServeError> {
+    match r.u8("spec tag")? {
+        SPEC_TASK => Ok(JobSpec::Task {
+            task: r.str(MAX_FRAME_LEN, "task")?.into(),
+            params: r.i64s(MAX_FRAME_LEN, "params")?,
+            init_state: r.f64s(MAX_FRAME_LEN, "init_state")?,
+            rounds: r.u32("rounds")?,
+            dataset: r.str(MAX_FRAME_LEN, "dataset")?.into(),
+            threads_per_node: r.u32("threads_per_node")?,
+            backend: r.u8("backend")?,
+        }),
+        SPEC_CHAPEL => {
+            let source = r.str(MAX_FRAME_LEN, "source")?.into();
+            let opt = r.u8("opt")?;
+            let threads = r.u32("threads")?;
+            let n = r.count(MAX_FRAME_LEN, 4, "globals")?;
+            let mut globals = Vec::with_capacity(n);
+            for _ in 0..n {
+                globals.push(r.str(MAX_FRAME_LEN, "global name")?.into());
+            }
+            let backend = r.u8("backend")?;
+            Ok(JobSpec::Chapel {
+                source,
+                opt,
+                threads,
+                globals,
+                backend,
+            })
+        }
+        other => perr(format!("unknown job spec tag {other}")),
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ServeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(())
-            .or_else(|_| perr(format!("truncated payload: {what}")))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+fn read_status(r: &mut Cursor<'_>) -> Result<ServerStatus, ServeError> {
+    let mut status = ServerStatus {
+        queued: r.u32("queued")?,
+        running: r.u32("running")?,
+        completed: r.u32("completed")?,
+        failed: r.u32("failed")?,
+        program_cache_hits: r.u32("program_cache_hits")?,
+        program_cache_misses: r.u32("program_cache_misses")?,
+        dataset_cache_hits: r.u32("dataset_cache_hits")?,
+        dataset_cache_misses: r.u32("dataset_cache_misses")?,
+        tenants: Vec::new(),
+        queue: Vec::new(),
+    };
+    let n = r.count(MAX_FRAME_LEN, 12, "tenant count")?;
+    for _ in 0..n {
+        status.tenants.push(TenantStatus {
+            tenant: r.str(MAX_FRAME_LEN, "tenant")?.into(),
+            active: r.u32("tenant active")?,
+            running: r.u32("tenant running")?,
+        });
     }
-
-    fn u8(&mut self, what: &str) -> Result<u8, ServeError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, ServeError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, ServeError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn len(&mut self, what: &str) -> Result<usize, ServeError> {
-        let n = self.u32(what)?;
-        if n > MAX_FRAME_LEN {
-            return perr(format!("implausible {what} {n}"));
-        }
-        Ok(n as usize)
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, ServeError> {
-        let n = self.len(what)?;
-        match std::str::from_utf8(self.take(n, what)?) {
-            Ok(s) => Ok(s.to_string()),
-            Err(_) => perr(format!("{what} is not UTF-8")),
-        }
-    }
-
-    fn bytes(&mut self, what: &str) -> Result<Vec<u8>, ServeError> {
-        let n = self.len(what)?;
-        Ok(self.take(n, what)?.to_vec())
-    }
-
-    fn i64s(&mut self, what: &str) -> Result<Vec<i64>, ServeError> {
-        let n = self.len(what)?;
-        if self.buf.len() - self.pos < n * 8 {
-            return perr(format!("truncated payload: {what}"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(i64::from_le_bytes(
-                self.take(8, what)?.try_into().expect("8 bytes"),
-            ));
-        }
-        Ok(out)
-    }
-
-    fn f64s(&mut self, what: &str) -> Result<Vec<f64>, ServeError> {
-        let n = self.len(what)?;
-        if self.buf.len() - self.pos < n * 8 {
-            return perr(format!("truncated payload: {what}"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(f64::from_le_bytes(
-                self.take(8, what)?.try_into().expect("8 bytes"),
-            ));
-        }
-        Ok(out)
-    }
-
-    fn spec(&mut self) -> Result<JobSpec, ServeError> {
-        match self.u8("spec tag")? {
-            SPEC_TASK => Ok(JobSpec::Task {
-                task: self.string("task")?,
-                params: self.i64s("params")?,
-                init_state: self.f64s("init_state")?,
-                rounds: self.u32("rounds")?,
-                dataset: self.string("dataset")?,
-                threads_per_node: self.u32("threads_per_node")?,
-                backend: self.u8("backend")?,
-            }),
-            SPEC_CHAPEL => {
-                let source = self.string("source")?;
-                let opt = self.u8("opt")?;
-                let threads = self.u32("threads")?;
-                let n = self.len("globals")?;
-                let mut globals = Vec::with_capacity(n.min(1 << 10));
-                for _ in 0..n {
-                    globals.push(self.string("global name")?);
-                }
-                let backend = self.u8("backend")?;
-                Ok(JobSpec::Chapel {
-                    source,
-                    opt,
-                    threads,
-                    globals,
-                    backend,
-                })
-            }
-            other => perr(format!("unknown job spec tag {other}")),
-        }
-    }
-
-    fn status(&mut self) -> Result<ServerStatus, ServeError> {
-        let mut status = ServerStatus {
-            queued: self.u32("queued")?,
-            running: self.u32("running")?,
-            completed: self.u32("completed")?,
-            failed: self.u32("failed")?,
-            program_cache_hits: self.u32("program_cache_hits")?,
-            program_cache_misses: self.u32("program_cache_misses")?,
-            dataset_cache_hits: self.u32("dataset_cache_hits")?,
-            dataset_cache_misses: self.u32("dataset_cache_misses")?,
-            tenants: Vec::new(),
-            queue: Vec::new(),
-        };
-        let n = self.len("tenant count")?;
-        for _ in 0..n {
-            status.tenants.push(TenantStatus {
-                tenant: self.string("tenant")?,
-                active: self.u32("tenant active")?,
-                running: self.u32("tenant running")?,
-            });
-        }
-        let n = self.len("queue length")?;
-        if self.buf.len() - self.pos < n * 8 {
-            return perr("truncated payload: queue");
-        }
-        for _ in 0..n {
-            status.queue.push(self.u64("queue entry")?);
-        }
-        Ok(status)
-    }
-
-    fn finish(self, what: &str) -> Result<(), ServeError> {
-        if self.pos != self.buf.len() {
-            return perr(format!(
-                "{} trailing bytes in {what}",
-                self.buf.len() - self.pos
-            ));
-        }
-        Ok(())
-    }
+    let n = r.count(MAX_FRAME_LEN, 8, "queue length")?;
+    status.queue = r.u64_array(n, "queue")?;
+    Ok(status)
 }
 
 impl Message {
@@ -590,17 +473,16 @@ impl Message {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn put_payload(&self, out: &mut Vec<u8>) {
         match self {
             Message::ClientHello { tenant, token } => {
-                put_str(&mut out, tenant);
-                put_str(&mut out, token);
+                put_str(out, tenant);
+                put_str(out, token);
             }
             Message::Welcome { session } => out.extend_from_slice(&session.to_le_bytes()),
-            Message::Submit { spec } => put_spec(&mut out, spec),
+            Message::Submit { spec } => put_spec(out, spec),
             Message::Submitted { job_id } => out.extend_from_slice(&job_id.to_le_bytes()),
-            Message::Rejected { reason } => put_str(&mut out, reason),
+            Message::Rejected { reason } => put_str(out, reason),
             Message::Wait { job_id } => out.extend_from_slice(&job_id.to_le_bytes()),
             Message::JobResult {
                 job_id,
@@ -610,42 +492,42 @@ impl Message {
                 trace,
             } => {
                 out.extend_from_slice(&job_id.to_le_bytes());
-                put_f64s(&mut out, state);
-                put_bytes(&mut out, robj);
+                put_f64s(out, state);
+                put_bytes(out, robj);
                 out.extend_from_slice(&(globals.len() as u32).to_le_bytes());
                 for (name, values) in globals {
-                    put_str(&mut out, name);
-                    put_f64s(&mut out, values);
+                    put_str(out, name);
+                    put_f64s(out, values);
                 }
-                put_bytes(&mut out, trace);
+                put_bytes(out, trace);
             }
             Message::JobFailed { job_id, message } => {
                 out.extend_from_slice(&job_id.to_le_bytes());
-                put_str(&mut out, message);
+                put_str(out, message);
             }
-            Message::StatusReport { status } => put_status(&mut out, status),
+            Message::StatusReport { status } => put_status(out, status),
             Message::TopReport {
                 status,
                 jobs,
                 metrics,
                 weights,
             } => {
-                put_status(&mut out, status);
+                put_status(out, status);
                 out.extend_from_slice(&(jobs.len() as u32).to_le_bytes());
                 for j in jobs {
                     out.extend_from_slice(&j.job_id.to_le_bytes());
-                    put_str(&mut out, &j.tenant);
+                    put_str(out, &j.tenant);
                     out.push(j.state);
                 }
-                put_bytes(&mut out, metrics);
+                put_bytes(out, metrics);
                 out.extend_from_slice(&(weights.len() as u32).to_le_bytes());
                 for (node, milli) in weights {
                     out.extend_from_slice(&node.to_le_bytes());
                     out.extend_from_slice(&milli.to_le_bytes());
                 }
             }
-            Message::TraceDump { chrome_json } => put_str(&mut out, chrome_json),
-            Message::Error { message } => put_str(&mut out, message),
+            Message::TraceDump { chrome_json } => put_str(out, chrome_json),
+            Message::Error { message } => put_str(out, message),
             Message::Status
             | Message::DumpTrace
             | Message::StopServer
@@ -653,56 +535,47 @@ impl Message {
             | Message::Bye
             | Message::Top => {}
         }
-        out
     }
 
     /// Serialize the full frame (header + payload).
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.payload();
-        let mut out = Vec::with_capacity(10 + payload.len());
-        out.extend_from_slice(WIRE_MAGIC);
-        out.push(WIRE_VERSION);
-        out.push(self.type_byte());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        FRAMING.encode(self.type_byte(), |out| self.put_payload(out))
     }
 
     fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Message, ServeError> {
-        let mut r = Reader {
-            buf: payload,
-            pos: 0,
-        };
+        let mut r = Cursor::new(payload);
         let msg = match type_byte {
             TYPE_CLIENT_HELLO => Message::ClientHello {
-                tenant: r.string("tenant")?,
-                token: r.string("token")?,
+                tenant: r.str(MAX_FRAME_LEN, "tenant")?.into(),
+                token: r.str(MAX_FRAME_LEN, "token")?.into(),
             },
             TYPE_WELCOME => Message::Welcome {
                 session: r.u64("session")?,
             },
-            TYPE_SUBMIT => Message::Submit { spec: r.spec()? },
+            TYPE_SUBMIT => Message::Submit {
+                spec: read_spec(&mut r)?,
+            },
             TYPE_SUBMITTED => Message::Submitted {
                 job_id: r.u64("job_id")?,
             },
             TYPE_REJECTED => Message::Rejected {
-                reason: r.string("reason")?,
+                reason: r.str(MAX_FRAME_LEN, "reason")?.into(),
             },
             TYPE_WAIT => Message::Wait {
                 job_id: r.u64("job_id")?,
             },
             TYPE_JOB_RESULT => {
                 let job_id = r.u64("job_id")?;
-                let state = r.f64s("state")?;
-                let robj = r.bytes("robj")?;
-                let n = r.len("globals")?;
-                let mut globals = Vec::with_capacity(n.min(1 << 10));
+                let state = r.f64s(MAX_FRAME_LEN, "state")?;
+                let robj = r.bytes(MAX_FRAME_LEN, "robj")?.to_vec();
+                let n = r.count(MAX_FRAME_LEN, 8, "globals")?;
+                let mut globals = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let name = r.string("global name")?;
-                    let values = r.f64s("global values")?;
+                    let name = r.str(MAX_FRAME_LEN, "global name")?.into();
+                    let values = r.f64s(MAX_FRAME_LEN, "global values")?;
                     globals.push((name, values));
                 }
-                let trace = r.bytes("trace")?;
+                let trace = r.bytes(MAX_FRAME_LEN, "trace")?.to_vec();
                 Message::JobResult {
                     job_id,
                     state,
@@ -713,31 +586,29 @@ impl Message {
             }
             TYPE_JOB_FAILED => Message::JobFailed {
                 job_id: r.u64("job_id")?,
-                message: r.string("message")?,
+                message: r.str(MAX_FRAME_LEN, "message")?.into(),
             },
             TYPE_STATUS => Message::Status,
             TYPE_STATUS_REPORT => Message::StatusReport {
-                status: r.status()?,
+                status: read_status(&mut r)?,
             },
             TYPE_TOP => Message::Top,
             TYPE_TOP_REPORT => {
-                let status = r.status()?;
-                let n = r.len("job rows")?;
-                let mut jobs = Vec::with_capacity(n.min(1 << 10));
+                let status = read_status(&mut r)?;
+                let n = r.count(MAX_FRAME_LEN, 13, "job rows")?;
+                let mut jobs = Vec::with_capacity(n);
                 for _ in 0..n {
                     jobs.push(JobRow {
                         job_id: r.u64("job_id")?,
-                        tenant: r.string("tenant")?,
+                        tenant: r.str(MAX_FRAME_LEN, "tenant")?.into(),
                         state: r.u8("job state")?,
                     });
                 }
-                let metrics = r.bytes("metrics")?;
-                let n = r.len("weights")?;
-                let mut weights = Vec::with_capacity(n.min(1 << 10));
+                let metrics = r.bytes(MAX_FRAME_LEN, "metrics")?.to_vec();
+                let n = r.count(MAX_FRAME_LEN, 12, "weights")?;
+                let mut weights = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let node = r.u32("weight node")?;
-                    let milli = r.u64("weight milli")?;
-                    weights.push((node, milli));
+                    weights.push((r.u32("weight node")?, r.u64("weight milli")?));
                 }
                 Message::TopReport {
                     status,
@@ -748,17 +619,17 @@ impl Message {
             }
             TYPE_DUMP_TRACE => Message::DumpTrace,
             TYPE_TRACE_DUMP => Message::TraceDump {
-                chrome_json: r.string("chrome_json")?,
+                chrome_json: r.str(MAX_FRAME_LEN, "chrome_json")?.into(),
             },
             TYPE_STOP_SERVER => Message::StopServer,
             TYPE_STOPPING => Message::Stopping,
             TYPE_BYE => Message::Bye,
             TYPE_ERROR => Message::Error {
-                message: r.string("message")?,
+                message: r.str(MAX_FRAME_LEN, "message")?.into(),
             },
             other => return perr(format!("unknown message type {other}")),
         };
-        r.finish(msg.kind_name())?;
+        r.finish()?;
         Ok(msg)
     }
 }
@@ -774,24 +645,7 @@ pub fn write_message(w: &mut impl Write, msg: &Message) -> Result<usize, ServeEr
 /// Read one frame. Malformed headers and payloads are
 /// [`ServeError::Protocol`]; socket failures are [`ServeError::Io`].
 pub fn read_message(r: &mut impl Read) -> Result<Message, ServeError> {
-    let mut header = [0u8; 10];
-    r.read_exact(&mut header)?;
-    if &header[0..4] != WIRE_MAGIC {
-        return perr("bad frame magic");
-    }
-    if header[4] != WIRE_VERSION {
-        return perr(format!(
-            "unsupported wire version {} (expected {WIRE_VERSION})",
-            header[4]
-        ));
-    }
-    let type_byte = header[5];
-    let len = u32::from_le_bytes(header[6..10].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_LEN {
-        return perr(format!("frame length {len} exceeds limit {MAX_FRAME_LEN}"));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let (type_byte, payload) = FRAMING.read::<ServeError>(r)?;
     Message::decode_payload(type_byte, &payload)
 }
 

@@ -920,7 +920,11 @@ fn run_chapel_job(
         .traced(Arc::clone(&recorder))
         .backend(backend);
 
-    let key = (freeride::fnv1a64(source.as_bytes()), opt, backend.to_wire());
+    let key = (
+        obs::codec::fnv1a64(source.as_bytes()),
+        opt,
+        backend.to_wire(),
+    );
     let cached = {
         let mut inner = shared.inner.lock().expect("serve lock");
         let hit = inner.program_cache.get(&key).cloned();

@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use obs::codec::DecodeError;
+
 /// Everything that can go wrong constructing, encoding, or decoding a
 /// sparse dataset.
 #[derive(Debug)]
@@ -55,6 +57,20 @@ impl std::error::Error for SparseError {
 impl From<std::io::Error> for SparseError {
     fn from(e: std::io::Error) -> SparseError {
         SparseError::Io(e)
+    }
+}
+
+impl From<DecodeError> for SparseError {
+    fn from(e: DecodeError) -> SparseError {
+        match e {
+            DecodeError::Truncated { need, have, .. } => SparseError::Truncated { need, have },
+            DecodeError::TooLarge { what, value, .. } => {
+                SparseError::TooLarge { field: what, value }
+            }
+            DecodeError::BadMagic { .. } => SparseError::BadMagic,
+            DecodeError::BadVersion { found, .. } => SparseError::BadVersion(found as u32),
+            other => invalid(other.to_string()),
+        }
     }
 }
 

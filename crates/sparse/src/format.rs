@@ -27,6 +27,8 @@
 
 use std::path::{Path, PathBuf};
 
+use obs::codec::{expect_version, put_f64_array, put_u32, put_u64, Cursor};
+
 use crate::error::{invalid, SparseError};
 
 /// File magic, first four bytes of every `.frsp` file.
@@ -207,18 +209,6 @@ impl CooTensor {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Encode a sparse structure into FRSP bytes. The structure is
 /// re-validated first so a hand-assembled invalid matrix cannot be
 /// laundered into a well-formed-looking file.
@@ -233,15 +223,10 @@ pub fn encode_frsp(data: &SparseData) -> Result<Vec<u8>, SparseError> {
             put_u64(&mut out, m.rows);
             put_u64(&mut out, m.cols);
             put_u64(&mut out, m.nnz());
-            for &p in &m.indptr {
-                put_u64(&mut out, p);
+            for &x in m.indptr.iter().chain(&m.indices) {
+                put_u64(&mut out, x);
             }
-            for &c in &m.indices {
-                put_u64(&mut out, c);
-            }
-            for &v in &m.values {
-                put_f64(&mut out, v);
-            }
+            put_f64_array(&mut out, &m.values);
         }
         SparseData::Coo(t) => {
             t.validate()?;
@@ -250,14 +235,10 @@ pub fn encode_frsp(data: &SparseData) -> Result<Vec<u8>, SparseError> {
                 put_u64(&mut out, d);
             }
             put_u64(&mut out, t.nnz());
-            for c in &t.coords {
-                for &x in c {
-                    put_u64(&mut out, x);
-                }
+            for &x in t.coords.iter().flatten() {
+                put_u64(&mut out, x);
             }
-            for &v in &t.values {
-                put_f64(&mut out, v);
-            }
+            put_f64_array(&mut out, &t.values);
         }
     }
     Ok(out)
@@ -267,120 +248,39 @@ pub fn encode_frsp(data: &SparseData) -> Result<Vec<u8>, SparseError> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked little-endian cursor over the input bytes.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SparseError> {
-        let end = self.pos.checked_add(n).ok_or(SparseError::Truncated {
-            need: u64::MAX,
-            have: self.buf.len() as u64,
-        })?;
-        if end > self.buf.len() {
-            return Err(SparseError::Truncated {
-                need: end as u64,
-                have: self.buf.len() as u64,
-            });
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, SparseError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, SparseError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f64(&mut self) -> Result<f64, SparseError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Check that `count` items of `item_bytes` each still fit in the
-    /// remaining input, without overflowing and before allocating.
-    fn expect_items(&self, count: u64, item_bytes: u64) -> Result<usize, SparseError> {
-        let n = usize::try_from(count).map_err(|_| SparseError::TooLarge {
-            field: "count",
-            value: count,
-        })?;
-        let bytes = count
-            .checked_mul(item_bytes)
-            .and_then(|b| b.checked_add(self.pos as u64))
-            .ok_or(SparseError::TooLarge {
-                field: "count",
-                value: count,
-            })?;
-        if bytes > self.buf.len() as u64 {
-            return Err(SparseError::Truncated {
-                need: bytes,
-                have: self.buf.len() as u64,
-            });
-        }
-        Ok(n)
-    }
-}
-
 /// Decode FRSP bytes into a validated sparse structure. Total over all
 /// inputs: truncation, bit flips, and absurd declared sizes come back
 /// as typed errors.
 pub fn decode_frsp(buf: &[u8]) -> Result<SparseData, SparseError> {
-    let mut r = Reader { buf, pos: 0 };
-    if r.take(4)? != FRSP_MAGIC {
-        return Err(SparseError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != FRSP_VERSION {
-        return Err(SparseError::BadVersion(version));
-    }
-    match r.u32()? {
+    let mut r = Cursor::new(buf);
+    r.magic(FRSP_MAGIC)?;
+    expect_version("FRSP", r.u32("version")?.into(), FRSP_VERSION.into())?;
+    match r.u32("kind")? {
         KIND_CSR => {
-            let rows = r.u64()?;
-            let cols = r.u64()?;
-            let nnz = r.u64()?;
-            let np_count = rows.checked_add(1).ok_or(SparseError::TooLarge {
+            let rows = r.u64("rows")?;
+            let cols = r.u64("cols")?;
+            let nnz = r.u64("nnz")?;
+            let np = rows.checked_add(1).ok_or(SparseError::TooLarge {
                 field: "rows",
                 value: rows,
             })?;
-            let np = r.expect_items(np_count, 8)?;
-            let mut indptr = Vec::with_capacity(np);
-            for _ in 0..np {
-                indptr.push(r.u64()?);
-            }
-            let ni = r.expect_items(nnz, 8)?;
-            let mut indices = Vec::with_capacity(ni);
-            for _ in 0..ni {
-                indices.push(r.u64()?);
-            }
-            let nv = r.expect_items(nnz, 8)?;
-            let mut values = Vec::with_capacity(nv);
-            for _ in 0..nv {
-                values.push(r.f64()?);
-            }
+            let np = r.fits(np, 8, "indptr")?;
+            let indptr = r.u64_array(np, "indptr")?;
+            let nnz = r.fits(nnz, 8, "indices")?;
+            let indices = r.u64_array(nnz, "indices")?;
+            let values = r.f64_array(nnz, "values")?;
             CsrMatrix::new(rows, cols, indptr, indices, values).map(SparseData::Csr)
         }
         KIND_COO => {
-            let dims = [r.u64()?, r.u64()?, r.u64()?];
-            let nnz = r.u64()?;
-            let nc = r.expect_items(nnz, 24)?;
-            let mut coords = Vec::with_capacity(nc);
-            for _ in 0..nc {
-                coords.push([r.u64()?, r.u64()?, r.u64()?]);
-            }
-            let nv = r.expect_items(nnz, 8)?;
-            let mut values = Vec::with_capacity(nv);
-            for _ in 0..nv {
-                values.push(r.f64()?);
-            }
+            let dims = [r.u64("dims")?, r.u64("dims")?, r.u64("dims")?];
+            let nnz = r.u64("nnz")?;
+            let nnz = r.fits(nnz, 24, "coords")?;
+            let coords = r
+                .u64_array(nnz * 3, "coords")?
+                .chunks_exact(3)
+                .map(|c| [c[0], c[1], c[2]])
+                .collect();
+            let values = r.f64_array(nnz, "values")?;
             CooTensor::new(dims, coords, values).map(SparseData::Coo)
         }
         kind => Err(SparseError::BadKind(kind)),
