@@ -23,6 +23,10 @@ cargo test -q -p rand -p proptest
 # The decoder totality harness again in release, where integer overflow
 # wraps silently instead of panicking (DESIGN.md, Binary formats).
 cargo test -q --release --test decoders_total
+# The engine's unit tests again in release, the build the ledger and
+# `cfr` ship: there no `debug_assert!` fires, so a check that matters
+# (e.g. a reduction-object index past its group's end) must be real.
+cargo test -q --release -p freeride
 cargo clippy --workspace -- -D warnings
 # The whole workspace is held rustfmt-clean.
 cargo fmt --all --check

@@ -21,9 +21,9 @@ use std::time::Instant;
 use cfr_core::{compile_loop, detect, zip_linearize, Detected, OptLevel};
 use chapel_frontend::programs;
 use freeride::{
-    Accumulator, CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout,
-    RunStats, Split,
+    CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout, RunStats, Split,
 };
+use freeride_dist::tasks::assign_points;
 use linearize::{Linearizer, Value};
 use obs::{AttrValue, Recorder, TraceLevel};
 
@@ -248,6 +248,20 @@ fn run_translated(params: &KmeansParams, opt: OptLevel) -> Result<KmeansResult, 
     })
 }
 
+/// The hand-written k-means reduction (the dist `kmeans` task's fold):
+/// the split takes a private copy's lent cells once and folds into them
+/// with static calls, or folds through the handle into shared cells.
+fn manual_kernel(
+    cents: &[f64],
+    k: usize,
+    d: usize,
+) -> impl Fn(&Split<'_>, &mut dyn RObjHandle) + Sync + '_ {
+    move |split, robj| match robj.lend() {
+        Some(mut cells) => assign_points(split, cents, k, d, &mut cells),
+        None => assign_points(split, cents, k, d, robj),
+    }
+}
+
 /// The manual FREERIDE version over a **disk-resident** `.frds` dataset
 /// of `d`-wide points — the out-of-core k-means driver. With
 /// `params.config.io` set to [`freeride::IoMode::Streaming`] the engine
@@ -279,31 +293,7 @@ pub fn run_manual_on_file(
     };
 
     for _ in 0..params.iters.max(1) {
-        let cents = &centroids;
-        let kernel = move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
-            let mut acc = Accumulator::new(robj);
-            for row in split.iter_rows() {
-                let mut best = 0usize;
-                let mut best_dist = f64::INFINITY;
-                for c in 0..k {
-                    let mut dist = 0.0;
-                    let centre = &cents[c * d..(c + 1) * d];
-                    for j in 0..d {
-                        let diff = row[j] - centre[j];
-                        dist += diff * diff;
-                    }
-                    if dist < best_dist {
-                        best_dist = dist;
-                        best = c;
-                    }
-                }
-                for (j, &x) in row.iter().enumerate().take(d) {
-                    acc.accumulate(0, best * (d + 1) + j, x);
-                }
-                acc.accumulate(0, best * (d + 1) + d, 1.0);
-            }
-        };
-        let outcome = engine.run_file(&file, &layout, &kernel)?;
+        let outcome = engine.run_file(&file, &layout, &manual_kernel(&centroids, k, d))?;
         stats.absorb(&outcome.stats);
         let (next, cnt) = update_centroids(outcome.robj.group_slice(0), &centroids, k, d);
         centroids = next;
@@ -355,31 +345,7 @@ fn run_manual(params: &KmeansParams) -> KmeansResult {
     };
 
     for _ in 0..params.iters.max(1) {
-        let cents = &centroids;
-        let kernel = move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
-            let mut acc = Accumulator::new(robj);
-            for row in split.iter_rows() {
-                let mut best = 0usize;
-                let mut best_dist = f64::INFINITY;
-                for c in 0..k {
-                    let mut dist = 0.0;
-                    let centre = &cents[c * d..(c + 1) * d];
-                    for j in 0..d {
-                        let diff = row[j] - centre[j];
-                        dist += diff * diff;
-                    }
-                    if dist < best_dist {
-                        best_dist = dist;
-                        best = c;
-                    }
-                }
-                for (j, &x) in row.iter().enumerate().take(d) {
-                    acc.accumulate(0, best * (d + 1) + j, x);
-                }
-                acc.accumulate(0, best * (d + 1) + d, 1.0);
-            }
-        };
-        let outcome = engine.run(view, &layout, &kernel);
+        let outcome = engine.run(view, &layout, &manual_kernel(&centroids, k, d));
         stats.absorb(&outcome.stats);
         let (next, cnt) = update_centroids(outcome.robj.group_slice(0), &centroids, k, d);
         centroids = next;

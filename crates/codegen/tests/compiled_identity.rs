@@ -99,12 +99,12 @@ fn run_both(
     )
     .expect("valid kernel");
     let mut robj_i = ReductionObject::alloc(layout.clone());
-    SplitKernel::run_split(&interp, &split, &mut robj_i as &mut dyn RObjHandle);
+    SplitKernel::run_split(&interp, &split, &mut robj_i.lend());
 
     let loaded = load_or_compile(kernel, None).expect("codegen");
     let compiled = CompiledKernelRuntime::new(loaded, nested, flat, row_lo).expect("bind");
     let mut robj_c = ReductionObject::alloc(layout);
-    compiled.run_split(&split, &mut robj_c as &mut dyn RObjHandle);
+    compiled.run_split(&split, &mut robj_c.lend());
 
     (
         robj_i.group_slice(0).to_vec(),
@@ -719,7 +719,7 @@ fn kernel_panics_resume_in_the_host() {
     ] {
         let mut robj = ReductionObject::alloc(scalar_layout(1));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_compiled(&k, &rows, &mut robj)
+            run_compiled(&k, &rows, &mut robj.lend())
         }));
         let msg = panic_message(caught.expect_err("the kernel must panic"));
         assert!(msg.contains(want), "{msg}");
@@ -737,7 +737,7 @@ impl RObjHandle for LendOnly {
         self.0.get(group, index)
     }
     fn lend(&mut self) -> Option<freeride::LentCells<'_>> {
-        self.0.lend()
+        Some(self.0.lend())
     }
 }
 

@@ -382,7 +382,7 @@ mod tests {
             first_row: 0,
             row_count: 1,
         };
-        rt.run_split(&split, &mut robj);
+        rt.run_split(&split, &mut robj.lend());
         robj.group_slice(0)[0]
     }
 

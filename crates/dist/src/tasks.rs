@@ -23,8 +23,7 @@
 use std::sync::Arc;
 
 use freeride::{
-    Accumulator, CombineOp, GroupSpec, KernelBackend, RObjHandle, RObjLayout, ReductionObject,
-    Split,
+    CombineOp, GroupSpec, KernelBackend, RObjHandle, RObjLayout, ReductionObject, Split,
 };
 use linearize::{Linearizer, Shape, Value};
 use obs::Recorder;
@@ -170,28 +169,9 @@ pub fn kernel(
             }
             let cents = state.to_vec();
             Ok(Box::new(
-                move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
-                    let mut acc = Accumulator::new(robj);
-                    for row in split.iter_rows() {
-                        let mut best = 0usize;
-                        let mut best_dist = f64::INFINITY;
-                        for c in 0..k {
-                            let centre = &cents[c * d..(c + 1) * d];
-                            let mut dist = 0.0;
-                            for j in 0..d {
-                                let diff = row[j] - centre[j];
-                                dist += diff * diff;
-                            }
-                            if dist < best_dist {
-                                best_dist = dist;
-                                best = c;
-                            }
-                        }
-                        for (j, &x) in row.iter().enumerate().take(d) {
-                            acc.accumulate(0, best * (d + 1) + j, x);
-                        }
-                        acc.accumulate(0, best * (d + 1) + d, 1.0);
-                    }
+                move |split: &Split<'_>, robj: &mut dyn RObjHandle| match robj.lend() {
+                    Some(mut cells) => assign_points(split, &cents, k, d, &mut cells),
+                    None => assign_points(split, &cents, k, d, robj),
                 },
             ))
         }
@@ -458,6 +438,39 @@ pub fn step(
     }
 }
 
+/// One split of k-means: each point's coordinates and a count fold into
+/// its nearest of the `k` centroids `cents` (`d` values each). Generic
+/// over the handle, so a boxed kernel that takes lent cells once per
+/// split folds into them without a virtual call per update.
+pub fn assign_points<H: RObjHandle + ?Sized>(
+    split: &Split<'_>,
+    cents: &[f64],
+    k: usize,
+    d: usize,
+    robj: &mut H,
+) {
+    for row in split.iter_rows() {
+        let mut best = 0usize;
+        let mut best_dist = f64::INFINITY;
+        for c in 0..k {
+            let centre = &cents[c * d..(c + 1) * d];
+            let mut dist = 0.0;
+            for j in 0..d {
+                let diff = row[j] - centre[j];
+                dist += diff * diff;
+            }
+            if dist < best_dist {
+                best_dist = dist;
+                best = c;
+            }
+        }
+        for (j, &x) in row.iter().enumerate().take(d) {
+            robj.accumulate(0, best * (d + 1) + j, x);
+        }
+        robj.accumulate(0, best * (d + 1) + d, 1.0);
+    }
+}
+
 #[cfg(test)]
 mod tasks_tests {
     use super::*;
@@ -475,7 +488,7 @@ mod tasks_tests {
         let mut robj = ReductionObject::alloc(l);
         let view = DataView::new(data, unit).unwrap();
         let split = view.split(0, view.rows());
-        k(&split, &mut robj);
+        k(&split, &mut robj.lend());
         robj
     }
 

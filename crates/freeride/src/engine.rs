@@ -1012,9 +1012,9 @@ impl Feed<'_> {
 }
 
 /// Run one split against the reduction target implied by the worker's
-/// `(private copy, shared backend)` pair: full replication uses the
-/// private copy alone, the locked/atomic schemes the shared backend
-/// alone, and [`SyncScheme::Hybrid`] routes per region through both.
+/// `(private copy, shared backend)` pair: full replication lends the
+/// private copy's cells, the locked/atomic schemes use the shared
+/// backend, and [`SyncScheme::Hybrid`] routes per region through both.
 fn run_split_on<K>(
     kernel: &K,
     split: &Split<'_>,
@@ -1025,13 +1025,13 @@ fn run_split_on<K>(
     K: SplitKernel + ?Sized,
 {
     match (local, shared) {
-        (Some(robj), None) => kernel.run_split(split, robj),
+        (Some(robj), None) => kernel.run_split(split, &mut robj.lend()),
         (None, Some(backend)) => {
             let mut handle = SharedHandle::new(backend);
             kernel.run_split(split, &mut handle);
         }
         (Some(robj), Some(backend)) => {
-            let mut handle = crate::sync::HybridHandle::new(robj, backend, scheme);
+            let mut handle = crate::sync::HybridHandle::new(robj.lend(), backend, scheme);
             kernel.run_split(split, &mut handle);
         }
         (None, None) => unreachable!("no reduction target"),
@@ -1165,7 +1165,7 @@ mod engine_tests {
         };
         let oracle = |first_row: usize, rows: usize| {
             let mut robj = ReductionObject::alloc(layout.clone());
-            kernel(&view.split(first_row, rows), &mut robj);
+            kernel(&view.split(first_row, rows), &mut robj.lend());
             robj
         };
         let streaming = IoMode::Streaming {

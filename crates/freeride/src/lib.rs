@@ -54,7 +54,7 @@ pub use engine::{
 pub use error::FreerideError;
 pub use kernel::{KernelBackend, SplitKernel};
 pub use pool::WorkerPool;
-pub use robj::{CombineOp, GroupSpec, RObjLayout, ReductionObject};
+pub use robj::{CombineOp, GroupSpec, LentCells, RObjLayout, ReductionObject};
 pub use split::{DataView, Split, Splitter, SplitterFn};
 pub use stats::{IoActivity, PhaseTimes, RunStats, SplitStat};
 // Re-export the streaming-I/O substrate likewise: `IoMode::Streaming`
@@ -64,6 +64,6 @@ pub use freeride_io::{IoStats, MemoryBudget, RowReader, RowSource, StreamConfig}
 // levels and drain traces without naming the `obs` crate directly.
 pub use obs::{Recorder, Trace, TraceLevel};
 pub use sync::{
-    Accumulator, AtomicCells, HybridHandle, LentCells, LockedCells, RObjHandle, SharedCells,
-    SharedHandle, StripedCells, SyncScheme,
+    AtomicCells, HybridHandle, LockedCells, RObjHandle, SharedCells, SharedHandle, StripedCells,
+    SyncScheme,
 };

@@ -22,6 +22,7 @@ use obs::codec::{
     Cursor, FNV1A64_OFFSET,
 };
 
+use crate::sync::RObjHandle;
 use crate::FreerideError;
 
 /// An associative + commutative combine operation for one group of cells.
@@ -133,21 +134,56 @@ impl GroupSpec {
 pub struct RObjLayout {
     groups: Vec<GroupSpec>,
     offsets: Vec<usize>,
+    /// The group table every update indexes, built once with the layout.
+    slots: Vec<GroupSlot>,
     total: usize,
+}
+
+/// One group's `(offset, len, op)` in the layout's table.
+#[derive(Debug, Clone)]
+struct GroupSlot {
+    offset: usize,
+    len: usize,
+    op: CombineOp,
+}
+
+/// Flat cell id and op of `(group, index)`, checked in every build: an
+/// index past its group's end panics, never reaches the next group.
+#[inline]
+fn locate(slots: &[GroupSlot], group: usize, index: usize) -> (usize, &CombineOp) {
+    let slot = &slots[group];
+    if index >= slot.len {
+        out_of_range(group, index, slot.len);
+    }
+    (slot.offset + index, &slot.op)
+}
+
+/// A failed [`locate`], out of line: the update loop keeps one compare.
+#[cold]
+#[inline(never)]
+fn out_of_range(group: usize, index: usize, len: usize) -> ! {
+    panic!("index {index} out of range for group {group} (len {len})")
 }
 
 impl RObjLayout {
     /// Build a layout from group specifications.
     pub fn new(groups: Vec<GroupSpec>) -> Arc<RObjLayout> {
         let mut offsets = Vec::with_capacity(groups.len());
+        let mut slots = Vec::with_capacity(groups.len());
         let mut total = 0usize;
         for g in &groups {
             offsets.push(total);
+            slots.push(GroupSlot {
+                offset: total,
+                len: g.len,
+                op: g.op.clone(),
+            });
             total += g.len;
         }
         Arc::new(RObjLayout {
             groups,
             offsets,
+            slots,
             total,
         })
     }
@@ -173,16 +209,16 @@ impl RObjLayout {
     }
 
     /// Flat cell id of `(group, index)` — the "unique ID for each element
-    /// of the reduction object" assigned at allocation.
+    /// of the reduction object" assigned at allocation. Checked.
     #[inline]
     pub fn cell_id(&self, group: usize, index: usize) -> usize {
-        debug_assert!(group < self.groups.len(), "group {group} out of range");
-        debug_assert!(
-            index < self.groups[group].len,
-            "index {index} out of range for group {group} (len {})",
-            self.groups[group].len
-        );
-        self.offsets[group] + index
+        locate(&self.slots, group, index).0
+    }
+
+    /// [`RObjLayout::cell_id`] and the group's combine op.
+    #[inline]
+    pub(crate) fn locate(&self, group: usize, index: usize) -> (usize, &CombineOp) {
+        locate(&self.slots, group, index)
     }
 
     /// Inverse of [`RObjLayout::cell_id`].
@@ -194,13 +230,6 @@ impl RObjLayout {
             g += 1;
         }
         (g, id - self.offsets[g])
-    }
-
-    /// The combine op owning flat cell `id`.
-    #[inline]
-    pub fn op_of(&self, id: usize) -> &CombineOp {
-        let (g, _) = self.cell_of(id);
-        &self.groups[g].op
     }
 
     /// Initial cell values, flattened.
@@ -241,9 +270,17 @@ impl ReductionObject {
     /// using the group's combine op.
     #[inline]
     pub fn accumulate(&mut self, group: usize, index: usize, value: f64) {
-        let id = self.layout.cell_id(group, index);
-        let op = &self.layout.groups[group].op;
-        self.cells[id] = op.apply(self.cells[id], value);
+        self.lend().accumulate(group, index, value);
+    }
+
+    /// This copy's cells as the lean handle a kernel folds into.
+    #[inline]
+    pub fn lend(&mut self) -> LentCells<'_> {
+        LentCells {
+            cells: &mut self.cells,
+            layout: &self.layout,
+            slots: &self.layout.slots,
+        }
     }
 
     /// `get_intermediate_result(group, index)`: read one cell.
@@ -284,11 +321,6 @@ impl ReductionObject {
         &mut self.cells
     }
 
-    /// The layout and the cells, the latter mutable (for lending).
-    pub(crate) fn parts_mut(&mut self) -> (&RObjLayout, &mut [f64]) {
-        (&self.layout, &mut self.cells)
-    }
-
     /// Combine another copy into this one, cell-wise, using each group's
     /// op — one step of the (local or global) combination phase.
     pub fn merge_from(&mut self, other: &ReductionObject) {
@@ -325,6 +357,36 @@ impl ReductionObject {
                 id += 1;
             }
         }
+    }
+}
+
+/// A private copy's cells, lent as the one handle every kernel on a
+/// private copy folds into: one table lookup, one bounds check and the
+/// op's f64 operation per update.
+pub struct LentCells<'a> {
+    /// The flat cells; group `g` starts at `layout.offsets()[g]`.
+    pub cells: &'a mut [f64],
+    /// Group offsets and combine ops.
+    pub layout: &'a RObjLayout,
+    slots: &'a [GroupSlot],
+}
+
+impl RObjHandle for LentCells<'_> {
+    #[inline]
+    fn accumulate(&mut self, group: usize, index: usize, value: f64) {
+        let (id, op) = locate(self.slots, group, index);
+        self.cells[id] = op.apply(self.cells[id], value);
+    }
+    #[inline]
+    fn get(&self, group: usize, index: usize) -> f64 {
+        self.cells[locate(self.slots, group, index).0]
+    }
+    fn lend(&mut self) -> Option<LentCells<'_>> {
+        Some(LentCells {
+            cells: &mut *self.cells,
+            layout: self.layout,
+            slots: self.slots,
+        })
     }
 }
 
@@ -659,7 +721,7 @@ mod robj_tests {
     #[should_panic(expected = "out of range")]
     fn debug_bounds_check() {
         let l = layout2();
-        // debug_assert fires in test profile
+        // Checked in every build, not only under debug assertions.
         let _ = l.cell_id(0, 99);
     }
 

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
-use crate::robj::{RObjLayout, ReductionObject};
+use crate::robj::{LentCells, RObjLayout, ReductionObject};
 
 /// Which shared-memory technique the job uses for reduction-object
 /// updates.
@@ -98,71 +98,6 @@ pub trait RObjHandle {
     }
 }
 
-impl RObjHandle for ReductionObject {
-    #[inline]
-    fn accumulate(&mut self, group: usize, index: usize, value: f64) {
-        ReductionObject::accumulate(self, group, index, value);
-    }
-    #[inline]
-    fn get(&self, group: usize, index: usize) -> f64 {
-        ReductionObject::get(self, group, index)
-    }
-    fn lend(&mut self) -> Option<LentCells<'_>> {
-        let (layout, cells) = self.parts_mut();
-        Some(LentCells { cells, layout })
-    }
-}
-
-/// A worker's private reduction-object cells, lent for one split: the
-/// flat cells plus the layout that gives each group's offset and op.
-/// [`LentCells::accumulate`] is exactly `ReductionObject::accumulate`,
-/// with no call through a handle.
-pub struct LentCells<'a> {
-    /// The flat cells; group `g` starts at `layout.offsets()[g]`.
-    pub cells: &'a mut [f64],
-    /// Group offsets and combine ops.
-    pub layout: &'a RObjLayout,
-}
-
-impl LentCells<'_> {
-    /// Fold `value` into cell `(group, index)` with the group's op.
-    #[inline]
-    pub fn accumulate(&mut self, group: usize, index: usize, value: f64) {
-        let id = self.layout.cell_id(group, index);
-        self.cells[id] = self.layout.group(group).op.apply(self.cells[id], value);
-    }
-}
-
-/// A hand-written kernel's update path for one split: the lent cells
-/// when the handle lends them, `accumulate` through the handle
-/// otherwise. Built once per split, so the choice is made per split,
-/// never per update, and the kernel itself keeps one code path.
-pub enum Accumulator<'a> {
-    /// In place, into a worker's private cells.
-    Lent(LentCells<'a>),
-    /// Through the handle (shared cells).
-    Handle(&'a mut dyn RObjHandle),
-}
-
-impl<'a> Accumulator<'a> {
-    /// Take `robj`'s cells if it lends them.
-    pub fn new(robj: &'a mut dyn RObjHandle) -> Accumulator<'a> {
-        if robj.lend().is_none() {
-            return Accumulator::Handle(robj);
-        }
-        Accumulator::Lent(robj.lend().expect("the handle lent its cells just above"))
-    }
-
-    /// Fold `value` into cell `(group, index)` with the group's op.
-    #[inline]
-    pub fn accumulate(&mut self, group: usize, index: usize, value: f64) {
-        match self {
-            Accumulator::Lent(cells) => cells.accumulate(group, index, value),
-            Accumulator::Handle(robj) => robj.accumulate(group, index, value),
-        }
-    }
-}
-
 /// Full-locking backend: one mutex-wrapped cell per element, cache-padded
 /// to avoid false sharing between adjacent cells.
 pub struct LockedCells {
@@ -184,8 +119,7 @@ impl LockedCells {
     /// Apply the group op to one cell under its lock.
     #[inline]
     pub fn accumulate(&self, group: usize, index: usize, value: f64) {
-        let id = self.layout.cell_id(group, index);
-        let op = &self.layout.group(group).op;
+        let (id, op) = self.layout.locate(group, index);
         let mut cell = self.cells[id].lock();
         *cell = op.apply(*cell, value);
     }
@@ -252,8 +186,7 @@ impl StripedCells {
     /// Apply the group op to one cell under its stripe lock.
     #[inline]
     pub fn accumulate(&self, group: usize, index: usize, value: f64) {
-        let id = self.layout.cell_id(group, index);
-        let op = &self.layout.group(group).op;
+        let (id, op) = self.layout.locate(group, index);
         let _guard = self.stripe(id).lock();
         // SAFETY: stripe lock held (invariant above).
         unsafe {
@@ -306,8 +239,7 @@ impl AtomicCells {
     /// CAS-loop the group op into one cell.
     #[inline]
     pub fn accumulate(&self, group: usize, index: usize, value: f64) {
-        let id = self.layout.cell_id(group, index);
-        let op = &self.layout.group(group).op;
+        let (id, op) = self.layout.locate(group, index);
         let cell = &self.cells[id];
         let mut cur = cell.load(Ordering::Relaxed);
         loop {
@@ -433,18 +365,18 @@ impl RObjHandle for SharedHandle<'_> {
 /// other side's cells stay at their group identities and merge as
 /// no-ops.
 pub struct HybridHandle<'a, 'b> {
-    private: &'a mut ReductionObject,
+    private: LentCells<'a>,
     shared: &'b SharedCells,
     region_cells: usize,
     replicated: u64,
 }
 
 impl<'a, 'b> HybridHandle<'a, 'b> {
-    /// Wrap a worker's private copy and the shared backend with the
-    /// region map of `scheme`. A non-hybrid scheme yields an all-shared
+    /// Wrap a worker's lent private cells and the shared backend with
+    /// the region map of `scheme`. A non-hybrid scheme yields an all-shared
     /// routing (correct, just never constructed by the engine).
     pub fn new(
-        private: &'a mut ReductionObject,
+        private: LentCells<'a>,
         shared: &'b SharedCells,
         scheme: SyncScheme,
     ) -> HybridHandle<'a, 'b> {
@@ -465,8 +397,7 @@ impl<'a, 'b> HybridHandle<'a, 'b> {
     }
 
     #[inline]
-    fn is_replicated(&self, group: usize, index: usize) -> bool {
-        let id = self.private.layout().cell_id(group, index);
+    fn is_replicated(&self, id: usize) -> bool {
         let region = (id / self.region_cells).min(63);
         (self.replicated >> region) & 1 == 1
     }
@@ -475,16 +406,19 @@ impl<'a, 'b> HybridHandle<'a, 'b> {
 impl RObjHandle for HybridHandle<'_, '_> {
     #[inline]
     fn accumulate(&mut self, group: usize, index: usize, value: f64) {
-        if self.is_replicated(group, index) {
-            self.private.accumulate(group, index, value);
+        let (id, op) = self.private.layout.locate(group, index);
+        if self.is_replicated(id) {
+            let cells = &mut self.private.cells;
+            cells[id] = op.apply(cells[id], value);
         } else {
             self.shared.accumulate(group, index, value);
         }
     }
     #[inline]
     fn get(&self, group: usize, index: usize) -> f64 {
-        if self.is_replicated(group, index) {
-            self.private.get(group, index)
+        let (id, _) = self.private.layout.locate(group, index);
+        if self.is_replicated(id) {
+            self.private.cells[id]
         } else {
             self.shared.get(group, index)
         }
@@ -588,9 +522,14 @@ mod sync_tests {
     #[test]
     fn only_a_private_copy_lends_its_cells() {
         let mut private = ReductionObject::alloc(layout());
-        let lent = private.lend().expect("a private copy lends");
+        let mut lent = private.lend();
         assert_eq!(lent.cells.len(), 16);
         assert_eq!(lent.layout.offsets(), &[0, 8]);
+        // The lent cells are themselves the handle, and lend again.
+        let handle: &mut dyn RObjHandle = &mut lent;
+        handle.accumulate(1, 2, -4.0);
+        assert_eq!(handle.lend().expect("lent cells lend").cells[10], -4.0);
+        assert_eq!(private.get(1, 2), -4.0);
         let shared = SharedCells::for_scheme(SyncScheme::Atomic, &layout()).unwrap();
         assert!(SharedHandle::new(&shared).lend().is_none());
         let scheme = SyncScheme::Hybrid {
@@ -600,30 +539,167 @@ mod sync_tests {
         };
         let striped = SharedCells::for_scheme(scheme, &layout()).unwrap();
         let mut hybrid_private = ReductionObject::alloc(layout());
-        assert!(HybridHandle::new(&mut hybrid_private, &striped, scheme)
+        assert!(HybridHandle::new(hybrid_private.lend(), &striped, scheme)
             .lend()
             .is_none());
     }
 
+    fn every_scheme() -> [SyncScheme; 5] {
+        [
+            SyncScheme::FullReplication,
+            SyncScheme::FullLocking,
+            SyncScheme::BucketLocking { stripes: 3 },
+            SyncScheme::Atomic,
+            SyncScheme::Hybrid {
+                region_cells: 4,
+                replicated: 0b0101,
+                stripes: 2,
+            },
+        ]
+    }
+
+    /// Every update path the engine can hand a kernel — each scheme's
+    /// handle, threaded or sequential, 1 or 3 threads, rows from memory,
+    /// a file or a source — folds bit-identically to a sequential
+    /// `ReductionObject::accumulate` over one group of each op. Rows
+    /// hold small integers, so no result depends on claim order.
     #[test]
-    fn accumulator_lent_and_handle_paths_agree() {
-        let updates = |acc: &mut Accumulator<'_>| {
-            for i in 0..40usize {
-                acc.accumulate(0, i % 8, i as f64 * 0.5);
-                acc.accumulate(1, (i * 3) % 8, 100.0 - i as f64);
+    fn every_update_path_matches_a_sequential_fold() {
+        use crate::engine::{Engine, ExecMode, JobConfig, PassHooks, PassInput};
+        use crate::source::{write_dataset, FileDataset};
+        use crate::split::{DataView, Split};
+        use freeride_io::{MemSource, RowSource};
+
+        let absmax = CombineOp::Custom(Arc::new(|a: f64, b: f64| a.abs().max(b.abs())));
+        let layout = RObjLayout::new(vec![
+            GroupSpec::new("sum", 3, CombineOp::Sum),
+            GroupSpec::new("min", 2, CombineOp::Min),
+            GroupSpec::new("max", 2, CombineOp::Max),
+            GroupSpec::new("product", 2, CombineOp::Product),
+            GroupSpec::new("absmax", 2, absmax),
+        ]);
+        let fold = |row: &[f64], robj: &mut dyn RObjHandle| {
+            let (a, b) = (row[0], row[1]);
+            let key = a as usize;
+            robj.accumulate(0, key % 3, a + b);
+            robj.accumulate(1, key % 2, b);
+            robj.accumulate(2, key % 2, b);
+            // ±1 and ±2 only: every product stays an exact power of two.
+            robj.accumulate(3, key % 2, if key % 5 == 0 { -2.0 } else { 1.0 });
+            robj.accumulate(4, key % 2, b);
+        };
+        let kernel = |split: &Split<'_>, robj: &mut dyn RObjHandle| {
+            for row in split.iter_rows() {
+                fold(row, robj);
             }
         };
-        let mut lent = ReductionObject::alloc(layout());
-        let mut acc = Accumulator::new(&mut lent);
-        assert!(matches!(acc, Accumulator::Lent(_)));
-        updates(&mut acc);
+        let rows = 240;
+        let raw: Vec<f64> = (0..rows)
+            .flat_map(|i| [i as f64, ((i * 37) % 101) as f64 - 50.0])
+            .collect();
+        let mut expect = ReductionObject::alloc(layout.clone());
+        for row in raw.chunks(2) {
+            expect.accumulate(0, row[0] as usize % 3, row[0] + row[1]);
+            expect.accumulate(1, row[0] as usize % 2, row[1]);
+            expect.accumulate(2, row[0] as usize % 2, row[1]);
+            let factor = if row[0] as usize % 5 == 0 { -2.0 } else { 1.0 };
+            expect.accumulate(3, row[0] as usize % 2, factor);
+            expect.accumulate(4, row[0] as usize % 2, row[1]);
+        }
 
-        let shared = SharedCells::for_scheme(SyncScheme::FullLocking, &layout()).unwrap();
-        let mut handle = SharedHandle::new(&shared);
-        let mut acc = Accumulator::new(&mut handle);
-        assert!(matches!(acc, Accumulator::Handle(_)));
-        updates(&mut acc);
-        assert_eq!(lent.cells(), shared.snapshot().cells());
+        let mut path = std::env::temp_dir();
+        path.push(format!("freeride-update-paths-{}.frds", std::process::id()));
+        write_dataset(&path, 2, &raw).unwrap();
+        let file = FileDataset::open(&path).unwrap();
+        let view = DataView::new(&raw, 2).unwrap();
+        let source: Arc<dyn RowSource> = Arc::new(MemSource::new(raw.clone(), 2).unwrap());
+        for scheme in every_scheme() {
+            for exec in [ExecMode::Threads, ExecMode::Sequential] {
+                for threads in [1usize, 3] {
+                    let engine = Engine::new(JobConfig {
+                        threads,
+                        scheme,
+                        exec,
+                        ..Default::default()
+                    });
+                    let inputs = [
+                        ("rows", PassInput::Rows(view)),
+                        (
+                            "file",
+                            PassInput::File {
+                                file: &file,
+                                first_row: 0,
+                                rows,
+                            },
+                        ),
+                        (
+                            "source",
+                            PassInput::Source {
+                                source: &source,
+                                first_row: 0,
+                                rows,
+                            },
+                        ),
+                    ];
+                    for (kind, input) in inputs {
+                        let out = engine
+                            .run_pass(input, &layout, &kernel, PassHooks::default())
+                            .unwrap();
+                        let bits = |r: &ReductionObject| -> Vec<u64> {
+                            r.cells().iter().map(|c| c.to_bits()).collect()
+                        };
+                        assert_eq!(
+                            bits(&out.robj),
+                            bits(&expect),
+                            "{kind} {scheme:?} {exec:?} t={threads}"
+                        );
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// An index one past its group's end panics under every scheme, in
+    /// release builds too, and never reaches the next group's cells.
+    #[test]
+    fn an_index_past_its_group_panics_and_spares_the_next_group() {
+        use crate::engine::{Engine, JobConfig};
+        use crate::split::{DataView, Split};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::AtomicUsize;
+
+        let raw: Vec<f64> = (0..40).map(f64::from).collect();
+        let view = DataView::new(&raw, 1).unwrap();
+        for scheme in every_scheme() {
+            let engine = Engine::new(JobConfig {
+                threads: 2,
+                scheme,
+                ..Default::default()
+            });
+            let past_end = |_: &Split<'_>, robj: &mut dyn RObjHandle| robj.accumulate(0, 8, 5.0);
+            let pass = catch_unwind(AssertUnwindSafe(|| engine.run(view, &layout(), &past_end)));
+            assert!(pass.is_err(), "{scheme:?}: the pass must panic");
+
+            // The same write, caught per update: the pass completes and
+            // group 1 is still at its identity.
+            let refused = AtomicUsize::new(0);
+            let caught = |split: &Split<'_>, robj: &mut dyn RObjHandle| {
+                for _ in split.iter_rows() {
+                    let write = catch_unwind(AssertUnwindSafe(|| robj.accumulate(0, 8, 5.0)));
+                    if write.is_err() {
+                        refused.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            };
+            let out = engine.run(view, &layout(), &caught);
+            assert_eq!(refused.into_inner(), raw.len(), "{scheme:?}");
+            assert!(
+                out.robj.group_slice(1).iter().all(|&c| c == f64::INFINITY),
+                "{scheme:?}: group 1 changed: {:?}",
+                out.robj.group_slice(1)
+            );
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn every_input_kind_matches_the_plain_fold() {
     let layout = layout();
     let oracle = |first_row: usize, rows: usize| {
         let mut robj = ReductionObject::alloc(layout.clone());
-        kernel(&view.split(first_row, rows), &mut robj);
+        kernel(&view.split(first_row, rows), &mut robj.lend());
         robj
     };
 
