@@ -212,6 +212,19 @@ rm -f target/ci-elastic-trace.json target/ci-elastic-metrics.json
 # and serve a repeated Chapel submission from the compiled-program cache
 # — the repeat's job trace must carry no frontend or compile spans at
 # all (DESIGN.md §12).
+# Trace levels are off|phases|splits: a removed level such as
+# `verbose` is refused with the usage line and exit status 2, never
+# mapped to another level.
+for cmd in "target/release/cfr-serve --trace verbose" \
+  "target/release/bench kmeans --level verbose"; do
+  set +e
+  $cmd > /dev/null 2> target/ci-usage.err
+  USAGE_STATUS=$?
+  set -e
+  [ "$USAGE_STATUS" -eq 2 ]
+  grep -q '^usage: ' target/ci-usage.err
+done
+rm -f target/ci-usage.err
 rm -f target/ci-snode1.addr target/ci-snode2.addr target/ci-serve.addr
 target/release/cfr-datagen --out target/ci-serve-data.frds --rows 2000 --dims 4
 target/release/cfr-node --listen 127.0.0.1:0 --port-file target/ci-snode1.addr \

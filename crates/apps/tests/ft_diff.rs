@@ -190,10 +190,10 @@ fn kmeans_resume_after_coordinator_restart_bit_identical() {
     let baseline = kmeans_cluster_on_file(&params, &path, &Nodes::Loopback(2)).unwrap();
 
     // The "crashing" run: node 0 dies after two answered rounds and
-    // fail-fast (reassign off) kills the whole job, checkpoints behind.
+    // fail-fast (no retries) kills the whole job, checkpoints behind.
     let (addrs, handles) = chaos_agents(2, 1, &[(0, 0, 2)]);
     let mut ft = FtOptions::with_dir(&dir);
-    ft.policy.reassign = false;
+    ft.policy.max_retries = 0;
     kmeans_cluster_on_file_ft(&params, &path, &Nodes::External(addrs), &ft).unwrap_err();
     for h in handles {
         h.join().unwrap();

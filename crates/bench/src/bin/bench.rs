@@ -118,7 +118,7 @@ const USAGE: &str = "usage: bench <kmeans|pca> [options]
   --rows R         pca: sample dimensionality       (default 16)
   --cols C         pca: number of samples           (default 20000)
   --threads T      FREERIDE thread count            (default 2)
-  --level L        phases | splits | verbose        (default splits)
+  --level L        phases | splits                  (default splits)
   --trace-out P    write merged Chrome trace JSON to P
   --metrics-out P  write flat metrics JSON to P
   --report         print the per-phase table
@@ -178,7 +178,7 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                 opts.level = TraceLevel::parse(value)
                     .ok_or_else(|| format!("--level: unknown level `{value}`"))?;
                 if opts.level == TraceLevel::Off {
-                    return Err("--level off records nothing; pick phases|splits|verbose".into());
+                    return Err("--level off records nothing; pick phases|splits".into());
                 }
             }
             "--trace-out" => opts.trace_out = Some(value.clone()),

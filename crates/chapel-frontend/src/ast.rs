@@ -5,19 +5,17 @@
 //! `accumulate`/`combine`/`generate` methods, `for`/`forall` loops, and
 //! `reduce` expressions (built-in ops and user-defined classes).
 
-use serde::{Deserialize, Serialize};
-
 use crate::token::Span;
 
 /// A whole compilation unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Top-level items in source order.
     pub items: Vec<Item>,
 }
 
 /// A top-level item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Item {
     /// A `record` declaration.
     Record(RecordDecl),
@@ -30,7 +28,7 @@ pub enum Item {
 }
 
 /// `record Name { fields }`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecordDecl {
     /// Record name.
     pub name: String,
@@ -41,7 +39,7 @@ pub struct RecordDecl {
 }
 
 /// `class Name: Parent { type params; fields; methods }`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassDecl {
     /// Class name.
     pub name: String,
@@ -73,7 +71,7 @@ impl ClassDecl {
 }
 
 /// A function or method declaration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FuncDecl {
     /// Function name.
     pub name: String,
@@ -88,7 +86,7 @@ pub struct FuncDecl {
 }
 
 /// A function parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Parameter name.
     pub name: String,
@@ -99,7 +97,7 @@ pub struct Param {
 }
 
 /// Kinds of variable declarations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VarKind {
     /// `var` — mutable.
     Var,
@@ -110,7 +108,7 @@ pub enum VarKind {
 }
 
 /// `var name: type = init;`
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VarDecl {
     /// Declaration kind.
     pub kind: VarKind,
@@ -125,7 +123,7 @@ pub struct VarDecl {
 }
 
 /// Type expressions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TypeExpr {
     /// `int`
     Int,
@@ -147,7 +145,7 @@ pub enum TypeExpr {
 }
 
 /// A range `lo..hi` (inclusive on both ends, Chapel-style).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RangeExpr {
     /// Lower bound.
     pub lo: Box<Expr>,
@@ -158,7 +156,7 @@ pub struct RangeExpr {
 }
 
 /// A block of statements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Statements in order.
     pub stmts: Vec<Stmt>,
@@ -167,7 +165,7 @@ pub struct Block {
 }
 
 /// Statements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// A variable declaration.
     Var(VarDecl),
@@ -236,7 +234,7 @@ pub enum Stmt {
 }
 
 /// Assignment operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AssignOp {
     /// `=`
     Set,
@@ -251,7 +249,7 @@ pub enum AssignOp {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -284,7 +282,7 @@ pub enum BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnOp {
     /// `-`
     Neg,
@@ -293,7 +291,7 @@ pub enum UnOp {
 }
 
 /// Built-in reduction operators usable in `reduce` expressions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReduceOp {
     /// `+ reduce`
     Sum,
@@ -312,7 +310,7 @@ pub enum ReduceOp {
 }
 
 /// Expressions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Integer literal.
     Int(i64, Span),

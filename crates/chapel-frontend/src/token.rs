@@ -1,11 +1,10 @@
 //! Tokens and source spans for the Chapel subset.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A half-open byte range into the source, with the 1-based line and
 /// column of its start (for diagnostics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Span {
     /// Byte offset of the first character.
     pub start: usize,
@@ -36,7 +35,7 @@ impl fmt::Display for Span {
 }
 
 /// Keywords of the subset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Keyword {
     /// `var`
     Var,
@@ -165,7 +164,7 @@ impl Keyword {
 }
 
 /// Lexical token kinds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TokenKind {
     /// An identifier (not a keyword).
     Ident(String),
@@ -289,7 +288,7 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its source span.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Token {
     /// The token kind and payload.
     pub kind: TokenKind,

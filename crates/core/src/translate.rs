@@ -459,21 +459,20 @@ pub fn zip_linearize<V: Slots + Sync>(
     let mut buffer = vec![0.0f64; rows * unit];
     let chunk_rows = rows.div_ceil(threads);
     let chunk_slots = chunk_rows * unit;
-    let filled = crossbeam::thread::scope(|scope| {
+    let filled = std::thread::scope(|scope| {
         let workers: Vec<_> = buffer
             .chunks_mut(chunk_slots)
             .enumerate()
             .map(|(i, chunk)| {
                 let items = &items;
-                scope.spawn(move |_| fill_rows(items, chunk, i * chunk_rows, unit))
+                scope.spawn(move || fill_rows(items, chunk, i * chunk_rows, unit))
             })
             .collect();
         // The scope joins any worker this stops short of.
         workers
             .into_iter()
             .all(|w| w.join().expect("linearization worker panicked"))
-    })
-    .expect("linearization worker panicked");
+    });
     if !filled {
         return Err(not_linearizable());
     }

@@ -71,10 +71,6 @@ pub struct FtPolicy {
     /// Base backoff before re-running a failed round; doubles per
     /// recovery (exponential). Default 50 ms.
     pub backoff: Duration,
-    /// Whether to reassign a dead node's shards to survivors at all;
-    /// `false` restores the fail-fast behaviour (first node failure
-    /// aborts the run). Default `true`.
-    pub reassign: bool,
 }
 
 impl Default for FtPolicy {
@@ -83,14 +79,14 @@ impl Default for FtPolicy {
             checkpoint_every: 1,
             max_retries: 2,
             backoff: Duration::from_millis(50),
-            reassign: true,
         }
     }
 }
 
 /// Live-telemetry policy (the `telemetry` part of [`ClusterConfig`]):
-/// periodic in-band stats pushes from the nodes and latency-based
-/// straggler detection on the coordinator.
+/// periodic in-band stats pushes from the nodes. Straggler detection on
+/// the coordinator uses fixed thresholds (4 × the fleet median, 10 ms
+/// floor).
 #[derive(Debug, Clone)]
 pub struct TelemetryPolicy {
     /// Every `stats_every` rounds each node pushes a
@@ -101,29 +97,11 @@ pub struct TelemetryPolicy {
     /// die without ever reaching `JobDone`. 0 disables the pushes.
     /// Default 4.
     pub stats_every: u32,
-    /// A node whose node-measured round time exceeds
-    /// `straggler_multiplier ×` the fleet median is flagged as a
-    /// straggler (counter + `sched.straggler` instant span + optional
-    /// warning). Detection only; shards are not migrated. Default 4.0.
-    pub straggler_multiplier: f64,
-    /// Rounds faster than this (median comparison floor) never flag
-    /// stragglers, so microsecond-scale test rounds don't trip on
-    /// scheduling jitter. Default 10 ms.
-    pub straggler_min_ns: u64,
-    /// Print health warnings (straggler flags, node failures) to
-    /// stderr as they happen. Default `false` (library callers opt in;
-    /// the CLIs and `cfr-serve` turn it on).
-    pub warn: bool,
 }
 
 impl Default for TelemetryPolicy {
     fn default() -> TelemetryPolicy {
-        TelemetryPolicy {
-            stats_every: 4,
-            straggler_multiplier: 4.0,
-            straggler_min_ns: 10_000_000,
-            warn: false,
-        }
+        TelemetryPolicy { stats_every: 4 }
     }
 }
 
@@ -150,7 +128,7 @@ pub struct ClusterConfig {
     pub io: freeride::IoMode,
     /// Read timeout on every node socket; a node silent for this long
     /// fails the round with [`DistError::Timeout`] (and triggers
-    /// recovery under [`FtPolicy::reassign`]).
+    /// recovery while [`FtPolicy::max_retries`] allows).
     pub read_timeout: Duration,
     /// Node-failure recovery policy.
     pub ft: FtPolicy,
@@ -164,8 +142,7 @@ pub struct ClusterConfig {
     /// subdirectory and stamps the tag into the frame, so jobs sharing
     /// a checkpoint root cannot collide or cross-resume.
     pub job_tag: String,
-    /// Live-telemetry policy: node stats pushes and straggler
-    /// detection.
+    /// Live-telemetry policy: node stats pushes.
     pub telemetry: TelemetryPolicy,
     /// Kernel backend every node uses for kernel-IR tasks (the
     /// `chapel.*` family); closure tasks ignore it. A `Compiled`
@@ -251,8 +228,7 @@ pub struct ClusterStats {
     /// Total bytes of checkpoint frames written.
     pub checkpoint_bytes: u64,
     /// Rounds in which some node was flagged as a straggler (node
-    /// round time beyond [`TelemetryPolicy::straggler_multiplier`] ×
-    /// the fleet median).
+    /// round time beyond 4 × the fleet median and past a 10 ms floor).
     pub stragglers: usize,
     /// Work units executed by a node other than the one the planner
     /// seeded them to (only with [`ElasticPolicy::steal`] on).

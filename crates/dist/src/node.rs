@@ -94,25 +94,6 @@ struct OpenRound {
     busy_ns: u64,
 }
 
-fn trace_level_from_ordinal(b: u8) -> TraceLevel {
-    match b {
-        0 => TraceLevel::Off,
-        1 => TraceLevel::Phases,
-        2 => TraceLevel::Splits,
-        _ => TraceLevel::Verbose,
-    }
-}
-
-/// The ordinal shipped in [`Message::Job::trace_level`].
-pub fn trace_level_ordinal(level: TraceLevel) -> u8 {
-    match level {
-        TraceLevel::Off => 0,
-        TraceLevel::Phases => 1,
-        TraceLevel::Splits => 2,
-        TraceLevel::Verbose => 3,
-    }
-}
-
 fn build_job(msg: Message) -> Result<JobContext, DistError> {
     let Message::Job {
         task,
@@ -155,7 +136,7 @@ fn build_job(msg: Message) -> Result<JobContext, DistError> {
     let file = freeride::source::FileDataset::open(std::path::Path::new(&dataset))?;
     let rows = file.rows() as u64;
     let mut config = JobConfig::with_threads(threads.max(1) as usize);
-    config.trace = trace_level_from_ordinal(trace_level);
+    config.trace = trace_level;
     config.io = crate::proto::io_mode_from_wire(io_mode, chunk_rows, buffers, readers);
     config.backend = freeride::KernelBackend::from_wire(backend);
     config.scheme =
@@ -605,13 +586,9 @@ mod node_tests {
 
     #[test]
     fn trace_level_ordinals_round_trip() {
-        for l in [
-            TraceLevel::Off,
-            TraceLevel::Phases,
-            TraceLevel::Splits,
-            TraceLevel::Verbose,
-        ] {
-            assert_eq!(trace_level_from_ordinal(trace_level_ordinal(l)), l);
+        use crate::proto::{trace_level_from_wire, trace_level_to_wire};
+        for l in [TraceLevel::Off, TraceLevel::Phases, TraceLevel::Splits] {
+            assert_eq!(trace_level_from_wire(trace_level_to_wire(l)).unwrap(), l);
         }
     }
 

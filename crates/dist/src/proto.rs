@@ -20,6 +20,7 @@
 use std::io::{Read, Write};
 
 use obs::codec::{put_bytes, put_f64s, put_i64s, put_str, Cursor, Framing, FRAME_HEADER_LEN};
+use obs::TraceLevel;
 
 use crate::error::DistError;
 
@@ -103,8 +104,9 @@ pub enum Message {
         dataset: String,
         /// Worker threads for the node's local engine.
         threads: u32,
-        /// `obs::TraceLevel` ordinal for the node's recorder.
-        trace_level: u8,
+        /// Level of the node's recorder; one byte on the wire (0 off,
+        /// 1 phases, 2 splits; any other byte is a decode error).
+        trace_level: TraceLevel,
         /// Shard I/O path: 0 = synchronous split reads, 1 = streaming
         /// chunk pipeline shaped by the three fields below.
         io_mode: u8,
@@ -311,7 +313,7 @@ impl Message {
                 put_bytes(out, layout);
                 put_str(out, dataset);
                 out.extend_from_slice(&threads.to_le_bytes());
-                out.push(*trace_level);
+                out.push(trace_level_to_wire(*trace_level));
                 out.push(*io_mode);
                 out.extend_from_slice(&chunk_rows.to_le_bytes());
                 out.extend_from_slice(&buffers.to_le_bytes());
@@ -399,7 +401,7 @@ impl Message {
                 layout: r.bytes(MAX_FRAME_LEN, "layout")?.to_vec(),
                 dataset: r.str(MAX_FRAME_LEN, "dataset")?.into(),
                 threads: r.u32("threads")?,
-                trace_level: r.u8("trace_level")?,
+                trace_level: trace_level_from_wire(r.u8("trace_level")?)?,
                 io_mode: r.u8("io_mode")?,
                 chunk_rows: r.u64("chunk_rows")?,
                 buffers: r.u32("buffers")?,
@@ -470,6 +472,28 @@ pub fn write_message(w: &mut impl Write, msg: &Message) -> Result<usize, DistErr
     w.write_all(&frame)?;
     w.flush()?;
     Ok(frame.len())
+}
+
+/// The [`Message::Job`] byte of a trace level.
+pub(crate) fn trace_level_to_wire(level: TraceLevel) -> u8 {
+    match level {
+        TraceLevel::Off => 0,
+        TraceLevel::Phases => 1,
+        TraceLevel::Splits => 2,
+    }
+}
+
+/// The trace level a [`Message::Job`] byte names; an unknown byte is a
+/// [`DistError::Protocol`], so a corrupt frame never starts a job.
+pub(crate) fn trace_level_from_wire(b: u8) -> Result<TraceLevel, DistError> {
+    match b {
+        0 => Ok(TraceLevel::Off),
+        1 => Ok(TraceLevel::Phases),
+        2 => Ok(TraceLevel::Splits),
+        other => Err(DistError::Protocol {
+            reason: format!("unknown trace level {other}"),
+        }),
+    }
 }
 
 /// Flatten an engine [`freeride::IoMode`] into the [`Message::Job`]
@@ -565,7 +589,7 @@ mod proto_tests {
                 layout: vec![1, 2, 3],
                 dataset: "/tmp/points.frds".into(),
                 threads: 2,
-                trace_level: 1,
+                trace_level: TraceLevel::Phases,
                 io_mode: 1,
                 chunk_rows: 4096,
                 buffers: 3,
@@ -680,7 +704,9 @@ mod proto_tests {
         assert!(err.to_string().contains("version"), "{err}");
     }
 
-    /// 4 and 5 are the type bytes of the round pair retired in v7.
+    /// 4 and 5 are the type bytes of the round pair retired in v7; a
+    /// v6 peer's opening frame, in either direction, is refused by its
+    /// version before its type is read.
     #[test]
     fn unknown_and_retired_types_rejected() {
         for type_byte in [4u8, 5, 200] {
@@ -691,6 +717,61 @@ mod proto_tests {
                 err.to_string().contains("unknown message type"),
                 "type {type_byte}: {err}"
             );
+        }
+        for msg in [
+            Message::Hello { node_id: 0 },
+            Message::HelloAck { node_id: 0 },
+        ] {
+            let mut frame = msg.encode();
+            frame[4] = WIRE_VERSION - 1;
+            let err = read_message(&mut &frame[..]).unwrap_err();
+            assert!(matches!(err, DistError::Protocol { .. }), "{err}");
+            assert!(err.to_string().contains("wire version 6"), "{err}");
+        }
+    }
+
+    /// The trace byte keeps its encoding for the three levels, and every
+    /// other byte fails the decode instead of starting a job.
+    #[test]
+    fn unknown_trace_level_rejected() {
+        let job = samples().swap_remove(2);
+        let Message::Job {
+            task,
+            params,
+            layout,
+            dataset,
+            ..
+        } = &job
+        else {
+            unreachable!()
+        };
+        // header, four u32-prefixed fields, then `threads`.
+        let at = FRAME_HEADER_LEN
+            + 4
+            + task.len()
+            + 4
+            + 8 * params.len()
+            + 4
+            + layout.len()
+            + 4
+            + dataset.len()
+            + 4;
+        let mut frame = job.encode();
+        for (byte, level) in [
+            (0u8, TraceLevel::Off),
+            (1, TraceLevel::Phases),
+            (2, TraceLevel::Splits),
+        ] {
+            frame[at] = byte;
+            let (back, _) = read_message(&mut &frame[..]).unwrap();
+            assert!(matches!(back, Message::Job { trace_level, .. } if trace_level == level));
+            assert_eq!(back.encode(), frame);
+        }
+        for byte in [3u8, 255] {
+            frame[at] = byte;
+            let err = read_message(&mut &frame[..]).unwrap_err();
+            assert!(matches!(err, DistError::Protocol { .. }), "{err}");
+            assert!(err.to_string().contains("unknown trace level"), "{err}");
         }
     }
 

@@ -28,9 +28,16 @@ use obs::{metric_name, AttrValue, MetricsSnapshot, Recorder, Trace, TraceLevel};
 
 use crate::coord::{ClusterConfig, ClusterOutcome, ClusterStats};
 use crate::error::DistError;
-use crate::node;
 use crate::proto::{read_message, write_message, Message};
 use crate::tasks;
+
+/// A node whose node-measured round time exceeds this multiple of the
+/// fleet median is flagged as a straggler.
+const STRAGGLER_MULTIPLIER: f64 = 4.0;
+
+/// Rounds faster than this (ns) never flag stragglers, so
+/// microsecond-scale rounds don't trip on scheduling jitter.
+const STRAGGLER_MIN_NS: u64 = 10_000_000;
 
 /// One round worker thread's outcome, folded into the global
 /// stats/telemetry by the coordinator thread after the scope ends —
@@ -265,17 +272,11 @@ impl Fleet {
                     last_stats: None,
                 })
             })();
-            match admitted {
-                Ok(node) => {
-                    self.nodes.push(node);
-                    self.next_id += 1;
-                    joined.push(id);
-                }
-                Err(e) => {
-                    if cfg.telemetry.warn {
-                        eprintln!("cfr-dist: health: dropping broken joiner: {e}");
-                    }
-                }
+            // A joiner whose admission fails is dropped unrecorded.
+            if let Ok(node) = admitted {
+                self.nodes.push(node);
+                self.next_id += 1;
+                joined.push(id);
             }
         }
         joined
@@ -401,7 +402,7 @@ fn job_message(cfg: &ClusterConfig, layout_frame: &[u8]) -> Message {
         layout: layout_frame.to_vec(),
         dataset: cfg.dataset.to_string_lossy().into_owned(),
         threads: cfg.threads_per_node.max(1) as u32,
-        trace_level: node::trace_level_ordinal(cfg.trace),
+        trace_level: cfg.trace,
         io_mode,
         chunk_rows,
         buffers,
@@ -636,11 +637,6 @@ impl<'a> JobDriver<'a> {
                         rec.hub().add(metric_name(&format!("node{id}.joins")), 1);
                     }
                     stats.joins += 1;
-                    if cfg.telemetry.warn {
-                        eprintln!(
-                            "cfr-dist: health: node {id} joined at the round {round} barrier"
-                        );
-                    }
                 }
             }
             loop {
@@ -658,8 +654,7 @@ impl<'a> JobDriver<'a> {
                 match outcome {
                     Ok(()) => break,
                     Err((idx, err)) => {
-                        let recoverable =
-                            cfg.ft.reassign && fleet.len() > 1 && retries_used < cfg.ft.max_retries;
+                        let recoverable = fleet.len() > 1 && retries_used < cfg.ft.max_retries;
                         if !recoverable {
                             return Err(if retries_used > 0 {
                                 DistError::RetriesExhausted {
@@ -674,15 +669,6 @@ impl<'a> JobDriver<'a> {
                         attempt += 1;
                         let mut rspan = rec.span(TraceLevel::Phases, "ft.recover", "ft", 0);
                         let dead = fleet.remove(idx);
-                        if cfg.telemetry.warn {
-                            eprintln!(
-                                "cfr-dist: health: node {} failed in round {round} ({err}); \
-                                 reassigning {} shard(s) to {} survivor(s)",
-                                dead.conn.id,
-                                dead.shards.len(),
-                                fleet.len()
-                            );
-                        }
                         if rec.hub().is_enabled() {
                             rec.hub().add("health.node_failures", 1);
                         }
@@ -1019,9 +1005,6 @@ impl<'a> JobDriver<'a> {
             if let Some(s) = gone.last_stats {
                 dead_stats.push(s);
             }
-            if self.config.telemetry.warn {
-                eprintln!("cfr-dist: health: node {id} left the fleet after round {round}");
-            }
             if fleet.is_empty() {
                 return Err((
                     0,
@@ -1165,11 +1148,11 @@ impl<'a> JobDriver<'a> {
     }
 
     /// Latency-based straggler detection over one round's node-measured
-    /// times: a node beyond `straggler_multiplier ×` the fleet median
-    /// (and past the `straggler_min_ns` floor) gets a counter bump, a
-    /// `sched.straggler` instant span, and (opt-in) a stderr health
-    /// warning. Detection only — shard placement is untouched, so the
-    /// bit-identity guarantees of recovery and resume are unaffected.
+    /// times: a node beyond [`STRAGGLER_MULTIPLIER`] × the fleet median
+    /// (and past the [`STRAGGLER_MIN_NS`] floor) gets a counter bump and
+    /// a `sched.straggler` instant span. Detection only — shard
+    /// placement is untouched, so the bit-identity guarantees of
+    /// recovery and resume are unaffected.
     fn flag_stragglers(
         &self,
         elapsed: &[(usize, u64)],
@@ -1177,7 +1160,6 @@ impl<'a> JobDriver<'a> {
         attempt: u32,
         stats: &mut ClusterStats,
     ) {
-        let tel = &self.config.telemetry;
         if elapsed.len() < 2 {
             return;
         }
@@ -1186,7 +1168,7 @@ impl<'a> JobDriver<'a> {
         // Lower median: with two nodes this is the *faster* one, so a
         // single slow node in a pair is still detectable.
         let median = sorted[(sorted.len() - 1) / 2];
-        let threshold = (median as f64 * tel.straggler_multiplier).max(tel.straggler_min_ns as f64);
+        let threshold = (median as f64 * STRAGGLER_MULTIPLIER).max(STRAGGLER_MIN_NS as f64);
         let rec = self.recorder;
         for &(id, ns) in elapsed {
             if (ns as f64) <= threshold {
@@ -1212,14 +1194,6 @@ impl<'a> JobDriver<'a> {
                 hub.add(metric_name(&format!("node{id}.stragglers")), 1);
             }
             stats.stragglers += 1;
-            if tel.warn {
-                eprintln!(
-                    "cfr-dist: health: node {id} straggling in round {round}: \
-                     {:.1} ms vs fleet median {:.1} ms",
-                    ns as f64 / 1e6,
-                    median as f64 / 1e6
-                );
-            }
         }
     }
 }

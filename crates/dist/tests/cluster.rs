@@ -8,7 +8,7 @@ use std::time::Duration;
 use freeride_dist::node::Behaviour;
 use freeride_dist::proto::{read_message, write_message, Message};
 use freeride_dist::{
-    resume_loopback, run_loopback, ClusterConfig, Coordinator, DistError, LoopbackCluster,
+    resume_loopback, run_loopback, ClusterConfig, Coordinator, DistError, FtPolicy, LoopbackCluster,
 };
 use obs::TraceLevel;
 
@@ -480,19 +480,19 @@ fn retry_budget_exhaustion_is_typed() {
     std::fs::remove_file(&path).ok();
 }
 
-/// `reassign: false` restores fail-fast: the first failure aborts the
-/// run with the plain underlying error even with survivors available.
+/// `max_retries = 0` is fail-fast: the first failure aborts the run
+/// with the plain underlying error even with survivors available.
 /// The abort must not strand the survivor: the fleet's drop-time
 /// goodbye sends it a Shutdown frame, so its agent exits `Ok` instead
 /// of erroring out of (or hanging on) a dead coordinator socket.
 #[test]
-fn reassign_false_fails_fast() {
+fn zero_retries_fail_fast() {
     let data = vec![1.0; 120];
     let path = dataset("ft-failfast", 2, &data);
     let cluster = LoopbackCluster::spawn_with(2, &[(0, Behaviour::dies_after(0))]).unwrap();
     let mut cfg = ClusterConfig::new("sum", &path);
     cfg.read_timeout = Duration::from_millis(500);
-    cfg.ft.reassign = false;
+    cfg.ft.max_retries = 0;
     let err = Coordinator::new(cfg).run(cluster.addrs()).unwrap_err();
     assert!(
         matches!(err, DistError::Node { .. } | DistError::Timeout { .. }),
@@ -567,7 +567,7 @@ fn resume_after_coordinator_crash_is_bit_identical() {
     let cluster = LoopbackCluster::spawn_with(2, &[(0, Behaviour::dies_after(2))]).unwrap();
     let mut cfg = kmeans_cfg(&path, 5);
     cfg.checkpoint_dir = Some(dir.clone());
-    cfg.ft.reassign = false;
+    cfg.ft.max_retries = 0;
     cfg.read_timeout = Duration::from_millis(500);
     Coordinator::new(cfg.clone())
         .run(cluster.addrs())
@@ -577,7 +577,7 @@ fn resume_after_coordinator_crash_is_bit_identical() {
     cluster.join().unwrap();
 
     // Resume on a fresh, healthy cluster of the same node count.
-    cfg.ft.reassign = true;
+    cfg.ft = FtPolicy::default();
     cfg.trace = TraceLevel::Phases;
     let resumed = resume_loopback(cfg, 2).unwrap();
     assert_eq!(bits(&resumed.state), bits(&baseline.state));
@@ -816,8 +816,6 @@ fn slow_node_is_flagged_as_straggler() {
     let mut cfg = ClusterConfig::new("sum", &path);
     cfg.rounds = 3;
     cfg.trace = TraceLevel::Phases;
-    cfg.telemetry.straggler_multiplier = 4.0;
-    cfg.telemetry.straggler_min_ns = 1_000_000; // 1 ms floor for test-sized rounds
     let coord = Coordinator::new(cfg);
     let out = coord.run(cluster.addrs()).unwrap();
     cluster.join().unwrap();

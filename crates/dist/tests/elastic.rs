@@ -58,14 +58,19 @@ fn elastic(mut cfg: ClusterConfig, grain: u64) -> ClusterConfig {
 }
 
 /// Grain-split rounds over integer-valued data are bit-identical to
-/// one-unit-per-shard rounds at every grain and fleet size: integer
-/// sums are exact in f64, so any difference would be a coverage bug
-/// (a row lost or double-counted by the unit split), not FP jitter.
+/// one-unit-per-shard rounds at every grain and fleet size, and both
+/// equal the plain sum: integer sums are exact in f64, so any
+/// difference would be a coverage bug (a row lost or double-counted by
+/// the unit split), not FP jitter.
 #[test]
 fn grain_split_rounds_match_whole_shard_rounds_for_integer_data() {
     let data: Vec<f64> = (0..1000).map(|i| ((i * 13 + 5) % 91) as f64).collect();
     let path = dataset("int-sum", 4, &data);
     let whole = run_loopback(ClusterConfig::new("sum", &path), 2).unwrap();
+    let direct: f64 = data.iter().sum();
+    assert_eq!(whole.robj.get(0, 0).to_bits(), direct.to_bits());
+    let whole3 = run_loopback(ClusterConfig::new("sum", &path), 3).unwrap();
+    assert_eq!(bits(whole3.robj.cells()), bits(whole.robj.cells()));
     for grain in [0u64, 1, 7, 25, 1000] {
         for nodes in [1usize, 2, 3] {
             let out = run_loopback(elastic(ClusterConfig::new("sum", &path), grain), nodes)

@@ -13,8 +13,8 @@
 //! * [`queue`] — a blocking multi-queue with work-stealing `pop`,
 //!   modelled on the chunk channel in `freeride-io`.
 //! * [`policy`] — the declarative [`PlacementPolicy`] (heterogeneous
-//!   weights, locality pins, anti-affinity) and the deterministic
-//!   planner mapping units onto live nodes.
+//!   node weights) and the deterministic planner mapping units onto
+//!   live nodes.
 //! * [`membership`] — a tiny accept loop collecting mid-job joiner
 //!   connections for the driver to absorb at round barriers.
 

@@ -1,5 +1,5 @@
 //! Property tests for the elastic planner: whatever the shard map,
-//! grain, membership and policy, the planned unit set is exactly the
+//! grain, membership and weights, the planned unit set is exactly the
 //! split of the shard map — no unit lost, duplicated or reshaped.
 //! That cover-exactly property is what the coordinator's
 //! first_row-sorted merge leans on for bit-identity.
@@ -22,16 +22,7 @@ fn arb_shard_map() -> impl Strategy<Value = Vec<(u64, u64)>> {
 }
 
 fn arb_policy() -> impl Strategy<Value = PlacementPolicy> {
-    (
-        proptest::collection::vec(-1.0f64..4.0, 0..5),
-        proptest::collection::vec((0u64..120, 1u64..40, 0u32..5), 0..3),
-        proptest::collection::vec((0u64..120, 1u64..40, 0u32..5), 0..3),
-    )
-        .prop_map(|(weights, pin, anti_affinity)| PlacementPolicy {
-            weights,
-            pin,
-            anti_affinity,
-        })
+    proptest::collection::vec(-1.0f64..4.0, 0..5).prop_map(|weights| PlacementPolicy { weights })
 }
 
 proptest! {

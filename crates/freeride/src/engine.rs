@@ -139,6 +139,11 @@ impl From<freeride_io::StreamConfig> for IoMode {
     }
 }
 
+/// Cell count from which the combination phase uses a parallel tree
+/// merge ("if the size of the reduction object is large, both local
+/// and global combination phases perform a parallel merge").
+const PARALLEL_MERGE_CELLS: usize = 1 << 16;
+
 /// Configuration of one reduction job.
 #[derive(Debug, Clone)]
 pub struct JobConfig {
@@ -150,16 +155,11 @@ pub struct JobConfig {
     pub splitter: Splitter,
     /// Real threads or instrumented sequential execution.
     pub exec: ExecMode,
-    /// Cell-count threshold above which the combination phase uses a
-    /// parallel tree merge ("if the size of the reduction object is
-    /// large, both local and global combination phases perform a
-    /// parallel merge").
-    pub parallel_merge_threshold: usize,
     /// Tracing detail captured by the engine's [`Recorder`]:
     /// [`TraceLevel::Off`] records nothing (and the hot loop performs
     /// no extra clock reads), `Phases` records pass/combine/finalize
     /// spans and pool counters, `Splits` adds one span per split on its
-    /// worker's track, `Verbose` reserves room for future detail.
+    /// worker's track.
     pub trace: TraceLevel,
     /// How disk-resident datasets are read (`run_file*` paths only;
     /// in-memory runs ignore it).
@@ -178,7 +178,6 @@ impl Default for JobConfig {
             scheme: SyncScheme::FullReplication,
             splitter: Splitter::Default,
             exec: ExecMode::Threads,
-            parallel_merge_threshold: 1 << 16,
             trace: TraceLevel::Off,
             io: IoMode::Sync,
             backend: KernelBackend::Interpreted,
@@ -793,7 +792,7 @@ impl Engine {
         let mut robj = if copies.is_empty() {
             ReductionObject::alloc(layout.clone())
         } else if self.config.exec == ExecMode::Threads
-            && layout.total_cells() >= self.config.parallel_merge_threshold
+            && layout.total_cells() >= PARALLEL_MERGE_CELLS
             && copies.len() > 2
         {
             self.pooled_tree_merge(copies, hooks.combination)
@@ -1535,7 +1534,6 @@ mod engine_tests {
         for exec in [ExecMode::Threads, ExecMode::Sequential] {
             let engine = Engine::new(JobConfig {
                 threads: 4,
-                parallel_merge_threshold: 1 << 16,
                 exec,
                 ..Default::default()
             });
@@ -1558,7 +1556,6 @@ mod engine_tests {
         };
         let engine = Engine::new(JobConfig {
             threads: 4,
-            parallel_merge_threshold: 1 << 16,
             ..Default::default()
         });
         engine.warmup();

@@ -86,11 +86,11 @@ impl MapReduceEngine {
         let map_start = Instant::now();
         let ranges = Splitter::Default.ranges(view.rows(), self.threads);
         let collected: Mutex<Vec<Vec<(usize, f64)>>> = Mutex::new(Vec::new());
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for &(first, count) in &ranges {
                 let map = &map;
                 let collected = &collected;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let split: Split<'_> = view.split(first, count);
                     let mut out: Vec<(usize, f64)> = Vec::new();
                     for row in split.iter_rows() {
@@ -99,8 +99,7 @@ impl MapReduceEngine {
                     collected.lock().push(out);
                 });
             }
-        })
-        .expect("map worker panicked");
+        });
         let mut pairs: Vec<(usize, f64)> = collected.into_inner().into_iter().flatten().collect();
         let map_ns = map_start.elapsed().as_nanos() as u64;
         let intermediate_pairs = pairs.len();

@@ -27,10 +27,14 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
 use crate::robj::{LentCells, RObjLayout, ReductionObject};
+
+/// A value padded and aligned to 128 bytes, so neighbouring locks never
+/// share a cache line (false-sharing avoidance).
+#[repr(align(128))]
+struct CachePadded<T>(T);
 
 /// Which shared-memory technique the job uses for reduction-object
 /// updates.
@@ -111,7 +115,7 @@ impl LockedCells {
         let cells = layout
             .initial_cells()
             .into_iter()
-            .map(|x| CachePadded::new(Mutex::new(x)))
+            .map(|x| CachePadded(Mutex::new(x)))
             .collect();
         LockedCells { layout, cells }
     }
@@ -120,21 +124,21 @@ impl LockedCells {
     #[inline]
     pub fn accumulate(&self, group: usize, index: usize, value: f64) {
         let (id, op) = self.layout.locate(group, index);
-        let mut cell = self.cells[id].lock();
+        let mut cell = self.cells[id].0.lock();
         *cell = op.apply(*cell, value);
     }
 
     /// Read one cell under its lock.
     #[inline]
     pub fn get(&self, group: usize, index: usize) -> f64 {
-        *self.cells[self.layout.cell_id(group, index)].lock()
+        *self.cells[self.layout.cell_id(group, index)].0.lock()
     }
 
     /// Materialise the shared state into a plain [`ReductionObject`].
     pub fn snapshot(&self) -> ReductionObject {
         let mut out = ReductionObject::alloc(self.layout.clone());
         for (id, cell) in self.cells.iter().enumerate() {
-            out.cells_mut()[id] = *cell.lock();
+            out.cells_mut()[id] = *cell.0.lock();
         }
         out
     }
@@ -168,9 +172,7 @@ impl StripedCells {
             .into_iter()
             .map(UnsafeCell::new)
             .collect();
-        let locks = (0..stripes)
-            .map(|_| CachePadded::new(Mutex::new(())))
-            .collect();
+        let locks = (0..stripes).map(|_| CachePadded(Mutex::new(()))).collect();
         StripedCells {
             layout,
             locks,
@@ -180,7 +182,7 @@ impl StripedCells {
 
     #[inline]
     fn stripe(&self, id: usize) -> &Mutex<()> {
-        &self.locks[id % self.locks.len()]
+        &self.locks[id % self.locks.len()].0
     }
 
     /// Apply the group op to one cell under its stripe lock.
@@ -207,7 +209,7 @@ impl StripedCells {
     /// Materialise the shared state into a plain [`ReductionObject`].
     pub fn snapshot(&self) -> ReductionObject {
         // Hold every stripe lock for a consistent snapshot.
-        let guards: Vec<_> = self.locks.iter().map(|l| l.lock()).collect();
+        let guards: Vec<_> = self.locks.iter().map(|l| l.0.lock()).collect();
         let mut out = ReductionObject::alloc(self.layout.clone());
         for id in 0..self.cells.len() {
             // SAFETY: all stripe locks held.
@@ -438,18 +440,17 @@ mod sync_tests {
     }
 
     fn hammer(backend: &SharedCells, threads: usize, per_thread: usize) {
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..threads {
                 let backend = &backend;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..per_thread {
                         backend.accumulate(0, (t + i) % 8, 1.0);
                         backend.accumulate(1, i % 8, (t * per_thread + i) as f64);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
     }
 
     fn check_counts(snap: &ReductionObject, threads: usize, per_thread: usize) {

@@ -6,8 +6,6 @@
 //! reduction actually traverses (`position[][]`). Together with the loop
 //! indices (`myIndex[]`) these drive Algorithm 3 (`computeIndex`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::shape::Shape;
 use crate::LinearizeError;
 
@@ -15,7 +13,7 @@ use crate::LinearizeError;
 /// plus the total slot count. Per-access-path tables ([`PathMeta`]) are
 /// derived from it on demand — one per distinct access expression in the
 /// reduction body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearMeta {
     /// The shape the buffer was linearized from.
     pub root: Shape,
@@ -47,7 +45,7 @@ impl LinearMeta {
 /// [1..m] real; a2: int }` the reduction `data[i].b1[j].a1[k]` uses the
 /// path `[[0], [0]]`: select field `b1` (position 0) after indexing level
 /// 0, and field `a1` (position 0) after indexing level 1.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessPath {
     /// `chains[l]` = field positions applied after indexing array level `l`.
     pub chains: Vec<Vec<usize>>,
@@ -76,7 +74,7 @@ impl AccessPath {
 }
 
 /// Per-access-path tables: exactly the information Figure 6 collects.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathMeta {
     /// Number of array nesting levels traversed by the access.
     pub levels: usize,

@@ -5,15 +5,13 @@
 //! arrays, and records. It is what the compiler knows statically, and it
 //! is all that Algorithms 1–3 of the paper need.
 
-use serde::{Deserialize, Serialize};
-
 /// Primitive element categories recognised by the linearizer.
 ///
 /// Every primitive occupies exactly one **slot** (an `f64`) in the
 /// linearized buffer. Chapel `int` and `bool` values are stored in the
 /// slot's numeric payload; this mirrors the paper's choice of a single
 /// dense buffer of fixed-width cells that FREERIDE's 2-D view can split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrimType {
     /// Chapel `real` (64-bit float).
     Real,
@@ -24,7 +22,7 @@ pub enum PrimType {
 }
 
 /// Structural description of a (possibly nested) value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Shape {
     /// A single primitive slot.
     Prim(PrimType),

@@ -72,9 +72,6 @@ pub enum TraceLevel {
     /// Additionally one span per executed split (worker id, row range,
     /// read-vs-reduce breakdown on the disk path).
     Splits,
-    /// Everything, including high-frequency events future
-    /// instrumentation may add.
-    Verbose,
 }
 
 impl TraceLevel {
@@ -84,7 +81,6 @@ impl TraceLevel {
             "off" => Some(TraceLevel::Off),
             "phases" => Some(TraceLevel::Phases),
             "splits" => Some(TraceLevel::Splits),
-            "verbose" => Some(TraceLevel::Verbose),
             _ => None,
         }
     }
@@ -95,7 +91,6 @@ impl TraceLevel {
             TraceLevel::Off => "off",
             TraceLevel::Phases => "phases",
             TraceLevel::Splits => "splits",
-            TraceLevel::Verbose => "verbose",
         }
     }
 }
@@ -528,17 +523,11 @@ mod tests {
         let rec = Recorder::new(TraceLevel::Splits);
         assert!(rec.enabled(TraceLevel::Phases));
         assert!(rec.enabled(TraceLevel::Splits));
-        assert!(!rec.enabled(TraceLevel::Verbose));
     }
 
     #[test]
     fn level_parse_round_trips() {
-        for l in [
-            TraceLevel::Off,
-            TraceLevel::Phases,
-            TraceLevel::Splits,
-            TraceLevel::Verbose,
-        ] {
+        for l in [TraceLevel::Off, TraceLevel::Phases, TraceLevel::Splits] {
             assert_eq!(TraceLevel::parse(l.name()), Some(l));
         }
         assert_eq!(TraceLevel::parse("bogus"), None);

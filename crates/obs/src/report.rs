@@ -119,7 +119,7 @@ mod tests {
     use crate::{Recorder, TraceLevel};
 
     fn trace_with(spans: &[(&'static str, u64)]) -> Trace {
-        let rec = Recorder::new(TraceLevel::Verbose);
+        let rec = Recorder::new(TraceLevel::Splits);
         for (i, &(name, dur)) in spans.iter().enumerate() {
             rec.push_complete(
                 TraceLevel::Phases,

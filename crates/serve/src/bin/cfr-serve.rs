@@ -20,7 +20,7 @@
 //!   --max-concurrent N     jobs running at once (default 2)
 //!   --tenant-max-queued N  per-tenant admitted-job cap (default 8)
 //!   --tenant-max-running N per-tenant running-job cap (default 2)
-//!   --trace LEVEL          off|phases|splits|verbose (default off)
+//!   --trace LEVEL          off|phases|splits (default off)
 //!   --checkpoint-root DIR  per-job checkpoint namespaces under DIR
 //!   --job-retries N        retries per failed job (default 1)
 //!   --metrics-listen ADDR  serve /metrics, /healthz, /readyz over
@@ -95,7 +95,7 @@ fn main() -> ExitCode {
             },
             "--trace" => match args.next().as_deref().and_then(TraceLevel::parse) {
                 Some(l) => cfg.trace = l,
-                None => return usage_error("--trace requires off|phases|splits|verbose"),
+                None => return usage_error("--trace requires off|phases|splits"),
             },
             "--checkpoint-root" => match args.next() {
                 Some(d) => cfg.checkpoint_root = Some(d.into()),
@@ -193,5 +193,5 @@ fn fail(msg: &str) -> ExitCode {
 
 fn usage_error(msg: &str) -> ExitCode {
     eprintln!("cfr-serve: {msg}\n{USAGE}");
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }

@@ -64,8 +64,6 @@ pub struct ServeConfig {
     pub tenant_max_running: usize,
     /// Tracing level for the server and every job it runs.
     pub trace: TraceLevel,
-    /// Read timeout on every coordinator → node socket.
-    pub read_timeout: Duration,
     /// Root directory for per-job checkpoints; each job checkpoints
     /// into its own `job-job<id>` namespace. `None` disables
     /// checkpointing (and checkpoint-based job retries).
@@ -96,7 +94,6 @@ impl ServeConfig {
             tenant_max_queued: 8,
             tenant_max_running: 2,
             trace: TraceLevel::Off,
-            read_timeout: Duration::from_secs(10),
             checkpoint_root: None,
             job_retries: 1,
             metrics_listen: None,
@@ -821,7 +818,6 @@ fn run_job(
             cfg.threads_per_node = (*threads_per_node).max(1) as usize;
             cfg.backend = freeride::KernelBackend::from_wire(*backend);
             cfg.trace = shared.cfg.trace;
-            cfg.read_timeout = shared.cfg.read_timeout;
             cfg.checkpoint_dir = shared.cfg.checkpoint_root.clone();
             cfg.job_tag = format!("job{job_id}");
             // Steal/placement policy is fleet-wide; the membership hub

@@ -181,7 +181,7 @@ fn frdm_decoder_is_total() {
             layout: robj_sample().layout().encode().unwrap(),
             dataset: "/data/points.frds".into(),
             threads: 2,
-            trace_level: 1,
+            trace_level: TraceLevel::Phases,
             io_mode: 1,
             chunk_rows: 4096,
             buffers: 3,
