@@ -27,7 +27,7 @@ cargo test -q --release --test decoders_total
 # `cfr` ship: there no `debug_assert!` fires, so a check that matters
 # (e.g. a reduction-object index past its group's end) must be real.
 cargo test -q --release -p freeride
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # The whole workspace is held rustfmt-clean.
 cargo fmt --all --check
 
@@ -37,13 +37,18 @@ cargo fmt --all --check
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --quick
 
 # Observability: a traced run must export a Chrome trace that
-# trace-check accepts, with engine spans present (DESIGN.md §8). The
-# streaming (io.read) and sparse-inspector (sparse.inspect/region)
-# exports are validated by `cargo test` above.
+# trace-check accepts, with engine spans present (DESIGN.md §8), and a
+# metrics file holding the counts of the hub the run counted into
+# (DESIGN.md §13). The streaming (io.read) and sparse-inspector
+# (sparse.inspect/region) exports are validated by `cargo test` above.
 cargo run --release -p bench --bin bench -- kmeans \
-  --n 2000 --d 4 --k 4 --iters 2 --trace-out target/ci-trace.json
+  --n 2000 --d 4 --k 4 --iters 2 --trace-out target/ci-trace.json \
+  --metrics-out target/ci-metrics.json
 cargo run --release -p obs --bin trace-check -- target/ci-trace.json \
   --expect split --expect combine --expect finalize --expect pass
+cargo run --release -p obs --bin trace-check -- target/ci-metrics.json \
+  --expect-counter engine.passes
+rm -f target/ci-metrics.json
 
 # Integer kernels (DESIGN.md §14): inside a compiled opt-2 kernel,
 # `int / int` truncates and `%` keeps the dividend's sign, exactly as in

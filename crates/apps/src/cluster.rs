@@ -13,7 +13,7 @@ use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 
 use freeride_dist::Coordinator;
-use obs::Trace;
+use obs::{MetricsSnapshot, Trace};
 
 // Re-exported so callers of the cluster drivers don't need a direct
 // freeride-dist dependency for the common types.
@@ -60,6 +60,8 @@ pub struct ClusterKmeansResult {
     pub stats: ClusterStats,
     /// Merged multi-`pid` trace, when tracing was requested.
     pub trace: Option<Trace>,
+    /// Fleet-aggregated hub snapshot ([`ClusterOutcome::telemetry`]).
+    pub telemetry: Option<MetricsSnapshot>,
 }
 
 /// Result of a distributed PCA run.
@@ -73,6 +75,9 @@ pub struct ClusterPcaResult {
     pub stats: Vec<ClusterStats>,
     /// Merged traces of the two jobs, when tracing was requested.
     pub traces: Vec<Trace>,
+    /// Fleet-aggregated hub snapshots of the two jobs, when the hub
+    /// was enabled.
+    pub telemetry: Vec<MetricsSnapshot>,
 }
 
 fn scratch_file(tag: &str) -> PathBuf {
@@ -249,6 +254,7 @@ pub fn kmeans_cluster_on_file_ft(
         counts,
         stats: outcome.stats,
         trace: outcome.trace,
+        telemetry: outcome.telemetry,
     })
 }
 
@@ -276,6 +282,7 @@ pub fn pca_cluster_ft(
 
     let mut stats = Vec::new();
     let mut traces = Vec::new();
+    let mut telemetry = Vec::new();
 
     // ---- Phase 1: mean vector. ----
     let mut config = ClusterConfig::new("pca.mean", &path);
@@ -296,6 +303,7 @@ pub fn pca_cluster_ft(
     }
     stats.push(outcome.stats);
     traces.extend(outcome.trace);
+    telemetry.extend(outcome.telemetry);
 
     // ---- Phase 2: scatter matrix, mean as broadcast state. ----
     let mut config = ClusterConfig::new("pca.cov", &path);
@@ -314,6 +322,7 @@ pub fn pca_cluster_ft(
     let cov = outcome.robj.group_slice(0).to_vec();
     stats.push(outcome.stats);
     traces.extend(outcome.trace);
+    telemetry.extend(outcome.telemetry);
     std::fs::remove_file(&path).ok();
 
     Ok(ClusterPcaResult {
@@ -321,6 +330,7 @@ pub fn pca_cluster_ft(
         cov,
         stats,
         traces,
+        telemetry,
     })
 }
 

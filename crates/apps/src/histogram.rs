@@ -114,7 +114,7 @@ fn run_translated(params: &HistogramParams, opt: OptLevel) -> Result<HistogramRe
             linearize_ns,
             stats,
             wall_ns: wall.elapsed().as_nanos() as u64,
-            trace: None,
+            ..Default::default()
         },
     })
 }
@@ -148,7 +148,7 @@ fn run_manual(params: &HistogramParams) -> HistogramResult {
             linearize_ns: 0,
             stats,
             wall_ns: wall.elapsed().as_nanos() as u64,
-            trace: None,
+            ..Default::default()
         },
     }
 }

@@ -239,12 +239,7 @@ fn run_translated(params: &KmeansParams, opt: OptLevel) -> Result<KmeansResult, 
     Ok(KmeansResult {
         centroids,
         counts,
-        timing: AppTiming {
-            linearize_ns,
-            stats,
-            wall_ns: wall.elapsed().as_nanos() as u64,
-            trace: (rec.level() != TraceLevel::Off).then(|| rec.drain()),
-        },
+        timing: AppTiming::recorded(linearize_ns, stats, wall, &rec),
     })
 }
 
@@ -303,12 +298,7 @@ pub fn run_manual_on_file(
     Ok(KmeansResult {
         centroids,
         counts,
-        timing: AppTiming {
-            linearize_ns: 0,
-            stats,
-            wall_ns: wall.elapsed().as_nanos() as u64,
-            trace: (rec.level() != TraceLevel::Off).then(|| rec.drain()),
-        },
+        timing: AppTiming::recorded(0, stats, wall, &rec),
     })
 }
 
@@ -355,12 +345,7 @@ fn run_manual(params: &KmeansParams) -> KmeansResult {
     KmeansResult {
         centroids,
         counts,
-        timing: AppTiming {
-            linearize_ns: 0,
-            stats,
-            wall_ns: wall.elapsed().as_nanos() as u64,
-            trace: (rec.level() != TraceLevel::Off).then(|| rec.drain()),
-        },
+        timing: AppTiming::recorded(0, stats, wall, &rec),
     }
 }
 

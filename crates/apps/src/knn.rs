@@ -149,7 +149,7 @@ pub fn run_manual(params: &KnnParams) -> Result<KnnResult, AppError> {
             linearize_ns: 0,
             stats: outcome.stats,
             wall_ns: wall.elapsed().as_nanos() as u64,
-            trace: None,
+            ..Default::default()
         },
     })
 }

@@ -141,7 +141,7 @@ fn run_translated(params: &LinregParams, opt: OptLevel) -> Result<LinregResult, 
             linearize_ns,
             stats,
             wall_ns: wall.elapsed().as_nanos() as u64,
-            trace: None,
+            ..Default::default()
         },
     })
 }
@@ -181,7 +181,7 @@ fn run_manual(params: &LinregParams) -> LinregResult {
             linearize_ns: 0,
             stats,
             wall_ns: wall.elapsed().as_nanos() as u64,
-            trace: None,
+            ..Default::default()
         },
     }
 }

@@ -40,7 +40,7 @@ use cfr_sparse::{
 use freeride::{
     CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout, RunStats, Split,
 };
-use obs::{Recorder, TraceLevel};
+use obs::Recorder;
 
 use crate::error::AppError;
 use crate::timing::AppTiming;
@@ -317,12 +317,7 @@ impl Driver {
     }
 
     fn timing(&self, wall: Instant) -> AppTiming {
-        AppTiming {
-            linearize_ns: self.linearize_ns,
-            stats: self.stats.clone(),
-            wall_ns: wall.elapsed().as_nanos() as u64,
-            trace: (self.rec.level() != TraceLevel::Off).then(|| self.rec.drain()),
-        }
+        AppTiming::recorded(self.linearize_ns, self.stats.clone(), wall, &self.rec)
     }
 }
 

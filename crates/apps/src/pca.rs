@@ -224,12 +224,7 @@ fn run_translated(params: &PcaParams, opt: OptLevel) -> Result<PcaResult, AppErr
     Ok(PcaResult {
         mean,
         cov,
-        timing: AppTiming {
-            linearize_ns,
-            stats,
-            wall_ns: wall.elapsed().as_nanos() as u64,
-            trace: (rec.level() != TraceLevel::Off).then(|| rec.drain()),
-        },
+        timing: AppTiming::recorded(linearize_ns, stats, wall, &rec),
     })
 }
 
@@ -283,12 +278,7 @@ fn run_manual(params: &PcaParams) -> PcaResult {
     PcaResult {
         mean,
         cov,
-        timing: AppTiming {
-            linearize_ns: 0,
-            stats,
-            wall_ns: wall.elapsed().as_nanos() as u64,
-            trace: (rec.level() != TraceLevel::Off).then(|| rec.drain()),
-        },
+        timing: AppTiming::recorded(0, stats, wall, &rec),
     }
 }
 

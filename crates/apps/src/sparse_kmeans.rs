@@ -36,7 +36,7 @@ use freeride::{
     CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout, RunStats, Split,
 };
 use linearize::sparse::padded_row_entries;
-use obs::{Recorder, TraceLevel};
+use obs::Recorder;
 
 use crate::error::AppError;
 use crate::timing::AppTiming;
@@ -246,12 +246,7 @@ pub fn run(params: &SparseKmeansParams) -> Result<SparseKmeansResult, AppError> 
         counts,
         sums,
         plan,
-        timing: AppTiming {
-            linearize_ns,
-            stats,
-            wall_ns: wall.elapsed().as_nanos() as u64,
-            trace: (rec.level() != TraceLevel::Off).then(|| rec.drain()),
-        },
+        timing: AppTiming::recorded(linearize_ns, stats, wall, &rec),
     })
 }
 

@@ -1,5 +1,7 @@
 //! Shared timing bookkeeping for application runs.
 
+use std::time::Instant;
+
 use freeride::RunStats;
 
 /// Which implementation of an application ran — the four versions the
@@ -60,9 +62,31 @@ pub struct AppTiming {
     /// for tracing ([`freeride::TraceLevel`] above `Off`), `None`
     /// otherwise.
     pub trace: Option<obs::Trace>,
+    /// Snapshot of the metrics hub the run counted into (job totals
+    /// such as `engine.passes`); `Some` when the hub was enabled, which
+    /// it is whenever tracing is on.
+    pub telemetry: Option<obs::MetricsSnapshot>,
 }
 
 impl AppTiming {
+    /// The timing of a run that recorded into `rec` and started at
+    /// `wall`: its drained spans when tracing was on, the snapshot of
+    /// its hub when the hub was.
+    pub fn recorded(
+        linearize_ns: u64,
+        stats: RunStats,
+        wall: Instant,
+        rec: &obs::Recorder,
+    ) -> AppTiming {
+        AppTiming {
+            linearize_ns,
+            stats,
+            wall_ns: wall.elapsed().as_nanos() as u64,
+            trace: (rec.level() != obs::TraceLevel::Off).then(|| rec.drain()),
+            telemetry: rec.hub().is_enabled().then(|| rec.hub().snapshot()),
+        }
+    }
+
     /// Modeled parallel time at `threads` logical threads: sequential
     /// linearization + reduce makespan + combination (see DESIGN.md §5).
     pub fn modeled_ns(&self, threads: usize) -> u64 {

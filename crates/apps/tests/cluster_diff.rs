@@ -141,7 +141,8 @@ fn traced_cluster_kmeans_ships_multi_pid_trace() {
     let pids: std::collections::BTreeSet<usize> = trace.spans.iter().map(|s| s.pid).collect();
     assert_eq!(pids.len(), 3, "coordinator + 2 nodes");
     assert_eq!(trace.count("node.pass"), 4, "2 nodes × 2 rounds");
-    assert!(trace.counters["dist.bytes_sent"] > 0);
+    let telemetry = cluster.telemetry.expect("hub was enabled");
+    assert!(telemetry.counter("dist.bytes_sent") > 0);
     // Per-node RunStats reconstructed from shipped traces.
     assert_eq!(cluster.stats.node_stats.len(), 2);
 }

@@ -8,8 +8,8 @@
 //! * `--trace-out PATH` — Chrome `trace_event` JSON, loadable in
 //!   Perfetto / `chrome://tracing`; each version gets its own process
 //!   track (`pid`), each OS worker its own thread track (`tid`).
-//! * `--metrics-out PATH` — flat metrics JSON (counters, gauges,
-//!   per-span totals).
+//! * `--metrics-out PATH` — flat metrics JSON (the counters and gauges
+//!   of the hub the job counted into, per-span totals).
 //! * `--report` — an aligned per-phase table comparing the versions,
 //!   the paper's phase breakdown (linearization / compute / combine).
 //!
@@ -30,7 +30,7 @@ use cfr_apps::cluster::{kmeans_cluster_ft, pca_cluster_ft, FtOptions, Nodes};
 use cfr_apps::kmeans::KmeansParams;
 use cfr_apps::pca::PcaParams;
 use cfr_apps::{kmeans, pca, Version};
-use obs::{render_comparison, Trace, TraceLevel, TraceReport};
+use obs::{render_comparison, MetricsSnapshot, Trace, TraceLevel, TraceReport};
 
 /// Pipeline + engine phases in execution order, as shown by `--report`.
 const PHASES: &[&str] = &[
@@ -229,18 +229,22 @@ fn pca_params(opts: &Opts) -> PcaParams {
     params
 }
 
-/// Run one version of the selected app, returning its drained trace.
-fn run_version(opts: &Opts, version: Version) -> Result<Trace, String> {
-    let trace = match opts.app.as_str() {
-        "kmeans" => kmeans::run(&kmeans_params(opts), version).map(|r| r.timing.trace),
-        _ => pca::run(&pca_params(opts), version).map(|r| r.timing.trace),
+/// Run one version of the selected app, returning its drained trace
+/// and the snapshot of the hub it counted into.
+fn run_version(opts: &Opts, version: Version) -> Result<(Trace, MetricsSnapshot), String> {
+    let timing = match opts.app.as_str() {
+        "kmeans" => kmeans::run(&kmeans_params(opts), version).map(|r| r.timing),
+        _ => pca::run(&pca_params(opts), version).map(|r| r.timing),
     }
     .map_err(|e| format!("{} failed: {e}", version.label()))?;
-    trace.ok_or_else(|| format!("{}: no trace captured", version.label()))
+    timing
+        .trace
+        .zip(timing.telemetry)
+        .ok_or_else(|| format!("{}: no trace captured", version.label()))
 }
 
 /// Write `--trace-out` (validated Chrome JSON) and `--metrics-out`.
-fn export(opts: &Opts, trace: &Trace) -> Result<(), String> {
+fn export(opts: &Opts, trace: &Trace, metrics: &MetricsSnapshot) -> Result<(), String> {
     if let Some(path) = &opts.trace_out {
         let json = trace.chrome_json();
         obs::validate_chrome_trace(&json).map_err(|e| format!("internal: bad trace: {e}"))?;
@@ -251,7 +255,8 @@ fn export(opts: &Opts, trace: &Trace) -> Result<(), String> {
         );
     }
     if let Some(path) = &opts.metrics_out {
-        std::fs::write(path, trace.metrics_json()).map_err(|e| format!("write {path}: {e}"))?;
+        std::fs::write(path, trace.metrics_json(metrics))
+            .map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote metrics to {path}");
     }
     Ok(())
@@ -278,15 +283,16 @@ fn run_cluster(opts: &Opts) -> Result<(), String> {
     ft.elastic.steal_grain = opts.grain;
     ft.elastic.join_listen = opts.join_listen.clone();
 
-    let (stats, trace) = match opts.app.as_str() {
+    let (stats, trace, telemetry) = match opts.app.as_str() {
         "kmeans" => {
             let r =
                 kmeans_cluster_ft(&kmeans_params(opts), &nodes, &ft).map_err(|e| e.to_string())?;
-            (vec![r.stats], r.trace)
+            (vec![r.stats], r.trace, r.telemetry)
         }
         _ => {
-            let r = pca_cluster_ft(&pca_params(opts), &nodes, &ft).map_err(|e| e.to_string())?;
-            (r.stats, r.traces.into_iter().last())
+            let mut r =
+                pca_cluster_ft(&pca_params(opts), &nodes, &ft).map_err(|e| e.to_string())?;
+            (r.stats, r.traces.pop(), r.telemetry.pop())
         }
     };
     for s in &stats {
@@ -321,7 +327,7 @@ fn run_cluster(opts: &Opts) -> Result<(), String> {
     // through merge_as would squash the node tracks.
     if opts.trace_out.is_some() || opts.metrics_out.is_some() || opts.report {
         let trace = trace.ok_or("no cluster trace was captured")?;
-        export(opts, &trace)?;
+        export(opts, &trace, &telemetry.unwrap_or_default())?;
         if opts.report {
             println!();
             print!("{}", TraceReport::from_trace(&trace).render());
@@ -343,20 +349,22 @@ fn run(opts: &Opts) -> Result<(), String> {
     };
 
     let mut merged = Trace::default();
+    let mut metrics = MetricsSnapshot::default();
     let mut columns: Vec<(String, TraceReport)> = Vec::new();
     for (pid, version) in versions.iter().enumerate() {
-        let trace = run_version(opts, *version)?;
+        let (trace, snapshot) = run_version(opts, *version)?;
         println!(
             "pid {pid}: {:<10} {} spans, {} counters",
             version.label(),
             trace.spans.len(),
-            trace.counters.len()
+            snapshot.counters.len()
         );
         columns.push((version.label().to_string(), TraceReport::from_trace(&trace)));
         merged.merge_as(pid, trace);
+        metrics.merge(&snapshot);
     }
 
-    export(opts, &merged)?;
+    export(opts, &merged, &metrics)?;
     if opts.report {
         println!();
         print!("{}", render_comparison(PHASES, &columns));

@@ -21,7 +21,7 @@
 //! and `real_regs` counts, and how many slice loads the range analysis
 //! proved, `loads_proven`, or left checked, `loads_checked`),
 //! `codegen.compile`, `codegen.load` on the
-//! pipeline track; counters
+//! pipeline track; hub counters
 //! `core.codegen_compile` (rustc actually ran) and
 //! `core.codegen_cache_hit` (disk or memory hit).
 
@@ -150,7 +150,7 @@ pub fn load_or_compile(
     // ---- Memory cache. ----
     if let Some(hit) = memory_cache().lock().unwrap().get(&hash) {
         if let Some(r) = recorder {
-            r.add_counter("core.codegen_cache_hit", 1);
+            r.hub().add("core.codegen_cache_hit", 1);
         }
         return Ok(hit.clone());
     }
@@ -173,7 +173,7 @@ pub fn load_or_compile(
     let compiling = kernel_lock.lock().unwrap_or_else(|e| e.into_inner());
     if artifact.exists() {
         if let Some(r) = recorder {
-            r.add_counter("core.codegen_cache_hit", 1);
+            r.hub().add("core.codegen_cache_hit", 1);
         }
     } else {
         let src_path = dir.join(format!("k{hash:016x}.rs"));
@@ -217,7 +217,7 @@ pub fn load_or_compile(
             vec![("source_bytes", AttrValue::Int(emitted.source.len() as i64))],
         );
         if let Some(r) = recorder {
-            r.add_counter("core.codegen_compile", 1);
+            r.hub().add("core.codegen_compile", 1);
         }
     }
     drop(compiling);

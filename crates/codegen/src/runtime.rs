@@ -254,7 +254,7 @@ impl SplitKernel for CompiledKernelRuntime {
         self.call(split, None, Some(robj));
     }
 
-    /// Counters `codegen.lent_splits` / `codegen.callback_splits`, and
+    /// Hub counters `codegen.lent_splits` / `codegen.callback_splits`, and
     /// one `codegen.update_path` instant naming the path and, for the
     /// callback path, why.
     fn record_pass(&self, rec: &Recorder) {
@@ -264,8 +264,8 @@ impl SplitKernel for CompiledKernelRuntime {
             .each_ref()
             .map(|c| c.swap(0, Ordering::Relaxed));
         let callback: u64 = callbacks.iter().sum();
-        rec.add_counter("codegen.lent_splits", lent as i64);
-        rec.add_counter("codegen.callback_splits", callback as i64);
+        rec.hub().add("codegen.lent_splits", lent as i64);
+        rec.hub().add("codegen.callback_splits", callback as i64);
         let reason = match callbacks.iter().position(|&n| n > 0) {
             Some(r) => CALLBACK_REASONS[r],
             None => "the handle lent its cells",

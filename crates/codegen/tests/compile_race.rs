@@ -98,7 +98,7 @@ fn concurrent_first_compiles_of_one_kernel_compile_once() {
         assert_eq!(span.attr_i64("int_regs"), Some(3), "{span:?}");
         assert_eq!(span.attr_i64("real_regs"), Some(2), "{span:?}");
     }
-    let counters = trace.counters;
+    let counters = recorder.hub().snapshot().counters;
     assert_eq!(
         counters.get("core.codegen_compile"),
         Some(&1),

@@ -797,7 +797,7 @@ fn lent_cells_are_updated_in_place() {
 
 /// `min`, `max` and `*` reductions bake their own op into the in-place
 /// update: compiled and interpreted runs agree bit for bit under full
-/// replication, and the trace shows every split took the lent path.
+/// replication, and the hub counts show every split took the lent path.
 #[test]
 fn min_max_product_reductions_are_bit_identical() {
     skip_without_rustc!();
@@ -826,15 +826,13 @@ fn min_max_product_reductions_are_bit_identical() {
             .iter()
             .map(|g| out.global(g).unwrap().as_f64().unwrap().to_bits())
             .collect();
-        (vals, rec.drain())
+        (vals, rec.hub().snapshot())
     };
     let (interp, _) = run(freeride::KernelBackend::Interpreted);
-    let (compiled, trace) = run(freeride::KernelBackend::Compiled);
+    let (compiled, telemetry) = run(freeride::KernelBackend::Compiled);
     assert_eq!(interp, compiled);
-    assert_eq!(trace.counters.get("core.codegen_jobs"), Some(&3));
-    assert!(trace
-        .counters
-        .get("codegen.lent_splits")
-        .is_some_and(|&n| n > 0));
-    assert_eq!(trace.counters.get("codegen.callback_splits"), Some(&0));
+    let counters = telemetry.counters;
+    assert_eq!(counters.get("core.codegen_jobs"), Some(&3));
+    assert!(counters.get("codegen.lent_splits").is_some_and(|&n| n > 0));
+    assert_eq!(counters.get("codegen.callback_splits"), Some(&0));
 }

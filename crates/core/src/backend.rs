@@ -90,7 +90,7 @@ pub struct RunnerChoice {
 /// the interpreter otherwise.
 ///
 /// The compiled path *never* fails the job: any [`CodegenError`] is
-/// recorded (counter `core.codegen_fallback`, instant span
+/// recorded (hub counter `core.codegen_fallback`, instant span
 /// `codegen.fallback` with the error tag) and execution degrades to the
 /// always-correct interpreter. The only fatal error is kernel
 /// validation itself failing — then neither backend could run.
@@ -119,7 +119,7 @@ pub fn make_runner(
         match attempt {
             Ok(runner) => {
                 if let Some(r) = recorder {
-                    r.add_counter("core.codegen_jobs", 1);
+                    r.hub().add("core.codegen_jobs", 1);
                 }
                 return Ok(RunnerChoice {
                     runner,
@@ -129,7 +129,7 @@ pub fn make_runner(
             }
             Err(e) => {
                 if let Some(r) = recorder {
-                    r.add_counter("core.codegen_fallback", 1);
+                    r.hub().add("core.codegen_fallback", 1);
                     r.instant(
                         TraceLevel::Phases,
                         "codegen.fallback",
@@ -148,7 +148,7 @@ pub fn make_runner(
 
     let runtime = KernelRuntime::new(kernel.clone(), nested_state, flat_state, row_lo, opt)?;
     if let Some(r) = recorder {
-        r.add_counter("core.interp_jobs", 1);
+        r.hub().add("core.interp_jobs", 1);
     }
     Ok(RunnerChoice {
         runner: Arc::new(runtime),
@@ -195,8 +195,8 @@ mod backend_tests {
         ));
         let trace = recorder.drain();
         assert_eq!(trace.count("codegen.fallback"), 1);
-        assert_eq!(trace.counters.get("core.codegen_fallback"), Some(&1));
-        assert_eq!(trace.counters.get("core.interp_jobs"), Some(&1));
+        assert_eq!(recorder.hub().counter("core.codegen_fallback"), 1);
+        assert_eq!(recorder.hub().counter("core.interp_jobs"), 1);
     }
 
     #[test]

@@ -83,28 +83,6 @@ impl Default for FtPolicy {
     }
 }
 
-/// Live-telemetry policy (the `telemetry` part of [`ClusterConfig`]):
-/// periodic in-band stats pushes from the nodes. Straggler detection on
-/// the coordinator uses fixed thresholds (4 × the fleet median, 10 ms
-/// floor).
-#[derive(Debug, Clone)]
-pub struct TelemetryPolicy {
-    /// Every `stats_every` rounds each node pushes a
-    /// [`MetricsSnapshot`] frame at the end of the round, so the
-    /// coordinator's live view (and, through it, `cfr-serve`'s
-    /// `/metrics` endpoint) includes node-side counters even while the
-    /// job is still running — and retains them for nodes that later
-    /// die without ever reaching `JobDone`. 0 disables the pushes.
-    /// Default 4.
-    pub stats_every: u32,
-}
-
-impl Default for TelemetryPolicy {
-    fn default() -> TelemetryPolicy {
-        TelemetryPolicy { stats_every: 4 }
-    }
-}
-
 /// Configuration of one distributed job.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -142,8 +120,6 @@ pub struct ClusterConfig {
     /// subdirectory and stamps the tag into the frame, so jobs sharing
     /// a checkpoint root cannot collide or cross-resume.
     pub job_tag: String,
-    /// Live-telemetry policy: node stats pushes.
-    pub telemetry: TelemetryPolicy,
     /// Kernel backend every node uses for kernel-IR tasks (the
     /// `chapel.*` family); closure tasks ignore it. A `Compiled`
     /// request degrades per-node to the interpreter (with a recorded
@@ -189,7 +165,6 @@ impl ClusterConfig {
             ft: FtPolicy::default(),
             checkpoint_dir: None,
             job_tag: String::new(),
-            telemetry: TelemetryPolicy::default(),
             backend: freeride::KernelBackend::Interpreted,
             scheme: freeride::SyncScheme::FullReplication,
             shard_bounds: None,
@@ -250,36 +225,6 @@ impl ClusterStats {
             .max()
             .unwrap_or(0)
     }
-
-    /// Rebuild the cluster-level statistics from a merged trace (the
-    /// inverse of the recording in [`Coordinator::run`], in the same
-    /// spirit as [`RunStats::from_trace`]): node/round totals from the
-    /// `cluster.done` instant, wire and recovery totals from the
-    /// `dist.*` / `ft.*` counters. Per-node engine stats and wall time
-    /// are not reconstructible from the merged view and are left
-    /// empty.
-    pub fn from_trace(trace: &Trace) -> ClusterStats {
-        let mut stats = ClusterStats::default();
-        for span in &trace.spans {
-            if span.name == "cluster.done" {
-                stats.nodes = span.attr_i64("nodes").unwrap_or(0) as usize;
-                stats.rounds = span.attr_i64("rounds").unwrap_or(0) as usize;
-            }
-        }
-        let counter = |name: &str| trace.counters.get(name).copied().unwrap_or(0);
-        stats.bytes_sent = counter("dist.bytes_sent") as u64;
-        stats.bytes_recv = counter("dist.bytes_recv") as u64;
-        stats.recoveries = counter("ft.recoveries") as usize;
-        stats.shards_reassigned = counter("ft.shards_reassigned") as usize;
-        stats.retries = counter("ft.retries") as usize;
-        stats.checkpoints_written = counter("ft.checkpoints_written") as usize;
-        stats.checkpoint_bytes = counter("ft.checkpoint_bytes") as u64;
-        stats.stragglers = counter("sched.stragglers") as usize;
-        stats.steals = counter("sched.steals") as usize;
-        stats.joins = counter("sched.joins") as usize;
-        stats.leaves = counter("sched.leaves") as usize;
-        stats
-    }
 }
 
 /// Result of [`Coordinator::run`].
@@ -296,7 +241,7 @@ pub struct ClusterOutcome {
     pub trace: Option<Trace>,
     /// Fleet-aggregated live metrics: the coordinator's own hub merged
     /// with every node's final `JobDone` snapshot (and, for nodes that
-    /// died mid-run, their last periodic stats push). `None` when the
+    /// died or left mid-run, their last `Stats` push). `None` when the
     /// metrics hub is disabled (tracing off).
     pub telemetry: Option<MetricsSnapshot>,
 }

@@ -34,7 +34,7 @@ pub mod node;
 pub use cfr_elastic::{ElasticPolicy, MembershipHub, PlacementPolicy};
 pub use coord::{
     resume_loopback, run_loopback, ClusterConfig, ClusterOutcome, ClusterStats, Coordinator,
-    FtPolicy, LoopbackCluster, TelemetryPolicy,
+    FtPolicy, LoopbackCluster,
 };
 pub use error::DistError;
 pub use sched::{Fleet, JobDriver};

@@ -75,10 +75,8 @@ struct JobContext {
     file: freeride::source::FileDataset,
     engine: Engine,
     recorder: Arc<Recorder>,
-    /// Push a `Stats` frame on every Nth `RoundEnd` (0 = off).
-    stats_every: u32,
-    /// Rounds completed so far: drives the periodic `Stats` cadence
-    /// and the `leave_after`/`die_after` schedules.
+    /// Rounds completed so far: drives the `leave_after`/`die_after`
+    /// schedules.
     rounds_handled: u32,
 }
 
@@ -106,7 +104,6 @@ fn build_job(msg: Message) -> Result<JobContext, DistError> {
         chunk_rows,
         buffers,
         readers,
-        stats_every,
         backend,
         scheme,
         scheme_stripes,
@@ -183,7 +180,6 @@ fn build_job(msg: Message) -> Result<JobContext, DistError> {
         file,
         engine,
         recorder,
-        stats_every,
         rounds_handled: 0,
     })
 }
@@ -378,10 +374,8 @@ fn serve_frames(
                 let elapsed_ns = unit_start.elapsed().as_nanos() as u64;
                 cur.busy_ns += elapsed_ns;
                 let hub = ctx.recorder.hub();
-                if hub.is_enabled() {
-                    hub.add("node.units", 1);
-                    hub.observe("node.unit_ns", elapsed_ns);
-                }
+                hub.add("node.units", 1);
+                hub.observe("node.unit_ns", elapsed_ns);
                 write_message(
                     &mut stream,
                     &Message::UnitResult {
@@ -396,24 +390,20 @@ fn serve_frames(
             Message::RoundEnd { round, .. } => {
                 let busy_ns = open.take().map_or(0, |cur| cur.busy_ns);
                 if let Some(ctx) = job.as_mut() {
-                    ctx.recorder.add_counter("dist.rounds", 1);
                     ctx.rounds_handled = ctx.rounds_handled.wrapping_add(1);
                     let hub = ctx.recorder.hub();
                     if hub.is_enabled() {
                         hub.add("node.rounds", 1);
                         hub.observe("node.round_ns", busy_ns);
-                        // The periodic push: for a node that later dies
-                        // it is all the telemetry the coordinator gets
-                        // to keep.
-                        if ctx.stats_every > 0 && ctx.rounds_handled % ctx.stats_every == 0 {
-                            write_message(
-                                &mut stream,
-                                &Message::Stats {
-                                    round,
-                                    metrics: hub.snapshot().encode_bin(),
-                                },
-                            )?;
-                        }
+                        // For a node that later dies, its last push is
+                        // all the telemetry the coordinator gets to keep.
+                        write_message(
+                            &mut stream,
+                            &Message::Stats {
+                                round,
+                                metrics: hub.snapshot().encode_bin(),
+                            },
+                        )?;
                     }
                 }
             }

@@ -30,7 +30,7 @@ pub const WIRE_MAGIC: &[u8; 4] = b"FRDM";
 /// round `attempt` counters and explicit per-round shard lists for
 /// fault-tolerant shard reassignment. Version 3 added live telemetry:
 /// node-measured `elapsed_ns` on round results (the straggler signal),
-/// periodic `Stats` metrics frames, a `stats_every` job knob, and the
+/// periodic `Stats` metrics frames, a push-cadence field on `Job`, and the
 /// node's final metrics snapshot on `JobDone`. Version 4 added the
 /// kernel `backend` byte on `Job`, so a coordinator can ask the fleet
 /// to run kernel-IR tasks through the native codegen path. Version 5
@@ -48,7 +48,9 @@ pub const WIRE_MAGIC: &[u8; 4] = b"FRDM";
 /// monolithic one-request-one-result round pair (type bytes 4 and 5,
 /// never reused) and the `Job`-time shard fallback it read are gone —
 /// a steal-off round is the same dialogue with one unit per shard.
-pub const WIRE_VERSION: u8 = 7;
+/// Version 8 dropped that push-cadence field from `Job`: a node whose
+/// metrics hub is on pushes `Stats` on every `RoundEnd`.
+pub const WIRE_VERSION: u8 = 8;
 /// Upper bound on a frame payload (64 MiB): a corrupt length field
 /// fails fast instead of triggering a giant allocation.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
@@ -116,10 +118,6 @@ pub enum Message {
         buffers: u32,
         /// Prefetching reader threads (ignored when sync).
         readers: u32,
-        /// Push a `Stats` metrics frame after every Nth `RoundEnd`
-        /// (0 disables periodic pushes; the final snapshot still
-        /// arrives on `JobDone`).
-        stats_every: u32,
         /// Kernel backend for kernel-IR tasks
         /// ([`freeride::KernelBackend::to_wire`] byte; closure tasks
         /// ignore it). Decoded with `from_wire`, so an unknown byte
@@ -150,9 +148,10 @@ pub enum Message {
         /// of the node's live hub, possibly empty.
         metrics: Vec<u8>,
     },
-    /// Node → coordinator: periodic live-telemetry push, sent on the
-    /// `RoundEnd` of every `stats_every`th round. The coordinator folds it into the fleet view; it never
-    /// affects scheduling correctness.
+    /// Node → coordinator: live-telemetry push, sent on every
+    /// `RoundEnd` while the node's metrics hub is on. The coordinator
+    /// folds it into the fleet view; it never affects scheduling
+    /// correctness.
     Stats {
         /// Round the snapshot was taken after.
         round: u32,
@@ -233,9 +232,9 @@ pub enum Message {
         /// The unit's reduction cells as a `freeride` robj codec frame.
         cells: Vec<u8>,
     },
-    /// Coordinator → node: the current round is drained; flush
-    /// periodic `Stats` if due and await the next `RoundStart` (or
-    /// `EndJob`). Unacknowledged.
+    /// Coordinator → node: the current round is drained; push `Stats`
+    /// (while the node's hub is on) and await the next `RoundStart`
+    /// (or `EndJob`). Unacknowledged.
     RoundEnd {
         /// Echo of the round number.
         round: u32,
@@ -300,7 +299,6 @@ impl Message {
                 chunk_rows,
                 buffers,
                 readers,
-                stats_every,
                 backend,
                 scheme,
                 scheme_stripes,
@@ -318,7 +316,6 @@ impl Message {
                 out.extend_from_slice(&chunk_rows.to_le_bytes());
                 out.extend_from_slice(&buffers.to_le_bytes());
                 out.extend_from_slice(&readers.to_le_bytes());
-                out.extend_from_slice(&stats_every.to_le_bytes());
                 out.push(*backend);
                 out.push(*scheme);
                 out.extend_from_slice(&scheme_stripes.to_le_bytes());
@@ -406,7 +403,6 @@ impl Message {
                 chunk_rows: r.u64("chunk_rows")?,
                 buffers: r.u32("buffers")?,
                 readers: r.u32("readers")?,
-                stats_every: r.u32("stats_every")?,
                 backend: r.u8("backend")?,
                 scheme: r.u8("scheme")?,
                 scheme_stripes: r.u64("scheme_stripes")?,
@@ -594,7 +590,6 @@ mod proto_tests {
                 chunk_rows: 4096,
                 buffers: 3,
                 readers: 2,
-                stats_every: 4,
                 backend: 1,
                 scheme: 4,
                 scheme_stripes: 64,
@@ -705,7 +700,7 @@ mod proto_tests {
     }
 
     /// 4 and 5 are the type bytes of the round pair retired in v7; a
-    /// v6 peer's opening frame, in either direction, is refused by its
+    /// v7 peer's opening frame, in either direction, is refused by its
     /// version before its type is read.
     #[test]
     fn unknown_and_retired_types_rejected() {
@@ -726,7 +721,7 @@ mod proto_tests {
             frame[4] = WIRE_VERSION - 1;
             let err = read_message(&mut &frame[..]).unwrap_err();
             assert!(matches!(err, DistError::Protocol { .. }), "{err}");
-            assert!(err.to_string().contains("wire version 6"), "{err}");
+            assert!(err.to_string().contains("wire version 7"), "{err}");
         }
     }
 

@@ -125,10 +125,9 @@ impl NodeConn {
 pub(crate) struct LiveNode {
     pub(crate) conn: NodeConn,
     pub(crate) shards: Vec<(u64, u64)>,
-    /// The node's most recent periodic stats push (see
-    /// [`TelemetryPolicy::stats_every`](crate::TelemetryPolicy)); kept
-    /// so a node that dies mid-run still contributes its last known
-    /// metrics to the fleet aggregate.
+    /// The node's most recent `Stats` push (one per `RoundEnd` while
+    /// its hub is on); kept so a node that dies mid-run still
+    /// contributes its last known metrics to the fleet aggregate.
     pub(crate) last_stats: Option<MetricsSnapshot>,
 }
 
@@ -219,20 +218,23 @@ impl Fleet {
         Ok(fleet)
     }
 
-    /// Absorb pending joiner connections from the membership hub:
-    /// Join → Hello/HelloAck → Job, then add the node live with **no
-    /// shards** — work reaches it through unit stealing or through
-    /// the shards of a node that leaves or dies. A broken joiner
-    /// (handshake failure, timeout, garbage) is dropped without
-    /// failing the job; returns the ids actually admitted.
+    /// Absorb pending joiner connections from the membership hub at
+    /// the barrier before `round`: Join → Hello/HelloAck → Job, then
+    /// add the node live with **no shards** — work reaches it through
+    /// unit stealing or through the shards of a node that leaves or
+    /// dies. Each admission is a `sched.join` instant; a broken joiner
+    /// (handshake failure, timeout, garbage) is dropped without failing
+    /// the job, recorded as a `sched.join_rejected` instant carrying
+    /// the error.
     pub(crate) fn absorb_joiners(
         &mut self,
         hub: &MembershipHub,
         cfg: &ClusterConfig,
         layout_frame: &[u8],
+        round: usize,
         stats: &mut ClusterStats,
-    ) -> Vec<usize> {
-        let mut joined = Vec::new();
+        rec: &Recorder,
+    ) {
         for stream in hub.take_pending() {
             let id = self.next_id;
             let admitted = (|| -> Result<LiveNode, DistError> {
@@ -272,14 +274,28 @@ impl Fleet {
                     last_stats: None,
                 })
             })();
-            // A joiner whose admission fails is dropped unrecorded.
-            if let Ok(node) = admitted {
-                self.nodes.push(node);
-                self.next_id += 1;
-                joined.push(id);
+            let mut attrs = vec![
+                ("node", AttrValue::Int(id as i64)),
+                ("round", AttrValue::Int(round as i64)),
+            ];
+            match admitted {
+                Ok(node) => {
+                    self.nodes.push(node);
+                    self.next_id += 1;
+                    rec.instant(TraceLevel::Phases, "sched.join", "dist", 0, attrs);
+                    if rec.hub().is_enabled() {
+                        rec.hub().add("sched.joins", 1);
+                        rec.hub().add(metric_name(&format!("node{id}.joins")), 1);
+                    }
+                    stats.joins += 1;
+                }
+                Err(e) => {
+                    attrs.push(("error", AttrValue::Str(e.to_string())));
+                    rec.instant(TraceLevel::Phases, "sched.join_rejected", "dist", 0, attrs);
+                    rec.hub().add("sched.join_rejections", 1);
+                }
             }
         }
-        joined
     }
 
     /// Live nodes remaining in the fleet.
@@ -407,7 +423,6 @@ fn job_message(cfg: &ClusterConfig, layout_frame: &[u8]) -> Message {
         chunk_rows,
         buffers,
         readers,
-        stats_every: cfg.telemetry.stats_every,
         backend: cfg.backend.to_wire(),
         scheme,
         scheme_stripes,
@@ -505,10 +520,7 @@ impl<'a> JobDriver<'a> {
                     ("remaining_rounds", AttrValue::Int(0)),
                 ],
             );
-            rec.add_counter("ft.recoveries", 1);
-            if rec.hub().is_enabled() {
-                rec.hub().add("ft.recoveries", 1);
-            }
+            rec.hub().add("ft.recoveries", 1);
             let stats = ClusterStats {
                 recoveries: 1,
                 ..ClusterStats::default()
@@ -578,10 +590,7 @@ impl<'a> JobDriver<'a> {
                     ),
                 ],
             );
-            rec.add_counter("ft.recoveries", 1);
-            if rec.hub().is_enabled() {
-                rec.hub().add("ft.recoveries", 1);
-            }
+            rec.hub().add("ft.recoveries", 1);
             stats.recoveries += 1;
         }
 
@@ -620,24 +629,7 @@ impl<'a> JobDriver<'a> {
             // ---- Round barrier: absorb any nodes that dialed the
             // membership hub since the last round. ----
             if let Some(hub) = hub {
-                for id in fleet.absorb_joiners(hub, cfg, &layout_frame, &mut stats) {
-                    rec.instant(
-                        TraceLevel::Phases,
-                        "sched.join",
-                        "dist",
-                        0,
-                        vec![
-                            ("node", AttrValue::Int(id as i64)),
-                            ("round", AttrValue::Int(round as i64)),
-                        ],
-                    );
-                    rec.add_counter("sched.joins", 1);
-                    if rec.hub().is_enabled() {
-                        rec.hub().add("sched.joins", 1);
-                        rec.hub().add(metric_name(&format!("node{id}.joins")), 1);
-                    }
-                    stats.joins += 1;
-                }
+                fleet.absorb_joiners(hub, cfg, &layout_frame, round, &mut stats, rec);
             }
             loop {
                 let outcome = self.round_attempt(
@@ -669,12 +661,10 @@ impl<'a> JobDriver<'a> {
                         attempt += 1;
                         let mut rspan = rec.span(TraceLevel::Phases, "ft.recover", "ft", 0);
                         let dead = fleet.remove(idx);
-                        if rec.hub().is_enabled() {
-                            rec.hub().add("health.node_failures", 1);
-                        }
+                        rec.hub().add("health.node_failures", 1);
                         // A dead node never reaches JobDone; its last
-                        // periodic stats push is all the telemetry
-                        // that survives it.
+                        // stats push is all the telemetry that
+                        // survives it.
                         if let Some(s) = dead.last_stats {
                             dead_stats.push(s);
                         }
@@ -684,9 +674,10 @@ impl<'a> JobDriver<'a> {
                         rspan.attr_int("attempt", attempt as i64);
                         rspan.attr_int("shards_reassigned", moved as i64);
                         fleet.adopt(dead.shards);
-                        rec.add_counter("ft.recoveries", 1);
-                        rec.add_counter("ft.shards_reassigned", moved as i64);
-                        rec.add_counter("ft.retries", 1);
+                        let hub = rec.hub();
+                        hub.add("ft.recoveries", 1);
+                        hub.add("ft.shards_reassigned", moved as i64);
+                        hub.add("ft.retries", 1);
                         stats.recoveries += 1;
                         stats.shards_reassigned += moved;
                         stats.retries += 1;
@@ -701,11 +692,8 @@ impl<'a> JobDriver<'a> {
             if let Some(next) = tasks::step(&cfg.task, &cfg.params, &state, &merged)? {
                 state = next;
             }
-            rec.add_counter("dist.rounds", 1);
             stats.rounds += 1;
-            if rec.hub().is_enabled() {
-                rec.hub().add("fleet.rounds", 1);
-            }
+            rec.hub().add("fleet.rounds", 1);
 
             if let Some(store) = &store {
                 let every = cfg.ft.checkpoint_every.max(1);
@@ -725,14 +713,10 @@ impl<'a> JobDriver<'a> {
                         .map_err(DistError::Ft)?;
                     cspan.attr_int("round", round as i64);
                     cspan.attr_int("bytes", saved.bytes as i64);
-                    rec.add_counter("ft.checkpoints_written", 1);
-                    rec.add_counter("ft.checkpoint_bytes", saved.bytes as i64);
                     let hub = rec.hub();
-                    if hub.is_enabled() {
-                        hub.add("ft.checkpoints_written", 1);
-                        hub.add("ft.checkpoint_bytes", saved.bytes as i64);
-                        hub.observe("ft.checkpoint_ns", saved.elapsed_ns);
-                    }
+                    hub.add("ft.checkpoints_written", 1);
+                    hub.add("ft.checkpoint_bytes", saved.bytes as i64);
+                    hub.observe("ft.checkpoint_ns", saved.elapsed_ns);
                     stats.checkpoints_written += 1;
                     stats.checkpoint_bytes += saved.bytes;
                 }
@@ -741,16 +725,12 @@ impl<'a> JobDriver<'a> {
 
         // ---- Teardown: collect traces and final metrics from the
         // *live* nodes (a dead node's trace died with it; its metrics
-        // survive only as far as its last periodic stats push), shut
-        // them down. ----
+        // survive only as far as its last stats push), shut them
+        // down. ----
         let (node_traces, node_metrics) = fleet.finish(&mut stats)?;
 
-        rec.add_counter("dist.bytes_sent", stats.bytes_sent as i64);
-        rec.add_counter("dist.bytes_recv", stats.bytes_recv as i64);
-        if rec.hub().is_enabled() {
-            rec.hub().add("dist.bytes_sent", stats.bytes_sent as i64);
-            rec.hub().add("dist.bytes_recv", stats.bytes_recv as i64);
-        }
+        rec.hub().add("dist.bytes_sent", stats.bytes_sent as i64);
+        rec.hub().add("dist.bytes_recv", stats.bytes_recv as i64);
         rec.instant(
             TraceLevel::Phases,
             "cluster.done",
@@ -859,7 +839,7 @@ impl<'a> JobDriver<'a> {
 
         // One worker per node, each owning a disjoint `&mut LiveNode`.
         // Workers are telemetry-free (the per-node byte counts travel in
-        // their WorkerOut); all spans and counters are emitted below, on
+        // their WorkerOut); all spans and hub counts are emitted below, on
         // this thread, in fleet order — so traces stay deterministic
         // even though completion order is not.
         let outs: Vec<WorkerOut> = std::thread::scope(|s| {
@@ -966,7 +946,6 @@ impl<'a> JobDriver<'a> {
                         ("round", AttrValue::Int(round as i64)),
                     ],
                 );
-                rec.add_counter("sched.steals", 1);
                 if hub.is_enabled() {
                     hub.add("sched.steals", 1);
                     hub.add(metric_name(&format!("node{thief}.steals")), 1);
@@ -996,7 +975,6 @@ impl<'a> JobDriver<'a> {
                     ("round", AttrValue::Int(round as i64)),
                 ],
             );
-            rec.add_counter("sched.leaves", 1);
             if hub.is_enabled() {
                 hub.add("sched.leaves", 1);
                 hub.add(metric_name(&format!("node{id}.leaves")), 1);
@@ -1149,8 +1127,8 @@ impl<'a> JobDriver<'a> {
 
     /// Latency-based straggler detection over one round's node-measured
     /// times: a node beyond [`STRAGGLER_MULTIPLIER`] × the fleet median
-    /// (and past the [`STRAGGLER_MIN_NS`] floor) gets a counter bump and
-    /// a `sched.straggler` instant span. Detection only — shard
+    /// (and past the [`STRAGGLER_MIN_NS`] floor) gets a hub counter bump
+    /// and a `sched.straggler` instant span. Detection only — shard
     /// placement is untouched, so the bit-identity guarantees of
     /// recovery and resume are unaffected.
     fn flag_stragglers(
@@ -1174,7 +1152,6 @@ impl<'a> JobDriver<'a> {
             if (ns as f64) <= threshold {
                 continue;
             }
-            rec.add_counter("sched.stragglers", 1);
             rec.instant(
                 TraceLevel::Phases,
                 "sched.straggler",

@@ -55,9 +55,11 @@ fn traced_run_merges_nodes_as_separate_pids() {
     assert_eq!(trace.count("node.pass"), 4);
     assert!(trace.count("cluster.round") == 2);
     assert!(trace.count("cluster.combine") == 2);
-    assert_eq!(trace.counters["dist.rounds"], 2 + 4); // coordinator 2, 2 per node
-    assert!(trace.counters["dist.bytes_sent"] > 0);
-    assert!(trace.counters["dist.bytes_recv"] > 0);
+    let telemetry = out.telemetry.expect("hub was enabled");
+    assert_eq!(telemetry.counter("fleet.rounds"), 2);
+    assert_eq!(telemetry.counter("node.rounds"), 4); // 2 per node
+    assert!(telemetry.counter("dist.bytes_sent") > 0);
+    assert!(telemetry.counter("dist.bytes_recv") > 0);
     // Per-node engine stats were reconstructed from shipped traces.
     assert_eq!(out.stats.node_stats.len(), 2);
     // The exported Chrome trace passes the validator with 3 pid tracks.
@@ -409,7 +411,8 @@ fn killed_node_recovery_is_bit_identical_for_kmeans() {
         assert_eq!(out.stats.shards_reassigned, 1);
         let trace = out.trace.expect("tracing was on");
         assert_eq!(trace.count("ft.recover"), 1);
-        assert_eq!(trace.counters["ft.recoveries"], 1);
+        let telemetry = out.telemetry.expect("hub was enabled");
+        assert_eq!(telemetry.counter("ft.recoveries"), 1);
         std::fs::remove_file(&path).ok();
     }
 }
@@ -524,17 +527,35 @@ fn checkpointing_does_not_perturb_and_prunes() {
     let latest = store.latest().unwrap().unwrap();
     assert_eq!(latest.round, 5);
     assert_eq!(bits(&latest.state), bits(&out.state));
-    // The merged trace alone reconstructs the cluster-level stats.
+    // The trace and the hub agree with the cluster-level stats.
     let trace = out.trace.expect("tracing was on");
     assert_eq!(trace.count("ft.checkpoint"), 6);
-    let rebuilt = freeride_dist::ClusterStats::from_trace(&trace);
-    assert_eq!(rebuilt.nodes, out.stats.nodes);
-    assert_eq!(rebuilt.rounds, out.stats.rounds);
-    assert_eq!(rebuilt.bytes_sent, out.stats.bytes_sent);
-    assert_eq!(rebuilt.bytes_recv, out.stats.bytes_recv);
-    assert_eq!(rebuilt.checkpoints_written, out.stats.checkpoints_written);
-    assert_eq!(rebuilt.checkpoint_bytes, out.stats.checkpoint_bytes);
-    assert_eq!(rebuilt.recoveries, 0);
+    let done = trace
+        .spans
+        .iter()
+        .find(|s| s.name == "cluster.done")
+        .unwrap();
+    assert_eq!(done.attr_i64("nodes"), Some(out.stats.nodes as i64));
+    assert_eq!(done.attr_i64("rounds"), Some(out.stats.rounds as i64));
+    let telemetry = out.telemetry.expect("hub was enabled");
+    assert_eq!(telemetry.counter("fleet.rounds"), out.stats.rounds as i64);
+    assert_eq!(
+        telemetry.counter("dist.bytes_sent"),
+        out.stats.bytes_sent as i64
+    );
+    assert_eq!(
+        telemetry.counter("dist.bytes_recv"),
+        out.stats.bytes_recv as i64
+    );
+    assert_eq!(
+        telemetry.counter("ft.checkpoints_written"),
+        out.stats.checkpoints_written as i64
+    );
+    assert_eq!(
+        telemetry.counter("ft.checkpoint_bytes"),
+        out.stats.checkpoint_bytes as i64
+    );
+    assert_eq!(telemetry.counter("ft.recoveries"), 0);
     std::fs::remove_dir_all(&dir).ok();
 
     // A sparser cadence checkpoints every other round (the final round
@@ -730,12 +751,11 @@ fn resume_rejects_mismatched_job() {
 // the flight recorder.
 // ---------------------------------------------------------------------
 
-/// The differential telemetry gate: the fleet-aggregated live counters
-/// (coordinator hub merged with every node's final snapshot) must
-/// exactly match the post-hoc reconstructions from the shipped trace —
-/// `ClusterStats::from_trace` for cluster-level totals and
-/// `RunStats::from_trace` for node I/O totals — and the aggregate must
-/// survive an FRMT encode/decode round trip bit-identically.
+/// The fleet-aggregated live counters (coordinator hub merged with
+/// every node's final snapshot) must exactly match the typed cluster
+/// stats, and the node I/O totals `RunStats::from_trace` rebuilds from
+/// the shipped traces; the aggregate must survive an FRMT
+/// encode/decode round trip bit-identically.
 #[test]
 fn live_counters_bit_match_trace_reconstruction() {
     let data: Vec<f64> = (0..6000).map(|i| ((i * 11 + 7) % 83) as f64).collect();
@@ -745,7 +765,6 @@ fn live_counters_bit_match_trace_reconstruction() {
     cfg.rounds = 4;
     cfg.trace = TraceLevel::Phases;
     cfg.checkpoint_dir = Some(dir.clone());
-    cfg.telemetry.stats_every = 1; // exercise in-band Stats absorption too
     cfg.io = freeride::IoMode::Streaming {
         chunk_rows: 128,
         buffers: 3,
@@ -755,24 +774,22 @@ fn live_counters_bit_match_trace_reconstruction() {
     let trace = out.trace.as_ref().expect("tracing was on");
     let telemetry = out.telemetry.as_ref().expect("hub was enabled");
 
-    let rebuilt = freeride_dist::ClusterStats::from_trace(trace);
-    assert_eq!(telemetry.counter("fleet.rounds"), rebuilt.rounds as i64);
     assert_eq!(telemetry.counter("fleet.rounds"), out.stats.rounds as i64);
     assert_eq!(
         telemetry.counter("ft.checkpoints_written"),
-        rebuilt.checkpoints_written as i64
+        out.stats.checkpoints_written as i64
     );
     assert_eq!(
         telemetry.counter("ft.checkpoint_bytes"),
-        rebuilt.checkpoint_bytes as i64
+        out.stats.checkpoint_bytes as i64
     );
     assert_eq!(
         telemetry.counter("dist.bytes_sent"),
-        rebuilt.bytes_sent as i64
+        out.stats.bytes_sent as i64
     );
     assert_eq!(
         telemetry.counter("dist.bytes_recv"),
-        rebuilt.bytes_recv as i64
+        out.stats.bytes_recv as i64
     );
 
     // Node-side I/O counters summed across the fleet equal the per-node
@@ -802,10 +819,10 @@ fn live_counters_bit_match_trace_reconstruction() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A deterministically slow node is flagged as a straggler: counter,
-/// `sched.straggler` instant span, per-node hub counter, and
-/// `ClusterStats::from_trace` reconstruction — while results stay
-/// bit-identical to an all-healthy run (detection only).
+/// A deterministically slow node is flagged as a straggler: typed
+/// stats, `sched.straggler` instant span, fleet and per-node hub
+/// counters — while results stay bit-identical to an all-healthy run
+/// (detection only).
 #[test]
 fn slow_node_is_flagged_as_straggler() {
     let data: Vec<f64> = (0..800).map(|i| (i as f64 * 0.37).cos()).collect();
@@ -824,9 +841,6 @@ fn slow_node_is_flagged_as_straggler() {
     assert_eq!(out.stats.stragglers, 3, "every round flags node 1");
     let trace = out.trace.as_ref().expect("tracing was on");
     assert_eq!(trace.count("sched.straggler"), 3);
-    assert_eq!(trace.counters["sched.stragglers"], 3);
-    let rebuilt = freeride_dist::ClusterStats::from_trace(trace);
-    assert_eq!(rebuilt.stragglers, 3);
     let telemetry = out.telemetry.as_ref().expect("hub was enabled");
     assert_eq!(telemetry.counter("sched.stragglers"), 3);
     assert_eq!(telemetry.counter("node1.stragglers"), 3);
@@ -854,8 +868,8 @@ fn healthy_fleet_flags_no_stragglers() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A node killed mid-run still contributes telemetry: its last periodic
-/// stats push survives into the fleet aggregate, alongside the
+/// A node killed mid-run still contributes telemetry: its last `Stats`
+/// push survives into the fleet aggregate, alongside the
 /// `health.node_failures` counter — and the recovery keeps its
 /// bit-identity guarantee.
 #[test]
@@ -864,12 +878,11 @@ fn dead_node_last_stats_push_survives_into_aggregate() {
     let path = dataset("telemetry-chaos", 2, &data);
     let baseline = run_loopback(kmeans_cfg(&path, 3), 2).unwrap();
 
-    // Node 1 pushes stats every round and dies mid-round after
+    // Node 1 pushes stats at every round end and dies mid-round after
     // answering one round.
     let cluster = LoopbackCluster::spawn_with(2, &[(1, Behaviour::dies_after(1))]).unwrap();
     let mut cfg = kmeans_cfg(&path, 3);
     cfg.trace = TraceLevel::Phases;
-    cfg.telemetry.stats_every = 1;
     let out = Coordinator::new(cfg).run(cluster.addrs()).unwrap();
     cluster.join().unwrap();
 
@@ -964,7 +977,7 @@ fn cluster_backends_bit_identical_for_chapel_kmeans() {
 }
 
 /// The nodes really take the native path when asked: a traced compiled
-/// run ships node traces whose merged counters show codegen activity
+/// run ships node metrics whose merged counters show codegen activity
 /// and zero interpreter jobs (no silent fallback).
 #[test]
 fn cluster_compiled_run_records_codegen_in_node_traces() {
@@ -980,12 +993,13 @@ fn cluster_compiled_run_records_codegen_in_node_traces() {
     cfg.trace = TraceLevel::Phases;
     let out = run_loopback(cfg, 2).unwrap();
     let trace = out.trace.expect("tracing was on");
+    let counters = out.telemetry.expect("hub was enabled").counters;
     // 2 nodes × 2 rounds of make_runner, all landing on the compiled
     // backend (codegen.emit spans cache-hit after the first, but the
     // job counter ticks every selection).
-    assert_eq!(trace.counters.get("core.codegen_jobs"), Some(&4));
-    assert_eq!(trace.counters.get("core.codegen_fallback"), None);
-    assert_eq!(trace.counters.get("core.interp_jobs"), None);
+    assert_eq!(counters.get("core.codegen_jobs"), Some(&4));
+    assert_eq!(counters.get("core.codegen_fallback"), None);
+    assert_eq!(counters.get("core.interp_jobs"), None);
     assert!(trace.count("codegen.emit") >= 1, "no codegen.emit span");
     std::fs::remove_file(&path).ok();
 }

@@ -11,10 +11,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use freeride_dist::node::{self, Behaviour};
+use freeride_dist::proto::{write_message, Message};
 use freeride_dist::{
     run_loopback, ClusterConfig, Coordinator, JobDriver, LoopbackCluster, MembershipHub,
 };
-use obs::{Recorder, TraceLevel};
+use obs::{AttrValue, Recorder, TraceLevel};
 
 fn dataset(tag: &str, unit: usize, data: &[f64]) -> PathBuf {
     let mut path = std::env::temp_dir();
@@ -113,13 +114,12 @@ fn steal_under_slow_node_is_bit_identical() {
     assert_eq!(out.stats.retries, 0);
     let trace = out.trace.as_ref().expect("tracing was on");
     assert_eq!(trace.count("sched.steal"), out.stats.steals);
+    let telemetry = out.telemetry.as_ref().expect("hub was enabled");
     assert_eq!(
-        trace.counters["sched.steals"], out.stats.steals as i64,
+        telemetry.counter("sched.steals"),
+        out.stats.steals as i64,
         "counter and spans disagree"
     );
-    let rebuilt = freeride_dist::ClusterStats::from_trace(trace);
-    assert_eq!(rebuilt.steals, out.stats.steals);
-    let telemetry = out.telemetry.as_ref().expect("hub was enabled");
     assert!(telemetry.counter("node0.steals") >= 1, "thief counter");
     assert_eq!(telemetry.counter("node1.steals"), 0, "victim never steals");
     std::fs::remove_file(&path).ok();
@@ -163,14 +163,68 @@ fn mid_job_join_is_bit_identical_and_counted() {
     assert_eq!(out.stats.retries, 0);
     let trace = out.trace.as_ref().expect("tracing was on");
     assert_eq!(trace.count("sched.join"), 1);
-    assert_eq!(trace.counters["sched.joins"], 1);
-    assert_eq!(freeride_dist::ClusterStats::from_trace(trace).joins, 1);
+    let telemetry = out.telemetry.as_ref().expect("hub was enabled");
+    assert_eq!(telemetry.counter("sched.joins"), 1);
     // The joiner got id 2 (ids are never reused) and really worked:
     // its unit counter shipped home in its JobDone metrics.
-    let telemetry = out.telemetry.as_ref().expect("hub was enabled");
     assert!(
         telemetry.counter("node.units") > 0,
         "no units recorded anywhere"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// A peer that dials the membership hub but never says `Join` is
+/// dropped at the round barrier without failing the job or joining the
+/// fleet, and the rejection is on record: a `sched.join_rejected`
+/// instant carrying the error, and the `sched.join_rejections` hub
+/// counter.
+#[test]
+fn rejected_joiner_is_recorded_and_changes_nothing() {
+    let data = kmeans_data();
+    let path = dataset("join-rejected", 2, &data);
+    let baseline = run_loopback(elastic(kmeans_cfg(&path, 3), 10), 2).unwrap();
+
+    let hub = MembershipHub::bind("127.0.0.1:0").unwrap();
+    let mut stray = TcpStream::connect(hub.addr()).unwrap();
+    write_message(&mut stray, &Message::Leave { node_id: 7 }).unwrap();
+    for _ in 0..400 {
+        if hub.pending_count() == 1 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(hub.pending_count(), 1, "stray peer never reached the hub");
+
+    let cluster = LoopbackCluster::spawn(2).unwrap();
+    let mut cfg = elastic(kmeans_cfg(&path, 3), 10);
+    cfg.trace = TraceLevel::Phases;
+    let rec = Arc::new(Recorder::new(cfg.trace));
+    let out = JobDriver::new(&cfg, &rec)
+        .run_with_hub(cluster.addrs(), &hub)
+        .unwrap();
+    cluster.join().unwrap();
+    drop(stray);
+
+    assert_eq!(bits(&out.state), bits(&baseline.state));
+    assert_eq!(bits(out.robj.cells()), bits(baseline.robj.cells()));
+    assert_eq!(out.stats.joins, 0);
+    let telemetry = out.telemetry.as_ref().expect("hub was enabled");
+    assert_eq!(telemetry.counter("sched.join_rejections"), 1);
+    assert_eq!(telemetry.counter("sched.joins"), 0);
+    let trace = out.trace.as_ref().expect("tracing was on");
+    assert_eq!(trace.count("sched.join"), 0);
+    let rejected: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "sched.join_rejected")
+        .collect();
+    assert_eq!(rejected.len(), 1);
+    let error = rejected[0].attrs.iter().find(|(k, _)| *k == "error");
+    assert!(
+        matches!(error, Some((_, AttrValue::Str(e))) if e.contains("expected Join")),
+        "{:?}",
+        rejected[0]
     );
     std::fs::remove_file(&path).ok();
 }
@@ -200,8 +254,8 @@ fn voluntary_leave_is_bit_identical_and_burns_no_retry() {
     assert_eq!(out.stats.recoveries, 0);
     let trace = out.trace.as_ref().expect("tracing was on");
     assert_eq!(trace.count("sched.leave"), 1);
-    assert_eq!(trace.counters["sched.leaves"], 1);
-    assert_eq!(freeride_dist::ClusterStats::from_trace(trace).leaves, 1);
+    let telemetry = out.telemetry.as_ref().expect("hub was enabled");
+    assert_eq!(telemetry.counter("sched.leaves"), 1);
     std::fs::remove_file(&path).ok();
 }
 

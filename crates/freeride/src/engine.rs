@@ -158,7 +158,8 @@ pub struct JobConfig {
     /// Tracing detail captured by the engine's [`Recorder`]:
     /// [`TraceLevel::Off`] records nothing (and the hot loop performs
     /// no extra clock reads), `Phases` records pass/combine/finalize
-    /// spans and pool counters, `Splits` adds one span per split on its
+    /// spans (the `pass` span carries the pool and streaming-I/O
+    /// figures), `Splits` adds one span per split on its
     /// worker's track.
     pub trace: TraceLevel,
     /// How disk-resident datasets are read (`run_file*` paths only;
@@ -295,7 +296,7 @@ struct PoolCounters {
     wakes0: usize,
 }
 
-/// What one run consumed from the pool, for stats and trace counters.
+/// What one run consumed from the pool, for stats and `pass` attributes.
 struct PoolDelta {
     spawned: usize,
     reuses: usize,
@@ -374,8 +375,6 @@ impl Engine {
                 0,
                 vec![("threads_spawned", AttrValue::Int(newly as i64))],
             );
-            self.recorder
-                .add_counter("pool.threads_spawned", newly as i64);
         }
         newly
     }
@@ -676,11 +675,9 @@ impl Engine {
         io: Option<&freeride_io::IoStats>,
     ) {
         let rec = &*self.recorder;
-        // Live hub mirror: gated independently of the trace level so a
-        // daemon can expose pass latency with span recording off. The
-        // `io.*` entries mirror the trace counters below 1:1 so the
-        // fleet-aggregated live view bit-matches the post-hoc
-        // reconstruction (the differential telemetry gate).
+        // Job totals go to the hub, gated independently of the trace
+        // level so a daemon can expose pass latency with span recording
+        // off; the pass's own facts ride on its `pass` span below.
         let hub = rec.hub();
         if hub.is_enabled() {
             hub.add("engine.passes", 1);
@@ -734,6 +731,28 @@ impl Engine {
                 );
             }
         }
+        let mut attrs = vec![
+            ("splits", AttrValue::Int(splits.len() as i64)),
+            ("threads", AttrValue::Int(threads as i64)),
+            ("threads_spawned", AttrValue::Int(delta.spawned as i64)),
+            ("dispatches", AttrValue::Int(delta.dispatches as i64)),
+            ("reuses", AttrValue::Int(delta.reuses as i64)),
+            ("parks", AttrValue::Int(delta.parks as i64)),
+            ("wakes", AttrValue::Int(delta.wakes as i64)),
+        ];
+        if let Some(io) = io {
+            attrs.extend([
+                ("io_chunks", AttrValue::Int(io.chunks as i64)),
+                ("io_bytes_read", AttrValue::Int(io.bytes_read as i64)),
+                ("io_read_ns", AttrValue::Int(io.read_ns as i64)),
+                ("io_stall_ns", AttrValue::Int(io.stall_ns as i64)),
+                (
+                    "io_backpressure_ns",
+                    AttrValue::Int(io.backpressure_ns as i64),
+                ),
+                ("io_pool_bytes", AttrValue::Int(io.pool_bytes as i64)),
+            ]);
+        }
         rec.push_complete(
             TraceLevel::Phases,
             "pass",
@@ -741,10 +760,7 @@ impl Engine {
             0,
             rec.offset_ns(wall_start),
             wall_ns,
-            vec![
-                ("splits", AttrValue::Int(splits.len() as i64)),
-                ("threads", AttrValue::Int(threads as i64)),
-            ],
+            attrs,
         );
         if delta.spawned > 0 {
             rec.instant(
@@ -754,19 +770,6 @@ impl Engine {
                 0,
                 vec![("threads_spawned", AttrValue::Int(delta.spawned as i64))],
             );
-        }
-        rec.add_counter("pool.threads_spawned", delta.spawned as i64);
-        rec.add_counter("pool.dispatches", delta.dispatches as i64);
-        rec.add_counter("pool.reuses", delta.reuses as i64);
-        rec.add_counter("pool.parks", delta.parks as i64);
-        rec.add_counter("pool.wakes", delta.wakes as i64);
-        if let Some(io) = io {
-            rec.add_counter("io.chunks", io.chunks as i64);
-            rec.add_counter("io.bytes_read", io.bytes_read as i64);
-            rec.add_counter("io.read_ns", io.read_ns as i64);
-            rec.add_counter("io.stall_ns", io.stall_ns as i64);
-            rec.add_counter("io.backpressure_ns", io.backpressure_ns as i64);
-            rec.set_gauge("io.pool_bytes", io.pool_bytes as f64);
         }
     }
 
@@ -1814,8 +1817,7 @@ mod engine_tests {
         assert_eq!(engine.recorder().event_count(), 0);
         let trace = engine.drain_trace();
         assert!(trace.spans.is_empty());
-        assert!(trace.counters.is_empty());
-        assert!(trace.gauges.is_empty());
+        assert!(engine.recorder().hub().snapshot().is_empty());
     }
 
     /// Satellite: `Engine::warmup` growth is now observable — it
@@ -1827,7 +1829,8 @@ mod engine_tests {
         assert_eq!(engine.warmup(), 0, "warm warmup spawns nothing");
         let trace = engine.drain_trace();
         assert_eq!(trace.count("pool.grow"), 1);
-        assert_eq!(trace.counters.get("pool.threads_spawned"), Some(&3));
+        let grow = trace.spans.iter().find(|s| s.name == "pool.grow").unwrap();
+        assert_eq!(grow.attr_i64("threads_spawned"), Some(3));
         // Sequential engines never touch the pool.
         let seq = Engine::new(JobConfig::modeled(4).traced(TraceLevel::Phases));
         assert_eq!(seq.warmup(), 0);
@@ -1911,7 +1914,8 @@ mod engine_tests {
         assert_eq!(trace.count("pass"), 1);
         assert_eq!(trace.count("combine"), 1);
         // Splits were not traced, so their start stamps stay zero.
-        assert_eq!(trace.counters.get("pool.dispatches"), Some(&1));
+        let pass = trace.spans.iter().find(|s| s.name == "pass").unwrap();
+        assert_eq!(pass.attr_i64("dispatches"), Some(1));
     }
 
     /// Modeled scaling on file inputs: under `Sequential` a `.frds` file,

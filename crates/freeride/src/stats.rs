@@ -192,39 +192,23 @@ impl RunStats {
                 "combine" => stats.phases.combine_ns += span.dur_ns,
                 "finalize" => stats.phases.finalize_ns += span.dur_ns,
                 "pass" => {
+                    let attr = |key: &str| span.attr_i64(key).unwrap_or(0).max(0) as u64;
                     stats.phases.wall_ns += span.dur_ns;
-                    let threads = span.attr_i64("threads").unwrap_or(0) as usize;
-                    stats.logical_threads = stats.logical_threads.max(threads);
+                    stats.logical_threads = stats.logical_threads.max(attr("threads") as usize);
+                    stats.threads_spawned += attr("threads_spawned") as usize;
+                    stats.pool_reuses += attr("reuses") as usize;
+                    stats.io.absorb(&IoActivity {
+                        chunks: attr("io_chunks") as usize,
+                        bytes_read: attr("io_bytes_read"),
+                        read_ns: attr("io_read_ns"),
+                        stall_ns: attr("io_stall_ns"),
+                        backpressure_ns: attr("io_backpressure_ns"),
+                        pool_bytes: attr("io_pool_bytes") as usize,
+                    });
                 }
                 _ => {}
             }
         }
-        stats.threads_spawned = trace
-            .counters
-            .get("pool.threads_spawned")
-            .copied()
-            .unwrap_or(0)
-            .max(0) as usize;
-        stats.pool_reuses = trace
-            .counters
-            .get("pool.reuses")
-            .copied()
-            .unwrap_or(0)
-            .max(0) as usize;
-        let counter = |name: &str| trace.counters.get(name).copied().unwrap_or(0).max(0) as u64;
-        stats.io = IoActivity {
-            chunks: counter("io.chunks") as usize,
-            bytes_read: counter("io.bytes_read"),
-            read_ns: counter("io.read_ns"),
-            stall_ns: counter("io.stall_ns"),
-            backpressure_ns: counter("io.backpressure_ns"),
-            pool_bytes: trace
-                .gauges
-                .get("io.pool_bytes")
-                .copied()
-                .unwrap_or(0.0)
-                .max(0.0) as usize,
-        };
         stats
     }
 
@@ -425,10 +409,12 @@ mod stats_tests {
             vec![
                 ("splits", AttrValue::Int(1)),
                 ("threads", AttrValue::Int(2)),
+                ("threads_spawned", AttrValue::Int(2)),
+                ("reuses", AttrValue::Int(3)),
+                ("io_chunks", AttrValue::Int(4)),
+                ("io_pool_bytes", AttrValue::Int(256)),
             ],
         );
-        rec.add_counter("pool.threads_spawned", 2);
-        rec.add_counter("pool.reuses", 3);
         let stats = RunStats::from_trace(&rec.drain());
         assert_eq!(stats.splits.len(), 1);
         let s = stats.splits[0];
@@ -444,5 +430,7 @@ mod stats_tests {
         assert_eq!(stats.logical_threads, 2);
         assert_eq!(stats.threads_spawned, 2);
         assert_eq!(stats.pool_reuses, 3);
+        assert_eq!(stats.io.chunks, 4);
+        assert_eq!(stats.io.pool_bytes, 256);
     }
 }

@@ -586,7 +586,7 @@ mod sync_tests {
             robj.accumulate(1, key % 2, b);
             robj.accumulate(2, key % 2, b);
             // ±1 and ±2 only: every product stays an exact power of two.
-            robj.accumulate(3, key % 2, if key % 5 == 0 { -2.0 } else { 1.0 });
+            robj.accumulate(3, key % 2, if key.is_multiple_of(5) { -2.0 } else { 1.0 });
             robj.accumulate(4, key % 2, b);
         };
         let kernel = |split: &Split<'_>, robj: &mut dyn RObjHandle| {
@@ -603,7 +603,11 @@ mod sync_tests {
             expect.accumulate(0, row[0] as usize % 3, row[0] + row[1]);
             expect.accumulate(1, row[0] as usize % 2, row[1]);
             expect.accumulate(2, row[0] as usize % 2, row[1]);
-            let factor = if row[0] as usize % 5 == 0 { -2.0 } else { 1.0 };
+            let factor = if (row[0] as usize).is_multiple_of(5) {
+                -2.0
+            } else {
+                1.0
+            };
             expect.accumulate(3, row[0] as usize % 2, factor);
             expect.accumulate(4, row[0] as usize % 2, row[1]);
         }

@@ -199,17 +199,12 @@ fn streaming_emits_io_read_spans_and_counters() {
 
     assert_eq!(trace.count("io.read"), rows.div_ceil(100));
     assert!(trace.count("split") >= rows.div_ceil(100));
-    assert_eq!(
-        trace.counters.get("io.chunks").copied(),
-        Some(rows.div_ceil(100) as i64)
-    );
-    assert_eq!(
-        trace.counters.get("io.bytes_read").copied(),
-        Some((rows * 2 * 8) as i64)
-    );
-    assert!(trace.counters.contains_key("io.stall_ns"));
-    assert!(trace.counters.contains_key("io.backpressure_ns"));
-    assert!(trace.gauges.contains_key("io.pool_bytes"));
+    let pass = trace.spans.iter().find(|s| s.name == "pass").unwrap();
+    assert_eq!(pass.attr_i64("io_chunks"), Some(rows.div_ceil(100) as i64));
+    assert_eq!(pass.attr_i64("io_bytes_read"), Some((rows * 2 * 8) as i64));
+    assert!(pass.attr_i64("io_stall_ns").is_some());
+    assert!(pass.attr_i64("io_backpressure_ns").is_some());
+    assert!(pass.attr_i64("io_pool_bytes").is_some());
 
     // Reader spans live on tracks past the worker tracks.
     let io_tracks: Vec<usize> = trace

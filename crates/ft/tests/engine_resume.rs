@@ -56,8 +56,8 @@ fn kernel(cent: Vec<f64>) -> impl Fn(&Split<'_>, &mut dyn RObjHandle) + Sync {
                     best = c;
                 }
             }
-            for j in 0..D {
-                robj.accumulate(0, best * (D + 1) + j, row[j]);
+            for (j, &x) in row[..D].iter().enumerate() {
+                robj.accumulate(0, best * (D + 1) + j, x);
             }
             robj.accumulate(0, best * (D + 1) + D, 1.0);
         }

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use crate::json::{parse_json, JsonValue};
-use crate::{AttrValue, Trace};
+use crate::{AttrValue, MetricsSnapshot, Trace};
 
 /// Escape a string for inclusion in a JSON document (quotes included).
 fn json_str(out: &mut String, s: &str) {
@@ -82,12 +82,12 @@ pub(crate) fn chrome_json(trace: &Trace) -> String {
     out
 }
 
-/// Render counters, gauges, and per-span-name aggregates as one flat
-/// metrics JSON object.
-pub(crate) fn metrics_json(trace: &Trace) -> String {
+/// Render the snapshot's counters and gauges and the trace's
+/// per-span-name aggregates as one flat metrics JSON object.
+pub(crate) fn metrics_json(trace: &Trace, metrics: &MetricsSnapshot) -> String {
     let report = crate::TraceReport::from_trace(trace);
     let mut out = String::from("{\"counters\":{");
-    for (i, (k, v)) in trace.counters.iter().enumerate() {
+    for (i, (k, v)) in metrics.counters.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -95,7 +95,7 @@ pub(crate) fn metrics_json(trace: &Trace) -> String {
         let _ = write!(out, ":{v}");
     }
     out.push_str("},\"gauges\":{");
-    for (i, (k, v)) in trace.gauges.iter().enumerate() {
+    for (i, (k, v)) in metrics.gauges.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -231,8 +231,6 @@ mod tests {
             2_000,
             Vec::new(),
         );
-        rec.add_counter("pool.dispatches", 2);
-        rec.set_gauge("threads", 2.0);
         rec.drain()
     }
 
@@ -302,7 +300,10 @@ mod tests {
     #[test]
     fn metrics_json_is_valid_json_with_aggregates() {
         let trace = sample_trace();
-        let doc = parse_json(&trace.metrics_json()).unwrap();
+        let hub = crate::MetricsHub::new(true);
+        hub.add("pool.dispatches", 2);
+        hub.gauge("threads", 2.0);
+        let doc = parse_json(&trace.metrics_json(&hub.snapshot())).unwrap();
         assert_eq!(
             doc.get("counters")
                 .unwrap()

@@ -86,13 +86,13 @@ mod expose_tests {
     #[test]
     fn renders_all_three_families() {
         let hub = MetricsHub::new(true);
-        hub.add("dist.rounds", 12);
+        hub.add("fleet.rounds", 12);
         hub.gauge("queue.depth", 3.0);
         hub.observe("round_ns", 900);
         hub.observe("round_ns", 15_000);
         let body = render_prometheus(&hub.snapshot());
-        assert!(body.contains("# TYPE cfr_dist_rounds counter"), "{body}");
-        assert!(body.contains("cfr_dist_rounds 12"), "{body}");
+        assert!(body.contains("# TYPE cfr_fleet_rounds counter"), "{body}");
+        assert!(body.contains("cfr_fleet_rounds 12"), "{body}");
         assert!(body.contains("# TYPE cfr_queue_depth gauge"), "{body}");
         assert!(body.contains("# TYPE cfr_round_ns histogram"), "{body}");
         assert!(

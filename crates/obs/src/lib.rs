@@ -5,8 +5,9 @@
 //! The design follows the paper's evaluation methodology: every figure
 //! attributes time to *phases* (split reduction, combination, finalize,
 //! linearization, compile stages), so the recorder's unit of record is a
-//! **span** — a named interval on a worker track — plus flat counters
-//! and gauges.
+//! **span** — a named interval on a worker track — whose attributes
+//! carry the facts of that interval. Counts that outlive one span (job
+//! totals) live in the [`MetricsHub`] riding on every recorder.
 //!
 //! * [`Recorder`] — sharded, mutex-per-shard span sink with a monotonic
 //!   epoch. Recording is guarded by a [`TraceLevel`]; at
@@ -17,7 +18,8 @@
 //!   end, uses this so the hot path never touches the recorder).
 //! * [`Trace`] — the drained result. Exports as Chrome `trace_event`
 //!   JSON ([`Trace::chrome_json`], loadable in `chrome://tracing` and
-//!   Perfetto) or a flat metrics JSON ([`Trace::metrics_json`]).
+//!   Perfetto), or with a hub snapshot as a flat metrics JSON
+//!   ([`Trace::metrics_json`]).
 //! * [`TraceReport`] — per-phase aggregation and the human tables the
 //!   bench harness prints (`--report`).
 //! * [`validate_chrome_trace`] — the schema validator behind the
@@ -55,7 +57,6 @@ pub use metrics::{metric_name, Histogram, MetricsHub, MetricsSnapshot, HIST_BUCK
 pub use report::{render_comparison, PhaseRow, TraceReport};
 pub use wire::{intern, TraceDecodeError};
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -67,7 +68,7 @@ pub enum TraceLevel {
     #[default]
     Off,
     /// Per-pass phase spans (reduce pass, combine, finalize, pipeline
-    /// stages) and pool counters. Budgeted at < 2% overhead.
+    /// stages). Budgeted at < 2% overhead.
     Phases,
     /// Additionally one span per executed split (worker id, row range,
     /// read-vs-reduce breakdown on the disk path).
@@ -146,17 +147,15 @@ impl SpanRecord {
 /// concurrent workers on distinct tracks almost never contend.
 const SHARDS: usize = 64;
 
-/// The span/metric sink. Create one per traced job (or share one across
-/// an engine and the compiler pipeline feeding it) and [`drain`]
+/// The span sink. Create one per traced job (or share one across an
+/// engine and the compiler pipeline feeding it) and [`drain`]
 /// (`Recorder::drain`) at run end.
 pub struct Recorder {
     level: TraceLevel,
     epoch: Instant,
     shards: Vec<Mutex<Vec<SpanRecord>>>,
-    counters: Mutex<BTreeMap<&'static str, i64>>,
-    gauges: Mutex<BTreeMap<&'static str, f64>>,
-    /// Live metrics hub riding alongside the post-hoc buffers; enabled
-    /// by default whenever the recorder itself records.
+    /// The one store of counts (job totals), riding alongside the span
+    /// buffers; enabled by default whenever the recorder itself records.
     hub: Arc<MetricsHub>,
     /// Optional bounded ring teeing every accepted span (set at
     /// construction via [`Recorder::with_flight`]).
@@ -190,8 +189,6 @@ impl Recorder {
             level,
             epoch: Instant::now(),
             shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
             hub: Arc::new(MetricsHub::new(level != TraceLevel::Off)),
             flight: None,
         }
@@ -326,24 +323,7 @@ impl Recorder {
         lock(&self.shards[record.tid % SHARDS]).push(record);
     }
 
-    /// Add `delta` to the named monotonic counter (created at 0). No-op
-    /// when the recorder is off.
-    pub fn add_counter(&self, name: &'static str, delta: i64) {
-        if self.level == TraceLevel::Off {
-            return;
-        }
-        *lock(&self.counters).entry(name).or_insert(0) += delta;
-    }
-
-    /// Set the named gauge to `value`. No-op when the recorder is off.
-    pub fn set_gauge(&self, name: &'static str, value: f64) {
-        if self.level == TraceLevel::Off {
-            return;
-        }
-        lock(&self.gauges).insert(name, value);
-    }
-
-    /// Spans currently buffered (counters and gauges not included).
+    /// Spans currently buffered.
     pub fn event_count(&self) -> usize {
         self.shards.iter().map(|s| lock(s).len()).sum()
     }
@@ -356,17 +336,7 @@ impl Recorder {
             spans.append(&mut lock(shard));
         }
         spans.sort_by_key(|s| (s.start_ns, s.tid, s.name));
-        Trace {
-            spans,
-            counters: std::mem::take(&mut *lock(&self.counters))
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-            gauges: std::mem::take(&mut *lock(&self.gauges))
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        }
+        Trace { spans }
     }
 }
 
@@ -434,32 +404,23 @@ impl Drop for Span<'_> {
     }
 }
 
-/// Everything one recorder captured: spans plus final counter/gauge
-/// values. Obtained from [`Recorder::drain`].
+/// Everything one recorder captured: its spans. Obtained from
+/// [`Recorder::drain`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Complete spans, sorted by start offset.
     pub spans: Vec<SpanRecord>,
-    /// Final counter values.
-    pub counters: BTreeMap<String, i64>,
-    /// Final gauge values.
-    pub gauges: BTreeMap<String, f64>,
 }
 
 impl Trace {
     /// Merge `other` into `self`, reassigning every incoming span to
     /// process track `pid` (used to lay several versions/runs side by
-    /// side in one Chrome trace). Counters are summed, gauges
-    /// last-writer-wins.
+    /// side in one Chrome trace).
     pub fn merge_as(&mut self, pid: usize, other: Trace) {
         self.spans.extend(other.spans.into_iter().map(|mut s| {
             s.pid = pid;
             s
         }));
-        for (k, v) in other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        self.gauges.extend(other.gauges);
     }
 
     /// Total duration of all spans named `name`, ns.
@@ -484,10 +445,11 @@ impl Trace {
         chrome::chrome_json(self)
     }
 
-    /// Export counters, gauges, and per-span-name aggregates as a flat
+    /// Export `metrics`' counters and gauges (the hub the job ran
+    /// with) and this trace's per-span-name aggregates as one flat
     /// metrics JSON object.
-    pub fn metrics_json(&self) -> String {
-        chrome::metrics_json(self)
+    pub fn metrics_json(&self, metrics: &MetricsSnapshot) -> String {
+        chrome::metrics_json(self, metrics)
     }
 }
 
@@ -503,15 +465,12 @@ mod tests {
             assert!(!span.is_recording());
             span.attr_int("k", 1);
         }
-        rec.add_counter("c", 5);
-        rec.set_gauge("g", 1.0);
         rec.instant(TraceLevel::Phases, "e", "t", 0, Vec::new());
         rec.push_complete(TraceLevel::Phases, "p", "t", 0, 0, 10, Vec::new());
         assert_eq!(rec.event_count(), 0);
         let trace = rec.drain();
         assert!(trace.spans.is_empty());
-        assert!(trace.counters.is_empty());
-        assert!(trace.gauges.is_empty());
+        assert!(rec.hub().snapshot().is_empty());
     }
 
     #[test]
@@ -534,7 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn spans_counters_and_gauges_drain() {
+    fn spans_drain() {
         let rec = Recorder::new(TraceLevel::Splits);
         {
             let mut span = rec.span(TraceLevel::Phases, "combine", "engine", 0);
@@ -549,15 +508,10 @@ mod tests {
             50,
             vec![("rows", AttrValue::Int(10))],
         );
-        rec.add_counter("pool.dispatches", 2);
-        rec.add_counter("pool.dispatches", 1);
-        rec.set_gauge("threads", 4.0);
         let trace = rec.drain();
         assert_eq!(trace.spans.len(), 2);
         assert_eq!(trace.count("split"), 1);
         assert_eq!(trace.total_ns("split"), 50);
-        assert_eq!(trace.counters["pool.dispatches"], 3);
-        assert_eq!(trace.gauges["threads"], 4.0);
         // Drained: a second drain is empty.
         assert!(rec.drain().spans.is_empty());
     }
@@ -581,20 +535,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_as_separates_pids_and_sums_counters() {
+    fn merge_as_separates_pids() {
         let rec = Recorder::new(TraceLevel::Phases);
         rec.span(TraceLevel::Phases, "a", "t", 0).finish();
-        rec.add_counter("c", 1);
         let t1 = rec.drain();
         rec.span(TraceLevel::Phases, "b", "t", 0).finish();
-        rec.add_counter("c", 2);
         let t2 = rec.drain();
         let mut merged = Trace::default();
         merged.merge_as(0, t1);
         merged.merge_as(1, t2);
         assert_eq!(merged.spans.len(), 2);
         assert_eq!(merged.spans.iter().filter(|s| s.pid == 1).count(), 1);
-        assert_eq!(merged.counters["c"], 3);
     }
 
     #[test]

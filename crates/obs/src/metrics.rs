@@ -530,14 +530,14 @@ mod metrics_tests {
                 let hub = &hub;
                 scope.spawn(move || {
                     for i in 0..100 {
-                        hub.add("dist.rounds", 1);
+                        hub.add("fleet.rounds", 1);
                         hub.observe("round_ns", i);
                     }
                 });
             }
         });
         let snap = hub.snapshot();
-        assert_eq!(snap.counter("dist.rounds"), 800);
+        assert_eq!(snap.counter("fleet.rounds"), 800);
         assert_eq!(snap.histograms["round_ns"].count(), 800);
     }
 
@@ -608,7 +608,7 @@ mod metrics_tests {
     #[test]
     fn frmt_truncation_is_error_at_every_length() {
         let hub = MetricsHub::new(true);
-        hub.add("dist.rounds", 7);
+        hub.add("fleet.rounds", 7);
         hub.gauge("queue.depth", 3.0);
         hub.observe("round_ns", 1234);
         hub.observe("round_ns", 56789);

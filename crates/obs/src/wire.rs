@@ -2,8 +2,10 @@
 //! drained trace to the coordinator, which merges it as a separate
 //! Chrome `pid` track ([`Trace::merge_as`]).
 //!
-//! Format: magic `b"FRTR"`, version `u16`, then length-prefixed span /
-//! counter / gauge sections, all little-endian. Decoding untrusted
+//! Format: magic `b"FRTR"`, version `u16`, then a length-prefixed span
+//! section, all little-endian. Version 2 dropped the counter and gauge
+//! sections of version 1: counts travel in the `FRMT` metrics frame
+//! only. Decoding untrusted
 //! bytes never panics: malformed, truncated, or version-mismatched
 //! frames return [`TraceDecodeError`]. Span `name`/`cat` are
 //! `&'static str` in [`SpanRecord`], so the decoder interns incoming
@@ -19,7 +21,7 @@ use crate::codec::{
 use crate::{AttrValue, SpanRecord, Trace};
 
 const MAGIC: &[u8; 4] = b"FRTR";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 /// Bounds on untrusted length fields so a corrupt frame cannot trigger
 /// a huge allocation before the truncation check fires.
 const MAX_STR_LEN: u32 = 1 << 16;
@@ -63,8 +65,8 @@ pub fn intern(s: &str) -> &'static str {
 }
 
 impl Trace {
-    /// Serialize the full trace (spans, counters, gauges) as a
-    /// versioned binary frame for shipping across a process boundary.
+    /// Serialize the trace's spans as a versioned binary frame for
+    /// shipping across a process boundary.
     pub fn encode_bin(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.spans.len() * 48);
         out.extend_from_slice(MAGIC);
@@ -95,16 +97,6 @@ impl Trace {
                     }
                 }
             }
-        }
-        put_u32(&mut out, self.counters.len() as u32);
-        for (k, v) in &self.counters {
-            put_str(&mut out, k);
-            put_i64(&mut out, *v);
-        }
-        put_u32(&mut out, self.gauges.len() as u32);
-        for (k, v) in &self.gauges {
-            put_str(&mut out, k);
-            put_f64(&mut out, *v);
         }
         out
     }
@@ -154,16 +146,6 @@ impl Trace {
                 attrs,
             });
         }
-        let counter_count = r.count(MAX_ITEMS, 12, "counter count")?;
-        for _ in 0..counter_count {
-            let k = r.str(MAX_STR_LEN, "counter name")?.into();
-            trace.counters.insert(k, r.i64("counter value")?);
-        }
-        let gauge_count = r.count(MAX_ITEMS, 12, "gauge count")?;
-        for _ in 0..gauge_count {
-            let k = r.str(MAX_STR_LEN, "gauge name")?.into();
-            trace.gauges.insert(k, r.f64("gauge value")?);
-        }
         r.finish()?;
         Ok(trace)
     }
@@ -191,8 +173,6 @@ mod wire_tests {
             50,
             Vec::new(),
         );
-        rec.add_counter("dist.bytes_sent", 123);
-        rec.set_gauge("threads", 4.0);
         rec.drain()
     }
 
@@ -252,6 +232,5 @@ mod wire_tests {
         let shipped = Trace::decode_bin(&sample().encode_bin()).unwrap();
         merged.merge_as(1, shipped);
         assert_eq!(merged.spans.iter().filter(|s| s.pid == 1).count(), 2);
-        assert_eq!(merged.counters["dist.bytes_sent"], 246);
     }
 }

@@ -512,7 +512,6 @@ fn validate_dataset(shared: &Shared, dataset: &str) -> Result<(), String> {
     let mut inner = shared.inner.lock().expect("serve lock");
     if inner.dataset_cache.get(&path) == Some(&meta) {
         inner.dataset_cache_hits += 1;
-        shared.recorder.add_counter("serve.dataset_cache_hits", 1);
         shared.recorder.hub().add("serve.dataset_cache_hits", 1);
         return Ok(());
     }
@@ -520,7 +519,6 @@ fn validate_dataset(shared: &Shared, dataset: &str) -> Result<(), String> {
         .map_err(|e| format!("invalid dataset {dataset}: {e}"))?;
     inner.dataset_cache.insert(path, meta);
     inner.dataset_cache_misses += 1;
-    shared.recorder.add_counter("serve.dataset_cache_misses", 1);
     shared.recorder.hub().add("serve.dataset_cache_misses", 1);
     Ok(())
 }
@@ -926,7 +924,6 @@ fn run_chapel_job(
         let hit = inner.program_cache.get(&key).cloned();
         if hit.is_some() {
             inner.program_cache_hits += 1;
-            shared.recorder.add_counter("serve.program_cache_hits", 1);
             shared.recorder.hub().add("serve.program_cache_hits", 1);
         }
         hit
@@ -940,7 +937,6 @@ fn run_chapel_job(
                     .map_err(|e| e.to_string())?,
             );
             let mut inner = shared.inner.lock().expect("serve lock");
-            shared.recorder.add_counter("serve.program_cache_misses", 1);
             shared.recorder.hub().add("serve.program_cache_misses", 1);
             inner.program_cache_misses += 1;
             inner

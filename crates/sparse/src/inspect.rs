@@ -336,7 +336,7 @@ impl SchemePlan {
     /// Record the inspector pass and its verdict: a `sparse.inspect`
     /// span covering `[start_ns, now]` with the pattern summary and
     /// chosen scheme as attributes, one `sparse.region` instant per
-    /// region decision, and `sparse.*` counters.
+    /// region decision, and `sparse.*` hub counters.
     pub fn record(&self, rec: &Recorder, pattern: &IndexPattern, start_ns: u64) {
         let dur = rec.now_ns().saturating_sub(start_ns);
         rec.push_complete(
@@ -376,13 +376,14 @@ impl SchemePlan {
                 ],
             );
         }
-        rec.add_counter("sparse.inspect.passes", 1);
-        rec.add_counter("sparse.nnz", pattern.nnz as i64);
-        rec.add_counter(
+        let hub = rec.hub();
+        hub.add("sparse.inspect.passes", 1);
+        hub.add("sparse.nnz", pattern.nnz as i64);
+        hub.add(
             "sparse.regions.replicated",
             self.replicated_regions() as i64,
         );
-        rec.add_counter(
+        hub.add(
             "sparse.regions.locked",
             (self.decisions.len() - self.replicated_regions()) as i64,
         );
@@ -543,7 +544,7 @@ mod tests {
             .unwrap();
         assert_eq!(inspect.attr_i64("nnz"), Some(1));
         assert!(trace.spans.iter().any(|s| s.name == "sparse.region"));
-        assert_eq!(trace.counters.get("sparse.inspect.passes"), Some(&1));
+        assert_eq!(rec.hub().counter("sparse.inspect.passes"), 1);
         // The exported Chrome trace carries the decision and its evidence.
         let summary = obs::validate_chrome_trace(&trace.chrome_json()).unwrap();
         assert!(summary.names.iter().any(|n| n == "sparse.region"));

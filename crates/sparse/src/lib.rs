@@ -19,7 +19,7 @@
 //!   shard's index pattern, then a per-region choice between
 //!   replication, bucket locking, and the hybrid scheme
 //!   ([`freeride::SyncScheme::Hybrid`]), recorded as `sparse.inspect`
-//!   spans and `sparse.*` counters.
+//!   spans and `sparse.*` hub counters.
 //! * [`synthetic`] — closed-form deterministic inputs shared with the
 //!   mini-Chapel differential oracles.
 

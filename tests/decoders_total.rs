@@ -21,7 +21,7 @@ use freeride::source::{write_dataset, FileDataset};
 use freeride::{CombineOp, GroupSpec, RObjLayout, ReductionObject};
 use freeride_dist::proto::{self as dist_proto, Message as DistMessage};
 use freeride_ft::Checkpoint;
-use obs::{MetricsHub, MetricsSnapshot, Recorder, Trace, TraceLevel};
+use obs::{AttrValue, MetricsHub, MetricsSnapshot, Recorder, Trace, TraceLevel};
 
 struct CountingAlloc;
 
@@ -186,7 +186,6 @@ fn frdm_decoder_is_total() {
             chunk_rows: 4096,
             buffers: 3,
             readers: 2,
-            stats_every: 4,
             backend: 1,
             scheme: 4,
             scheme_stripes: 64,
@@ -291,8 +290,15 @@ fn frtr_decoder_is_total() {
         span.attr_f64("ratio", 0.5);
         span.attr_str("mode", "threads");
     }
-    rec.add_counter("dist.bytes_sent", 123);
-    rec.set_gauge("threads", 4.0);
+    rec.push_complete(
+        TraceLevel::Splits,
+        "split",
+        "engine",
+        3,
+        100,
+        50,
+        vec![("rows", AttrValue::Int(123))],
+    );
     let frame = rec.drain().encode_bin();
     check_total("FRTR", &frame, |b| Trace::decode_bin(b).is_ok());
 }
