@@ -27,6 +27,10 @@ cargo test -q --release --test decoders_total
 # `cfr` ship: there no `debug_assert!` fires, so a check that matters
 # (e.g. a reduction-object index past its group's end) must be real.
 cargo test -q --release -p freeride
+# The sparse differential gate too: every sync scheme, and the one the
+# size rule chooses, must stay bit-identical to the oracle in the
+# release build the ledger times.
+cargo test -q --release -p cfr-apps --test sparse_diff
 cargo clippy --workspace --all-targets -- -D warnings
 # The whole workspace is held rustfmt-clean.
 cargo fmt --all --check
@@ -39,8 +43,8 @@ cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --
 # Observability: a traced run must export a Chrome trace that
 # trace-check accepts, with engine spans present (DESIGN.md §8), and a
 # metrics file holding the counts of the hub the run counted into
-# (DESIGN.md §13). The streaming (io.read) and sparse-inspector
-# (sparse.inspect/region) exports are validated by `cargo test` above.
+# (DESIGN.md §13). The streaming (io.read) and sync-scheme choice
+# (sync.choose) exports are validated by `cargo test` above.
 cargo run --release -p bench --bin bench -- kmeans \
   --n 2000 --d 4 --k 4 --iters 2 --trace-out target/ci-trace.json \
   --metrics-out target/ci-metrics.json

@@ -344,7 +344,7 @@ pub struct ClusterSparseKmeansResult {
     /// Raw merged reduction cells of the final round (`k × (cols+1)`)
     /// — exact integer sums, the bitwise differential surface.
     pub sums: Vec<f64>,
-    /// The coordinator-side inspector's plan, when requested.
+    /// The coordinator's size-rule plan, when requested.
     pub plan: Option<cfr_sparse::SchemePlan>,
     /// Aggregated cluster statistics.
     pub stats: ClusterStats,
@@ -357,7 +357,7 @@ pub struct ClusterSparseKmeansResult {
 pub struct ClusterMttkrpResult {
     /// The mode-0 MTTKRP output, row-major `dims[0] × rank`.
     pub m: Vec<f64>,
-    /// The coordinator-side inspector's plan, when requested.
+    /// The coordinator's size-rule plan, when requested.
     pub plan: Option<cfr_sparse::SchemePlan>,
     /// Aggregated cluster statistics.
     pub stats: ClusterStats,
@@ -382,9 +382,9 @@ fn padded_bounds(cum: &[u64], parts: usize) -> Vec<(u64, u64)> {
 /// written as a padded `.frds` plus its `.frsp` sidecar, sharded
 /// across nodes by **nonzero count** (not row count), and each node
 /// cuts its thread splits by the same sidecar weights. With
-/// `params.inspect` the coordinator runs the inspector/executor pass
-/// once over the padded buffer and ships the planned sync scheme to
-/// every node.
+/// `params.inspect` the coordinator chooses the sync scheme by
+/// [`cfr_sparse::plan`]'s size rule (per node: `threads_per_node`
+/// copies) and ships it to every node.
 pub fn sparse_kmeans_cluster(
     params: &SparseKmeansParams,
     nodes: &Nodes,
@@ -417,21 +417,13 @@ pub fn sparse_kmeans_cluster_ft(
     config.sparse_split = true;
     let cum = cfr_sparse::weight_prefix(&cfr_sparse::csr_row_weights(&m));
     config.shard_bounds = Some(padded_bounds(&cum, nodes.count().max(1)));
-    let plan = if params.inspect {
-        let (buf, unit) = cfr_sparse::csr_to_padded(&m)?;
-        let rec = obs::Recorder::new(config.trace);
-        let (_, plan) = cfr_sparse::plan_padded_csr(
-            &buf,
-            unit,
-            cols,
-            &cfr_sparse::PlanParams::new(k * (cols + 1), 1),
-            &rec,
+    let plan = params.inspect.then(|| {
+        let plan = cfr_sparse::plan(
+            &cfr_sparse::PlanParams::new(k * (cols + 1), 1).threads(config.threads_per_node),
         );
         config.scheme = plan.scheme;
-        Some(plan)
-    } else {
-        None
-    };
+        plan
+    });
 
     let result = run_job_ft(config, nodes, ft);
     std::fs::remove_file(&path).ok();
@@ -452,8 +444,9 @@ pub fn sparse_kmeans_cluster_ft(
 /// Run a single mode-0 MTTKRP on a cluster: the closed-form COO tensor
 /// is written as a unit-4 quad `.frds` (one engine row per stored
 /// entry, so the equal-row shard cut *is* the nnz-balanced cut) and
-/// reduced in one round. With `params.inspect` the coordinator plans
-/// the sync scheme from the mode-0 scatter and ships it to every node.
+/// reduced in one round. With `params.inspect` the coordinator chooses
+/// the sync scheme by the size rule ([`MttkrpParams::plan_params`])
+/// and ships it to every node.
 pub fn mttkrp_cluster(
     params: &MttkrpParams,
     nodes: &Nodes,
@@ -472,21 +465,11 @@ pub fn mttkrp_cluster(
     config.threads_per_node = params.config.threads.max(1);
     config.trace = params.config.trace;
     config.io = params.config.io;
-    let plan = if params.inspect {
-        let quads = cfr_sparse::coo_to_quads(&t)?;
-        let rec = obs::Recorder::new(config.trace);
-        let (_, plan) = cfr_sparse::plan_quads(
-            &quads,
-            0,
-            params.dims[0],
-            &cfr_sparse::PlanParams::new(params.dims[0] * params.rank, params.rank),
-            &rec,
-        );
+    let plan = params.inspect.then(|| {
+        let plan = cfr_sparse::plan(&params.plan_params());
         config.scheme = plan.scheme;
-        Some(plan)
-    } else {
-        None
-    };
+        plan
+    });
 
     let result = run_job(config, nodes);
     std::fs::remove_file(&path).ok();

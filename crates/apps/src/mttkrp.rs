@@ -5,14 +5,14 @@
 //! irregular reduction: each stored entry `(i, j, k, v)` scatters
 //! `rank` updates into row `out` of the target factor, where `out` is
 //! the entry's coordinate in the mode being solved. Which rows are hot
-//! depends entirely on the data — exactly the situation the
-//! inspector/executor pass in [`cfr_sparse::inspect`] exists for: with
-//! [`MttkrpParams::inspect`] set, one scan over the quads picks
-//! replication for the hot head slabs and shared locking for the long
-//! tail ([`freeride::SyncScheme::Hybrid`]).
+//! depends entirely on the data, but the sync scheme does not: with
+//! [`MttkrpParams::inspect`] set, [`cfr_sparse::plan`]'s size rule
+//! replicates the largest mode's output unless every thread's copy
+//! together exceeds the replication budget, and shares one atomic copy
+//! otherwise; the choice is one `sync.choose` span.
 //!
 //! [`run`] performs a single mode-0 MTTKRP against the closed-form
-//! [`cfr_sparse::synthetic_coo`] tensor and integer
+//! [`cfr_sparse::synthetic_quads`] tensor and integer
 //! [`cfr_sparse::synthetic_factor`] matrices; with integer inputs every
 //! reduction cell is an exact integer sum (products are at most
 //! `5·5·5`), so the result is **bit-identical** to the
@@ -34,9 +34,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cfr_sparse::{
-    coo_to_quads, plan_quads, synthetic_coo, synthetic_factor, PlanParams, SchemePlan, COO_UNIT,
-};
+use cfr_sparse::{plan, synthetic_factor, synthetic_quads, PlanParams, SchemePlan, COO_UNIT};
 use freeride::{
     CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout, RunStats, Split,
 };
@@ -61,8 +59,8 @@ pub struct MttkrpParams {
     /// Decomposition rank (the closed-form factors are singular above
     /// rank 4 — see the module docs).
     pub rank: usize,
-    /// Run the inspector/executor pass over the mode-0 scatter and
-    /// install its planned scheme (overrides `config.scheme`).
+    /// Choose the sync scheme by [`cfr_sparse::plan`]'s size rule and
+    /// install it (overrides `config.scheme`).
     pub inspect: bool,
     /// FREERIDE job configuration.
     pub config: JobConfig,
@@ -87,10 +85,18 @@ impl MttkrpParams {
         self
     }
 
-    /// Enable the inspector/executor pass.
+    /// Choose the sync scheme by the size rule.
     pub fn with_inspect(mut self) -> MttkrpParams {
         self.inspect = true;
         self
+    }
+
+    /// What the size rule decides from: the largest mode's output
+    /// (`max(dims) × rank` cells, the biggest object any CP-ALS pass
+    /// builds) on `config.threads` threads.
+    pub fn plan_params(&self) -> PlanParams {
+        let largest = self.dims.iter().copied().max().unwrap_or(0);
+        PlanParams::new(largest * self.rank, self.rank).threads(self.config.threads)
     }
 
     fn validate(&self) -> Result<(), AppError> {
@@ -116,7 +122,7 @@ pub struct MttkrpResult {
     /// The mode-0 MTTKRP output, row-major `dims[0] × rank` — exact
     /// integer sums, which is what the differential oracle compares.
     pub m: Vec<f64>,
-    /// The inspector's plan, when [`MttkrpParams::inspect`] ran.
+    /// The size rule's plan, when [`MttkrpParams::inspect`] is set.
     pub plan: Option<SchemePlan>,
     /// Timing breakdown.
     pub timing: AppTiming,
@@ -129,7 +135,7 @@ pub struct CpAlsResult {
     pub factors: [Vec<f64>; 3],
     /// Final model fit in `(-inf, 1]`: `1 − ‖X − model‖ / ‖X‖`.
     pub fit: f64,
-    /// The inspector's plan (mode-0 scatter), when requested.
+    /// The size rule's plan, when requested.
     pub plan: Option<SchemePlan>,
     /// Timing breakdown across every engine pass.
     pub timing: AppTiming,
@@ -263,26 +269,18 @@ impl Driver {
     fn new(params: &MttkrpParams) -> Result<Driver, AppError> {
         params.validate()?;
         let lin_start = Instant::now();
-        let t = synthetic_coo(params.dims, params.nnz, params.hot);
-        let quads = coo_to_quads(&t)?;
+        let (quads, norm_x2) = synthetic_quads(params.dims, params.nnz, params.hot);
         let linearize_ns = lin_start.elapsed().as_nanos() as u64;
-        let norm_x2 = t.values.iter().map(|v| v * v).sum();
 
         let mut config = params.config.clone();
         let rec = Arc::new(Recorder::new(config.trace));
-        let plan = if params.inspect {
-            let (_, plan) = plan_quads(
-                &quads,
-                0,
-                params.dims[0],
-                &PlanParams::new(params.dims[0] * params.rank, params.rank),
-                &rec,
-            );
+        let plan = params.inspect.then(|| {
+            let start = rec.now_ns();
+            let plan = plan(&params.plan_params());
+            plan.record(&rec, start);
             config.scheme = plan.scheme;
-            Some(plan)
-        } else {
-            None
-        };
+            plan
+        });
         let stats = RunStats {
             logical_threads: config.threads,
             ..Default::default()
@@ -436,32 +434,38 @@ mod mttkrp_tests {
     }
 
     #[test]
-    fn inspector_plans_hybrid_on_skewed_scatter() {
-        // 2048·4 = 8192 cells (over the 4096 small-object cutoff),
-        // region_cells = 128, 64 regions; the hot head slab keeps
-        // region 0 replicated while the tail stays locked.
-        let mut p = MttkrpParams::new([2048, 32, 32], 6000, 16, 4).with_inspect();
+    fn size_rule_sizes_on_the_largest_mode() {
+        // Mode 0 alone (4 × 4 cells) would replicate; mode 1's
+        // 2^22 × 4 cells on 16 threads is 2 GiB of copies, over the
+        // budget. Arithmetic only: no such tensor is built.
+        let p = MttkrpParams::new([4, 1 << 22, 4], 16, 1, 4).threads(16);
+        assert_eq!(p.plan_params().total_cells, (1 << 22) * 4);
+        assert_eq!(plan(&p.plan_params()).scheme, freeride::SyncScheme::Atomic);
+        let small = MttkrpParams::new([4, 1 << 10, 4], 16, 1, 4).threads(16);
+        assert_eq!(
+            plan(&small.plan_params()).scheme,
+            freeride::SyncScheme::FullReplication
+        );
+    }
+
+    #[test]
+    fn traced_cp_als_records_one_choice_and_no_regions() {
+        let mut p = MttkrpParams::new([64, 8, 8], 600, 8, 4).with_inspect();
         p.config.trace = obs::TraceLevel::Phases;
-        let r = run(&p).unwrap();
-        let plan = r.plan.expect("inspector plan");
-        assert_eq!(plan.reason, "mixed");
-        match plan.scheme {
-            freeride::SyncScheme::Hybrid {
-                region_cells,
-                replicated,
-                ..
-            } => {
-                assert_eq!(region_cells, 128);
-                assert_eq!(replicated & 1, 1, "hot head region replicates");
-                assert_ne!(replicated, u64::MAX);
-            }
-            other => panic!("wanted hybrid, got {other:?}"),
-        }
+        let r = cp_als(&p, 2).unwrap();
+        assert_eq!(
+            r.plan.unwrap().scheme,
+            freeride::SyncScheme::FullReplication
+        );
         let trace = r.timing.trace.expect("trace");
-        assert!(trace.spans.iter().any(|s| s.name == "sparse.inspect"));
-        // The hybrid scheme reproduces the plain result exactly.
-        let plain = run(&MttkrpParams::new([2048, 32, 32], 6000, 16, 4)).unwrap();
-        assert_eq!(plain.m, r.m);
+        let choices = trace.spans.iter().filter(|s| s.name == "sync.choose");
+        assert_eq!(choices.count(), 1);
+        // No per-region verdicts or scan spans: the rule reads no data.
+        assert!(trace.spans.iter().all(|s| !s.name.starts_with("sparse.")));
+        // The chosen scheme reproduces the plain result exactly (one
+        // thread: fixed accumulation order past the integer first pass).
+        let plain = cp_als(&MttkrpParams::new([64, 8, 8], 600, 8, 4), 2).unwrap();
+        assert_eq!(plain.factors, r.factors);
     }
 
     #[test]

@@ -24,14 +24,14 @@
 //! Work is distributed by **nonzero count**, not row count: the job
 //! config gets [`cfr_sparse::csr_splitter`]'s weighted splitter, so a
 //! skewed matrix does not leave most threads idle behind one heavy
-//! split. With [`SparseKmeansParams::inspect`] set, the
-//! inspector/executor pass scans the padded shard once and installs
-//! the scheme it plans (recorded as a `sparse.inspect` span).
+//! split. With [`SparseKmeansParams::inspect`] set, the scheme comes
+//! from [`cfr_sparse::plan`]'s size rule (recorded as a `sync.choose`
+//! span).
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use cfr_sparse::{csr_splitter, csr_to_padded, synthetic_csr, PlanParams, SchemePlan};
+use cfr_sparse::{csr_splitter, csr_to_padded, plan, synthetic_csr, PlanParams, SchemePlan};
 use freeride::{
     CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout, RunStats, Split,
 };
@@ -55,8 +55,8 @@ pub struct SparseKmeansParams {
     pub k: usize,
     /// Outer-loop iterations.
     pub iters: usize,
-    /// Run the inspector/executor pass and install its planned scheme
-    /// (overrides `config.scheme`).
+    /// Choose the sync scheme by [`cfr_sparse::plan`]'s size rule and
+    /// install it (overrides `config.scheme`).
     pub inspect: bool,
     /// FREERIDE job configuration; the driver installs the nnz-weighted
     /// splitter on top of it.
@@ -101,7 +101,7 @@ pub struct SparseKmeansResult {
     /// centroid, `cols` coordinate sums then a count) — exact integer
     /// sums, which is what the differential oracle compares.
     pub sums: Vec<f64>,
-    /// The inspector's plan, when [`SparseKmeansParams::inspect`] ran.
+    /// The size rule's plan, when [`SparseKmeansParams::inspect`] is set.
     pub plan: Option<SchemePlan>,
     /// Timing breakdown.
     pub timing: AppTiming,
@@ -204,19 +204,13 @@ pub fn run(params: &SparseKmeansParams) -> Result<SparseKmeansResult, AppError> 
     let mut config = params.config.clone();
     config.splitter = csr_splitter(&m);
     let rec = Arc::new(Recorder::new(config.trace));
-    let plan = if params.inspect {
-        let (_, plan) = cfr_sparse::plan_padded_csr(
-            &buf,
-            unit,
-            cols,
-            &PlanParams::new(k * (cols + 1), 1),
-            &rec,
-        );
+    let plan = params.inspect.then(|| {
+        let start = rec.now_ns();
+        let plan = plan(&PlanParams::new(k * (cols + 1), 1).threads(config.threads));
+        plan.record(&rec, start);
         config.scheme = plan.scheme;
-        Some(plan)
-    } else {
-        None
-    };
+        plan
+    });
 
     let layout = robj_layout(k, cols);
     let threads = config.threads;
@@ -297,11 +291,11 @@ mod sparse_kmeans_tests {
         let mut p = SparseKmeansParams::new(40, 12, 4, 3, 1).with_inspect();
         p.config.trace = obs::TraceLevel::Phases;
         let r = run(&p).unwrap();
-        let plan = r.plan.expect("inspector plan");
-        // k*(cols+1) = 39 cells: far under the small-object cutoff.
-        assert_eq!(plan.reason, "small-object");
+        let plan = r.plan.expect("size-rule plan");
+        // k*(cols+1) = 39 cells: far under the replication budget.
+        assert_eq!(plan.scheme, freeride::SyncScheme::FullReplication);
         let trace = r.timing.trace.expect("trace");
-        assert!(trace.spans.iter().any(|s| s.name == "sparse.inspect"));
+        assert!(trace.spans.iter().any(|s| s.name == "sync.choose"));
         // Inspector choice never changes the answer.
         let plain = run(&SparseKmeansParams::new(40, 12, 4, 3, 1)).unwrap();
         assert_eq!(plain.sums, r.sums);

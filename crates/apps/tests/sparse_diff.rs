@@ -7,8 +7,8 @@
 //!
 //! * thread counts (1/2/4/8),
 //! * every reduction-object sync scheme (full replication, full
-//!   locking, bucket locking, atomic, and the inspector-planned
-//!   hybrid), and
+//!   locking, bucket locking, atomic, and hybrid, plus the scheme
+//!   the size rule chooses), and
 //! * cluster shapes (1/2/4-node loopback, nnz-balanced shards,
 //!   sidecar-weighted thread splits).
 //!
@@ -164,42 +164,39 @@ fn mttkrp_cluster_matches_single_process_bitwise() {
 }
 
 #[test]
-fn inspector_picks_different_schemes_per_workload_and_region() {
-    // Small object → replicate outright, no regionalization.
-    let p = sparse_kmeans::SparseKmeansParams::new(40, 12, 4, 3, 1).with_inspect();
+fn size_rule_picks_scheme_per_workload_without_changing_results() {
+    // A small k-means object replicates outright.
+    let p = sparse_kmeans::SparseKmeansParams::new(40, 12, 4, 3, 1)
+        .threads(4)
+        .with_inspect();
     let small = sparse_kmeans::run(&p).unwrap().plan.unwrap();
-    assert_eq!(small.reason, "small-object");
     assert_eq!(small.scheme, SyncScheme::FullReplication);
 
-    // Skewed MTTKRP scatter over a big object → hybrid with a mixed
-    // mask: the hot head region replicates, the tail shares locks.
-    let p = mttkrp::MttkrpParams::new([2048, 32, 32], 6000, 16, 4).with_inspect();
-    let mixed = mttkrp::run(&p).unwrap().plan.unwrap();
-    assert_eq!(mixed.reason, "mixed");
-    let SyncScheme::Hybrid { replicated, .. } = mixed.scheme else {
-        panic!("wanted hybrid, got {:?}", mixed.scheme);
-    };
-    assert_eq!(replicated & 1, 1, "head region replicated");
-    assert_ne!(replicated, u64::MAX, "tail regions locked");
-    assert!(mixed.decisions.iter().any(|d| d.replicated));
-    assert!(mixed.decisions.iter().any(|d| !d.replicated));
-
-    // Uniform scatter over a big object → bucket locking.
-    let p = mttkrp::MttkrpParams::new([2048, 32, 32], 6000, 2048, 4).with_inspect();
-    let uniform = mttkrp::run(&p).unwrap().plan.unwrap();
-    assert_eq!(uniform.reason, "uniform-scatter");
-    assert!(matches!(uniform.scheme, SyncScheme::BucketLocking { .. }));
-
-    // Three workloads, three different schemes — and none of them
-    // changed any result above.
+    // A tensor with one wide mode puts 16 threads' copies over the
+    // budget, so the rule shares one copy under Atomic. Arithmetic
+    // only: no such tensor is built.
+    let wide = mttkrp::MttkrpParams::new([4, 1 << 22, 4], 16, 1, 4).threads(16);
+    let over = cfr_sparse::plan(&wide.plan_params());
+    assert_eq!(over.scheme, SyncScheme::Atomic);
     assert_ne!(
         cfr_sparse::scheme_name(small.scheme),
-        cfr_sparse::scheme_name(mixed.scheme)
+        cfr_sparse::scheme_name(over.scheme)
     );
-    assert_ne!(
-        cfr_sparse::scheme_name(mixed.scheme),
-        cfr_sparse::scheme_name(uniform.scheme)
-    );
+
+    // Either verdict reproduces the forced-replication MTTKRP bitwise.
+    let (dims, nnz, hot, rank) = ([32usize, 8, 8], 200usize, 4usize, 4usize);
+    let base = mttkrp::run(&mttkrp::MttkrpParams::new(dims, nnz, hot, rank).threads(4)).unwrap();
+    let chosen = mttkrp::run(
+        &mttkrp::MttkrpParams::new(dims, nnz, hot, rank)
+            .threads(4)
+            .with_inspect(),
+    )
+    .unwrap();
+    assert_eq!(chosen.plan.unwrap().scheme, SyncScheme::FullReplication);
+    assert_bits(&chosen.m, &base.m, "size-rule verdict");
+    let mut p = mttkrp::MttkrpParams::new(dims, nnz, hot, rank).threads(4);
+    p.config.scheme = over.scheme;
+    assert_bits(&mttkrp::run(&p).unwrap().m, &base.m, "over-budget verdict");
 }
 
 #[test]

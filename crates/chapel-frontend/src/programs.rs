@@ -296,8 +296,10 @@ for i in 1..{rows} {{
     )
 }
 
-/// Mode-0 MTTKRP over the closed-form COO pattern shared with
-/// `cfr_sparse::synthetic_coo(dims, nnz, hot)` and factors from
+/// Mode-0 MTTKRP over the closed-form COO pattern of
+/// `cfr_sparse::synthetic_coo(dims, nnz, hot)` (the one per-entry
+/// formula behind it and `synthetic_quads`; the loop body below spells
+/// it out term for term) and factors from
 /// `cfr_sparse::synthetic_factor`: for every stored entry `(i, j, k, v)`
 /// accumulate `M[i, r] += v * B[j, r] * C[k, r]`. All inputs are small
 /// integers, so the reduction is exact in f64 and the comparison

@@ -128,9 +128,8 @@ pub struct ClusterConfig {
     pub backend: freeride::KernelBackend,
     /// Reduction-object sync scheme every node runs its local engine
     /// with. Typically left at the default (full replication) or set
-    /// to a coordinator-side inspector's plan
-    /// (`cfr_sparse::plan_padded_csr` / `plan_quads`) — the scheme
-    /// only affects synchronization cost, never results.
+    /// to the coordinator's size-rule plan (`cfr_sparse::plan`) — the
+    /// scheme only affects synchronization cost, never results.
     pub scheme: freeride::SyncScheme,
     /// Explicit per-node `(first_row, rows)` shard bounds, e.g. the
     /// nnz-balanced cut of `cfr_sparse::nnz_balanced_bounds`. Must

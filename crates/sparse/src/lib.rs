@@ -15,11 +15,11 @@
 //!   thread splits ([`csr_splitter`]) and node shard bounds
 //!   ([`nnz_balanced_bounds`]) cut on the nonzero prefix sum, not row
 //!   count.
-//! * [`inspect`] — the inspector/executor pass: one scan over a
-//!   shard's index pattern, then a per-region choice between
-//!   replication, bucket locking, and the hybrid scheme
-//!   ([`freeride::SyncScheme::Hybrid`]), recorded as `sparse.inspect`
-//!   spans and `sparse.*` hub counters.
+//! * [`inspect`] — the sync-scheme choice: one size rule
+//!   (replicate unless every thread's private copy together exceeds
+//!   [`REPLICATION_BUDGET`], else share one copy under
+//!   [`freeride::SyncScheme::Atomic`]), recorded as a `sync.choose`
+//!   span, plus an optional scan of a quad shard's index pattern.
 //! * [`synthetic`] — closed-form deterministic inputs shared with the
 //!   mini-Chapel differential oracles.
 
@@ -35,11 +35,11 @@ pub use format::{
     SparseData, FRSP_MAGIC, FRSP_VERSION, KIND_COO, KIND_CSR,
 };
 pub use inspect::{
-    inspect_padded, inspect_quads, plan, plan_padded_csr, plan_quads, scheme_name, IndexPattern,
-    PlanParams, RegionDecision, SchemePlan,
+    inspect_quads, plan, plan_quads, scheme_name, IndexPattern, PlanParams, SchemePlan,
+    REPLICATION_BUDGET,
 };
 pub use linearize::{
     coo_to_quads, csr_row_weights, csr_splitter, csr_to_padded, nnz_balanced_bounds, weight_prefix,
     write_coo_dataset, write_csr_dataset, COO_UNIT,
 };
-pub use synthetic::{synthetic_coo, synthetic_csr, synthetic_factor};
+pub use synthetic::{synthetic_coo, synthetic_csr, synthetic_factor, synthetic_quads};
