@@ -445,8 +445,8 @@ pub fn sparse_kmeans_cluster_ft(
 /// is written as a unit-4 quad `.frds` (one engine row per stored
 /// entry, so the equal-row shard cut *is* the nnz-balanced cut) and
 /// reduced in one round. With `params.inspect` the coordinator chooses
-/// the sync scheme by the size rule ([`MttkrpParams::plan_params`])
-/// and ships it to every node.
+/// the sync scheme by the size rule on the mode-0 output
+/// ([`MttkrpParams::plan_params`]) and ships it to every node.
 pub fn mttkrp_cluster(
     params: &MttkrpParams,
     nodes: &Nodes,
@@ -466,7 +466,7 @@ pub fn mttkrp_cluster(
     config.trace = params.config.trace;
     config.io = params.config.io;
     let plan = params.inspect.then(|| {
-        let plan = cfr_sparse::plan(&params.plan_params());
+        let plan = cfr_sparse::plan(&params.plan_params(&[0]));
         config.scheme = plan.scheme;
         plan
     });

@@ -24,7 +24,7 @@ use freeride::{
     CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout, RunStats, Split,
 };
 use freeride_dist::tasks::assign_points;
-use linearize::{Linearizer, Value};
+use linearize::Value;
 use obs::{AttrValue, Recorder, TraceLevel};
 
 use crate::data;
@@ -198,33 +198,18 @@ fn run_translated(params: &KmeansParams, opt: OptLevel) -> Result<KmeansResult, 
     };
 
     for _ in 0..params.iters.max(1) {
-        // Rebuild the state in the representation this opt level uses.
-        let nested = centroids_value(&centroids, k, d);
-        let (nested_state, flat_state) = if opt == OptLevel::Opt2 {
-            let t0 = Instant::now();
-            let flat = Linearizer::new(&cent_shape).linearize(&nested)?.buffer;
-            let state_lin_ns = t0.elapsed().as_nanos() as u64;
-            linearize_ns += state_lin_ns;
-            if rec.enabled(TraceLevel::Phases) {
-                rec.push_complete(
-                    TraceLevel::Phases,
-                    "linearize",
-                    "pipeline",
-                    0,
-                    rec.offset_ns(t0),
-                    state_lin_ns,
-                    vec![("state_cells", AttrValue::Int(flat.len() as i64))],
-                );
-            }
-            (vec![nested], vec![flat])
-        } else {
-            (vec![nested], vec![Vec::new()])
-        };
+        let state = cfr_core::job_state(
+            opt,
+            centroids_value(&centroids, k, d),
+            &cent_shape,
+            Some(&rec),
+        )?;
+        linearize_ns += state.linearize_ns;
         let choice = cfr_core::make_runner(
             params.config.backend,
             &compiled.kernel,
-            nested_state,
-            flat_state,
+            state.nested,
+            state.flat,
             compiled.lo,
             compiled.opt,
             Some(&rec),
@@ -384,7 +369,7 @@ mod kmeans_tests {
         let (n, k, d) = (40usize, 3usize, 2usize);
         let interp = chapel_interp::Interpreter::run_source(&programs::kmeans(n, k, d)).unwrap();
         let new_cent = interp.global("newCent").unwrap().to_linear().unwrap();
-        let oracle = Linearizer::new(&data::kmeans_centroid_shape(k, d))
+        let oracle = linearize::Linearizer::new(&data::kmeans_centroid_shape(k, d))
             .linearize(&new_cent)
             .unwrap()
             .buffer;

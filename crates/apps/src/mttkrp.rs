@@ -91,11 +91,12 @@ impl MttkrpParams {
         self
     }
 
-    /// What the size rule decides from: the largest mode's output
-    /// (`max(dims) × rank` cells, the biggest object any CP-ALS pass
-    /// builds) on `config.threads` threads.
-    pub fn plan_params(&self) -> PlanParams {
-        let largest = self.dims.iter().copied().max().unwrap_or(0);
+    /// What the size rule decides from for a job that builds the
+    /// outputs of `modes`: the largest of them (`dims[mode] × rank`
+    /// cells) on `config.threads` threads. A single MTTKRP builds mode
+    /// 0's; CP-ALS builds all three.
+    pub fn plan_params(&self, modes: &[usize]) -> PlanParams {
+        let largest = modes.iter().map(|&m| self.dims[m]).max().unwrap_or(0);
         PlanParams::new(largest * self.rank, self.rank).threads(self.config.threads)
     }
 
@@ -266,7 +267,8 @@ struct Driver {
 }
 
 impl Driver {
-    fn new(params: &MttkrpParams) -> Result<Driver, AppError> {
+    /// A driver for a job that builds the outputs of `modes`.
+    fn new(params: &MttkrpParams, modes: &[usize]) -> Result<Driver, AppError> {
         params.validate()?;
         let lin_start = Instant::now();
         let (quads, norm_x2) = synthetic_quads(params.dims, params.nnz, params.hot);
@@ -276,7 +278,7 @@ impl Driver {
         let rec = Arc::new(Recorder::new(config.trace));
         let plan = params.inspect.then(|| {
             let start = rec.now_ns();
-            let plan = plan(&params.plan_params());
+            let plan = plan(&params.plan_params(modes));
             plan.record(&rec, start);
             config.scheme = plan.scheme;
             plan
@@ -322,7 +324,7 @@ impl Driver {
 /// Run one mode-0 MTTKRP over the closed-form tensor and factors.
 pub fn run(params: &MttkrpParams) -> Result<MttkrpResult, AppError> {
     let wall = Instant::now();
-    let mut d = Driver::new(params)?;
+    let mut d = Driver::new(params, &[0])?;
     let b = synthetic_factor(params.dims[1], params.rank);
     let c = synthetic_factor(params.dims[2], params.rank);
     let m = d.pass(0, params.dims[0], params.rank, &b, &c)?;
@@ -338,7 +340,7 @@ pub fn run(params: &MttkrpParams) -> Result<MttkrpResult, AppError> {
 /// product of the other factors' Gram matrices.
 pub fn cp_als(params: &MttkrpParams, sweeps: usize) -> Result<CpAlsResult, AppError> {
     let wall = Instant::now();
-    let mut d = Driver::new(params)?;
+    let mut d = Driver::new(params, &[0, 1, 2])?;
     let rank = params.rank;
     let mut factors = [
         synthetic_factor(params.dims[0], rank),
@@ -434,16 +436,25 @@ mod mttkrp_tests {
     }
 
     #[test]
-    fn size_rule_sizes_on_the_largest_mode() {
-        // Mode 0 alone (4 × 4 cells) would replicate; mode 1's
-        // 2^22 × 4 cells on 16 threads is 2 GiB of copies, over the
-        // budget. Arithmetic only: no such tensor is built.
+    fn size_rule_sizes_on_the_outputs_the_job_builds() {
+        // Mode 0's 4 × 4 cells replicate; mode 1's 2^22 × 4 cells on 16
+        // threads are 2 GiB of copies, over the budget. A single MTTKRP
+        // builds mode 0 only, CP-ALS every mode. Arithmetic only: no
+        // such tensor is built.
         let p = MttkrpParams::new([4, 1 << 22, 4], 16, 1, 4).threads(16);
-        assert_eq!(p.plan_params().total_cells, (1 << 22) * 4);
-        assert_eq!(plan(&p.plan_params()).scheme, freeride::SyncScheme::Atomic);
+        assert_eq!(p.plan_params(&[0]).total_cells, 4 * 4);
+        assert_eq!(
+            plan(&p.plan_params(&[0])).scheme,
+            freeride::SyncScheme::FullReplication
+        );
+        assert_eq!(p.plan_params(&[0, 1, 2]).total_cells, (1 << 22) * 4);
+        assert_eq!(
+            plan(&p.plan_params(&[0, 1, 2])).scheme,
+            freeride::SyncScheme::Atomic
+        );
         let small = MttkrpParams::new([4, 1 << 10, 4], 16, 1, 4).threads(16);
         assert_eq!(
-            plan(&small.plan_params()).scheme,
+            plan(&small.plan_params(&[0, 1, 2])).scheme,
             freeride::SyncScheme::FullReplication
         );
     }

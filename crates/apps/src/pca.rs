@@ -185,34 +185,19 @@ fn run_translated(params: &PcaParams, opt: OptLevel) -> Result<PcaResult, AppErr
 
     // ---- Phase 2: covariance, with the mean as state. ----
     let mean_value = Value::Array(mean.iter().map(|&x| Value::Real(x)).collect());
-    let (nested_state, flat_state) = if opt == OptLevel::Opt2 {
-        let t0 = Instant::now();
-        let flat = linearize::Linearizer::new(&Shape::array(Shape::Real, rows))
-            .linearize(&mean_value)?
-            .buffer;
-        let state_lin_ns = t0.elapsed().as_nanos() as u64;
-        linearize_ns += state_lin_ns;
-        if rec.enabled(TraceLevel::Phases) {
-            rec.push_complete(
-                TraceLevel::Phases,
-                "linearize",
-                "pipeline",
-                0,
-                rec.offset_ns(t0),
-                state_lin_ns,
-                vec![("state_cells", AttrValue::Int(flat.len() as i64))],
-            );
-        }
-        (vec![mean_value], vec![flat])
-    } else {
-        (vec![mean_value], vec![Vec::new()])
-    };
+    let state = cfr_core::job_state(
+        opt,
+        mean_value,
+        &Shape::array(Shape::Real, rows),
+        Some(&rec),
+    )?;
+    linearize_ns += state.linearize_ns;
     let cov_layout = RObjLayout::new(vec![GroupSpec::new("cov", rows * rows, CombineOp::Sum)]);
     let choice = cfr_core::make_runner(
         params.config.backend,
         &cov_loop.kernel,
-        nested_state,
-        flat_state,
+        state.nested,
+        state.flat,
         cov_loop.lo,
         cov_loop.opt,
         Some(&rec),

@@ -75,7 +75,7 @@ fn compiled_backend_is_selected() {
         Vec::new(),
         Vec::new(),
         0,
-        OptLevel::Generated,
+        OptLevel::Opt2,
         None,
     )
     .unwrap();

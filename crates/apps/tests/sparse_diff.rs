@@ -172,11 +172,11 @@ fn size_rule_picks_scheme_per_workload_without_changing_results() {
     let small = sparse_kmeans::run(&p).unwrap().plan.unwrap();
     assert_eq!(small.scheme, SyncScheme::FullReplication);
 
-    // A tensor with one wide mode puts 16 threads' copies over the
-    // budget, so the rule shares one copy under Atomic. Arithmetic
-    // only: no such tensor is built.
+    // A CP-ALS over a tensor with one wide mode puts 16 threads' copies
+    // over the budget, so the rule shares one copy under Atomic.
+    // Arithmetic only: no such tensor is built.
     let wide = mttkrp::MttkrpParams::new([4, 1 << 22, 4], 16, 1, 4).threads(16);
-    let over = cfr_sparse::plan(&wide.plan_params());
+    let over = cfr_sparse::plan(&wide.plan_params(&[0, 1, 2]));
     assert_eq!(over.scheme, SyncScheme::Atomic);
     assert_ne!(
         cfr_sparse::scheme_name(small.scheme),

@@ -1,4 +1,4 @@
-//! cfr kernel ABI v3. This file is compiled twice: into the host, and
+//! cfr kernel ABI v4. This file is compiled twice: into the host, and
 //! verbatim at the top of every emitted kernel, so both sides of the
 //! boundary share one definition of what crosses it.
 //!
@@ -18,7 +18,7 @@ pub struct FlatView {
 }
 
 /// One split's arguments. `ctx` is an opaque host pointer passed back
-/// to every callback.
+/// to the one callback, `accumulate`.
 #[repr(C)]
 pub struct SplitArgs {
     /// The split's rows, `rows_len` slots holding `row_count` rows.
@@ -46,9 +46,6 @@ pub struct SplitArgs {
     pub ctx: *mut u8,
     /// Fold one value into one cell; false when the host panicked.
     pub accumulate: extern "C" fn(*mut u8, usize, usize, f64) -> bool,
-    /// Walk nested state (site, indices, count, out); false when the
-    /// host panicked.
-    pub nested_load: extern "C" fn(*mut u8, usize, *const i64, usize, *mut f64) -> bool,
 }
 
 /// How a split ended. (No derived `Debug` or `PartialEq`: every
@@ -73,7 +70,7 @@ pub enum Status {
     RemainderOverflow,
     /// The split holds fewer slots than its rows need.
     ShortSplit,
-    /// A host callback panicked; the host holds the panic.
+    /// The `accumulate` callback panicked; the host holds the panic.
     HostFailed,
 }
 

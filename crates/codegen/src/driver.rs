@@ -36,10 +36,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::dylib::Dylib;
-use crate::emit::{emit_kernel, NestedSite, KERNEL_SYMBOL};
+use crate::emit::{emit_kernel, KERNEL_SYMBOL};
 
 /// The raw kernel entry point resolved from a compiled cdylib
-/// (ABI v3 — see the emitted source header).
+/// (ABI v4 — see the emitted source header).
 pub type KernelFn = unsafe extern "C" fn(args: *const crate::abi::SplitArgs) -> crate::abi::Status;
 
 /// A compiled, loaded, ready-to-bind kernel. Immutable and shared:
@@ -50,8 +50,6 @@ pub struct LoadedKernel {
     lib: Dylib,
     /// The resolved `cfr_kernel_split`.
     pub func: KernelFn,
-    /// Host-side table for the `nested_load` callback.
-    pub sites: Vec<NestedSite>,
     /// Slots each flat-state buffer must hold (see
     /// [`EmittedKernel::state_len`](crate::EmittedKernel)).
     pub state_len: Vec<usize>,
@@ -234,7 +232,6 @@ pub fn load_or_compile(
     let loaded = Arc::new(LoadedKernel {
         lib,
         func,
-        sites: emitted.sites,
         state_len: emitted.state_len,
         groups: kernel.out_names.len(),
         combine: kernel.combine.clone(),

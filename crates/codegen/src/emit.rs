@@ -15,8 +15,9 @@
 //!   `loop { head; if rC == 0 { break; } body }`.
 //!
 //! [`emit_kernel`] validates the kernel first; a kernel that fails
-//! [`Kernel::validate`] is [`CodegenError::Unsupported`], and the job
-//! runs on the interpreter instead. A valid kernel always prints.
+//! [`Kernel::validate`] or walks nested state (generated/opt-1) is
+//! [`CodegenError::Unsupported`], and the job runs on the interpreter
+//! instead. Any other valid kernel prints.
 //!
 //! Bit-identity with the interpreter is by construction:
 //!
@@ -39,32 +40,17 @@
 //! The body is printed once, generic over its update, and
 //! instantiated for both update paths of the ABI (see [`crate::abi`]).
 
-use cfr_core::{ArithOp, CmpOp, CodegenError, Instr, Kernel, NavStep, RegClass};
+use cfr_core::{ArithOp, CmpOp, CodegenError, Instr, Kernel, RegClass};
 use freeride::CombineOp;
 use linearize::PathMeta;
 use std::fmt::Write as _;
 
 use crate::range::{prove, RangeProof};
 
-/// One `LoadStateNested` call site in the emitted code: the compiled
-/// function passes the site id and the index-register values back to
-/// the host, which performs the nested walk (`state` and `steps` are
-/// host-side data the cdylib never sees).
-#[derive(Debug, Clone, PartialEq)]
-pub struct NestedSite {
-    /// Which nested state value to walk.
-    pub state: usize,
-    /// The navigation steps from its root.
-    pub steps: Vec<NavStep>,
-}
-
 /// The result of lowering one kernel.
 pub struct EmittedKernel {
     /// Complete Rust source of the cdylib.
     pub source: String,
-    /// Host-side table for the `nested_load` callback, indexed by the
-    /// site id the emitted code passes.
-    pub sites: Vec<NestedSite>,
     /// Slots each flat-state buffer must hold: the bound the proven
     /// state loads assume, checked once when the kernel is bound.
     pub state_len: Vec<usize>,
@@ -120,7 +106,6 @@ struct Emitter<'k> {
     kernel: &'k Kernel,
     proof: &'k RangeProof,
     out: String,
-    sites: Vec<NestedSite>,
     /// `For` loops printed so far (names their `__iN` counters).
     loops: usize,
 }
@@ -264,28 +249,7 @@ impl Emitter<'_> {
             ),
 
             // ---- State accesses. ----
-            Instr::LoadStateNested { dst, state, steps } => {
-                let site = self.sites.len();
-                self.sites.push(NestedSite {
-                    state: *state as usize,
-                    steps: steps.clone(),
-                });
-                let idx_regs: Vec<String> = steps
-                    .iter()
-                    .filter_map(|s| match s {
-                        NavStep::Index(r) => Some(reg(*r)),
-                        NavStep::Field(_) => None,
-                    })
-                    .collect();
-                format!(
-                    "{{ let __i: [i64; {n}] = [{list}]; \
-                     if !(a.nested_load)(a.ctx, {site}usize, __i.as_ptr(), {n}usize, &mut {d}) \
-                     {{ return Err(Status::HostFailed); }} }}",
-                    n = idx_regs.len(),
-                    list = idx_regs.join(", "),
-                    d = reg(*dst)
-                )
-            }
+            Instr::LoadStateNested { .. } => unreachable!("emit_kernel refuses nested state"),
             Instr::LoadStateFlat {
                 dst,
                 state,
@@ -333,22 +297,27 @@ fn op_code(op: &CombineOp) -> Result<u8, CodegenError> {
     }
 }
 
-/// Lower `kernel` to Rust source plus its nested-site table.
+/// Lower `kernel` to Rust source.
 ///
-/// A kernel that fails [`Kernel::validate`] is
-/// [`CodegenError::Unsupported`] naming the failure; the caller falls
-/// back to the interpreter.
+/// A kernel that fails [`Kernel::validate`], or that walks nested state
+/// ([`Instr::LoadStateNested`], generated and opt-1 only), is
+/// [`CodegenError::Unsupported`] naming why; the caller falls back to
+/// the interpreter.
 pub fn emit_kernel(kernel: &Kernel) -> Result<EmittedKernel, CodegenError> {
     kernel
         .validate(kernel.state_names.len(), kernel.out_names.len())
         .map_err(|e| CodegenError::Unsupported(format!("invalid kernel: {e}")))?;
+    if kernel.count_matching(|i| matches!(i, Instr::LoadStateNested { .. })) > 0 {
+        return Err(CodegenError::Unsupported(
+            "the kernel walks nested state; only flat (opt-2) state compiles".to_string(),
+        ));
+    }
     let op = op_code(&kernel.combine)?;
     let proof = prove(kernel);
     let mut em = Emitter {
         kernel,
         proof: &proof,
         out: String::new(),
-        sites: Vec::new(),
         loops: 0,
     };
     let (preamble, body) = kernel.code.split_at(kernel.entry);
@@ -380,7 +349,6 @@ pub fn emit_kernel(kernel: &Kernel) -> Result<EmittedKernel, CodegenError> {
     }
     let unit = proof.data_unit;
     let groups = kernel.out_names.len();
-    let sites = em.sites;
 
     let source = format!(
         r#"//! Generated by cfr-codegen from kernel bytecode — do not edit.
@@ -417,7 +385,6 @@ pub unsafe extern "C" fn {KERNEL_SYMBOL}(a: *const SplitArgs) -> Status {{
 
     Ok(EmittedKernel {
         source,
-        sites,
         state_len: proof.state_len,
         loads_proven: proof.loads_proven,
         loads_checked: proof.loads_checked,

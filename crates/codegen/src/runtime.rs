@@ -1,8 +1,8 @@
 //! Host-side execution of a compiled kernel: state binding, the
-//! per-split choice of update path, the host callbacks, and panics.
+//! per-split choice of update path, the host callback, and panics.
 //!
 //! A [`CompiledKernelRuntime`] pairs one process-wide
-//! [`LoadedKernel`] with one job's state, as the interpreter's
+//! [`LoadedKernel`] with one job's flat state, as the interpreter's
 //! `KernelRuntime` pairs a `Kernel` with state, so the translator can
 //! swap one for the other behind `freeride::SplitKernel`. Binding fresh
 //! state is an `Arc` clone; emit/compile/load happened once in
@@ -12,13 +12,11 @@
 //! lends them and the layout matches the kernel's groups and op;
 //! otherwise every update calls `accumulate_cb`. No unwind crosses the
 //! boundary (the cdylib links its own std): the kernel returns a
-//! [`Status`], callbacks catch their panics and report failure, and
+//! [`Status`], the callback catches its panics and reports failure, and
 //! the host raises the panic here.
 
-use cfr_core::chapel_abi::{chpl_array_index, chpl_read_scalar, chpl_record_field};
-use cfr_core::{CodegenError, NavStep};
+use cfr_core::CodegenError;
 use freeride::{RObjHandle, Recorder, Split, SplitKernel, TraceLevel};
-use linearize::Value;
 use obs::AttrValue;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -27,83 +25,38 @@ use std::sync::Arc;
 
 use crate::abi::{FlatView, SplitArgs, Status};
 use crate::driver::LoadedKernel;
-use crate::emit::NestedSite;
 
-/// Everything the callbacks need during one kernel call, passed as the
-/// opaque `ctx` pointer.
+/// Everything `accumulate_cb` needs during one kernel call, passed as
+/// the opaque `ctx` pointer.
 struct CallCtx<'a> {
     /// The handle, on the callback path (`None` while its cells are
     /// lent).
     robj: Option<&'a mut dyn RObjHandle>,
-    nested: &'a [Value],
-    sites: &'a [NestedSite],
-    /// A panic a callback caught, resumed once the kernel returns.
+    /// A panic the callback caught, resumed once the kernel returns.
     host_panic: Option<Box<dyn Any + Send>>,
 }
 
-/// Run one callback body; a panic is kept in `ctx` for the host to
-/// resume, and the kernel is told to stop.
-fn guarded(ctx: *mut u8, f: impl FnOnce(&mut CallCtx<'_>)) -> bool {
+/// Reduction-object update callback (`Instr::Accumulate` on the
+/// callback path). A panic is kept in `ctx` for the host to resume, and
+/// the kernel is told to stop.
+extern "C" fn accumulate_cb(ctx: *mut u8, group: usize, cell: usize, val: f64) -> bool {
     // SAFETY: `ctx` is the `CallCtx` built in
     // `CompiledKernelRuntime::call`, alive for the whole kernel call on
     // this thread.
     let ctx = unsafe { &mut *(ctx as *mut CallCtx<'_>) };
-    match catch_unwind(AssertUnwindSafe(|| f(ctx))) {
+    let update = || {
+        ctx.robj
+            .as_mut()
+            .expect("accumulate is only called on the callback path")
+            .accumulate(group, cell, val)
+    };
+    match catch_unwind(AssertUnwindSafe(update)) {
         Ok(()) => true,
         Err(payload) => {
             ctx.host_panic = Some(payload);
             false
         }
     }
-}
-
-/// Reduction-object update callback (`Instr::Accumulate` on the
-/// callback path).
-extern "C" fn accumulate_cb(ctx: *mut u8, group: usize, cell: usize, val: f64) -> bool {
-    guarded(ctx, |ctx| {
-        ctx.robj
-            .as_mut()
-            .expect("accumulate is only called on the callback path")
-            .accumulate(group, cell, val)
-    })
-}
-
-/// Nested-state walk callback (`Instr::LoadStateNested`): performs the
-/// same `chpl_record_field` / `chpl_array_index` / `chpl_read_scalar`
-/// chain as the interpreter — preserving the generated/opt-1 "complex
-/// Chapel structure" cost profile (and its exact semantics, including
-/// the `as usize` index casts) under the compiled backend.
-extern "C" fn nested_load_cb(
-    ctx: *mut u8,
-    site: usize,
-    idx: *const i64,
-    n: usize,
-    out: *mut f64,
-) -> bool {
-    guarded(ctx, |ctx| {
-        // SAFETY: `idx` points at `n` i64s and `out` at one f64 in the
-        // callee's frame.
-        let idxs: &[i64] = if n == 0 {
-            &[]
-        } else {
-            unsafe { std::slice::from_raw_parts(idx, n) }
-        };
-        let s = &ctx.sites[site];
-        let mut next_idx = idxs.iter();
-        let mut cur = &ctx.nested[s.state];
-        for step in &s.steps {
-            cur = match step {
-                NavStep::Field(pos) => chpl_record_field(cur, *pos),
-                NavStep::Index(_) => {
-                    let i = *next_idx
-                        .next()
-                        .expect("emitter passed one value per Index step");
-                    chpl_array_index(cur, i as usize)
-                }
-            };
-        }
-        unsafe { *out = chpl_read_scalar(cur) };
-    })
 }
 
 /// The ABI views of a runtime's flat state, built once per job.
@@ -126,7 +79,6 @@ const CALLBACK_REASONS: [&str; 2] = [
 /// counterpart of `cfr_core::KernelRuntime`.
 pub struct CompiledKernelRuntime {
     loaded: Arc<LoadedKernel>,
-    nested_state: Vec<Value>,
     /// Owns the buffers `views` points into; never mutated.
     #[allow(dead_code)]
     flat_state: Vec<Vec<f64>>,
@@ -144,7 +96,6 @@ impl CompiledKernelRuntime {
     /// (the job then runs on the interpreter, which checks each load).
     pub fn new(
         loaded: Arc<LoadedKernel>,
-        nested_state: Vec<Value>,
         flat_state: Vec<Vec<f64>>,
         row_lo: i64,
     ) -> Result<CompiledKernelRuntime, CodegenError> {
@@ -165,7 +116,6 @@ impl CompiledKernelRuntime {
             .collect();
         Ok(CompiledKernelRuntime {
             loaded,
-            nested_state,
             flat_state,
             views: FlatViews(views),
             row_lo,
@@ -184,8 +134,6 @@ impl CompiledKernelRuntime {
     ) {
         let mut ctx = CallCtx {
             robj,
-            nested: &self.nested_state,
-            sites: &self.loaded.sites,
             host_panic: None,
         };
         let (cells, n_cells, offsets) = match cells {
@@ -205,7 +153,6 @@ impl CompiledKernelRuntime {
             offsets,
             ctx: &mut ctx as *mut CallCtx<'_> as *mut u8,
             accumulate: accumulate_cb,
-            nested_load: nested_load_cb,
         };
         // SAFETY: every pointer in `args` is valid for the call; the
         // flat views hold at least `loaded.state_len` slots (checked in

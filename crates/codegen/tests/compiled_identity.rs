@@ -9,11 +9,11 @@
 
 use cfr_codegen::{emit_kernel, load_or_compile, rustc_available, CompiledKernelRuntime};
 use cfr_core::{
-    compile_loop, detect, ArithOp, CmpOp, Detected, Instr, Kernel, KernelRuntime, NavStep,
-    OptLevel, RegClass,
+    compile_loop, detect, ArithOp, CmpOp, CodegenError, Detected, Instr, Kernel, KernelRuntime,
+    NavStep, OptLevel, RegClass,
 };
 use freeride::{CombineOp, GroupSpec, RObjHandle, RObjLayout, ReductionObject, Split, SplitKernel};
-use linearize::{PathMeta, Value};
+use linearize::PathMeta;
 
 fn scalar_layout(cells: usize) -> std::sync::Arc<RObjLayout> {
     RObjLayout::new(vec![GroupSpec::new("out", cells, CombineOp::Sum)])
@@ -78,7 +78,6 @@ fn run_both(
     unit: usize,
     first_row: usize,
     row_lo: i64,
-    nested: Vec<Value>,
     flat: Vec<Vec<f64>>,
     cells: usize,
 ) -> (Vec<f64>, Vec<f64>) {
@@ -92,7 +91,7 @@ fn run_both(
 
     let interp = KernelRuntime::new(
         kernel.clone(),
-        nested.clone(),
+        Vec::new(),
         flat.clone(),
         row_lo,
         OptLevel::Opt2,
@@ -102,7 +101,7 @@ fn run_both(
     SplitKernel::run_split(&interp, &split, &mut robj_i.lend());
 
     let loaded = load_or_compile(kernel, None).expect("codegen");
-    let compiled = CompiledKernelRuntime::new(loaded, nested, flat, row_lo).expect("bind");
+    let compiled = CompiledKernelRuntime::new(loaded, flat, row_lo).expect("bind");
     let mut robj_c = ReductionObject::alloc(layout);
     compiled.run_split(&split, &mut robj_c.lend());
 
@@ -211,7 +210,7 @@ fn arithmetic_identity() {
         vec![row_path()],
     );
     let rows: Vec<f64> = (0..64).map(|i| (i as f64) * 0.61 - 7.3).collect();
-    let (a, b) = run_both(&k, &rows, 1, 5, 1, vec![], vec![], 1);
+    let (a, b) = run_both(&k, &rows, 1, 5, 1, vec![], 1);
     assert_bit_identical(&a, &b);
 }
 
@@ -271,7 +270,7 @@ fn control_flow_identity() {
         "a Rust `for` around an if/else:\n{source}"
     );
     let rows: Vec<f64> = (0..32 * 4).map(|i| ((i * 37) % 11) as f64 * 0.5).collect();
-    let (a, b) = run_both(&k, &rows, 4, 0, 1, vec![], vec![], 1);
+    let (a, b) = run_both(&k, &rows, 4, 0, 1, vec![], 1);
     assert_bit_identical(&a, &b);
 }
 
@@ -338,7 +337,7 @@ fn for_loop_writing_its_index_identity() {
         "a Rust `for` rebinding r8 per iteration:\n{source}"
     );
     let rows: Vec<f64> = (0..24 * 4).map(|i| ((i * 37) % 11) as f64 * 0.5).collect();
-    let (a, b) = run_both(&k, &rows, 4, 0, 1, vec![], vec![], 1);
+    let (a, b) = run_both(&k, &rows, 4, 0, 1, vec![], 1);
     assert_bit_identical(&a, &b);
 }
 
@@ -404,7 +403,7 @@ fn while_loop_identity() {
         "a loop that breaks on its head's condition:\n{source}"
     );
     let rows: Vec<f64> = (0..40 * 4).map(|i| ((i * 37) % 11) as f64).collect();
-    let (a, b) = run_both(&k, &rows, 4, 0, 1, vec![], vec![], 1);
+    let (a, b) = run_both(&k, &rows, 4, 0, 1, vec![], 1);
     assert_bit_identical(&a, &b);
 }
 
@@ -474,70 +473,77 @@ fn if_else_and_short_circuit_identity() {
     let source = emit_kernel(&k).unwrap().source;
     assert!(source.contains("} else {"), "an if/else:\n{source}");
     let rows: Vec<f64> = (0..50 * 2).map(|i| ((i * 7) % 9) as f64 * 0.5).collect();
-    let (a, b) = run_both(&k, &rows, 2, 0, 1, vec![], vec![], 1);
+    let (a, b) = run_both(&k, &rows, 2, 0, 1, vec![], 1);
     assert_bit_identical(&a, &b);
 }
 
-/// State accesses: a nested walk (generated-style, via the host
-/// callback, integer indices) and a flat load (opt-2-style) must both
-/// match.
+/// State accesses: a flat load (opt-2-style) must match, and a kernel
+/// that also walks nested state (generated/opt-1-style) is refused
+/// before `rustc` runs, so its job stays on the interpreter.
 #[test]
 fn state_access_identity() {
-    skip_without_rustc!();
-    let mut code = vec![
-        Instr::IConst { dst: 8, val: 0 },
-        Instr::IConst { dst: 9, val: 3 },
-    ];
-    let entry = code.len();
-    code.extend([
-        Instr::LoadData {
-            dst: 2,
-            path: 0,
-            idx: vec![0],
-        },
-        // r3 = int(r2) % 3 → index register for both state reads
-        Instr::RealToInt { dst: 10, src: 2 },
-        ibin(ArithOp::Mod, 3, 10, 9),
-        // nested walk: state0[r3]
-        Instr::LoadStateNested {
-            dst: 4,
-            state: 0,
-            steps: vec![NavStep::Index(3)],
-        },
-        // flat load: state1[r3]
-        Instr::LoadStateFlat {
-            dst: 5,
-            state: 1,
-            path: 1,
-            idx: vec![3],
-        },
-        Instr::Fma { dst: 6, a: 4, b: 5 },
-        Instr::Accumulate {
+    // r3 = int(r2) % 3 indexes the state reads; `nested` adds a walk of
+    // state0[r3] next to the flat load state1[r3].
+    let state_kernel = |nested: bool| {
+        let mut code = vec![
+            Instr::IConst { dst: 8, val: 0 },
+            Instr::IConst { dst: 9, val: 3 },
+        ];
+        let entry = code.len();
+        code.extend([
+            Instr::LoadData {
+                dst: 2,
+                path: 0,
+                idx: vec![0],
+            },
+            Instr::RealToInt { dst: 10, src: 2 },
+            ibin(ArithOp::Mod, 3, 10, 9),
+            Instr::LoadStateFlat {
+                dst: 5,
+                state: 1,
+                path: 1,
+                idx: vec![3],
+            },
+        ]);
+        let val = if nested {
+            code.extend([
+                Instr::LoadStateNested {
+                    dst: 4,
+                    state: 0,
+                    steps: vec![NavStep::Index(3)],
+                },
+                Instr::Fma { dst: 6, a: 4, b: 5 },
+            ]);
+            6
+        } else {
+            5
+        };
+        code.push(Instr::Accumulate {
             group: 0,
             cell: 8,
-            val: 6,
-        },
-    ]);
-    let mut k = kernel(
-        code,
-        entry,
-        classes(11, &[3, 8, 9, 10]),
-        vec![row_path(), row_path()],
-    );
-    k.state_names = vec!["nested".into(), "flat".into()];
-    let nested = vec![
-        Value::Array(vec![
-            Value::Real(1.25),
-            Value::Real(-2.5),
-            Value::Real(0.75),
-        ]),
-        Value::Array(vec![]), // state 1 is flat-only
-    ];
+            val,
+        });
+        let mut k = kernel(
+            code,
+            entry,
+            classes(11, &[3, 8, 9, 10]),
+            vec![row_path(), row_path()],
+        );
+        k.state_names = vec!["nested".into(), "flat".into()];
+        k
+    };
+    assert!(matches!(
+        emit_kernel(&state_kernel(true)).err(),
+        Some(CodegenError::Unsupported(_))
+    ));
+
+    skip_without_rustc!();
+    let k = state_kernel(false);
     let flat = vec![Vec::new(), vec![10.0, 20.0, 30.0]];
     let rows: Vec<f64> = (0..48).map(|i| i as f64).collect();
-    let (a, b) = run_both(&k, &rows, 1, 0, 1, nested, flat, 1);
+    let (a, b) = run_both(&k, &rows, 1, 0, 1, flat, 1);
     assert_bit_identical(&a, &b);
-    assert_ne!(a[0], 0.0, "test must exercise the state reads");
+    assert_ne!(a[0], 0.0, "test must exercise the state read");
 }
 
 /// The process-wide cache: compiling the same kernel twice returns the
@@ -653,7 +659,7 @@ fn run_compiled(kernel: &Kernel, rows: &[f64], robj: &mut dyn RObjHandle) {
         row_count: rows.len(),
     };
     let loaded = load_or_compile(kernel, None).expect("codegen");
-    let compiled = CompiledKernelRuntime::new(loaded, vec![], vec![], 1).expect("bind");
+    let compiled = CompiledKernelRuntime::new(loaded, vec![], 1).expect("bind");
     compiled.run_split(&split, robj);
 }
 
@@ -783,7 +789,7 @@ fn lent_cells_are_updated_in_place() {
         vec![row_path()],
     );
     let rows: Vec<f64> = (0..50).map(|i| (i as f64).sqrt()).collect();
-    let (interp, _) = run_both(&k, &rows, 1, 0, 1, vec![], vec![], 3);
+    let (interp, _) = run_both(&k, &rows, 1, 0, 1, vec![], 3);
     let mut lend_only = LendOnly(ReductionObject::alloc(scalar_layout(3)));
     run_compiled(&k, &rows, &mut lend_only);
     assert_bit_identical(&interp, lend_only.0.group_slice(0));

@@ -14,9 +14,10 @@
 //! backend that is and (if they differ) why.
 
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use freeride::{KernelBackend, Recorder, SplitKernel, TraceLevel};
-use linearize::Value;
+use linearize::{Linearizer, Shape, Value};
 use obs::AttrValue;
 
 use crate::compile::OptLevel;
@@ -32,12 +33,12 @@ use crate::kernel_ir::Kernel;
 /// rebuilds its runtime every outer iteration).
 pub trait KernelCompiler: Send + Sync {
     /// Compile (or fetch from the process-wide cache) the kernel and
-    /// bind it to this job's state. Any error means "use the
-    /// interpreter instead".
+    /// bind it to this job's flat state. Any error means "use the
+    /// interpreter instead"; a kernel that walks nested state
+    /// ([`crate::Instr::LoadStateNested`]) is one.
     fn instantiate(
         &self,
         kernel: &Kernel,
-        nested_state: Vec<Value>,
         flat_state: Vec<Vec<f64>>,
         row_lo: i64,
         recorder: Option<&Recorder>,
@@ -86,8 +87,62 @@ pub struct RunnerChoice {
     pub fallback: Option<CodegenError>,
 }
 
+/// One job's state in the one representation its strategy reads.
+pub struct JobState {
+    /// Nested values, which generated and opt-1 kernels walk (empty for
+    /// opt-2).
+    pub nested: Vec<Value>,
+    /// Linearized buffers, which opt-2 kernels load (empty otherwise).
+    pub flat: Vec<Vec<f64>>,
+    /// Time spent linearizing, ns.
+    pub linearize_ns: u64,
+}
+
+/// `value` as the state of a job at `opt`: linearized by `shape` for
+/// opt-2, recorded as one `linearize` span on `recorder`; nested as it
+/// is otherwise.
+pub fn job_state(
+    opt: OptLevel,
+    value: Value,
+    shape: &Shape,
+    recorder: Option<&Recorder>,
+) -> Result<JobState, CoreError> {
+    if opt != OptLevel::Opt2 {
+        return Ok(JobState {
+            nested: vec![value],
+            flat: Vec::new(),
+            linearize_ns: 0,
+        });
+    }
+    let start = Instant::now();
+    let flat = Linearizer::new(shape).linearize(&value)?.buffer;
+    let linearize_ns = start.elapsed().as_nanos() as u64;
+    if let Some(r) = recorder {
+        r.push_complete(
+            TraceLevel::Phases,
+            "linearize",
+            "pipeline",
+            0,
+            r.offset_ns(start),
+            linearize_ns,
+            vec![("state_cells", AttrValue::Int(flat.len() as i64))],
+        );
+    }
+    Ok(JobState {
+        nested: Vec::new(),
+        flat: vec![flat],
+        linearize_ns,
+    })
+}
+
 /// Build the runner for one job: the requested backend if possible,
 /// the interpreter otherwise.
+///
+/// The state comes in the representation the kernel's strategy reads
+/// ([`job_state`]): `flat_state` for opt-2, `nested_state` for
+/// generated and opt-1; the other may be empty. The compiled backend
+/// binds `flat_state` only, so a kernel that reads nested state runs on
+/// the interpreter with a [`CodegenError::Unsupported`] fallback.
 ///
 /// The compiled path *never* fails the job: any [`CodegenError`] is
 /// recorded (hub counter `core.codegen_fallback`, instant span
@@ -107,13 +162,7 @@ pub fn make_runner(
 
     if requested == KernelBackend::Compiled {
         let attempt = match COMPILER.get() {
-            Some(c) => c.instantiate(
-                kernel,
-                nested_state.clone(),
-                flat_state.clone(),
-                row_lo,
-                recorder,
-            ),
+            Some(c) => c.instantiate(kernel, flat_state.clone(), row_lo, recorder),
             None => Err(CodegenError::NotInstalled),
         };
         match attempt {

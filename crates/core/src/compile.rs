@@ -1428,13 +1428,7 @@ impl<'a> Compiler<'a> {
                 None => {
                     let idx = self.compile_access_indices(&parts, parts.idx_exprs.len())?;
                     if idx.is_empty() {
-                        // Scalar state: nested walk with no steps is a
-                        // direct read either way.
-                        Instr::LoadStateNested {
-                            dst: 0,
-                            state,
-                            steps: Vec::new(),
-                        }
+                        self.scalar_state_load(state)?
                     } else {
                         Instr::LoadStateFlat {
                             dst: 0,
@@ -1458,6 +1452,34 @@ impl<'a> Compiler<'a> {
             }
         };
         Ok(Some(self.push_load(ins, parts.int_leaf)))
+    }
+
+    /// A read of a whole scalar state global: slot 0 of its one-slot
+    /// flat buffer at opt-2, so no opt-2 kernel walks nested state; the
+    /// nested value itself otherwise.
+    fn scalar_state_load(&mut self, state: StateId) -> Result<Instr, CoreError> {
+        if self.opt != OptLevel::Opt2 {
+            return Ok(Instr::LoadStateNested {
+                dst: 0,
+                state,
+                steps: Vec::new(),
+            });
+        }
+        let spec = &self.states[state as usize];
+        if !spec.shape.is_prim() {
+            return Err(CoreError::translate(format!(
+                "state `{}` is read without an index",
+                spec.name
+            )));
+        }
+        let zero = self.int_const(0);
+        Ok(Instr::LoadStateAt {
+            dst: 0,
+            state,
+            base: zero,
+            k: zero,
+            stride: 1,
+        })
     }
 
     /// Push a load instruction (built with a placeholder `dst`) into a
@@ -1624,11 +1646,7 @@ impl<'a> Compiler<'a> {
                 // Scalar state global.
                 if let Some(state) = self.state_id(name) {
                     let int_leaf = self.analysis.decls.globals.get(name).is_some_and(is_int_ty);
-                    let load = Instr::LoadStateNested {
-                        dst: 0,
-                        state,
-                        steps: Vec::new(),
-                    };
+                    let load = self.scalar_state_load(state)?;
                     return Ok(self.push_load(load, int_leaf));
                 }
                 Err(CoreError::translate(format!(

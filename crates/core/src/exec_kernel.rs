@@ -42,6 +42,11 @@ impl KernelRuntime {
     /// Build a runtime for one translated job, validating the kernel
     /// once. All unchecked register/path accesses in the dispatch loop
     /// are justified by this validation.
+    ///
+    /// The state comes in the representation the kernel's strategy
+    /// reads ([`crate::job_state`]): `flat_state` for opt-2 loads,
+    /// `nested_state` for generated/opt-1 walks; the other may be empty.
+    ///
     /// The `opt` argument is *diagnostic context only*: a malformed
     /// kernel is reported as e.g. `kernel validation failed (opt-2
     /// strategy) at pc 7: …`, naming both the offending instruction

@@ -17,7 +17,10 @@
 //!   innermost base once per loop, [`Instr::LoadDataAt`] walks it by
 //!   stride.
 //! * **opt-2** — state is linearized too, so [`Instr::LoadStateNested`]
-//!   disappears in favour of flat loads (plus the opt-1 shapes).
+//!   disappears: every state read, a scalar's included, is a flat load
+//!   ([`Instr::LoadStateFlat`] / [`Instr::LoadStateAt`]; a scalar is
+//!   slot 0 of its one-slot buffer), plus the opt-1 shapes. Only these
+//!   kernels compile natively; the interpreter runs all three.
 //!
 //! Every register has a [`RegClass`], carrying Chapel's `int`/`real`
 //! distinction: `int` locals, loop counters and bounds, booleans and

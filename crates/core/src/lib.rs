@@ -31,7 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod chapel_abi;
+mod chapel_abi;
 mod compile;
 mod detect;
 mod error;
@@ -40,7 +40,8 @@ mod kernel_ir;
 mod translate;
 
 pub use backend::{
-    compiler_installed, install_compiler, make_runner, KernelCompiler, RunnerChoice,
+    compiler_installed, install_compiler, job_state, make_runner, JobState, KernelCompiler,
+    RunnerChoice,
 };
 pub use compile::{
     compile_loop, compile_reduce_expr, CompiledLoop, DatasetSpec, DatasetVar, OptLevel, OutSpec,

@@ -15,12 +15,12 @@ use chapel_frontend::ast::{Item, ReduceOp};
 use chapel_interp::{Interpreter, RtValue};
 use chapel_sema::analyze;
 use freeride::{DataView, Engine, GroupSpec, JobConfig, KernelBackend, RObjLayout, RunStats};
-use linearize::{delinearize, Linearizer, Slots, Value};
+use linearize::{delinearize, Linearizer, Slots};
 use obs::{AttrValue, Recorder, TraceLevel};
 
 use crate::compile::{compile_loop, compile_reduce_expr, CompiledLoop, OptLevel};
 use crate::detect::{detect, Detected, Rejection};
-use crate::error::CoreError;
+use crate::error::{CodegenError, CoreError};
 
 /// The Chapel-with-FREERIDE "compiler" configuration.
 #[derive(Debug, Clone, Default)]
@@ -302,28 +302,20 @@ impl Translator {
             zip_rows(&dataset, rows, unit)?
         };
 
-        // State: nested values (generated/opt-1) or linearized (opt-2).
+        // State, in the one representation the strategy reads: flat
+        // buffers (opt-2) or nested values (generated/opt-1).
         let mut nested_state = Vec::new();
         let mut flat_state = Vec::new();
         for s in &c.states {
             let rt = interp
                 .global(&s.name)
                 .ok_or_else(|| CoreError::translate(format!("state `{}` missing", s.name)))?;
-            let not_linear =
-                || CoreError::translate(format!("state `{}` not linearizable", s.name));
             if self.opt == OptLevel::Opt2 {
                 flat_state.push(Linearizer::new(&s.shape).linearize(rt)?.buffer);
-                // Opt-2 reads scalar state through the nested slot (a
-                // direct read either way) and aggregate state only
-                // through its flat buffer.
-                nested_state.push(if s.shape.is_prim() {
-                    rt.to_linear().ok_or_else(not_linear)?
-                } else {
-                    Value::Array(Vec::new())
-                });
             } else {
-                nested_state.push(rt.to_linear().ok_or_else(not_linear)?);
-                flat_state.push(Vec::new());
+                nested_state.push(rt.to_linear().ok_or_else(|| {
+                    CoreError::translate(format!("state `{}` not linearizable", s.name))
+                })?);
             }
         }
         let linearize_ns = lin_start.elapsed().as_nanos() as u64;
@@ -429,6 +421,8 @@ impl Translator {
         Ok(JobReport {
             stmt_index: 0,
             kind: String::new(),
+            backend: choice.backend,
+            fallback: choice.fallback,
             linearize_ns,
             stats: outcome.stats,
             wall_ns: wall_start.elapsed().as_nanos() as u64,
@@ -530,6 +524,10 @@ pub struct JobReport {
     pub stmt_index: usize,
     /// Human-readable description.
     pub kind: String,
+    /// The kernel backend that ran the job.
+    pub backend: KernelBackend,
+    /// Why the compiled backend was requested but not used.
+    pub fallback: Option<CodegenError>,
     /// Sequential (or parallel) linearization time, ns — the paper's
     /// first overhead.
     pub linearize_ns: u64,

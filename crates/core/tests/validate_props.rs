@@ -248,15 +248,22 @@ proptest! {
         assert_sound(&kernel);
     }
 
-    /// `validate` is the codegen backend's one precondition: a kernel
-    /// prints exactly when it validates against its own state and group
-    /// tables.
+    /// `validate` is the codegen backend's precondition and a nested
+    /// state walk its one refusal: a kernel prints exactly when it
+    /// validates against its own state and group tables and reads state
+    /// only flat.
     #[test]
     fn emit_succeeds_exactly_on_valid_kernels(kernel in arb_kernel()) {
         let valid = kernel
             .validate(kernel.state_names.len(), kernel.out_names.len())
             .is_ok();
-        prop_assert_eq!(valid, emit_kernel(&kernel).is_ok(), "{}", kernel.disassemble());
+        let nested = kernel.count_matching(|i| matches!(i, Instr::LoadStateNested { .. })) > 0;
+        prop_assert_eq!(
+            valid && !nested,
+            emit_kernel(&kernel).is_ok(),
+            "{}",
+            kernel.disassemble()
+        );
     }
 
     /// Flipping one register's class in a kernel the compiler produced

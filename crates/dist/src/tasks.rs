@@ -25,7 +25,7 @@ use std::sync::Arc;
 use freeride::{
     CombineOp, GroupSpec, KernelBackend, RObjHandle, RObjLayout, ReductionObject, Split,
 };
-use linearize::{Linearizer, Shape, Value};
+use linearize::{Shape, Value};
 use obs::Recorder;
 
 use crate::error::DistError;
@@ -346,28 +346,20 @@ fn chapel_kmeans_kernel(
     let compiled = cfr_core::compile_loop(&program, &analysis, &red, opt)
         .map_err(|e| to_bad(task, "compile", &e))?;
 
-    let nested = centroids_value(state, k, d);
-    let (nested_state, flat_state) = if opt == cfr_core::OptLevel::Opt2 {
-        let shape = Shape::array(
-            Shape::record(vec![
-                ("pos", Shape::array(Shape::Real, d)),
-                ("count", Shape::Int),
-            ]),
-            k,
-        );
-        let flat = Linearizer::new(&shape)
-            .linearize(&nested)
-            .map_err(|e| to_bad(task, "linearize state", &e))?
-            .buffer;
-        (vec![nested], vec![flat])
-    } else {
-        (vec![nested], vec![Vec::new()])
-    };
+    let shape = Shape::array(
+        Shape::record(vec![
+            ("pos", Shape::array(Shape::Real, d)),
+            ("count", Shape::Int),
+        ]),
+        k,
+    );
+    let job_state = cfr_core::job_state(opt, centroids_value(state, k, d), &shape, None)
+        .map_err(|e| to_bad(task, "linearize state", &e))?;
     let choice = cfr_core::make_runner(
         backend,
         &compiled.kernel,
-        nested_state,
-        flat_state,
+        job_state.nested,
+        job_state.flat,
         compiled.lo,
         compiled.opt,
         recorder,

@@ -34,12 +34,11 @@
 //! on the first pass.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use freeride_io::{ChunkReader, RowSource};
 use obs::{AttrValue, Recorder, Trace, TraceLevel};
-use parking_lot::Mutex;
 
 use crate::kernel::{KernelBackend, SplitKernel};
 use crate::pool::WorkerPool;
@@ -47,7 +46,7 @@ use crate::robj::{RObjLayout, ReductionObject};
 use crate::source::FileDataset;
 use crate::split::{DataView, Split, Splitter};
 use crate::stats::{IoActivity, PhaseTimes, RunStats, SplitStat};
-use crate::sync::{SharedCells, SharedHandle, SyncScheme};
+use crate::sync::{unpoisoned, SharedCells, SharedHandle, SyncScheme};
 use crate::FreerideError;
 
 /// Pairwise reduction-object combination (the paper's `combination_t`).
@@ -491,8 +490,8 @@ impl Engine {
                     logical_thread: w + lane,
                 });
             }
-            collected.lock().extend(locals);
-            stats.lock().extend(my_stats);
+            unpoisoned(collected.lock()).extend(locals);
+            unpoisoned(stats.lock()).extend(my_stats);
         };
         match self.config.exec {
             ExecMode::Threads => {
@@ -504,8 +503,8 @@ impl Engine {
 
         let io = feed.finish()?;
         let (robj, combine_ns, finalize_ns) =
-            self.combine_and_finalize(collected.into_inner(), shared, layout, hooks);
-        let mut splits = stats.into_inner();
+            self.combine_and_finalize(unpoisoned(collected.into_inner()), shared, layout, hooks);
+        let mut splits = unpoisoned(stats.into_inner());
         splits.sort_by_key(|s| s.split);
         let delta = counters.finish(&self.pool);
         let wall_ns = wall_start.elapsed().as_nanos() as u64;
@@ -867,14 +866,16 @@ impl Engine {
                 if i >= pairs.len() {
                     break;
                 }
-                let (mut a, b) = pairs[i].lock().take().expect("pair claimed once");
+                let (mut a, b) = unpoisoned(pairs[i].lock())
+                    .take()
+                    .expect("pair claimed once");
                 match combination {
                     Some(f) => f(&mut a, &b),
                     None => a.merge_from(&b),
                 }
-                merged.lock().push(a);
+                unpoisoned(merged.lock()).push(a);
             });
-            let mut round = merged.into_inner();
+            let mut round = unpoisoned(merged.into_inner());
             round.extend(odd);
             copies = round;
         }
@@ -964,7 +965,7 @@ impl Feed<'_> {
                 if let Err(e) = file.read_rows_into(first, count, &mut held.buf) {
                     abort.store(true, Ordering::Relaxed);
                     // First error wins; later ones are dropped.
-                    failed.lock().get_or_insert(e);
+                    unpoisoned(failed.lock()).get_or_insert(e);
                     return None;
                 }
                 Some(Claim {
@@ -1007,7 +1008,7 @@ impl Feed<'_> {
     fn finish(self) -> Result<Option<freeride_io::IoStats>, FreerideError> {
         match self {
             Feed::View { .. } => Ok(None),
-            Feed::File { failed, .. } => failed.into_inner().map_or(Ok(None), Err),
+            Feed::File { failed, .. } => unpoisoned(failed.into_inner()).map_or(Ok(None), Err),
             Feed::Stream { reader, .. } => Ok(Some(reader.finish()?)),
         }
     }

@@ -17,14 +17,14 @@
 //! for intermediate pairs. The `ablation_mapreduce` bench measures both
 //! engines on the same kernel.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use obs::{AttrValue, Recorder, TraceLevel};
-use parking_lot::Mutex;
 
 use crate::robj::CombineOp;
 use crate::split::{DataView, Split, Splitter};
+use crate::sync::unpoisoned;
 
 /// Timing and volume statistics of one map-reduce run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -96,11 +96,14 @@ impl MapReduceEngine {
                     for row in split.iter_rows() {
                         map(row, &mut out);
                     }
-                    collected.lock().push(out);
+                    unpoisoned(collected.lock()).push(out);
                 });
             }
         });
-        let mut pairs: Vec<(usize, f64)> = collected.into_inner().into_iter().flatten().collect();
+        let mut pairs: Vec<(usize, f64)> = unpoisoned(collected.into_inner())
+            .into_iter()
+            .flatten()
+            .collect();
         let map_ns = map_start.elapsed().as_nanos() as u64;
         let intermediate_pairs = pairs.len();
 

@@ -35,10 +35,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use crate::sync::unpoisoned;
 
 /// A borrowed job, lifetime-erased for storage in the shared state.
 /// Sound because [`WorkerPool::dispatch`] blocks until all active
@@ -125,7 +125,7 @@ impl WorkerPool {
     /// Grow the pool to at least `n` workers. Returns how many OS
     /// threads were spawned by this call (0 once warm).
     pub fn ensure_workers(&self, n: usize) -> usize {
-        let mut handles = self.handles.lock();
+        let mut handles = unpoisoned(self.handles.lock());
         let have = handles.len();
         if have >= n {
             return 0;
@@ -146,7 +146,7 @@ impl WorkerPool {
 
     /// Current number of live workers.
     pub fn workers(&self) -> usize {
-        self.handles.lock().len()
+        unpoisoned(self.handles.lock()).len()
     }
 
     /// OS threads spawned over the pool's lifetime.
@@ -180,7 +180,7 @@ impl WorkerPool {
             return;
         }
         debug_assert!(self.workers() >= active, "pool not grown before dispatch");
-        let _serialize = self.dispatch_lock.lock();
+        let _serialize = unpoisoned(self.dispatch_lock.lock());
         self.dispatches_total.fetch_add(1, Ordering::Relaxed);
 
         // SAFETY: the borrow is only reachable through `PoolState.job`,
@@ -188,14 +188,14 @@ impl WorkerPool {
         // until every worker that loaded it has finished running it.
         let job: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(job) };
         {
-            let mut st = self.shared.state.lock();
+            let mut st = unpoisoned(self.shared.state.lock());
             st.epoch += 1;
             st.active = active;
             st.remaining = active;
             st.job = Some(Job(job));
             self.shared.work_cv.notify_all();
             while st.remaining > 0 {
-                self.shared.done_cv.wait(&mut st);
+                st = unpoisoned(self.shared.done_cv.wait(st));
             }
             st.job = None;
         }
@@ -208,11 +208,11 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         {
-            let mut st = self.shared.state.lock();
+            let mut st = unpoisoned(self.shared.state.lock());
             st.shutdown = true;
         }
         self.shared.work_cv.notify_all();
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.handles.lock());
+        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *unpoisoned(self.handles.lock()));
         for h in handles {
             let _ = h.join();
         }
@@ -233,7 +233,7 @@ fn worker_loop(index: usize, shared: Arc<PoolShared>) {
     let mut seen_epoch = 0u64;
     loop {
         let job = {
-            let mut st = shared.state.lock();
+            let mut st = unpoisoned(shared.state.lock());
             let mut parked = false;
             loop {
                 if st.shutdown {
@@ -256,13 +256,13 @@ fn worker_loop(index: usize, shared: Arc<PoolShared>) {
                     parked = true;
                     shared.parks_total.fetch_add(1, Ordering::Relaxed);
                 }
-                shared.work_cv.wait(&mut st);
+                st = unpoisoned(shared.work_cv.wait(st));
             }
         };
         if catch_unwind(AssertUnwindSafe(|| (job.0)(index))).is_err() {
             shared.panicked.store(true, Ordering::SeqCst);
         }
-        let mut st = shared.state.lock();
+        let mut st = unpoisoned(shared.state.lock());
         st.remaining -= 1;
         if st.remaining == 0 {
             shared.done_cv.notify_one();
@@ -293,11 +293,11 @@ mod pool_tests {
         let mask = Mutex::new(vec![false; 8]);
         pool.dispatch(3, &|w| {
             hits.fetch_add(1, Ordering::SeqCst);
-            mask.lock()[w] = true;
+            unpoisoned(mask.lock())[w] = true;
         });
         assert_eq!(hits.load(Ordering::SeqCst), 3);
         assert_eq!(
-            &*mask.lock(),
+            &*unpoisoned(mask.lock()),
             &[true, true, true, false, false, false, false, false]
         );
     }

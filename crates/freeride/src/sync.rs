@@ -25,11 +25,17 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, LockResult, Mutex, PoisonError};
 
 use crate::robj::{LentCells, RObjLayout, ReductionObject};
+
+/// The value of a lock, wait or `into_inner` whether or not the mutex is
+/// poisoned: a kernel panic while a worker holds a cell or stripe lock
+/// fails that job, and the engine's other locks must keep working for
+/// the unwinding workers and for later jobs.
+pub(crate) fn unpoisoned<T>(r: LockResult<T>) -> T {
+    r.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A value padded and aligned to 128 bytes, so neighbouring locks never
 /// share a cache line (false-sharing avoidance).
@@ -124,21 +130,21 @@ impl LockedCells {
     #[inline]
     pub fn accumulate(&self, group: usize, index: usize, value: f64) {
         let (id, op) = self.layout.locate(group, index);
-        let mut cell = self.cells[id].0.lock();
+        let mut cell = unpoisoned(self.cells[id].0.lock());
         *cell = op.apply(*cell, value);
     }
 
     /// Read one cell under its lock.
     #[inline]
     pub fn get(&self, group: usize, index: usize) -> f64 {
-        *self.cells[self.layout.cell_id(group, index)].0.lock()
+        *unpoisoned(self.cells[self.layout.cell_id(group, index)].0.lock())
     }
 
     /// Materialise the shared state into a plain [`ReductionObject`].
     pub fn snapshot(&self) -> ReductionObject {
         let mut out = ReductionObject::alloc(self.layout.clone());
         for (id, cell) in self.cells.iter().enumerate() {
-            out.cells_mut()[id] = *cell.0.lock();
+            out.cells_mut()[id] = *unpoisoned(cell.0.lock());
         }
         out
     }
@@ -189,7 +195,7 @@ impl StripedCells {
     #[inline]
     pub fn accumulate(&self, group: usize, index: usize, value: f64) {
         let (id, op) = self.layout.locate(group, index);
-        let _guard = self.stripe(id).lock();
+        let _guard = unpoisoned(self.stripe(id).lock());
         // SAFETY: stripe lock held (invariant above).
         unsafe {
             let cell = &mut *self.cells[id].get();
@@ -201,7 +207,7 @@ impl StripedCells {
     #[inline]
     pub fn get(&self, group: usize, index: usize) -> f64 {
         let id = self.layout.cell_id(group, index);
-        let _guard = self.stripe(id).lock();
+        let _guard = unpoisoned(self.stripe(id).lock());
         // SAFETY: stripe lock held.
         unsafe { *self.cells[id].get() }
     }
@@ -209,7 +215,7 @@ impl StripedCells {
     /// Materialise the shared state into a plain [`ReductionObject`].
     pub fn snapshot(&self) -> ReductionObject {
         // Hold every stripe lock for a consistent snapshot.
-        let guards: Vec<_> = self.locks.iter().map(|l| l.0.lock()).collect();
+        let guards: Vec<_> = self.locks.iter().map(|l| unpoisoned(l.0.lock())).collect();
         let mut out = ReductionObject::alloc(self.layout.clone());
         for id in 0..self.cells.len() {
             // SAFETY: all stripe locks held.

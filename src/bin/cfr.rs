@@ -6,7 +6,8 @@
 //! ```
 //!
 //! `--interp` bypasses translation (pure interpreter); `--explain`
-//! prints what was offloaded and why the rest was not;
+//! prints what was offloaded, the backend that ran it (and why the
+//! compiled one did not, if requested), and why the rest was not;
 //! `--backend compiled` runs offloaded kernels natively through
 //! cfr-codegen (falling back to the kernel interpreter, with a
 //! recorded reason, when no usable rustc is present).
@@ -139,8 +140,16 @@ fn main() -> ExitCode {
                         opts.opt, opts.threads
                     );
                     for job in &run.jobs {
+                        let backend = match &job.fallback {
+                            Some(e) => {
+                                let why = e.to_string();
+                                let why = why.lines().next().unwrap_or_default();
+                                format!("{}, fallback {}: {why}", job.backend, e.tag())
+                            }
+                            None => job.backend.to_string(),
+                        };
                         eprintln!(
-                            "offloaded stmt {}: {} (linearize {:.3} ms, reduce {:.3} ms, {} splits)",
+                            "offloaded stmt {}: {} (backend {backend}; linearize {:.3} ms, reduce {:.3} ms, {} splits)",
                             job.stmt_index,
                             job.kind,
                             job.linearize_ns as f64 / 1e6,

@@ -215,3 +215,93 @@ fn facade_reexports_cover_the_workflow() {
     );
     assert_eq!(out.robj.get(0, 0), 6.0);
 }
+
+/// A reduction that reads two scalar `var` globals, a `real` and an
+/// `int`: state that opt-2 reads from one-slot flat buffers. Every
+/// value is a multiple of 0.5, so its sums are exact in any order.
+fn scalar_state_program(n: usize) -> String {
+    format!(
+        "
+        var A: [1..{n}] real;
+        for i in 1..{n} {{ A[i] = (i * 7) % 13; }}
+        var shift: real = 2.5;
+        var scale: int = 3;
+        var total: real = 0.0;
+        for i in 1..{n} {{
+            total += (A[i] - shift) * scale;
+        }}"
+    )
+}
+
+#[test]
+fn scalar_state_matches_the_oracle_on_both_backends() {
+    use chapel_freeride::KernelBackend;
+    let src = scalar_state_program(3000);
+    let oracle = Interpreter::run_source(&src).expect("interp");
+    let expect = oracle.global("total").unwrap().as_f64().unwrap();
+    chapel_freeride::cfr_codegen::install();
+    let mut backends = vec![KernelBackend::Interpreted];
+    if chapel_freeride::cfr_codegen::rustc_available() {
+        backends.push(KernelBackend::Compiled);
+    } else {
+        eprintln!("skipping the compiled leg: rustc unavailable");
+    }
+    for threads in [1, 3] {
+        for &backend in &backends {
+            let run = Translator::new(OptLevel::Opt2, threads)
+                .backend(backend)
+                .run_program(&src)
+                .expect("translate");
+            assert_eq!(run.jobs.len(), 1, "the loop is offloaded");
+            assert_eq!(run.jobs[0].backend, backend, "{:?}", run.jobs[0].fallback);
+            let got = run.global("total").unwrap().as_f64().unwrap();
+            assert_eq!(got.to_bits(), expect.to_bits(), "{backend} at {threads}");
+        }
+    }
+}
+
+/// Opt-2 reads state only from flat buffers: no kernel of any canned
+/// program, nor of the scalar-state one, walks nested state.
+#[test]
+fn no_opt2_kernel_walks_nested_state() {
+    use chapel_freeride::cfr_core::{compile_loop, compile_reduce_expr, Instr};
+    use chapel_freeride::{detect, Detected};
+    let sources = [
+        format!(
+            "{}\nvar A: [1..20] real;\nfor i in 1..20 {{ A[i] = i; }}\nvar total = SumReduceScanOp reduce A;",
+            programs::FIG2_SUM_REDUCE_CLASS
+        ),
+        programs::fig8_nested_sum(4, 3, 2),
+        programs::sum_reduce(20),
+        programs::min_reduce_sum_expr(20),
+        programs::kmeans(40, 4, 3),
+        programs::pca(4, 12),
+        programs::histogram(60, 8),
+        programs::linear_regression(40),
+        programs::sparse_kmeans(12, 8, 3, 3),
+        programs::sparse_mttkrp([6, 5, 4], 30, 2, 3),
+        programs::knn(30, 3, 4),
+        scalar_state_program(40),
+    ];
+    let (mut kernels, mut state_reads) = (0, 0);
+    for src in &sources {
+        let program = parse(src).expect("parse");
+        let analysis = chapel_sema::analyze(&program).expect("sema");
+        for found in detect(&program, &analysis).detected.values() {
+            let compiled = match found {
+                Detected::Loop(red) => compile_loop(&program, &analysis, red, OptLevel::Opt2),
+                Detected::Expr(red) => compile_reduce_expr(&analysis, red),
+            };
+            let Ok(c) = compiled else { continue };
+            let k = &c.kernel;
+            let nested = k.count_matching(|i| matches!(i, Instr::LoadStateNested { .. }));
+            assert_eq!(nested, 0, "{}", k.disassemble());
+            kernels += 1;
+            state_reads += k.count_matching(|i| {
+                matches!(i, Instr::LoadStateAt { .. } | Instr::LoadStateFlat { .. })
+            });
+        }
+    }
+    assert!(kernels >= 9, "{kernels} kernels compiled");
+    assert!(state_reads > 0);
+}
