@@ -31,6 +31,10 @@ cargo test -q --release -p freeride
 # size rule chooses, must stay bit-identical to the oracle in the
 # release build the ledger times.
 cargo test -q --release -p cfr-apps --test sparse_diff
+# The backend differential gate in release too: the compiled app path
+# the ledger's kmeans.opt2 times shares one memoized native kernel
+# across its passes, and must stay bit-identical to the interpreter.
+cargo test -q --release -p cfr-apps --test backend_diff
 cargo clippy --workspace --all-targets -- -D warnings
 # The whole workspace is held rustfmt-clean.
 cargo fmt --all --check

@@ -4,16 +4,15 @@
 
 use std::time::Instant;
 
-use cfr_core::{compile_loop, detect, zip_linearize, Detected, OptLevel};
+use cfr_core::OptLevel;
 use chapel_frontend::programs;
-use chapel_sema::analyze;
 use freeride::{
     CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout, RunStats, Split,
 };
 
-use crate::data;
 use crate::error::AppError;
 use crate::timing::{AppTiming, Version};
+use crate::{data, translated};
 
 /// Parameters of a histogram run.
 #[derive(Debug, Clone)]
@@ -61,62 +60,16 @@ pub fn run(params: &HistogramParams, version: Version) -> Result<HistogramResult
 }
 
 fn run_translated(params: &HistogramParams, opt: OptLevel) -> Result<HistogramResult, AppError> {
-    let wall = Instant::now();
     let (n, buckets) = (params.n, params.buckets);
-
     let src = programs::histogram(n, buckets);
-    let program = chapel_frontend::parse(&src)?;
-    let analysis = analyze(&program).map_err(cfr_core::CoreError::from)?;
-    let detection = detect(&program, &analysis);
-    let red = detection
-        .detected
-        .values()
-        .find_map(|x| match x {
-            Detected::Loop(l) => Some(l.clone()),
-            _ => None,
-        })
-        .ok_or_else(|| AppError::new("histogram loop not detected"))?;
-    let compiled = compile_loop(&program, &analysis, &red, opt)?;
-
-    let nested = data::histogram_nested(n);
-    let lin_start = Instant::now();
-    let buffer = zip_linearize(
-        std::slice::from_ref(&nested),
-        n,
-        1,
-        false,
-        params.config.threads,
-    )?;
-    let linearize_ns = lin_start.elapsed().as_nanos() as u64;
-
-    let layout = RObjLayout::new(vec![GroupSpec::new("hist", buckets, CombineOp::Sum)]);
-    let engine = Engine::new(params.config.clone());
-    let view = DataView::new(&buffer, 1)?;
-    let choice = cfr_core::make_runner(
-        params.config.backend,
-        &compiled.kernel,
-        Vec::new(),
-        Vec::new(),
-        compiled.lo,
-        compiled.opt,
-        None,
-    )?;
-    let outcome = engine.run(view, &layout, choice.runner.as_ref());
-    let mut stats = RunStats {
-        logical_threads: params.config.threads,
-        ..Default::default()
-    };
-    stats.absorb(&outcome.stats);
-
-    Ok(HistogramResult {
-        hist: outcome.robj.group_slice(0).to_vec(),
-        timing: AppTiming {
-            linearize_ns,
-            stats,
-            wall_ns: wall.elapsed().as_nanos() as u64,
-            ..Default::default()
-        },
-    })
+    let samples = || vec![data::histogram_nested(n)];
+    let (hist, timing) = translated::run(&src, opt, &params.config, samples, |loops, passes| {
+        let [c] = loops else {
+            return Err(AppError::new("histogram has one reduction loop"));
+        };
+        Ok(passes.run(c, Vec::new())?.group_slice(0).to_vec())
+    })?;
+    Ok(HistogramResult { hist, timing })
 }
 
 fn run_manual(params: &HistogramParams) -> HistogramResult {

@@ -4,32 +4,34 @@
 //! Four versions share one driver:
 //!
 //! * the **translated** versions compile the Chapel program of Figure 3
-//!   (as `chapel_frontend::programs::kmeans`) through the full
-//!   detect→compile→linearize→FREERIDE pipeline at the requested
-//!   [`cfr_core::OptLevel`];
+//!   (as `chapel_frontend::programs::kmeans`) once through
+//!   `cfr_core::CompiledProgram::compile` at the requested
+//!   [`cfr_core::OptLevel`], the translator's one front door;
 //! * the **manual** version is hand-written Rust against the FREERIDE
 //!   API, exactly as the paper's "manual FR" baseline.
 //!
 //! The outer sequential loop (centroid refinement across iterations) is
-//! FREERIDE's `While()` loop: the dataset is linearized **once** and
-//! reused, which is why the single-iteration run of Figure 11 shows the
-//! highest relative linearization overhead.
+//! FREERIDE's `While()` loop, run here in Rust: the dataset is
+//! linearized **once** and reused, which is why the single-iteration
+//! run of Figure 11 shows the highest relative linearization overhead.
+//! Each iteration binds fresh centroid state to the loop's kernel; with
+//! the compiled backend that kernel is emitted and loaded once per run,
+//! not once per iteration.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use cfr_core::{compile_loop, detect, zip_linearize, Detected, OptLevel};
+use cfr_core::OptLevel;
 use chapel_frontend::programs;
 use freeride::{
     CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout, RunStats, Split,
 };
-use freeride_dist::tasks::assign_points;
-use linearize::Value;
-use obs::{AttrValue, Recorder, TraceLevel};
+use freeride_dist::tasks::{assign_points, centroids_value};
+use obs::Recorder;
 
-use crate::data;
 use crate::error::AppError;
 use crate::timing::{AppTiming, Version};
+use crate::{data, translated};
 
 /// Parameters of a k-means run.
 #[derive(Debug, Clone)]
@@ -112,119 +114,26 @@ fn update_centroids(cells: &[f64], old: &[f64], k: usize, d: usize) -> (Vec<f64>
 }
 
 fn run_translated(params: &KmeansParams, opt: OptLevel) -> Result<KmeansResult, AppError> {
-    let wall = Instant::now();
     let (n, d, k) = (params.n, params.d, params.k);
-    let rec = Arc::new(Recorder::new(params.config.trace));
-
-    // Compile the Chapel reduction loop once.
     let src = programs::kmeans(n, k, d);
-    let program = chapel_frontend::parse_traced(&src, &rec)?;
-    let analysis =
-        chapel_sema::analyze_traced(&program, &rec).map_err(cfr_core::CoreError::from)?;
-    let detect_start = Instant::now();
-    let detection = detect(&program, &analysis);
-    rec.push_complete(
-        TraceLevel::Phases,
-        "core.detect",
-        "pipeline",
-        0,
-        rec.offset_ns(detect_start),
-        detect_start.elapsed().as_nanos() as u64,
-        vec![
-            ("detected", AttrValue::Int(detection.detected.len() as i64)),
-            (
-                "rejections",
-                AttrValue::Int(detection.rejections.len() as i64),
-            ),
-        ],
-    );
-    let red = detection
-        .detected
-        .values()
-        .find_map(|x| match x {
-            Detected::Loop(l) => Some(l.clone()),
-            _ => None,
-        })
-        .ok_or_else(|| AppError::new("k-means reduction loop not detected"))?;
-    let compile_start = Instant::now();
-    let compiled = compile_loop(&program, &analysis, &red, opt)?;
-    rec.push_complete(
-        TraceLevel::Phases,
-        "core.compile",
-        "pipeline",
-        0,
-        rec.offset_ns(compile_start),
-        compile_start.elapsed().as_nanos() as u64,
-        vec![(
-            "instrs",
-            AttrValue::Int(compiled.kernel.count_matching(|_| true) as i64),
-        )],
-    );
-
-    // The Chapel data structures, then linearization (timed, once).
-    let nested_points = data::kmeans_points_nested(n, d);
-    let lin_start = Instant::now();
-    let buffer = zip_linearize(
-        std::slice::from_ref(&nested_points),
-        n,
-        compiled.dataset.unit,
-        false,
-        params.config.threads,
-    )?;
-    let mut linearize_ns = lin_start.elapsed().as_nanos() as u64;
-    rec.push_complete(
-        TraceLevel::Phases,
-        "linearize",
-        "pipeline",
-        0,
-        rec.offset_ns(lin_start),
-        linearize_ns,
-        vec![
-            ("rows", AttrValue::Int(n as i64)),
-            ("unit", AttrValue::Int(compiled.dataset.unit as i64)),
-        ],
-    );
-
-    let layout = robj_layout(k, d);
-    let engine = Engine::with_recorder(params.config.clone(), rec.clone());
-    let view = DataView::new(&buffer, compiled.dataset.unit)?;
-    let cent_shape = data::kmeans_centroid_shape(k, d);
-
-    let mut centroids = data::kmeans_centroids_flat(k, d);
-    let mut counts = vec![0.0; k];
-    let mut stats = RunStats {
-        logical_threads: params.config.threads,
-        ..Default::default()
-    };
-
-    for _ in 0..params.iters.max(1) {
-        let state = cfr_core::job_state(
-            opt,
-            centroids_value(&centroids, k, d),
-            &cent_shape,
-            Some(&rec),
-        )?;
-        linearize_ns += state.linearize_ns;
-        let choice = cfr_core::make_runner(
-            params.config.backend,
-            &compiled.kernel,
-            state.nested,
-            state.flat,
-            compiled.lo,
-            compiled.opt,
-            Some(&rec),
-        )?;
-        let outcome = engine.run(view, &layout, choice.runner.as_ref());
-        stats.absorb(&outcome.stats);
-        let (next, cnt) = update_centroids(outcome.robj.group_slice(0), &centroids, k, d);
-        centroids = next;
-        counts = cnt;
-    }
-
+    let points = || vec![data::kmeans_points_nested(n, d)];
+    let ((centroids, counts), timing) =
+        translated::run(&src, opt, &params.config, points, |loops, passes| {
+            let [c] = loops else {
+                return Err(AppError::new("k-means has one reduction loop"));
+            };
+            let mut centroids = data::kmeans_centroids_flat(k, d);
+            let mut counts = vec![0.0; k];
+            for _ in 0..params.iters.max(1) {
+                let robj = passes.run(c, vec![centroids_value(&centroids, k, d)])?;
+                (centroids, counts) = update_centroids(robj.group_slice(0), &centroids, k, d);
+            }
+            Ok((centroids, counts))
+        })?;
     Ok(KmeansResult {
         centroids,
         counts,
-        timing: AppTiming::recorded(linearize_ns, stats, wall, &rec),
+        timing,
     })
 }
 
@@ -285,21 +194,6 @@ pub fn run_manual_on_file(
         counts,
         timing: AppTiming::recorded(0, stats, wall, &rec),
     })
-}
-
-/// Rebuild the nested centroid structure from flat coordinates (counts
-/// reset to zero, as in the Chapel program's fresh `newCent`).
-fn centroids_value(flat: &[f64], k: usize, d: usize) -> Value {
-    Value::Array(
-        (0..k)
-            .map(|c| {
-                Value::Record(vec![
-                    Value::Array((0..d).map(|j| Value::Real(flat[c * d + j])).collect()),
-                    Value::Int(0),
-                ])
-            })
-            .collect(),
-    )
 }
 
 /// The hand-written FREERIDE version ("manual FR").

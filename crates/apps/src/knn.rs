@@ -2,10 +2,10 @@
 //!
 //! The kNN top-k insertion kernel writes its globals with
 //! order-dependent `=` assignments, so the detector correctly refuses to
-//! offload it (see `cfr_core::detect`); it runs on the interpreter, or
-//! as a hand-written FREERIDE application using a custom combination
-//! function (merging two sorted top-k lists — something the default
-//! cell-wise combine cannot express).
+//! offload it (see `cfr_core::Detection::rejections`); it runs on the
+//! interpreter, or as a hand-written FREERIDE application using a
+//! custom combination function (merging two sorted top-k lists —
+//! something the default cell-wise combine cannot express).
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -32,6 +32,7 @@ pub mod mttkrp;
 pub mod pca;
 pub mod sparse_kmeans;
 mod timing;
+mod translated;
 
 pub use error::AppError;
 pub use timing::{AppTiming, Version};

@@ -5,9 +5,8 @@
 
 use std::time::Instant;
 
-use cfr_core::{compile_loop, detect, zip_linearize, Detected, OptLevel};
+use cfr_core::OptLevel;
 use chapel_frontend::programs;
-use chapel_sema::analyze;
 use freeride::{
     CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout, RunStats, Split,
 };
@@ -15,6 +14,7 @@ use linearize::Value;
 
 use crate::error::AppError;
 use crate::timing::{AppTiming, Version};
+use crate::translated;
 
 /// Parameters of a regression run.
 #[derive(Debug, Clone)]
@@ -70,79 +70,31 @@ fn solve(n: usize, sx: f64, sy: f64, sxx: f64, sxy: f64) -> (f64, f64) {
 }
 
 fn run_translated(params: &LinregParams, opt: OptLevel) -> Result<LinregResult, AppError> {
-    let wall = Instant::now();
     let n = params.n;
-
     let src = programs::linear_regression(n);
-    let program = chapel_frontend::parse(&src)?;
-    let analysis = analyze(&program).map_err(cfr_core::CoreError::from)?;
-    let detection = detect(&program, &analysis);
-    let red = detection
-        .detected
-        .values()
-        .find_map(|x| match x {
-            Detected::Loop(l) => Some(l.clone()),
-            _ => None,
-        })
-        .ok_or_else(|| AppError::new("regression loop not detected"))?;
-    let compiled = compile_loop(&program, &analysis, &red, opt)?;
-
     // Two parallel arrays zipped by the linearizer.
-    let xs = Value::Array((1..=n).map(|i| Value::Real(i as f64)).collect());
-    let ys = Value::Array((1..=n).map(|i| Value::Real(3.0 * i as f64 + 1.0)).collect());
-    let lin_start = Instant::now();
-    let buffer = zip_linearize(
-        &[xs, ys],
-        n,
-        compiled.dataset.unit,
-        false,
-        params.config.threads,
-    )?;
-    let linearize_ns = lin_start.elapsed().as_nanos() as u64;
-    assert_eq!(compiled.dataset.unit, 2, "xs+ys zip to two slots per row");
-
-    // Four scalar outputs → four one-cell groups.
-    let groups: Vec<GroupSpec> = compiled
-        .outputs
-        .iter()
-        .map(|o| GroupSpec::new(&o.name, o.cells, CombineOp::Sum))
-        .collect();
-    let layout = RObjLayout::new(groups);
-    let engine = Engine::new(params.config.clone());
-    let view = DataView::new(&buffer, compiled.dataset.unit)?;
-    let choice = cfr_core::make_runner(
-        params.config.backend,
-        &compiled.kernel,
-        Vec::new(),
-        Vec::new(),
-        compiled.lo,
-        compiled.opt,
-        None,
-    )?;
-    let outcome = engine.run(view, &layout, choice.runner.as_ref());
-    let mut stats = RunStats {
-        logical_threads: params.config.threads,
-        ..Default::default()
+    let xs_ys = || {
+        vec![
+            Value::Array((1..=n).map(|i| Value::Real(i as f64)).collect()),
+            Value::Array((1..=n).map(|i| Value::Real(3.0 * i as f64 + 1.0)).collect()),
+        ]
     };
-    stats.absorb(&outcome.stats);
-
-    // Outputs are in detection order: sx, sy, sxx, sxy.
-    let sx = outcome.robj.get(0, 0);
-    let sy = outcome.robj.get(1, 0);
-    let sxx = outcome.robj.get(2, 0);
-    let sxy = outcome.robj.get(3, 0);
+    let (sums, timing) = translated::run(&src, opt, &params.config, xs_ys, |loops, passes| {
+        let [c] = loops else {
+            return Err(AppError::new("regression has one reduction loop"));
+        };
+        // Four scalar outputs, one group each, in detection order:
+        // sx, sy, sxx, sxy.
+        let robj = passes.run(c, Vec::new())?;
+        Ok([0, 1, 2, 3].map(|g| robj.get(g, 0)))
+    })?;
+    let [sx, sy, sxx, sxy] = sums;
     let (slope, intercept) = solve(n, sx, sy, sxx, sxy);
-
     Ok(LinregResult {
         slope,
         intercept,
-        sums: [sx, sy, sxx, sxy],
-        timing: AppTiming {
-            linearize_ns,
-            stats,
-            wall_ns: wall.elapsed().as_nanos() as u64,
-            ..Default::default()
-        },
+        sums,
+        timing,
     })
 }
 

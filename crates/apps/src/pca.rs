@@ -14,17 +14,17 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cfr_core::{compile_loop, detect, zip_linearize, Detected, OptLevel};
+use cfr_core::OptLevel;
 use chapel_frontend::programs;
 use freeride::{
     CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout, RunStats, Split,
 };
-use linearize::{Shape, Value};
-use obs::{AttrValue, Recorder, TraceLevel};
+use linearize::Value;
+use obs::Recorder;
 
-use crate::data;
 use crate::error::AppError;
 use crate::timing::{AppTiming, Version};
+use crate::{data, translated};
 
 /// Parameters of a PCA run. `rows` is the dimensionality, `cols` the
 /// number of data elements (the paper's terminology).
@@ -76,141 +76,31 @@ pub fn run(params: &PcaParams, version: Version) -> Result<PcaResult, AppError> 
 }
 
 fn run_translated(params: &PcaParams, opt: OptLevel) -> Result<PcaResult, AppError> {
-    let wall = Instant::now();
     let (rows, cols) = (params.rows, params.cols);
-
-    let rec = Arc::new(Recorder::new(params.config.trace));
     let src = programs::pca(rows, cols);
-    let program = chapel_frontend::parse_traced(&src, &rec)?;
-    let analysis =
-        chapel_sema::analyze_traced(&program, &rec).map_err(cfr_core::CoreError::from)?;
-    let detect_start = Instant::now();
-    let detection = detect(&program, &analysis);
-    rec.push_complete(
-        TraceLevel::Phases,
-        "core.detect",
-        "pipeline",
-        0,
-        rec.offset_ns(detect_start),
-        detect_start.elapsed().as_nanos() as u64,
-        vec![
-            ("detected", AttrValue::Int(detection.detected.len() as i64)),
-            (
-                "rejections",
-                AttrValue::Int(detection.rejections.len() as i64),
-            ),
-        ],
-    );
-    let loops: Vec<_> = detection
-        .detected
-        .values()
-        .filter_map(|x| match x {
-            Detected::Loop(l) => Some(l.clone()),
-            _ => None,
-        })
-        .collect();
-    if loops.len() != 2 {
-        return Err(AppError::new(format!(
-            "expected 2 PCA reduction loops, found {}",
-            loops.len()
-        )));
-    }
-    let compile_start = Instant::now();
-    let mean_loop = compile_loop(&program, &analysis, &loops[0], opt)?;
-    let cov_loop = compile_loop(&program, &analysis, &loops[1], opt)?;
-    rec.push_complete(
-        TraceLevel::Phases,
-        "core.compile",
-        "pipeline",
-        0,
-        rec.offset_ns(compile_start),
-        compile_start.elapsed().as_nanos() as u64,
-        vec![(
-            "instrs",
-            AttrValue::Int(
-                (mean_loop.kernel.count_matching(|_| true)
-                    + cov_loop.kernel.count_matching(|_| true)) as i64,
-            ),
-        )],
-    );
-
     // Linearize the matrix once; both phases share it.
-    let nested = data::pca_matrix_nested(rows, cols);
-    let lin_start = Instant::now();
-    let buffer = zip_linearize(
-        std::slice::from_ref(&nested),
-        cols,
-        mean_loop.dataset.unit,
-        false,
-        params.config.threads,
-    )?;
-    let mut linearize_ns = lin_start.elapsed().as_nanos() as u64;
-    rec.push_complete(
-        TraceLevel::Phases,
-        "linearize",
-        "pipeline",
-        0,
-        rec.offset_ns(lin_start),
-        linearize_ns,
-        vec![
-            ("rows", AttrValue::Int(cols as i64)),
-            ("unit", AttrValue::Int(mean_loop.dataset.unit as i64)),
-        ],
-    );
-
-    let engine = Engine::with_recorder(params.config.clone(), rec.clone());
-    let view = DataView::new(&buffer, mean_loop.dataset.unit)?;
-    let mut stats = RunStats {
-        logical_threads: params.config.threads,
-        ..Default::default()
-    };
-
-    // ---- Phase 1: mean vector. ----
-    let mean_layout = RObjLayout::new(vec![GroupSpec::new("mean", rows, CombineOp::Sum)]);
-    let choice = cfr_core::make_runner(
-        params.config.backend,
-        &mean_loop.kernel,
-        Vec::new(),
-        Vec::new(),
-        mean_loop.lo,
-        mean_loop.opt,
-        Some(&rec),
-    )?;
-    let outcome = engine.run(view, &mean_layout, choice.runner.as_ref());
-    stats.absorb(&outcome.stats);
-    let mut mean: Vec<f64> = outcome.robj.group_slice(0).to_vec();
-    for m in &mut mean {
-        *m /= cols as f64;
-    }
-
-    // ---- Phase 2: covariance, with the mean as state. ----
-    let mean_value = Value::Array(mean.iter().map(|&x| Value::Real(x)).collect());
-    let state = cfr_core::job_state(
-        opt,
-        mean_value,
-        &Shape::array(Shape::Real, rows),
-        Some(&rec),
-    )?;
-    linearize_ns += state.linearize_ns;
-    let cov_layout = RObjLayout::new(vec![GroupSpec::new("cov", rows * rows, CombineOp::Sum)]);
-    let choice = cfr_core::make_runner(
-        params.config.backend,
-        &cov_loop.kernel,
-        state.nested,
-        state.flat,
-        cov_loop.lo,
-        cov_loop.opt,
-        Some(&rec),
-    )?;
-    let outcome = engine.run(view, &cov_layout, choice.runner.as_ref());
-    stats.absorb(&outcome.stats);
-    let cov = outcome.robj.group_slice(0).to_vec();
-
-    Ok(PcaResult {
-        mean,
-        cov,
-        timing: AppTiming::recorded(linearize_ns, stats, wall, &rec),
-    })
+    let matrix = || vec![data::pca_matrix_nested(rows, cols)];
+    let ((mean, cov), timing) =
+        translated::run(&src, opt, &params.config, matrix, |loops, passes| {
+            let [mean_loop, cov_loop] = loops else {
+                return Err(AppError::new(format!(
+                    "expected 2 PCA reduction loops, found {}",
+                    loops.len()
+                )));
+            };
+            // ---- Phase 1: mean vector. ----
+            let sums = passes.run(mean_loop, Vec::new())?;
+            let mean: Vec<f64> = sums
+                .group_slice(0)
+                .iter()
+                .map(|s| s / cols as f64)
+                .collect();
+            // ---- Phase 2: covariance, with the mean as state. ----
+            let mean_value = Value::Array(mean.iter().map(|&x| Value::Real(x)).collect());
+            let cov = passes.run(cov_loop, vec![mean_value])?;
+            Ok((mean, cov.group_slice(0).to_vec()))
+        })?;
+    Ok(PcaResult { mean, cov, timing })
 }
 
 /// The hand-written FREERIDE version.
@@ -270,6 +160,7 @@ fn run_manual(params: &PcaParams) -> PcaResult {
 #[cfg(test)]
 mod pca_tests {
     use super::*;
+    use linearize::Shape;
 
     fn close(a: &[f64], b: &[f64], tol: f64, what: &str) {
         assert_eq!(a.len(), b.len(), "{what}");

@@ -4,10 +4,11 @@
 //! Two cache layers:
 //!
 //! * **In-memory, process-wide** — `Arc<LoadedKernel>` keyed by the
-//!   FNV-1a hash of the emitted source. Iterative drivers (k-means
-//!   rebuilds its runtime every outer iteration) and `cfr-serve`'s
-//!   repeat submissions hit this layer; instantiation is then just an
-//!   `Arc` clone plus fresh state.
+//!   FNV-1a hash of the emitted source. Separately compiled programs of
+//!   one kernel hit this layer (a `chapel.kmeans` node compiles its
+//!   program every round); one compiled program asks only once, since
+//!   its `cfr_core::CompiledLoop` keeps the loaded kernel and binds
+//!   each pass's state to it.
 //! * **On disk** — `$CFR_CODEGEN_DIR` (default
 //!   `$TMPDIR/cfr-codegen-<uid>`), artifact `k<hash16>.so` next to its
 //!   `k<hash16>.rs` source. A pre-existing artifact skips `rustc`

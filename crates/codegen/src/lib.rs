@@ -9,13 +9,15 @@
 //! 1. [`emit`] lowers a validated opt-2 `Kernel` (state read only from
 //!    flat buffers) to a Rust translation unit, printing the loads
 //!    [`range`] proves in bounds as unchecked reads;
-//! 2. [`driver`] compiles it **once per process** by shelling out to
-//!    `rustc --crate-type cdylib -C opt-level=3` into a content-hashed
-//!    artifact cache, then `dlopen`s the result ([`dylib`]);
-//! 3. [`runtime`] binds the loaded function to one job's flat state
-//!    behind `freeride::SplitKernel`: reduction-object updates go in
-//!    place into a worker's lent cells, or call back under the shared
-//!    sync schemes.
+//! 2. [`driver`] compiles it by shelling out to `rustc --crate-type
+//!    cdylib -C opt-level=3` into a content-hashed artifact cache, then
+//!    `dlopen`s the result ([`dylib`]). A `cfr_core::CompiledLoop` asks
+//!    for this once and keeps the [`LoadedKernel`], so each kernel of a
+//!    compiled program is emitted, hashed and loaded once;
+//! 3. [`runtime`] binds the loaded function to one pass's flat state
+//!    behind `freeride::SplitKernel` (`NativeKernel::bind`, per pass):
+//!    reduction-object updates go in place into a worker's lent cells,
+//!    or call back under the shared sync schemes.
 //!
 //! Wiring: `cfr-core` cannot depend on this crate (it would cycle
 //! through the kernel IR), so binaries opt in by calling [`install`]
@@ -35,7 +37,7 @@ pub mod emit;
 pub mod range;
 pub mod runtime;
 
-use cfr_core::{CodegenError, Kernel, KernelCompiler};
+use cfr_core::{CodegenError, Kernel, KernelCompiler, NativeKernel};
 use freeride::{Recorder, SplitKernel};
 use std::sync::Arc;
 
@@ -44,26 +46,29 @@ pub use emit::{emit_kernel, EmittedKernel};
 pub use runtime::CompiledKernelRuntime;
 
 /// The `KernelCompiler` this crate registers: emit + compile + load via
-/// [`driver::load_or_compile`], bind state via
-/// [`runtime::CompiledKernelRuntime`].
+/// [`driver::load_or_compile`]; the [`LoadedKernel`] it returns binds
+/// each pass's state as a [`runtime::CompiledKernelRuntime`].
 pub struct NativeCompiler;
 
 impl KernelCompiler for NativeCompiler {
-    fn instantiate(
+    fn compile(
         &self,
         kernel: &Kernel,
+        recorder: Option<&Recorder>,
+    ) -> Result<Arc<dyn NativeKernel>, CodegenError> {
+        Ok(load_or_compile(kernel, recorder)?)
+    }
+}
+
+impl NativeKernel for LoadedKernel {
+    fn bind(
+        self: Arc<Self>,
         flat_state: Vec<Vec<f64>>,
         row_lo: i64,
-        recorder: Option<&Recorder>,
     ) -> Result<Arc<dyn SplitKernel>, CodegenError> {
-        let loaded = load_or_compile(kernel, recorder)?;
         Ok(Arc::new(CompiledKernelRuntime::new(
-            loaded, flat_state, row_lo,
+            self, flat_state, row_lo,
         )?))
-    }
-
-    fn precompile(&self, kernel: &Kernel, recorder: Option<&Recorder>) {
-        let _ = load_or_compile(kernel, recorder);
     }
 }
 

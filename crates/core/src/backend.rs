@@ -8,46 +8,65 @@
 //! interpreter — requesting [`KernelBackend::Compiled`] without a
 //! backend is a recorded fallback, not an error.
 //!
-//! [`make_runner`] is the single dispatch point the translator and the
-//! application drivers share: given the backend the job *requested*, it
-//! returns the [`SplitKernel`] that will actually run, plus which
-//! backend that is and (if they differ) why.
+//! A [`CompiledLoop`] compiles its native kernel once, on first use,
+//! and keeps the result; [`CompiledLoop::runner`] then binds one pass's
+//! state to it. [`make_runner`] is the same dispatch for a bare kernel,
+//! compiling it on every call. Either returns the [`SplitKernel`] that
+//! will actually run, which backend that is and (if it differs from the
+//! one requested) why.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use freeride::{KernelBackend, Recorder, SplitKernel, TraceLevel};
-use linearize::{Linearizer, Shape, Value};
+use linearize::{Linearizer, Value};
 use obs::AttrValue;
 
-use crate::compile::OptLevel;
+use crate::compile::{CompiledLoop, OptLevel};
 use crate::error::{CodegenError, CoreError};
 use crate::exec_kernel::KernelRuntime;
 use crate::kernel_ir::Kernel;
 
-/// A native-codegen backend: turns a validated [`Kernel`] plus one
-/// job's state into a ready-to-run [`SplitKernel`].
+/// A native-codegen backend: compiles a validated [`Kernel`] once into
+/// a [`NativeKernel`] that binds any number of passes' state.
 ///
 /// Implementations are expected to cache compiled artifacts keyed by
-/// the kernel (instantiation with fresh state must be cheap — k-means
-/// rebuilds its runtime every outer iteration).
+/// the kernel, so separately compiled programs share one artifact.
 pub trait KernelCompiler: Send + Sync {
-    /// Compile (or fetch from the process-wide cache) the kernel and
-    /// bind it to this job's flat state. Any error means "use the
-    /// interpreter instead"; a kernel that walks nested state
-    /// ([`crate::Instr::LoadStateNested`]) is one.
-    fn instantiate(
+    /// Compile (or fetch from the process-wide cache) the kernel. Any
+    /// error means "use the interpreter instead"; a kernel that walks
+    /// nested state ([`crate::Instr::LoadStateNested`]) is one.
+    fn compile(
         &self,
         kernel: &Kernel,
+        recorder: Option<&Recorder>,
+    ) -> Result<Arc<dyn NativeKernel>, CodegenError>;
+}
+
+/// A natively compiled kernel, not yet bound to any state.
+pub trait NativeKernel: Send + Sync {
+    /// Bind one pass's flat state. An error (e.g. state shorter than
+    /// the kernel's proven loads assume) means "use the interpreter".
+    fn bind(
+        self: Arc<Self>,
         flat_state: Vec<Vec<f64>>,
         row_lo: i64,
-        recorder: Option<&Recorder>,
     ) -> Result<Arc<dyn SplitKernel>, CodegenError>;
+}
 
-    /// Compile the kernel into the process-wide cache without binding
-    /// state, so a later `instantiate` only binds. A failure is left
-    /// for `instantiate` to report.
-    fn precompile(&self, _kernel: &Kernel, _recorder: Option<&Recorder>) {}
+/// The memoized outcome of compiling one [`CompiledLoop`]'s kernel.
+#[derive(Clone, Default)]
+pub(crate) struct NativeMemo(OnceLock<Result<Arc<dyn NativeKernel>, CodegenError>>);
+
+impl std::fmt::Debug for NativeMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = match self.0.get() {
+            None => "not compiled",
+            Some(Ok(_)) => "compiled",
+            Some(Err(_)) => "fallback",
+        };
+        f.write_str(state)
+    }
 }
 
 static COMPILER: OnceLock<&'static dyn KernelCompiler> = OnceLock::new();
@@ -64,13 +83,30 @@ pub fn compiler_installed() -> bool {
     COMPILER.get().is_some()
 }
 
-/// Compile `kernels` into the installed backend's cache, one thread
-/// each, so a program's cold compiles overlap instead of queueing.
-pub fn precompile(kernels: &[&Kernel], recorder: Option<&Recorder>) {
-    let Some(c) = COMPILER.get() else { return };
+fn compile_native(
+    kernel: &Kernel,
+    recorder: Option<&Recorder>,
+) -> Result<Arc<dyn NativeKernel>, CodegenError> {
+    match COMPILER.get() {
+        Some(c) => c.compile(kernel, recorder),
+        None => Err(CodegenError::NotInstalled),
+    }
+}
+
+/// Compile the native kernels of `loops` that are not compiled yet:
+/// one inline, two or more on one thread each, so a program's cold
+/// compiles overlap instead of queueing.
+pub fn precompile(loops: &[&CompiledLoop], recorder: Option<&Recorder>) {
+    if !compiler_installed() {
+        return;
+    }
+    if let [one] = loops {
+        let _ = one.native(recorder);
+        return;
+    }
     std::thread::scope(|s| {
-        for &k in kernels {
-            s.spawn(move || c.precompile(k, recorder));
+        for &l in loops {
+            s.spawn(move || l.native(recorder));
         }
     });
 }
@@ -98,51 +134,100 @@ pub struct JobState {
     pub linearize_ns: u64,
 }
 
-/// `value` as the state of a job at `opt`: linearized by `shape` for
-/// opt-2, recorded as one `linearize` span on `recorder`; nested as it
-/// is otherwise.
-pub fn job_state(
-    opt: OptLevel,
-    value: Value,
-    shape: &Shape,
-    recorder: Option<&Recorder>,
-) -> Result<JobState, CoreError> {
-    if opt != OptLevel::Opt2 {
-        return Ok(JobState {
-            nested: vec![value],
-            flat: Vec::new(),
-            linearize_ns: 0,
-        });
+impl CompiledLoop {
+    /// The loop's native kernel, compiled on the first call; every
+    /// later call returns the same result, `Ok` or the fallback.
+    pub(crate) fn native(
+        &self,
+        recorder: Option<&Recorder>,
+    ) -> Result<Arc<dyn NativeKernel>, CodegenError> {
+        let compile = || compile_native(&self.kernel, recorder);
+        self.native.0.get_or_init(compile).clone()
     }
-    let start = Instant::now();
-    let flat = Linearizer::new(shape).linearize(&value)?.buffer;
-    let linearize_ns = start.elapsed().as_nanos() as u64;
-    if let Some(r) = recorder {
-        r.push_complete(
-            TraceLevel::Phases,
-            "linearize",
-            "pipeline",
-            0,
-            r.offset_ns(start),
+
+    /// `values`, one per state variable, as one pass's state: linearized
+    /// by each state's shape at opt-2, recorded as one `linearize` span
+    /// on `recorder` (none for a loop without state); nested as they are
+    /// otherwise.
+    pub fn job_state(
+        &self,
+        values: Vec<Value>,
+        recorder: Option<&Recorder>,
+    ) -> Result<JobState, CoreError> {
+        if values.len() != self.states.len() {
+            return Err(CoreError::translate(format!(
+                "{} state values for {} state variables",
+                values.len(),
+                self.states.len()
+            )));
+        }
+        if self.opt != OptLevel::Opt2 || values.is_empty() {
+            return Ok(JobState {
+                nested: values,
+                flat: Vec::new(),
+                linearize_ns: 0,
+            });
+        }
+        let start = Instant::now();
+        let flat = self
+            .states
+            .iter()
+            .zip(&values)
+            .map(|(s, v)| Ok(Linearizer::new(&s.shape).linearize(v)?.buffer))
+            .collect::<Result<Vec<_>, CoreError>>()?;
+        let linearize_ns = start.elapsed().as_nanos() as u64;
+        if let Some(r) = recorder {
+            let cells = flat.iter().map(Vec::len).sum::<usize>();
+            r.push_complete(
+                TraceLevel::Phases,
+                "linearize",
+                "pipeline",
+                0,
+                r.offset_ns(start),
+                linearize_ns,
+                vec![("state_cells", AttrValue::Int(cells as i64))],
+            );
+        }
+        Ok(JobState {
+            nested: Vec::new(),
+            flat,
             linearize_ns,
-            vec![("state_cells", AttrValue::Int(flat.len() as i64))],
-        );
+        })
     }
-    Ok(JobState {
-        nested: Vec::new(),
-        flat: vec![flat],
-        linearize_ns,
-    })
+
+    /// The runner for one pass over `state`: the requested backend if
+    /// possible, the interpreter otherwise. The native kernel is
+    /// compiled once per `CompiledLoop`, so a pass only binds.
+    pub fn runner(
+        &self,
+        requested: KernelBackend,
+        state: JobState,
+        recorder: Option<&Recorder>,
+    ) -> Result<RunnerChoice, CoreError> {
+        dispatch(
+            requested,
+            || self.native(recorder),
+            &self.kernel,
+            state.nested,
+            state.flat,
+            self.lo,
+            self.opt,
+            recorder,
+        )
+    }
 }
 
 /// Build the runner for one job: the requested backend if possible,
-/// the interpreter otherwise.
+/// the interpreter otherwise. Unlike [`CompiledLoop::runner`], the
+/// compiled backend compiles `kernel` on every call (its artifact
+/// caches make the repeats cheap).
 ///
 /// The state comes in the representation the kernel's strategy reads
-/// ([`job_state`]): `flat_state` for opt-2, `nested_state` for
-/// generated and opt-1; the other may be empty. The compiled backend
-/// binds `flat_state` only, so a kernel that reads nested state runs on
-/// the interpreter with a [`CodegenError::Unsupported`] fallback.
+/// ([`CompiledLoop::job_state`]): `flat_state` for opt-2,
+/// `nested_state` for generated and opt-1; the other may be empty. The
+/// compiled backend binds `flat_state` only, so a kernel that reads
+/// nested state runs on the interpreter with a
+/// [`CodegenError::Unsupported`] fallback.
 ///
 /// The compiled path *never* fails the job: any [`CodegenError`] is
 /// recorded (hub counter `core.codegen_fallback`, instant span
@@ -158,14 +243,36 @@ pub fn make_runner(
     opt: OptLevel,
     recorder: Option<&Recorder>,
 ) -> Result<RunnerChoice, CoreError> {
+    dispatch(
+        requested,
+        || compile_native(kernel, recorder),
+        kernel,
+        nested_state,
+        flat_state,
+        row_lo,
+        opt,
+        recorder,
+    )
+}
+
+/// The one dispatch behind [`make_runner`] and [`CompiledLoop::runner`];
+/// `native` yields the compiled kernel when the compiled backend is
+/// requested.
+#[allow(clippy::too_many_arguments)]
+fn dispatch(
+    requested: KernelBackend,
+    native: impl FnOnce() -> Result<Arc<dyn NativeKernel>, CodegenError>,
+    kernel: &Kernel,
+    nested_state: Vec<Value>,
+    flat_state: Vec<Vec<f64>>,
+    row_lo: i64,
+    opt: OptLevel,
+    recorder: Option<&Recorder>,
+) -> Result<RunnerChoice, CoreError> {
     let mut fallback: Option<CodegenError> = None;
 
     if requested == KernelBackend::Compiled {
-        let attempt = match COMPILER.get() {
-            Some(c) => c.instantiate(kernel, flat_state.clone(), row_lo, recorder),
-            None => Err(CodegenError::NotInstalled),
-        };
-        match attempt {
+        match native().and_then(|n| n.bind(flat_state.clone(), row_lo)) {
             Ok(runner) => {
                 if let Some(r) = recorder {
                     r.hub().add("core.codegen_jobs", 1);

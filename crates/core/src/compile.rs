@@ -18,13 +18,15 @@
 //! inside a [`Instr::For`], [`Instr::While`] or [`Instr::If`] node.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use chapel_frontend::ast::*;
 use chapel_frontend::pretty::print_expr;
 use chapel_sema::{Analysis, Ty};
-use freeride::CombineOp;
+use freeride::{CombineOp, GroupSpec, RObjLayout};
 use linearize::{AccessPath, LinearMeta, PathMeta, Shape};
 
+use crate::backend::NativeMemo;
 use crate::detect::{ExprReduction, LoopReduction};
 use crate::error::CoreError;
 use crate::kernel_ir::*;
@@ -124,6 +126,21 @@ pub struct CompiledLoop {
     /// (diagnostics and codegen-cache context; reduce-expression
     /// kernels always compile as *generated* — they have no state).
     pub opt: OptLevel,
+    /// The native kernel, compiled on first use (see
+    /// [`CompiledLoop::runner`]).
+    pub(crate) native: NativeMemo,
+}
+
+impl CompiledLoop {
+    /// The reduction object this loop accumulates into: one group per
+    /// output, each folding with the kernel's combine op.
+    pub fn layout(&self) -> Arc<RObjLayout> {
+        let groups = self
+            .outputs
+            .iter()
+            .map(|o| GroupSpec::new(&o.name, o.cells, self.kernel.combine.clone()));
+        RObjLayout::new(groups.collect())
+    }
 }
 
 /// Compile a detected reduction loop at the given optimization level.
@@ -373,6 +390,7 @@ fn compile_kernel(
         lo,
         hi,
         opt,
+        native: NativeMemo::default(),
     })
 }
 

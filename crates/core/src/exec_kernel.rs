@@ -44,7 +44,7 @@ impl KernelRuntime {
     /// are justified by this validation.
     ///
     /// The state comes in the representation the kernel's strategy
-    /// reads ([`crate::job_state`]): `flat_state` for opt-2 loads,
+    /// reads ([`crate::CompiledLoop::job_state`]): `flat_state` for opt-2 loads,
     /// `nested_state` for generated/opt-1 walks; the other may be empty.
     ///
     /// The `opt` argument is *diagnostic context only*: a malformed

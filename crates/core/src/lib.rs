@@ -40,7 +40,7 @@ mod kernel_ir;
 mod translate;
 
 pub use backend::{
-    compiler_installed, install_compiler, job_state, make_runner, JobState, KernelCompiler,
+    compiler_installed, install_compiler, make_runner, JobState, KernelCompiler, NativeKernel,
     RunnerChoice,
 };
 pub use compile::{
@@ -51,7 +51,9 @@ pub use detect::{detect, Detected, Detection, ExprReduction, LoopReduction, Reje
 pub use error::{CodegenError, CoreError};
 pub use exec_kernel::KernelRuntime;
 pub use kernel_ir::{ArithOp, CmpOp, Instr, Kernel, KernelValidateError, NavStep, RegClass};
-pub use translate::{zip_linearize, CompiledProgram, JobReport, TranslatedRun, Translator};
+pub use translate::{
+    zip_linearize, zip_linearize_into, CompiledProgram, JobReport, TranslatedRun, Translator,
+};
 
 #[cfg(test)]
 mod tests;

@@ -14,10 +14,11 @@ use std::time::Instant;
 use chapel_frontend::ast::{Item, ReduceOp};
 use chapel_interp::{Interpreter, RtValue};
 use chapel_sema::analyze;
-use freeride::{DataView, Engine, GroupSpec, JobConfig, KernelBackend, RObjLayout, RunStats};
+use freeride::{DataView, Engine, JobConfig, KernelBackend, RunStats};
 use linearize::{delinearize, Linearizer, Slots};
 use obs::{AttrValue, Recorder, TraceLevel};
 
+use crate::backend::JobState;
 use crate::compile::{compile_loop, compile_reduce_expr, CompiledLoop, OptLevel};
 use crate::detect::{detect, Detected, Rejection};
 use crate::error::{CodegenError, CoreError};
@@ -84,134 +85,7 @@ impl Translator {
     /// [`Translator::run_compiled`] (no `frontend.*`, `sema.*`, or
     /// `core.compile` spans on the repeat run's trace).
     pub fn compile_program(&self, src: &str) -> Result<CompiledProgram, CoreError> {
-        let rec = self.recorder.as_deref();
-        let program = match rec {
-            Some(r) => chapel_frontend::parse_traced(src, r)?,
-            None => chapel_frontend::parse(src)?,
-        };
-        let analysis = match rec {
-            Some(r) => chapel_sema::analyze_traced(&program, r)?,
-            None => analyze(&program)?,
-        };
-        let detect_start = Instant::now();
-        let detection = detect(&program, &analysis);
-        if let Some(r) = rec {
-            r.push_complete(
-                TraceLevel::Phases,
-                "core.detect",
-                "pipeline",
-                0,
-                r.offset_ns(detect_start),
-                detect_start.elapsed().as_nanos() as u64,
-                vec![
-                    ("detected", AttrValue::Int(detection.detected.len() as i64)),
-                    (
-                        "rejections",
-                        AttrValue::Int(detection.rejections.len() as i64),
-                    ),
-                ],
-            );
-        }
-
-        let mut plans = Vec::with_capacity(program.items.len());
-        let mut skipped: Vec<Rejection> = detection.rejections.clone();
-
-        for (i, item) in program.items.iter().enumerate() {
-            if !matches!(item, Item::Stmt(_)) {
-                plans.push(StmtPlan::Decl);
-                continue;
-            }
-            let compile_start = Instant::now();
-            let compiled = match detection.detected.get(&i) {
-                Some(Detected::Loop(red)) => {
-                    match compile_loop(&program, &analysis, red, self.opt) {
-                        Ok(c) => Some((c, format!("loop → {}", red.outputs.join(", ")), None)),
-                        Err(CoreError::Translate(reason)) => {
-                            skipped.push(Rejection {
-                                stmt_index: i,
-                                reason,
-                            });
-                            None
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                Some(Detected::Expr(red)) => {
-                    let compiled = match &red.op {
-                        ReduceOp::UserDefined(class) => {
-                            let decl = analysis
-                                .decls
-                                .classes
-                                .get(class)
-                                .map(|c| c.decl.clone())
-                                .ok_or_else(|| {
-                                    CoreError::translate(format!("unknown class `{class}`"))
-                                })?;
-                            crate::compile::compile_user_reduce(&analysis, red, &decl)
-                        }
-                        _ => compile_reduce_expr(&analysis, red),
-                    };
-                    match compiled {
-                        Ok(c) => Some((
-                            c,
-                            format!("reduce → {}", red.target),
-                            Some((red.target.clone(), red.op.clone())),
-                        )),
-                        Err(CoreError::Translate(reason)) => {
-                            skipped.push(Rejection {
-                                stmt_index: i,
-                                reason,
-                            });
-                            None
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                None => None,
-            };
-            if let (Some(r), Some(_)) = (rec, detection.detected.get(&i)) {
-                let instrs = compiled
-                    .as_ref()
-                    .map_or(0, |(c, _, _)| c.kernel.count_matching(|_| true));
-                r.push_complete(
-                    TraceLevel::Phases,
-                    "core.compile",
-                    "pipeline",
-                    0,
-                    r.offset_ns(compile_start),
-                    compile_start.elapsed().as_nanos() as u64,
-                    vec![
-                        ("stmt", AttrValue::Int(i as i64)),
-                        ("instrs", AttrValue::Int(instrs as i64)),
-                    ],
-                );
-            }
-            plans.push(match compiled {
-                Some((c, kind, expr_target)) => StmtPlan::Offload {
-                    compiled: Box::new(c),
-                    kind,
-                    expr_target,
-                },
-                None => StmtPlan::Interp,
-            });
-        }
-
-        if self.config.backend == KernelBackend::Compiled {
-            let kernels: Vec<&crate::Kernel> = plans
-                .iter()
-                .filter_map(|p| match p {
-                    StmtPlan::Offload { compiled, .. } => Some(&compiled.kernel),
-                    _ => None,
-                })
-                .collect();
-            crate::backend::precompile(&kernels, rec);
-        }
-
-        Ok(CompiledProgram {
-            program,
-            plans,
-            skipped,
-        })
+        CompiledProgram::compile(src, self.opt, self.config.backend, self.recorder.as_deref())
     }
 
     /// The execute half of the pipeline: run a [`CompiledProgram`]
@@ -304,16 +178,21 @@ impl Translator {
 
         // State, in the one representation the strategy reads: flat
         // buffers (opt-2) or nested values (generated/opt-1).
-        let mut nested_state = Vec::new();
-        let mut flat_state = Vec::new();
+        let mut state = JobState {
+            nested: Vec::new(),
+            flat: Vec::new(),
+            linearize_ns: 0,
+        };
         for s in &c.states {
             let rt = interp
                 .global(&s.name)
                 .ok_or_else(|| CoreError::translate(format!("state `{}` missing", s.name)))?;
-            if self.opt == OptLevel::Opt2 {
-                flat_state.push(Linearizer::new(&s.shape).linearize(rt)?.buffer);
+            if c.opt == OptLevel::Opt2 {
+                state
+                    .flat
+                    .push(Linearizer::new(&s.shape).linearize(rt)?.buffer);
             } else {
-                nested_state.push(rt.to_linear().ok_or_else(|| {
+                state.nested.push(rt.to_linear().ok_or_else(|| {
                     CoreError::translate(format!("state `{}` not linearizable", s.name))
                 })?);
             }
@@ -334,32 +213,15 @@ impl Translator {
             );
         }
 
-        // ---- Reduction object + engine run: every group folds with the
-        // op the kernel was compiled for. ----
-        let groups: Vec<GroupSpec> = c
-            .outputs
-            .iter()
-            .map(|o| GroupSpec::new(&o.name, o.cells, c.kernel.combine.clone()))
-            .collect();
-        let layout = RObjLayout::new(groups);
-
         // Backend dispatch: compiled when requested *and* possible,
         // interpreter otherwise (fallback is recorded, never fatal).
-        let choice = crate::backend::make_runner(
-            self.config.backend,
-            &c.kernel,
-            nested_state,
-            flat_state,
-            c.lo,
-            c.opt,
-            self.recorder.as_deref(),
-        )?;
+        let choice = c.runner(self.config.backend, state, self.recorder.as_deref())?;
         let view = DataView::new(&buffer, c.dataset.unit)?;
         let engine = match &self.recorder {
             Some(rec) => Engine::with_recorder(self.config.clone(), rec.clone()),
             None => Engine::new(self.config.clone()),
         };
-        let outcome = engine.run(view, &layout, choice.runner.as_ref());
+        let outcome = engine.run(view, &c.layout(), choice.runner.as_ref());
 
         // ---- Write-back. ----
         let writeback_start = Instant::now();
@@ -445,32 +307,43 @@ pub fn zip_linearize<V: Slots + Sync>(
     parallel: bool,
     threads: usize,
 ) -> Result<Vec<f64>, CoreError> {
-    let vars: Vec<&V> = elem_values.iter().collect();
-    if !(parallel && threads > 1 && rows > 1) {
-        return zip_rows(&vars, rows, unit);
-    }
-    let items = row_items(&vars, rows)?;
     let mut buffer = vec![0.0f64; rows * unit];
-    let chunk_rows = rows.div_ceil(threads);
-    let chunk_slots = chunk_rows * unit;
-    let filled = std::thread::scope(|scope| {
-        let workers: Vec<_> = buffer
-            .chunks_mut(chunk_slots)
-            .enumerate()
-            .map(|(i, chunk)| {
-                let items = &items;
-                scope.spawn(move || fill_rows(items, chunk, i * chunk_rows, unit))
-            })
-            .collect();
-        // The scope joins any worker this stops short of.
-        workers
-            .into_iter()
-            .all(|w| w.join().expect("linearization worker panicked"))
-    });
-    if !filled {
-        return Err(not_linearizable());
-    }
+    zip_linearize_into(elem_values, &mut buffer, unit, parallel, threads)?;
     Ok(buffer)
+}
+
+/// [`zip_linearize`] into `buffer`, one row per `unit` slots, for a
+/// driver that allocates the buffer before it builds the values.
+pub fn zip_linearize_into<V: Slots + Sync>(
+    elem_values: &[V],
+    buffer: &mut [f64],
+    unit: usize,
+    parallel: bool,
+    threads: usize,
+) -> Result<(), CoreError> {
+    let rows = buffer.len() / unit;
+    let vars: Vec<&V> = elem_values.iter().collect();
+    let items = row_items(&vars, rows)?;
+    let filled = if parallel && threads > 1 && rows > 1 {
+        let chunk_rows = rows.div_ceil(threads);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = buffer
+                .chunks_mut(chunk_rows * unit)
+                .enumerate()
+                .map(|(i, chunk)| {
+                    let items = &items;
+                    scope.spawn(move || fill_rows(items, chunk, i * chunk_rows, unit))
+                })
+                .collect();
+            // The scope joins any worker this stops short of.
+            workers
+                .into_iter()
+                .all(|w| w.join().expect("linearization worker panicked"))
+        })
+    } else {
+        fill_rows(&items, buffer, 0, unit)
+    };
+    filled.then_some(()).ok_or_else(not_linearizable)
 }
 
 /// The sequential [`zip_linearize`], for values that cannot be shared
@@ -567,12 +440,148 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
+    /// Parse, analyze, detect and compile `src` at `opt`, recording
+    /// every stage on `rec`; with the compiled `backend`, also compile
+    /// the native kernels (see [`Translator::compile_program`]).
+    pub fn compile(
+        src: &str,
+        opt: OptLevel,
+        backend: KernelBackend,
+        rec: Option<&Recorder>,
+    ) -> Result<CompiledProgram, CoreError> {
+        let program = match rec {
+            Some(r) => chapel_frontend::parse_traced(src, r)?,
+            None => chapel_frontend::parse(src)?,
+        };
+        let analysis = match rec {
+            Some(r) => chapel_sema::analyze_traced(&program, r)?,
+            None => analyze(&program)?,
+        };
+        let detect_start = Instant::now();
+        let detection = detect(&program, &analysis);
+        if let Some(r) = rec {
+            r.push_complete(
+                TraceLevel::Phases,
+                "core.detect",
+                "pipeline",
+                0,
+                r.offset_ns(detect_start),
+                detect_start.elapsed().as_nanos() as u64,
+                vec![
+                    ("detected", AttrValue::Int(detection.detected.len() as i64)),
+                    (
+                        "rejections",
+                        AttrValue::Int(detection.rejections.len() as i64),
+                    ),
+                ],
+            );
+        }
+
+        let mut plans = Vec::with_capacity(program.items.len());
+        let mut skipped: Vec<Rejection> = detection.rejections.clone();
+
+        for (i, item) in program.items.iter().enumerate() {
+            if !matches!(item, Item::Stmt(_)) {
+                plans.push(StmtPlan::Decl);
+                continue;
+            }
+            let compile_start = Instant::now();
+            let compiled = match detection.detected.get(&i) {
+                Some(Detected::Loop(red)) => match compile_loop(&program, &analysis, red, opt) {
+                    Ok(c) => Some((c, format!("loop → {}", red.outputs.join(", ")), None)),
+                    Err(CoreError::Translate(reason)) => {
+                        skipped.push(Rejection {
+                            stmt_index: i,
+                            reason,
+                        });
+                        None
+                    }
+                    Err(e) => return Err(e),
+                },
+                Some(Detected::Expr(red)) => {
+                    let compiled = match &red.op {
+                        ReduceOp::UserDefined(class) => {
+                            let decl = analysis
+                                .decls
+                                .classes
+                                .get(class)
+                                .map(|c| c.decl.clone())
+                                .ok_or_else(|| {
+                                    CoreError::translate(format!("unknown class `{class}`"))
+                                })?;
+                            crate::compile::compile_user_reduce(&analysis, red, &decl)
+                        }
+                        _ => compile_reduce_expr(&analysis, red),
+                    };
+                    match compiled {
+                        Ok(c) => Some((
+                            c,
+                            format!("reduce → {}", red.target),
+                            Some((red.target.clone(), red.op.clone())),
+                        )),
+                        Err(CoreError::Translate(reason)) => {
+                            skipped.push(Rejection {
+                                stmt_index: i,
+                                reason,
+                            });
+                            None
+                        }
+                        Err(e) => return Err(e),
+                    }
+                }
+                None => None,
+            };
+            if let (Some(r), Some(_)) = (rec, detection.detected.get(&i)) {
+                let instrs = compiled
+                    .as_ref()
+                    .map_or(0, |(c, _, _)| c.kernel.count_matching(|_| true));
+                r.push_complete(
+                    TraceLevel::Phases,
+                    "core.compile",
+                    "pipeline",
+                    0,
+                    r.offset_ns(compile_start),
+                    compile_start.elapsed().as_nanos() as u64,
+                    vec![
+                        ("stmt", AttrValue::Int(i as i64)),
+                        ("instrs", AttrValue::Int(instrs as i64)),
+                    ],
+                );
+            }
+            plans.push(match compiled {
+                Some((c, kind, expr_target)) => StmtPlan::Offload {
+                    compiled: Box::new(c),
+                    kind,
+                    expr_target,
+                },
+                None => StmtPlan::Interp,
+            });
+        }
+
+        let compiled = CompiledProgram {
+            program,
+            plans,
+            skipped,
+        };
+        if backend == KernelBackend::Compiled {
+            let loops: Vec<&CompiledLoop> = compiled.loops().map(|(_, c)| c).collect();
+            crate::backend::precompile(&loops, rec);
+        }
+        Ok(compiled)
+    }
+
+    /// The statements planned for FREERIDE offload, in statement order:
+    /// each one's top-level statement index and compiled kernel.
+    pub fn loops(&self) -> impl Iterator<Item = (usize, &CompiledLoop)> {
+        self.plans.iter().enumerate().filter_map(|(i, p)| match p {
+            StmtPlan::Offload { compiled, .. } => Some((i, &**compiled)),
+            _ => None,
+        })
+    }
+
     /// Number of statements planned for FREERIDE offload.
     pub fn offloads(&self) -> usize {
-        self.plans
-            .iter()
-            .filter(|p| matches!(p, StmtPlan::Offload { .. }))
-            .count()
+        self.loops().count()
     }
 }
 

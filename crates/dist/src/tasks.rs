@@ -16,8 +16,8 @@
 //! mirroring the kernels in `cfr-apps` so cluster results are
 //! differentially testable against the single-process drivers — plus
 //! the kernel-IR family `"chapel.kmeans"`, which compiles the canned
-//! Chapel program through the detect→compile pipeline on the node and
-//! dispatches it through `cfr_core::make_runner`, honouring the job's
+//! Chapel program through the translator's front door on the node and
+//! binds each round's state to its loop, honouring the job's
 //! [`freeride::KernelBackend`] (interpreter or native codegen).
 
 use std::sync::Arc;
@@ -25,7 +25,7 @@ use std::sync::Arc;
 use freeride::{
     CombineOp, GroupSpec, KernelBackend, RObjHandle, RObjLayout, ReductionObject, Split,
 };
-use linearize::{Shape, Value};
+use linearize::Value;
 use obs::Recorder;
 
 use crate::error::DistError;
@@ -300,14 +300,15 @@ pub fn kernel(
 
 /// One round of the translated k-means: compile the canned Chapel
 /// program (`chapel_frontend::programs::kmeans`) through
-/// detect→compile, rebuild this round's centroid state in the
-/// representation the opt level uses, and dispatch through
-/// `cfr_core::make_runner` so the job's [`KernelBackend`] decides
-/// whether the split loop runs on the kernel VM or natively. Params:
-/// `[n, k, d, opt]` (`n` is the Chapel program's declared dataset size;
-/// the kernel itself is shard-invariant). Compilation is pure CPU work
-/// per round; the expensive native `rustc` artifact is cached
-/// process-wide by content hash, so only the first compiled round pays.
+/// `cfr_core::CompiledProgram::compile`, the translator's front door,
+/// and bind this round's centroid state to its one loop, in the
+/// representation the opt level uses, so the job's [`KernelBackend`]
+/// decides whether the split loop runs on the kernel VM or natively.
+/// Params: `[n, k, d, opt]` (`n` is the Chapel program's declared
+/// dataset size; the kernel itself is shard-invariant). Each round
+/// compiles the program anew; the native artifact is cached
+/// process-wide by content hash, so only the first compiled round runs
+/// `rustc`.
 fn chapel_kmeans_kernel(
     params: &[i64],
     state: &[f64],
@@ -328,43 +329,15 @@ fn chapel_kmeans_kernel(
     }
 
     let src = chapel_frontend::programs::kmeans(n, k, d);
-    let program = chapel_frontend::parse(&src).map_err(|e| to_bad(task, "parse", &e))?;
-    let analysis = chapel_sema::analyze(&program)
-        .map_err(cfr_core::CoreError::from)
-        .map_err(|e| to_bad(task, "analyze", &e))?;
-    let detection = cfr_core::detect(&program, &analysis);
-    let red = detection
-        .detected
-        .values()
-        .find_map(|x| match x {
-            cfr_core::Detected::Loop(l) => Some(l.clone()),
-            _ => None,
-        })
-        .ok_or_else(|| DistError::BadTask {
-            reason: format!("{task}: reduction loop not detected"),
-        })?;
-    let compiled = cfr_core::compile_loop(&program, &analysis, &red, opt)
+    let program = cfr_core::CompiledProgram::compile(&src, opt, backend, recorder)
         .map_err(|e| to_bad(task, "compile", &e))?;
-
-    let shape = Shape::array(
-        Shape::record(vec![
-            ("pos", Shape::array(Shape::Real, d)),
-            ("count", Shape::Int),
-        ]),
-        k,
-    );
-    let job_state = cfr_core::job_state(opt, centroids_value(state, k, d), &shape, None)
-        .map_err(|e| to_bad(task, "linearize state", &e))?;
-    let choice = cfr_core::make_runner(
-        backend,
-        &compiled.kernel,
-        job_state.nested,
-        job_state.flat,
-        compiled.lo,
-        compiled.opt,
-        recorder,
-    )
-    .map_err(|e| to_bad(task, "instantiate kernel", &e))?;
+    let (_, compiled) = program.loops().next().ok_or_else(|| DistError::BadTask {
+        reason: format!("{task}: reduction loop not detected"),
+    })?;
+    let choice = compiled
+        .job_state(vec![centroids_value(state, k, d)], None)
+        .and_then(|s| compiled.runner(backend, s, recorder))
+        .map_err(|e| to_bad(task, "bind state", &e))?;
     let runner = choice.runner;
     Ok(Box::new(
         move |split: &Split<'_>, robj: &mut dyn RObjHandle| runner.run_split(split, robj),
@@ -377,11 +350,12 @@ fn to_bad(task: &str, stage: &str, e: &impl std::fmt::Display) -> DistError {
     }
 }
 
-/// Rebuild the nested centroid structure the Chapel program reduces
-/// over (`[1..k] record Centroid { pos: [1..d] real; count: int }`)
-/// from the flat broadcast coordinates, counts reset to zero — the same
-/// per-iteration rebuild the single-process `cfr-apps` driver performs.
-fn centroids_value(flat: &[f64], k: usize, d: usize) -> Value {
+/// Rebuild the nested centroid structure the Chapel k-means program
+/// reduces over (`[1..k] record Centroid { pos: [1..d] real; count:
+/// int }`) from flat coordinates, counts reset to zero as in the
+/// program's fresh `newCent` — the per-round state of `chapel.kmeans`
+/// and the per-iteration state of the single-process translated driver.
+pub fn centroids_value(flat: &[f64], k: usize, d: usize) -> Value {
     Value::Array(
         (0..k)
             .map(|c| {

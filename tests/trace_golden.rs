@@ -170,27 +170,59 @@ fn ft_cluster_trace_matches_golden_shape() {
     );
 }
 
+/// Every translated application records the whole pipeline, from the
+/// frontend through linearization, next to its engine passes.
 #[test]
 fn translated_run_emits_pipeline_spans() {
-    let mut params = KmeansParams::new(200, 4, 3, 2).threads(2);
-    params.config.trace = TraceLevel::Phases;
-    let result = kmeans::run(&params, Version::Opt2).expect("opt-2 k-means");
-    let trace = result
-        .timing
-        .trace
-        .expect("trace requested but not captured");
+    use cfr_apps::{histogram, linreg, pca, AppTiming};
+    let mut config = freeride::JobConfig::with_threads(2);
+    config.trace = TraceLevel::Phases;
+    let km = KmeansParams {
+        config: config.clone(),
+        ..KmeansParams::new(200, 4, 3, 2)
+    };
+    let pc = pca::PcaParams {
+        config: config.clone(),
+        ..pca::PcaParams::new(4, 60)
+    };
+    let hi = histogram::HistogramParams {
+        config: config.clone(),
+        ..histogram::HistogramParams::new(200, 6)
+    };
+    let lr = linreg::LinregParams {
+        config,
+        ..linreg::LinregParams::new(200)
+    };
+    let runs: [(&str, AppTiming, usize); 4] = [
+        ("kmeans", kmeans::run(&km, Version::Opt2).unwrap().timing, 2),
+        ("pca", pca::run(&pc, Version::Opt2).unwrap().timing, 2),
+        (
+            "histogram",
+            histogram::run(&hi, Version::Opt2).unwrap().timing,
+            1,
+        ),
+        ("linreg", linreg::run(&lr, Version::Opt2).unwrap().timing, 1),
+    ];
 
-    for name in [
-        "frontend.lex",
-        "frontend.parse",
-        "sema.analyze",
-        "core.detect",
-        "core.compile",
-        "linearize",
-    ] {
-        assert!(trace.count(name) >= 1, "missing pipeline span `{name}`");
+    for (app, timing, passes) in runs {
+        let trace = timing
+            .trace
+            .unwrap_or_else(|| panic!("{app}: trace requested but not captured"));
+        for name in [
+            "frontend.lex",
+            "frontend.parse",
+            "sema.analyze",
+            "core.detect",
+            "core.compile",
+            "linearize",
+        ] {
+            assert!(
+                trace.count(name) >= 1,
+                "{app}: missing pipeline span `{name}`"
+            );
+        }
+        // Phases level: engine phase spans but no per-split spans.
+        assert_eq!(trace.count("split"), 0, "{app}");
+        assert_eq!(trace.count("pass"), passes, "{app}");
     }
-    // Phases level: engine phase spans but no per-split spans.
-    assert_eq!(trace.count("split"), 0);
-    assert_eq!(trace.count("pass"), 2);
 }
