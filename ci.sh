@@ -190,6 +190,8 @@ rm -rf target/ci-ft-ckpt
 # mid-job must be absorbed at a round barrier, and the fast node leaves
 # at the first barrier after 2 rounds — sched.steal, sched.join and
 # sched.leave land in the trace, the counters in the metrics export.
+# The leaver ends its session through JobDone like every node, so the
+# trace holds four process tracks: coordinator, two nodes, joiner.
 # The joiner retries until the coordinator's hub is up, then serves the
 # rest of the job from the inside and exits 0 when it ends.
 rm -f target/ci-enode1.addr target/ci-enode2.addr
@@ -231,6 +233,7 @@ wait "$EBENCH"
 wait "$EJOINER"
 wait "$ENODE1" "$ENODE2"
 cargo run --release -p obs --bin trace-check -- target/ci-elastic-trace.json \
+  --min-pids 4 \
   --expect sched.join --expect sched.steal --expect sched.leave \
   --expect cluster.round --expect node.pass \
   --expect-attr cluster.round:units --expect-attr cluster.round:steal

@@ -186,7 +186,7 @@ fn run_job_ft(
         };
         match resumed {
             // Nothing to resume yet — fall through to a fresh run.
-            Err(DistError::Ft(freeride_ft::FtError::NoCheckpoint { .. })) => {}
+            Err(DistError::Ft(freeride_dist::FtError::NoCheckpoint { .. })) => {}
             other => {
                 return other.map_err(|e| AppError::new(format!("cluster resume failed: {e}")))
             }

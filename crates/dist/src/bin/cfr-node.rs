@@ -36,9 +36,10 @@
 //!                     when the job ends (or when the hub has gone away)
 //!   --leave-after-rounds N
 //!                     leaves at the first barrier after N rounds: the
-//!                     node's RoundDone says it leaves, then it exits
-//!                     cleanly — the coordinator reassigns this node's
-//!                     shards without burning an FT retry
+//!                     node's RoundDone says it leaves, the coordinator
+//!                     ends its session there (EndJob → JobDone, so its
+//!                     trace and final metrics still ship) and reassigns
+//!                     its shards without burning an FT retry
 //! ```
 
 use std::net::TcpListener;
@@ -170,7 +171,7 @@ fn main() -> ExitCode {
 }
 
 /// Write the bound address atomically: temp file in the same directory,
-/// `sync_all`, rename into place (the `crates/ft` checkpoint pattern).
+/// `sync_all`, rename into place (the checkpoint store's pattern).
 /// A plain `fs::write` lets a poller doing `[ -s "$f" ] && cat "$f"`
 /// read a partially written address.
 fn write_port_file(path: &str, addr: &str) -> std::io::Result<()> {

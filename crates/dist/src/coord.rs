@@ -35,7 +35,7 @@
 //! * **Coordinator failure**: with [`ClusterConfig::checkpoint_dir`]
 //!   set, the merged object and post-`step` state are persisted after
 //!   each checkpointed round (atomic b"FRCK" files via
-//!   [`freeride_ft::CheckpointStore`]);
+//!   [`CheckpointStore`](crate::CheckpointStore));
 //!   [`Coordinator::resume_from`] restarts from the newest valid
 //!   checkpoint and, with the same node count, finishes bit-identical
 //!   to an uninterrupted run.
@@ -44,7 +44,7 @@
 //!   subdirectory and stamps the tag into every b"FRCK" frame, so
 //!   concurrent jobs (the `cfr-serve` case) neither prune each other's
 //!   files nor resume from each other's state — a cross-job resume is
-//!   the typed [`freeride_ft::FtError::JobMismatch`].
+//!   the typed [`FtError::JobMismatch`](crate::FtError::JobMismatch).
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -236,12 +236,13 @@ pub struct ClusterOutcome {
     /// Aggregated run statistics.
     pub stats: ClusterStats,
     /// Merged trace — coordinator spans on `pid` 0, node `i`'s spans on
-    /// `pid` `i + 1`. `None` when tracing is off.
+    /// `pid` `i + 1`, for every node that ended its session with
+    /// `JobDone` (leavers and joiners too). `None` when tracing is off.
     pub trace: Option<Trace>,
     /// Fleet-aggregated live metrics: the coordinator's own hub merged
-    /// with every node's final `JobDone` snapshot (and, for nodes that
-    /// died or left mid-run, their last `RoundDone` metrics). `None` when the
-    /// metrics hub is disabled (tracing off).
+    /// with every node's final `JobDone` snapshot, leavers' included
+    /// (and, for nodes that died mid-run, their last `RoundDone`
+    /// metrics). `None` when the metrics hub is disabled (tracing off).
     pub telemetry: Option<MetricsSnapshot>,
 }
 

@@ -18,7 +18,7 @@ use freeride::{Engine, JobConfig, PassHooks, PassInput, RObjLayout};
 use obs::{AttrValue, Recorder, TraceLevel};
 
 use crate::error::DistError;
-use crate::proto::{read_message, write_message, Message};
+use crate::proto::{read_message, write_message, JobSetup, Message};
 use crate::tasks;
 
 /// Fault injection for one session. The default is a healthy node;
@@ -32,8 +32,9 @@ pub struct Behaviour {
     pub slow_ms: u64,
     /// Leave at the first barrier after this many rounds: set `leave`
     /// in the `RoundDone` of the first round at which the node has
-    /// finished at least this many, then end the session. No barrier
-    /// comes before round 0, so 0 leaves at the end of the first round.
+    /// finished at least this many; the coordinator then ends the
+    /// session with `EndJob`. No barrier comes before round 0, so 0
+    /// leaves at the end of the first round.
     pub leave_after: Option<u32>,
     /// Sever the connection on receipt of the first `Unit` after this
     /// many completed rounds, with no reply and no goodbye — what a
@@ -69,7 +70,7 @@ impl Behaviour {
     }
 }
 
-/// Per-job context built from a [`Message::Job`].
+/// Per-job context built from the [`JobSetup`] of a session's `Hello`.
 struct JobContext {
     /// The task, prepared once for the job (a `chapel.*` program is
     /// compiled here, not per round).
@@ -95,56 +96,34 @@ struct OpenRound {
     busy_ns: u64,
 }
 
-fn build_job(msg: Message) -> Result<JobContext, DistError> {
-    let Message::Job {
-        task,
-        params,
-        layout,
-        dataset,
-        threads,
-        trace_level,
-        io_mode,
-        chunk_rows,
-        buffers,
-        readers,
-        backend,
-        scheme,
-        scheme_stripes,
-        scheme_cells,
-        scheme_mask,
-        splitter,
-    } = msg
-    else {
-        return Err(DistError::Protocol {
-            reason: format!("expected Job, got {}", msg.kind_name()),
-        });
-    };
+fn build_job(job: &JobSetup) -> Result<JobContext, DistError> {
     // The coordinator ships the layout it will combine with; decode it
     // and check it against this build's own task registry, so a
     // version-skewed node fails loudly instead of mis-merging cells.
-    let shipped = RObjLayout::decode(&layout)?;
-    let local = tasks::layout(&task, &params)?;
+    let shipped = RObjLayout::decode(&job.layout)?;
+    let local = tasks::layout(&job.task, &job.params)?;
     if shipped.total_cells() != local.total_cells() {
         return Err(DistError::BadTask {
             reason: format!(
-                "task `{task}`: coordinator layout has {} cells, this node's registry says {}",
+                "task `{}`: coordinator layout has {} cells, this node's registry says {}",
+                job.task,
                 shipped.total_cells(),
                 local.total_cells()
             ),
         });
     }
-    let file = freeride::source::FileDataset::open(std::path::Path::new(&dataset))?;
+    let dataset = std::path::Path::new(&job.dataset);
+    let file = freeride::source::FileDataset::open(dataset)?;
     let rows = file.rows() as u64;
-    let mut config = JobConfig::with_threads(threads.max(1) as usize);
-    config.trace = trace_level;
-    config.io = crate::proto::io_mode_from_wire(io_mode, chunk_rows, buffers, readers);
-    config.backend = freeride::KernelBackend::from_wire(backend);
-    config.scheme =
-        crate::proto::scheme_from_wire(scheme, scheme_stripes, scheme_cells, scheme_mask);
-    if splitter == 1 {
+    let mut config = JobConfig::with_threads(job.threads.max(1) as usize);
+    config.trace = job.trace_level;
+    config.io = job.io;
+    config.backend = job.backend;
+    config.scheme = job.scheme;
+    if job.sparse_split {
         // The coordinator asked for nnz-weighted thread splits: recover
         // the exact index structure from the dataset's `.frsp` sidecar.
-        let sidecar = cfr_sparse::sidecar_path(std::path::Path::new(&dataset));
+        let sidecar = cfr_sparse::sidecar_path(dataset);
         let m = match cfr_sparse::read_frsp(&sidecar) {
             Ok(cfr_sparse::SparseData::Csr(m)) => m,
             Ok(other) => {
@@ -173,7 +152,7 @@ fn build_job(msg: Message) -> Result<JobContext, DistError> {
         config.splitter = cfr_sparse::csr_splitter(&m);
     }
     let recorder = Arc::new(Recorder::new(config.trace));
-    let task = tasks::JobTask::new(&task, &params, config.backend, Some(&recorder))?;
+    let task = tasks::JobTask::new(&job.task, &job.params, config.backend, Some(&recorder))?;
     let engine = Engine::with_recorder(config, recorder.clone());
     Ok(JobContext {
         task,
@@ -249,66 +228,63 @@ fn is_hangup(e: &std::io::Error) -> bool {
     )
 }
 
-/// Serve one coordinator session on an accepted stream: the `Hello`
-/// handshake, then the frame loop until `Shutdown`.
+/// Serve one coordinator session on an accepted stream.
 fn handle_session(mut stream: TcpStream, behaviour: Behaviour) -> Result<(), DistError> {
-    stream.set_nodelay(true).ok();
-    let (hello, _) = read_message(&mut stream)?;
-    let Message::Hello { node_id } = hello else {
-        return Err(DistError::Protocol {
-            reason: format!("expected Hello, got {}", hello.kind_name()),
-        });
-    };
-    write_message(&mut stream, &Message::HelloAck { node_id })?;
-    serve_frames(stream, node_id, behaviour)
+    let (first, _) = read_message(&mut stream)?;
+    serve_session(stream, first, behaviour)
 }
 
-/// The post-handshake frame loop of every session, listening
-/// ([`serve_with`], [`serve_concurrent`]) or dialed out ([`join`]).
-fn serve_frames(
+/// Every session, listening ([`serve_with`], [`serve_concurrent`]) or
+/// dialed out ([`join`]), from its opening frame `first`: build the job
+/// `Hello` carries and answer `HelloAck` (or `Error` when it cannot be
+/// built), then run rounds until `EndJob` is answered with `JobDone`.
+/// A session opened or ended by `Shutdown` — a fleet that wound down or
+/// failed — ends cleanly.
+fn serve_session(
     mut stream: TcpStream,
-    node_id: u32,
+    first: Message,
     behaviour: Behaviour,
 ) -> Result<(), DistError> {
-    let mut job: Option<JobContext> = None;
+    stream.set_nodelay(true).ok();
+    let (node_id, mut job) = match first {
+        Message::Shutdown => return Ok(()),
+        Message::Hello { node_id, job } => match build_job(&job) {
+            Ok(ctx) => (node_id, ctx),
+            Err(e) => return reject(&mut stream, e),
+        },
+        other => {
+            return Err(DistError::Protocol {
+                reason: format!("expected Hello, got {}", other.kind_name()),
+            })
+        }
+    };
+    write_message(&mut stream, &Message::HelloAck { node_id })?;
     let mut open: Option<OpenRound> = None;
     loop {
         let (msg, _) = read_message(&mut stream)?;
         match msg {
-            Message::Job { .. } => match build_job(msg) {
-                Ok(ctx) => job = Some(ctx),
-                Err(e) => return reject(&mut stream, e),
-            },
             Message::RoundStart {
                 round,
                 attempt,
                 state,
-            } => {
-                let Some(ctx) = job.as_ref() else {
-                    let e = DistError::Protocol {
-                        reason: "RoundStart before Job".into(),
-                    };
-                    return reject(&mut stream, e);
-                };
-                match ctx.task.kernel(&state, Some(&ctx.recorder)) {
-                    Ok(kernel) => {
-                        open = Some(OpenRound {
-                            round,
-                            attempt,
-                            kernel,
-                            busy_ns: 0,
-                        })
-                    }
-                    Err(e) => return reject(&mut stream, e),
+            } => match job.task.kernel(&state, Some(&job.recorder)) {
+                Ok(kernel) => {
+                    open = Some(OpenRound {
+                        round,
+                        attempt,
+                        kernel,
+                        busy_ns: 0,
+                    })
                 }
-            }
+                Err(e) => return reject(&mut stream, e),
+            },
             Message::Unit {
                 round,
                 attempt,
                 first_row,
                 rows,
             } => {
-                let (Some(ctx), Some(cur)) = (job.as_ref(), open.as_mut()) else {
+                let Some(cur) = open.as_mut() else {
                     let e = DistError::Protocol {
                         reason: "Unit before RoundStart".into(),
                     };
@@ -323,7 +299,7 @@ fn serve_frames(
                     };
                     return reject(&mut stream, e);
                 }
-                if behaviour.die_after.is_some_and(|n| ctx.rounds_handled >= n) {
+                if behaviour.die_after.is_some_and(|n| job.rounds_handled >= n) {
                     // Die mid-round: the Unit was received, no
                     // UnitResult will ever come. Dropping the stream
                     // closes the connection under the coordinator.
@@ -339,13 +315,13 @@ fn serve_frames(
                 if behaviour.slow_ms > 0 {
                     std::thread::sleep(Duration::from_millis(behaviour.slow_ms));
                 }
-                let cells = match run_unit(ctx, cur, first_row, rows) {
+                let cells = match run_unit(&job, cur, first_row, rows) {
                     Ok(cells) => cells,
                     Err(e) => return reject(&mut stream, e),
                 };
                 let elapsed_ns = unit_start.elapsed().as_nanos() as u64;
                 cur.busy_ns += elapsed_ns;
-                let hub = ctx.recorder.hub();
+                let hub = job.recorder.hub();
                 hub.add("node.units", 1);
                 hub.observe("node.unit_ns", elapsed_ns);
                 write_message(
@@ -361,14 +337,8 @@ fn serve_frames(
             }
             Message::RoundEnd { round, attempt } => {
                 let busy_ns = open.take().map_or(0, |cur| cur.busy_ns);
-                let Some(ctx) = job.as_mut() else {
-                    let e = DistError::Protocol {
-                        reason: "RoundEnd before Job".into(),
-                    };
-                    return reject(&mut stream, e);
-                };
-                ctx.rounds_handled = ctx.rounds_handled.wrapping_add(1);
-                let hub = ctx.recorder.hub();
+                job.rounds_handled = job.rounds_handled.wrapping_add(1);
+                let hub = job.recorder.hub();
                 let mut metrics = Vec::new();
                 if hub.is_enabled() {
                     hub.add("node.rounds", 1);
@@ -377,7 +347,7 @@ fn serve_frames(
                 }
                 let leave = behaviour
                     .leave_after
-                    .is_some_and(|n| ctx.rounds_handled >= n);
+                    .is_some_and(|n| job.rounds_handled >= n);
                 let done = Message::RoundDone {
                     round,
                     attempt,
@@ -385,33 +355,19 @@ fn serve_frames(
                     metrics,
                 };
                 write_message(&mut stream, &done)?;
-                if leave {
-                    // The coordinator sends nothing after RoundEnd until
-                    // it has read this reply, so closing now loses
-                    // nothing in either direction.
-                    return Ok(());
-                }
             }
             Message::EndJob => {
-                let trace = match job.as_ref() {
-                    Some(ctx) if ctx.recorder.level() != TraceLevel::Off => {
-                        ctx.recorder.drain().encode_bin()
-                    }
+                let trace = match job.recorder.level() {
+                    TraceLevel::Off => Vec::new(),
+                    _ => job.recorder.drain().encode_bin(),
+                };
+                let hub = job.recorder.hub();
+                let metrics = match hub.is_enabled().then(|| hub.snapshot()) {
+                    Some(snap) if !snap.is_empty() => snap.encode_bin(),
                     _ => Vec::new(),
                 };
-                let metrics = match job.as_ref() {
-                    Some(ctx) if ctx.recorder.hub().is_enabled() => {
-                        let snap = ctx.recorder.hub().snapshot();
-                        if snap.is_empty() {
-                            Vec::new()
-                        } else {
-                            snap.encode_bin()
-                        }
-                    }
-                    _ => Vec::new(),
-                };
-                job = None;
                 write_message(&mut stream, &Message::JobDone { trace, metrics })?;
+                return Ok(());
             }
             Message::Shutdown => return Ok(()),
             Message::Error { message } => {
@@ -433,35 +389,21 @@ fn serve_frames(
 /// Dial a coordinator's membership hub and serve the session the
 /// coordinator opens back over the same connection (`cfr-node --join`).
 /// Joiners are absorbed at round barriers, so the `Hello` may lag the
-/// dial by a full round. A `Shutdown` first — or the hub closing the
-/// connection — means the fleet wound down before this node was
-/// admitted: a clean no-op, not an error.
+/// dial by a full round. The hub closing the connection first means the
+/// fleet wound down before this node was admitted: a clean no-op, not
+/// an error.
 pub fn join(addr: &SocketAddr, behaviour: Behaviour) -> Result<(), DistError> {
     let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true).ok();
     write_message(
         &mut stream,
         &Message::Join {
             token: String::new(),
         },
     )?;
-    let hello = match read_message(&mut stream) {
-        Ok((msg, _)) => msg,
-        Err(DistError::Io(e)) if is_hangup(&e) => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    match hello {
-        Message::Shutdown => Ok(()),
-        Message::Hello { node_id } => {
-            write_message(&mut stream, &Message::HelloAck { node_id })?;
-            serve_frames(stream, node_id, behaviour)
-        }
-        other => Err(DistError::Protocol {
-            reason: format!(
-                "joiner expected Hello or Shutdown, got {}",
-                other.kind_name()
-            ),
-        }),
+    match read_message(&mut stream) {
+        Ok((first, _)) => serve_session(stream, first, behaviour),
+        Err(DistError::Io(e)) if is_hangup(&e) => Ok(()),
+        Err(e) => Err(e),
     }
 }
 
@@ -567,47 +509,89 @@ mod node_tests {
         }
     }
 
-    /// Open a session against a healthy agent, send `frames` after the
-    /// handshake, and return the agent's reply plus its exit status.
-    fn reply_to(frames: &[Message]) -> (Message, Result<(), DistError>) {
+    /// A one-thread `sum` job over a 4-row dataset written under `tag`.
+    fn sum_job(tag: &str) -> JobSetup {
+        let dataset =
+            std::env::temp_dir().join(format!("cfr-node-{tag}-{}.frds", std::process::id()));
+        freeride::source::write_dataset(&dataset, 1, &[1.0, 2.0, 3.0, 4.0]).unwrap();
+        JobSetup {
+            task: "sum".into(),
+            params: Vec::new(),
+            layout: tasks::layout("sum", &[]).unwrap().encode().unwrap(),
+            dataset: dataset.to_string_lossy().into_owned(),
+            threads: 1,
+            trace_level: TraceLevel::Off,
+            io: freeride::IoMode::Sync,
+            backend: freeride::KernelBackend::Interpreted,
+            scheme: freeride::SyncScheme::FullReplication,
+            sparse_split: false,
+        }
+    }
+
+    /// Open a session for `job` against a healthy agent, send `frames`
+    /// after the setup exchange, and return the agent's last reply plus
+    /// its exit status.
+    fn reply_to(job: JobSetup, frames: &[Message]) -> (Message, Result<(), DistError>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || serve_with(&listener, Behaviour::default()));
         let mut stream = TcpStream::connect(addr).unwrap();
-        write_message(&mut stream, &Message::Hello { node_id: 0 }).unwrap();
-        let (ack, _) = read_message(&mut stream).unwrap();
-        assert_eq!(ack, Message::HelloAck { node_id: 0 });
-        for f in frames {
-            write_message(&mut stream, f).unwrap();
+        write_message(&mut stream, &Message::Hello { node_id: 0, job }).unwrap();
+        let (mut reply, _) = read_message(&mut stream).unwrap();
+        if reply == (Message::HelloAck { node_id: 0 }) {
+            for f in frames {
+                write_message(&mut stream, f).unwrap();
+            }
+            reply = read_message(&mut stream).unwrap().0;
         }
-        let (reply, _) = read_message(&mut stream).unwrap();
         (reply, server.join().unwrap())
     }
 
     #[test]
-    fn session_rejects_round_start_before_job() {
-        let (reply, exit) = reply_to(&[Message::RoundStart {
-            round: 0,
-            attempt: 0,
-            state: vec![],
-        }]);
-        assert!(matches!(reply, Message::Error { .. }), "{reply:?}");
-        assert!(exit.is_err());
-    }
-
-    #[test]
     fn session_rejects_unit_before_round_start() {
-        let (reply, exit) = reply_to(&[Message::Unit {
-            round: 0,
-            attempt: 0,
-            first_row: 0,
-            rows: 1,
-        }]);
+        let job = sum_job("unit-first");
+        let dataset = job.dataset.clone();
+        let (reply, exit) = reply_to(
+            job,
+            &[Message::Unit {
+                round: 0,
+                attempt: 0,
+                first_row: 0,
+                rows: 1,
+            }],
+        );
+        std::fs::remove_file(dataset).ok();
         let Message::Error { message } = reply else {
             panic!("{reply:?}");
         };
         assert!(message.contains("Unit before RoundStart"), "{message}");
         assert!(exit.is_err());
+    }
+
+    /// A job the node cannot build is answered in the setup exchange:
+    /// `Error` with the node's own reason instead of `HelloAck`.
+    #[test]
+    fn session_answers_an_unbuildable_job_with_its_reason() {
+        let job = sum_job("unbuildable");
+        std::fs::remove_file(&job.dataset).unwrap();
+        let (reply, exit) = reply_to(job, &[]);
+        let Message::Error { message } = reply else {
+            panic!("{reply:?}");
+        };
+        assert!(message.contains("dataset I/O error"), "{message}");
+        assert!(exit.is_err());
+    }
+
+    /// Every session ends the same way: `EndJob` is answered with
+    /// `JobDone`, and the node closes.
+    #[test]
+    fn session_ends_with_job_done() {
+        let job = sum_job("end-job");
+        let dataset = job.dataset.clone();
+        let (reply, exit) = reply_to(job, &[Message::EndJob]);
+        std::fs::remove_file(dataset).ok();
+        assert!(matches!(reply, Message::JobDone { .. }), "{reply:?}");
+        exit.unwrap();
     }
 
     #[test]

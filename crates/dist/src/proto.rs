@@ -52,8 +52,12 @@ pub const WIRE_MAGIC: &[u8; 4] = b"FRDM";
 /// every node answer every `RoundEnd` with one `RoundDone`, which
 /// carries its leave intent and its metrics: the `Stats` push and the
 /// mid-round `Leave` (type bytes 10 and 12, never reused) are gone, and
-/// a node leaves only at a round barrier.
-pub const WIRE_VERSION: u8 = 9;
+/// a node leaves only at a round barrier. Version 10 folded `Job` into
+/// `Hello`: the job rides in the session's one setup frame, the node
+/// builds it before answering `HelloAck` (or `Error`), and its io-mode,
+/// backend, scheme and splitter bytes decode strictly. `Job`'s type
+/// byte 3 is retired.
+pub const WIRE_VERSION: u8 = 10;
 /// Upper bound on a frame payload (64 MiB): a corrupt length field
 /// fails fast instead of triggering a giant allocation.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
@@ -66,10 +70,10 @@ const FRAMING: Framing = Framing {
 
 const TYPE_HELLO: u8 = 1;
 const TYPE_HELLO_ACK: u8 = 2;
-const TYPE_JOB: u8 = 3;
-// 4 and 5 were the monolithic round pair retired in v7, 10 and 12 the
-// `Stats` push and `Leave` retired in v9; they decode to the
-// unknown-type error and are never reassigned.
+// 3 was `Job`, folded into `Hello` in v10; 4 and 5 were the monolithic
+// round pair retired in v7, 10 and 12 the `Stats` push and `Leave`
+// retired in v9. They decode to the unknown-type error and are never
+// reassigned.
 const TYPE_END_JOB: u8 = 6;
 const TYPE_JOB_DONE: u8 = 7;
 const TYPE_SHUTDOWN: u8 = 8;
@@ -84,63 +88,22 @@ const TYPE_ROUND_DONE: u8 = 17;
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// Coordinator → node: open a session, assigning the node its
-    /// cluster index.
+    /// Coordinator → node: open a session. Assigns the node its
+    /// cluster index and carries the job; the node builds the job
+    /// before it answers `HelloAck`, or `Error` when it cannot.
     Hello {
         /// Index of this node in the cluster (also its trace `pid` - 1).
         node_id: u32,
+        /// The job the following rounds run.
+        job: JobSetup,
     },
-    /// Node → coordinator: session accepted.
+    /// Node → coordinator: the job is built and the session accepted.
     HelloAck {
         /// Echo of the assigned index.
         node_id: u32,
     },
-    /// Coordinator → node: job setup for the following rounds.
-    Job {
-        /// Registered task name (see `crate::tasks`).
-        task: String,
-        /// Job-constant integer parameters (e.g. `[k, d]` for k-means).
-        params: Vec<i64>,
-        /// The reduction-object layout, as a `freeride` robj codec
-        /// layout frame (checked against the task's own layout).
-        layout: Vec<u8>,
-        /// Path of the shared dataset file (`.frds`), readable by the
-        /// node.
-        dataset: String,
-        /// Worker threads for the node's local engine.
-        threads: u32,
-        /// Level of the node's recorder; one byte on the wire (0 off,
-        /// 1 phases, 2 splits; any other byte is a decode error).
-        trace_level: TraceLevel,
-        /// Shard I/O path: 0 = synchronous split reads, 1 = streaming
-        /// chunk pipeline shaped by the three fields below.
-        io_mode: u8,
-        /// Rows per streamed chunk (ignored when `io_mode` is 0).
-        chunk_rows: u64,
-        /// Chunk buffers in the recycled pool (ignored when sync).
-        buffers: u32,
-        /// Prefetching reader threads (ignored when sync).
-        readers: u32,
-        /// Kernel backend for kernel-IR tasks
-        /// ([`freeride::KernelBackend::to_wire`] byte; closure tasks
-        /// ignore it). Decoded with `from_wire`, so an unknown byte
-        /// degrades to the interpreter rather than failing the job.
-        backend: u8,
-        /// Reduction-object sync scheme discriminant (see
-        /// [`scheme_to_wire`]); an unknown byte degrades to full
-        /// replication, which is always correct.
-        scheme: u8,
-        /// Stripe count operand (bucket locking / hybrid; 0 otherwise).
-        scheme_stripes: u64,
-        /// Hybrid region size in cells (0 for non-hybrid schemes).
-        scheme_cells: u64,
-        /// Hybrid replicated-region bitmask (0 for non-hybrid schemes).
-        scheme_mask: u64,
-        /// Thread-split policy: 0 = engine default (equal rows), 1 =
-        /// nnz-weighted from the dataset's `.frsp` sidecar.
-        splitter: u8,
-    },
-    /// Coordinator → node: no more rounds; ship the trace.
+    /// Coordinator → node: no more rounds (or this node leaves at the
+    /// barrier); answer with `JobDone` and close the session.
     EndJob,
     /// Node → coordinator: job teardown, carrying the node's drained
     /// trace as an `obs` trace codec frame (empty when tracing is off).
@@ -151,8 +114,8 @@ pub enum Message {
         /// of the node's live hub, possibly empty.
         metrics: Vec<u8>,
     },
-    /// Coordinator → node: close the session; the agent exits its
-    /// serve loop.
+    /// Coordinator → node: abort the session without a `JobDone` (the
+    /// goodbye a failed job's fleet sends every node still connected).
     Shutdown,
     /// Either direction: abort with a description. The receiver
     /// surfaces it as [`DistError::Node`] (coordinator side) or ends
@@ -162,10 +125,8 @@ pub enum Message {
         message: String,
     },
     /// Joiner → coordinator: first frame on a connection dialed at the
-    /// membership hub (`cfr-node --join`). The coordinator answers
-    /// with the normal `Hello`/`HelloAck`/`Job` session setup at the
-    /// next round barrier, or `Shutdown` when the fleet is winding
-    /// down.
+    /// membership hub (`cfr-node --join`). The coordinator opens the
+    /// normal session with `Hello` at the next round barrier.
     Join {
         /// Free-form admission token (empty today; reserved for auth).
         token: String,
@@ -234,15 +195,46 @@ pub enum Message {
         round: u32,
         /// Echo of the delivery attempt.
         attempt: u32,
-        /// The node leaves at this barrier: the coordinator removes it
-        /// after the round's merge and hands its shards to survivors,
-        /// without burning a retry. The node closes the session.
+        /// The node leaves at this barrier: after the round's merge the
+        /// coordinator ends its session (`EndJob` → `JobDone`) and hands
+        /// its shards to survivors, without burning a retry.
         leave: bool,
         /// `FRMT` metrics frame of the node's hub after this round
         /// (empty while the hub is off). The last one of a node that
-        /// dies or leaves is all the coordinator keeps of it.
+        /// dies is all the coordinator keeps of it.
         metrics: Vec<u8>,
     },
+}
+
+/// The job a session's [`Message::Hello`] carries: everything a node
+/// needs to build its engine and the task before round 0.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobSetup {
+    /// Registered task name (see `crate::tasks`).
+    pub task: String,
+    /// Job-constant integer parameters (e.g. `[k, d]` for k-means).
+    pub params: Vec<i64>,
+    /// The reduction-object layout, as a `freeride` robj codec layout
+    /// frame (checked against the task's own layout).
+    pub layout: Vec<u8>,
+    /// Path of the shared dataset file (`.frds`), readable by the node.
+    pub dataset: String,
+    /// Worker threads for the node's local engine.
+    pub threads: u32,
+    /// Level of the node's recorder (one byte: 0 off, 1 phases, 2
+    /// splits).
+    pub trace_level: TraceLevel,
+    /// Shard I/O path (a mode byte, 0 sync or 1 streaming, then the
+    /// streaming chunk rows, buffers and readers).
+    pub io: freeride::IoMode,
+    /// Kernel backend for kernel-IR tasks (closure tasks ignore it).
+    pub backend: freeride::KernelBackend,
+    /// Reduction-object sync scheme (a discriminant byte and three
+    /// scalar operands).
+    pub scheme: freeride::SyncScheme,
+    /// Cut thread splits by the nonzero weights of the dataset's
+    /// `.frsp` sidecar instead of by row count (one byte).
+    pub sparse_split: bool,
 }
 
 impl Message {
@@ -250,7 +242,6 @@ impl Message {
         match self {
             Message::Hello { .. } => TYPE_HELLO,
             Message::HelloAck { .. } => TYPE_HELLO_ACK,
-            Message::Job { .. } => TYPE_JOB,
             Message::EndJob => TYPE_END_JOB,
             Message::JobDone { .. } => TYPE_JOB_DONE,
             Message::Shutdown => TYPE_SHUTDOWN,
@@ -269,7 +260,6 @@ impl Message {
         match self {
             Message::Hello { .. } => "Hello",
             Message::HelloAck { .. } => "HelloAck",
-            Message::Job { .. } => "Job",
             Message::EndJob => "EndJob",
             Message::JobDone { .. } => "JobDone",
             Message::Shutdown => "Shutdown",
@@ -285,44 +275,11 @@ impl Message {
 
     fn put_payload(&self, out: &mut Vec<u8>) {
         match self {
-            Message::Hello { node_id } | Message::HelloAck { node_id } => {
+            Message::Hello { node_id, job } => {
                 out.extend_from_slice(&node_id.to_le_bytes());
+                put_job(out, job);
             }
-            Message::Job {
-                task,
-                params,
-                layout,
-                dataset,
-                threads,
-                trace_level,
-                io_mode,
-                chunk_rows,
-                buffers,
-                readers,
-                backend,
-                scheme,
-                scheme_stripes,
-                scheme_cells,
-                scheme_mask,
-                splitter,
-            } => {
-                put_str(out, task);
-                put_i64s(out, params);
-                put_bytes(out, layout);
-                put_str(out, dataset);
-                out.extend_from_slice(&threads.to_le_bytes());
-                out.push(trace_level_to_wire(*trace_level));
-                out.push(*io_mode);
-                out.extend_from_slice(&chunk_rows.to_le_bytes());
-                out.extend_from_slice(&buffers.to_le_bytes());
-                out.extend_from_slice(&readers.to_le_bytes());
-                out.push(*backend);
-                out.push(*scheme);
-                out.extend_from_slice(&scheme_stripes.to_le_bytes());
-                out.extend_from_slice(&scheme_cells.to_le_bytes());
-                out.extend_from_slice(&scheme_mask.to_le_bytes());
-                out.push(*splitter);
-            }
+            Message::HelloAck { node_id } => out.extend_from_slice(&node_id.to_le_bytes()),
             Message::EndJob | Message::Shutdown => {}
             Message::JobDone { trace, metrics } => {
                 put_bytes(out, trace);
@@ -392,27 +349,10 @@ impl Message {
         let msg = match type_byte {
             TYPE_HELLO => Message::Hello {
                 node_id: r.u32("node_id")?,
+                job: read_job(&mut r)?,
             },
             TYPE_HELLO_ACK => Message::HelloAck {
                 node_id: r.u32("node_id")?,
-            },
-            TYPE_JOB => Message::Job {
-                task: r.str(MAX_FRAME_LEN, "task")?.into(),
-                params: r.i64s(MAX_FRAME_LEN, "params")?,
-                layout: r.bytes(MAX_FRAME_LEN, "layout")?.to_vec(),
-                dataset: r.str(MAX_FRAME_LEN, "dataset")?.into(),
-                threads: r.u32("threads")?,
-                trace_level: trace_level_from_wire(r.u8("trace_level")?)?,
-                io_mode: r.u8("io_mode")?,
-                chunk_rows: r.u64("chunk_rows")?,
-                buffers: r.u32("buffers")?,
-                readers: r.u32("readers")?,
-                backend: r.u8("backend")?,
-                scheme: r.u8("scheme")?,
-                scheme_stripes: r.u64("scheme_stripes")?,
-                scheme_cells: r.u64("scheme_cells")?,
-                scheme_mask: r.u64("scheme_mask")?,
-                splitter: r.u8("splitter")?,
             },
             TYPE_END_JOB => Message::EndJob,
             TYPE_JOB_DONE => Message::JobDone {
@@ -481,7 +421,93 @@ pub fn write_message(w: &mut impl Write, msg: &Message) -> Result<usize, DistErr
     Ok(frame.len())
 }
 
-/// The [`Message::Job`] byte of a trace level.
+fn put_job(out: &mut Vec<u8>, job: &JobSetup) {
+    put_str(out, &job.task);
+    put_i64s(out, &job.params);
+    put_bytes(out, &job.layout);
+    put_str(out, &job.dataset);
+    out.extend_from_slice(&job.threads.to_le_bytes());
+    out.push(trace_level_to_wire(job.trace_level));
+    let (io_mode, chunk_rows, buffers, readers) = match job.io {
+        freeride::IoMode::Sync => (0u8, 0u64, 0u32, 0u32),
+        freeride::IoMode::Streaming {
+            chunk_rows,
+            buffers,
+            readers,
+        } => (1, chunk_rows as u64, buffers as u32, readers as u32),
+    };
+    out.push(io_mode);
+    out.extend_from_slice(&chunk_rows.to_le_bytes());
+    out.extend_from_slice(&buffers.to_le_bytes());
+    out.extend_from_slice(&readers.to_le_bytes());
+    out.push(job.backend.to_wire());
+    let (scheme, stripes, cells, mask) = scheme_to_wire(job.scheme);
+    out.push(scheme);
+    out.extend_from_slice(&stripes.to_le_bytes());
+    out.extend_from_slice(&cells.to_le_bytes());
+    out.extend_from_slice(&mask.to_le_bytes());
+    out.push(u8::from(job.sparse_split));
+}
+
+/// Decode a [`JobSetup`]. Every enumerated byte must name a value this
+/// build knows: an unknown io mode, backend, scheme or splitter byte,
+/// or a scheme with degenerate operands, is a [`DistError::Protocol`],
+/// so a corrupt or skewed frame never starts a job on a fallback.
+fn read_job(r: &mut Cursor<'_>) -> Result<JobSetup, DistError> {
+    let task = r.str(MAX_FRAME_LEN, "task")?.into();
+    let params = r.i64s(MAX_FRAME_LEN, "params")?;
+    let layout = r.bytes(MAX_FRAME_LEN, "layout")?.to_vec();
+    let dataset = r.str(MAX_FRAME_LEN, "dataset")?.into();
+    let threads = r.u32("threads")?;
+    let trace_level = trace_level_from_wire(r.u8("trace_level")?)?;
+    let io_mode = r.u8("io_mode")?;
+    let streaming = freeride::IoMode::Streaming {
+        chunk_rows: r.u64("chunk_rows")? as usize,
+        buffers: r.u32("buffers")? as usize,
+        readers: r.u32("readers")? as usize,
+    };
+    let io = match io_mode {
+        0 => freeride::IoMode::Sync,
+        1 => streaming,
+        other => return Err(bad("io mode", other)),
+    };
+    let backend = match r.u8("backend")? {
+        0 => freeride::KernelBackend::Interpreted,
+        1 => freeride::KernelBackend::Compiled,
+        other => return Err(bad("kernel backend", other)),
+    };
+    let scheme = scheme_from_wire(
+        r.u8("scheme")?,
+        r.u64("scheme_stripes")?,
+        r.u64("scheme_cells")?,
+        r.u64("scheme_mask")?,
+    )?;
+    let sparse_split = match r.u8("splitter")? {
+        0 => false,
+        1 => true,
+        other => return Err(bad("splitter", other)),
+    };
+    Ok(JobSetup {
+        task,
+        params,
+        layout,
+        dataset,
+        threads,
+        trace_level,
+        io,
+        backend,
+        scheme,
+        sparse_split,
+    })
+}
+
+fn bad(what: &str, byte: u8) -> DistError {
+    DistError::Protocol {
+        reason: format!("unknown {what} {byte}"),
+    }
+}
+
+/// The [`JobSetup`] byte of a trace level.
 pub(crate) fn trace_level_to_wire(level: TraceLevel) -> u8 {
     match level {
         TraceLevel::Off => 0,
@@ -490,55 +516,20 @@ pub(crate) fn trace_level_to_wire(level: TraceLevel) -> u8 {
     }
 }
 
-/// The trace level a [`Message::Job`] byte names; an unknown byte is a
+/// The trace level a [`JobSetup`] byte names; an unknown byte is a
 /// [`DistError::Protocol`], so a corrupt frame never starts a job.
 pub(crate) fn trace_level_from_wire(b: u8) -> Result<TraceLevel, DistError> {
     match b {
         0 => Ok(TraceLevel::Off),
         1 => Ok(TraceLevel::Phases),
         2 => Ok(TraceLevel::Splits),
-        other => Err(DistError::Protocol {
-            reason: format!("unknown trace level {other}"),
-        }),
+        other => Err(bad("trace level", other)),
     }
 }
 
-/// Flatten an engine [`freeride::IoMode`] into the [`Message::Job`]
-/// wire fields `(io_mode, chunk_rows, buffers, readers)`.
-pub fn io_mode_to_wire(io: &freeride::IoMode) -> (u8, u64, u32, u32) {
-    match *io {
-        freeride::IoMode::Sync => (0, 0, 0, 0),
-        freeride::IoMode::Streaming {
-            chunk_rows,
-            buffers,
-            readers,
-        } => (1, chunk_rows as u64, buffers as u32, readers as u32),
-    }
-}
-
-/// Rebuild an [`freeride::IoMode`] from [`Message::Job`] wire fields.
-/// Unknown mode bytes fall back to the sync path, which is always
-/// correct (just unoverlapped).
-pub fn io_mode_from_wire(
-    io_mode: u8,
-    chunk_rows: u64,
-    buffers: u32,
-    readers: u32,
-) -> freeride::IoMode {
-    if io_mode == 1 {
-        freeride::IoMode::Streaming {
-            chunk_rows: chunk_rows as usize,
-            buffers: buffers as usize,
-            readers: readers as usize,
-        }
-    } else {
-        freeride::IoMode::Sync
-    }
-}
-
-/// Flatten a [`freeride::SyncScheme`] into the [`Message::Job`] wire
-/// fields `(scheme, stripes, region_cells, replicated_mask)`.
-pub fn scheme_to_wire(s: freeride::SyncScheme) -> (u8, u64, u64, u64) {
+/// Flatten a [`freeride::SyncScheme`] into its wire fields `(scheme,
+/// stripes, region_cells, replicated_mask)`.
+fn scheme_to_wire(s: freeride::SyncScheme) -> (u8, u64, u64, u64) {
     match s {
         freeride::SyncScheme::FullReplication => (0, 0, 0, 0),
         freeride::SyncScheme::FullLocking => (1, 0, 0, 0),
@@ -552,12 +543,17 @@ pub fn scheme_to_wire(s: freeride::SyncScheme) -> (u8, u64, u64, u64) {
     }
 }
 
-/// Rebuild a [`freeride::SyncScheme`] from [`Message::Job`] wire
-/// fields. Unknown discriminants and degenerate operands (zero stripes
-/// or region size) fall back to full replication, which is always
-/// correct — scheme choice only affects synchronization cost.
-pub fn scheme_from_wire(scheme: u8, stripes: u64, cells: u64, mask: u64) -> freeride::SyncScheme {
-    match scheme {
+/// Rebuild a [`freeride::SyncScheme`] from its wire fields. An unknown
+/// discriminant, or zero stripes or region size where the scheme needs
+/// them, is a [`DistError::Protocol`].
+fn scheme_from_wire(
+    scheme: u8,
+    stripes: u64,
+    cells: u64,
+    mask: u64,
+) -> Result<freeride::SyncScheme, DistError> {
+    Ok(match scheme {
+        0 => freeride::SyncScheme::FullReplication,
         1 => freeride::SyncScheme::FullLocking,
         2 if stripes > 0 => freeride::SyncScheme::BucketLocking {
             stripes: stripes as usize,
@@ -568,8 +564,15 @@ pub fn scheme_from_wire(scheme: u8, stripes: u64, cells: u64, mask: u64) -> free
             replicated: mask,
             stripes: stripes as usize,
         },
-        _ => freeride::SyncScheme::FullReplication,
-    }
+        2 | 4 => {
+            return Err(DistError::Protocol {
+                reason: format!(
+                "sync scheme {scheme} with degenerate operands (stripes {stripes}, cells {cells})"
+            ),
+            })
+        }
+        other => return Err(bad("sync scheme", other)),
+    })
 }
 
 /// Read one frame, returning the message and the number of bytes taken
@@ -586,28 +589,36 @@ pub fn read_message(r: &mut impl Read) -> Result<(Message, usize), DistError> {
 mod proto_tests {
     use super::*;
 
-    fn samples() -> Vec<Message> {
-        vec![
-            Message::Hello { node_id: 3 },
-            Message::HelloAck { node_id: 3 },
-            Message::Job {
-                task: "kmeans".into(),
-                params: vec![4, 2],
-                layout: vec![1, 2, 3],
-                dataset: "/tmp/points.frds".into(),
-                threads: 2,
-                trace_level: TraceLevel::Phases,
-                io_mode: 1,
+    fn sample_job() -> JobSetup {
+        JobSetup {
+            task: "kmeans".into(),
+            params: vec![4, 2],
+            layout: vec![1, 2, 3],
+            dataset: "/tmp/points.frds".into(),
+            threads: 2,
+            trace_level: TraceLevel::Phases,
+            io: freeride::IoMode::Streaming {
                 chunk_rows: 4096,
                 buffers: 3,
                 readers: 2,
-                backend: 1,
-                scheme: 4,
-                scheme_stripes: 64,
-                scheme_cells: 128,
-                scheme_mask: 0b1011,
-                splitter: 1,
             },
+            backend: freeride::KernelBackend::Compiled,
+            scheme: freeride::SyncScheme::Hybrid {
+                region_cells: 128,
+                replicated: 0b1011,
+                stripes: 64,
+            },
+            sparse_split: true,
+        }
+    }
+
+    fn samples() -> Vec<Message> {
+        vec![
+            Message::Hello {
+                node_id: 3,
+                job: sample_job(),
+            },
+            Message::HelloAck { node_id: 3 },
             Message::EndJob,
             Message::JobDone {
                 trace: vec![4, 5],
@@ -678,7 +689,7 @@ mod proto_tests {
     }
 
     #[test]
-    fn scheme_wire_round_trips_and_degrades_safely() {
+    fn scheme_wire_round_trips_and_rejects_bad_bytes() {
         use freeride::SyncScheme;
         for s in [
             SyncScheme::FullReplication,
@@ -692,13 +703,14 @@ mod proto_tests {
             },
         ] {
             let (b, st, c, m) = scheme_to_wire(s);
-            assert_eq!(scheme_from_wire(b, st, c, m), s);
+            assert_eq!(scheme_from_wire(b, st, c, m).unwrap(), s);
         }
-        // Unknown discriminants and degenerate operands degrade to the
-        // always-correct scheme instead of failing the job.
-        assert_eq!(scheme_from_wire(99, 0, 0, 0), SyncScheme::FullReplication);
-        assert_eq!(scheme_from_wire(2, 0, 0, 0), SyncScheme::FullReplication);
-        assert_eq!(scheme_from_wire(4, 8, 0, 1), SyncScheme::FullReplication);
+        // Unknown discriminants and degenerate operands fail the decode
+        // instead of starting the job on another scheme.
+        for (b, st, c, m) in [(99, 0, 0, 0), (2, 0, 0, 0), (4, 8, 0, 1), (4, 0, 8, 1)] {
+            let err = scheme_from_wire(b, st, c, m).unwrap_err();
+            assert!(matches!(err, DistError::Protocol { .. }), "{err}");
+        }
     }
 
     #[test]
@@ -717,13 +729,13 @@ mod proto_tests {
         assert!(err.to_string().contains("version"), "{err}");
     }
 
-    /// 4 and 5 are the type bytes of the round pair retired in v7, 10
-    /// and 12 those of `Stats` and `Leave` retired in v9; a v8 peer's
-    /// opening frame, in either direction, is refused by its version
-    /// before its type is read.
+    /// 3 is the type byte of `Job` retired in v10, 4 and 5 those of the
+    /// round pair retired in v7, 10 and 12 those of `Stats` and `Leave`
+    /// retired in v9; a v9 peer's opening frame, in either direction, is
+    /// refused by its version before its type is read.
     #[test]
     fn unknown_and_retired_types_rejected() {
-        for type_byte in [4u8, 5, 10, 12, 200] {
+        for type_byte in [3u8, 4, 5, 10, 12, 200] {
             let mut frame = Message::EndJob.encode();
             frame[5] = type_byte;
             let err = read_message(&mut &frame[..]).unwrap_err();
@@ -733,44 +745,47 @@ mod proto_tests {
             );
         }
         for msg in [
-            Message::Hello { node_id: 0 },
+            Message::Hello {
+                node_id: 0,
+                job: sample_job(),
+            },
             Message::HelloAck { node_id: 0 },
         ] {
             let mut frame = msg.encode();
             frame[4] = WIRE_VERSION - 1;
             let err = read_message(&mut &frame[..]).unwrap_err();
             assert!(matches!(err, DistError::Protocol { .. }), "{err}");
-            assert!(err.to_string().contains("wire version 8"), "{err}");
+            assert!(err.to_string().contains("wire version 9"), "{err}");
         }
+    }
+
+    /// Offset of the trace byte in an encoded `Hello`: header,
+    /// `node_id`, four u32-prefixed fields, then `threads`. The io mode,
+    /// backend, scheme and splitter bytes follow at fixed distances.
+    fn trace_byte_at(job: &JobSetup) -> usize {
+        FRAME_HEADER_LEN
+            + 4
+            + 4
+            + job.task.len()
+            + 4
+            + 8 * job.params.len()
+            + 4
+            + job.layout.len()
+            + 4
+            + job.dataset.len()
+            + 4
     }
 
     /// The trace byte keeps its encoding for the three levels, and every
     /// other byte fails the decode instead of starting a job.
     #[test]
     fn unknown_trace_level_rejected() {
-        let job = samples().swap_remove(2);
-        let Message::Job {
-            task,
-            params,
-            layout,
-            dataset,
-            ..
-        } = &job
-        else {
+        let hello = samples().swap_remove(0);
+        let Message::Hello { job, .. } = &hello else {
             unreachable!()
         };
-        // header, four u32-prefixed fields, then `threads`.
-        let at = FRAME_HEADER_LEN
-            + 4
-            + task.len()
-            + 4
-            + 8 * params.len()
-            + 4
-            + layout.len()
-            + 4
-            + dataset.len()
-            + 4;
-        let mut frame = job.encode();
+        let at = trace_byte_at(job);
+        let mut frame = hello.encode();
         for (byte, level) in [
             (0u8, TraceLevel::Off),
             (1, TraceLevel::Phases),
@@ -778,7 +793,10 @@ mod proto_tests {
         ] {
             frame[at] = byte;
             let (back, _) = read_message(&mut &frame[..]).unwrap();
-            assert!(matches!(back, Message::Job { trace_level, .. } if trace_level == level));
+            assert!(
+                matches!(&back, Message::Hello { job, .. } if job.trace_level == level),
+                "{back:?}"
+            );
             assert_eq!(back.encode(), frame);
         }
         for byte in [3u8, 255] {
@@ -786,6 +804,34 @@ mod proto_tests {
             let err = read_message(&mut &frame[..]).unwrap_err();
             assert!(matches!(err, DistError::Protocol { .. }), "{err}");
             assert!(err.to_string().contains("unknown trace level"), "{err}");
+        }
+    }
+
+    /// An io mode, backend, scheme or splitter byte this build does not
+    /// know is a protocol error at decode time, never a silent fallback.
+    #[test]
+    fn unknown_setup_bytes_rejected() {
+        let hello = samples().swap_remove(0);
+        let Message::Hello { job, .. } = &hello else {
+            unreachable!()
+        };
+        let io_at = trace_byte_at(job) + 1;
+        let backend_at = io_at + 1 + 8 + 4 + 4;
+        let scheme_at = backend_at + 1;
+        let splitter_at = scheme_at + 1 + 3 * 8;
+        let frame = hello.encode();
+        assert_eq!(splitter_at + 1, frame.len());
+        for (at, byte, what) in [
+            (io_at, 2u8, "unknown io mode"),
+            (backend_at, 2, "unknown kernel backend"),
+            (scheme_at, 5, "unknown sync scheme"),
+            (splitter_at, 2, "unknown splitter"),
+        ] {
+            let mut bad = frame.clone();
+            bad[at] = byte;
+            let err = read_message(&mut &bad[..]).unwrap_err();
+            assert!(matches!(err, DistError::Protocol { .. }), "{err}");
+            assert!(err.to_string().contains(what), "{what}: {err}");
         }
     }
 
@@ -813,7 +859,7 @@ mod proto_tests {
 
     #[test]
     fn trailing_payload_bytes_rejected() {
-        let mut frame = Message::Hello { node_id: 1 }.encode();
+        let mut frame = Message::HelloAck { node_id: 1 }.encode();
         // Grow the payload by one byte and fix up the length field.
         frame.push(0);
         let len = (frame.len() - 10) as u32;

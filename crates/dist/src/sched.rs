@@ -9,28 +9,31 @@
 //! exact behaviour.
 //!
 //! Lifecycle contract: a [`Fleet`] owns the node connections of one
-//! job session and **always** says goodbye. The happy path is
-//! [`Fleet::finish`] (EndJob → JobDone trace collection → Shutdown per
-//! node); every other path — a node failure mid-round, a timeout,
-//! retries exhausted, a panic unwinding through the driver — reaches
-//! [`Fleet::shutdown`] via `Drop`, which sends a best-effort Shutdown
-//! frame to every surviving node so agents exit cleanly instead of
-//! hanging on (or erroring out of) a dead coordinator's socket.
+//! job session and **always** says goodbye. Every session opens with
+//! one setup exchange (`Hello` carrying the job → `HelloAck` or
+//! `Error`) and ends the same way: `EndJob` → `JobDone`, after which
+//! the node closes — at a barrier for a node that leaves, in
+//! [`Fleet::finish`] for the rest. Every other path — a node failure
+//! mid-round, a timeout, retries exhausted, a panic unwinding through
+//! the driver — reaches [`Fleet::shutdown`] via `Drop`, which sends a
+//! best-effort Shutdown frame to every surviving node so agents exit
+//! cleanly instead of hanging on (or erroring out of) a dead
+//! coordinator's socket.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use freeride::{RObjLayout, ReductionObject, RunStats};
-use freeride_ft::{Checkpoint, CheckpointStore};
 use obs::{metric_name, AttrValue, MetricsSnapshot, Recorder, Trace, TraceLevel};
 
 use crate::coord::{ClusterConfig, ClusterOutcome, ClusterStats};
 use crate::error::DistError;
 use crate::membership::MembershipHub;
 use crate::policy::plan;
-use crate::proto::{read_message, write_message, Message};
+use crate::proto::{read_message, write_message, JobSetup, Message};
 use crate::queue::StealQueue;
+use crate::store::{Checkpoint, CheckpointStore};
 use crate::tasks;
 use crate::units::{auto_grain, split_units};
 
@@ -182,9 +185,19 @@ pub(crate) struct LiveNode {
     pub(crate) conn: NodeConn,
     pub(crate) shards: Vec<(u64, u64)>,
     /// The metrics of the node's latest `RoundDone` (while its hub is
-    /// on); kept so a node that dies or leaves mid-run still
-    /// contributes its last known metrics to the fleet aggregate.
+    /// on); kept so a node that dies mid-run still contributes its last
+    /// known metrics to the fleet aggregate.
     pub(crate) last_stats: Option<MetricsSnapshot>,
+}
+
+impl LiveNode {
+    fn new(stream: TcpStream, id: usize, shards: Vec<(u64, u64)>) -> LiveNode {
+        LiveNode {
+            conn: NodeConn { stream, id },
+            shards,
+            last_stats: None,
+        }
+    }
 }
 
 /// The node connections of one job session, with guaranteed goodbye
@@ -195,10 +208,17 @@ pub struct Fleet {
     /// (a leaver's or dead node's id stays retired), so per-node
     /// telemetry and trace pids stay unambiguous across churn.
     pub(crate) next_id: usize,
+    /// `(node id, trace)` shipped in the `JobDone` of every session
+    /// ended so far.
+    traces: Vec<(usize, Trace)>,
+    /// The final metrics of every node that left the fleet: its
+    /// `JobDone` snapshot, or the last `RoundDone` one of a node that
+    /// died.
+    metrics: Vec<MetricsSnapshot>,
 }
 
 impl Fleet {
-    /// Connect to every node agent, handshake, and send the job setup.
+    /// Connect to every node agent and run the setup exchange.
     /// Shards are contiguous row ranges: by default node `i` of `n`
     /// gets the equal-row cut `[i·rows/n, (i+1)·rows/n)`; with
     /// [`ClusterConfig::shard_bounds`] set (e.g. an nnz-balanced cut
@@ -208,7 +228,7 @@ impl Fleet {
     pub(crate) fn connect(
         cfg: &ClusterConfig,
         addrs: &[SocketAddr],
-        layout_frame: &[u8],
+        job: &JobSetup,
         rows: usize,
         stats: &mut ClusterStats,
     ) -> Result<Fleet, DistError> {
@@ -242,47 +262,38 @@ impl Fleet {
         let mut fleet = Fleet {
             nodes: Vec::with_capacity(addrs.len()),
             next_id: addrs.len(),
+            traces: Vec::new(),
+            metrics: Vec::new(),
         };
         for (id, addr) in addrs.iter().enumerate() {
             let stream = TcpStream::connect_timeout(addr, cfg.read_timeout)?;
             stream.set_read_timeout(Some(cfg.read_timeout))?;
-            stream.set_nodelay(true).ok();
-            let mut conn = NodeConn { stream, id };
-            conn.send(&Message::Hello { node_id: id as u32 }, stats)?;
-            match conn.recv("HelloAck", stats)? {
-                Message::HelloAck { node_id } if node_id as usize == id => {}
-                other => return Err(conn.unexpected("HelloAck", &other)),
-            }
-            let (first, count) = match &cfg.shard_bounds {
-                Some(bounds) => (bounds[id].0 as usize, bounds[id].1 as usize),
+            let shard = match &cfg.shard_bounds {
+                Some(bounds) => bounds[id],
                 None => {
                     let first = id * rows / addrs.len();
-                    (first, (id + 1) * rows / addrs.len() - first)
+                    (first as u64, ((id + 1) * rows / addrs.len() - first) as u64)
                 }
             };
-            conn.send(&job_message(cfg, layout_frame), stats)?;
-            fleet.nodes.push(LiveNode {
-                conn,
-                shards: vec![(first as u64, count as u64)],
-                last_stats: None,
-            });
+            fleet.nodes.push(LiveNode::new(stream, id, vec![shard]));
         }
+        handshake(&mut fleet.nodes, job, stats)?;
         Ok(fleet)
     }
 
     /// Absorb pending joiner connections from the membership hub at
-    /// the barrier before `round`: Join → Hello/HelloAck → Job, then
-    /// add the node live with **no shards** — work reaches it through
-    /// unit stealing or through the shards of a node that leaves or
-    /// dies. Each admission is a `sched.join` instant; a broken joiner
-    /// (handshake failure, timeout, garbage) is dropped without failing
-    /// the job, recorded as a `sched.join_rejected` instant carrying
-    /// the error.
+    /// the barrier before `round`: `Join`, then the setup exchange,
+    /// then add the node live with **no shards** — work reaches it
+    /// through unit stealing or through the shards of a node that
+    /// leaves or dies. Each admission is a `sched.join` instant; a
+    /// broken joiner (handshake failure, timeout, garbage, a job it
+    /// cannot build) is dropped without failing the job, recorded as a
+    /// `sched.join_rejected` instant carrying the error.
     pub(crate) fn absorb_joiners(
         &mut self,
         hub: &MembershipHub,
         cfg: &ClusterConfig,
-        layout_frame: &[u8],
+        job: &JobSetup,
         round: usize,
         stats: &mut ClusterStats,
         rec: &Recorder,
@@ -291,26 +302,18 @@ impl Fleet {
             let id = self.next_id;
             let admitted = (|| -> Result<LiveNode, DistError> {
                 // A joiner that dialed but never speaks must not stall
-                // the round barrier; give the handshake a short fuse.
+                // the round barrier; give its `Join` a short fuse. Its
+                // `HelloAck` waits on its job build, as the round would,
+                // under the normal read timeout.
                 stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-                stream.set_nodelay(true).ok();
-                let mut conn = NodeConn { stream, id };
-                match conn.recv("Join", stats)? {
+                let mut node = LiveNode::new(stream, id, Vec::new());
+                match node.conn.recv("Join", stats)? {
                     Message::Join { .. } => {}
-                    other => return Err(conn.unexpected("Join", &other)),
+                    other => return Err(node.conn.unexpected("Join", &other)),
                 }
-                conn.send(&Message::Hello { node_id: id as u32 }, stats)?;
-                match conn.recv("HelloAck", stats)? {
-                    Message::HelloAck { node_id } if node_id as usize == id => {}
-                    other => return Err(conn.unexpected("HelloAck", &other)),
-                }
-                conn.send(&job_message(cfg, layout_frame), stats)?;
-                conn.stream.set_read_timeout(Some(cfg.read_timeout))?;
-                Ok(LiveNode {
-                    conn,
-                    shards: Vec::new(),
-                    last_stats: None,
-                })
+                node.conn.stream.set_read_timeout(Some(cfg.read_timeout))?;
+                handshake(std::slice::from_mut(&mut node), job, stats)?;
+                Ok(node)
             })();
             let mut attrs = vec![
                 ("node", AttrValue::Int(id as i64)),
@@ -358,11 +361,14 @@ impl Fleet {
         map
     }
 
-    /// Remove a dead or departed node, returning it so the caller can
+    /// Remove a dead node, returning it so the caller can
     /// [`adopt`](Fleet::adopt) its shards. Its connection closes on
-    /// drop; no goodbye is owed to a node already gone.
+    /// drop; no goodbye is owed to a node already gone, and the metrics
+    /// of its last `RoundDone` are all the telemetry that survives it.
     pub(crate) fn remove(&mut self, idx: usize) -> LiveNode {
-        self.nodes.remove(idx)
+        let mut dead = self.nodes.remove(idx);
+        self.metrics.extend(dead.last_stats.take());
+        dead
     }
 
     /// Hand orphaned shards to the least-loaded survivors. The shard
@@ -380,33 +386,55 @@ impl Fleet {
         }
     }
 
-    /// Happy-path teardown: per node, EndJob → collect the shipped
-    /// trace and final metrics snapshot → Shutdown. Nodes are consumed
-    /// as they complete, so if a node fails mid-goodbye the remaining
-    /// ones still get their best-effort Shutdown from `Drop`.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn finish(
+    /// End the session of the node in `slot` the one way every session
+    /// ends — `EndJob` → `JobDone`, then the node closes — and keep the
+    /// trace and final metrics it ships for the job's merge. The node
+    /// leaves the fleet either way (take its shards first); one that
+    /// fails its goodbye is kept as a dead node is, by its last
+    /// `RoundDone` metrics.
+    pub(crate) fn release(
         &mut self,
+        slot: usize,
         stats: &mut ClusterStats,
-    ) -> Result<(Vec<(usize, Trace)>, Vec<MetricsSnapshot>), DistError> {
-        let mut node_traces = Vec::new();
-        let mut node_metrics = Vec::new();
-        while !self.nodes.is_empty() {
-            let mut n = self.nodes.remove(0);
+    ) -> Result<(), DistError> {
+        let mut n = self.nodes.remove(slot);
+        let done = (|| -> Result<(), DistError> {
             n.conn.send(&Message::EndJob, stats)?;
             let msg = n.conn.recv("JobDone", stats)?;
             let Message::JobDone { trace, metrics } = msg else {
                 return Err(n.conn.unexpected("JobDone", &msg));
             };
             if !trace.is_empty() {
-                node_traces.push((n.conn.id, Trace::decode_bin(&trace)?));
+                self.traces.push((n.conn.id, Trace::decode_bin(&trace)?));
             }
             if !metrics.is_empty() {
-                node_metrics.push(MetricsSnapshot::decode_bin(&metrics)?);
+                self.metrics.push(MetricsSnapshot::decode_bin(&metrics)?);
             }
-            n.conn.send(&Message::Shutdown, stats)?;
+            Ok(())
+        })();
+        if done.is_err() {
+            self.metrics.extend(n.last_stats.take());
         }
-        Ok((node_traces, node_metrics))
+        done
+    }
+
+    /// Happy-path teardown: [`release`](Fleet::release) every node in
+    /// turn, then hand back every trace and final metrics snapshot the
+    /// job's sessions shipped. If a node fails its goodbye, the ones
+    /// not yet released still get their best-effort Shutdown from
+    /// `Drop`.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn finish(
+        &mut self,
+        stats: &mut ClusterStats,
+    ) -> Result<(Vec<(usize, Trace)>, Vec<MetricsSnapshot>), DistError> {
+        while !self.nodes.is_empty() {
+            self.release(0, stats)?;
+        }
+        Ok((
+            std::mem::take(&mut self.traces),
+            std::mem::take(&mut self.metrics),
+        ))
     }
 
     /// Best-effort goodbye to every remaining node: send one Shutdown
@@ -429,29 +457,47 @@ impl Drop for Fleet {
     }
 }
 
-/// The `Job` setup frame for `cfg`, shared between the initial
-/// connect handshake and mid-job joiner absorption.
-fn job_message(cfg: &ClusterConfig, layout_frame: &[u8]) -> Message {
-    let (io_mode, chunk_rows, buffers, readers) = crate::proto::io_mode_to_wire(&cfg.io);
-    let (scheme, scheme_stripes, scheme_cells, scheme_mask) =
-        crate::proto::scheme_to_wire(cfg.scheme);
-    Message::Job {
+/// The setup exchange of every session, initial or joining: send each
+/// node its `Hello`, which carries the job, and only then read the
+/// replies, so the nodes build their jobs (open the dataset, compile a
+/// `chapel.*` program) in parallel. A node that cannot build the job
+/// answers `Error`, which fails here as [`DistError::Node`] with the
+/// node's own reason, before any round.
+fn handshake(
+    nodes: &mut [LiveNode],
+    job: &JobSetup,
+    stats: &mut ClusterStats,
+) -> Result<(), DistError> {
+    for n in nodes.iter_mut() {
+        n.conn.stream.set_nodelay(true).ok();
+        let hello = Message::Hello {
+            node_id: n.conn.id as u32,
+            job: job.clone(),
+        };
+        n.conn.send(&hello, stats)?;
+    }
+    for n in nodes {
+        match n.conn.recv("HelloAck", stats)? {
+            Message::HelloAck { node_id } if node_id as usize == n.conn.id => {}
+            other => return Err(n.conn.unexpected("HelloAck", &other)),
+        }
+    }
+    Ok(())
+}
+
+/// The job every session of `cfg` sets up.
+fn job_setup(cfg: &ClusterConfig, layout_frame: Vec<u8>) -> JobSetup {
+    JobSetup {
         task: cfg.task.clone(),
         params: cfg.params.clone(),
-        layout: layout_frame.to_vec(),
+        layout: layout_frame,
         dataset: cfg.dataset.to_string_lossy().into_owned(),
         threads: cfg.threads_per_node.max(1) as u32,
         trace_level: cfg.trace,
-        io_mode,
-        chunk_rows,
-        buffers,
-        readers,
-        backend: cfg.backend.to_wire(),
-        scheme,
-        scheme_stripes,
-        scheme_cells,
-        scheme_mask,
-        splitter: cfg.sparse_split as u8,
+        io: cfg.io,
+        backend: cfg.backend,
+        scheme: cfg.scheme,
+        sparse_split: cfg.sparse_split,
     }
 }
 
@@ -618,17 +664,17 @@ impl<'a> JobDriver<'a> {
         }
 
         let layout = tasks::layout(&cfg.task, &cfg.params)?;
-        let layout_frame = layout.encode()?;
+        let job = job_setup(cfg, layout.encode()?);
         // Shard assignment needs the row count; headers only, no payload read.
         let rows = freeride::source::FileDataset::open(&cfg.dataset)?.rows();
 
-        // ---- Connect + handshake + job setup. From here on the fleet
-        // owns the sockets: any error return (or panic) drops it, which
-        // sends a best-effort Shutdown to every surviving node. ----
+        // ---- Connect + setup exchange. From here on the fleet owns the
+        // sockets: any error return (or panic) drops it, which sends a
+        // best-effort Shutdown to every surviving node. ----
         let mut fleet = {
             let mut span = rec.span(TraceLevel::Phases, "cluster.setup", "dist", 0);
             span.attr_int("nodes", addrs.len() as i64);
-            Fleet::connect(cfg, addrs, &layout_frame, rows, &mut stats)?
+            Fleet::connect(cfg, addrs, &job, rows, &mut stats)?
         };
 
         // The steal grain is fixed from the *initial* fleet size for
@@ -647,12 +693,11 @@ impl<'a> JobDriver<'a> {
         let mut merged = ReductionObject::alloc(layout.clone());
         let mut attempt: u32 = 0;
         let mut retries_used = 0usize;
-        let mut dead_stats: Vec<MetricsSnapshot> = Vec::new();
         for round in first_round..rounds {
             // ---- Round barrier: absorb any nodes that dialed the
             // membership hub since the last round. ----
             if let Some(hub) = hub {
-                fleet.absorb_joiners(hub, cfg, &layout_frame, round, &mut stats, rec);
+                fleet.absorb_joiners(hub, cfg, &job, round, &mut stats, rec);
             }
             loop {
                 let outcome = self.round_attempt(
@@ -664,7 +709,6 @@ impl<'a> JobDriver<'a> {
                     &mut merged,
                     &mut stats,
                     grain,
-                    &mut dead_stats,
                 );
                 match outcome {
                     Ok(()) => break,
@@ -685,12 +729,6 @@ impl<'a> JobDriver<'a> {
                         let mut rspan = rec.span(TraceLevel::Phases, "ft.recover", "ft", 0);
                         let dead = fleet.remove(idx);
                         rec.hub().add("health.node_failures", 1);
-                        // A dead node never reaches JobDone; the
-                        // metrics of its last RoundDone are all the
-                        // telemetry that survives it.
-                        if let Some(s) = dead.last_stats {
-                            dead_stats.push(s);
-                        }
                         let moved = dead.shards.len();
                         rspan.attr_int("node", dead.conn.id as i64);
                         rspan.attr_int("round", round as i64);
@@ -746,10 +784,10 @@ impl<'a> JobDriver<'a> {
             }
         }
 
-        // ---- Teardown: collect traces and final metrics from the
-        // *live* nodes (a dead node's trace died with it; its metrics
-        // survive only as far as its last RoundDone), shut them
-        // down. ----
+        // ---- Teardown: end every live node's session and collect the
+        // traces and final metrics of every session that ended (a dead
+        // node's trace died with it; its metrics survive only as far as
+        // its last RoundDone). ----
         let (node_traces, node_metrics) = fleet.finish(&mut stats)?;
 
         rec.hub().add("dist.bytes_sent", stats.bytes_sent as i64);
@@ -779,15 +817,12 @@ impl<'a> JobDriver<'a> {
         };
 
         // Fleet aggregation: the coordinator's own live counters merged
-        // with every node's final snapshot (and the last RoundDone
-        // metrics of nodes that died or left). Histogram merge is per-bucket addition, so fleet
-        // quantiles come out of the same log-linear buckets.
+        // with every node's final snapshot (the last RoundDone metrics
+        // of a node that died). Histogram merge is per-bucket addition,
+        // so fleet quantiles come out of the same log-linear buckets.
         let telemetry = rec.hub().is_enabled().then(|| {
             let mut snap = rec.hub().snapshot();
             for m in &node_metrics {
-                snap.merge(m);
-            }
-            for m in &dead_stats {
                 snap.merge(m);
             }
             snap
@@ -824,7 +859,7 @@ impl<'a> JobDriver<'a> {
     ///
     /// Every node answers the round's `RoundEnd` with one `RoundDone`,
     /// whether or not it ran a unit. A node whose `RoundDone` says it
-    /// leaves is removed after the merge and burns no retry. A hard
+    /// leaves is released after the merge and burns no retry. A hard
     /// failure returns the fleet index of the node that failed, for the
     /// recovery loop to remove and reassign; the other nodes still
     /// finish the units in their own lanes.
@@ -839,7 +874,6 @@ impl<'a> JobDriver<'a> {
         merged: &mut ReductionObject,
         stats: &mut ClusterStats,
         grain: u64,
-        dead_stats: &mut Vec<MetricsSnapshot>,
     ) -> Result<(), (usize, DistError)> {
         let rec = self.recorder;
         let mut span = rec.span(TraceLevel::Phases, "cluster.round", "dist", 0);
@@ -983,10 +1017,12 @@ impl<'a> JobDriver<'a> {
         })();
 
         // Leavers last, whatever the attempt's outcome: each has
-        // answered its RoundDone and closed its session. (A leaver whose
-        // cells failed to decode is the failed node instead.) Descending
-        // slot order keeps earlier slots valid while later ones are
-        // removed; a failed slot above a leaver moves down with it.
+        // answered its RoundDone and now ends its session through the
+        // same EndJob → JobDone as `finish`, shipping its trace and final
+        // metrics. (A leaver whose cells failed to decode is the failed
+        // node instead.) Descending slot order keeps earlier slots valid
+        // while later ones are removed; a failed slot above a leaver
+        // moves down with it.
         let failed = result.as_ref().err().map(|&(slot, _)| slot);
         for slot in (0..outs.len()).rev() {
             if !outs[slot].left || failed == Some(slot) {
@@ -997,8 +1033,11 @@ impl<'a> JobDriver<'a> {
                     *failed -= 1;
                 }
             }
-            let gone = fleet.remove(slot);
-            let id = gone.conn.id;
+            let id = fleet.nodes[slot].conn.id;
+            let shards = std::mem::take(&mut fleet.nodes[slot].shards);
+            // A leaver that fails its goodbye is kept as a dead node is;
+            // its units are already merged, so the job goes on.
+            let _ = fleet.release(slot, stats);
             rec.instant(
                 TraceLevel::Phases,
                 "sched.leave",
@@ -1014,9 +1053,6 @@ impl<'a> JobDriver<'a> {
                 hub.add(metric_name(&format!("node{id}.leaves")), 1);
             }
             stats.leaves += 1;
-            if let Some(s) = gone.last_stats {
-                dead_stats.push(s);
-            }
             if fleet.is_empty() {
                 return Err((
                     0,
@@ -1025,7 +1061,7 @@ impl<'a> JobDriver<'a> {
                     },
                 ));
             }
-            fleet.adopt(gone.shards);
+            fleet.adopt(shards);
         }
         result
     }

@@ -1,5 +1,13 @@
 //! The checkpoint store: atomic, versioned b"FRCK" files.
 //!
+//! The paper's structural bet — all inter-thread (and inter-node) state
+//! lives in one small, self-describing reduction object — is what makes
+//! generalized reductions cheap to checkpoint: the recoverable state of
+//! a multi-round job is the merged robj plus the broadcast state
+//! vector, whatever the dataset size. The coordinator's node-failure
+//! recovery and resume ([`crate::coord`]) are built on this store, and
+//! so is the shared-memory engine's resumable `run_iterations` loop.
+//!
 //! One checkpoint captures everything the coordinator (or a
 //! single-process iterative run) needs to restart a job from the end of
 //! a completed round: the task identity, the round number, the

@@ -89,10 +89,9 @@ pub fn layout(task: &str, params: &[i64]) -> Result<Arc<RObjLayout>, DistError> 
             )]))
         }
         "chapel.kmeans" => {
-            // Every param is checked here too, before the coordinator
-            // dials out: a node rejects a bad one at `Job` time, and its
-            // Error frame can lose the race with the coordinator's next
-            // write to the closed session.
+            // Every param is checked here too, so a bad one fails before
+            // the coordinator dials out rather than in every node's
+            // setup answer.
             param(params, 0, task, "n")?;
             let k = param(params, 1, task, "k")?;
             let d = param(params, 2, task, "d")?;
@@ -144,7 +143,7 @@ pub fn layout(task: &str, params: &[i64]) -> Result<Arc<RObjLayout>, DistError> 
 }
 
 /// A task prepared for one job: what stays fixed across its rounds,
-/// built once when a node handles `Job`.
+/// built once when a node sets up a session's job.
 pub(crate) struct JobTask {
     task: String,
     params: Vec<i64>,
@@ -156,7 +155,7 @@ pub(crate) struct JobTask {
 impl JobTask {
     /// Prepare `task` for a job. A `chapel.*` task compiles its Chapel
     /// program here, so a bad program or opt level is a typed
-    /// [`DistError::BadTask`] at `Job` time. `backend` selects the
+    /// [`DistError::BadTask`] at job setup. `backend` selects the
     /// execution path for those kernel-IR tasks (closure tasks ignore
     /// it); `recorder` (when given) receives the compile spans.
     pub(crate) fn new(
@@ -196,7 +195,7 @@ impl JobTask {
 }
 
 /// The local-reduction kernel of `task` for a one-round job over
-/// `state`: the task is prepared as a node does at `Job` time, then
+/// `state`: the task is prepared as a node does at job setup, then
 /// bound to `state` as at `RoundStart`. `backend` selects the execution
 /// path for kernel-IR tasks (the `chapel.*` family) — closure tasks
 /// ignore it; `recorder` (when given) receives the compile and codegen

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use freeride_dist::node::Behaviour;
-use freeride_dist::proto::{read_message, write_message, Message};
+use freeride_dist::proto::{read_message, write_message, JobSetup, Message};
 use freeride_dist::{
     resume_loopback, run_loopback, ClusterConfig, Coordinator, DistError, FtPolicy, LoopbackCluster,
 };
@@ -86,8 +86,44 @@ fn missing_dataset_is_a_typed_error() {
     );
 }
 
-/// A "node" that handshakes, accepts the job, then drops the connection
-/// mid-round. The coordinator must surface a clean typed error — the
+/// A job the nodes cannot build fails in the setup exchange, before
+/// round 0: `sparse_split` over a dataset with no `.frsp` sidecar is
+/// answered with `Error`, the coordinator surfaces the node's own reason
+/// as [`DistError::Node`] well inside the read timeout, and no recovery
+/// retry is spent on it.
+#[test]
+fn job_rejected_at_setup_names_the_nodes_reason_and_burns_no_retry() {
+    let data: Vec<f64> = (0..64).map(|i| i as f64).collect();
+    let path = dataset("no-sidecar", 2, &data);
+    let cluster = LoopbackCluster::spawn(2).unwrap();
+    let mut cfg = ClusterConfig::new("sum", &path);
+    cfg.sparse_split = true;
+    cfg.trace = TraceLevel::Phases;
+    cfg.read_timeout = Duration::from_secs(5);
+    let coord = Coordinator::new(cfg);
+    let start = std::time::Instant::now();
+    let err = coord.run(cluster.addrs()).unwrap_err();
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "took {:?}",
+        start.elapsed()
+    );
+    let DistError::Node { message, .. } = &err else {
+        panic!("expected the node's rejection, got {err}");
+    };
+    assert!(message.contains("sidecar"), "{message}");
+    assert!(message.contains(".frsp"), "{message}");
+    assert!(coord.recorder().hub().is_enabled());
+    let hub = coord.recorder().hub().snapshot();
+    assert_eq!(hub.counter("ft.retries"), 0);
+    assert_eq!(hub.counter("ft.recoveries"), 0);
+    // Both agents ended in the error they reported.
+    assert!(cluster.join().is_err());
+    std::fs::remove_file(&path).ok();
+}
+
+/// A "node" that accepts the job in the setup exchange, then drops the
+/// connection mid-round. The coordinator must surface a clean typed error — the
 /// read timeout path — not hang.
 #[test]
 fn node_dropping_mid_round_surfaces_clean_error_not_hang() {
@@ -99,11 +135,10 @@ fn node_dropping_mid_round_surfaces_clean_error_not_hang() {
     let saboteur = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
         let (hello, _) = read_message(&mut stream).unwrap();
-        let Message::Hello { node_id } = hello else {
+        let Message::Hello { node_id, .. } = hello else {
             panic!("expected Hello")
         };
         write_message(&mut stream, &Message::HelloAck { node_id }).unwrap();
-        let _job = read_message(&mut stream).unwrap();
         let _round_start = read_message(&mut stream).unwrap();
         // Drop the stream without answering the round.
         drop(stream);
@@ -167,7 +202,19 @@ fn version_mismatched_frame_rejected_over_socket() {
         freeride_dist::node::serve_with(&listener, Behaviour::default())
     });
     let mut stream = TcpStream::connect(addr).unwrap();
-    let mut frame = Message::Hello { node_id: 0 }.encode();
+    let job = JobSetup {
+        task: "sum".into(),
+        params: Vec::new(),
+        layout: Vec::new(),
+        dataset: "/nonexistent/nowhere.frds".into(),
+        threads: 1,
+        trace_level: TraceLevel::Off,
+        io: freeride::IoMode::Sync,
+        backend: freeride::KernelBackend::Interpreted,
+        scheme: freeride::SyncScheme::FullReplication,
+        sparse_split: false,
+    };
+    let mut frame = Message::Hello { node_id: 0, job }.encode();
     frame[4] = 99; // wire version byte
     use std::io::Write;
     stream.write_all(&frame).unwrap();
@@ -257,11 +304,13 @@ fn streaming_io_matches_sync_over_loopback() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A dataset truncated mid-run (after the node validated it at Job
-/// time) fails a streaming round with a typed [`DistError::Node`] at
-/// the coordinator — never a hang. A frame-aware proxy sits between the
-/// coordinator and a real node agent and truncates the file in the gap
-/// between forwarding `Job` and `RoundStart`.
+/// A dataset truncated mid-run (after the node validated it in the
+/// setup exchange) fails a streaming round with a typed
+/// [`DistError::Node`] at the coordinator — never a hang. A frame-aware
+/// proxy sits between the coordinator and a real node agent and
+/// truncates the file when the node's `HelloAck` passes through: the
+/// ack means the node has opened and validated the intact file, and no
+/// round can start before the coordinator has read it.
 #[test]
 fn streaming_truncation_mid_run_surfaces_as_node_error() {
     let data: Vec<f64> = (0..40_000).map(|i| i as f64).collect();
@@ -279,26 +328,24 @@ fn streaming_truncation_mid_run_surfaces_as_node_error() {
         let mut coord_reply = from_coord.try_clone().unwrap();
         let backward = std::thread::spawn(move || {
             while let Ok((msg, _)) = read_message(&mut node_reply) {
+                if matches!(msg, Message::HelloAck { .. }) {
+                    // Cut the payload in half before the coordinator
+                    // learns the job is set up.
+                    let f = std::fs::OpenOptions::new()
+                        .write(true)
+                        .open(&trunc_path)
+                        .unwrap();
+                    let len = f.metadata().unwrap().len();
+                    f.set_len(len / 2).unwrap();
+                }
                 if write_message(&mut coord_reply, &msg).is_err() {
                     break;
                 }
             }
         });
         while let Ok((msg, _)) = read_message(&mut from_coord) {
-            let was_job = matches!(msg, Message::Job { .. });
             if write_message(&mut to_node, &msg).is_err() {
                 break;
-            }
-            if was_job {
-                // Give the node time to validate the intact file, then
-                // cut the payload in half before the round goes out.
-                std::thread::sleep(Duration::from_millis(300));
-                let f = std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&trunc_path)
-                    .unwrap();
-                let len = f.metadata().unwrap().len();
-                f.set_len(len / 2).unwrap();
             }
         }
         drop(to_node);
@@ -522,7 +569,7 @@ fn checkpointing_does_not_perturb_and_prunes() {
     assert_eq!(out.stats.checkpoints_written, 6);
     assert!(out.stats.checkpoint_bytes > 0);
     // Default retention keeps the newest 4 of the 6 written rounds.
-    let store = freeride_ft::CheckpointStore::open(&dir).unwrap();
+    let store = freeride_dist::CheckpointStore::open(&dir).unwrap();
     assert_eq!(store.rounds().unwrap(), vec![2, 3, 4, 5]);
     let latest = store.latest().unwrap().unwrap();
     assert_eq!(latest.round, 5);
@@ -567,7 +614,7 @@ fn checkpointing_does_not_perturb_and_prunes() {
     let out = run_loopback(cfg, 2).unwrap();
     assert_eq!(bits(&out.state), bits(&plain.state));
     assert_eq!(out.stats.checkpoints_written, 3);
-    let store = freeride_ft::CheckpointStore::open(&dir).unwrap();
+    let store = freeride_dist::CheckpointStore::open(&dir).unwrap();
     assert_eq!(store.rounds().unwrap(), vec![1, 3, 5]);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_file(&path).ok();
@@ -648,7 +695,7 @@ fn resume_without_checkpoints_is_typed_error() {
     assert!(
         matches!(
             err,
-            DistError::Ft(freeride_ft::FtError::NoCheckpoint { .. })
+            DistError::Ft(freeride_dist::FtError::NoCheckpoint { .. })
         ),
         "{err}"
     );
@@ -717,7 +764,10 @@ fn job_tags_namespace_checkpoints_and_reject_cross_job_resume() {
     untagged.checkpoint_dir = Some(root.join("job-alpha"));
     let err = Coordinator::new(untagged).resume_from(&[]).unwrap_err();
     assert!(
-        matches!(err, DistError::Ft(freeride_ft::FtError::JobMismatch { .. })),
+        matches!(
+            err,
+            DistError::Ft(freeride_dist::FtError::JobMismatch { .. })
+        ),
         "{err}"
     );
     std::fs::remove_dir_all(&root).ok();
@@ -739,7 +789,7 @@ fn resume_rejects_mismatched_job() {
     skewed.params = vec![];
     let err = Coordinator::new(skewed).resume_from(&[]).unwrap_err();
     assert!(
-        matches!(err, DistError::Ft(freeride_ft::FtError::Mismatch { .. })),
+        matches!(err, DistError::Ft(freeride_dist::FtError::Mismatch { .. })),
         "{err}"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use freeride::{CombineOp, GroupSpec, RObjLayout, ReductionObject};
-use freeride_ft::{Checkpoint, FtError};
+use freeride_dist::{Checkpoint, FtError};
 use proptest::prelude::*;
 
 fn arb_op() -> impl Strategy<Value = CombineOp> {
@@ -110,7 +110,7 @@ proptest! {
 
     #[test]
     fn prop_version_skew_rejected(ckpt in arb_checkpoint(), v in 0u16..100) {
-        let v = if v == freeride_ft::CKPT_VERSION { v + 1 } else { v };
+        let v = if v == freeride_dist::CKPT_VERSION { v + 1 } else { v };
         let mut frame = ckpt.encode().unwrap();
         frame[4..6].copy_from_slice(&v.to_le_bytes());
         let err = Checkpoint::decode(&frame).unwrap_err();

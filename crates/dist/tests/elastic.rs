@@ -257,6 +257,47 @@ fn voluntary_leave_is_bit_identical_and_burns_no_retry() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A leaver ends its session the way every node does, through
+/// `EndJob` → `JobDone` at its barrier: its trace merges as its own pid,
+/// with the `node.pass` span of the round it served, and the final
+/// metrics it ships join the fleet aggregate.
+#[test]
+fn leaver_ships_its_trace_and_final_metrics() {
+    let data = kmeans_data();
+    let path = dataset("leave-trace", 2, &data);
+    // Node 2 (pid 3) works its shard in round 0 and leaves at that
+    // round's barrier; stealing is off, so that is its only unit.
+    let cluster = LoopbackCluster::spawn_with(3, &[(2, Behaviour::leaves_after(1))]).unwrap();
+    let mut cfg = kmeans_cfg(&path, 4);
+    cfg.trace = TraceLevel::Phases;
+    let out = Coordinator::new(cfg).run(cluster.addrs()).unwrap();
+    cluster.join().unwrap();
+
+    assert_eq!(out.stats.leaves, 1);
+    let trace = out.trace.as_ref().expect("tracing was on");
+    let pids: std::collections::BTreeSet<usize> = trace.spans.iter().map(|s| s.pid).collect();
+    assert_eq!(pids, [0usize, 1, 2, 3].into_iter().collect());
+    let summary = obs::validate_chrome_trace(&trace.chrome_json()).unwrap();
+    assert_eq!(summary.pids, 4);
+    let leaver_passes: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.pid == 3 && s.name == "node.pass")
+        .collect();
+    assert_eq!(leaver_passes.len(), 1);
+    assert_eq!(leaver_passes[0].attr_i64("round"), Some(0));
+    assert_eq!(out.stats.node_stats.len(), 3, "one per shipped trace");
+    // The aggregate holds the leaver's final snapshot: 4 + 4 + 1 round
+    // reports, and as many units as the merged trace has passes.
+    let telemetry = out.telemetry.as_ref().expect("hub was enabled");
+    assert_eq!(telemetry.counter("node.rounds"), 9);
+    assert_eq!(
+        telemetry.counter("node.units"),
+        trace.count("node.pass") as i64
+    );
+    std::fs::remove_file(&path).ok();
+}
+
 /// Voluntary leave with stealing off: the leaver's shard moves to a
 /// survivor at the barrier — never a steal — no retry is burned, and
 /// the run is bit-identical to the undisturbed steal-off run.

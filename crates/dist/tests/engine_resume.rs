@@ -11,7 +11,7 @@ use freeride::{
     CombineOp, DataView, Engine, GroupSpec, JobConfig, PassHooks, PassInput, RObjHandle,
     RObjLayout, ReductionObject, Split,
 };
-use freeride_ft::{Checkpoint, CheckpointStore};
+use freeride_dist::{Checkpoint, CheckpointStore};
 
 const K: usize = 10;
 const D: usize = 3;

@@ -612,7 +612,7 @@ impl Engine {
     /// combined object and may mutate shared state for the next pass
     /// (e.g. new centroids), returning `false` to stop early; then
     /// `checkpoint` sees the same pass index and object — the place to
-    /// persist a recovery point (e.g. via `freeride-ft`'s
+    /// persist a recovery point (e.g. via `freeride-dist`'s
     /// `CheckpointStore`). Returns the last outcome with stats
     /// accumulated across the passes run.
     ///

@@ -856,7 +856,7 @@ fn run_task_job(
             // exists; from scratch when the failure predated the first
             // checkpoint.
             match driver.resume(&shared.cfg.nodes) {
-                Err(DistError::Ft(freeride_ft::FtError::NoCheckpoint { .. })) => {
+                Err(DistError::Ft(freeride_dist::FtError::NoCheckpoint { .. })) => {
                     driver.run(&shared.cfg.nodes)
                 }
                 other => other,

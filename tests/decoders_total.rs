@@ -20,7 +20,7 @@ use cfr_sparse::{CooTensor, CsrMatrix, SparseData};
 use freeride::source::{write_dataset, FileDataset};
 use freeride::{CombineOp, GroupSpec, RObjLayout, ReductionObject};
 use freeride_dist::proto::{self as dist_proto, Message as DistMessage};
-use freeride_ft::Checkpoint;
+use freeride_dist::Checkpoint;
 use obs::{AttrValue, MetricsHub, MetricsSnapshot, Recorder, Trace, TraceLevel};
 
 struct CountingAlloc;
@@ -175,23 +175,28 @@ fn frck_decoder_is_total() {
 #[test]
 fn frdm_decoder_is_total() {
     let samples = [
-        DistMessage::Job {
-            task: "kmeans".into(),
-            params: vec![4, 2],
-            layout: robj_sample().layout().encode().unwrap(),
-            dataset: "/data/points.frds".into(),
-            threads: 2,
-            trace_level: TraceLevel::Phases,
-            io_mode: 1,
-            chunk_rows: 4096,
-            buffers: 3,
-            readers: 2,
-            backend: 1,
-            scheme: 4,
-            scheme_stripes: 64,
-            scheme_cells: 128,
-            scheme_mask: 0b1011,
-            splitter: 1,
+        DistMessage::Hello {
+            node_id: 2,
+            job: dist_proto::JobSetup {
+                task: "kmeans".into(),
+                params: vec![4, 2],
+                layout: robj_sample().layout().encode().unwrap(),
+                dataset: "/data/points.frds".into(),
+                threads: 2,
+                trace_level: TraceLevel::Phases,
+                io: freeride::IoMode::Streaming {
+                    chunk_rows: 4096,
+                    buffers: 3,
+                    readers: 2,
+                },
+                backend: freeride::KernelBackend::Compiled,
+                scheme: freeride::SyncScheme::Hybrid {
+                    region_cells: 128,
+                    replicated: 0b1011,
+                    stripes: 64,
+                },
+                sparse_split: true,
+            },
         },
         DistMessage::RoundStart {
             round: 4,
