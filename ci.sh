@@ -311,6 +311,19 @@ target/release/cfr-submit --server "$SERVE_ADDR" --tenant bob \
 SUB2=$!
 wait "$SUB1" "$SUB2"
 wait "$SNODE1" "$SNODE2"
+# A k-means submission whose initial state is too short for its params
+# is rejected at admission, naming the length it needs. The fleet's
+# nodes have exited by now, so only admission can give that answer;
+# a rejected submission is not counted as submitted.
+set +e
+target/release/cfr-submit --server "$SERVE_ADDR" --tenant alice \
+  --task kmeans --dataset target/ci-serve-data.frds \
+  --params 2,4 --init 0,1 2> target/ci-reject.err
+REJECT_STATUS=$?
+set -e
+[ "$REJECT_STATUS" -ne 0 ]
+grep -q 'expected k\*d = 8' target/ci-reject.err
+rm -f target/ci-reject.err
 # The same Chapel program twice: the first run compiles, the repeat is a
 # program-cache hit whose trace has no frontend/compile spans.
 cat > target/ci-sum.chpl <<'EOF'

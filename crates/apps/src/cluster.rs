@@ -12,6 +12,7 @@
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 
+use freeride_dist::tasks::{centroid_counts, Task};
 use freeride_dist::Coordinator;
 use obs::{MetricsSnapshot, Trace};
 
@@ -239,19 +240,16 @@ pub fn kmeans_cluster_on_file_ft(
     ft: &FtOptions,
 ) -> Result<ClusterKmeansResult, AppError> {
     let (d, k) = (params.d, params.k);
-    let mut config = ClusterConfig::new("kmeans", dataset);
-    config.params = vec![k as i64, d as i64];
+    let mut config = Task::Kmeans { k, d }.cluster_config(dataset);
     config.init_state = data::kmeans_centroids_flat(k, d);
     config.rounds = params.iters.max(1);
     config.threads_per_node = params.config.threads.max(1);
     config.trace = params.config.trace;
     config.io = params.config.io;
     let outcome = run_job_ft(config, nodes, ft)?;
-    let cells = outcome.robj.group_slice(0);
-    let counts: Vec<f64> = (0..k).map(|c| cells[c * (d + 1) + d]).collect();
     Ok(ClusterKmeansResult {
+        counts: centroid_counts(outcome.robj.group_slice(0), k, d),
         centroids: outcome.state,
-        counts,
         stats: outcome.stats,
         trace: outcome.trace,
         telemetry: outcome.telemetry,
@@ -280,58 +278,37 @@ pub fn pca_cluster_ft(
     freeride::source::write_dataset(&path, rows, &data::pca_matrix_flat(rows, cols))
         .map_err(|e| AppError::new(format!("cannot write cluster dataset: {e}")))?;
 
-    let mut stats = Vec::new();
-    let mut traces = Vec::new();
-    let mut telemetry = Vec::new();
-
-    // ---- Phase 1: mean vector. ----
-    let mut config = ClusterConfig::new("pca.mean", &path);
-    config.params = vec![rows as i64];
-    config.threads_per_node = params.config.threads.max(1);
-    config.trace = params.config.trace;
-    config.io = params.config.io;
-    let outcome = match run_job_ft(config, nodes, &ft.phase("mean")) {
-        Ok(o) => o,
-        Err(e) => {
-            std::fs::remove_file(&path).ok();
-            return Err(e);
-        }
+    let mut result = ClusterPcaResult {
+        mean: Vec::new(),
+        cov: Vec::new(),
+        stats: Vec::new(),
+        traces: Vec::new(),
+        telemetry: Vec::new(),
     };
-    let mut mean: Vec<f64> = outcome.robj.group_slice(0).to_vec();
-    for m in &mut mean {
-        *m /= cols as f64;
-    }
-    stats.push(outcome.stats);
-    traces.extend(outcome.trace);
-    telemetry.extend(outcome.telemetry);
-
-    // ---- Phase 2: scatter matrix, mean as broadcast state. ----
-    let mut config = ClusterConfig::new("pca.cov", &path);
-    config.params = vec![rows as i64];
-    config.init_state = mean.clone();
-    config.threads_per_node = params.config.threads.max(1);
-    config.trace = params.config.trace;
-    config.io = params.config.io;
-    let outcome = match run_job_ft(config, nodes, &ft.phase("cov")) {
-        Ok(o) => o,
-        Err(e) => {
-            std::fs::remove_file(&path).ok();
-            return Err(e);
-        }
+    let mut phase = |task: Task, state: &[f64], name: &str| -> Result<Vec<f64>, AppError> {
+        let mut config = task.cluster_config(&path);
+        config.init_state = state.to_vec();
+        config.threads_per_node = params.config.threads.max(1);
+        config.trace = params.config.trace;
+        config.io = params.config.io;
+        let outcome = run_job_ft(config, nodes, &ft.phase(name))?;
+        result.stats.push(outcome.stats);
+        result.traces.extend(outcome.trace);
+        result.telemetry.extend(outcome.telemetry);
+        Ok(outcome.robj.group_slice(0).to_vec())
     };
-    let cov = outcome.robj.group_slice(0).to_vec();
-    stats.push(outcome.stats);
-    traces.extend(outcome.trace);
-    telemetry.extend(outcome.telemetry);
+    // Phase 1: mean vector. Phase 2: scatter matrix, mean as broadcast
+    // state.
+    let phases = phase(Task::PcaMean { rows }, &[], "mean").and_then(|mut mean| {
+        for m in &mut mean {
+            *m /= cols as f64;
+        }
+        let cov = phase(Task::PcaCov { rows }, &mean, "cov")?;
+        Ok((mean, cov))
+    });
     std::fs::remove_file(&path).ok();
-
-    Ok(ClusterPcaResult {
-        mean,
-        cov,
-        stats,
-        traces,
-        telemetry,
-    })
+    (result.mean, result.cov) = phases?;
+    Ok(result)
 }
 
 /// Result of a distributed sparse k-means run.
@@ -407,8 +384,7 @@ pub fn sparse_kmeans_cluster_ft(
     let path = scratch_file("sparse-kmeans");
     cfr_sparse::write_csr_dataset(&path, &m)?;
 
-    let mut config = ClusterConfig::new("sparse.kmeans", &path);
-    config.params = vec![k as i64, cols as i64];
+    let mut config = Task::SparseKmeans { k, cols }.cluster_config(&path);
     config.init_state = crate::sparse_kmeans::initial_centroids(k, cols);
     config.rounds = params.iters.max(1);
     config.threads_per_node = params.config.threads.max(1);
@@ -430,10 +406,9 @@ pub fn sparse_kmeans_cluster_ft(
     std::fs::remove_file(cfr_sparse::sidecar_path(&path)).ok();
     let outcome = result?;
     let sums = outcome.robj.group_slice(0).to_vec();
-    let counts: Vec<f64> = (0..k).map(|c| sums[c * (cols + 1) + cols]).collect();
     Ok(ClusterSparseKmeansResult {
         centroids: outcome.state,
-        counts,
+        counts: centroid_counts(&sums, k, cols),
         sums,
         plan,
         stats: outcome.stats,
@@ -455,13 +430,11 @@ pub fn mttkrp_cluster(
     let path = scratch_file("mttkrp");
     cfr_sparse::write_coo_dataset(&path, &t)?;
 
-    let mut config = ClusterConfig::new("sparse.mttkrp", &path);
-    config.params = vec![
-        params.dims[0] as i64,
-        params.dims[1] as i64,
-        params.dims[2] as i64,
-        params.rank as i64,
-    ];
+    let task = Task::SparseMttkrp {
+        dims: params.dims,
+        rank: params.rank,
+    };
+    let mut config = task.cluster_config(&path);
     config.threads_per_node = params.config.threads.max(1);
     config.trace = params.config.trace;
     config.io = params.config.io;

@@ -65,6 +65,12 @@ impl From<chapel_frontend::FrontendError> for AppError {
     }
 }
 
+impl From<freeride_dist::DistError> for AppError {
+    fn from(e: freeride_dist::DistError) -> Self {
+        AppError::Driver(e.to_string())
+    }
+}
+
 impl From<cfr_sparse::SparseError> for AppError {
     fn from(e: cfr_sparse::SparseError) -> Self {
         AppError::Sparse(e)

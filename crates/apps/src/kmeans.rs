@@ -8,7 +8,10 @@
 //!   `cfr_core::CompiledProgram::compile` at the requested
 //!   [`cfr_core::OptLevel`], the translator's one front door;
 //! * the **manual** version is hand-written Rust against the FREERIDE
-//!   API, exactly as the paper's "manual FR" baseline.
+//!   API, exactly as the paper's "manual FR" baseline: the `kmeans`
+//!   cluster task's layout and kernel ([`freeride_dist::tasks::Task`]).
+//!
+//! Every version refines its centroids with that task's step.
 //!
 //! The outer sequential loop (centroid refinement across iterations) is
 //! FREERIDE's `While()` loop, run here in Rust: the dataset is
@@ -23,10 +26,8 @@ use std::time::Instant;
 
 use cfr_core::OptLevel;
 use chapel_frontend::programs;
-use freeride::{
-    CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout, RunStats, Split,
-};
-use freeride_dist::tasks::{assign_points, centroids_value};
+use freeride::{DataView, Engine, JobConfig, PassHooks, PassInput, RunStats};
+use freeride_dist::tasks::{centroid_counts, centroids_value, Task};
 use obs::Recorder;
 
 use crate::error::AppError;
@@ -87,34 +88,13 @@ pub struct KmeansResult {
 pub fn run(params: &KmeansParams, version: Version) -> Result<KmeansResult, AppError> {
     match version.translated() {
         Some(opt) => run_translated(params, opt),
-        None => Ok(run_manual(params)),
+        None => run_manual(params),
     }
-}
-
-/// Reduction-object layout shared by all versions: one group of
-/// `k * (d+1)` cells — per centroid, `d` coordinate sums then a count.
-fn robj_layout(k: usize, d: usize) -> std::sync::Arc<RObjLayout> {
-    RObjLayout::new(vec![GroupSpec::new("newCent", k * (d + 1), CombineOp::Sum)])
-}
-
-/// Compute the next centroid coordinates from the accumulated sums.
-fn update_centroids(cells: &[f64], old: &[f64], k: usize, d: usize) -> (Vec<f64>, Vec<f64>) {
-    let mut next = old.to_vec();
-    let mut counts = vec![0.0; k];
-    for c in 0..k {
-        let count = cells[c * (d + 1) + d];
-        counts[c] = count;
-        if count > 0.0 {
-            for j in 0..d {
-                next[c * d + j] = cells[c * (d + 1) + j] / count;
-            }
-        }
-    }
-    (next, counts)
 }
 
 fn run_translated(params: &KmeansParams, opt: OptLevel) -> Result<KmeansResult, AppError> {
     let (n, d, k) = (params.n, params.d, params.k);
+    let task = Task::Kmeans { k, d };
     let src = programs::kmeans(n, k, d);
     let points = || vec![data::kmeans_points_nested(n, d)];
     let ((centroids, counts), timing) =
@@ -126,7 +106,8 @@ fn run_translated(params: &KmeansParams, opt: OptLevel) -> Result<KmeansResult, 
             let mut counts = vec![0.0; k];
             for _ in 0..params.iters.max(1) {
                 let robj = passes.run(c, vec![centroids_value(&centroids, k, d)])?;
-                (centroids, counts) = update_centroids(robj.group_slice(0), &centroids, k, d);
+                counts = centroid_counts(robj.group_slice(0), k, d);
+                centroids = task.step(&centroids, &robj).unwrap_or(centroids);
             }
             Ok((centroids, counts))
         })?;
@@ -135,20 +116,6 @@ fn run_translated(params: &KmeansParams, opt: OptLevel) -> Result<KmeansResult, 
         counts,
         timing,
     })
-}
-
-/// The hand-written k-means reduction (the dist `kmeans` task's fold):
-/// the split takes a private copy's lent cells once and folds into them
-/// with static calls, or folds through the handle into shared cells.
-fn manual_kernel(
-    cents: &[f64],
-    k: usize,
-    d: usize,
-) -> impl Fn(&Split<'_>, &mut dyn RObjHandle) + Sync + '_ {
-    move |split, robj| match robj.lend() {
-        Some(mut cells) => assign_points(split, cents, k, d, &mut cells),
-        None => assign_points(split, cents, k, d, robj),
-    }
 }
 
 /// The manual FREERIDE version over a **disk-resident** `.frds` dataset
@@ -162,7 +129,7 @@ pub fn run_manual_on_file(
     dataset: &std::path::Path,
 ) -> Result<KmeansResult, AppError> {
     let wall = Instant::now();
-    let (d, k) = (params.d, params.k);
+    let d = params.d;
     let file = freeride::source::FileDataset::open(dataset)?;
     if file.unit() != d {
         return Err(AppError::new(format!(
@@ -170,7 +137,36 @@ pub fn run_manual_on_file(
             file.unit()
         )));
     }
-    let layout = robj_layout(k, d);
+    let input = PassInput::File {
+        file: &file,
+        first_row: 0,
+        rows: file.rows(),
+    };
+    run_manual_over(params, input, wall)
+}
+
+/// The hand-written FREERIDE version ("manual FR").
+fn run_manual(params: &KmeansParams) -> Result<KmeansResult, AppError> {
+    let wall = Instant::now();
+    let buffer = data::kmeans_points_flat(params.n, params.d);
+    run_manual_over(
+        params,
+        PassInput::Rows(DataView::new(&buffer, params.d)?),
+        wall,
+    )
+}
+
+/// The manual outer loop over `input`: each iteration, the `kmeans`
+/// cluster task's hand-written kernel over the current centroids, then
+/// its step.
+fn run_manual_over(
+    params: &KmeansParams,
+    input: PassInput<'_>,
+    wall: Instant,
+) -> Result<KmeansResult, AppError> {
+    let (d, k) = (params.d, params.k);
+    let task = Task::Kmeans { k, d };
+    let layout = task.layout();
     let rec = Arc::new(Recorder::new(params.config.trace));
     let engine = Engine::with_recorder(params.config.clone(), rec.clone());
 
@@ -182,11 +178,11 @@ pub fn run_manual_on_file(
     };
 
     for _ in 0..params.iters.max(1) {
-        let outcome = engine.run_file(&file, &layout, &manual_kernel(&centroids, k, d))?;
+        let kernel = task.kernel(&centroids)?;
+        let outcome = engine.run_pass(input, &layout, &kernel, PassHooks::default())?;
         stats.absorb(&outcome.stats);
-        let (next, cnt) = update_centroids(outcome.robj.group_slice(0), &centroids, k, d);
-        centroids = next;
-        counts = cnt;
+        counts = centroid_counts(outcome.robj.group_slice(0), k, d);
+        centroids = task.step(&centroids, &outcome.robj).unwrap_or(centroids);
     }
 
     Ok(KmeansResult {
@@ -194,38 +190,6 @@ pub fn run_manual_on_file(
         counts,
         timing: AppTiming::recorded(0, stats, wall, &rec),
     })
-}
-
-/// The hand-written FREERIDE version ("manual FR").
-fn run_manual(params: &KmeansParams) -> KmeansResult {
-    let wall = Instant::now();
-    let (n, d, k) = (params.n, params.d, params.k);
-    let buffer = data::kmeans_points_flat(n, d);
-    let layout = robj_layout(k, d);
-    let rec = Arc::new(Recorder::new(params.config.trace));
-    let engine = Engine::with_recorder(params.config.clone(), rec.clone());
-    let view = DataView::new(&buffer, d).expect("n*d buffer");
-
-    let mut centroids = data::kmeans_centroids_flat(k, d);
-    let mut counts = vec![0.0; k];
-    let mut stats = RunStats {
-        logical_threads: params.config.threads,
-        ..Default::default()
-    };
-
-    for _ in 0..params.iters.max(1) {
-        let outcome = engine.run(view, &layout, &manual_kernel(&centroids, k, d));
-        stats.absorb(&outcome.stats);
-        let (next, cnt) = update_centroids(outcome.robj.group_slice(0), &centroids, k, d);
-        centroids = next;
-        counts = cnt;
-    }
-
-    KmeansResult {
-        centroids,
-        counts,
-        timing: AppTiming::recorded(0, stats, wall, &rec),
-    }
 }
 
 #[cfg(test)]

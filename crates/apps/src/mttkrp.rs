@@ -35,9 +35,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cfr_sparse::{plan, synthetic_factor, synthetic_quads, PlanParams, SchemePlan, COO_UNIT};
-use freeride::{
-    CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout, RunStats, Split,
-};
+use freeride::{CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjLayout, RunStats};
+/// The mode-general MTTKRP kernel; the `sparse.mttkrp` cluster task runs
+/// it for mode 0.
+pub use freeride_dist::tasks::mttkrp_kernel;
+use freeride_dist::tasks::other_modes;
 use obs::Recorder;
 
 use crate::error::AppError;
@@ -140,52 +142,6 @@ pub struct CpAlsResult {
     pub plan: Option<SchemePlan>,
     /// Timing breakdown across every engine pass.
     pub timing: AppTiming,
-}
-
-/// The other two modes, in ascending order, of the mode being solved.
-fn other_modes(mode: usize) -> (usize, usize) {
-    match mode {
-        0 => (1, 2),
-        1 => (0, 2),
-        _ => (0, 1),
-    }
-}
-
-/// The MTTKRP kernel for one mode over `[i, j, k, v]` quad rows:
-/// `M[out, r] += v * f1[a, r] * f2[b, r]` where `out` is the solved
-/// mode's coordinate and `(f1, f2)` are the other two factors in
-/// ascending mode order — the multiplication order of the Chapel
-/// oracle. Out-of-range coordinates are skipped, never a panic.
-pub fn mttkrp_kernel(
-    mode: usize,
-    rank: usize,
-    out_dim: usize,
-    f1: Vec<f64>,
-    f2: Vec<f64>,
-) -> impl Fn(&Split<'_>, &mut dyn RObjHandle) + Sync + Send {
-    let d1 = f1.len() / rank.max(1);
-    let d2 = f2.len() / rank.max(1);
-    move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
-        for row in split.iter_rows() {
-            if row.len() < COO_UNIT {
-                continue;
-            }
-            let c = [
-                row[0].max(0.0) as usize,
-                row[1].max(0.0) as usize,
-                row[2].max(0.0) as usize,
-            ];
-            let v = row[3];
-            let (m1, m2) = other_modes(mode);
-            let (out, a, b) = (c[mode], c[m1], c[m2]);
-            if out >= out_dim || a >= d1 || b >= d2 {
-                continue;
-            }
-            for r in 0..rank {
-                robj.accumulate(0, out * rank + r, v * f1[a * rank + r] * f2[b * rank + r]);
-            }
-        }
-    }
 }
 
 /// Gram matrix `Fᵀ F` of a row-major `rows × rank` factor, accumulated

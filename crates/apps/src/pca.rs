@@ -16,9 +16,8 @@ use std::time::Instant;
 
 use cfr_core::OptLevel;
 use chapel_frontend::programs;
-use freeride::{
-    CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout, RunStats, Split,
-};
+use freeride::{DataView, Engine, JobConfig, RunStats};
+use freeride_dist::tasks::Task;
 use linearize::Value;
 use obs::Recorder;
 
@@ -71,7 +70,7 @@ pub struct PcaResult {
 pub fn run(params: &PcaParams, version: Version) -> Result<PcaResult, AppError> {
     match version.translated() {
         Some(opt) => run_translated(params, opt),
-        None => Ok(run_manual(params)),
+        None => run_manual(params),
     }
 }
 
@@ -103,58 +102,36 @@ fn run_translated(params: &PcaParams, opt: OptLevel) -> Result<PcaResult, AppErr
     Ok(PcaResult { mean, cov, timing })
 }
 
-/// The hand-written FREERIDE version.
-fn run_manual(params: &PcaParams) -> PcaResult {
+/// The hand-written FREERIDE version: the `pca.mean` and `pca.cov`
+/// cluster tasks' layouts and kernels, the mean as the second's state.
+fn run_manual(params: &PcaParams) -> Result<PcaResult, AppError> {
     let wall = Instant::now();
     let (rows, cols) = (params.rows, params.cols);
     let buffer = data::pca_matrix_flat(rows, cols);
     let rec = Arc::new(Recorder::new(params.config.trace));
     let engine = Engine::with_recorder(params.config.clone(), rec.clone());
-    let view = DataView::new(&buffer, rows).expect("cols*rows buffer");
+    let view = DataView::new(&buffer, rows)?;
     let mut stats = RunStats {
         logical_threads: params.config.threads,
         ..Default::default()
     };
-
-    // Phase 1: mean.
-    let mean_layout = RObjLayout::new(vec![GroupSpec::new("mean", rows, CombineOp::Sum)]);
-    let kernel = |split: &Split<'_>, robj: &mut dyn RObjHandle| {
-        for row in split.iter_rows() {
-            for (a, x) in row.iter().enumerate() {
-                robj.accumulate(0, a, *x);
-            }
-        }
+    let mut pass = |task: Task, state: &[f64]| -> Result<Vec<f64>, AppError> {
+        let outcome = engine.run(view, &task.layout(), &task.kernel(state)?);
+        stats.absorb(&outcome.stats);
+        Ok(outcome.robj.group_slice(0).to_vec())
     };
-    let outcome = engine.run(view, &mean_layout, &kernel);
-    stats.absorb(&outcome.stats);
-    let mut mean: Vec<f64> = outcome.robj.group_slice(0).to_vec();
+
+    let mut mean = pass(Task::PcaMean { rows }, &[])?;
     for m in &mut mean {
         *m /= cols as f64;
     }
+    let cov = pass(Task::PcaCov { rows }, &mean)?;
 
-    // Phase 2: covariance.
-    let cov_layout = RObjLayout::new(vec![GroupSpec::new("cov", rows * rows, CombineOp::Sum)]);
-    let mean_ref = &mean;
-    let kernel = move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
-        for row in split.iter_rows() {
-            for a in 0..rows {
-                let da = row[a] - mean_ref[a];
-                for b in 0..rows {
-                    let db = row[b] - mean_ref[b];
-                    robj.accumulate(0, a * rows + b, da * db);
-                }
-            }
-        }
-    };
-    let outcome = engine.run(view, &cov_layout, &kernel);
-    stats.absorb(&outcome.stats);
-    let cov = outcome.robj.group_slice(0).to_vec();
-
-    PcaResult {
+    Ok(PcaResult {
         mean,
         cov,
         timing: AppTiming::recorded(0, stats, wall, &rec),
-    }
+    })
 }
 
 #[cfg(test)]

@@ -12,7 +12,10 @@
 //! entries** — the whole point of staying sparse. The accumulation
 //! phase likewise adds only the stored entries into the assigned
 //! centroid's cells, so a zero-nnz row contributes exactly its count
-//! (an identity update on the coordinate sums, never an error).
+//! (an identity update on the coordinate sums, never an error). The
+//! kernel and the centroid step are the `sparse.kmeans` cluster task's
+//! ([`freeride_dist::tasks::Task::SparseKmeans`]), so single-process and
+//! cluster runs perform the identical floating-point operations.
 //!
 //! The input is the closed-form [`cfr_sparse::synthetic_csr`] pattern
 //! shared with the `chapel_frontend::programs::sparse_kmeans` oracle:
@@ -32,10 +35,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cfr_sparse::{csr_splitter, csr_to_padded, plan, synthetic_csr, PlanParams, SchemePlan};
-use freeride::{
-    CombineOp, DataView, Engine, GroupSpec, JobConfig, RObjHandle, RObjLayout, RunStats, Split,
-};
-use linearize::sparse::padded_row_entries;
+use freeride::{DataView, Engine, JobConfig, RunStats};
+use freeride_dist::tasks::{centroid_counts, Task};
 use obs::Recorder;
 
 use crate::error::AppError;
@@ -120,77 +121,6 @@ pub fn initial_centroids(k: usize, cols: usize) -> Vec<f64> {
     cents
 }
 
-/// The reduction-object layout: one group of `k * (cols+1)` cells.
-pub fn robj_layout(k: usize, cols: usize) -> Arc<RObjLayout> {
-    RObjLayout::new(vec![GroupSpec::new(
-        "newCent",
-        k * (cols + 1),
-        CombineOp::Sum,
-    )])
-}
-
-/// One round's kernel over padded CSR rows, capturing the current
-/// centroids: assign each sparse row to the centroid minimizing
-/// `cnorm[c] − 2·dot` (stored entries only, ties to the lowest `c`),
-/// then accumulate the stored entries and a count. Shared verbatim
-/// with the `sparse.kmeans` cluster task so single-process, cluster,
-/// and oracle runs perform the identical floating-point operations.
-pub fn round_kernel(
-    cents: Vec<f64>,
-    k: usize,
-    cols: usize,
-) -> impl Fn(&Split<'_>, &mut dyn RObjHandle) + Sync + Send {
-    // ‖c‖² once per round, in ascending j — the oracle's order.
-    let mut cnorm = vec![0.0f64; k];
-    for c in 0..k {
-        for j in 0..cols {
-            cnorm[c] += cents[c * cols + j] * cents[c * cols + j];
-        }
-    }
-    move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
-        for row in split.iter_rows() {
-            let mut best = 0usize;
-            let mut best_dist = f64::INFINITY;
-            for c in 0..k {
-                let mut dot = 0.0;
-                for (col, v) in padded_row_entries(row) {
-                    if col < cols {
-                        dot += v * cents[c * cols + col];
-                    }
-                }
-                let dist = cnorm[c] - 2.0 * dot;
-                if dist < best_dist {
-                    best_dist = dist;
-                    best = c;
-                }
-            }
-            for (col, v) in padded_row_entries(row) {
-                if col < cols {
-                    robj.accumulate(0, best * (cols + 1) + col, v);
-                }
-            }
-            robj.accumulate(0, best * (cols + 1) + cols, 1.0);
-        }
-    }
-}
-
-/// Fold the merged cells into the next round's centroids (empty
-/// clusters keep their previous position).
-pub fn update_centroids(cells: &[f64], old: &[f64], k: usize, cols: usize) -> (Vec<f64>, Vec<f64>) {
-    let mut next = old.to_vec();
-    let mut counts = vec![0.0; k];
-    for c in 0..k {
-        let count = cells[c * (cols + 1) + cols];
-        counts[c] = count;
-        if count > 0.0 {
-            for j in 0..cols {
-                next[c * cols + j] = cells[c * (cols + 1) + j] / count;
-            }
-        }
-    }
-    (next, counts)
-}
-
 /// Run sparse k-means over the closed-form synthetic matrix.
 pub fn run(params: &SparseKmeansParams) -> Result<SparseKmeansResult, AppError> {
     let wall = Instant::now();
@@ -212,7 +142,8 @@ pub fn run(params: &SparseKmeansParams) -> Result<SparseKmeansResult, AppError> 
         plan
     });
 
-    let layout = robj_layout(k, cols);
+    let task = Task::SparseKmeans { k, cols };
+    let layout = task.layout();
     let threads = config.threads;
     let engine = Engine::with_recorder(config, rec.clone());
     let view = DataView::new(&buf, unit)?;
@@ -226,13 +157,11 @@ pub fn run(params: &SparseKmeansParams) -> Result<SparseKmeansResult, AppError> 
     };
 
     for _ in 0..params.iters.max(1) {
-        let kernel = round_kernel(centroids.clone(), k, cols);
-        let outcome = engine.run(view, &layout, &kernel);
+        let outcome = engine.run(view, &layout, &task.kernel(&centroids)?);
         stats.absorb(&outcome.stats);
         sums = outcome.robj.group_slice(0).to_vec();
-        let (next, cnt) = update_centroids(&sums, &centroids, k, cols);
-        centroids = next;
-        counts = cnt;
+        counts = centroid_counts(&sums, k, cols);
+        centroids = task.step(&centroids, &outcome.robj).unwrap_or(centroids);
     }
 
     Ok(SparseKmeansResult {
@@ -308,9 +237,9 @@ mod sparse_kmeans_tests {
         let m = cfr_sparse::CsrMatrix::new(5, 4, vec![0; 6], vec![], vec![]).unwrap();
         let (buf, unit) = csr_to_padded(&m).unwrap();
         let engine = Engine::new(JobConfig::with_threads(2));
-        let layout = robj_layout(2, 4);
-        let kernel = round_kernel(initial_centroids(2, 4), 2, 4);
-        let outcome = engine.run(DataView::new(&buf, unit).unwrap(), &layout, &kernel);
+        let task = Task::SparseKmeans { k: 2, cols: 4 };
+        let kernel = task.kernel(&initial_centroids(2, 4)).unwrap();
+        let outcome = engine.run(DataView::new(&buf, unit).unwrap(), &task.layout(), &kernel);
         let cells = outcome.robj.group_slice(0);
         // Zero-nnz rows contribute only their count, to the argmin of
         // cnorm alone — identity on every coordinate sum.

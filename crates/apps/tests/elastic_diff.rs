@@ -10,16 +10,21 @@
 //! the same bytes.
 
 use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cfr_apps::cluster::{
     kmeans_cluster_ft, pca_cluster_ft, sparse_kmeans_cluster_ft, ElasticPolicy, FtOptions, Nodes,
 };
+use cfr_apps::data;
 use cfr_apps::kmeans::KmeansParams;
 use cfr_apps::pca::PcaParams;
 use cfr_apps::sparse_kmeans::SparseKmeansParams;
 use freeride_dist::node::{self, Behaviour};
+use freeride_dist::tasks::{centroid_counts, Task};
+use freeride_dist::{JobDriver, MembershipHub};
+use obs::Recorder;
 
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
@@ -33,37 +38,6 @@ fn stealing(grain: u64) -> ElasticPolicy {
         steal_grain: grain,
         ..ElasticPolicy::default()
     }
-}
-
-/// Reserve a loopback port for the membership hub: bind an ephemeral
-/// listener, note its address, release it. The driver re-binds it from
-/// `join_listen` when the job starts.
-fn reserve_hub_addr() -> String {
-    let l = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = l.local_addr().unwrap().to_string();
-    drop(l);
-    addr
-}
-
-/// A mid-job joiner: keeps dialing the coordinator's membership hub
-/// (which only exists once the job starts) until it gets in, then
-/// serves the rest of the job from the inside. A hub that vanishes
-/// after the handshake (job ended first) is a clean no-op in
-/// `node::join`, so this thread never hangs.
-fn spawn_joiner(hub: &str) -> JoinHandle<()> {
-    let addr: SocketAddr = hub.parse().unwrap();
-    std::thread::spawn(move || {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            match node::join(&addr, Behaviour::default()) {
-                Ok(()) => return,
-                Err(e) => {
-                    assert!(Instant::now() < deadline, "joiner never connected: {e}");
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-        }
-    })
 }
 
 /// Spawn `n` external-style node agents, each serving `sessions`
@@ -112,9 +86,15 @@ fn elastic_agents(
 /// straggler forcing steals, a node joining mid-job, and a node leaving
 /// voluntarily — is bit-identical to the undisturbed elastic run of the
 /// same initial shape, at 2 and 4 nodes, without burning an FT retry.
+/// The churned run is the `kmeans` job [`kmeans_cluster_ft`] builds,
+/// driven against a membership hub the test binds first, so the joiner
+/// dials a listener that already exists.
 #[test]
 fn kmeans_elastic_churn_is_bit_identical() {
     let params = KmeansParams::new(240, 3, 4, 4);
+    let (n, d, k) = (params.n, params.d, params.k);
+    let path = std::env::temp_dir().join(format!("cfr-elastic-churn-{}.frds", std::process::id()));
+    freeride::source::write_dataset(&path, d, &data::kmeans_points_flat(n, d)).unwrap();
     for nodes in [2usize, 4] {
         let baseline = kmeans_cluster_ft(
             &params,
@@ -124,29 +104,37 @@ fn kmeans_elastic_churn_is_bit_identical() {
         .unwrap();
 
         // Node 0 straggles (20 ms per unit), the last node leaves after
-        // round 2, and a fresh node joins at a round barrier.
-        let hub = reserve_hub_addr();
-        let mut elastic = stealing(10);
-        elastic.join_listen = Some(hub.clone());
+        // round 2, and a fresh node parked on the hub joins at the
+        // first round barrier.
+        let hub = MembershipHub::bind("127.0.0.1:0").unwrap();
+        let hub_addr = hub.addr();
+        let joiner = std::thread::spawn(move || node::join(&hub_addr, Behaviour::default()));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while hub.pending_count() == 0 {
+            assert!(Instant::now() < deadline, "joiner never reached the hub");
+            std::thread::sleep(Duration::from_millis(2));
+        }
         let (addrs, handles) = elastic_agents(nodes, 1, &[(0, 20)], &[(nodes - 1, 0, 2)]);
-        let joiner = spawn_joiner(&hub);
-        let out = kmeans_cluster_ft(
-            &params,
-            &Nodes::External(addrs),
-            &FtOptions::default().with_elastic(elastic),
-        )
-        .unwrap();
+        let mut config = Task::Kmeans { k, d }.cluster_config(&path);
+        config.init_state = data::kmeans_centroids_flat(k, d);
+        config.rounds = params.iters;
+        config.elastic = stealing(10);
+        let rec = Arc::new(Recorder::new(config.trace));
+        let out = JobDriver::new(&config, &rec)
+            .run_with_hub(&addrs, &hub)
+            .unwrap();
         for h in handles {
             h.join().unwrap();
         }
-        joiner.join().unwrap();
+        joiner.join().unwrap().unwrap();
 
         assert_eq!(
-            bits(&out.centroids),
+            bits(&out.state),
             bits(&baseline.centroids),
             "{nodes}-node churned centroids"
         );
-        assert_eq!(bits(&out.counts), bits(&baseline.counts));
+        let counts = centroid_counts(out.robj.group_slice(0), k, d);
+        assert_eq!(bits(&counts), bits(&baseline.counts));
         assert_eq!(out.stats.joins, 1, "{nodes} nodes: joiner absorbed");
         assert_eq!(out.stats.leaves, 1, "{nodes} nodes: voluntary leave");
         assert!(
@@ -156,6 +144,7 @@ fn kmeans_elastic_churn_is_bit_identical() {
         assert_eq!(out.stats.retries, 0, "churn must not burn FT retries");
         assert_eq!(out.stats.recoveries, 0);
     }
+    std::fs::remove_file(&path).ok();
 }
 
 /// PCA's two-phase driver composes with elastic scheduling: a node that

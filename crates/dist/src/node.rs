@@ -19,7 +19,7 @@ use obs::{AttrValue, Recorder, TraceLevel};
 
 use crate::error::DistError;
 use crate::proto::{read_message, write_message, JobSetup, Message};
-use crate::tasks;
+use crate::tasks::{JobTask, Task, TaskKernel};
 
 /// Fault injection for one session. The default is a healthy node;
 /// each field turns on one deterministic misbehaviour so recovery,
@@ -74,7 +74,7 @@ impl Behaviour {
 struct JobContext {
     /// The task, prepared once for the job (a `chapel.*` program is
     /// compiled here, not per round).
-    task: tasks::JobTask,
+    task: JobTask,
     layout: Arc<RObjLayout>,
     file: freeride::source::FileDataset,
     engine: Engine,
@@ -90,7 +90,7 @@ struct JobContext {
 struct OpenRound {
     round: u32,
     attempt: u32,
-    kernel: tasks::TaskKernel,
+    kernel: TaskKernel,
     /// Sum of this round's unit times — what the coordinator sums too,
     /// so both ends see the same straggler signal.
     busy_ns: u64,
@@ -101,7 +101,8 @@ fn build_job(job: &JobSetup) -> Result<JobContext, DistError> {
     // and check it against this build's own task registry, so a
     // version-skewed node fails loudly instead of mis-merging cells.
     let shipped = RObjLayout::decode(&job.layout)?;
-    let local = tasks::layout(&job.task, &job.params)?;
+    let task = Task::parse(&job.task, &job.params)?;
+    let local = task.layout();
     if shipped.total_cells() != local.total_cells() {
         return Err(DistError::BadTask {
             reason: format!(
@@ -152,7 +153,7 @@ fn build_job(job: &JobSetup) -> Result<JobContext, DistError> {
         config.splitter = cfr_sparse::csr_splitter(&m);
     }
     let recorder = Arc::new(Recorder::new(config.trace));
-    let task = tasks::JobTask::new(&job.task, &job.params, config.backend, Some(&recorder))?;
+    let task = task.prepare(config.backend, Some(&recorder))?;
     let engine = Engine::with_recorder(config, recorder.clone());
     Ok(JobContext {
         task,
@@ -517,7 +518,7 @@ mod node_tests {
         JobSetup {
             task: "sum".into(),
             params: Vec::new(),
-            layout: tasks::layout("sum", &[]).unwrap().encode().unwrap(),
+            layout: Task::Sum.layout().encode().unwrap(),
             dataset: dataset.to_string_lossy().into_owned(),
             threads: 1,
             trace_level: TraceLevel::Off,
@@ -573,12 +574,14 @@ mod node_tests {
     #[test]
     fn session_answers_an_unbuildable_job_with_its_reason() {
         let job = sum_job("unbuildable");
-        std::fs::remove_file(&job.dataset).unwrap();
+        let dataset = job.dataset.clone();
+        std::fs::remove_file(&dataset).unwrap();
         let (reply, exit) = reply_to(job, &[]);
         let Message::Error { message } = reply else {
             panic!("{reply:?}");
         };
         assert!(message.contains("dataset I/O error"), "{message}");
+        assert!(message.contains(&dataset), "{message}");
         assert!(exit.is_err());
     }
 

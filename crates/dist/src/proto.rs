@@ -471,11 +471,9 @@ fn read_job(r: &mut Cursor<'_>) -> Result<JobSetup, DistError> {
         1 => streaming,
         other => return Err(bad("io mode", other)),
     };
-    let backend = match r.u8("backend")? {
-        0 => freeride::KernelBackend::Interpreted,
-        1 => freeride::KernelBackend::Compiled,
-        other => return Err(bad("kernel backend", other)),
-    };
+    let byte = r.u8("backend")?;
+    let backend =
+        freeride::KernelBackend::from_wire(byte).ok_or_else(|| bad("kernel backend", byte))?;
     let scheme = scheme_from_wire(
         r.u8("scheme")?,
         r.u64("scheme_stripes")?,

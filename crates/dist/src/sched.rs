@@ -34,7 +34,7 @@ use crate::policy::plan;
 use crate::proto::{read_message, write_message, JobSetup, Message};
 use crate::queue::StealQueue;
 use crate::store::{Checkpoint, CheckpointStore};
-use crate::tasks;
+use crate::tasks::Task;
 use crate::units::{auto_grain, split_units};
 
 /// A node whose node-measured round time exceeds this multiple of the
@@ -639,6 +639,11 @@ impl<'a> JobDriver<'a> {
         let wall = Instant::now();
         let cfg = self.config;
         let rec = self.recorder;
+        // Parse the task once, and check the state it will broadcast
+        // before dialing anyone: every node would reject a wrong length
+        // alike.
+        let task = Task::parse(&cfg.task, &cfg.params)?;
+        task.check_state(&state)?;
         let mut stats = ClusterStats {
             nodes: addrs.len(),
             ..ClusterStats::default()
@@ -663,7 +668,7 @@ impl<'a> JobDriver<'a> {
             stats.recoveries += 1;
         }
 
-        let layout = tasks::layout(&cfg.task, &cfg.params)?;
+        let layout = task.layout();
         let job = job_setup(cfg, layout.encode()?);
         // Shard assignment needs the row count; headers only, no payload read.
         let rows = freeride::source::FileDataset::open(&cfg.dataset)?.rows();
@@ -750,7 +755,7 @@ impl<'a> JobDriver<'a> {
                     }
                 }
             }
-            if let Some(next) = tasks::step(&cfg.task, &cfg.params, &state, &merged)? {
+            if let Some(next) = task.step(&state, &merged) {
                 state = next;
             }
             stats.rounds += 1;

@@ -1,34 +1,39 @@
-//! The cluster task registry.
+//! The cluster task registry: one typed table of the hand-written
+//! kernels.
 //!
 //! Closures cannot cross a process boundary, so distributed jobs name a
 //! **task** from this registry instead; the `cfr-node` binary carries
 //! the same registry, making nodes self-contained. A task is
 //! parameterized by job-constant integers (`params`, e.g. `[k, d]` for
 //! k-means) and a per-round broadcast `state` vector (e.g. the current
-//! centroids), and provides:
+//! centroids). [`Task::parse`] reads a name and its params once into a
+//! [`Task`], the only place that knows a task's param order; the
+//! variant then provides:
 //!
 //! * the reduction-object layout,
-//! * the local-reduction kernel for one round (prepared once per job
-//!   on each node), and
+//! * the length its broadcast state must have,
+//! * the local-reduction kernel for one round, and
 //! * the coordinator-side `step` that folds the globally combined
 //!   object into the next round's state (the FREERIDE outer loop).
 //!
-//! Built-in tasks: `"sum"`, `"kmeans"`, `"pca.mean"`, `"pca.cov"` —
-//! mirroring the kernels in `cfr-apps` so cluster results are
-//! differentially testable against the single-process drivers — plus
-//! the kernel-IR family `"chapel.kmeans"`, which compiles the canned
-//! Chapel program through the translator's front door once per job on
-//! the node and binds each round's state to its loop, honouring the
-//! job's [`freeride::KernelBackend`] (interpreter or native codegen).
+//! The kernels are `cfr-apps`' "manual FR" versions: the single-process
+//! drivers call these same bodies, so cluster and local runs perform
+//! the identical floating-point operations. The kernel-IR family
+//! (`"chapel.kmeans"`) instead compiles the canned Chapel program
+//! through the translator's front door once per job on the node and
+//! binds each round's state to its loop, honouring the job's
+//! [`freeride::KernelBackend`] (interpreter or native codegen).
 
 use std::sync::Arc;
 
+use cfr_core::OptLevel;
 use freeride::{
     CombineOp, GroupSpec, KernelBackend, RObjHandle, RObjLayout, ReductionObject, Split,
 };
 use linearize::Value;
 use obs::Recorder;
 
+use crate::coord::ClusterConfig;
 use crate::error::DistError;
 
 /// A per-round kernel closure, boxed for storage in a task instance.
@@ -45,380 +50,368 @@ pub const BUILTIN_TASKS: &[&str] = &[
     "sparse.mttkrp",
 ];
 
+/// The `opt` param of the `chapel.*` tasks, by ordinal.
+const OPT_LEVELS: [OptLevel; 3] = [OptLevel::Generated, OptLevel::Opt1, OptLevel::Opt2];
+
+/// A built-in task with its params. Each variant's doc gives its name,
+/// its param order and its per-round state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Task {
+    /// `"sum"`: the sum of every slot of every row. No params, no state.
+    Sum,
+    /// `"kmeans"`: dense k-means. Params `[k, d]`; state: the `k × d`
+    /// centroids.
+    Kmeans {
+        /// Centroids.
+        k: usize,
+        /// Point width.
+        d: usize,
+    },
+    /// `"pca.mean"`: per-dimension sums. Params `[rows]`; no state.
+    PcaMean {
+        /// Sample width.
+        rows: usize,
+    },
+    /// `"pca.cov"`: the scatter matrix about the broadcast mean. Params
+    /// `[rows]`; state: the `rows` means.
+    PcaCov {
+        /// Sample width.
+        rows: usize,
+    },
+    /// `"sparse.kmeans"`: k-means over padded CSR rows. Params `[k,
+    /// cols]`; state: the `k × cols` centroids.
+    SparseKmeans {
+        /// Centroids.
+        k: usize,
+        /// Matrix columns.
+        cols: usize,
+    },
+    /// `"sparse.mttkrp"`: a mode-0 MTTKRP over `[i, j, k, v]` quad rows
+    /// against the closed-form factors. Params `[I, J, K, rank]`; no
+    /// state.
+    SparseMttkrp {
+        /// Tensor mode sizes `[I, J, K]`.
+        dims: [usize; 3],
+        /// Decomposition rank.
+        rank: usize,
+    },
+    /// `"chapel.kmeans"`: the canned Chapel k-means, compiled on each
+    /// node. Params `[n, k, d, opt]` (`opt` 0 = generated, 1 = opt-1,
+    /// 2 = opt-2); state as `kmeans`.
+    ChapelKmeans {
+        /// The program's declared dataset size (the kernel itself is
+        /// shard-invariant).
+        n: usize,
+        /// Centroids.
+        k: usize,
+        /// Point width.
+        d: usize,
+        /// Code-generation strategy.
+        opt: OptLevel,
+    },
+}
+
 fn bad<T>(reason: impl Into<String>) -> Result<T, DistError> {
     Err(DistError::BadTask {
         reason: reason.into(),
     })
 }
 
-fn param(params: &[i64], i: usize, task: &str, what: &str) -> Result<usize, DistError> {
-    match params.get(i) {
-        Some(&v) if v > 0 => Ok(v as usize),
-        Some(&v) => bad(format!("{task}: {what} must be positive, got {v}")),
-        None => bad(format!("{task}: missing param {i} ({what})")),
+impl Task {
+    /// Read a task name and its params: the registry's one match on
+    /// names. Every param must be present and positive (trailing extras
+    /// are ignored); an unknown name or a bad param is a typed
+    /// [`DistError::BadTask`].
+    pub fn parse(name: &str, params: &[i64]) -> Result<Task, DistError> {
+        let p = |i: usize, what: &str| match params.get(i) {
+            Some(&v) if v > 0 => Ok(v as usize),
+            Some(&v) => bad(format!("{name}: {what} must be positive, got {v}")),
+            None => bad(format!("{name}: missing param {i} ({what})")),
+        };
+        Ok(match name {
+            "sum" => Task::Sum,
+            "kmeans" => Task::Kmeans {
+                k: p(0, "k")?,
+                d: p(1, "d")?,
+            },
+            "pca.mean" => Task::PcaMean {
+                rows: p(0, "rows")?,
+            },
+            "pca.cov" => Task::PcaCov {
+                rows: p(0, "rows")?,
+            },
+            "sparse.kmeans" => Task::SparseKmeans {
+                k: p(0, "k")?,
+                cols: p(1, "cols")?,
+            },
+            "sparse.mttkrp" => Task::SparseMttkrp {
+                dims: [p(0, "dims[0]")?, p(1, "dims[1]")?, p(2, "dims[2]")?],
+                rank: p(3, "rank")?,
+            },
+            "chapel.kmeans" => Task::ChapelKmeans {
+                n: p(0, "n")?,
+                k: p(1, "k")?,
+                d: p(2, "d")?,
+                opt: match params.get(3) {
+                    Some(&v) if (0..3).contains(&v) => OPT_LEVELS[v as usize],
+                    Some(&v) => return bad(format!("{name}: opt level must be 0..=2, got {v}")),
+                    None => return bad(format!("{name}: missing param 3 (opt level)")),
+                },
+            },
+            other => {
+                return bad(format!(
+                    "unknown task `{other}` (built-ins: {BUILTIN_TASKS:?})"
+                ))
+            }
+        })
     }
-}
 
-/// The code-generation strategy parameter of the `chapel.*` tasks
-/// (0 = generated, 1 = opt-1, 2 = opt-2).
-fn opt_param(params: &[i64], i: usize, task: &str) -> Result<cfr_core::OptLevel, DistError> {
-    match params.get(i) {
-        Some(0) => Ok(cfr_core::OptLevel::Generated),
-        Some(1) => Ok(cfr_core::OptLevel::Opt1),
-        Some(2) => Ok(cfr_core::OptLevel::Opt2),
-        Some(&v) => bad(format!("{task}: opt level must be 0..=2, got {v}")),
-        None => bad(format!("{task}: missing param {i} (opt level)")),
+    /// The registry name; with [`Task::params`], the inverse of
+    /// [`Task::parse`].
+    pub fn name(&self) -> &'static str {
+        match self {
+            Task::Sum => "sum",
+            Task::Kmeans { .. } => "kmeans",
+            Task::PcaMean { .. } => "pca.mean",
+            Task::PcaCov { .. } => "pca.cov",
+            Task::SparseKmeans { .. } => "sparse.kmeans",
+            Task::SparseMttkrp { .. } => "sparse.mttkrp",
+            Task::ChapelKmeans { .. } => "chapel.kmeans",
+        }
     }
-}
 
-/// The reduction-object layout for `task` with `params`.
-pub fn layout(task: &str, params: &[i64]) -> Result<Arc<RObjLayout>, DistError> {
-    match task {
-        "sum" => Ok(RObjLayout::new(vec![GroupSpec::new(
-            "sum",
-            1,
-            CombineOp::Sum,
-        )])),
-        "kmeans" => {
-            let k = param(params, 0, task, "k")?;
-            let d = param(params, 1, task, "d")?;
-            Ok(RObjLayout::new(vec![GroupSpec::new(
-                "newCent",
-                k * (d + 1),
-                CombineOp::Sum,
-            )]))
+    /// The params, in the order [`Task::parse`] reads them.
+    pub fn params(&self) -> Vec<i64> {
+        let params = match *self {
+            Task::Sum => vec![],
+            Task::Kmeans { k, d } => vec![k, d],
+            Task::PcaMean { rows } | Task::PcaCov { rows } => vec![rows],
+            Task::SparseKmeans { k, cols } => vec![k, cols],
+            Task::SparseMttkrp { dims, rank } => vec![dims[0], dims[1], dims[2], rank],
+            Task::ChapelKmeans { n, k, d, opt } => {
+                vec![
+                    n,
+                    k,
+                    d,
+                    OPT_LEVELS.iter().position(|&o| o == opt).unwrap_or(0),
+                ]
+            }
+        };
+        params.into_iter().map(|v| v as i64).collect()
+    }
+
+    /// A cluster job of this task over `dataset`, every other setting at
+    /// its default.
+    pub fn cluster_config(&self, dataset: impl Into<std::path::PathBuf>) -> ClusterConfig {
+        let mut config = ClusterConfig::new(self.name(), dataset);
+        config.params = self.params();
+        config
+    }
+
+    /// The reduction-object layout: one summed group.
+    pub fn layout(&self) -> Arc<RObjLayout> {
+        let (group, cells) = match *self {
+            Task::Sum => ("sum", 1),
+            Task::Kmeans { k, d }
+            | Task::ChapelKmeans { k, d, .. }
+            | Task::SparseKmeans { k, cols: d } => ("newCent", k * (d + 1)),
+            Task::PcaMean { rows } => ("mean", rows),
+            Task::PcaCov { rows } => ("cov", rows * rows),
+            Task::SparseMttkrp { dims, rank } => ("M", dims[0] * rank),
+        };
+        RObjLayout::new(vec![GroupSpec::new(group, cells, CombineOp::Sum)])
+    }
+
+    /// The values a round's broadcast state must hold, and the formula
+    /// that names them; `None` for a stateless task, which ignores its
+    /// state.
+    fn state_shape(&self) -> Option<(usize, &'static str)> {
+        match *self {
+            Task::Kmeans { k, d } | Task::ChapelKmeans { k, d, .. } => Some((k * d, "k*d")),
+            Task::SparseKmeans { k, cols } => Some((k * cols, "k*cols")),
+            Task::PcaCov { rows } => Some((rows, "rows")),
+            Task::Sum | Task::PcaMean { .. } | Task::SparseMttkrp { .. } => None,
         }
-        "chapel.kmeans" => {
-            // Every param is checked here too, so a bad one fails before
-            // the coordinator dials out rather than in every node's
-            // setup answer.
-            param(params, 0, task, "n")?;
-            let k = param(params, 1, task, "k")?;
-            let d = param(params, 2, task, "d")?;
-            opt_param(params, 3, task)?;
-            Ok(RObjLayout::new(vec![GroupSpec::new(
-                "newCent",
-                k * (d + 1),
-                CombineOp::Sum,
-            )]))
+    }
+
+    /// The length a round's broadcast state must have; `None` for a
+    /// stateless task.
+    pub fn state_len(&self) -> Option<usize> {
+        self.state_shape().map(|(len, _)| len)
+    }
+
+    /// Check a round's broadcast state against [`Task::state_len`]: a
+    /// wrong length is a [`DistError::BadTask`] naming the expected one.
+    pub fn check_state(&self, state: &[f64]) -> Result<(), DistError> {
+        match self.state_shape() {
+            Some((want, formula)) if state.len() != want => bad(format!(
+                "{}: state holds {} values, expected {formula} = {want}",
+                self.name(),
+                state.len()
+            )),
+            _ => Ok(()),
         }
-        "sparse.kmeans" => {
-            let k = param(params, 0, task, "k")?;
-            let cols = param(params, 1, task, "cols")?;
-            Ok(RObjLayout::new(vec![GroupSpec::new(
-                "newCent",
-                k * (cols + 1),
-                CombineOp::Sum,
-            )]))
+    }
+
+    /// The hand-written local-reduction kernel for one round over
+    /// `state`, after [`Task::check_state`]. A kernel-IR task has no
+    /// hand-written kernel (its loop is compiled per job by
+    /// [`Task::prepare`]), so it answers [`DistError::BadTask`].
+    pub fn kernel(&self, state: &[f64]) -> Result<TaskKernel, DistError> {
+        self.check_state(state)?;
+        let state = state.to_vec();
+        Ok(match *self {
+            Task::Sum => Box::new(|split: &Split<'_>, robj: &mut dyn RObjHandle| {
+                for row in split.iter_rows() {
+                    for &x in row {
+                        robj.accumulate(0, 0, x);
+                    }
+                }
+            }),
+            Task::Kmeans { k, d } => Box::new(
+                move |split: &Split<'_>, robj: &mut dyn RObjHandle| match robj.lend() {
+                    Some(mut cells) => assign_points(split, &state, k, d, &mut cells),
+                    None => assign_points(split, &state, k, d, robj),
+                },
+            ),
+            Task::PcaMean { rows } => {
+                Box::new(move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
+                    for row in split.iter_rows() {
+                        for (a, &x) in row.iter().enumerate().take(rows) {
+                            robj.accumulate(0, a, x);
+                        }
+                    }
+                })
+            }
+            Task::PcaCov { rows } => {
+                Box::new(move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
+                    for row in split.iter_rows() {
+                        for a in 0..rows {
+                            let da = row[a] - state[a];
+                            for b in 0..rows {
+                                let db = row[b] - state[b];
+                                robj.accumulate(0, a * rows + b, da * db);
+                            }
+                        }
+                    }
+                })
+            }
+            Task::SparseKmeans { k, cols } => Box::new(sparse_assign(state, k, cols)),
+            Task::SparseMttkrp { dims, rank } => {
+                // The closed-form factors are job constants, rebuilt on
+                // the node — only the tensor quads travel through the
+                // dataset.
+                let b = cfr_sparse::synthetic_factor(dims[1], rank);
+                let c = cfr_sparse::synthetic_factor(dims[2], rank);
+                Box::new(mttkrp_kernel(0, rank, dims[0], b, c))
+            }
+            Task::ChapelKmeans { .. } => {
+                return bad(format!(
+                    "{}: a kernel-IR task binds its state to the loop it compiled",
+                    self.name()
+                ))
+            }
+        })
+    }
+
+    /// Coordinator-side outer-loop step: fold the globally combined
+    /// object into the next round's state, whose length [`Task::check_state`]
+    /// accepted. Returns `None` when the task carries no iterative state
+    /// (the state is rebroadcast unchanged). The k-means family refines
+    /// each centroid to the mean of its points; an empty cluster keeps
+    /// its position.
+    pub fn step(&self, state: &[f64], merged: &ReductionObject) -> Option<Vec<f64>> {
+        let (k, d) = match *self {
+            Task::Kmeans { k, d }
+            | Task::ChapelKmeans { k, d, .. }
+            | Task::SparseKmeans { k, cols: d } => (k, d),
+            Task::Sum | Task::PcaMean { .. } | Task::PcaCov { .. } | Task::SparseMttkrp { .. } => {
+                return None
+            }
+        };
+        let cells = merged.group_slice(0);
+        let mut next = state.to_vec();
+        for c in 0..k {
+            let count = cells[c * (d + 1) + d];
+            if count > 0.0 {
+                for j in 0..d {
+                    next[c * d + j] = cells[c * (d + 1) + j] / count;
+                }
+            }
         }
-        "sparse.mttkrp" => {
-            let im = param(params, 0, task, "dims[0]")?;
-            let rank = param(params, 3, task, "rank")?;
-            Ok(RObjLayout::new(vec![GroupSpec::new(
-                "M",
-                im * rank,
-                CombineOp::Sum,
-            )]))
+        Some(next)
+    }
+
+    /// Prepare the task for one job. A `chapel.*` task compiles its
+    /// Chapel program here, so a bad program is a typed
+    /// [`DistError::BadTask`] at job setup. `backend` selects the
+    /// execution path for those kernel-IR tasks (hand-written tasks
+    /// ignore it); `recorder` (when given) receives the compile spans.
+    pub(crate) fn prepare(
+        self,
+        backend: KernelBackend,
+        recorder: Option<&Recorder>,
+    ) -> Result<JobTask, DistError> {
+        let chapel = match self {
+            Task::ChapelKmeans { n, k, d, opt } => {
+                let src = chapel_frontend::programs::kmeans(n, k, d);
+                let program = cfr_core::CompiledProgram::compile(&src, opt, backend, recorder)
+                    .map_err(|e| self.failed("compile", &e))?;
+                let (_, compiled) = program.loops().next().ok_or_else(|| DistError::BadTask {
+                    reason: format!("{}: reduction loop not detected", self.name()),
+                })?;
+                Some(compiled.clone())
+            }
+            _ => None,
+        };
+        Ok(JobTask {
+            task: self,
+            backend,
+            chapel,
+        })
+    }
+
+    fn failed(&self, stage: &str, e: &impl std::fmt::Display) -> DistError {
+        DistError::BadTask {
+            reason: format!("{}: {stage}: {e}", self.name()),
         }
-        "pca.mean" => {
-            let rows = param(params, 0, task, "rows")?;
-            Ok(RObjLayout::new(vec![GroupSpec::new(
-                "mean",
-                rows,
-                CombineOp::Sum,
-            )]))
-        }
-        "pca.cov" => {
-            let rows = param(params, 0, task, "rows")?;
-            Ok(RObjLayout::new(vec![GroupSpec::new(
-                "cov",
-                rows * rows,
-                CombineOp::Sum,
-            )]))
-        }
-        other => bad(format!(
-            "unknown task `{other}` (built-ins: {BUILTIN_TASKS:?})"
-        )),
     }
 }
 
 /// A task prepared for one job: what stays fixed across its rounds,
 /// built once when a node sets up a session's job.
 pub(crate) struct JobTask {
-    task: String,
-    params: Vec<i64>,
+    task: Task,
     backend: KernelBackend,
     /// The translated loop of a `chapel.*` task.
     chapel: Option<cfr_core::CompiledLoop>,
 }
 
 impl JobTask {
-    /// Prepare `task` for a job. A `chapel.*` task compiles its Chapel
-    /// program here, so a bad program or opt level is a typed
-    /// [`DistError::BadTask`] at job setup. `backend` selects the
-    /// execution path for those kernel-IR tasks (closure tasks ignore
-    /// it); `recorder` (when given) receives the compile spans.
-    pub(crate) fn new(
-        task: &str,
-        params: &[i64],
-        backend: KernelBackend,
-        recorder: Option<&Recorder>,
-    ) -> Result<JobTask, DistError> {
-        let chapel = match task {
-            "chapel.kmeans" => Some(compile_chapel_kmeans(params, backend, recorder)?),
-            _ => None,
-        };
-        Ok(JobTask {
-            task: task.to_string(),
-            params: params.to_vec(),
-            backend,
-            chapel,
-        })
-    }
-
     /// The local-reduction kernel for one round, capturing its
-    /// broadcast `state` (its length is validated against the params).
-    /// `recorder` receives the codegen spans and fallback instants of
-    /// a kernel-IR task's backend selection.
+    /// broadcast `state` (its length is checked against the task). A
+    /// kernel-IR task binds the state to its compiled loop, in the
+    /// representation its opt level uses, so the job's
+    /// [`KernelBackend`] decides whether the split loop runs on the
+    /// kernel VM or natively; `recorder` receives the codegen spans and
+    /// fallback instants of that choice.
     pub(crate) fn kernel(
         &self,
         state: &[f64],
         recorder: Option<&Recorder>,
     ) -> Result<TaskKernel, DistError> {
-        match &self.chapel {
-            Some(compiled) => {
-                chapel_kmeans_kernel(compiled, &self.params, state, self.backend, recorder)
-            }
-            None => closure_kernel(&self.task, &self.params, state),
-        }
-    }
-}
-
-/// The local-reduction kernel of `task` for a one-round job over
-/// `state`: the task is prepared as a node does at job setup, then
-/// bound to `state` as at `RoundStart`. `backend` selects the execution
-/// path for kernel-IR tasks (the `chapel.*` family) — closure tasks
-/// ignore it; `recorder` (when given) receives the compile and codegen
-/// spans.
-pub fn kernel(
-    task: &str,
-    params: &[i64],
-    state: &[f64],
-    backend: KernelBackend,
-    recorder: Option<&Recorder>,
-) -> Result<TaskKernel, DistError> {
-    JobTask::new(task, params, backend, recorder)?.kernel(state, recorder)
-}
-
-/// The kernel of a closure task for one round over `state`.
-fn closure_kernel(task: &str, params: &[i64], state: &[f64]) -> Result<TaskKernel, DistError> {
-    match task {
-        "sum" => Ok(Box::new(|split: &Split<'_>, robj: &mut dyn RObjHandle| {
-            for row in split.iter_rows() {
-                for &x in row {
-                    robj.accumulate(0, 0, x);
-                }
-            }
-        })),
-        "kmeans" => {
-            let k = param(params, 0, task, "k")?;
-            let d = param(params, 1, task, "d")?;
-            if state.len() != k * d {
-                return bad(format!(
-                    "kmeans: state holds {} values, expected k*d = {}",
-                    state.len(),
-                    k * d
-                ));
-            }
-            let cents = state.to_vec();
-            Ok(Box::new(
-                move |split: &Split<'_>, robj: &mut dyn RObjHandle| match robj.lend() {
-                    Some(mut cells) => assign_points(split, &cents, k, d, &mut cells),
-                    None => assign_points(split, &cents, k, d, robj),
-                },
-            ))
-        }
-        "pca.mean" => {
-            let rows = param(params, 0, task, "rows")?;
-            Ok(Box::new(
-                move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
-                    for row in split.iter_rows() {
-                        for (a, &x) in row.iter().enumerate().take(rows) {
-                            robj.accumulate(0, a, x);
-                        }
-                    }
-                },
-            ))
-        }
-        "pca.cov" => {
-            let rows = param(params, 0, task, "rows")?;
-            if state.len() != rows {
-                return bad(format!(
-                    "pca.cov: state holds {} values, expected rows = {rows}",
-                    state.len()
-                ));
-            }
-            let mean = state.to_vec();
-            Ok(Box::new(
-                move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
-                    for row in split.iter_rows() {
-                        for a in 0..rows {
-                            let da = row[a] - mean[a];
-                            for b in 0..rows {
-                                let db = row[b] - mean[b];
-                                robj.accumulate(0, a * rows + b, da * db);
-                            }
-                        }
-                    }
-                },
-            ))
-        }
-        "sparse.kmeans" => {
-            let k = param(params, 0, task, "k")?;
-            let cols = param(params, 1, task, "cols")?;
-            if state.len() != k * cols {
-                return bad(format!(
-                    "sparse.kmeans: state holds {} values, expected k*cols = {}",
-                    state.len(),
-                    k * cols
-                ));
-            }
-            // ‖c‖² once per round in ascending column order — the same
-            // fold as the single-process `cfr_apps::sparse_kmeans`
-            // driver, so cluster and local runs are bit-identical.
-            let cents = state.to_vec();
-            let mut cnorm = vec![0.0f64; k];
-            for c in 0..k {
-                for j in 0..cols {
-                    cnorm[c] += cents[c * cols + j] * cents[c * cols + j];
-                }
-            }
-            Ok(Box::new(
-                move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
-                    for row in split.iter_rows() {
-                        let mut best = 0usize;
-                        let mut best_dist = f64::INFINITY;
-                        for c in 0..k {
-                            let mut dot = 0.0;
-                            for (col, v) in linearize::sparse::padded_row_entries(row) {
-                                if col < cols {
-                                    dot += v * cents[c * cols + col];
-                                }
-                            }
-                            let dist = cnorm[c] - 2.0 * dot;
-                            if dist < best_dist {
-                                best_dist = dist;
-                                best = c;
-                            }
-                        }
-                        for (col, v) in linearize::sparse::padded_row_entries(row) {
-                            if col < cols {
-                                robj.accumulate(0, best * (cols + 1) + col, v);
-                            }
-                        }
-                        robj.accumulate(0, best * (cols + 1) + cols, 1.0);
-                    }
-                },
-            ))
-        }
-        "sparse.mttkrp" => {
-            let im = param(params, 0, task, "dims[0]")?;
-            let jm = param(params, 1, task, "dims[1]")?;
-            let km = param(params, 2, task, "dims[2]")?;
-            let rank = param(params, 3, task, "rank")?;
-            // The closed-form factors are job constants, rebuilt on the
-            // node — only the tensor quads travel through the dataset.
-            let b = cfr_sparse::synthetic_factor(jm, rank);
-            let c = cfr_sparse::synthetic_factor(km, rank);
-            Ok(Box::new(
-                move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
-                    for row in split.iter_rows() {
-                        if row.len() < 4 {
-                            continue;
-                        }
-                        let i = row[0].max(0.0) as usize;
-                        let j = row[1].max(0.0) as usize;
-                        let kk = row[2].max(0.0) as usize;
-                        let v = row[3];
-                        if i >= im || j >= jm || kk >= km {
-                            continue;
-                        }
-                        for r in 0..rank {
-                            robj.accumulate(
-                                0,
-                                i * rank + r,
-                                v * b[j * rank + r] * c[kk * rank + r],
-                            );
-                        }
-                    }
-                },
-            ))
-        }
-        other => bad(format!(
-            "unknown task `{other}` (built-ins: {BUILTIN_TASKS:?})"
-        )),
-    }
-}
-
-/// The translated k-means, once per job: compile the canned Chapel
-/// program (`chapel_frontend::programs::kmeans`) through
-/// `cfr_core::CompiledProgram::compile`, the translator's front door,
-/// and keep its one loop. Params: `[n, k, d, opt]` (`n` is the Chapel
-/// program's declared dataset size; the kernel itself is
-/// shard-invariant).
-fn compile_chapel_kmeans(
-    params: &[i64],
-    backend: KernelBackend,
-    recorder: Option<&Recorder>,
-) -> Result<cfr_core::CompiledLoop, DistError> {
-    let task = "chapel.kmeans";
-    let n = param(params, 0, task, "n")?;
-    let k = param(params, 1, task, "k")?;
-    let d = param(params, 2, task, "d")?;
-    let opt = opt_param(params, 3, task)?;
-    let src = chapel_frontend::programs::kmeans(n, k, d);
-    let program = cfr_core::CompiledProgram::compile(&src, opt, backend, recorder)
-        .map_err(|e| to_bad(task, "compile", &e))?;
-    let (_, compiled) = program.loops().next().ok_or_else(|| DistError::BadTask {
-        reason: format!("{task}: reduction loop not detected"),
-    })?;
-    Ok(compiled.clone())
-}
-
-/// One round of the translated k-means: bind this round's centroid
-/// state to the compiled loop, in the representation its opt level
-/// uses, so the job's [`KernelBackend`] decides whether the split loop
-/// runs on the kernel VM or natively.
-fn chapel_kmeans_kernel(
-    compiled: &cfr_core::CompiledLoop,
-    params: &[i64],
-    state: &[f64],
-    backend: KernelBackend,
-    recorder: Option<&Recorder>,
-) -> Result<TaskKernel, DistError> {
-    let task = "chapel.kmeans";
-    let k = param(params, 1, task, "k")?;
-    let d = param(params, 2, task, "d")?;
-    if state.len() != k * d {
-        return bad(format!(
-            "{task}: state holds {} values, expected k*d = {}",
-            state.len(),
-            k * d
-        ));
-    }
-    let choice = compiled
-        .job_state(vec![centroids_value(state, k, d)], None)
-        .and_then(|s| compiled.runner(backend, s, recorder))
-        .map_err(|e| to_bad(task, "bind state", &e))?;
-    let runner = choice.runner;
-    Ok(Box::new(
-        move |split: &Split<'_>, robj: &mut dyn RObjHandle| runner.run_split(split, robj),
-    ))
-}
-
-fn to_bad(task: &str, stage: &str, e: &impl std::fmt::Display) -> DistError {
-    DistError::BadTask {
-        reason: format!("{task}: {stage}: {e}"),
+        let (Some(compiled), Task::ChapelKmeans { k, d, .. }) = (&self.chapel, self.task) else {
+            return self.task.kernel(state);
+        };
+        self.task.check_state(state)?;
+        let choice = compiled
+            .job_state(vec![centroids_value(state, k, d)], None)
+            .and_then(|s| compiled.runner(self.backend, s, recorder))
+            .map_err(|e| self.task.failed("bind state", &e))?;
+        let runner = choice.runner;
+        Ok(Box::new(
+            move |split: &Split<'_>, robj: &mut dyn RObjHandle| runner.run_split(split, robj),
+        ))
     }
 }
 
@@ -440,47 +433,17 @@ pub fn centroids_value(flat: &[f64], k: usize, d: usize) -> Value {
     )
 }
 
-/// Coordinator-side outer-loop step: fold the globally combined object
-/// into the next round's state. Returns `None` when the task carries no
-/// iterative state (the state is rebroadcast unchanged).
-pub fn step(
-    task: &str,
-    params: &[i64],
-    state: &[f64],
-    merged: &ReductionObject,
-) -> Result<Option<Vec<f64>>, DistError> {
-    match task {
-        "kmeans" | "chapel.kmeans" | "sparse.kmeans" => {
-            // `chapel.kmeans` carries `n` in slot 0; `k`/`d` follow.
-            // `sparse.kmeans` uses `[k, cols]` — same shape as
-            // `kmeans`'s `[k, d]`, and the same centroid refinement.
-            let base = if task == "chapel.kmeans" { 1 } else { 0 };
-            let k = param(params, base, task, "k")?;
-            let d = param(params, base + 1, task, "d")?;
-            let cells = merged.group_slice(0);
-            let mut next = state.to_vec();
-            for c in 0..k {
-                let count = cells[c * (d + 1) + d];
-                if count > 0.0 {
-                    for j in 0..d {
-                        next[c * d + j] = cells[c * (d + 1) + j] / count;
-                    }
-                }
-            }
-            Ok(Some(next))
-        }
-        "sum" | "pca.mean" | "pca.cov" | "sparse.mttkrp" => Ok(None),
-        other => bad(format!(
-            "unknown task `{other}` (built-ins: {BUILTIN_TASKS:?})"
-        )),
-    }
+/// The per-centroid point counts of a k-means family object's cells
+/// (`k` groups of `d` coordinate sums then a count).
+pub fn centroid_counts(cells: &[f64], k: usize, d: usize) -> Vec<f64> {
+    (0..k).map(|c| cells[c * (d + 1) + d]).collect()
 }
 
 /// One split of k-means: each point's coordinates and a count fold into
 /// its nearest of the `k` centroids `cents` (`d` values each). Generic
 /// over the handle, so a boxed kernel that takes lent cells once per
 /// split folds into them without a virtual call per update.
-pub fn assign_points<H: RObjHandle + ?Sized>(
+fn assign_points<H: RObjHandle + ?Sized>(
     split: &Split<'_>,
     cents: &[f64],
     k: usize,
@@ -509,10 +472,172 @@ pub fn assign_points<H: RObjHandle + ?Sized>(
     }
 }
 
+/// One round of sparse k-means over padded CSR rows: assign each row to
+/// the centroid minimizing `‖c‖² − 2·⟨x, c⟩` (`‖x‖²` is row-constant and
+/// cancels; stored entries only, ties to the lowest `c`), then
+/// accumulate the stored entries and a count.
+fn sparse_assign(
+    cents: Vec<f64>,
+    k: usize,
+    cols: usize,
+) -> impl Fn(&Split<'_>, &mut dyn RObjHandle) + Sync + Send {
+    // ‖c‖² once per round, in ascending column order — the Chapel
+    // oracle's order.
+    let cnorm: Vec<f64> = (0..k)
+        .map(|c| {
+            cents[c * cols..(c + 1) * cols]
+                .iter()
+                .fold(0.0, |s, x| s + x * x)
+        })
+        .collect();
+    move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
+        for row in split.iter_rows() {
+            let mut best = 0usize;
+            let mut best_dist = f64::INFINITY;
+            for c in 0..k {
+                let mut dot = 0.0;
+                for (col, v) in linearize::sparse::padded_row_entries(row) {
+                    if col < cols {
+                        dot += v * cents[c * cols + col];
+                    }
+                }
+                let dist = cnorm[c] - 2.0 * dot;
+                if dist < best_dist {
+                    best_dist = dist;
+                    best = c;
+                }
+            }
+            for (col, v) in linearize::sparse::padded_row_entries(row) {
+                if col < cols {
+                    robj.accumulate(0, best * (cols + 1) + col, v);
+                }
+            }
+            robj.accumulate(0, best * (cols + 1) + cols, 1.0);
+        }
+    }
+}
+
+/// The other two modes, in ascending order, of the mode being solved.
+pub fn other_modes(mode: usize) -> (usize, usize) {
+    match mode {
+        0 => (1, 2),
+        1 => (0, 2),
+        _ => (0, 1),
+    }
+}
+
+/// The MTTKRP kernel for one mode over `[i, j, k, v]` quad rows:
+/// `M[out, r] += v * f1[a, r] * f2[b, r]` where `out` is the solved
+/// mode's coordinate and `(f1, f2)` are the other two factors in
+/// ascending mode order — the multiplication order of the Chapel
+/// oracle. Out-of-range coordinates are skipped, never a panic.
+pub fn mttkrp_kernel(
+    mode: usize,
+    rank: usize,
+    out_dim: usize,
+    f1: Vec<f64>,
+    f2: Vec<f64>,
+) -> impl Fn(&Split<'_>, &mut dyn RObjHandle) + Sync + Send {
+    let d1 = f1.len() / rank.max(1);
+    let d2 = f2.len() / rank.max(1);
+    move |split: &Split<'_>, robj: &mut dyn RObjHandle| {
+        for row in split.iter_rows() {
+            if row.len() < cfr_sparse::COO_UNIT {
+                continue;
+            }
+            let c = [
+                row[0].max(0.0) as usize,
+                row[1].max(0.0) as usize,
+                row[2].max(0.0) as usize,
+            ];
+            let v = row[3];
+            let (m1, m2) = other_modes(mode);
+            let (out, a, b) = (c[mode], c[m1], c[m2]);
+            if out >= out_dim || a >= d1 || b >= d2 {
+                continue;
+            }
+            for r in 0..rank {
+                robj.accumulate(0, out * rank + r, v * f1[a * rank + r] * f2[b * rank + r]);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tasks_tests {
     use super::*;
     use freeride::DataView;
+
+    // The registry read as the old call sites read it, each through one
+    // parsed `Task`.
+    fn layout(task: &str, params: &[i64]) -> Result<Arc<RObjLayout>, DistError> {
+        Task::parse(task, params).map(|t| t.layout())
+    }
+
+    fn kernel(
+        task: &str,
+        params: &[i64],
+        state: &[f64],
+        backend: KernelBackend,
+        recorder: Option<&Recorder>,
+    ) -> Result<TaskKernel, DistError> {
+        Task::parse(task, params)?
+            .prepare(backend, recorder)?
+            .kernel(state, recorder)
+    }
+
+    fn step(
+        task: &str,
+        params: &[i64],
+        state: &[f64],
+        merged: &ReductionObject,
+    ) -> Result<Option<Vec<f64>>, DistError> {
+        Ok(Task::parse(task, params)?.step(state, merged))
+    }
+
+    #[test]
+    fn parse_and_params_are_inverse() {
+        let all = [
+            ("sum", vec![]),
+            ("kmeans", vec![3, 2]),
+            ("pca.mean", vec![5]),
+            ("pca.cov", vec![5]),
+            ("sparse.kmeans", vec![4, 12]),
+            ("sparse.mttkrp", vec![6, 3, 3, 2]),
+            ("chapel.kmeans", vec![24, 3, 2, 1]),
+        ];
+        assert_eq!(all.len(), BUILTIN_TASKS.len());
+        for (name, params) in all {
+            let task = Task::parse(name, &params).unwrap();
+            assert_eq!((task.name(), task.params()), (name, params.clone()));
+            let config = task.cluster_config("x.frds");
+            assert_eq!((config.task.as_str(), config.params), (name, params));
+        }
+    }
+
+    #[test]
+    fn state_length_is_checked_only_where_there_is_state() {
+        let kmeans = Task::Kmeans { k: 3, d: 2 };
+        assert_eq!(kmeans.state_len(), Some(6));
+        let err = kmeans.check_state(&[0.0]).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("kmeans: state holds 1 values, expected k*d = 6"),
+            "{err}"
+        );
+        assert_eq!(Task::PcaCov { rows: 4 }.state_len(), Some(4));
+        for stateless in [
+            Task::Sum,
+            Task::PcaMean { rows: 2 },
+            Task::SparseMttkrp {
+                dims: [2, 2, 2],
+                rank: 1,
+            },
+        ] {
+            assert_eq!(stateless.state_len(), None);
+            stateless.check_state(&[1.0, 2.0, 3.0]).unwrap();
+        }
+    }
 
     fn run_local(
         task: &str,

@@ -122,6 +122,41 @@ fn job_rejected_at_setup_names_the_nodes_reason_and_burns_no_retry() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A broadcast state of the wrong length is the coordinator's own
+/// `BadTask`, naming the length the task expects, before any node is
+/// dialed: no node reason is lost, no node evicted, no retry spent.
+#[test]
+fn wrong_state_length_is_rejected_before_dialing_any_node() {
+    let path = dataset("short-state", 2, &[1.0; 16]);
+    let listeners: Vec<TcpListener> = (0..2)
+        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<_> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    let mut cfg = ClusterConfig::new("kmeans", &path);
+    cfg.params = vec![3, 2];
+    cfg.init_state = vec![0.5];
+    cfg.trace = TraceLevel::Phases;
+    let coord = Coordinator::new(cfg);
+    let err = coord.run(&addrs).unwrap_err();
+    let DistError::BadTask { reason } = &err else {
+        panic!("expected BadTask, got {err}");
+    };
+    assert!(
+        reason.contains("state holds 1 values, expected k*d = 6"),
+        "{reason}"
+    );
+    for l in &listeners {
+        l.set_nonblocking(true).unwrap();
+        let dialed = l.accept();
+        assert!(
+            matches!(&dialed, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+            "a node was dialed: {dialed:?}"
+        );
+    }
+    assert_eq!(coord.recorder().hub().snapshot().counter("ft.retries"), 0);
+    std::fs::remove_file(&path).ok();
+}
+
 /// A "node" that accepts the job in the setup exchange, then drops the
 /// connection mid-round. The coordinator must surface a clean typed error — the
 /// read timeout path — not hang.

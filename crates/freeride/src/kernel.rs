@@ -71,12 +71,13 @@ impl KernelBackend {
         }
     }
 
-    /// Decode the wire byte; unknown values fall back to interpreted
-    /// (the always-correct path), keeping decode infallible.
-    pub fn from_wire(b: u8) -> KernelBackend {
+    /// Decode the wire byte; `None` for a byte no backend has, so a
+    /// corrupt or skewed peer never runs on a fallback.
+    pub fn from_wire(b: u8) -> Option<KernelBackend> {
         match b {
-            1 => KernelBackend::Compiled,
-            _ => KernelBackend::Interpreted,
+            0 => Some(KernelBackend::Interpreted),
+            1 => Some(KernelBackend::Compiled),
+            _ => None,
         }
     }
 
@@ -116,10 +117,10 @@ mod kernel_tests {
     #[test]
     fn wire_round_trip() {
         for b in [KernelBackend::Interpreted, KernelBackend::Compiled] {
-            assert_eq!(KernelBackend::from_wire(b.to_wire()), b);
+            assert_eq!(KernelBackend::from_wire(b.to_wire()), Some(b));
         }
-        // Unknown bytes degrade to the reference path.
-        assert_eq!(KernelBackend::from_wire(0xff), KernelBackend::Interpreted);
+        // Unknown bytes name no backend.
+        assert_eq!(KernelBackend::from_wire(0xff), None);
     }
 
     #[test]

@@ -73,8 +73,21 @@ pub struct FileDataset {
 }
 
 impl FileDataset {
-    /// Open and validate a dataset file.
+    /// Open and validate a dataset file. Every error names `path`.
     pub fn open(path: &Path) -> Result<FileDataset, FreerideError> {
+        FileDataset::open_unnamed(path).map_err(|e| match e {
+            FreerideError::Io(e) => FreerideError::Io(std::io::Error::new(
+                e.kind(),
+                format!("{}: {e}", path.display()),
+            )),
+            FreerideError::BadDataset { reason } => FreerideError::BadDataset {
+                reason: format!("{}: {reason}", path.display()),
+            },
+            other => other,
+        })
+    }
+
+    fn open_unnamed(path: &Path) -> Result<FileDataset, FreerideError> {
         let bad = |reason: String| FreerideError::BadDataset { reason };
         let mut f = File::open(path)?;
         let mut header = [0u8; HEADER_LEN as usize];
@@ -306,6 +319,25 @@ mod source_tests {
             FileDataset::open(&path),
             Err(FreerideError::BadDataset { .. })
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn open_errors_name_the_path() {
+        let path = tmp("named.frds");
+        std::fs::remove_file(&path).ok();
+        let shown = path.display().to_string();
+        match FileDataset::open(&path) {
+            Err(FreerideError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::NotFound);
+                assert!(e.to_string().contains(&shown), "{e}");
+            }
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+        std::fs::write(&path, b"FRDS").unwrap();
+        let err = FileDataset::open(&path).unwrap_err();
+        assert!(matches!(err, FreerideError::BadDataset { .. }), "{err}");
+        assert!(err.to_string().contains(&shown), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

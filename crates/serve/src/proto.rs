@@ -88,8 +88,9 @@ pub enum JobSpec {
         /// Worker threads per node.
         threads_per_node: u32,
         /// Kernel backend for kernel-IR tasks on the fleet
-        /// (`freeride::KernelBackend::to_wire` byte; closure tasks
-        /// ignore it, unknown bytes degrade to the interpreter).
+        /// (`freeride::KernelBackend::to_wire` byte; hand-written tasks
+        /// ignore it, and a byte that names no backend is rejected at
+        /// admission).
         backend: u8,
     },
     /// A Chapel program, translated and run on the server (repeat

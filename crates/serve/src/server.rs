@@ -33,7 +33,8 @@ use std::time::{Duration, Instant, SystemTime};
 
 use cfr_core::{CompiledProgram, OptLevel, Translator};
 use chapel_interp::RtValue;
-use freeride_dist::{tasks, ClusterConfig, DistError, JobDriver};
+use freeride_dist::tasks::Task;
+use freeride_dist::{ClusterConfig, DistError, JobDriver};
 use obs::{
     render_prometheus, AttrValue, FlightRecorder, MetricsSnapshot, Recorder, Trace, TraceLevel,
 };
@@ -483,14 +484,19 @@ fn admit(shared: &Shared, tenant: &str, spec: JobSpec) -> Message {
 /// Cheap validity checks at admission time, so a bad submission is a
 /// synchronous `Rejected` instead of a queued job that fails later.
 fn validate_spec(shared: &Shared, spec: &JobSpec) -> Result<(), String> {
+    let (JobSpec::Task { backend, .. } | JobSpec::Chapel { backend, .. }) = spec;
+    kernel_backend(*backend)?;
     match spec {
         JobSpec::Task {
             task,
             params,
+            init_state,
             dataset,
             ..
         } => {
-            tasks::layout(task, params).map_err(|e| e.to_string())?;
+            Task::parse(task, params)
+                .and_then(|task| task.check_state(init_state))
+                .map_err(|e| e.to_string())?;
             validate_dataset(shared, dataset)
         }
         JobSpec::Chapel { opt, .. } => opt_level(*opt).map(|_| ()).ok_or(format!(
@@ -515,12 +521,18 @@ fn validate_dataset(shared: &Shared, dataset: &str) -> Result<(), String> {
         shared.recorder.hub().add("serve.dataset_cache_hits", 1);
         return Ok(());
     }
-    freeride::source::FileDataset::open(&path)
-        .map_err(|e| format!("invalid dataset {dataset}: {e}"))?;
+    freeride::source::FileDataset::open(&path).map_err(|e| e.to_string())?;
     inner.dataset_cache.insert(path, meta);
     inner.dataset_cache_misses += 1;
     shared.recorder.hub().add("serve.dataset_cache_misses", 1);
     Ok(())
+}
+
+/// The kernel backend a spec's wire byte names.
+fn kernel_backend(byte: u8) -> Result<freeride::KernelBackend, String> {
+    freeride::KernelBackend::from_wire(byte).ok_or(format!(
+        "unknown kernel backend {byte} (expected 0 = interpreted, 1 = compiled)"
+    ))
 }
 
 fn opt_level(opt: u8) -> Option<OptLevel> {
@@ -814,7 +826,7 @@ fn run_job(
             cfg.init_state = init_state.clone();
             cfg.rounds = (*rounds).max(1) as usize;
             cfg.threads_per_node = (*threads_per_node).max(1) as usize;
-            cfg.backend = freeride::KernelBackend::from_wire(*backend);
+            cfg.backend = kernel_backend(*backend)?;
             cfg.trace = shared.cfg.trace;
             cfg.checkpoint_dir = shared.cfg.checkpoint_root.clone();
             cfg.job_tag = format!("job{job_id}");
@@ -907,7 +919,7 @@ fn run_chapel_job(
     backend: u8,
 ) -> Result<(JobOutput, Option<Trace>, Option<MetricsSnapshot>), String> {
     let opt_level = opt_level(opt).ok_or(format!("unknown opt level {opt}"))?;
-    let backend = freeride::KernelBackend::from_wire(backend);
+    let backend = kernel_backend(backend)?;
     let recorder = Arc::new(Recorder::new(shared.cfg.trace));
     recorder.hub().set_enabled(true);
     let translator = Translator::new(opt_level, threads.max(1) as usize)

@@ -164,6 +164,62 @@ fn tenant_quota_rejects_excess_and_recovers_after_drain() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Admission checks what every node would reject alike: a task's
+/// state length and the backend byte. Both are a synchronous
+/// `Rejected`, never a queued job that fails on the fleet.
+#[test]
+fn bad_state_length_and_backend_byte_are_rejected_at_admission() {
+    let path = dataset("admission", 2, &kmeans_data());
+    // No node ever listens here: only admission can answer.
+    let dead = {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap()
+    };
+    let mut cfg = ServeConfig::new(vec![dead]);
+    cfg.trace = TraceLevel::Phases;
+    let handle = Server::start(cfg, "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.addr(), "alice", "").unwrap();
+
+    let mut short = kmeans_spec(&path, 1);
+    if let JobSpec::Task { init_state, .. } = &mut short {
+        *init_state = vec![0.5];
+    }
+    match client.submit(short).unwrap_err() {
+        ServeError::Rejected { reason } => {
+            assert!(reason.contains("expected k*d = 6"), "{reason}");
+        }
+        other => panic!("expected Rejected, got {other}"),
+    }
+
+    let mut task_backend = kmeans_spec(&path, 1);
+    if let JobSpec::Task { backend, .. } = &mut task_backend {
+        *backend = 7;
+    }
+    let chapel_backend = JobSpec::Chapel {
+        source: "var x: real = 1.0;".into(),
+        opt: 2,
+        threads: 1,
+        globals: vec![],
+        backend: 9,
+    };
+    for (spec, byte) in [(task_backend, 7), (chapel_backend, 9)] {
+        match client.submit(spec).unwrap_err() {
+            ServeError::Rejected { reason } => {
+                assert!(
+                    reason.contains(&format!("unknown kernel backend {byte}")),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected Rejected, got {other}"),
+        }
+    }
+    let top = client.top().unwrap();
+    assert_eq!(top.metrics.counter("serve.jobs_submitted"), 0);
+    client.bye().unwrap();
+    handle.stop();
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn queue_admits_beyond_concurrency_and_caps_running_jobs() {
     let path = dataset("queue", 2, &kmeans_data());
