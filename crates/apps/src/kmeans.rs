@@ -66,11 +66,6 @@ impl KmeansParams {
         self.config.threads = t;
         self
     }
-
-    /// The paper's 12 MB dataset: `12 MB / 8 B / d` points.
-    pub fn small_dataset(d: usize, k: usize, iters: usize) -> KmeansParams {
-        KmeansParams::new(12 * 1024 * 1024 / 8 / d, d, k, iters)
-    }
 }
 
 /// Result of a k-means run.

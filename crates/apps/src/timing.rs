@@ -95,7 +95,7 @@ impl AppTiming {
 
     /// Modeled time with the parallel-linearization extension enabled
     /// (the linearization term divides across threads).
-    pub fn modeled_parallel_linearize_ns(&self, threads: usize) -> u64 {
+    pub fn modeled_par_linearize_ns(&self, threads: usize) -> u64 {
         self.linearize_ns / threads.max(1) as u64 + self.stats.modeled_parallel_ns(threads)
     }
 }

@@ -129,14 +129,6 @@ impl Default for Harness {
 }
 
 impl Harness {
-    /// A harness at `scale` with default threads.
-    pub fn at_scale(scale: f64) -> Harness {
-        Harness {
-            scale,
-            ..Default::default()
-        }
-    }
-
     fn max_threads(&self) -> usize {
         self.threads.iter().copied().max().unwrap_or(1)
     }
@@ -268,11 +260,6 @@ pub fn fig12(h: &Harness) -> Figure {
 /// Figure 13: PCA, 1000 rows × 100,000 columns.
 pub fn fig13(h: &Harness) -> Figure {
     pca_figure(h, "fig13", 1000, 100_000)
-}
-
-/// All five result figures.
-pub fn all_figures(h: &Harness) -> Vec<Figure> {
-    vec![fig09(h), fig10(h), fig11(h), fig12(h), fig13(h)]
 }
 
 // ---------- ablations ----------

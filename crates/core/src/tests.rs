@@ -304,21 +304,6 @@ fn opt2_eliminates_nested_state_walks() {
 }
 
 #[test]
-fn parallel_linearization_matches_sequential() {
-    let src = programs::kmeans(64, 3, 4);
-    let mut t = Translator::new(OptLevel::Opt2, 4);
-    let seq = t.run_program(&src).unwrap();
-    t.parallel_linearize = true;
-    let par = t.run_program(&src).unwrap();
-    assert_close(
-        seq.global("newCent").unwrap(),
-        par.global("newCent").unwrap(),
-        1e-12,
-        "newCent",
-    );
-}
-
-#[test]
 fn job_reports_have_timings() {
     let run = Translator::new(OptLevel::Opt2, 2)
         .run_program(&programs::kmeans(50, 3, 3))

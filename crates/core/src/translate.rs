@@ -31,9 +31,6 @@ pub struct Translator {
     /// FREERIDE job configuration (threads, sync scheme, splitter,
     /// execution mode).
     pub config: JobConfig,
-    /// Linearize the dataset in parallel (the paper's stated future
-    /// work; an ablation in this reproduction).
-    pub parallel_linearize: bool,
     /// Span recorder for the compiler pipeline; when set, every stage
     /// (`frontend.lex` … `core.writeback`) and every FREERIDE engine
     /// run lands on one shared timeline.
@@ -46,7 +43,6 @@ impl Translator {
         Translator {
             opt,
             config: JobConfig::with_threads(threads),
-            parallel_linearize: false,
             recorder: None,
         }
     }
@@ -152,8 +148,7 @@ impl Translator {
     ) -> Result<JobReport, CoreError> {
         let wall_start = Instant::now();
 
-        // ---- Linearization (the paper's first overhead; sequential by
-        // default, parallel as the future-work ablation), straight from
+        // ---- Linearization (the paper's first overhead), straight from
         // the interpreter's values. ----
         let lin_start = Instant::now();
         let mut dataset: Vec<&RtValue> = Vec::with_capacity(c.dataset.vars.len());
@@ -163,18 +158,7 @@ impl Translator {
             })?);
         }
         let (rows, unit) = (c.dataset.rows, c.dataset.unit);
-        let buffer = if self.parallel_linearize {
-            // Interpreter values cannot cross threads: the parallel
-            // ablation copies them into `Value` trees first.
-            let values = dataset
-                .iter()
-                .map(|v| v.to_linear())
-                .collect::<Option<Vec<_>>>()
-                .ok_or_else(not_linearizable)?;
-            zip_linearize(&values, rows, unit, true, self.config.threads)?
-        } else {
-            zip_rows(&dataset, rows, unit)?
-        };
+        let buffer = zip_rows(&dataset, rows, unit)?;
 
         // State, in the one representation the strategy reads: flat
         // buffers (opt-2) or nested values (generated/opt-1).
@@ -415,8 +399,6 @@ pub struct JobReport {
 impl JobReport {
     /// Modeled parallel time for `threads` logical threads: sequential
     /// linearization + reduce makespan + combination (DESIGN.md §5).
-    /// With `parallel_linearize`, divide the linearization term by the
-    /// thread count before calling this.
     pub fn modeled_parallel_ns(&self, threads: usize) -> u64 {
         self.linearize_ns + self.stats.modeled_parallel_ns(threads)
     }
@@ -577,11 +559,6 @@ impl CompiledProgram {
             StmtPlan::Offload { compiled, .. } => Some((i, &**compiled)),
             _ => None,
         })
-    }
-
-    /// Number of statements planned for FREERIDE offload.
-    pub fn offloads(&self) -> usize {
-        self.loops().count()
     }
 }
 

@@ -4,8 +4,8 @@
 //! The paper evaluates on a 12 MB and a 1.2 GB k-means file and on
 //! 1000×10,000 / 1000×100,000 PCA matrices; those exact files are not
 //! available, so this crate generates statistically equivalent synthetic
-//! datasets: clustered Gaussian point clouds for k-means and dense
-//! value matrices for PCA, all reproducible from a seed, plus writers
+//! datasets: clustered Gaussian point clouds for k-means and skewed
+//! sparse matrices and tensors, all reproducible from a seed, plus writers
 //! and readers for the `freeride::source` binary format so experiments
 //! can stream from disk like the original middleware.
 
@@ -80,51 +80,6 @@ pub fn clustered_points(
         }
     }
     (Dataset { data, unit: d }, centres)
-}
-
-/// A k-means dataset sized to approximately `megabytes` MB of payload
-/// with dimensionality `d` — the paper's "12 MB" / "1.2 GB" datasets.
-pub fn kmeans_sized(megabytes: usize, d: usize, k: usize, seed: u64) -> (Dataset, Vec<f64>) {
-    let n = (megabytes * 1024 * 1024 / 8 / d).max(k);
-    clustered_points(n, d, k, 2.5, seed)
-}
-
-/// Dense PCA matrix: `cols` samples of dimensionality `rows`, each
-/// dimension with a distinct mean and variance so the covariance matrix
-/// has structure. Row-major sample layout (unit = `rows`).
-pub fn pca_matrix(rows: usize, cols: usize, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let means: Vec<f64> = (0..rows).map(|a| (a % 17) as f64).collect();
-    let scales: Vec<f64> = (0..rows).map(|a| 0.5 + (a % 5) as f64 * 0.25).collect();
-    let mut data = Vec::with_capacity(rows * cols);
-    for _ in 0..cols {
-        for a in 0..rows {
-            data.push(means[a] + scales[a] * gaussian(&mut rng));
-        }
-    }
-    Dataset { data, unit: rows }
-}
-
-/// Uniform scalar samples in `[0, 1)` (histogram workload; unit 1).
-pub fn uniform_scalars(n: usize, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Dataset {
-        data: (0..n).map(|_| rng.gen_range(0.0..1.0)).collect(),
-        unit: 1,
-    }
-}
-
-/// Noisy points on a line `y = slope·x + intercept` (regression
-/// workload; unit 2: x then y).
-pub fn noisy_line(n: usize, slope: f64, intercept: f64, noise: f64, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(n * 2);
-    for i in 0..n {
-        let x = i as f64 / n as f64 * 100.0;
-        data.push(x);
-        data.push(slope * x + intercept + gaussian(&mut rng) * noise);
-    }
-    Dataset { data, unit: 2 }
 }
 
 /// Power-law (Zipf-like) sparse matrix in CSR form — the sparse tier's
@@ -237,13 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn kmeans_sized_hits_target() {
-        let (ds, _) = kmeans_sized(12, 8, 10, 1);
-        let mb = ds.bytes() as f64 / (1024.0 * 1024.0);
-        assert!((mb - 12.0).abs() < 0.1, "{mb} MB");
-    }
-
-    #[test]
     fn gaussian_moments() {
         let mut rng = StdRng::seed_from_u64(123);
         let n = 20_000;
@@ -252,32 +200,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn pca_matrix_means_match_spec() {
-        let ds = pca_matrix(4, 5000, 9);
-        for a in 0..4 {
-            let mean: f64 = (0..5000).map(|i| ds.data[i * 4 + a]).sum::<f64>() / 5000.0;
-            assert!((mean - (a % 17) as f64).abs() < 0.1, "dim {a}: {mean}");
-        }
-    }
-
-    #[test]
-    fn noisy_line_fits() {
-        let ds = noisy_line(2000, 2.5, -1.0, 0.01, 4);
-        // Quick least squares.
-        let n = ds.rows() as f64;
-        let (mut sx, mut sy, mut sxx, mut sxy) = (0.0, 0.0, 0.0, 0.0);
-        for i in 0..ds.rows() {
-            let (x, y) = (ds.data[i * 2], ds.data[i * 2 + 1]);
-            sx += x;
-            sy += y;
-            sxx += x * x;
-            sxy += x * y;
-        }
-        let slope = (n * sxy - sx * sy) / (n * sxx - sx * sx);
-        assert!((slope - 2.5).abs() < 0.01, "slope {slope}");
     }
 
     #[test]
@@ -316,7 +238,7 @@ mod tests {
     fn disk_roundtrip() {
         let mut path = std::env::temp_dir();
         path.push(format!("datagen-{}.frds", std::process::id()));
-        let ds = uniform_scalars(64, 3);
+        let (ds, _) = clustered_points(64, 3, 2, 1.0, 3);
         ds.write(&path).unwrap();
         let back = Dataset::read(&path).unwrap();
         assert_eq!(ds, back);

@@ -141,9 +141,9 @@ pub struct ClusterConfig {
     /// written by `cfr_sparse::write_csr_dataset`). Nodes fail the job
     /// with a typed error if the sidecar is missing or malformed.
     pub sparse_split: bool,
-    /// Elastic scheduling policy: mid-job membership (join listener),
-    /// shard work-stealing, and declarative placement. The default is
-    /// fully static — one work unit per shard, no membership hub.
+    /// Elastic scheduling policy: mid-job membership (join listener)
+    /// and shard work-stealing. The default is fully static — one work
+    /// unit per shard, no membership hub.
     pub elastic: crate::ElasticPolicy,
 }
 

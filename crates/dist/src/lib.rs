@@ -25,7 +25,7 @@
 //! wire: [`split_units`] cuts the fixed shard map into work units, a
 //! pure function of the shard map and the grain and never of live
 //! membership (the bit-identity anchor); the steal queue hands them
-//! out; [`plan`] seeds them onto nodes by [`PlacementPolicy`]; and the
+//! out; [`plan`] seeds each node with an equal contiguous share; and the
 //! [`MembershipHub`] parks mid-job joiners for the round barrier.
 //!
 //! Fault tolerance rides on the same small state: a [`Checkpoint`] is
@@ -54,7 +54,7 @@ pub use coord::{
 };
 pub use error::{DistError, FtError};
 pub use membership::MembershipHub;
-pub use policy::{plan, ElasticPolicy, PlacementPolicy};
+pub use policy::{plan, ElasticPolicy};
 pub use sched::{Fleet, JobDriver};
 pub use store::{Checkpoint, CheckpointStore, SavedCheckpoint, CKPT_MAGIC, CKPT_VERSION};
 pub use units::{split_units, WorkUnit};

@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn concurrent_drain_covers_every_unit_exactly_once() {
         let units = split_units(&[(0, 100)], 1);
-        let seedq = crate::policy::plan(&units, &[0, 1, 2, 3], &Default::default());
+        let seedq = crate::policy::plan(&units, 4);
         let q = Arc::new(StealQueue::new(seedq, true));
         let handles: Vec<_> = (0..4)
             .map(|i| {

@@ -850,14 +850,14 @@ impl<'a> JobDriver<'a> {
     /// [`ElasticPolicy::steal`](crate::ElasticPolicy) picks the two
     /// inputs. Off: the units are the shards themselves, each on the
     /// node that owns it. On: shards are cut into grain-sized units,
-    /// planned onto the nodes by the placement policy, and an idle node
-    /// steals from the back of a straggler's queue instead of waiting
-    /// at the barrier.
+    /// seeded onto the nodes in equal contiguous shares, and an idle
+    /// node steals from the back of a straggler's queue instead of
+    /// waiting at the barrier.
     ///
     /// Bit-identity survives all of this because the unit set is a pure
     /// function of the shard map and the (run-fixed) grain — never of
-    /// live membership or placement — and the global combination folds
-    /// the unit results in ascending `first_row` order. Who computed a
+    /// live membership or of who runs what — and the global combination
+    /// folds the unit results in ascending `first_row` order. Who computed a
     /// unit, and in what order results arrived, cannot reach the FP
     /// fold, so recovered, stolen and churned runs match undisturbed
     /// ones to the bit.
@@ -887,9 +887,7 @@ impl<'a> JobDriver<'a> {
         let node_ids: Vec<usize> = fleet.nodes.iter().map(|n| n.conn.id).collect();
         let steal = self.config.elastic.steal;
         let seeds = if steal {
-            let units = split_units(&fleet.shard_map(), grain);
-            let live_ids: Vec<u32> = node_ids.iter().map(|&id| id as u32).collect();
-            plan(&units, &live_ids, &self.config.elastic.placement)
+            plan(&split_units(&fleet.shard_map(), grain), node_ids.len())
         } else {
             let own = |n: &LiveNode| split_units(&n.shards, 0);
             fleet.nodes.iter().map(own).collect()

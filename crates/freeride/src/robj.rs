@@ -303,13 +303,6 @@ impl ReductionObject {
         &self.cells[start..start + self.layout.groups[group].len]
     }
 
-    /// All cells of one group, mutably (for finalize).
-    pub fn group_slice_mut(&mut self, group: usize) -> &mut [f64] {
-        let start = self.layout.offsets[group];
-        let len = self.layout.groups[group].len;
-        &mut self.cells[start..start + len]
-    }
-
     /// Raw flat cells (for the combination phase and tests).
     pub fn cells(&self) -> &[f64] {
         &self.cells
@@ -700,8 +693,6 @@ mod robj_tests {
         let mut r = ReductionObject::alloc(layout2());
         r.accumulate(0, 3, 8.0);
         assert_eq!(r.group_slice(0), &[0.0, 0.0, 0.0, 8.0]);
-        r.group_slice_mut(1)[0] = 42.0;
-        assert_eq!(r.get(1, 0), 42.0);
     }
 
     #[test]

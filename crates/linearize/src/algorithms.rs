@@ -104,31 +104,6 @@ impl Linearizer {
         })
     }
 
-    /// Linearize a sequence of values of this shape into one buffer —
-    /// the "dataset" case where the top level is a stream of records
-    /// rather than a materialized array.
-    pub fn linearize_stream<'a>(
-        &self,
-        values: impl IntoIterator<Item = &'a Value>,
-    ) -> Result<Linearized, LinearizeError> {
-        let mut buffer = Vec::new();
-        let mut count = 0usize;
-        for v in values {
-            if !v.matches(&self.shape) {
-                return Err(LinearizeError::ShapeMismatch {
-                    shape: self.shape.describe(),
-                });
-            }
-            v.for_each_slot(&mut |x| buffer.push(x));
-            count += 1;
-        }
-        let stream_shape = Shape::array(self.shape.clone(), count);
-        Ok(Linearized {
-            buffer,
-            meta: LinearMeta::new(&stream_shape),
-        })
-    }
-
     /// The shape this linearizer accepts.
     pub fn shape(&self) -> &Shape {
         &self.shape
@@ -172,8 +147,8 @@ pub fn compute_index_recursive(
 /// offset.
 ///
 /// This is what the *generated* (unoptimized) translation calls once per
-/// innermost-loop iteration; opt-1 replaces it with a
-/// [`crate::StridedCursor`].
+/// innermost-loop iteration. Opt-1 hoists it out of the innermost loop;
+/// that rewrite lives in `cfr_core`'s kernel compiler (`compile.rs`).
 #[inline]
 pub fn compute_index(meta: &PathMeta, my_index: &[usize]) -> usize {
     debug_assert_eq!(my_index.len(), meta.levels, "one index per level");
@@ -227,18 +202,6 @@ mod alg_tests {
             .linearize(&Value::Array(vec![Value::Real(7.0); 3]))
             .unwrap();
         assert_eq!(ok.buffer, vec![7.0; 3]);
-    }
-
-    #[test]
-    fn linearize_stream_concatenates() {
-        let rec = Shape::record(vec![("x", Shape::Real), ("y", Shape::Real)]);
-        let lin = Linearizer::new(&rec);
-        let vals: Vec<Value> = (0..3)
-            .map(|i| Value::Record(vec![Value::Real(i as f64), Value::Real(-(i as f64))]))
-            .collect();
-        let out = lin.linearize_stream(vals.iter()).unwrap();
-        assert_eq!(out.buffer, vec![0.0, -0.0, 1.0, -1.0, 2.0, -2.0]);
-        assert_eq!(out.meta.total_slots, 6);
     }
 
     /// The Figure-8 equivalence: the nested reduction and the linearized

@@ -31,8 +31,6 @@ pub enum LinearizeError {
     NotAnArray,
     /// Selected a field of a non-record value.
     NotARecord,
-    /// Expected a primitive value.
-    NotAPrimitive,
     /// A flat buffer's length did not match the shape's slot count.
     BufferSize {
         /// Slots required by the shape.
@@ -61,7 +59,6 @@ impl fmt::Display for LinearizeError {
             }
             LinearizeError::NotAnArray => write!(f, "indexed into a non-array value"),
             LinearizeError::NotARecord => write!(f, "selected a field of a non-record value"),
-            LinearizeError::NotAPrimitive => write!(f, "expected a primitive value"),
             LinearizeError::BufferSize { expected, found } => {
                 write!(f, "buffer has {found} slots, shape requires {expected}")
             }

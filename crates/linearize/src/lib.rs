@@ -12,9 +12,11 @@
 //! * **Algorithm 3** — [`compute_index`]: map the multi-level index vector
 //!   used by the original (nested) reduction loop onto a flat offset into
 //!   the linearized buffer.
-//! * The **strength-reduction** optimization (the paper's *opt-1*):
-//!   [`StridedCursor`] hoists `computeIndex` out of the innermost loop and
-//!   walks the contiguous innermost level by unit stride.
+//!
+//! The paper's *opt-1* (strength reduction: hoist `computeIndex` out of
+//! the innermost loop and step by [`PathMeta::innermost_stride`]) is a
+//! code-generation transformation, so it lives in `cfr_core`'s kernel
+//! compiler (`compile.rs`), not here.
 //!
 //! FREERIDE exposes a simple 2-D view of the input data set, so the Chapel
 //! compiler must translate arbitrarily nested records/arrays into a dense
@@ -49,7 +51,6 @@
 //! ```
 
 mod algorithms;
-mod cursor;
 mod error;
 mod meta;
 mod shape;
@@ -61,7 +62,6 @@ pub use algorithms::{
     compute_index, compute_index_recursive, compute_linearize_size, linearize_it, Linearized,
     Linearizer,
 };
-pub use cursor::{FlatAccessor, MappedAccessor, StridedCursor};
 pub use error::LinearizeError;
 pub use meta::{AccessPath, LinearMeta, PathMeta};
 pub use shape::{PrimType, Shape};

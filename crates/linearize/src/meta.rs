@@ -178,20 +178,9 @@ impl PathMeta {
     }
 
     /// The stride, in slots, between consecutive innermost elements.
-    /// Used by the strength-reduction optimization (opt-1).
+    /// `cfr_core`'s opt-1 code generation steps by it.
     pub fn innermost_stride(&self) -> usize {
         self.unit_size[self.levels - 1]
-    }
-
-    /// Length of the innermost contiguous run that opt-1 walks: the
-    /// number of innermost elements per next-outer element, i.e.
-    /// `unit_size[levels-2] / unit_size[levels-1]` is an upper bound;
-    /// callers supply the actual loop bound.
-    pub fn is_innermost_contiguous(&self) -> bool {
-        // The innermost level is contiguous by construction of the
-        // linearizer; this hook exists so future layouts (e.g. padded or
-        // strided) can disable opt-1.
-        true
     }
 }
 

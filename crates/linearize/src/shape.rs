@@ -104,18 +104,6 @@ impl Shape {
         }
     }
 
-    /// Look up a record field by name, returning `(index, shape)`.
-    pub fn field_named(&self, name: &str) -> Option<(usize, &Shape)> {
-        match self {
-            Shape::Record { fields } => fields
-                .iter()
-                .enumerate()
-                .find(|(_, (n, _))| n == name)
-                .map(|(i, (_, s))| (i, s)),
-            _ => None,
-        }
-    }
-
     /// Element shape and length of an array shape.
     pub fn array_parts(&self) -> Option<(&Shape, usize)> {
         match self {
@@ -137,14 +125,6 @@ impl Shape {
                 .map(|(_, s)| s.nesting_levels())
                 .max()
                 .unwrap_or(0),
-        }
-    }
-
-    /// Number of fields if this is a record, else 0.
-    pub fn field_count(&self) -> usize {
-        match self {
-            Shape::Record { fields } => fields.len(),
-            _ => 0,
         }
     }
 
@@ -200,18 +180,6 @@ mod shape_tests {
         assert_eq!(a.field_offset(1), Some(3));
         assert_eq!(a.field_offset(2), None);
         assert!(Shape::Real.field_offset(0).is_none());
-    }
-
-    #[test]
-    fn field_lookup_by_name() {
-        let a = Shape::record(vec![
-            ("a1", Shape::array(Shape::Real, 3)),
-            ("a2", Shape::Int),
-        ]);
-        let (idx, sh) = a.field_named("a2").unwrap();
-        assert_eq!(idx, 1);
-        assert_eq!(*sh, Shape::Int);
-        assert!(a.field_named("zz").is_none());
     }
 
     #[test]

@@ -70,17 +70,6 @@ pub fn padded_row_entries(row: &[f64]) -> impl Iterator<Item = (usize, f64)> + '
     (0..len).map(move |t| (row[1 + 2 * t].max(0.0) as usize, row[2 + 2 * t]))
 }
 
-/// Stored entry count of one padded sparse row (clamped like
-/// [`padded_row_entries`]).
-#[inline]
-pub fn padded_row_len(row: &[f64]) -> usize {
-    if row.is_empty() {
-        0
-    } else {
-        (row[0].max(0.0) as usize).min(padded_capacity(row.len()))
-    }
-}
-
 #[cfg(test)]
 mod sparse_tests {
     use super::*;
@@ -93,7 +82,6 @@ mod sparse_tests {
         assert_eq!(buf.len(), unit);
         let got: Vec<(usize, f64)> = padded_row_entries(&buf).collect();
         assert_eq!(got, vec![(4, 2.0), (9, -1.5)]);
-        assert_eq!(padded_row_len(&buf), 2);
     }
 
     #[test]
@@ -122,6 +110,5 @@ mod sparse_tests {
         assert_eq!(padded_row_entries(&[f64::NAN, 0.0, 0.0]).count(), 0);
         // Empty slice.
         assert_eq!(padded_row_entries(&[]).count(), 0);
-        assert_eq!(padded_row_len(&[]), 0);
     }
 }

@@ -136,19 +136,6 @@ impl Value {
         }
     }
 
-    /// Mutable index into an array value (0-based).
-    pub fn index_mut(&mut self, i: usize) -> Result<&mut Value, LinearizeError> {
-        match self {
-            Value::Array(items) => {
-                let len = items.len();
-                items
-                    .get_mut(i)
-                    .ok_or(LinearizeError::IndexOutOfBounds { index: i, len })
-            }
-            _ => Err(LinearizeError::NotAnArray),
-        }
-    }
-
     /// Select a record field by position.
     pub fn field(&self, i: usize) -> Result<&Value, LinearizeError> {
         match self {
@@ -158,30 +145,6 @@ impl Value {
             }),
             _ => Err(LinearizeError::NotARecord),
         }
-    }
-
-    /// Mutably select a record field by position.
-    pub fn field_mut(&mut self, i: usize) -> Result<&mut Value, LinearizeError> {
-        match self {
-            Value::Record(vals) => {
-                let len = vals.len();
-                vals.get_mut(i)
-                    .ok_or(LinearizeError::IndexOutOfBounds { index: i, len })
-            }
-            _ => Err(LinearizeError::NotARecord),
-        }
-    }
-
-    /// Overwrite a primitive value from a numeric payload, preserving the
-    /// primitive kind. Errors on aggregates.
-    pub fn set_from_f64(&mut self, x: f64) -> Result<(), LinearizeError> {
-        match self {
-            Value::Real(v) => *v = x,
-            Value::Int(v) => *v = x as i64,
-            Value::Bool(v) => *v = x != 0.0,
-            _ => return Err(LinearizeError::NotAPrimitive),
-        }
-        Ok(())
     }
 
     /// Visit every primitive slot depth-first, in linearization order.
@@ -261,23 +224,15 @@ mod value_tests {
     #[test]
     fn indexing_and_fields() {
         let s = Shape::array(Shape::record(vec![("x", Shape::Real)]), 2);
-        let mut v = Value::from_fn(&s, |i| i as f64);
+        let v = Value::from_fn(&s, |i| i as f64);
         assert_eq!(v.index(1).unwrap().field(0).unwrap().as_f64(), Some(1.0));
         assert!(v.index(2).is_err());
         assert!(v.field(0).is_err()); // top level is an array
-        v.index_mut(0)
-            .unwrap()
-            .field_mut(0)
-            .unwrap()
-            .set_from_f64(99.0)
-            .unwrap();
-        assert_eq!(v.slot(0), Some(99.0));
     }
 
     #[test]
     fn bool_payload_roundtrip() {
-        let mut v = Value::Bool(false);
-        v.set_from_f64(1.0).unwrap();
+        let v = crate::delinearize(&[1.0], &Shape::Bool).unwrap();
         assert_eq!(v, Value::Bool(true));
         assert_eq!(v.as_f64(), Some(1.0));
     }

@@ -377,11 +377,6 @@ impl Span<'_> {
         }
     }
 
-    /// Whether this guard will record anything.
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// End the span now (equivalent to dropping it).
     pub fn finish(self) {}
 }
@@ -462,7 +457,6 @@ mod tests {
         let rec = Recorder::new(TraceLevel::Off);
         {
             let mut span = rec.span(TraceLevel::Phases, "x", "t", 0);
-            assert!(!span.is_recording());
             span.attr_int("k", 1);
         }
         rec.instant(TraceLevel::Phases, "e", "t", 0, Vec::new());

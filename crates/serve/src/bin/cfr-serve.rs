@@ -11,7 +11,7 @@
 //!           [--tenant-max-running N] [--trace LEVEL]
 //!           [--checkpoint-root DIR] [--job-retries N]
 //!           [--metrics-listen ADDR] [--metrics-port-file PATH]
-//!           [--steal] [--steal-grain N] [--node-weight ID=W]...
+//!           [--steal]
 //!   --node-addr ADDR       a cfr-node agent (repeat per node)
 //!   --listen ADDR          bind address (default 127.0.0.1:0)
 //!   --port-file PATH       write the bound address to PATH once
@@ -29,12 +29,8 @@
 //!   --metrics-port-file PATH
 //!                          write the bound metrics address to PATH
 //!   --steal                cut every task job's shards into work units
-//!                          that idle nodes steal from busy ones
-//!   --steal-grain N        rows per work unit with --steal (default
-//!                          0 = automatic)
-//!   --node-weight ID=W     relative placement weight of fleet node ID
-//!                          (e.g. 1=2.0 seeds node 1 with double work;
-//!                          repeat per node, unlisted nodes weigh 1.0)
+//!                          (eight per node) that idle nodes steal from
+//!                          busy ones
 //! ```
 
 use std::process::ExitCode;
@@ -46,8 +42,7 @@ const USAGE: &str = "usage: cfr-serve --node-addr ADDR [--node-addr ADDR]... [--
                      [--port-file PATH] [--token T] [--max-concurrent N] \
                      [--tenant-max-queued N] [--tenant-max-running N] [--trace LEVEL] \
                      [--checkpoint-root DIR] [--job-retries N] [--metrics-listen ADDR] \
-                     [--metrics-port-file PATH] [--steal] [--steal-grain N] \
-                     [--node-weight ID=W]...";
+                     [--metrics-port-file PATH] [--steal]";
 
 fn main() -> ExitCode {
     // Register the native codegen backend so in-process Chapel jobs
@@ -114,20 +109,6 @@ fn main() -> ExitCode {
                 None => return usage_error("--metrics-port-file requires a path"),
             },
             "--steal" => cfg.elastic.steal = true,
-            "--steal-grain" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.elastic.steal_grain = n,
-                None => return usage_error("--steal-grain requires a row count"),
-            },
-            "--node-weight" => match args.next().as_deref().and_then(parse_weight) {
-                Some((id, w)) => {
-                    let weights = &mut cfg.elastic.placement.weights;
-                    if weights.len() <= id {
-                        weights.resize(id + 1, 1.0);
-                    }
-                    weights[id] = w;
-                }
-                None => return usage_error("--node-weight requires ID=W with W > 0"),
-            },
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -162,14 +143,6 @@ fn main() -> ExitCode {
     handle.wait();
     eprintln!("cfr-serve: stopped");
     ExitCode::SUCCESS
-}
-
-/// Parse a `--node-weight ID=W` operand into `(node index, weight)`.
-fn parse_weight(arg: &str) -> Option<(usize, f64)> {
-    let (id, w) = arg.split_once('=')?;
-    let id = id.parse().ok()?;
-    let w: f64 = w.parse().ok()?;
-    (w.is_finite() && w > 0.0).then_some((id, w))
 }
 
 /// Write the bound address atomically: temp file in the same directory,

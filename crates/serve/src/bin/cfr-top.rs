@@ -168,7 +168,7 @@ fn render(top: &TopSnapshot) {
     let nodes = m.node_rows();
     if !nodes.is_empty() {
         println!(
-            "  {:<6} {:>7} {:>10} {:>10} {:>10} {:>12} {:>10} {:>7} {:>6} {:>6} {:>7}",
+            "  {:<6} {:>7} {:>10} {:>10} {:>10} {:>12} {:>10} {:>7} {:>6} {:>6}",
             "NODE",
             "ROUNDS",
             "P50",
@@ -178,8 +178,7 @@ fn render(top: &TopSnapshot) {
             "STRAGGLER",
             "STEALS",
             "JOINS",
-            "LEAVES",
-            "WEIGHT"
+            "LEAVES"
         );
         for (node, rounds, p50, p95, p99, bytes) in nodes {
             let stragglers = m.counter(&format!("node{node}.stragglers"));
@@ -187,7 +186,7 @@ fn render(top: &TopSnapshot) {
             let joins = m.counter(&format!("node{node}.joins"));
             let leaves = m.counter(&format!("node{node}.leaves"));
             println!(
-                "  {:<6} {:>7} {:>10} {:>10} {:>10} {:>12} {:>10} {:>7} {:>6} {:>6} {:>7}",
+                "  {:<6} {:>7} {:>10} {:>10} {:>10} {:>12} {:>10} {:>7} {:>6} {:>6}",
                 node,
                 rounds,
                 fmt_ms(p50),
@@ -198,7 +197,6 @@ fn render(top: &TopSnapshot) {
                 steals,
                 joins,
                 leaves,
-                fmt_weight(&top.weights, node),
             );
         }
     }
@@ -213,15 +211,6 @@ fn render(top: &TopSnapshot) {
     }
     if steals > 0 || joins > 0 || leaves > 0 {
         println!("  elastic: {steals} steal(s), {joins} join(s), {leaves} leave(s)");
-    }
-}
-
-/// Render a node's configured placement weight (milli-units → `x1.25`
-/// style); nodes beyond the configured fleet show `-`.
-fn fmt_weight(weights: &[(u32, u64)], node: u32) -> String {
-    match weights.iter().find(|&&(n, _)| n == node) {
-        Some(&(_, milli)) => format!("x{:.2}", milli as f64 / 1000.0),
-        None => "-".into(),
     }
 }
 

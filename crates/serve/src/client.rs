@@ -37,9 +37,6 @@ pub struct TopSnapshot {
     /// Merged fleet metrics: the server's own hub plus every finished
     /// job's telemetry.
     pub metrics: MetricsSnapshot,
-    /// Effective placement weight per fleet node in milli-units,
-    /// `(node, milli_weight)` in node order.
-    pub weights: Vec<(u32, u64)>,
 }
 
 /// One authenticated session with a job server.
@@ -122,16 +119,10 @@ impl Client {
         self.wait(id)
     }
 
-    /// Fetch the server's queue/cache counters.
+    /// Fetch the server's queue/cache counters (the status part of one
+    /// [`Client::top`] round trip).
     pub fn status(&mut self) -> Result<ServerStatus, ServeError> {
-        write_message(&mut self.stream, &Message::Status)?;
-        match read_message(&mut self.stream)? {
-            Message::StatusReport { status } => Ok(status),
-            Message::Error { message } => Err(ServeError::Server { message }),
-            other => Err(ServeError::Protocol {
-                reason: format!("expected StatusReport, got {}", other.kind_name()),
-            }),
-        }
+        self.top().map(|top| top.status)
     }
 
     /// Fetch the full telemetry view behind `cfr-top`: status, the job
@@ -143,7 +134,6 @@ impl Client {
                 status,
                 jobs,
                 metrics,
-                weights,
             } => {
                 let metrics = if metrics.is_empty() {
                     MetricsSnapshot::default()
@@ -156,7 +146,6 @@ impl Client {
                     status,
                     jobs,
                     metrics,
-                    weights,
                 })
             }
             Message::Error { message } => Err(ServeError::Server { message }),

@@ -33,10 +33,11 @@ pub const WIRE_MAGIC: &[u8; 4] = b"FRSV";
 /// per-job rows plus an `obs` FRMT metrics snapshot (the `cfr-top`
 /// feed). v3 adds the kernel `backend` byte to both job specs, so a
 /// submission can ask for the natively compiled kernel path (and the
-/// compiled-program cache keys on it). v4 extends [`Message::TopReport`]
-/// with the fleet's effective placement weights (milli-units per node),
-/// so `cfr-top` can show how the elastic scheduler seeds work.
-pub const WIRE_VERSION: u8 = 4;
+/// compiled-program cache keys on it). v4 added per-node placement
+/// weights to [`Message::TopReport`]; v5 drops them again and retires
+/// the separate status query and its reply (type bytes 9 and 10), since
+/// [`Message::TopReport`] carries the same [`ServerStatus`].
+pub const WIRE_VERSION: u8 = 5;
 /// Upper bound on a frame payload (64 MiB): a corrupt length field
 /// fails fast instead of triggering a giant allocation.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
@@ -55,8 +56,7 @@ const TYPE_REJECTED: u8 = 5;
 const TYPE_WAIT: u8 = 6;
 const TYPE_JOB_RESULT: u8 = 7;
 const TYPE_JOB_FAILED: u8 = 8;
-const TYPE_STATUS: u8 = 9;
-const TYPE_STATUS_REPORT: u8 = 10;
+// 9 and 10 were the status query and its reply, retired in v5.
 const TYPE_DUMP_TRACE: u8 = 11;
 const TYPE_TRACE_DUMP: u8 = 12;
 const TYPE_STOP_SERVER: u8 = 13;
@@ -124,7 +124,7 @@ pub struct TenantStatus {
     pub running: u32,
 }
 
-/// Counters of [`Message::StatusReport`].
+/// Counters of [`Message::TopReport`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServerStatus {
     /// Jobs waiting in the queue.
@@ -245,13 +245,6 @@ pub enum Message {
         /// The failure, rendered.
         message: String,
     },
-    /// Client → server: ask for queue/cache counters.
-    Status,
-    /// Server → client: the counters.
-    StatusReport {
-        /// Snapshot of the server counters.
-        status: ServerStatus,
-    },
     /// Client → server: ask for the accumulated server trace.
     DumpTrace,
     /// Server → client: the server trace (server spans on `pid` 0, each
@@ -273,12 +266,11 @@ pub enum Message {
         message: String,
     },
     /// Client → server: ask for the live telemetry view (the `cfr-top`
-    /// feed).
+    /// and `cfr-submit --status` feed).
     Top,
     /// Server → client: the live view.
     TopReport {
-        /// Queue/cache/tenant counters (as in
-        /// [`Message::StatusReport`]).
+        /// Queue/cache/tenant counters.
         status: ServerStatus,
         /// One row per job the server still remembers, in job-id
         /// order.
@@ -287,10 +279,6 @@ pub enum Message {
         /// snapshot frame (`MetricsSnapshot::decode_bin`); empty when
         /// the metrics hub is disabled.
         metrics: Vec<u8>,
-        /// Effective placement weight per fleet node, in milli-units
-        /// (`PlacementPolicy::weight_milli`): `(node, milli_weight)`
-        /// in node order. Empty on servers without a node fleet.
-        weights: Vec<(u32, u64)>,
     },
 }
 
@@ -437,8 +425,6 @@ impl Message {
             Message::Wait { .. } => TYPE_WAIT,
             Message::JobResult { .. } => TYPE_JOB_RESULT,
             Message::JobFailed { .. } => TYPE_JOB_FAILED,
-            Message::Status => TYPE_STATUS,
-            Message::StatusReport { .. } => TYPE_STATUS_REPORT,
             Message::DumpTrace => TYPE_DUMP_TRACE,
             Message::TraceDump { .. } => TYPE_TRACE_DUMP,
             Message::StopServer => TYPE_STOP_SERVER,
@@ -461,8 +447,6 @@ impl Message {
             Message::Wait { .. } => "Wait",
             Message::JobResult { .. } => "JobResult",
             Message::JobFailed { .. } => "JobFailed",
-            Message::Status => "Status",
-            Message::StatusReport { .. } => "StatusReport",
             Message::DumpTrace => "DumpTrace",
             Message::TraceDump { .. } => "TraceDump",
             Message::StopServer => "StopServer",
@@ -506,12 +490,10 @@ impl Message {
                 out.extend_from_slice(&job_id.to_le_bytes());
                 put_str(out, message);
             }
-            Message::StatusReport { status } => put_status(out, status),
             Message::TopReport {
                 status,
                 jobs,
                 metrics,
-                weights,
             } => {
                 put_status(out, status);
                 out.extend_from_slice(&(jobs.len() as u32).to_le_bytes());
@@ -521,16 +503,10 @@ impl Message {
                     out.push(j.state);
                 }
                 put_bytes(out, metrics);
-                out.extend_from_slice(&(weights.len() as u32).to_le_bytes());
-                for (node, milli) in weights {
-                    out.extend_from_slice(&node.to_le_bytes());
-                    out.extend_from_slice(&milli.to_le_bytes());
-                }
             }
             Message::TraceDump { chrome_json } => put_str(out, chrome_json),
             Message::Error { message } => put_str(out, message),
-            Message::Status
-            | Message::DumpTrace
+            Message::DumpTrace
             | Message::StopServer
             | Message::Stopping
             | Message::Bye
@@ -589,10 +565,6 @@ impl Message {
                 job_id: r.u64("job_id")?,
                 message: r.str(MAX_FRAME_LEN, "message")?.into(),
             },
-            TYPE_STATUS => Message::Status,
-            TYPE_STATUS_REPORT => Message::StatusReport {
-                status: read_status(&mut r)?,
-            },
             TYPE_TOP => Message::Top,
             TYPE_TOP_REPORT => {
                 let status = read_status(&mut r)?;
@@ -606,16 +578,10 @@ impl Message {
                     });
                 }
                 let metrics = r.bytes(MAX_FRAME_LEN, "metrics")?.to_vec();
-                let n = r.count(MAX_FRAME_LEN, 12, "weights")?;
-                let mut weights = Vec::with_capacity(n);
-                for _ in 0..n {
-                    weights.push((r.u32("weight node")?, r.u64("weight milli")?));
-                }
                 Message::TopReport {
                     status,
                     jobs,
                     metrics,
-                    weights,
                 }
             }
             TYPE_DUMP_TRACE => Message::DumpTrace,
@@ -697,8 +663,8 @@ mod proto_tests {
                 job_id: 12,
                 message: "node 1 died".into(),
             },
-            Message::Status,
-            Message::StatusReport {
+            Message::Top,
+            Message::TopReport {
                 status: ServerStatus {
                     queued: 1,
                     running: 2,
@@ -722,25 +688,6 @@ mod proto_tests {
                     ],
                     queue: vec![12, 13],
                 },
-            },
-            Message::Top,
-            Message::TopReport {
-                status: ServerStatus {
-                    queued: 1,
-                    running: 1,
-                    completed: 0,
-                    failed: 0,
-                    program_cache_hits: 0,
-                    program_cache_misses: 1,
-                    dataset_cache_hits: 0,
-                    dataset_cache_misses: 1,
-                    tenants: vec![TenantStatus {
-                        tenant: "alice".into(),
-                        active: 2,
-                        running: 1,
-                    }],
-                    queue: vec![13],
-                },
                 jobs: vec![
                     JobRow {
                         job_id: 12,
@@ -754,7 +701,6 @@ mod proto_tests {
                     },
                 ],
                 metrics: vec![b'F', b'R', b'M', b'T', 1],
-                weights: vec![(0, 1000), (1, 2500)],
             },
             Message::DumpTrace,
             Message::TraceDump {
@@ -786,7 +732,7 @@ mod proto_tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut frame = Message::Status.encode();
+        let mut frame = Message::Top.encode();
         frame[0] = b'X';
         let err = read_message(&mut &frame[..]).unwrap_err();
         assert!(matches!(err, ServeError::Protocol { .. }), "{err}");
@@ -794,15 +740,33 @@ mod proto_tests {
 
     #[test]
     fn version_mismatch_rejected() {
-        let mut frame = Message::Status.encode();
+        let mut frame = Message::Top.encode();
         frame[4] = 42;
         let err = read_message(&mut &frame[..]).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
     }
 
     #[test]
+    fn retired_status_types_are_unknown() {
+        // v5 retired the status query (9) and its reply (10): `Top`
+        // carries the same counters. Both bytes are now unknown types,
+        // with or without a payload.
+        assert_eq!(WIRE_VERSION, 5);
+        for type_byte in [9u8, 10] {
+            for payload in [&[][..], &[0u8; 48][..]] {
+                let frame = FRAMING.encode(type_byte, |out| out.extend_from_slice(payload));
+                let err = read_message(&mut &frame[..]).unwrap_err();
+                assert!(
+                    err.to_string().contains("unknown message type"),
+                    "type {type_byte}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn unknown_type_rejected() {
-        let mut frame = Message::Status.encode();
+        let mut frame = Message::Top.encode();
         frame[5] = 200;
         assert!(matches!(
             read_message(&mut &frame[..]),
@@ -812,7 +776,7 @@ mod proto_tests {
 
     #[test]
     fn oversized_length_rejected_before_allocating() {
-        let mut frame = Message::Status.encode();
+        let mut frame = Message::Top.encode();
         frame[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = read_message(&mut &frame[..]).unwrap_err();
         assert!(err.to_string().contains("exceeds limit"), "{err}");

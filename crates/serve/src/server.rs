@@ -78,10 +78,10 @@ pub struct ServeConfig {
     /// so live telemetry works with span recording off.
     pub metrics_listen: Option<String>,
     /// Elastic scheduling policy applied to every task job on the
-    /// fleet: shard work-stealing and the declarative placement
-    /// policy. `join_listen` is ignored here — a shared daemon cannot
-    /// hand one membership hub to concurrent jobs — so membership
-    /// stays fixed at the configured fleet. Default is fully static.
+    /// fleet: shard work-stealing and its grain. `join_listen` is
+    /// ignored here — a shared daemon cannot hand one membership hub
+    /// to concurrent jobs — so membership stays fixed at the configured
+    /// fleet. Default is fully static.
     pub elastic: freeride_dist::ElasticPolicy,
 }
 
@@ -387,10 +387,6 @@ fn handle_session(mut stream: TcpStream, shared: &Shared) -> Result<(), ServeErr
                 let reply = wait_for(shared, job_id);
                 write_message(&mut stream, &reply)?;
             }
-            Message::Status => {
-                let status = status_snapshot(shared);
-                write_message(&mut stream, &Message::StatusReport { status })?;
-            }
             Message::Top => {
                 let report = top_report(shared);
                 write_message(&mut stream, &report)?;
@@ -579,11 +575,6 @@ fn wait_for(shared: &Shared, job_id: u64) -> Message {
     }
 }
 
-fn status_snapshot(shared: &Shared) -> ServerStatus {
-    let inner = shared.inner.lock().expect("serve lock");
-    status_of(&inner)
-}
-
 fn status_of(inner: &Inner) -> ServerStatus {
     // Tenants sorted by name, so repeated scrapes render stably.
     let mut tenants: Vec<TenantStatus> = inner
@@ -637,15 +628,10 @@ fn top_report(shared: &Shared) -> Message {
         .collect();
     let mut agg = shared.recorder.hub().snapshot();
     agg.merge(&inner.fleet_metrics);
-    let placement = &shared.cfg.elastic.placement;
-    let weights = (0..shared.cfg.nodes.len() as u32)
-        .map(|i| (i, placement.weight_milli(i)))
-        .collect();
     Message::TopReport {
         status,
         jobs,
         metrics: agg.encode_bin(),
-        weights,
     }
 }
 
@@ -830,7 +816,7 @@ fn run_job(
             cfg.trace = shared.cfg.trace;
             cfg.checkpoint_dir = shared.cfg.checkpoint_root.clone();
             cfg.job_tag = format!("job{job_id}");
-            // Steal/placement policy is fleet-wide; the membership hub
+            // The steal policy is fleet-wide; the membership hub
             // is not (concurrent jobs can't share one listener).
             cfg.elastic = shared.cfg.elastic.clone();
             cfg.elastic.join_listen = None;

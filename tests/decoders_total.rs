@@ -282,7 +282,6 @@ fn frsv_decoder_is_total() {
                 state: cfr_serve::job_state::RUNNING,
             }],
             metrics: vec![b'F', b'R', b'M', b'T', 1],
-            weights: vec![(0, 1000), (1, 2500)],
         },
     ];
     for msg in samples {

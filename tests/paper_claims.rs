@@ -192,7 +192,7 @@ fn parallel_linearization_helps_at_high_thread_counts() {
     params.config = freeride::JobConfig::modeled(8);
     let r = kmeans::run(&params, Version::Opt2).expect("kmeans");
     let seq = r.timing.modeled_ns(8);
-    let par = r.timing.modeled_parallel_linearize_ns(8);
+    let par = r.timing.modeled_par_linearize_ns(8);
     assert!(
         par < seq,
         "parallel linearization must help: {par} vs {seq}"
